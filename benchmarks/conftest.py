@@ -3,8 +3,9 @@
 Every benchmark regenerates one table or figure of the paper.  The at-scale
 numbers come from the calibrated performance model (the substrates that the
 paper measures — 2,048 V100s, InfiniBand, GPFS — are simulated, see
-DESIGN.md); the functional measurements that feed pytest-benchmark run on
-scaled-down problems so the harness completes in minutes.
+:mod:`repro.gpusim`, :mod:`repro.mpi` and :mod:`repro.pfs`); the functional
+measurements that feed pytest-benchmark run on scaled-down problems so the
+harness completes in minutes.
 
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the regenerated
 tables printed next to the paper's reference values.

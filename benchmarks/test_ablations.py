@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for iFDK's individual design choices.
 
 These go beyond the paper's tables: each ablation isolates one design
 decision of iFDK and quantifies its effect through the same models used for

@@ -1,12 +1,14 @@
-"""Backend speed micro-benchmark: reference vs vectorized/blocked vs parallel.
+"""Backend speed micro-benchmark: reference vs the tiled backend's three names.
 
 The paper's pitch is a back-projection that is arithmetically identical but
 far cheaper; the backend seam exists so the repo can keep making that trade
 safely.  This benchmark pins a real hot-path number to it: the proposed
 back-projection (Algorithm 4) of a 64³ volume from 128 projections, timed
-on every registered backend plus an explicit 4-worker ``parallel`` run,
-with the conformance suite guaranteeing all outputs agree (bit-identically,
-within the vectorized family).  The results are written to
+on every registered name plus an explicit 4-worker ``parallel`` run
+(``vectorized`` and ``blocked`` are the same one-worker tiled backend, so
+their two rows double as a repeatability reading), with the conformance
+suite guaranteeing all outputs agree (bit-identically, within the tiled
+family).  The results are written to
 ``BENCH_backend_speed.json`` at the repo root so future PRs can track the
 hot path instead of guessing.  Each run also *appends* a trajectory entry
 (git sha, UTC date, host cpu count, per-backend GUPS) to the record's
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends import BACKEND_NAMES, ParallelBackend, get_backend
+from repro.backends import BACKEND_NAMES, get_backend, resolve_backend
 from repro.bench.trajectory import HISTORY_LIMIT, git_sha, trajectory_entry
 from repro.core import default_geometry_for_problem
 from repro.core.types import ProjectionStack, ReconstructionProblem
@@ -99,7 +101,7 @@ def test_backend_speed_records_parallel_speedup():
         if name == "parallel":
             continue  # recorded separately with an explicit worker count
         results[name] = timed(get_backend(name), 1 if name == "reference" else 2)
-    with ParallelBackend(workers=PARALLEL_WORKERS) as backend:
+    with resolve_backend("parallel", workers=PARALLEL_WORKERS) as backend:
         results["parallel"] = timed(backend, 2)
         results["parallel"]["workers"] = PARALLEL_WORKERS
 

@@ -21,8 +21,7 @@ import threading
 
 import numpy as np
 
-from repro.backends import get_backend
-from repro.core import default_geometry_for_problem
+from repro.core import default_geometry_for_problem, reconstruct_fdk
 from repro.core.types import ProjectionStack
 from repro.pipeline import CircularBuffer
 from repro.streaming import (
@@ -93,9 +92,7 @@ def main() -> None:
 
     # The punchline: the online, out-of-order, chunk-at-a-time volume is
     # bit-identical to the offline whole-stack reconstruction.
-    offline = get_backend("vectorized").reconstruct(
-        stack, geometry, algorithm="proposed"
-    )
+    offline = reconstruct_fdk(stack, geometry, backend="vectorized")
     exact = np.array_equal(result.volume.data, offline.data)
     print(f"bit-identical to the offline whole-stack volume: {exact}")
     assert exact

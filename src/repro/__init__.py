@@ -12,9 +12,10 @@ Sub-packages
     (Algorithm 1), the standard and proposed back-projection algorithms
     (Algorithms 2 and 4), iterative solvers and quality metrics.
 ``repro.backends``
-    Pluggable compute backends for the hot paths (``reference``,
-    ``vectorized``, ``blocked``), proven interchangeable by the
-    cross-backend conformance suite.
+    Pluggable compute backends for the hot paths: ``reference`` and one
+    tiled backend registered as ``vectorized``, ``blocked`` and
+    ``parallel``, proven interchangeable by the cross-backend conformance
+    suite.
 ``repro.gpusim``
     A simulated GPU substrate: device model, memory tracking, warp/shuffle
     semantics and the five back-projection kernel variants of Table 3 with

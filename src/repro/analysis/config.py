@@ -41,7 +41,7 @@ DEFAULT_SCOPES: Dict[str, List[str]] = {
     # Annotation-driven: only files carrying `# guarded-by:` comments
     # produce obligations, so the pass safely runs everywhere.
     "lock-discipline": [],
-    # Process pools live in the dispatcher and the parallel backend.
+    # Pools live in the dispatchers and the tiled backend (backends/tiled.py).
     "spawn-safety": ["*/service/*.py", "*/backends/*.py"],
     # Numeric paths that must replay bit-identically.
     "determinism": [

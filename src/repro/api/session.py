@@ -7,11 +7,11 @@ acquisition scenario and its derived geometry, and the execution engine
 for the plan's target:
 
 ``fdk``
-    A configured :class:`~repro.core.fdk.FDKReconstructor` — or, when the
-    plan sets ``streaming: true``, a
-    :class:`~repro.streaming.StreamingReconstructor` fed through a
-    :class:`~repro.streaming.StackChunkSource`, chunking the same
-    reconstruction under the plan's memory budget (bit-identical output).
+    The chunk driver, a :class:`~repro.streaming.StreamingReconstructor`:
+    one chunk (the whole stack, ``reconstruct_stack``) by default, or,
+    when the plan sets ``streaming: true``, a
+    :class:`~repro.streaming.StackChunkSource` chunked under the plan's
+    memory budget (bit-identical output).
 ``ifdk``
     An :class:`~repro.pipeline.ifdk.IFDKFramework` over
     :meth:`IFDKConfig.from_plan <repro.pipeline.config.IFDKConfig.from_plan>`.
@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..core.fdk import FDKReconstructor
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, ReconstructionProblem, Volume
 from ..obs import NULL_TRACER, RunReport, Tracer, use_tracer
@@ -135,37 +134,32 @@ class Session:
         self._geometry = plan.scenario_geometry()
         self._framework = None
         self._service = None
-        self._reconstructor: Optional[FDKReconstructor] = None
-        self._streaming = None
+        self._driver = None
         self._streaming_metrics = None
         if plan.target == "ifdk":
             from ..pipeline.config import IFDKConfig
             from ..pipeline.ifdk import IFDKFramework
 
             self._framework = IFDKFramework(IFDKConfig.from_plan(plan))
-        elif plan.target == "fdk" and plan.streaming:
+        else:
             from ..obs import MetricsRegistry
             from ..streaming import StreamingReconstructor
 
-            # Chunk metrics ride along with tracing, like the service's
-            # lifetime instruments; untraced sessions keep the no-op
-            # registry so the hot loop stays instrument-free.
-            self._streaming_metrics = (
-                MetricsRegistry() if self.tracer.enabled else None
-            )
-            self._streaming = StreamingReconstructor.from_plan(
-                plan, metrics=self._streaming_metrics
-            )
-        else:
             # Single-node compute path, shared by the fdk and service
             # targets.  For the service target the plan's workers size the
             # dispatcher, not the backend pool, so they are not forwarded.
             fdk_plan = (
                 plan if plan.target == "fdk" else plan.with_updates(workers=None)
             )
-            self._reconstructor = FDKReconstructor.from_plan(fdk_plan)
+            # Chunk metrics ride along with tracing, like the service's
+            # lifetime instruments; untraced sessions keep the no-op
+            # registry so the hot loop stays instrument-free.
+            if plan.streaming and self.tracer.enabled:
+                self._streaming_metrics = MetricsRegistry()
+            self._driver = StreamingReconstructor.from_plan(
+                fdk_plan, metrics=self._streaming_metrics
+            )
             if plan.target == "service":
-                from ..obs import MetricsRegistry
                 from ..service.service import ReconstructionService
 
                 self._service = ReconstructionService(
@@ -309,11 +303,12 @@ class Session:
                 wall_seconds=wall,
                 details=details,
             )
-        if self._streaming is not None:
+        if not self.plan.streaming:
+            streamed = self._driver.reconstruct_stack(stack)
+        else:
             from ..streaming import StackChunkSource
 
-            streamed = self._streaming.reconstruct(StackChunkSource(stack))
-            wall = time.perf_counter() - start
+            streamed = self._driver.reconstruct(StackChunkSource(stack))
             details.update(
                 streaming=True,
                 chunk_size=streamed.chunk_size,
@@ -324,18 +319,6 @@ class Session:
             )
             if self._streaming_metrics is not None:
                 details["streaming_obs"] = self._streaming_metrics.snapshot()
-            return RunResult(
-                volume=streamed.volume,
-                plan=self.plan,
-                plan_key=self.plan_key,
-                target=self.plan.target,
-                geometry=self._geometry,
-                filter_seconds=streamed.filter_seconds,
-                backprojection_seconds=streamed.backprojection_seconds,
-                wall_seconds=wall,
-                details=details,
-            )
-        fdk = self._reconstructor.reconstruct(stack)
         if self._service is not None:
             from ..service.cache import fingerprint_stack
             from ..service.job import JobState
@@ -351,13 +334,13 @@ class Session:
                 details["service_obs"] = self._service.obs_snapshot()
         wall = time.perf_counter() - start
         return RunResult(
-            volume=fdk.volume,
+            volume=streamed.volume,
             plan=self.plan,
             plan_key=self.plan_key,
             target=self.plan.target,
             geometry=self._geometry,
-            filter_seconds=fdk.filter_seconds,
-            backprojection_seconds=fdk.backprojection_seconds,
+            filter_seconds=streamed.filter_seconds,
+            backprojection_seconds=streamed.backprojection_seconds,
             wall_seconds=wall,
             details=details,
         )
@@ -365,10 +348,8 @@ class Session:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release every resource the session resolved (idempotent)."""
-        if self._reconstructor is not None:
-            self._reconstructor.close()
-        if self._streaming is not None:
-            self._streaming.close()
+        if self._driver is not None:
+            self._driver.close()
         if self._service is not None:
             self._service.close()
         if self._framework is not None:

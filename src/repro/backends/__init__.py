@@ -8,22 +8,24 @@ ramp filtering and back-projection through a named
 ``reference``
     The original paper-literal NumPy implementation (the conformance
     ground truth).
-``vectorized``
-    Fully batched NumPy: per-projection geometry hoisted per Theorems 2/3,
-    fused weight·fetch·accumulate, real-FFT filtering.
-``blocked``
-    The vectorized kernels tiled over (z, y) slabs under a byte budget —
-    bit-identical to ``vectorized``, shaped like a GPU/out-of-core port.
-``parallel``
-    The blocked tile plan executed across a persistent worker-thread pool
-    (``workers=N``) — bit-identical to ``blocked`` at every worker count,
-    because workers own disjoint tiles of one preallocated volume.
+``vectorized`` / ``blocked`` / ``parallel``
+    Three names of one :class:`~repro.backends.tiled.TiledBackend`: fully
+    batched NumPy kernels (per-projection geometry hoisted per Theorems
+    2/3, fused weight·fetch·accumulate, real-FFT filtering) run over
+    (z, y) tiles and detector-row groups under a byte budget, on a
+    persistent worker pool.  ``vectorized`` and ``blocked`` run one worker
+    inline; ``parallel`` fans out (``workers=N``).  Bit-identical at every
+    byte budget and worker count, because workers own disjoint tiles of one
+    preallocated volume.
 
 Adding a backend
 ----------------
 
-Subclass :class:`~repro.backends.base.ComputeBackend`, implement
-``apply_filter`` and ``accumulator``, give it a unique ``name`` and call
+First ask whether it is a new *kernel* (add it to
+:mod:`repro.backends.vectorized` and let the tiled backend drive it) or a
+new execution strategy.  For the latter subclass
+:class:`~repro.backends.base.ComputeBackend`, implement ``apply_filter``
+and ``accumulator``, give it a unique ``name`` and call
 :func:`register_backend`.  The new backend must pass the conformance
 matrix in ``tests/test_backend_conformance.py`` (≤ 1e-5 relative RMSE
 against ``reference`` on every preset/dtype/slab combination) before it is
@@ -35,21 +37,24 @@ from __future__ import annotations
 from typing import Dict, Tuple, Type, Union
 
 from .base import ALGORITHMS, ComputeBackend, VolumeAccumulator
-from .blocked import DEFAULT_BYTE_BUDGET, BlockedBackend, plan_tiles
-from .parallel import ParallelBackend, WorkerPool, default_workers
 from .reference import ReferenceBackend
-from .vectorized import VectorizedBackend
+from .tiled import (
+    DEFAULT_BYTE_BUDGET,
+    TiledBackend,
+    WorkerPool,
+    check_workers,
+    default_workers,
+    plan_tiles,
+)
 
 __all__ = [
     "ALGORITHMS",
     "BACKEND_NAMES",
     "DEFAULT_BACKEND",
     "DEFAULT_BYTE_BUDGET",
-    "BlockedBackend",
     "ComputeBackend",
-    "ParallelBackend",
     "ReferenceBackend",
-    "VectorizedBackend",
+    "TiledBackend",
     "VolumeAccumulator",
     "WorkerPool",
     "available_backends",
@@ -106,7 +111,7 @@ def resolve_backend(
 
     ``workers=None`` is a plain :func:`get_backend` lookup (instances pass
     through).  An explicit worker count builds a *dedicated*
-    :class:`ParallelBackend` whose pool the caller owns — close it on
+    :class:`TiledBackend` whose pool the caller owns — close it on
     teardown (``FDKReconstructor.close`` does).  Requesting workers on any
     other backend is a :class:`ValueError`: only ``parallel`` executes on a
     worker pool.
@@ -114,7 +119,7 @@ def resolve_backend(
     if workers is None:
         return get_backend(name)
     validate_backend(name, workers=workers)
-    return ParallelBackend(workers=workers)
+    return TiledBackend(workers=workers)
 
 
 def validate_backend(
@@ -132,11 +137,8 @@ def validate_backend(
     """
     resolved = get_backend(name).name
     if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ValueError(
-                f"workers must be a positive integer (got {workers!r})"
-            )
-        if resolved != ParallelBackend.name:
+        check_workers(workers)
+        if resolved != "parallel":
             raise ValueError(
                 f"workers={workers!r} requires the 'parallel' backend, but "
                 f"backend is {resolved!r}"
@@ -145,9 +147,9 @@ def validate_backend(
 
 
 register_backend(ReferenceBackend)
-register_backend(VectorizedBackend)
-register_backend(BlockedBackend)
-register_backend(ParallelBackend)
+register_backend(TiledBackend(workers=1, name="vectorized"))
+register_backend(TiledBackend(workers=1, name="blocked"))
+register_backend(TiledBackend(name="parallel"))
 
 #: Stable tuple of the built-in backend names.
 BACKEND_NAMES = available_backends()

@@ -20,15 +20,19 @@ A backend implements two primitives:
     normalization are shared code (they are cheap elementwise products), so
     a backend only owns the FFT convolution itself.
 
-``accumulator(geometry, algorithm=..., z_range=..., ...)``
+``accumulator(geometry, algorithm=..., z_range=...)``
     Return a :class:`VolumeAccumulator` bound to one geometry and Z slab.
-    The accumulator receives filtered projections one at a time (the shape
-    the streaming iFDK pipeline produces) and owns the voxel-update loop —
-    this is where backends differ in batching, blocking and memory layout.
+    The accumulator receives filtered projections one at a time
+    (:meth:`~VolumeAccumulator.add`) or a chunk at a time
+    (:meth:`~VolumeAccumulator.add_stack`, which every accumulator has) and
+    owns the voxel-update loop — this is where backends differ in batching,
+    blocking and memory layout.
 
 Everything else (`filter_stack`, `backproject`) is derived from those two
 primitives by shared driver code in this class, so all backends execute the
-*same* orchestration and differ only in the inner kernels.
+*same* orchestration and differ only in the inner kernels.  The
+filter→accumulate loop over chunks of an acquisition is written once, in
+:class:`repro.streaming.StreamingReconstructor`.
 
 The conformance contract
 ------------------------
@@ -39,8 +43,8 @@ with it registered:
 * each hot path must agree with ``reference`` to a relative RMSE of at most
   ``1e-5`` on every geometry preset, input dtype and Z-slab decomposition of
   the matrix (in practice the NumPy backends agree to ~1e-7);
-* backends that share arithmetic but differ only in traversal order (for
-  example ``blocked`` vs ``vectorized``) must agree **bit-exactly**;
+* a backend that only reorders traversal (the tiled backend at any byte
+  budget and worker count) must agree with itself **bit-exactly**;
 * the Theorem 1–3 invariants (mirror-row reflection, u/z/Wdis constant
   along Z) must survive the backend's algebraic rearrangements.
 
@@ -57,14 +61,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.filtering import (
-    broadcast_redundancy_table,
-    cosine_weight_table,
-    fdk_normalization,
-    ramp_filter_frequency_response,
-)
+from ..core.filtering import fdk_normalization, filter_projections
 from ..core.geometry import CBCTGeometry
-from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
+from ..core.types import ProjectionStack, Volume
 from ..obs import get_tracer
 
 __all__ = ["ComputeBackend", "VolumeAccumulator", "ALGORITHMS"]
@@ -76,13 +75,18 @@ ALGORITHMS = ("standard", "proposed")
 class VolumeAccumulator(abc.ABC):
     """A streaming back-projection accumulator bound to one Z slab.
 
-    One projection at a time is folded into the accumulator via :meth:`add`;
-    :meth:`volume` returns the accumulated sub-volume in the canonical
-    i-major ``(Nz_local, Ny, Nx)`` layout regardless of the backend's
-    internal storage.  Accumulation must be deterministic: the result may
-    depend only on the sequence of ``(projection, angle)`` pairs, never on
-    wall-clock, thread scheduling or allocation addresses.
+    Filtered projections are folded in one at a time via :meth:`add` or a
+    stack at a time via :meth:`add_stack`; :meth:`volume` returns the
+    accumulated sub-volume in the canonical i-major ``(Nz_local, Ny, Nx)``
+    layout regardless of the backend's internal storage.  Accumulation must
+    be deterministic: the result may depend only on the sequence of
+    ``(projection, angle)`` pairs, never on wall-clock, thread scheduling or
+    allocation addresses.
     """
+
+    #: Registry name of the backend that built this accumulator (a trace
+    #: attribute of the ``backproject`` span).
+    backend: str = ""
 
     def __init__(
         self,
@@ -90,7 +94,6 @@ class VolumeAccumulator(abc.ABC):
         *,
         algorithm: str = "proposed",
         z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(
@@ -98,7 +101,6 @@ class VolumeAccumulator(abc.ABC):
             )
         self.geometry = geometry
         self.algorithm = algorithm
-        self.use_symmetry = use_symmetry
         self.z_range = z_range if z_range is not None else (0, geometry.nz)
         z_start, z_stop = self.z_range
         if not (0 <= z_start < z_stop <= geometry.nz):
@@ -112,18 +114,42 @@ class VolumeAccumulator(abc.ABC):
     def add(self, projection: np.ndarray, angle: float) -> None:
         """Fold one filtered ``(Nv, Nu)`` projection into the sub-volume."""
 
+    def add_stack(self, stack: ProjectionStack) -> None:
+        """Fold a filtered stack into the sub-volume, in stack order.
+
+        Bit-identical to one :meth:`add` per projection.  The ``backproject``
+        span covers the whole tile/voxel accumulation loop; per-projection
+        and per-worker child spans are recorded only when tracing is
+        enabled, so the hot loop stays untouched otherwise.
+        """
+        self._validate(stack.data.shape[1:])
+        with get_tracer().span(
+            "backproject",
+            payload_bytes=int(stack.data.nbytes),
+            backend=self.backend,
+            algorithm=self.algorithm,
+            projections=stack.np_,
+        ):
+            self._add_stack(stack)
+
+    def _add_stack(self, stack: ProjectionStack) -> None:
+        tracer = get_tracer()
+        if tracer.enabled:
+            for index, (angle, projection) in enumerate(stack):
+                with tracer.span("backproject.add", projection_index=index):
+                    self.add(projection, angle)
+        else:
+            for angle, projection in stack:
+                self.add(projection, angle)
+
     @abc.abstractmethod
     def volume(self) -> Volume:
         """The accumulated sub-volume, i-major ``(Nz_local, Ny, Nx)``."""
 
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Zero the accumulator, keeping geometry and configuration."""
-
-    def _validate(self, projection: np.ndarray) -> None:
-        if projection.shape != (self.geometry.nv, self.geometry.nu):
+    def _validate(self, shape: Tuple[int, ...]) -> None:
+        if shape != (self.geometry.nv, self.geometry.nu):
             raise ValueError(
-                f"projection shape {projection.shape} does not match detector "
+                f"projection shape {shape} does not match detector "
                 f"({self.geometry.nv}, {self.geometry.nu})"
             )
 
@@ -133,11 +159,11 @@ class ComputeBackend(abc.ABC):
 
     Subclasses implement :meth:`apply_filter` and :meth:`accumulator`; the
     stack-level drivers below are shared so every backend runs the same
-    orchestration (weighting, normalization, per-projection streaming) and
+    orchestration (weighting, normalization, accumulation order) and
     differs only in its inner kernels.
     """
 
-    #: Registry name (``--backend`` value); subclasses must override.
+    #: Registry name (``--backend`` value); subclasses must set it.
     name: str = ""
 
     # ------------------------------------------------------------------ #
@@ -162,8 +188,6 @@ class ComputeBackend(abc.ABC):
         *,
         algorithm: str = "proposed",
         z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-        k_chunk: int = 32,
     ) -> VolumeAccumulator:
         """A fresh zeroed :class:`VolumeAccumulator` for one Z slab."""
 
@@ -176,23 +200,18 @@ class ComputeBackend(abc.ABC):
         geometry: CBCTGeometry,
         window: str = "ram-lak",
         *,
-        apply_fdk_scale: bool = True,
         redundancy: Optional[np.ndarray] = None,
     ) -> ProjectionStack:
         """Algorithm 1 on a whole stack: cosine weight, ramp filter, scale.
 
         ``redundancy`` is an optional ``(Np, Nu)`` per-projection
         ray-redundancy table from an acquisition scenario (short-scan
-        Parker weights, offset-detector weights).  It is applied here, in
-        the shared driver, so every backend consumes the identical weighted
-        input — scenario handling can never diverge between backends, and
-        row/tile blocking stays bit-exact.
+        Parker weights, offset-detector weights).  It is applied in the
+        shared :func:`~repro.core.filtering.filter_projections` sequence,
+        so every backend consumes the identical weighted input — scenario
+        handling can never diverge between backends, and row/tile blocking
+        stays bit-exact.
         """
-        if stack.nu != geometry.nu or stack.nv != geometry.nv:
-            raise ValueError(
-                f"projection stack ({stack.nv}x{stack.nu}) does not match detector "
-                f"({geometry.nv}x{geometry.nu})"
-            )
         with get_tracer().span(
             "filter",
             payload_bytes=int(stack.data.nbytes),
@@ -200,22 +219,11 @@ class ComputeBackend(abc.ABC):
             projections=stack.np_,
             window=window,
         ):
-            fcos = cosine_weight_table(geometry)
-            tau = geometry.du * geometry.sad / geometry.sdd
-            response = ramp_filter_frequency_response(geometry.nu, tau, window)
-            weighted = stack.data * fcos[None, :, :]
-            if redundancy is not None:
-                weighted = (
-                    weighted
-                    * broadcast_redundancy_table(redundancy, stack.np_, stack.nu)
-                ).astype(DEFAULT_DTYPE, copy=False)
-            filtered = self.apply_filter(weighted, response, tau)
-            if apply_fdk_scale:
-                filtered = filtered * DEFAULT_DTYPE(fdk_normalization(geometry))
-            return ProjectionStack(
-                data=filtered.astype(DEFAULT_DTYPE, copy=False),
-                angles=stack.angles.copy(),
-                filtered=True,
+            return filter_projections(
+                stack, geometry, window,
+                extra_scale=fdk_normalization(geometry),
+                redundancy=redundancy,
+                convolve=self.apply_filter,
             )
 
     def backproject(
@@ -225,45 +233,18 @@ class ComputeBackend(abc.ABC):
         *,
         algorithm: str = "proposed",
         z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-        k_chunk: int = 32,
     ) -> Volume:
-        """Back-project a filtered stack through this backend's accumulator.
-
-        The span covers the whole tile/voxel accumulation loop of this
-        backend; per-projection ``backproject.add`` spans are recorded only
-        when tracing is enabled, so the hot loop stays untouched otherwise.
-        """
-        tracer = get_tracer()
-        with tracer.span(
-            "backproject",
-            payload_bytes=int(stack.data.nbytes),
-            backend=self.name,
-            algorithm=algorithm,
-            projections=stack.np_,
-        ):
-            acc = self.accumulator(
-                geometry,
-                algorithm=algorithm,
-                z_range=z_range,
-                use_symmetry=use_symmetry,
-                k_chunk=k_chunk,
-            )
-            if tracer.enabled:
-                for index, (angle, projection) in enumerate(stack):
-                    with tracer.span("backproject.add", projection_index=index):
-                        acc.add(projection, angle)
-            else:
-                for angle, projection in stack:
-                    acc.add(projection, angle)
-            return acc.volume()
+        """Back-project a filtered stack through a fresh accumulator."""
+        acc = self.accumulator(geometry, algorithm=algorithm, z_range=z_range)
+        acc.add_stack(stack)
+        return acc.volume()
 
     def close(self) -> None:
         """Release execution resources (worker threads); idempotent no-op here.
 
-        Backends that own threads (``parallel``) override this; closing must
-        always be safe — a closed backend restarts its resources lazily on
-        the next call, so shared registry instances tolerate it too.
+        Backends that own threads (the tiled backend) override this; closing
+        must always be safe — a closed backend restarts its resources lazily
+        on the next call, so shared registry instances tolerate it too.
         """
 
     def __enter__(self) -> "ComputeBackend":
@@ -272,29 +253,6 @@ class ComputeBackend(abc.ABC):
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    def reconstruct(
-        self,
-        stack: ProjectionStack,
-        geometry: CBCTGeometry,
-        *,
-        algorithm: str = "proposed",
-        window: str = "ram-lak",
-        z_range: Optional[Tuple[int, int]] = None,
-        redundancy: Optional[np.ndarray] = None,
-    ) -> Volume:
-        """Full FDK (filter + back-project) on this backend."""
-        if stack.filtered and redundancy is not None:
-            raise ValueError(
-                "redundancy weights are applied in the filtering stage, but "
-                "this stack is already filtered"
-            )
-        filtered = stack if stack.filtered else self.filter_stack(
-            stack, geometry, window, redundancy=redundancy
-        )
-        return self.backproject(
-            filtered, geometry, algorithm=algorithm, z_range=z_range
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} name={self.name!r}>"

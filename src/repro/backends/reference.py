@@ -23,73 +23,46 @@ __all__ = ["ReferenceBackend"]
 
 
 class _ReferenceAccumulator(VolumeAccumulator):
-    """Per-projection accumulation exactly as the original ``BackProjector``.
+    """Per-projection accumulation with the paper's literal arithmetic.
 
     The proposed algorithm accumulates into the k-major layout (the paper's
     ``I~``) and reshapes on :meth:`volume` (Algorithm 4 line 22); the
-    standard algorithm accumulates i-major directly.
+    standard algorithm accumulates i-major directly.  Both run with the
+    paper defaults of :func:`~repro.core.backprojection.accumulate_proposed`
+    (Theorem-1 symmetry on, 32-slice coordinate batches).
     """
 
-    def __init__(
-        self,
-        geometry: CBCTGeometry,
-        *,
-        algorithm: str = "proposed",
-        z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-        k_chunk: int = 32,
-    ):
-        super().__init__(
-            geometry, algorithm=algorithm, z_range=z_range, use_symmetry=use_symmetry
-        )
-        self.k_chunk = int(k_chunk)
-        if algorithm == "proposed":
-            self._kmajor: Optional[np.ndarray] = np.zeros(
-                (geometry.nx, geometry.ny, self.nz_local), dtype=DEFAULT_DTYPE
-            )
-            self._imajor: Optional[np.ndarray] = None
-        else:
-            self._imajor = np.zeros(
-                (self.nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE
-            )
-            self._kmajor = None
+    backend = "reference"
+
+    def __init__(self, geometry: CBCTGeometry, **kwargs):
+        super().__init__(geometry, **kwargs)
+        shape = (self.nz_local, geometry.ny, geometry.nx)
+        if self.algorithm == "proposed":
+            shape = shape[::-1]  # k-major (Nx, Ny, Nz_local)
+        self._data = np.zeros(shape, dtype=DEFAULT_DTYPE)
 
     def add(self, projection: np.ndarray, angle: float) -> None:
         projection = np.asarray(projection, dtype=DEFAULT_DTYPE)
-        self._validate(projection)
+        self._validate(projection.shape)
         pm = self.geometry.projection_matrix(float(angle))
         if self.algorithm == "proposed":
             accumulate_proposed(
-                self._kmajor,
+                self._data,
                 np.ascontiguousarray(projection.T),  # Algorithm 4 line 3
                 pm,
                 z_range=self.z_range,
-                k_chunk=self.k_chunk,
-                use_symmetry=self.use_symmetry,
             )
         else:
-            accumulate_standard(
-                self._imajor,
-                projection,
-                pm,
-                z_range=self.z_range,
-                k_chunk=self.k_chunk,
-            )
+            accumulate_standard(self._data, projection, pm, z_range=self.z_range)
 
     def volume(self) -> Volume:
         if self.algorithm == "proposed":
             data = np.ascontiguousarray(
-                self._kmajor.transpose(2, 1, 0), dtype=DEFAULT_DTYPE
+                self._data.transpose(2, 1, 0), dtype=DEFAULT_DTYPE
             )
         else:
-            data = self._imajor.copy()
+            data = self._data.copy()
         return Volume(data=data, voxel_pitch=self.geometry.voxel_pitch)
-
-    def reset(self) -> None:
-        if self._kmajor is not None:
-            self._kmajor.fill(0)
-        if self._imajor is not None:
-            self._imajor.fill(0)
 
 
 class ReferenceBackend(ComputeBackend):
@@ -108,13 +81,7 @@ class ReferenceBackend(ComputeBackend):
         *,
         algorithm: str = "proposed",
         z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-        k_chunk: int = 32,
     ) -> VolumeAccumulator:
         return _ReferenceAccumulator(
-            geometry,
-            algorithm=algorithm,
-            z_range=z_range,
-            use_symmetry=use_symmetry,
-            k_chunk=k_chunk,
+            geometry, algorithm=algorithm, z_range=z_range
         )

@@ -1,0 +1,426 @@
+"""The tiled backend: one bounded tile plan executed on one worker pool.
+
+Handed a whole slab, the block kernels of :mod:`repro.backends.vectorized`
+would materialize ``(Nz, Ny, Nx)``-sized float64 temporaries — ruinous for
+a 2048³ volume or a GPU with fixed device memory.  This backend cuts every
+hot path into independent units bounded by a byte budget — ``(z, y)``
+volume tiles for back-projection, detector-row groups for filtering — and
+runs them on a persistent :class:`WorkerPool`.  It is registered under
+three names: ``vectorized`` and ``blocked`` (one worker, inline on the
+caller's thread) and ``parallel`` (:func:`default_workers` threads; the
+kernels spend their time in NumPy primitives that release the GIL).
+
+Neither tiling nor concurrency touches the numerics.  The kernels are
+elementwise in the ``(k, y)`` block and each detector row's transform is
+independent of how rows are grouped; every worker owns a statically
+assigned, *disjoint* subset of the tile plan (``tiles[w::workers]``) and
+writes only its own region of one preallocated output; within a tile the
+accumulation order is the sequential stack order.  So the result is
+**bit-identical** for every byte budget, worker count and run — asserted by
+``tests/test_backend_conformance.py`` and ``tests/test_parallel_determinism.py``.
+
+Thread hygiene: the pool starts lazily on the first multi-task dispatch and
+its threads are named ``repro-parallel-*`` (the ``run_spmd`` discipline:
+every thread this package starts must be joinable and attributable).
+:meth:`TiledBackend.close` joins all workers; a closed pool restarts lazily,
+so closing a shared registry instance is always safe.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..core.geometry import CBCTGeometry
+from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
+from ..obs import get_tracer
+from .base import ComputeBackend, VolumeAccumulator
+from .vectorized import _BLOCK_KERNELS, _index_grids, rfft_ramp_filter
+
+__all__ = [
+    "DEFAULT_BYTE_BUDGET",
+    "TiledBackend",
+    "WorkerPool",
+    "default_workers",
+    "plan_tiles",
+]
+
+#: Default working-set bound: 32 MiB of float64 temporaries per tile —
+#: roughly an L3-cache-friendly footprint on current CPUs.
+DEFAULT_BYTE_BUDGET = 32 << 20
+
+#: Thread-name prefix of every pool worker (leak checks grep for this).
+WORKER_THREAD_PREFIX = "repro-parallel"
+
+Tile = Tuple[int, int, int, int]
+
+
+def check_workers(workers) -> int:
+    """``workers`` if it is a positive integer, else :class:`ValueError`."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer (got {workers!r})")
+    return workers
+
+
+def default_workers() -> int:
+    """Worker count when none is given: ``REPRO_PARALLEL_WORKERS`` or cores.
+
+    The environment override is how CI forces a fixed pool width (the
+    ``parallel-conformance`` job runs the whole matrix with 4 workers on
+    whatever runner it lands on); without it the count follows the host,
+    capped at 4 — the tile kernels are memory-bandwidth-bound beyond that.
+    """
+    env = os.environ.get("REPRO_PARALLEL_WORKERS")
+    if env is not None:
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(
+                f"REPRO_PARALLEL_WORKERS must be a positive integer (got {env!r})"
+            )
+        return workers
+    return max(1, min(4, os.cpu_count() or 1))
+
+
+class WorkerPool:
+    """A persistent, lazily-started worker pool with blocking dispatch.
+
+    :meth:`run` executes a batch of callables and returns when all have
+    finished, re-raising the first failure.  With one worker (or one task)
+    the batch runs inline on the caller's thread — no pool is started, so
+    ``workers=1`` is exactly the single-threaded execution it claims to be.
+    ``workers=None`` resolves :func:`default_workers` on first use, never at
+    construction, so a malformed ``REPRO_PARALLEL_WORKERS`` cannot fail an
+    import that merely builds a pool.
+    """
+
+    def __init__(self, workers: Optional[int] = None):
+        self._workers = (  # guarded-by: _lock
+            None if workers is None else check_workers(workers)
+        )
+        self._executor: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    @property
+    def workers(self) -> int:
+        """The resolved worker count (reads the environment on first use)."""
+        with self._lock:
+            if self._workers is None:
+                self._workers = default_workers()
+            return self._workers
+
+    def _ensure(self, workers: int) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix=WORKER_THREAD_PREFIX
+                )
+            return self._executor
+
+    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
+        """Run ``tasks`` to completion; the first exception propagates.
+
+        Every task has finished when this returns *or raises*: tasks write
+        into shared output arrays, so a failure must not hand control back
+        while a sibling is still writing.
+        """
+        tasks = list(tasks)
+        workers = self.workers
+        if workers == 1 or len(tasks) <= 1:
+            for task in tasks:
+                task()
+            return
+        executor = self._ensure(workers)
+        futures = [executor.submit(task) for task in tasks]
+        wait(futures)
+        for future in futures:
+            future.result()
+
+    def close(self) -> None:
+        """Join every worker thread; the pool restarts lazily if reused."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+    @property
+    def started(self) -> bool:
+        with self._lock:
+            return self._executor is not None
+
+
+def _traced(
+    tasks: List[Callable[[], None]],
+    name: str,
+    attrs: Callable[[int], Dict[str, int]],
+) -> List[Callable[[], None]]:
+    """Wrap task ``i`` in a ``name`` span with ``attrs(i)`` when tracing.
+
+    The ambient tracer and parent span are captured here, on the dispatching
+    thread (thread-locals do not cross the pool boundary), and handed to
+    each task explicitly.  Untraced dispatch runs the bare tasks and never
+    builds the attributes.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return tasks
+    parent = tracer.current_span_id()
+
+    def wrap(task: Callable[[], None], task_attrs: Dict[str, int]):
+        def run() -> None:
+            with tracer.span(name, parent=parent, **task_attrs):
+                task()
+
+        return run
+
+    return [wrap(task, attrs(index)) for index, task in enumerate(tasks)]
+
+
+# --------------------------------------------------------------------------- #
+# Tile planning
+# --------------------------------------------------------------------------- #
+def _block_bytes(kt: int, yt: int, nx: int, nv: int) -> int:
+    """Estimated float64 working set of one ``(kt, yt)`` tile.
+
+    The proposed kernel's column tables are ``(Nv, yt, Nx)`` (three live at
+    once) and both kernels hold ~8 ``(kt, yt, Nx)`` coordinate/sample
+    temporaries; this deliberately over-counts a little so the budget is a
+    ceiling, not a target.
+    """
+    return 8 * (3 * nv * yt * nx + 8 * kt * yt * nx)
+
+
+def _fewest_parts(extent: int, fits: Callable[[int], bool]) -> int:
+    """Smallest part count whose largest part ``fits`` (``extent`` if none)."""
+    for parts in range(1, extent):
+        if fits(-(-extent // parts)):
+            return parts
+    return extent
+
+
+def plan_tiles(
+    nz_local: int,
+    ny: int,
+    nx: int,
+    nv: int,
+    byte_budget: int,
+    min_tiles: int = 1,
+) -> List[Tile]:
+    """Deterministic ``(z0, z1, y0, y1)`` tiling under ``byte_budget`` bytes.
+
+    Local Z coordinates (``0 <= z0 < z1 <= nz_local``).  Y splits first:
+    inside one tile the proposed kernel's per-column detector tables are
+    shared along Z, so Y splits add no redundant column work while every Z
+    split recomputes those tables.  Z splits only once Y is down to single
+    rows; degenerate budgets bottom out at 1x1-slice tiles rather than
+    failing.  ``min_tiles`` (the worker count) splits further, in the same
+    order, until the plan can occupy every worker — a slab with fewer rows
+    than that simply under-fills the pool.  Parts of an axis are balanced:
+    their extents differ by at most one.
+    """
+    if byte_budget <= 0:
+        raise ValueError("byte_budget must be positive")
+    if min_tiles < 1:
+        raise ValueError("min_tiles must be positive")
+    y_parts = _fewest_parts(
+        ny, lambda yt: _block_bytes(nz_local, yt, nx, nv) <= byte_budget
+    )
+    yt = -(-ny // y_parts)
+    z_parts = _fewest_parts(
+        nz_local, lambda kt: _block_bytes(kt, yt, nx, nv) <= byte_budget
+    )
+    y_parts = min(ny, max(y_parts, -(-min_tiles // z_parts)))
+    z_parts = min(nz_local, max(z_parts, -(-min_tiles // y_parts)))
+    z_edges = [nz_local * part // z_parts for part in range(z_parts + 1)]
+    y_edges = [ny * part // y_parts for part in range(y_parts + 1)]
+    return [
+        (z0, z1, y0, y1)
+        for z0, z1 in zip(z_edges, z_edges[1:])
+        for y0, y1 in zip(y_edges, y_edges[1:])
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# Accumulator and backend
+# --------------------------------------------------------------------------- #
+class _TiledAccumulator(VolumeAccumulator):
+    """Shard-parallel tile accumulation into one preallocated volume."""
+
+    def __init__(
+        self,
+        geometry: CBCTGeometry,
+        *,
+        algorithm: str,
+        z_range: Optional[Tuple[int, int]],
+        byte_budget: int,
+        pool: WorkerPool,
+        backend: str,
+    ):
+        super().__init__(geometry, algorithm=algorithm, z_range=z_range)
+        self.backend = backend
+        self._pool = pool
+        self._kernel = _BLOCK_KERNELS[self.algorithm]
+        self._out = np.zeros(
+            (self.nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE
+        )
+        workers = pool.workers
+        tiles = plan_tiles(
+            self.nz_local, geometry.ny, geometry.nx, geometry.nv,
+            byte_budget, min_tiles=workers,
+        )
+        j_grid, i_grid = _index_grids(geometry.ny, geometry.nx)
+        z_start = self.z_range[0]
+        # Static round-robin shards: worker w owns tiles[w::workers] —
+        # disjoint by construction and interleaved for load balance, with no
+        # scheduling-dependent assignment.  Per tile, built once: the output
+        # view, the global Z indices of its slices and the index meshes of
+        # its rows — the kernel's operands.
+        self._shards = [
+            [
+                (
+                    self._out[z0:z1, y0:y1, :],
+                    np.arange(z_start + z0, z_start + z1, dtype=np.float64),
+                    i_grid[y0:y1, :],
+                    j_grid[y0:y1, :],
+                )
+                for z0, z1, y0, y1 in shard
+            ]
+            for shard in (tiles[w::workers] for w in range(workers))
+            if shard
+        ]
+
+    def _fold_shard(self, shard, projections: np.ndarray, matrices) -> None:
+        for matrix, projection in zip(matrices, projections):
+            for block, ks, i_grid, j_grid in shard:
+                self._kernel(block, projection, matrix, ks, i_grid, j_grid)
+
+    def _dispatch(self, projections: np.ndarray, angles: Sequence[float]) -> None:
+        matrices = [
+            self.geometry.projection_matrix(float(angle)).matrix for angle in angles
+        ]
+        tasks = [
+            partial(self._fold_shard, shard, projections, matrices)
+            for shard in self._shards
+        ]
+        self._pool.run(_traced(tasks, "backproject.worker", lambda worker: dict(
+            payload_bytes=int(projections.nbytes),
+            worker=worker,
+            tiles=len(self._shards[worker]),
+            projections=len(matrices),
+        )))
+
+    def add(self, projection: np.ndarray, angle: float) -> None:
+        projection = np.asarray(projection, dtype=DEFAULT_DTYPE)
+        self._validate(projection.shape)
+        self._dispatch(projection[None, ...], [angle])
+
+    def _add_stack(self, stack: ProjectionStack) -> None:
+        # One synchronization point for the whole stack instead of one per
+        # projection; each shard still accumulates its tiles in sequential
+        # stack order, so the bits match streaming add() exactly.
+        self._dispatch(stack.data, stack.angles)
+
+    def volume(self) -> Volume:
+        return Volume(
+            data=self._out.copy(), voxel_pitch=self.geometry.voxel_pitch
+        )
+
+
+class TiledBackend(ComputeBackend):
+    """The block kernels under a byte budget, on a worker pool.
+
+    ``workers=None`` follows :func:`default_workers` (resolved on first
+    execution); ``workers=1`` never starts a thread.  ``byte_budget``
+    bounds the float64 working set of one volume tile and the FFT spectrum
+    of one detector-row group.  ``name`` is the registry name the instance
+    answers to (``vectorized`` / ``blocked`` / ``parallel``).
+    """
+
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        byte_budget: int = DEFAULT_BYTE_BUDGET,
+        *,
+        name: str = "parallel",
+    ):
+        if byte_budget <= 0:
+            raise ValueError("byte_budget must be positive")
+        self.name = name
+        self.byte_budget = int(byte_budget)
+        self._pool = WorkerPool(workers)
+
+    @property
+    def workers(self) -> int:
+        """The resolved worker count (reads the environment on first use)."""
+        return self._pool.workers
+
+    def apply_filter(
+        self, rows: np.ndarray, response: np.ndarray, tau: float
+    ) -> np.ndarray:
+        """Row-group rfft filtering, groups processed concurrently.
+
+        Groups share the precomputed frequency ``response`` and write
+        disjoint row ranges of one preallocated output; per-row transforms
+        are identical regardless of grouping, so any budget and worker
+        count is bit-exact.
+        """
+        rows = np.asarray(rows)
+        flat = rows.reshape(-1, rows.shape[-1])
+        n_rows = flat.shape[0]
+        # ~16 bytes of complex spectrum per padded sample per row bound a
+        # group; never fewer groups than workers.
+        per_budget = self.byte_budget // (16 * response.shape[0])
+        per_worker = -(-n_rows // self.workers)
+        rows_per_group = max(1, min(per_budget, per_worker))
+        out = np.empty(
+            flat.shape, dtype=rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE
+        )
+        bounds = [
+            (start, min(start + rows_per_group, n_rows))
+            for start in range(0, n_rows, rows_per_group)
+        ]
+
+        def filter_group(start: int, stop: int) -> None:
+            out[start:stop] = rfft_ramp_filter(flat[start:stop], response, tau)
+
+        self._pool.run(_traced(
+            [partial(filter_group, start, stop) for start, stop in bounds],
+            "filter.worker",
+            lambda group: dict(
+                payload_bytes=int(flat[slice(*bounds[group])].nbytes),
+                rows=bounds[group][1] - bounds[group][0],
+            ),
+        ))
+        return out.reshape(rows.shape)
+
+    def accumulator(
+        self,
+        geometry: CBCTGeometry,
+        *,
+        algorithm: str = "proposed",
+        z_range: Optional[Tuple[int, int]] = None,
+    ) -> VolumeAccumulator:
+        return _TiledAccumulator(
+            geometry,
+            algorithm=algorithm,
+            z_range=z_range,
+            byte_budget=self.byte_budget,
+            pool=self._pool,
+            backend=self.name,
+        )
+
+    def close(self) -> None:
+        """Join the worker pool (restarts lazily if the backend is reused)."""
+        self._pool.close()
+
+    @property
+    def pool_started(self) -> bool:
+        """Whether the pool currently holds live worker threads."""
+        return self._pool.started

@@ -1,14 +1,14 @@
-"""The ``vectorized`` backend: fully batched NumPy kernels for the hot paths.
+"""The vectorized block kernels of the tiled backend.
 
 Where the ``reference`` backend is a literal transcription of the paper's
 algorithms (per-projection Python loops, chunked coordinate batches, SciPy
-``map_coordinates`` fetches), this backend restructures the same arithmetic
+``map_coordinates`` fetches), these kernels restructure the same arithmetic
 for NumPy throughput:
 
-* **Filtering** uses the real-input FFT (``rfft``/``irfft``) over the whole
-  stack at once — the ramp response is real and even, so multiplying the
-  half-spectrum is mathematically identical to the complex FFT path at half
-  the transform work.
+* **Filtering** uses the real-input FFT (``rfft``/``irfft``) — the ramp
+  response is real and even, so multiplying the half-spectrum is
+  mathematically identical to the complex FFT path at half the transform
+  work.
 * **Proposed back-projection (Algorithm 4)** hoists everything Theorems 2
   and 3 allow out of the Z loop *and* fuses the remaining work: for each
   projection the per-column detector coordinate ``u``, reciprocal ``f=1/z``
@@ -31,28 +31,23 @@ rounding structure as the reference path, which is why the two agree to
 ~1e-7 relative RMSE (the conformance bound is 1e-5).
 
 The block kernels take explicit ``(k, y)`` sub-ranges and are elementwise in
-the block, so the ``blocked`` backend reuses them tile-by-tile and produces
-**bit-identical** volumes (asserted by the conformance suite).
+the block, and each detector row's transform is independent of how rows are
+grouped, so :mod:`repro.backends.tiled` may cut the work into any tiles and
+row groups and still produce **bit-identical** results (asserted by the
+conformance suite).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
+from scipy import fft as _fft  # the goldens are pinned to SciPy's pocketfft
 
-try:  # SciPy's pocketfft is noticeably faster than numpy.fft for real FFTs.
-    from scipy import fft as _fft
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    from numpy import fft as _fft  # type: ignore[no-redef]
-
-from ..core.geometry import CBCTGeometry
-from ..core.types import DEFAULT_DTYPE, Volume
-from .base import ComputeBackend, VolumeAccumulator
+from ..core.types import DEFAULT_DTYPE
 
 __all__ = [
-    "VectorizedBackend",
     "rfft_ramp_filter",
     "accumulate_proposed_block",
     "accumulate_standard_block",
@@ -257,66 +252,3 @@ _BLOCK_KERNELS = {
     "proposed": accumulate_proposed_block,
     "standard": accumulate_standard_block,
 }
-
-
-# --------------------------------------------------------------------------- #
-# Accumulator and backend
-# --------------------------------------------------------------------------- #
-class _VectorizedAccumulator(VolumeAccumulator):
-    """Whole-slab accumulation: one fused block update per projection."""
-
-    def __init__(
-        self,
-        geometry: CBCTGeometry,
-        *,
-        algorithm: str = "proposed",
-        z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-    ):
-        super().__init__(
-            geometry, algorithm=algorithm, z_range=z_range, use_symmetry=use_symmetry
-        )
-        self._out = np.zeros(
-            (self.nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE
-        )
-        self._ks = np.arange(self.z_range[0], self.z_range[1], dtype=np.float64)
-        self._kernel = _BLOCK_KERNELS[self.algorithm]
-
-    def add(self, projection: np.ndarray, angle: float) -> None:
-        projection = np.asarray(projection, dtype=DEFAULT_DTYPE)
-        self._validate(projection)
-        pm = self.geometry.projection_matrix(float(angle))
-        j_grid, i_grid = _index_grids(self.geometry.ny, self.geometry.nx)
-        self._kernel(self._out, projection, pm.matrix, self._ks, i_grid, j_grid)
-
-    def volume(self) -> Volume:
-        return Volume(
-            data=self._out.copy(), voxel_pitch=self.geometry.voxel_pitch
-        )
-
-    def reset(self) -> None:
-        self._out.fill(0)
-
-
-class VectorizedBackend(ComputeBackend):
-    """Fully batched NumPy execution of the FDK hot paths."""
-
-    name = "vectorized"
-
-    def apply_filter(
-        self, rows: np.ndarray, response: np.ndarray, tau: float
-    ) -> np.ndarray:
-        return rfft_ramp_filter(rows, response, tau)
-
-    def accumulator(
-        self,
-        geometry: CBCTGeometry,
-        *,
-        algorithm: str = "proposed",
-        z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-        k_chunk: int = 32,  # noqa: ARG002 - whole-slab batching ignores chunking
-    ) -> VolumeAccumulator:
-        return _VectorizedAccumulator(
-            geometry, algorithm=algorithm, z_range=z_range, use_symmetry=use_symmetry
-        )

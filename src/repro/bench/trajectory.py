@@ -45,10 +45,14 @@ _REQUIRED_ENTRY_KEYS = ("sha", "date", "cpus", "gups")
 
 
 def git_sha(repo_root: Optional[Path] = None) -> str:
-    """Short git sha of ``repo_root`` (``"unknown"`` outside a checkout)."""
+    """Short git sha of ``repo_root`` (``"unknown"`` outside a checkout).
+
+    A ``+`` suffix marks a dirty working tree, so numbers measured before a
+    change is committed are never attributed to the parent commit.
+    """
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--abbrev=7", "--dirty=+", "--exclude=*"],
             cwd=str(repo_root) if repo_root is not None else None,
             capture_output=True,
             text=True,

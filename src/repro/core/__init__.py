@@ -7,7 +7,6 @@ to exercise them end-to-end.
 """
 
 from .backprojection import (
-    BackProjector,
     OperationCounts,
     backproject_proposed,
     backproject_standard,
@@ -18,7 +17,6 @@ from .fdk import FDKReconstructor, FDKResult, reconstruct_fdk
 from .iterative import IterativeResult, art, mlem, osem, sart, sirt
 from .filtering import (
     RAMP_FILTERS,
-    FilteringStage,
     cosine_weight_table,
     fdk_weight_and_filter,
     filter_projections,
@@ -55,7 +53,6 @@ from .types import (
 )
 
 __all__ = [
-    "BackProjector",
     "CBCTGeometry",
     "IterativeResult",
     "art",
@@ -68,7 +65,6 @@ __all__ = [
     "EllipsoidPhantom",
     "FDKReconstructor",
     "FDKResult",
-    "FilteringStage",
     "OperationCounts",
     "ProjectionMatrix",
     "ProjectionStack",

@@ -32,7 +32,7 @@ arithmetic, by Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "backproject_proposed",
     "accumulate_standard",
     "accumulate_proposed",
-    "BackProjector",
     "OperationCounts",
     "operation_counts",
     "projection_compute_reduction",
@@ -298,86 +297,6 @@ def backproject_proposed(
         )
     data = np.ascontiguousarray(kmajor.transpose(2, 1, 0), dtype=DEFAULT_DTYPE)
     return Volume(data=data, voxel_pitch=geometry.voxel_pitch)
-
-
-# --------------------------------------------------------------------------- #
-# Convenience driver object
-# --------------------------------------------------------------------------- #
-class BackProjector:
-    """Reusable back-projection stage bound to one geometry.
-
-    The distributed pipeline creates one instance per rank (the paper's
-    BP-thread) and calls :meth:`accumulate` once per batch of filtered
-    projections it receives from the AllGather step.  The voxel-update loop
-    itself is delegated to the selected :mod:`repro.backends` compute
-    backend; ``reference`` reproduces this module's accumulation functions
-    exactly.
-    """
-
-    #: Supported algorithm names.
-    ALGORITHMS = ("standard", "proposed")
-
-    def __init__(
-        self,
-        geometry: CBCTGeometry,
-        *,
-        algorithm: str = "proposed",
-        z_range: Optional[Tuple[int, int]] = None,
-        use_symmetry: bool = True,
-        k_chunk: int = 32,
-        backend: str = "reference",
-    ):
-        if algorithm not in self.ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected one of {self.ALGORITHMS}"
-            )
-        from ..backends import get_backend  # late import: backends import core
-
-        self.geometry = geometry
-        self.algorithm = algorithm
-        self.use_symmetry = use_symmetry
-        self.k_chunk = int(k_chunk)
-        self.z_range = z_range if z_range is not None else (0, geometry.nz)
-        z_start, z_stop = self.z_range
-        if not (0 <= z_start < z_stop <= geometry.nz):
-            raise ValueError(f"invalid z_range {z_range} for Nz={geometry.nz}")
-        engine_backend = get_backend(backend)
-        self.backend = engine_backend.name
-        self._engine = engine_backend.accumulator(
-            geometry,
-            algorithm=algorithm,
-            z_range=self.z_range,
-            use_symmetry=use_symmetry,
-            k_chunk=self.k_chunk,
-        )
-        self.projections_processed = 0
-        self.updates_performed = 0
-
-    # ------------------------------------------------------------------ #
-    def accumulate(self, projections: np.ndarray, angles: Sequence[float]) -> None:
-        """Back-project a batch of filtered projections into the sub-volume."""
-        projections = np.asarray(projections, dtype=DEFAULT_DTYPE)
-        if projections.ndim == 2:
-            projections = projections[None, ...]
-            angles = [angles] if np.isscalar(angles) else angles
-        angles = np.asarray(angles, dtype=np.float64).ravel()
-        if projections.shape[0] != angles.shape[0]:
-            raise ValueError("number of projections and angles must match")
-        nz_local = self.z_range[1] - self.z_range[0]
-        for angle, projection in zip(angles, projections):
-            self._engine.add(projection, float(angle))
-            self.projections_processed += 1
-            self.updates_performed += nz_local * self.geometry.ny * self.geometry.nx
-
-    def volume(self) -> Volume:
-        """Return the accumulated sub-volume in the i-major layout."""
-        return self._engine.volume()
-
-    def reset(self) -> None:
-        """Zero the accumulator (keeps the geometry and configuration)."""
-        self._engine.reset()
-        self.projections_processed = 0
-        self.updates_performed = 0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,9 @@
 """Single-node FDK driver: filtering followed by back-projection.
 
 This is the complete Feldkamp–Davis–Kress reconstruction (Section 2.2.2) as
-one convenient entry point.  It is the building block used by:
+one convenient entry point — the one-chunk case of the chunk driver
+(:class:`repro.streaming.StreamingReconstructor`), which owns the
+filter→back-project loop.  It is the building block used by:
 
 * the quickstart example (reconstruct a phantom on one "node"),
 * the distributed iFDK framework (each rank runs the same two stages on its
@@ -12,11 +14,9 @@ one convenient entry point.  It is the building block used by:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .filtering import RAMP_FILTERS
 from .geometry import CBCTGeometry
 from .types import ProjectionStack, ReconstructionProblem, Volume
 
@@ -81,32 +81,24 @@ class FDKReconstructor:
     ramp_filter: str = "ram-lak"
     algorithm: str = "proposed"
     z_range: Optional[Tuple[int, int]] = None
-    use_symmetry: bool = True
     backend: str = "reference"
     scenario: Optional[object] = None
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.ramp_filter not in RAMP_FILTERS:
-            raise ValueError(
-                f"unknown ramp filter {self.ramp_filter!r}; valid: {RAMP_FILTERS}"
-            )
-        if self.algorithm not in ("proposed", "standard"):
-            raise ValueError("algorithm must be 'proposed' or 'standard'")
-        from ..backends import resolve_backend  # late import: backends import core
+        # Late import (here and in from_plan): streaming imports core.
+        from ..streaming.reconstructor import StreamingReconstructor
 
-        self._backend = resolve_backend(self.backend, workers=self.workers)
-        # A dedicated pool (explicit workers) is ours to tear down; shared
-        # registry backends are left alone.
-        self._owns_backend = self.workers is not None
-        if self.scenario is None:
-            self._redundancy = None
-        else:
-            from ..scenarios import get_scenario  # late: scenarios import core
-
-            resolved = get_scenario(self.scenario)
-            self.scenario = resolved
-            self._redundancy = resolved.redundancy_weights(self.geometry)
+        self._driver = StreamingReconstructor(
+            self.geometry,
+            ramp_filter=self.ramp_filter,
+            algorithm=self.algorithm,
+            z_range=self.z_range,
+            backend=self.backend,
+            scenario=self.scenario,
+            workers=self.workers,
+        )
+        self.scenario = self._driver.scenario
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -120,15 +112,9 @@ class FDKReconstructor:
         (:meth:`~repro.api.ReconstructionPlan.scenario_geometry`), so the
         reconstructor is ready for the scenario-shaped stack.
         """
-        scenario = plan.resolved_scenario()
-        return cls(
-            geometry=plan.scenario_geometry(),
-            ramp_filter=plan.ramp_filter,
-            algorithm=plan.algorithm,
-            backend=plan.backend,
-            scenario=None if scenario.is_ideal else scenario,
-            workers=plan.workers,
-        )
+        from ..streaming.reconstructor import plan_fields
+
+        return cls(**plan_fields(plan))
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -138,8 +124,7 @@ class FDKReconstructor:
         thread started on this reconstructor's behalf remains alive (the
         ``run_spmd`` thread-accounting discipline).
         """
-        if self._owns_backend:
-            self._backend.close()
+        self._driver.close()
 
     def __enter__(self) -> "FDKReconstructor":
         return self
@@ -154,51 +139,28 @@ class FDKReconstructor:
         When a scenario is configured, its redundancy-weight table rides
         along into the backend's shared filtering driver.
         """
-        return self._backend.filter_stack(
-            stack, self.geometry, self.ramp_filter, redundancy=self._redundancy
+        driver = self._driver
+        return driver.backend.filter_stack(
+            stack, self.geometry, self.ramp_filter, redundancy=driver.redundancy
         )
 
     def backproject(self, filtered: ProjectionStack) -> Volume:
         """Run the back-projection stage on already-filtered projections."""
-        return self._backend.backproject(
-            filtered,
-            self.geometry,
-            algorithm=self.algorithm,
-            z_range=self.z_range,
-            use_symmetry=self.use_symmetry,
+        return self._driver.backend.backproject(
+            filtered, self.geometry, algorithm=self.algorithm, z_range=self.z_range
         )
 
     def reconstruct(self, stack: ProjectionStack) -> FDKResult:
         """Full FDK reconstruction of a projection stack."""
-        if stack.nu != self.geometry.nu or stack.nv != self.geometry.nv:
-            raise ValueError(
-                "projection stack does not match the configured detector size"
-            )
-        if stack.filtered and self._redundancy is not None:
-            raise ValueError(
-                f"scenario {self.scenario.name!r} applies redundancy weights "
-                "in the filtering stage, but this stack is already filtered; "
-                "filter raw projections through this reconstructor (or drop "
-                "the scenario if the weights were already applied)"
-            )
-        problem = ReconstructionProblem(
-            nu=self.geometry.nu,
-            nv=self.geometry.nv,
-            np_=stack.np_,
-            nx=self.geometry.nx,
-            ny=self.geometry.ny,
-            nz=(self.z_range[1] - self.z_range[0]) if self.z_range else self.geometry.nz,
-        )
-        t0 = time.perf_counter()
-        filtered = stack if stack.filtered else self.filter(stack)
-        t1 = time.perf_counter()
-        volume = self.backproject(filtered)
-        t2 = time.perf_counter()
+        streamed = self._driver.reconstruct_stack(stack)
         return FDKResult(
-            volume=volume,
-            filter_seconds=t1 - t0,
-            backprojection_seconds=t2 - t1,
-            problem=problem,
+            volume=streamed.volume,
+            filter_seconds=streamed.filter_seconds,
+            backprojection_seconds=streamed.backprojection_seconds,
+            problem=replace(
+                self.geometry.problem(),
+                np_=stack.np_, nz=streamed.volume.data.shape[0],
+            ),
         )
 
 

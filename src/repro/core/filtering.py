@@ -30,28 +30,23 @@ Implementation notes
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
-
-try:  # SciPy's pocketfft is noticeably faster than numpy.fft for real FFTs.
-    from scipy import fft as _fft
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    from numpy import fft as _fft  # type: ignore[no-redef]
+from scipy import fft as _fft  # the goldens are pinned to SciPy's pocketfft
 
 from .geometry import CBCTGeometry
 from .types import DEFAULT_DTYPE, ProjectionStack
 
 __all__ = [
     "RAMP_FILTERS",
-    "broadcast_redundancy_table",
     "cosine_weight_table",
     "ramp_kernel_spatial",
     "ramp_filter_frequency_response",
     "apply_ramp_filter",
     "filter_projections",
     "fdk_weight_and_filter",
-    "FilteringStage",
     "measure_filtering_throughput",
 ]
 
@@ -59,8 +54,12 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # Cosine weighting (the ``Fcos`` table of Table 1)
 # --------------------------------------------------------------------------- #
+@lru_cache(maxsize=8)
 def cosine_weight_table(geometry: CBCTGeometry) -> np.ndarray:
     """The 2-D cosine weighting table ``Fcos`` of size ``(Nv, Nu)``.
+
+    Cached per geometry and returned read-only: every chunk and every
+    projection of a run filters against the same table.
 
     Each detector pixel is weighted by ``D / sqrt(D² + a² + b²)`` where
     ``(a, b)`` are the physical offsets of the pixel from the *principal
@@ -73,7 +72,9 @@ def cosine_weight_table(geometry: CBCTGeometry) -> np.ndarray:
     v = (np.arange(geometry.nv, dtype=np.float64) - (geometry.nv - 1) / 2.0) * geometry.dv
     uu, vv = np.meshgrid(u, v)
     d = geometry.sdd
-    return (d / np.sqrt(d * d + uu * uu + vv * vv)).astype(DEFAULT_DTYPE)
+    table = (d / np.sqrt(d * d + uu * uu + vv * vv)).astype(DEFAULT_DTYPE)
+    table.setflags(write=False)
+    return table
 
 
 # --------------------------------------------------------------------------- #
@@ -118,6 +119,7 @@ def _window(name: str, freqs: np.ndarray, nyquist: float) -> np.ndarray:
 RAMP_FILTERS = ("ram-lak", "shepp-logan", "cosine", "hamming", "hann")
 
 
+@lru_cache(maxsize=8)
 def ramp_filter_frequency_response(
     nu: int,
     tau: float,
@@ -125,7 +127,7 @@ def ramp_filter_frequency_response(
     *,
     pad_to: Optional[int] = None,
 ) -> np.ndarray:
-    """Frequency response of the (windowed) ramp filter.
+    """Frequency response of the (windowed) ramp filter (cached, read-only).
 
     Parameters
     ----------
@@ -150,6 +152,7 @@ def ramp_filter_frequency_response(
     freqs = np.fft.fftfreq(pad_to, d=tau)
     nyquist = 1.0 / (2.0 * tau)
     response = response * _window(window, freqs, nyquist)
+    response.setflags(write=False)
     return response
 
 
@@ -178,27 +181,6 @@ def apply_ramp_filter(
 # --------------------------------------------------------------------------- #
 # Algorithm 1
 # --------------------------------------------------------------------------- #
-def broadcast_redundancy_table(
-    redundancy: np.ndarray, np_: int, nu: int
-) -> np.ndarray:
-    """Validate a per-projection redundancy-weight table for broadcasting.
-
-    Acquisition scenarios (short-scan Parker weights, offset-detector
-    virtual-full-fan weights) express ray redundancy as a float table of
-    shape ``(Np, Nu)`` — one weight per (projection, detector column),
-    constant along V.  The table multiplies the projections *before* the
-    ramp filter, alongside the cosine weights.  Returns a ``(Np, 1, Nu)``
-    float64 view ready to broadcast against a ``(Np, Nv, Nu)`` stack.
-    """
-    redundancy = np.asarray(redundancy, dtype=np.float64)
-    if redundancy.shape != (np_, nu):
-        raise ValueError(
-            f"redundancy table shape {redundancy.shape} does not match "
-            f"(Np, Nu) = ({np_}, {nu})"
-        )
-    return redundancy[:, None, :]
-
-
 def filter_projections(
     stack: ProjectionStack,
     geometry: CBCTGeometry,
@@ -206,15 +188,22 @@ def filter_projections(
     *,
     extra_scale: float = 1.0,
     redundancy: Optional[np.ndarray] = None,
+    convolve: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None,
 ) -> ProjectionStack:
     """Algorithm 1: cosine weighting followed by row-wise ramp filtering.
 
-    ``extra_scale`` is an optional constant folded into the output (used by
-    :func:`fdk_weight_and_filter` to absorb the FDK normalization).
-    ``redundancy`` is an optional ``(Np, Nu)`` per-projection weight table
-    (see :func:`broadcast_redundancy_table`) applied with the cosine
-    weights — the hook acquisition scenarios use for Parker/short-scan and
+    This is the one place the cosine → redundancy → ramp → scale sequence
+    is written; every backend's ``filter_stack`` runs it with its own
+    convolution.  ``extra_scale`` is an optional constant folded into the
+    output (used by :func:`fdk_weight_and_filter` to absorb the FDK
+    normalization).  ``redundancy`` is an optional ``(Np, Nu)`` float
+    table — one weight per (projection, detector column), constant along
+    V — multiplied in with the cosine weights, *before* the ramp filter:
+    the hook acquisition scenarios use for Parker/short-scan and
     offset-detector ray-redundancy handling.
+    ``convolve(rows, response, tau)`` is the row convolution
+    (:meth:`ComputeBackend.apply_filter <repro.backends.base.ComputeBackend.apply_filter>`);
+    the default is the reference complex-FFT :func:`apply_ramp_filter`.
     """
     if stack.nu != geometry.nu or stack.nv != geometry.nv:
         raise ValueError(
@@ -227,10 +216,19 @@ def filter_projections(
     response = ramp_filter_frequency_response(geometry.nu, tau, window)
     weighted = stack.data * fcos[None, :, :]
     if redundancy is not None:
-        weighted = (
-            weighted * broadcast_redundancy_table(redundancy, stack.np_, stack.nu)
-        ).astype(DEFAULT_DTYPE, copy=False)
-    filtered = apply_ramp_filter(weighted, tau, window, response=response)
+        redundancy = np.asarray(redundancy, dtype=np.float64)
+        if redundancy.shape != (stack.np_, stack.nu):
+            raise ValueError(
+                f"redundancy table shape {redundancy.shape} does not match "
+                f"(Np, Nu) = ({stack.np_}, {stack.nu})"
+            )
+        weighted = (weighted * redundancy[:, None, :]).astype(
+            DEFAULT_DTYPE, copy=False
+        )
+    if convolve is None:
+        filtered = apply_ramp_filter(weighted, tau, response=response)
+    else:
+        filtered = convolve(weighted, response, tau)
     if extra_scale != 1.0:
         filtered = filtered * DEFAULT_DTYPE(extra_scale)
     return ProjectionStack(
@@ -276,88 +274,8 @@ def fdk_weight_and_filter(
 
 
 # --------------------------------------------------------------------------- #
-# Stage wrapper and micro-benchmark (TH_flt)
+# Micro-benchmark (TH_flt)
 # --------------------------------------------------------------------------- #
-class FilteringStage:
-    """A reusable filtering stage with cached tables.
-
-    The distributed pipeline creates one instance per rank (the paper's
-    Filtering-thread) and calls :meth:`__call__` for each projection or
-    batch of projections it loads from the PFS.
-    """
-
-    def __init__(
-        self,
-        geometry: CBCTGeometry,
-        window: str = "ram-lak",
-        *,
-        apply_fdk_scale: bool = True,
-        backend: str = "reference",
-        redundancy: Optional[np.ndarray] = None,
-    ):
-        if window not in RAMP_FILTERS:
-            raise ValueError(f"unknown ramp filter window {window!r}")
-        from ..backends import get_backend  # late import: backends import core
-
-        self.geometry = geometry
-        self.window = window
-        self.apply_fdk_scale = apply_fdk_scale
-        self._backend = get_backend(backend)
-        self.backend = self._backend.name
-        self._fcos = cosine_weight_table(geometry)
-        self._tau = geometry.du * geometry.sad / geometry.sdd
-        self._response = ramp_filter_frequency_response(geometry.nu, self._tau, window)
-        self._scale = fdk_normalization(geometry) if apply_fdk_scale else 1.0
-        # Whole-acquisition (Np, Nu) redundancy table; batches pick out
-        # their rows via the `start` offset of __call__.
-        self._redundancy = (
-            None
-            if redundancy is None
-            else broadcast_redundancy_table(redundancy, geometry.np_, geometry.nu)
-        )
-        self.projections_filtered = 0
-
-    def __call__(self, projections: np.ndarray, *, start: int = 0) -> np.ndarray:
-        """Filter one projection ``(Nv, Nu)`` or a batch ``(n, Nv, Nu)``.
-
-        When the stage carries a scenario redundancy table, ``start`` is the
-        global index of the batch's first projection inside the acquisition
-        (the streaming pipeline filters in projection order).
-        """
-        projections = np.asarray(projections, dtype=DEFAULT_DTYPE)
-        squeeze = projections.ndim == 2
-        if squeeze:
-            projections = projections[None, ...]
-        if projections.shape[-2:] != (self.geometry.nv, self.geometry.nu):
-            raise ValueError(
-                f"projection shape {projections.shape[-2:]} does not match detector "
-                f"({self.geometry.nv}, {self.geometry.nu})"
-            )
-        weighted = projections * self._fcos[None, :, :]
-        if self._redundancy is not None:
-            stop = start + projections.shape[0]
-            if not (0 <= start and stop <= self.geometry.np_):
-                raise ValueError(
-                    f"batch [{start}, {stop}) outside the acquisition's "
-                    f"{self.geometry.np_} projections"
-                )
-            weighted = (weighted * self._redundancy[start:stop]).astype(
-                DEFAULT_DTYPE, copy=False
-            )
-        filtered = self._backend.apply_filter(weighted, self._response, self._tau)
-        if self._scale != 1.0:
-            filtered = filtered * DEFAULT_DTYPE(self._scale)
-        self.projections_filtered += projections.shape[0]
-        result = filtered.astype(DEFAULT_DTYPE, copy=False)
-        return result[0] if squeeze else result
-
-    def filter_stack(self, stack: ProjectionStack) -> ProjectionStack:
-        """Filter a whole :class:`ProjectionStack`."""
-        return ProjectionStack(
-            data=self(stack.data), angles=stack.angles.copy(), filtered=True
-        )
-
-
 def measure_filtering_throughput(
     geometry: CBCTGeometry,
     *,
@@ -371,16 +289,19 @@ def measure_filtering_throughput(
     performance model.  The measurement uses random projections because the
     filter cost is content independent.
     """
+    from ..backends import get_backend  # late import: backends import core
+
     rng = rng or np.random.default_rng(0)
-    stage = FilteringStage(geometry)
-    batch = rng.random(
-        (n_projections, geometry.nv, geometry.nu), dtype=np.float32
+    backend = get_backend("reference")
+    batch = ProjectionStack(
+        data=rng.random((n_projections, geometry.nv, geometry.nu), dtype=np.float32),
+        angles=np.zeros(n_projections, dtype=np.float64),
     )
-    stage(batch)  # warm-up (plan FFTs, allocate temporaries)
+    backend.filter_stack(batch, geometry)  # warm-up (plan FFTs, fill table caches)
     best = np.inf
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        stage(batch)
+        backend.filter_stack(batch, geometry)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
     return n_projections / best

@@ -172,7 +172,7 @@ class IFDKConfig:
 
         Every rank's filtering and BP thread executes on this single
         instance; with ``workers`` set it is a dedicated
-        :class:`~repro.backends.ParallelBackend` whose pool is shared by
+        :class:`~repro.backends.TiledBackend` whose pool is shared by
         all ranks.
         """
         return self._compute_backend

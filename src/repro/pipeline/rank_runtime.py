@@ -29,9 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.backprojection import BackProjector
-from ..core.filtering import FilteringStage
-from ..core.types import DEFAULT_DTYPE
+from ..core.types import ProjectionStack
 from ..gpusim.kernels import get_kernel
 from ..gpusim.memory import DeviceMemoryPool
 from ..gpusim.transfer import PCIeModel
@@ -76,14 +74,14 @@ def _filtering_thread(
 ) -> None:
     """Load + filter this rank's own projections, in AllGather-round order."""
     try:
-        stage = FilteringStage(
-            config.geometry, config.ramp_filter, backend=config.compute_backend()
-        )
+        backend = config.compute_backend()
         for index in assignment.owned_projections:
             with tracer.span("load", payload_bytes=config.geometry.nu * config.geometry.nv * 4):
                 stack = read_projection_subset(pfs, [index])
             with tracer.span("filter"):
-                filtered = stage(stack.data[0])
+                filtered = backend.filter_stack(
+                    stack, config.geometry, config.ramp_filter
+                ).data[0]
             out_buffer.put((index, float(stack.angles[0]), filtered))
     except BaseException as exc:  # noqa: BLE001 - surfaced by run_rank
         errors.append(exc)
@@ -101,34 +99,22 @@ def _bp_thread(
 ) -> None:
     """Back-project gathered batches into this rank's Z slab."""
     try:
-        kernel = get_kernel(config.kernel)
-        projector = BackProjector(
+        accumulator = config.compute_backend().accumulator(
             config.geometry,
-            algorithm=kernel.algorithm,
+            algorithm=get_kernel(config.kernel).algorithm,
             z_range=assignment.z_range,
-            backend=config.compute_backend(),
         )
+        projections = 0
         for angles, batch in in_buffer:
             with tracer.span("h2d", payload_bytes=int(batch.nbytes)):
-                staged = np.ascontiguousarray(batch, dtype=DEFAULT_DTYPE)
+                staged = ProjectionStack(data=batch, angles=angles, filtered=True)
             with tracer.span("backprojection", payload_bytes=int(batch.nbytes)):
-                projector.accumulate(staged, angles)
-        result_holder["subvolume"] = projector.volume().data
-        result_holder["projections"] = projector.projections_processed
-    except BaseException as exc:  # noqa: BLE001
+                accumulator.add_stack(staged)
+            projections += staged.np_
+        result_holder["subvolume"] = accumulator.volume().data
+        result_holder["projections"] = projections
+    except BaseException as exc:  # noqa: BLE001 - surfaced by run_rank
         errors.append(exc)
-        result_holder.setdefault(
-            "subvolume",
-            np.zeros(
-                (
-                    assignment.z_range[1] - assignment.z_range[0],
-                    config.geometry.ny,
-                    config.geometry.nx,
-                ),
-                dtype=DEFAULT_DTYPE,
-            ),
-        )
-        result_holder.setdefault("projections", 0)
 
 
 def run_rank(
@@ -256,7 +242,7 @@ def run_rank(
         row=assignment.row,
         column=assignment.column,
         projections_filtered=len(assignment.owned_projections),
-        projections_backprojected=int(bp_output.get("projections", 0)),
+        projections_backprojected=int(bp_output["projections"]),
         stored_slab=stored_slab,
         stage_seconds=stage_seconds,
         overlap_delta=tracer.overlap_delta(

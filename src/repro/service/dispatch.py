@@ -33,13 +33,14 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core import default_geometry_for_problem
 from ..core.types import ProjectionStack, ReconstructionProblem, problem_from_string
-from ..obs import get_tracer
+from ..obs import NULL_TRACER, get_tracer
 from ..obs.tracer import Tracer
 from .job import ReconstructionJob
 from .scheduler import Placement
@@ -72,13 +73,12 @@ class BatchedDispatcher:
         :class:`ReconstructionProblem` or spec string).  The pilot input
         stack is seeded and built once; workers share it read-only.
     streaming_chunk_size:
-        When set, pilots execute through the chunked
-        :class:`~repro.streaming.StreamingReconstructor` (fed by a
+        Pilots execute through the chunk driver
+        (:class:`~repro.streaming.StreamingReconstructor` fed by a
         :class:`~repro.streaming.StackChunkSource` over the shared pilot
-        stack) instead of one whole-stack ``backproject`` call — the
-        streaming executor under the same concurrent-caller regime the
-        scheduler produces.  Output is bit-identical either way, so this
-        is a service *configuration*, not a plan field.
+        stack); this sets its chunk size, ``None`` meaning one chunk (the
+        whole stack).  Output is bit-identical either way, so this is a
+        service *configuration*, not a plan field.
     """
 
     def __init__(
@@ -89,11 +89,9 @@ class BatchedDispatcher:
         pilot_problem: Union[ReconstructionProblem, str, None] = None,
         streaming_chunk_size: Optional[int] = None,
     ):
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ValueError(f"workers must be a positive integer (got {workers!r})")
-        from ..backends import get_backend  # late import: backends import core
+        from ..backends import check_workers, get_backend  # late: backends import core
 
-        self.workers = int(workers)
+        self.workers = check_workers(workers)
         self._backend = get_backend(backend)
         if pilot_problem is None:
             pilot_problem = DEFAULT_PILOT_PROBLEM
@@ -112,21 +110,20 @@ class BatchedDispatcher:
             angles=self._geometry.angles,
             filtered=True,  # pilots exercise the back-projection hot path
         )
-        self._streaming = None
-        self._source = None
-        if streaming_chunk_size is not None:
-            from ..streaming import StackChunkSource, StreamingReconstructor
+        from ..streaming import StackChunkSource, StreamingReconstructor
 
-            # One shared reconstructor over the service's backend instance:
-            # each reconstruct() call builds its own accumulator, so
-            # concurrent pilots are as independent as concurrent
-            # backproject() calls.
-            self._streaming = StreamingReconstructor(
-                self._geometry,
-                backend=self._backend,
-                chunk_size=streaming_chunk_size,
-            )
-            self._source = StackChunkSource(self._stack)
+        # One shared reconstructor over the service's backend instance:
+        # each run builds its own accumulator, so concurrent pilots are
+        # independent.
+        self._streaming = StreamingReconstructor(
+            self._geometry, backend=self._backend, chunk_size=streaming_chunk_size
+        )
+        self._source = StackChunkSource(self._stack)
+        self._run_pilot = (
+            partial(self._streaming.reconstruct_stack, self._stack)
+            if streaming_chunk_size is None
+            else partial(self._streaming.reconstruct, self._source)
+        )
         self.streaming_chunk_size = streaming_chunk_size
         self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
@@ -173,41 +170,26 @@ class BatchedDispatcher:
             parent = batch.span_id if tracer.enabled else None
             for placement in placements:
                 future = executor.submit(
-                    self._execute,
-                    placement.job,
-                    tracer if tracer.enabled else None,
-                    parent,
+                    self._execute, placement.job, tracer, parent
                 )
                 with self._lock:
                     self._pending.append(future)
 
-    def _run_pilot(self) -> None:
-        """One pilot reconstruction: whole-stack or chunked streaming."""
-        if self._streaming is not None:
-            self._streaming.reconstruct(self._source)
-        else:
-            self._backend.backproject(
-                self._stack, self._geometry, algorithm="proposed"
-            )
-
     def _execute(
         self,
         job: ReconstructionJob,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
         parent: Optional[int] = None,
     ) -> None:
         start = time.perf_counter() - self._epoch
-        if tracer is not None:
-            with tracer.span(
-                "dispatch.execute",
-                payload_bytes=int(self._stack.data.nbytes),
-                parent=parent,
-                job=job.job_id,
-                backend=self.backend,
-                streaming=self._streaming is not None,
-            ):
-                self._run_pilot()
-        else:
+        with tracer.span(
+            "dispatch.execute",
+            payload_bytes=int(self._stack.data.nbytes),
+            parent=parent,
+            job=job.job_id,
+            backend=self.backend,
+            streaming=self.streaming_chunk_size is not None,
+        ):
             self._run_pilot()
         finish = time.perf_counter() - self._epoch
         # One pool slot per job, times the backend's own worker fan-out.

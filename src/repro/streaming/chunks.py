@@ -9,7 +9,7 @@ projections.  This module owns the arithmetic of that decomposition:
   preserved — the invariants the Hypothesis suite pins);
 * :func:`chunk_working_set_bytes` — a deliberate *over*-estimate of the
   transient memory one chunk pushes through the shared filtering driver
-  (mirroring the ``blocked`` backend's ``_block_bytes`` discipline: the
+  (mirroring the tiled backend's ``_block_bytes`` discipline: the
   estimate must bound reality, not flatter it);
 * :func:`resolve_chunk_size` — turn an explicit ``chunk_size`` and/or a
   ``memory_budget_bytes`` into the chunk size actually executed, raising a
@@ -21,8 +21,9 @@ filter stage materializes (raw rows, weighted products, FFT spectra and
 their inverse transforms, the filtered output).  It deliberately excludes
 the output volume and the back-projection tile temporaries — those are
 bounded separately (the volume is the irreducible output; tiles by the
-backend's own ``byte_budget``) and exist identically in the whole-stack
-path, so including them would make every budget comparison a tautology.
+tiled backend's ``byte_budget``, which every non-``reference`` backend
+name runs under) and exist identically in the one-chunk whole-stack case,
+so including them would make every budget comparison a tautology.
 """
 
 from __future__ import annotations

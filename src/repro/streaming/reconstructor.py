@@ -1,13 +1,15 @@
-"""The streaming FDK executor: chunked filter→back-project pipelining.
+"""The chunk driver: the one filter→back-project loop of the repo.
 
-:class:`StreamingReconstructor` is the chunked counterpart of
-:class:`~repro.core.fdk.FDKReconstructor`: instead of filtering the whole
-``(Np, Nv, Nu)`` stack and then back-projecting it, it pulls bounded
-chunks from a :class:`~repro.streaming.ProjectionChunkSource`, filters
-each through the *same* shared driver (:meth:`ComputeBackend.filter_stack`
-with the scenario's redundancy rows sliced to the chunk) and folds it into
-one persistent :class:`~repro.backends.base.VolumeAccumulator` before the
-next chunk is even read.
+:class:`StreamingReconstructor` pulls bounded chunks from a
+:class:`~repro.streaming.ProjectionChunkSource`, filters each through the
+shared driver (:meth:`ComputeBackend.filter_stack` with the scenario's
+redundancy rows sliced to the chunk) and folds it into one persistent
+:class:`~repro.backends.base.VolumeAccumulator` before the next chunk is
+even read.  Filtering the whole ``(Np, Nv, Nu)`` stack and then
+back-projecting it is the one-chunk case of the same loop
+(:meth:`StreamingReconstructor.reconstruct_stack`) — that is all
+:class:`~repro.core.fdk.FDKReconstructor` and a non-streaming
+:class:`~repro.api.Session` do.
 
 Bit-identity is the design invariant, not an accident:
 
@@ -31,13 +33,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from ..backends.base import ComputeBackend
 from ..core.filtering import RAMP_FILTERS
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, Volume
-from ..obs import NULL_METRICS, MetricsRegistry, get_tracer, peak_rss_bytes
+from ..obs import (
+    NULL_METRICS,
+    NULL_TRACER,
+    MetricsRegistry,
+    get_tracer,
+    peak_rss_bytes,
+)
 from .chunks import (
     chunk_working_set_bytes,
     plan_chunks,
@@ -46,6 +54,25 @@ from .chunks import (
 from .sources import ProjectionChunkSource, StackChunkSource, StreamingError
 
 __all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
+
+
+def plan_fields(plan) -> dict:
+    """The reconstructor arguments a single-node plan describes.
+
+    Shared by :meth:`StreamingReconstructor.from_plan` and
+    :meth:`FDKReconstructor.from_plan <repro.core.fdk.FDKReconstructor.from_plan>`:
+    the scenario is resolved and its geometry derived, so the reconstructor
+    is ready for the scenario-shaped stack.
+    """
+    scenario = plan.resolved_scenario()
+    return dict(
+        geometry=plan.scenario_geometry(),
+        ramp_filter=plan.ramp_filter,
+        algorithm=plan.algorithm,
+        backend=plan.backend,
+        scenario=None if scenario.is_ideal else scenario,
+        workers=plan.workers,
+    )
 
 
 @dataclass
@@ -74,8 +101,8 @@ class StreamingReconstructor:
     """Chunked FDK reconstruction under an explicit memory budget.
 
     Parameters mirror :class:`~repro.core.fdk.FDKReconstructor` (geometry,
-    ramp filter, algorithm, backend, scenario, workers) plus the streaming
-    knobs:
+    ramp filter, algorithm, Z slab, backend, scenario, workers) plus the
+    streaming knobs:
 
     chunk_size:
         Projections per chunk (``None`` derives it from the budget, or
@@ -102,7 +129,7 @@ class StreamingReconstructor:
         *,
         ramp_filter: str = "ram-lak",
         algorithm: str = "proposed",
-        use_symmetry: bool = True,
+        z_range: Optional[Tuple[int, int]] = None,
         backend: Union[str, ComputeBackend] = "reference",
         scenario: Optional[object] = None,
         workers: Optional[int] = None,
@@ -119,7 +146,7 @@ class StreamingReconstructor:
         self.geometry = geometry
         self.ramp_filter = ramp_filter
         self.algorithm = algorithm
-        self.use_symmetry = use_symmetry
+        self.z_range = z_range
         self.chunk_size = chunk_size
         self.memory_budget_bytes = memory_budget_bytes
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -129,21 +156,24 @@ class StreamingReconstructor:
                     "workers only applies when the backend is given by name; "
                     "size the backend instance directly instead"
                 )
-            self._backend = backend
+            self.backend = backend
             self._owns_backend = False
         else:
             from ..backends import resolve_backend  # late: backends import core
 
-            self._backend = resolve_backend(backend, workers=workers)
+            self.backend = resolve_backend(backend, workers=workers)
+            # A dedicated pool (explicit workers) is ours to tear down;
+            # shared registry backends are left alone.
             self._owns_backend = workers is not None
         if scenario is None:
             self.scenario = None
-            self._redundancy = None
+            #: The scenario's ``(Np, Nu)`` ray-redundancy table, if any.
+            self.redundancy = None
         else:
             from ..scenarios import get_scenario  # late: scenarios import core
 
             self.scenario = get_scenario(scenario)
-            self._redundancy = self.scenario.redundancy_weights(self.geometry)
+            self.redundancy = self.scenario.redundancy_weights(self.geometry)
         # Fail on an infeasible chunk/budget combination at construction,
         # before any source is opened or accumulator allocated.
         resolve_chunk_size(
@@ -156,15 +186,14 @@ class StreamingReconstructor:
     def from_plan(
         cls, plan, *, metrics: Optional[MetricsRegistry] = None
     ) -> "StreamingReconstructor":
-        """The streaming executor a ``streaming: true`` plan describes."""
-        scenario = plan.resolved_scenario()
+        """The executor a single-node plan describes.
+
+        A ``streaming: true`` plan runs :meth:`reconstruct` under its
+        ``chunk_size`` / ``memory_budget_bytes``; any other plan runs
+        :meth:`reconstruct_stack` and never consults them.
+        """
         return cls(
-            geometry=plan.scenario_geometry(),
-            ramp_filter=plan.ramp_filter,
-            algorithm=plan.algorithm,
-            backend=plan.backend,
-            scenario=None if scenario.is_ideal else scenario,
-            workers=plan.workers,
+            **plan_fields(plan),
             chunk_size=plan.chunk_size,
             memory_budget_bytes=plan.memory_budget_bytes,
             metrics=metrics,
@@ -173,7 +202,7 @@ class StreamingReconstructor:
     def close(self) -> None:
         """Join the worker pool of a dedicated ``parallel`` backend."""
         if self._owns_backend:
-            self._backend.close()
+            self.backend.close()
 
     def __enter__(self) -> "StreamingReconstructor":
         return self
@@ -202,14 +231,33 @@ class StreamingReconstructor:
             chunk_size=self.chunk_size,
             memory_budget_bytes=self.memory_budget_bytes,
         )
+        return self._run(source, chunk, get_tracer())
+
+    def reconstruct_stack(self, stack: ProjectionStack) -> StreamingResult:
+        """The one-chunk case: filter the whole stack, then back-project it.
+
+        The stack's own angles and projection count define the run, so a
+        subset or sparse-view stack of the acquisition is accepted — only a
+        scenario's ``(Np, Nu)`` redundancy table pins the count.  The trace
+        carries the stage spans (``filter``, ``backproject``) without
+        per-chunk wrappers.
+        """
+        if self.redundancy is not None and stack.np_ != self.geometry.np_:
+            raise ValueError(
+                f"scenario {self.scenario.name!r} weights "
+                f"{self.geometry.np_} projections but the stack has {stack.np_}"
+            )
+        return self._run(StackChunkSource(stack), stack.np_, NULL_TRACER)
+
+    def _run(
+        self, source: ProjectionChunkSource, chunk: int, tracer
+    ) -> StreamingResult:
+        """The filter→accumulate loop; ``tracer`` records the chunk spans."""
+        np_total = int(source.num_projections)
         bounds = plan_chunks(np_total, chunk)
-        tracer = get_tracer()
-        acc = self._backend.accumulator(
-            self.geometry,
-            algorithm=self.algorithm,
-            use_symmetry=self.use_symmetry,
+        acc = self.backend.accumulator(
+            self.geometry, algorithm=self.algorithm, z_range=self.z_range
         )
-        add_stack = getattr(acc, "add_stack", None)
         chunk_counter = self.metrics.counter("streaming.chunks")
         filter_seconds = 0.0
         backproject_seconds = 0.0
@@ -222,49 +270,37 @@ class StreamingReconstructor:
                     f"{bounds[index] if index < len(bounds) else 'no chunk'}"
                 )
             stack = piece.stack
-            if stack.nu != self.geometry.nu or stack.nv != self.geometry.nv:
-                raise ValueError(
-                    f"chunk projections ({stack.nv}x{stack.nu}) do not match "
-                    f"the detector ({self.geometry.nv}x{self.geometry.nu})"
-                )
+            span_attrs = dict(chunk=index, start=piece.start, stop=piece.stop)
             t0 = time.perf_counter()
             if stack.filtered:
-                if self._redundancy is not None:
+                if self.redundancy is not None:
                     raise ValueError(
                         f"scenario {self.scenario.name!r} applies redundancy "
                         "weights in the filtering stage, but this source "
-                        "delivers pre-filtered projections"
+                        "delivers pre-filtered projections (already filtered): "
+                        "filter raw projections through this reconstructor, or "
+                        "drop the scenario if the weights were already applied"
                     )
                 filtered = stack
             else:
-                redundancy = (
-                    None if self._redundancy is None
-                    else self._redundancy[piece.start:piece.stop]
-                )
                 with tracer.span(
                     "filter.chunk",
                     payload_bytes=int(stack.data.nbytes),
-                    chunk=index,
-                    start=piece.start,
-                    stop=piece.stop,
+                    **span_attrs,
                 ):
-                    filtered = self._backend.filter_stack(
+                    # The chunk's rows of the scenario's (Np, Nu) table.
+                    filtered = self.backend.filter_stack(
                         stack, self.geometry, self.ramp_filter,
-                        redundancy=redundancy,
+                        redundancy=None if self.redundancy is None
+                        else self.redundancy[piece.start:piece.stop],
                     )
             t1 = time.perf_counter()
             with tracer.span(
                 "backproject.chunk",
                 payload_bytes=int(filtered.data.nbytes),
-                chunk=index,
-                start=piece.start,
-                stop=piece.stop,
+                **span_attrs,
             ):
-                if add_stack is not None:
-                    add_stack(filtered)
-                else:
-                    for angle, projection in filtered:
-                        acc.add(projection, angle)
+                acc.add_stack(filtered)
             backproject_seconds += time.perf_counter() - t1
             filter_seconds += t1 - t0
             delivered += piece.size

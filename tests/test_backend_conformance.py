@@ -20,10 +20,10 @@ Two tiers of agreement are asserted:
 * **tolerance** — every backend agrees with ``reference`` to a relative
   RMSE of at most ``RMSE_TOL`` (1e-5, per the conformance contract; the
   NumPy backends actually land around 1e-7);
-* **bit-exact** — backends that share arithmetic and differ only in
-  traversal order (``blocked`` vs ``vectorized``, any byte budget; slab
-  decompositions of either; ``parallel`` at any worker count, workers
-  owning disjoint tiles) must produce *identical* float32 volumes.
+* **bit-exact** — the tiled backend (registered as ``vectorized``,
+  ``blocked`` and ``parallel``) only reorders traversal, so every byte
+  budget, worker count and slab decomposition of it must produce
+  *identical* float32 volumes.
 
 On top of the matrix, property-based tests (Hypothesis when available,
 seeded random sweeps otherwise) check the paper's theorem invariants that
@@ -44,13 +44,12 @@ import pytest
 
 from repro.backends import (
     BACKEND_NAMES,
-    BlockedBackend,
-    ParallelBackend,
+    TiledBackend,
     available_backends,
     get_backend,
     plan_tiles,
+    validate_backend,
 )
-from repro.backends.parallel import partition_tiles, refine_tiles
 from repro.core import CBCTGeometry, FDKReconstructor, default_geometry_for_problem
 from repro.core.types import DEFAULT_DTYPE, ProjectionStack
 from repro.scenarios import SCENARIO_PRESETS, get_scenario, reconstruct_scenario
@@ -66,10 +65,10 @@ except ImportError:  # pragma: no cover - hypothesis is available in CI
 #: Conformance bound: relative RMSE against the reference backend.
 RMSE_TOL = 1e-5
 
-#: Backends that must be bit-identical to each other (shared arithmetic).
+#: Registry names of the one tiled backend — bit-identical to each other.
 EXACT_FAMILY = ("vectorized", "blocked", "parallel")
 
-#: Worker counts the parallel backend must be bit-exact across.
+#: Worker counts the tile planner must cover exactly.
 WORKER_COUNTS = (1, 2, 4)
 
 #: Geometry presets: a cube, an anisotropic volume/detector, and an odd-Nz
@@ -197,50 +196,78 @@ def test_reference_slab_decomposition_conforms(
     assert rel_rmse(result, reference_volumes(algorithm, preset, "float32")) <= RMSE_TOL
 
 
-@pytest.mark.parametrize("budget", [1 << 14, 1 << 18, 1 << 25])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_blocked_is_bit_exact_with_vectorized(algorithm, budget):
-    """Any tile size must reproduce the vectorized volume bit for bit."""
+def test_registry_names_are_one_tiled_backend():
+    """``vectorized`` / ``blocked`` / ``parallel`` name one class; plans keep
+    their names (``tests/test_api.py`` pins ``golden_plan.json`` on top)."""
+    instances = {name: get_backend(name) for name in EXACT_FAMILY}
+    assert {type(backend) for backend in instances.values()} == {TiledBackend}
+    for name, backend in instances.items():
+        assert backend.name == name == validate_backend(name)
+    assert instances["vectorized"].workers == instances["blocked"].workers == 1
+    assert {type(get_backend(n)).__name__ for n in BACKEND_NAMES} == {
+        "ReferenceBackend", "TiledBackend",
+    }
+
+
+@pytest.fixture(scope="module")
+def single_tile_results():
+    """One tile, one worker: the whole-slab execution every plan must equal."""
     geometry = make_geometry("aniso")
-    stack = make_stack(geometry, "float32")
-    vectorized = get_backend("vectorized").backproject(
-        stack, geometry, algorithm=algorithm
-    ).data
-    blocked = BlockedBackend(byte_budget=budget).backproject(
-        stack, geometry, algorithm=algorithm
-    ).data
-    np.testing.assert_array_equal(blocked, vectorized)
-
-
-@pytest.mark.parallel
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_parallel_is_bit_exact_with_blocked_and_vectorized(algorithm, workers):
-    """Every worker count must reproduce blocked *and* vectorized bit-for-bit."""
-    geometry = make_geometry("aniso")
-    stack = make_stack(geometry, "float32")
-    vectorized = get_backend("vectorized").backproject(
-        stack, geometry, algorithm=algorithm
-    ).data
-    blocked = get_backend("blocked").backproject(
-        stack, geometry, algorithm=algorithm
-    ).data
-    with ParallelBackend(workers=workers) as backend:
-        parallel = backend.backproject(stack, geometry, algorithm=algorithm).data
-    np.testing.assert_array_equal(parallel, blocked)
-    np.testing.assert_array_equal(parallel, vectorized)
-
-
-@pytest.mark.parallel
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_filter_is_bit_exact_across_worker_counts(workers):
-    """Concurrent row groups must not change a single filtered bit."""
-    geometry = make_geometry("cube16")
+    filtered = make_stack(geometry, "float32")
     raw = make_stack(geometry, "float32", filtered=False)
-    blocked = get_backend("blocked").filter_stack(raw, geometry).data
-    with ParallelBackend(workers=workers) as backend:
-        parallel = backend.filter_stack(raw, geometry).data
-    np.testing.assert_array_equal(parallel, blocked)
+    whole = TiledBackend(workers=1, byte_budget=1 << 40)
+    assert len(plan_tiles(geometry.nz, geometry.ny, geometry.nx, geometry.nv, 1 << 40)) == 1
+    volumes = {
+        algorithm: whole.backproject(filtered, geometry, algorithm=algorithm).data
+        for algorithm in ALGORITHMS
+    }
+    return geometry, filtered, raw, volumes, whole.filter_stack(raw, geometry).data
+
+
+def check_tiled_plan_is_bit_exact(single_tile_results, byte_budget, workers, algorithm, z_range):
+    geometry, filtered, raw, volumes, filtered_whole = single_tile_results
+    with TiledBackend(workers=workers, byte_budget=byte_budget) as backend:
+        slab = backend.backproject(
+            filtered, geometry, algorithm=algorithm, z_range=z_range
+        ).data
+        rows = backend.filter_stack(raw, geometry).data
+    z0, z1 = z_range
+    np.testing.assert_array_equal(slab, volumes[algorithm][z0:z1])
+    np.testing.assert_array_equal(rows, filtered_whole)
+
+
+if HAVE_HYPOTHESIS:
+
+    @pytest.mark.parallel
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_budget=st.floats(10.0, 27.0),
+        workers=st.integers(1, 5),
+        algorithm=st.sampled_from(ALGORITHMS),
+        z_edges=st.lists(st.integers(0, 10), min_size=2, max_size=2, unique=True),
+    )
+    def test_any_budget_and_worker_count_is_bit_exact_with_one_tile(
+        single_tile_results, log_budget, workers, algorithm, z_edges
+    ):
+        check_tiled_plan_is_bit_exact(
+            single_tile_results, int(2.0 ** log_budget), workers, algorithm,
+            tuple(sorted(z_edges)),
+        )
+
+else:  # pragma: no cover - exercised only without hypothesis
+
+    @pytest.mark.parallel
+    @pytest.mark.parametrize("seed", range(40))
+    def test_any_budget_and_worker_count_is_bit_exact_with_one_tile(
+        single_tile_results, seed
+    ):
+        rng = np.random.default_rng(3000 + seed)
+        z0 = int(rng.integers(0, 10))
+        check_tiled_plan_is_bit_exact(
+            single_tile_results, int(2.0 ** rng.uniform(10.0, 27.0)),
+            int(rng.integers(1, 6)), ALGORITHMS[seed % 2],
+            (z0, int(rng.integers(z0 + 1, 11))),
+        )
 
 
 @pytest.mark.parametrize("slab", ["halves", "uneven"])
@@ -383,15 +410,6 @@ def test_filter_matches_reference(backend, preset, dtype, window):
     assert rel_rmse(result, reference.astype(np.float64)) <= RMSE_TOL
 
 
-def test_blocked_filter_is_bit_exact_with_vectorized():
-    geometry = make_geometry("cube16")
-    raw = make_stack(geometry, "float32", filtered=False)
-    vectorized = get_backend("vectorized").filter_stack(raw, geometry).data
-    for budget in (1 << 12, 1 << 20):
-        blocked = BlockedBackend(byte_budget=budget).filter_stack(raw, geometry).data
-        np.testing.assert_array_equal(blocked, vectorized)
-
-
 # --------------------------------------------------------------------------- #
 # End-to-end through FDKReconstructor (the seam every layer uses)
 # --------------------------------------------------------------------------- #
@@ -409,25 +427,24 @@ def test_fdk_reconstructor_backend_conforms(backend, small_projections, small_ge
 
 
 @pytest.mark.parametrize("backend", NON_REFERENCE)
-def test_backprojector_streaming_seam_conforms(backend):
-    """The BackProjector (the rank runtime's BP thread) honours backends."""
-    from repro.core.backprojection import BackProjector
-
+def test_accumulator_streaming_seam_conforms(backend):
+    """Per-projection ``add`` on a slab (the online/rank-runtime seam)."""
     geometry = make_geometry("aniso")
     stack = make_stack(geometry, "float32")
     z_range = (2, 8)
     results = {}
     for name in ("reference", backend):
-        projector = BackProjector(
-            geometry, algorithm="proposed", z_range=z_range, backend=name
+        acc = get_backend(name).accumulator(
+            geometry, algorithm="proposed", z_range=z_range
         )
         for angle, projection in stack:
-            projector.accumulate(projection, angle)
-        assert projector.projections_processed == stack.np_
-        results[name] = projector.volume().data
+            acc.add(projection, angle)
+        results[name] = acc.volume().data
     assert rel_rmse(
         results[backend], results["reference"].astype(np.float64)
     ) <= RMSE_TOL
+    whole = get_backend(backend).backproject(stack, geometry, z_range=z_range).data
+    np.testing.assert_array_equal(results[backend], whole)
 
 
 def test_unknown_backend_is_rejected():
@@ -436,30 +453,77 @@ def test_unknown_backend_is_rejected():
     assert "reference" in available_backends()
 
 
-def test_plan_tiles_covers_slab_exactly():
-    tiles = plan_tiles(9, 14, 18, 26, byte_budget=1 << 14)
-    covered = np.zeros((9, 14), dtype=int)
+def check_tile_plan(nz, ny, nx, nv, byte_budget, min_tiles):
+    tiles = plan_tiles(nz, ny, nx, nv, byte_budget, min_tiles)
+    # Exact disjoint cover of the (z, y) slab.
+    covered = np.zeros((nz, ny), dtype=int)
     for z0, z1, y0, y1 in tiles:
+        assert z0 < z1 and y0 < y1
         covered[z0:z1, y0:y1] += 1
     np.testing.assert_array_equal(covered, 1)
+    # Y is exhausted before Z splits: a plan with more than one Z part has
+    # single-row tiles only.
+    if len({(z0, z1) for z0, z1, _, _ in tiles}) > 1:
+        assert all(y1 - y0 == 1 for _, _, y0, y1 in tiles)
+    # Enough tiles to occupy every worker whenever the slab allows.
+    assert len(tiles) >= min(min_tiles, nz * ny)
+    # Planning is deterministic: same inputs, same plan.
+    assert tiles == plan_tiles(nz, ny, nx, nv, byte_budget, min_tiles)
+    return tiles
 
 
 @pytest.mark.parallel
 @pytest.mark.parametrize("workers", WORKER_COUNTS + (5,))
-def test_refined_partition_is_disjoint_and_exact(workers):
-    """Refinement + round-robin sharding still covers every (z, y) once."""
-    tiles = refine_tiles(plan_tiles(9, 14, 18, 26, byte_budget=1 << 25), workers)
-    assert len(tiles) >= min(workers, 9 * 14)
-    shards = partition_tiles(tiles, workers)
-    assert len(shards) <= workers
-    covered = np.zeros((9, 14), dtype=int)
-    for shard in shards:
-        for z0, z1, y0, y1 in shard:
-            covered[z0:z1, y0:y1] += 1
-    np.testing.assert_array_equal(covered, 1)
-    # Refinement is deterministic: same inputs, same plan.
-    again = refine_tiles(plan_tiles(9, 14, 18, 26, byte_budget=1 << 25), workers)
-    assert tiles == again
+@pytest.mark.parametrize("budget", [1, 1 << 14, 1 << 18, 1 << 25])
+def test_tile_plan_covers_slab_exactly(budget, workers):
+    """Every (z, y) is planned exactly once; the accumulator's round-robin
+    shards hand each planned tile to exactly one worker."""
+    tiles = check_tile_plan(9, 14, 18, 26, budget, workers)
+    geometry = default_geometry_for_problem(nu=20, nv=26, np_=2, nx=18, ny=14, nz=9)
+    with TiledBackend(workers=workers, byte_budget=budget) as backend:
+        shards = backend.accumulator(geometry)._shards
+    assert len(shards) == min(workers, len(tiles))
+    assert sum(len(shard) for shard in shards) == len(tiles)
+
+
+def test_tile_plan_splits_y_before_z():
+    """A budget one full-height row fits never splits Z, however small."""
+    one_row = 8 * (3 * 26 * 18 + 8 * 9 * 18)  # _block_bytes(kt=9, yt=1)
+    assert {(z0, z1) for z0, z1, _, _ in plan_tiles(9, 14, 18, 26, one_row)} == {(0, 9)}
+    assert len(plan_tiles(9, 14, 18, 26, one_row)) == 14
+    assert len(plan_tiles(9, 14, 18, 26, one_row - 1)) == 28  # now Z halves
+
+
+def test_tile_plan_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="byte_budget"):
+        plan_tiles(9, 14, 18, 26, 0)
+    with pytest.raises(ValueError, match="min_tiles"):
+        plan_tiles(9, 14, 18, 26, 1 << 20, 0)
+    with pytest.raises(ValueError, match="byte_budget"):
+        TiledBackend(byte_budget=0)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nz=st.integers(1, 24), ny=st.integers(1, 24),
+        nx=st.integers(1, 24), nv=st.integers(1, 40),
+        log_budget=st.floats(0.0, 24.0), min_tiles=st.integers(1, 9),
+    )
+    def test_tile_plan_properties(nz, ny, nx, nv, log_budget, min_tiles):
+        check_tile_plan(nz, ny, nx, nv, max(1, int(2.0 ** log_budget)), min_tiles)
+
+else:  # pragma: no cover - exercised only without hypothesis
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_tile_plan_properties(seed):
+        rng = np.random.default_rng(4000 + seed)
+        nz, ny, nx = (int(v) for v in rng.integers(1, 25, size=3))
+        check_tile_plan(
+            nz, ny, nx, int(rng.integers(1, 41)),
+            max(1, int(2.0 ** rng.uniform(0.0, 24.0))), int(rng.integers(1, 10)),
+        )
 
 
 # --------------------------------------------------------------------------- #

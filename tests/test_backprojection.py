@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.core.backprojection import (
-    BackProjector,
     backproject_proposed,
     backproject_standard,
     operation_counts,
     projection_compute_reduction,
 )
-from repro.core.types import ReconstructionProblem
+from repro.core.types import ProjectionStack, ReconstructionProblem
 
 
 class TestAlgorithmEquivalence:
@@ -68,60 +68,63 @@ class TestAlgorithmEquivalence:
         assert np.abs(vol.data).max() > 0.05
 
 
-class TestBackProjector:
+class TestAccumulatorSeam:
+    """The accumulator the rank runtime's BP thread drives directly."""
+
+    @staticmethod
+    def accumulator(geometry, **kwargs):
+        return get_backend("reference").accumulator(geometry, **kwargs)
+
     def test_incremental_accumulation_matches_batch(self, small_geometry, small_filtered):
         reference = backproject_proposed(small_filtered, small_geometry)
-        projector = BackProjector(small_geometry, algorithm="proposed")
+        acc = self.accumulator(small_geometry, algorithm="proposed")
         # Feed projections in two chunks, as the pipeline's BP thread does.
         half = small_filtered.np_ // 2
-        projector.accumulate(small_filtered.data[:half], small_filtered.angles[:half])
-        projector.accumulate(small_filtered.data[half:], small_filtered.angles[half:])
-        np.testing.assert_allclose(projector.volume().data, reference.data, atol=1e-5)
+        for part in (slice(None, half), slice(half, None)):
+            acc.add_stack(ProjectionStack(
+                data=small_filtered.data[part], angles=small_filtered.angles[part],
+                filtered=True,
+            ))
+        np.testing.assert_allclose(acc.volume().data, reference.data, atol=1e-5)
 
-    def test_standard_algorithm_projector(self, small_geometry, small_filtered):
+    def test_standard_algorithm_accumulator(self, small_geometry, small_filtered):
         reference = backproject_standard(small_filtered, small_geometry)
-        projector = BackProjector(small_geometry, algorithm="standard")
-        projector.accumulate(small_filtered.data, small_filtered.angles)
-        np.testing.assert_allclose(projector.volume().data, reference.data, atol=1e-6)
+        acc = self.accumulator(small_geometry, algorithm="standard")
+        acc.add_stack(small_filtered)
+        np.testing.assert_allclose(acc.volume().data, reference.data, atol=1e-6)
 
-    def test_z_range_projector(self, small_geometry, small_filtered):
+    def test_z_range_accumulator(self, small_geometry, small_filtered):
         z_range = (8, 16)
         reference = backproject_proposed(small_filtered, small_geometry, z_range=z_range)
-        projector = BackProjector(small_geometry, z_range=z_range)
-        projector.accumulate(small_filtered.data, small_filtered.angles)
-        np.testing.assert_allclose(projector.volume().data, reference.data, atol=1e-5)
+        acc = self.accumulator(small_geometry, z_range=z_range)
+        acc.add_stack(small_filtered)
+        np.testing.assert_allclose(acc.volume().data, reference.data, atol=1e-5)
 
-    def test_counters(self, small_geometry, small_filtered):
-        projector = BackProjector(small_geometry)
-        projector.accumulate(small_filtered.data[:5], small_filtered.angles[:5])
-        assert projector.projections_processed == 5
-        expected_updates = 5 * small_geometry.nx * small_geometry.ny * small_geometry.nz
-        assert projector.updates_performed == expected_updates
-
-    def test_reset(self, small_geometry, small_filtered):
-        projector = BackProjector(small_geometry)
-        projector.accumulate(small_filtered.data[0], small_filtered.angles[0])
-        projector.reset()
-        assert projector.projections_processed == 0
-        assert np.all(projector.volume().data == 0)
-
-    def test_single_projection_scalar_angle(self, small_geometry, small_filtered):
-        projector = BackProjector(small_geometry)
-        projector.accumulate(small_filtered.data[0], float(small_filtered.angles[0]))
-        assert projector.projections_processed == 1
+    def test_add_stack_equals_one_add_per_projection(self, small_geometry, small_filtered):
+        stacked = self.accumulator(small_geometry)
+        stacked.add_stack(small_filtered)
+        single = self.accumulator(small_geometry)
+        for angle, projection in small_filtered:
+            single.add(projection, float(angle))
+        np.testing.assert_array_equal(stacked.volume().data, single.volume().data)
 
     def test_rejects_unknown_algorithm(self, small_geometry):
         with pytest.raises(ValueError):
-            BackProjector(small_geometry, algorithm="magic")
+            self.accumulator(small_geometry, algorithm="magic")
 
     def test_rejects_bad_z_range(self, small_geometry):
         with pytest.raises(ValueError):
-            BackProjector(small_geometry, z_range=(10, 5))
+            self.accumulator(small_geometry, z_range=(10, 5))
 
-    def test_rejects_mismatched_angles(self, small_geometry, small_filtered):
-        projector = BackProjector(small_geometry)
-        with pytest.raises(ValueError):
-            projector.accumulate(small_filtered.data[:3], small_filtered.angles[:2])
+    def test_rejects_mismatched_projection_shape(self, small_geometry, small_filtered):
+        acc = self.accumulator(small_geometry)
+        with pytest.raises(ValueError, match="does not match detector"):
+            acc.add(small_filtered.data[0][:-1], 0.0)
+        with pytest.raises(ValueError, match="does not match detector"):
+            acc.add_stack(ProjectionStack(
+                data=small_filtered.data[:2, :-1], angles=small_filtered.angles[:2],
+                filtered=True,
+            ))
 
 
 class TestOperationCounts:

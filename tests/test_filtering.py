@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.core.filtering import (
     RAMP_FILTERS,
-    FilteringStage,
     apply_ramp_filter,
     cosine_weight_table,
     fdk_normalization,
@@ -129,40 +129,79 @@ class TestFilterProjections:
         )
 
 
-class TestFilteringStage:
-    def test_single_and_batch_agree(self, small_geometry, small_projections):
-        stage = FilteringStage(small_geometry)
-        batch = stage(small_projections.data[:4])
-        singles = np.stack([stage(p) for p in small_projections.data[:4]])
-        np.testing.assert_allclose(batch, singles, atol=1e-5)
+class TestFilterStackDriver:
+    """``ComputeBackend.filter_stack``: the one filtering entry point."""
 
-    def test_matches_fdk_weight_and_filter(self, small_geometry, small_projections):
-        stage = FilteringStage(small_geometry)
-        np.testing.assert_allclose(
-            stage(small_projections.data),
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_single_and_batch_agree(self, backend, small_geometry, small_projections):
+        """Batch filtering equals per-projection filtering (the rank runtime)."""
+        engine = get_backend(backend)
+        head = ProjectionStack(
+            data=small_projections.data[:4], angles=small_projections.angles[:4]
+        )
+        batch = engine.filter_stack(head, small_geometry).data
+        singles = np.stack([
+            engine.filter_stack(
+                ProjectionStack(data=p[None], angles=[a]), small_geometry
+            ).data[0]
+            for a, p in head
+        ])
+        np.testing.assert_array_equal(batch, singles)
+
+    def test_reference_is_fdk_weight_and_filter(self, small_geometry, small_projections):
+        np.testing.assert_array_equal(
+            get_backend("reference").filter_stack(small_projections, small_geometry).data,
             fdk_weight_and_filter(small_projections, small_geometry).data,
-            atol=1e-5,
         )
 
-    def test_counts_projections(self, small_geometry, small_projections):
-        stage = FilteringStage(small_geometry)
-        stage(small_projections.data[:3])
-        stage(small_projections.data[0])
-        assert stage.projections_filtered == 4
+    def test_convolve_hook_receives_weighted_rows(self, small_geometry, small_projections):
+        seen = {}
+
+        def convolve(rows, response, tau):
+            seen.update(shape=rows.shape, pad=response.shape[0], tau=tau)
+            return apply_ramp_filter(rows, tau, response=response)
+
+        hooked = filter_projections(small_projections, small_geometry, convolve=convolve)
+        np.testing.assert_array_equal(
+            hooked.data, filter_projections(small_projections, small_geometry).data
+        )
+        assert seen["shape"] == small_projections.data.shape
+        assert seen["pad"] >= 2 * small_geometry.nu
 
     def test_rejects_wrong_shape(self, small_geometry, rng):
-        stage = FilteringStage(small_geometry)
-        with pytest.raises(ValueError):
-            stage(rng.random((3, 3)))
+        stack = ProjectionStack(data=rng.random((2, 3, 3)), angles=[0.0, 1.0])
+        with pytest.raises(ValueError, match="does not match detector"):
+            get_backend("reference").filter_stack(stack, small_geometry)
 
-    def test_rejects_unknown_window(self, small_geometry):
+    def test_rejects_unknown_window(self, small_geometry, small_projections):
         with pytest.raises(ValueError):
-            FilteringStage(small_geometry, window="unknown")
+            get_backend("reference").filter_stack(
+                small_projections, small_geometry, "unknown"
+            )
 
-    def test_filter_stack_wrapper(self, small_geometry, small_projections):
-        stage = FilteringStage(small_geometry)
-        out = stage.filter_stack(small_projections)
+    def test_output_is_marked_filtered(self, small_geometry, small_projections):
+        out = get_backend("vectorized").filter_stack(small_projections, small_geometry)
         assert out.filtered and out.np_ == small_projections.np_
+        np.testing.assert_array_equal(out.angles, small_projections.angles)
+
+
+class TestTableCaches:
+    def test_tables_are_cached_per_geometry_and_window(self, small_geometry):
+        import dataclasses
+
+        twin = dataclasses.replace(small_geometry)  # equal, not identical
+        assert cosine_weight_table(small_geometry) is cosine_weight_table(twin)
+        tau = small_geometry.du * small_geometry.sad / small_geometry.sdd
+        ram_lak = ramp_filter_frequency_response(small_geometry.nu, tau, "ram-lak")
+        assert ram_lak is ramp_filter_frequency_response(small_geometry.nu, tau, "ram-lak")
+        assert ram_lak is not ramp_filter_frequency_response(small_geometry.nu, tau, "hann")
+
+    def test_cached_tables_are_read_only(self, small_geometry):
+        table = cosine_weight_table(small_geometry)
+        response = ramp_filter_frequency_response(small_geometry.nu, 0.5)
+        for array in (table, response):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 def test_measure_filtering_throughput_positive(small_geometry):

@@ -130,3 +130,48 @@ class TestFDKReconstruction:
             small_projections
         )
         np.testing.assert_allclose(slab.volume.data, full.volume.data[8:24], atol=1e-5)
+
+    @pytest.mark.parametrize("backend", ["reference", "blocked"])
+    def test_subset_stack_reconstructs_with_its_own_angles(
+        self, small_geometry, small_projections, backend
+    ):
+        """Angles ride on the stack: every other view of the acquisition is a
+        valid input (each iFDK rank runs the same stages on its own subset)."""
+        from repro.api import ReconstructionPlan, run_plan
+        from repro.backends import get_backend
+        from repro.core.types import ProjectionStack
+
+        subset = ProjectionStack(
+            data=small_projections.data[::2], angles=small_projections.angles[::2]
+        )
+        engine = get_backend(backend)
+        expected = engine.backproject(
+            engine.filter_stack(subset, small_geometry), small_geometry
+        )
+        with FDKReconstructor(geometry=small_geometry, backend=backend) as recon:
+            result = recon.reconstruct(subset)
+        np.testing.assert_array_equal(result.volume.data, expected.data)
+        assert result.problem.np_ == subset.np_
+        np.testing.assert_array_equal(
+            reconstruct_fdk(subset, small_geometry, backend=backend).data,
+            expected.data,
+        )
+        via_session = run_plan(
+            ReconstructionPlan(geometry=small_geometry, backend=backend), subset
+        )
+        np.testing.assert_array_equal(via_session.volume.data, expected.data)
+
+    def test_subset_stack_rejected_under_a_redundancy_scenario(
+        self, small_geometry, small_projections
+    ):
+        """A scenario's (Np, Nu) weight table pins the projection count."""
+        from repro.core.types import ProjectionStack
+        from repro.scenarios import get_scenario
+
+        geometry, stack = get_scenario("short_scan").apply(
+            small_geometry, small_projections
+        )
+        subset = ProjectionStack(data=stack.data[:4], angles=stack.angles[:4])
+        recon = FDKReconstructor(geometry=geometry, scenario="short_scan")
+        with pytest.raises(ValueError, match="weights .* projections"):
+            recon.reconstruct(subset)

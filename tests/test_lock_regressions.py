@@ -12,9 +12,10 @@ Each test here failed before its fix:
   unlocked on the handler thread; with ``LockCheckedService`` the
   pre-fix handler raised ``AssertionError`` (surfacing as a 500 through
   the guard boundary) while the fixed handler answers 200.
-* ``WorkerPool.started`` and ``ParallelBackend.pool_started`` read their
-  executor/pool references without the owning lock — ``FlagLock``
-  counts acquisitions and proves each property now takes it.
+* ``WorkerPool.started`` (hence ``TiledBackend.pool_started``, which
+  reads through it) read its executor reference without the owning
+  lock — ``FlagLock`` counts acquisitions and proves each property now
+  takes it.
 
 The two dtype findings (``cosine_weight_table``'s and the proposed
 kernel's dtype-less ``np.arange``) change no numerics — their regression
@@ -30,7 +31,7 @@ import urllib.request
 
 import pytest
 
-from repro.backends.parallel import ParallelBackend, WorkerPool
+from repro.backends.tiled import TiledBackend, WorkerPool
 from repro.core.types import problem_from_string
 from repro.service import (
     ReconstructionJob,
@@ -167,9 +168,9 @@ class TestPoolStateLocking:
         assert pool.started is False
         assert flag.entered == 1
 
-    def test_parallel_backend_pool_started_takes_the_init_lock(self):
-        backend = ParallelBackend(workers=2)
+    def test_tiled_backend_pool_started_takes_the_pool_lock(self):
+        backend = TiledBackend(workers=2)
         flag = FlagLock()
-        backend._init_lock = flag
+        backend._pool._lock = flag
         assert backend.pool_started is False
         assert flag.entered == 1

@@ -1,6 +1,7 @@
-"""Concurrency-determinism harness for the ``parallel`` backend.
+"""Concurrency-determinism harness for the tiled backend's worker pool.
 
-The backend's whole contract is that concurrency is *invisible* in the
+``parallel`` is the tiled backend fanned out over worker threads.  The
+backend's whole contract is that concurrency is *invisible* in the
 output: workers own disjoint tiles of one preallocated volume, so the bits
 may depend only on the input stack — never on worker count, scheduling
 order, pool reuse or repetition.  This module locks that down:
@@ -9,7 +10,7 @@ order, pool reuse or repetition.  This module locks that down:
   reconstruction on one backend instance (a reused, warm pool) are
   byte-identical;
 * **same bits across worker counts** — workers ∈ {1, 2, 3, 4} all produce
-  the identical volume, equal to the single-threaded ``blocked`` backend,
+  the identical volume, equal to the single-threaded ``blocked`` name,
   through the full ``FDKReconstructor`` path (filter + back-project);
 * **golden-acquisition hashes** — on the pinned 32³ golden acquisition
   (full scan and Parker-weighted short scan), ``parallel`` reproduces the
@@ -25,13 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.backends import BlockedBackend, ParallelBackend, get_backend
-from repro.backends.parallel import WORKER_THREAD_PREFIX, WorkerPool
+from repro.backends import TiledBackend
+from repro.backends.tiled import WORKER_THREAD_PREFIX, WorkerPool
 from repro.core import FDKReconstructor, default_geometry_for_problem
 from repro.core.types import ProjectionStack
 from repro.scenarios import reconstruct_scenario
@@ -68,7 +70,7 @@ def test_repeated_runs_are_bit_identical():
     """A warm, reused pool must not perturb a single bit between runs."""
     geometry = default_geometry_for_problem(nu=28, nv=20, np_=12, nx=18, ny=14, nz=10)
     stack = make_stack(geometry)
-    with ParallelBackend(workers=4) as backend:
+    with TiledBackend(workers=4) as backend:
         first = backend.backproject(stack, geometry, algorithm="proposed").data
         second = backend.backproject(stack, geometry, algorithm="proposed").data
     assert first.tobytes() == second.tobytes()
@@ -98,7 +100,7 @@ def test_streaming_and_whole_stack_dispatch_agree():
     """The rank runtime's per-projection add() path equals add_stack()."""
     geometry = default_geometry_for_problem(nu=28, nv=20, np_=6, nx=18, ny=14, nz=10)
     stack = make_stack(geometry)
-    with ParallelBackend(workers=3) as backend:
+    with TiledBackend(workers=3) as backend:
         whole = backend.backproject(stack, geometry, algorithm="proposed").data
         acc = backend.accumulator(geometry, algorithm="proposed")
         for angle, projection in stack:
@@ -133,7 +135,7 @@ def test_parallel_reproduces_golden_acquisition_hash(family, workers, family_has
         ) as reconstructor:
             volume = reconstructor.reconstruct(stack).volume.data
     else:
-        with ParallelBackend(workers=workers) as backend:
+        with TiledBackend(workers=workers) as backend:
             volume = reconstruct_scenario(
                 "short_scan", geometry, stack, backend=backend
             ).volume.data
@@ -176,7 +178,7 @@ def test_no_leaked_threads_after_reconstructor_teardown():
 
 def test_closed_pool_restarts_lazily():
     """Closing a shared backend must never poison later users."""
-    backend = ParallelBackend(workers=2)
+    backend = TiledBackend(workers=2)
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=4, nx=12, ny=12, nz=8)
     stack = make_stack(geometry)
     first = backend.backproject(stack, geometry).data
@@ -192,7 +194,7 @@ def test_workers_one_never_starts_threads():
     baseline = parallel_threads()
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=4, nx=12, ny=12, nz=8)
     stack = make_stack(geometry)
-    with ParallelBackend(workers=1) as backend:
+    with TiledBackend(workers=1) as backend:
         backend.backproject(stack, geometry)
         assert not backend.pool_started
     assert parallel_threads(baseline) == []
@@ -207,13 +209,13 @@ def test_malformed_env_workers_fails_on_use_not_import(monkeypatch):
     commands.
     """
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "banana")
-    backend = ParallelBackend()  # construction must succeed
+    backend = TiledBackend()  # construction must succeed
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=4, nx=12, ny=12, nz=8)
     stack = make_stack(geometry)
     with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS"):
         backend.backproject(stack, geometry)
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
-    assert ParallelBackend().workers == 2
+    assert TiledBackend().workers == 2
 
 
 def test_distributed_run_joins_config_owned_pool():
@@ -236,7 +238,7 @@ def test_worker_pool_validation_and_error_propagation():
     with pytest.raises(ValueError, match="positive integer"):
         WorkerPool(0)
     with pytest.raises(ValueError, match="positive integer"):
-        ParallelBackend(workers=-2)
+        TiledBackend(workers=-2)
     pool = WorkerPool(2)
     boom = RuntimeError("tile failed")
 
@@ -246,3 +248,30 @@ def test_worker_pool_validation_and_error_propagation():
     with pytest.raises(RuntimeError, match="tile failed"):
         pool.run([bad, lambda: None])
     pool.close()
+
+
+def test_worker_pool_waits_for_siblings_before_raising():
+    """A failed task must not return control while siblings still write.
+
+    Tasks share one output array; if ``run`` re-raised on the first failed
+    future, the caller could read (or free) the volume under a live writer.
+    """
+    pool = WorkerPool(2)
+    sibling_started = threading.Event()
+    finished = []
+
+    def bad():
+        sibling_started.wait(timeout=5.0)
+        raise RuntimeError("tile failed")
+
+    def slow():
+        sibling_started.set()
+        time.sleep(0.2)
+        finished.append("slow")
+
+    try:
+        with pytest.raises(RuntimeError, match="tile failed"):
+            pool.run([bad, slow])
+        assert finished == ["slow"], "run() raised while a sibling was running"
+    finally:
+        pool.close()

@@ -342,13 +342,6 @@ def test_scenario_reconstructor_rejects_prefiltered_stack():
     filtered = reconstructor.filter(sub)
     with pytest.raises(ValueError, match="already filtered"):
         reconstructor.reconstruct(filtered)
-    from repro.backends import get_backend
-
-    with pytest.raises(ValueError, match="already filtered"):
-        get_backend("vectorized").reconstruct(
-            filtered, geometry,
-            redundancy=scenario.redundancy_weights(geometry),
-        )
 
 
 def test_fdk_reconstructor_resolves_scenario_by_name():

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from repro.api import ReconstructionPlan, Session, plan_for_problem, run_plan
 from repro.backends import available_backends, get_backend
 from repro.cli import main
-from repro.core import default_geometry_for_problem
+from repro.core import FDKReconstructor, default_geometry_for_problem
 from repro.core.types import ProjectionStack
 from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.pfs import SimulatedPFS
@@ -103,8 +103,10 @@ def whole_stack_volumes():
         key = (backend, scenario, dtype)
         if key not in cache:
             geometry, stack, redundancy = scenario_case(scenario, dtype)
-            cache[key] = get_backend(backend).reconstruct(
-                stack, geometry, algorithm="proposed", redundancy=redundancy
+            engine = get_backend(backend)
+            cache[key] = engine.backproject(
+                engine.filter_stack(stack, geometry, redundancy=redundancy),
+                geometry, algorithm="proposed",
             ).data
         return cache[key]
 
@@ -150,6 +152,31 @@ class TestStreamingEquivalence:
         assert result.chunk_size == expected_chunk
         assert result.chunk_count == len(plan_chunks(geometry.np_, expected_chunk))
         assert result.num_projections == geometry.np_
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_fdk_reconstructor_slab_is_one_chunk_of_the_driver(self, backend):
+        """``FDKReconstructor(z_range=)`` ≡ that slab of a multi-chunk run."""
+        geometry, stack, _ = scenario_case("short_scan", "float32")
+        slab = (3, 8)
+        with FDKReconstructor(
+            geometry=geometry, backend=backend, scenario="short_scan", z_range=slab
+        ) as whole_stack:
+            one_chunk = whole_stack.reconstruct(stack)
+        assert one_chunk.problem.nz == slab[1] - slab[0]
+        with StreamingReconstructor(
+            geometry, backend=backend, scenario="short_scan", z_range=slab,
+            chunk_size=5,
+        ) as driver:
+            chunked = driver.reconstruct(StackChunkSource(stack))
+        assert chunked.chunk_count > 1
+        np.testing.assert_array_equal(one_chunk.volume.data, chunked.volume.data)
+        if backend != "reference":  # the reference pairs mirror slices per slab
+            full = reconstruct_streaming(
+                stack, geometry, backend=backend, scenario="short_scan", chunk_size=5
+            )
+            np.testing.assert_array_equal(
+                chunked.volume.data, full.volume.data[slab[0]:slab[1]]
+            )
 
     def test_pfs_source_matches_in_memory_source(self):
         geometry, stack, _ = scenario_case("full_scan", "float32")
@@ -572,6 +599,38 @@ class TestStreamingSeams:
             if span.name == "filter.chunk"
         )
         assert starts == [0, 6, 12, 18]
+
+    def test_chunk_spans_follow_the_plan_not_the_chunk_count(
+        self, small_geometry, small_projections
+    ):
+        """A streaming plan that resolves to one chunk still records its
+        chunk spans; a whole-stack plan records only the stage spans."""
+        def span_names(**fields):
+            tracer = Tracer()
+            plan = ReconstructionPlan(
+                geometry=small_geometry, backend="blocked", **fields
+            )
+            with Session(plan, tracer=tracer) as session:
+                result = session.run(small_projections)
+            return result, tracer.spans()
+
+        result, spans = span_names(streaming=True, chunk_size=small_geometry.np_)
+        names = [span.name for span in spans]
+        assert result.details["chunks"] == 1
+        assert names.count("filter.chunk") == names.count("backproject.chunk") == 1
+        assert result.details["streaming_obs"]["streaming.chunks"] == 1
+
+        result, spans = span_names()
+        names = [span.name for span in spans]
+        assert "streaming" not in result.details
+        assert "filter.chunk" not in names and "backproject.chunk" not in names
+        assert names.count("filter") == names.count("backproject") == 1
+        stage_attrs = {
+            span.name: span.attrs for span in spans
+            if span.name in ("filter", "backproject")
+        }
+        assert stage_attrs["filter"]["backend"] == "blocked"
+        assert stage_attrs["backproject"]["backend"] == "blocked"
 
     def test_streaming_reconstructor_from_plan_matches_session(
         self, small_geometry, small_projections
