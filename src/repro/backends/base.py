@@ -105,6 +105,19 @@ class VolumeAccumulator(abc.ABC):
         z_start, z_stop = self.z_range
         if not (0 <= z_start < z_stop <= geometry.nz):
             raise ValueError(f"invalid z_range {z_range} for Nz={geometry.nz}")
+        # A voxel at or behind the source has a perspective divisor z <= 0:
+        # 1/z and every detector coordinate derived from it stop being
+        # finite, and the volume silently fills with NaN.  The kernels'
+        # index-range argument (clip => in range) assumes finite coordinates.
+        half_diagonal = 0.5 * float(
+            np.hypot(geometry.nx * geometry.dx, geometry.ny * geometry.dy)
+        )
+        if geometry.sad <= half_diagonal:
+            raise ValueError(
+                f"sad={geometry.sad:g} mm puts the source inside the reconstructed "
+                f"field of view: it must exceed the volume's XY half-diagonal "
+                f"({half_diagonal:g} mm)"
+            )
 
     @property
     def nz_local(self) -> int:

@@ -1,14 +1,24 @@
 """The tiled backend: one bounded tile plan executed on one worker pool.
 
-Handed a whole slab, the block kernels of :mod:`repro.backends.vectorized`
-would materialize ``(Nz, Ny, Nx)``-sized float64 temporaries — ruinous for
-a 2048³ volume or a GPU with fixed device memory.  This backend cuts every
-hot path into independent units bounded by a byte budget — ``(z, y)``
-volume tiles for back-projection, detector-row groups for filtering — and
-runs them on a persistent :class:`WorkerPool`.  It is registered under
-three names: ``vectorized`` and ``blocked`` (one worker, inline on the
-caller's thread) and ``parallel`` (:func:`default_workers` threads; the
-kernels spend their time in NumPy primitives that release the GIL).
+The block kernels of :mod:`repro.backends.vectorized` keep per-column
+state — the proposed kernel's detector table is ``(columns, Nv+4)`` — so
+handed every column of a 2048² slice at once they would hold gigabytes.
+This backend cuts every hot path into independent units bounded by a byte
+budget — ``(z, y)`` volume tiles for back-projection, detector-row groups
+for filtering — and runs them on a persistent :class:`WorkerPool`.  It is
+registered under three names: ``vectorized`` and ``blocked`` (one worker,
+inline on the caller's thread) and ``parallel`` (:func:`default_workers`
+threads; the kernels spend their time in NumPy primitives that release the
+GIL).
+
+What ``byte_budget`` bounds, per tile (:func:`_block_bytes`): the column
+tables and ``(i, j)`` temporaries, proportional to the tile's columns, plus
+one Z chunk of workspace — ``CHUNK_ELEMENTS`` voxels, whatever the tile's Z
+extent, because the kernels walk Z in fixed chunks themselves.  So the
+budget decides how many rows a tile has (Y splits first) and Z only splits
+under budgets too small for a single row.  Outside it: the output slab and
+each shard's padded copy of the current projection.
+``tests/test_block_kernels.py`` checks the model against ``tracemalloc``.
 
 Neither tiling nor concurrency touches the numerics.  The kernels are
 elementwise in the ``(k, y)`` block and each detector row's transform is
@@ -40,7 +50,15 @@ from ..core.geometry import CBCTGeometry
 from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
 from ..obs import get_tracer
 from .base import ComputeBackend, VolumeAccumulator
-from .vectorized import _BLOCK_KERNELS, _index_grids, rfft_ramp_filter
+from .vectorized import (
+    _BLOCK_KERNELS,
+    CHUNK_BYTES_PER_ELEMENT,
+    CHUNK_ELEMENTS,
+    BlockWorkspace,
+    _index_grids,
+    chunk_slices,
+    rfft_ramp_filter,
+)
 
 __all__ = [
     "DEFAULT_BYTE_BUDGET",
@@ -50,8 +68,7 @@ __all__ = [
     "plan_tiles",
 ]
 
-#: Default working-set bound: 32 MiB of float64 temporaries per tile —
-#: roughly an L3-cache-friendly footprint on current CPUs.
+#: Default working-set bound per tile: 32 MiB of tables and workspace.
 DEFAULT_BYTE_BUDGET = 32 << 20
 
 #: Thread-name prefix of every pool worker (leak checks grep for this).
@@ -187,14 +204,25 @@ def _traced(
 # Tile planning
 # --------------------------------------------------------------------------- #
 def _block_bytes(kt: int, yt: int, nx: int, nv: int) -> int:
-    """Estimated float64 working set of one ``(kt, yt)`` tile.
+    """Ceiling on the bytes one ``(kt, yt)`` tile holds live, either algorithm.
 
-    The proposed kernel's column tables are ``(Nv, yt, Nx)`` (three live at
-    once) and both kernels hold ~8 ``(kt, yt, Nx)`` coordinate/sample
-    temporaries; this deliberately over-counts a little so the budget is a
+    Per column: the proposed kernel's float32 table over the whole padded
+    detector height (the band a tile really reaches is not known to the
+    planner) and ~16 float64 ``(i, j)`` coordinate and weight temporaries.
+    Per chunk voxel: the workspace buffers and gather results of the
+    hungrier (standard) kernel.  Plus the gathered pieces of the table
+    build (two per piece, and the previous piece's last).  The Z extent
+    enters only through the chunk, which stops growing at
+    ``CHUNK_ELEMENTS`` voxels (or one slice of the tile, if that is
+    larger); this deliberately over-counts a little so the budget is a
     ceiling, not a target.
     """
-    return 8 * (3 * nv * yt * nx + 8 * kt * yt * nx)
+    cols = yt * nx
+    return (
+        cols * (4 * (nv + 4) + 8 * 16)
+        + CHUNK_BYTES_PER_ELEMENT * chunk_slices(kt, cols) * cols
+        + 3 * 4 * max(CHUNK_ELEMENTS, nv + 4)
+    )
 
 
 def _fewest_parts(extent: int, fits: Callable[[int], bool]) -> int:
@@ -218,12 +246,12 @@ def plan_tiles(
     Local Z coordinates (``0 <= z0 < z1 <= nz_local``).  Y splits first:
     inside one tile the proposed kernel's per-column detector tables are
     shared along Z, so Y splits add no redundant column work while every Z
-    split recomputes those tables.  Z splits only once Y is down to single
-    rows; degenerate budgets bottom out at 1x1-slice tiles rather than
-    failing.  ``min_tiles`` (the worker count) splits further, in the same
-    order, until the plan can occupy every worker — a slab with fewer rows
-    than that simply under-fills the pool.  Parts of an axis are balanced:
-    their extents differ by at most one.
+    split rebuilds (its band of) those tables.  Z splits only once Y is
+    down to single rows; degenerate budgets bottom out at 1x1-slice tiles
+    rather than failing.  ``min_tiles`` (the worker count) splits further,
+    in the same order, until the plan can occupy every worker — a slab with
+    fewer rows than that simply under-fills the pool.  Parts of an axis are
+    balanced: their extents differ by at most one.
     """
     if byte_budget <= 0:
         raise ValueError("byte_budget must be positive")
@@ -297,9 +325,17 @@ class _TiledAccumulator(VolumeAccumulator):
         ]
 
     def _fold_shard(self, shard, projections: np.ndarray, matrices) -> None:
+        # One workspace per shard and stack, sized for the shard's largest
+        # tile and reused for every projection; released with the stack, so
+        # it never sits under the next chunk's filtering peak.
+        work = BlockWorkspace(
+            self.algorithm, self.geometry.nv, self.geometry.nu,
+            [(len(ks), rows.size) for _, ks, rows, _ in shard],
+        )
         for matrix, projection in zip(matrices, projections):
+            work.load(projection)
             for block, ks, i_grid, j_grid in shard:
-                self._kernel(block, projection, matrix, ks, i_grid, j_grid)
+                self._kernel(block, work, matrix, ks, i_grid, j_grid)
 
     def _dispatch(self, projections: np.ndarray, angles: Sequence[float]) -> None:
         matrices = [
@@ -338,9 +374,10 @@ class TiledBackend(ComputeBackend):
 
     ``workers=None`` follows :func:`default_workers` (resolved on first
     execution); ``workers=1`` never starts a thread.  ``byte_budget``
-    bounds the float64 working set of one volume tile and the FFT spectrum
-    of one detector-row group.  ``name`` is the registry name the instance
-    answers to (``vectorized`` / ``blocked`` / ``parallel``).
+    bounds the working set of one volume tile (column tables plus one Z
+    chunk of workspace) and the FFT spectrum of one detector-row group.
+    ``name`` is the registry name the instance answers to (``vectorized`` /
+    ``blocked`` / ``parallel``).
     """
 
     def __init__(

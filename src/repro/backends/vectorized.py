@@ -14,27 +14,54 @@ for NumPy throughput:
   projection the per-column detector coordinate ``u``, reciprocal ``f=1/z``
   and distance weight ``Wdis=f²`` are computed once per ``(i, j)`` column,
   the ``u`` interpolation **and** the distance weight are folded into a
-  pre-gathered column table ``cols[v, j, i] = Wdis·((1-du)·Q[v,u0]+du·Q[v,u0+1])``,
-  and every Z slice then costs one fused multiply-add for ``v`` (affine in
-  ``k`` by Theorem 3) plus a 1-D linear interpolation into ``cols``.  The
+  pre-gathered column table ``table[col, v] = Wdis·((1-du)·Q[v,u0]+du·Q[v,u0+1])``,
+  and every Z slice then costs one multiply-add for ``v`` (affine in ``k``
+  by Theorem 3) plus a 1-D linear interpolation into ``table``.  The
   explicit mirror-row reflection of Theorem 1 buys nothing here — the ``v``
-  computation is already a single vectorized FMA — so all slices are
-  evaluated directly, which also makes Z-slab decompositions bit-exact.
+  computation is already a single vectorized multiply-add — so all slices
+  are evaluated directly, which also makes Z-slab decompositions bit-exact.
 * **Standard back-projection (Algorithm 2)** evaluates the full three inner
-  products per voxel as the paper prescribes, but over the entire ``(k, j,
-  i)`` block at once with a manual fused bilinear gather instead of chunked
-  ``map_coordinates`` calls.
+  products per voxel as the paper prescribes, with a manual fused bilinear
+  gather instead of chunked ``map_coordinates`` calls.
 
-All interpolation weights are computed in float64 and each projection's
-contribution is rounded to float32 exactly once, at accumulation — the same
+Memory layout and traffic
+-------------------------
+
+The kernels are bound by memory traffic, not arithmetic, so both are built
+around what one projection x one tile has to move:
+
+* The projection is kept inside a two-sample zero border on every side
+  (:class:`BlockWorkspace`), so every out-of-detector fetch reads a stored
+  zero and no kernel carries bounds masks.  The proposed kernel keeps it
+  **transposed**, ``(Nu+4, Nv+4)`` — the paper's layout: a voxel column
+  walks the detector along ``v``, so its table is one contiguous row and
+  the table build is two contiguous row gathers (``take(axis=0)``) blended
+  in place, and the Z loop's two samples are neighbours in memory.
+* Only the **band** of detector rows a tile's Z range projects onto is
+  gathered (:func:`_row_band`), so table cost follows slab thickness — an
+  iFDK rank or a ``z_range`` slab does not pay for the whole detector.
+* The Z loop runs in chunks of ``CHUNK_ELEMENTS`` voxels over a fixed
+  workspace written through ``out=`` ufuncs.  Nothing ``(K, columns)``-sized
+  is ever allocated: every array the loop allocates (the gather results)
+  is one chunk or one table piece, small enough for the allocator to
+  recycle instead of mapping and page-faulting fresh memory per projection
+  — which is what kept two worker threads from scaling before.
+
+All coordinates and interpolation weights are computed in float64 and each
+sample is rounded to float32 exactly once, before a float32 blend — the same
 rounding structure as the reference path, which is why the two agree to
-~1e-7 relative RMSE (the conformance bound is 1e-5).
+~1e-7 relative RMSE (the conformance bound is 1e-5).  The operation sequence
+per voxel (``v = slope·k + offset``, ``floor``, ``dv = v - v0``, ``clip``,
+``lo·(1-dv) + hi·dv``) is fixed: ``tests/test_block_kernels.py`` holds both
+kernels to the bit patterns of their frozen predecessors.  Index safety
+rests on finite coordinates (``VolumeAccumulator`` rejects a source inside
+the volume) plus the clip; every gather still runs with ``mode="raise"``.
 
 The block kernels take explicit ``(k, y)`` sub-ranges and are elementwise in
 the block, and each detector row's transform is independent of how rows are
-grouped, so :mod:`repro.backends.tiled` may cut the work into any tiles and
-row groups and still produce **bit-identical** results (asserted by the
-conformance suite).
+grouped, so :mod:`repro.backends.tiled` may cut the work into any tiles,
+chunks and row groups and still produce **bit-identical** results (asserted
+by the conformance suite).
 """
 
 from __future__ import annotations
@@ -49,6 +76,7 @@ from ..core.types import DEFAULT_DTYPE
 
 __all__ = [
     "rfft_ramp_filter",
+    "BlockWorkspace",
     "accumulate_proposed_block",
     "accumulate_standard_block",
 ]
@@ -63,23 +91,6 @@ def _index_grids(ny: int, nx: int) -> Tuple[np.ndarray, np.ndarray]:
     j_grid.setflags(write=False)
     i_grid.setflags(write=False)
     return j_grid, i_grid
-
-
-def _gather_dtype(max_index: int):
-    """Smallest integer dtype for gather indices (int32 halves index traffic)."""
-    return np.int32 if max_index < 2**31 - 1 else np.intp
-
-
-def _padded_index(coord_int: np.ndarray, bound: int, dtype) -> np.ndarray:
-    """Map floor coordinates onto a double-zero-padded axis.
-
-    ``coord_int`` holds float64 ``floor`` values; the returned integers index
-    an axis laid out as ``[0, 0, data[0..bound-1], 0, 0]``.  Clipping to
-    ``[-2, bound]`` parks every out-of-range neighbour (and the neighbour's
-    ``+1`` successor) on a zero sample, which replaces the bounds masks of a
-    classic bilinear gather with plain arithmetic.
-    """
-    return (np.clip(coord_int, -2.0, float(bound)) + 2.0).astype(dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -112,9 +123,126 @@ def rfft_ramp_filter(
 # --------------------------------------------------------------------------- #
 # Back-projection block kernels (elementwise in the (k, y) block)
 # --------------------------------------------------------------------------- #
+#: Voxels (slices x columns) per Z chunk of a tile, and rows x band per piece
+#: of the column-table build: the size of every array the kernels touch per
+#: step.  Chosen from this sweep of proposed back-projection on a 2-vCPU Xeon
+#: (4 MiB L2 per core), seconds with one worker / two workers:
+#:
+#: ==========  ===================  ====================
+#: elements    96x96x128 -> 64^3    128x128x64 -> 128^3
+#: ==========  ===================  ====================
+#:     16 384  0.327 / 0.559        1.597 / 1.799
+#:     32 768  0.334 / 0.345        1.499 / 1.071
+#:     65 536  0.335 / 0.266        1.288 / 0.747
+#:    131 072  0.339 / 0.236        1.255 / 0.635
+#:    262 144  0.351 / 0.231        1.315 / 0.652
+#:    524 288  0.350 / 0.226        1.267 / 0.774
+#: (previous)  0.580 / 0.335        2.619 / 1.416
+#: ==========  ===================  ====================
+#:
+#: (``previous`` is the kernel this one replaced.)  One worker barely cares.
+#: Two do: every NumPy call re-takes the GIL, and below ~64k voxels per call
+#: the workers spend their time queueing for it (two slower than one at
+#: 16k).  Above 64k two workers gain another ~10 % while the workspace (32
+#: bytes per chunk voxel and shard) doubles with every step — at 128k the
+#: four-rank iFDK benchmark's peak RSS passes the previous kernel's (124 ->
+#: 123-130 MiB), at 64k it stays 10 MiB under it.
+CHUNK_ELEMENTS = 1 << 16
+
+#: dtype of each ``(slices, columns)`` chunk buffer the kernels' ``out=``
+#: ufuncs write, and how many float32 gather results a chunk allocates.
+_CHUNK_BUFFERS = {
+    "proposed": ((np.float64,) * 2 + (np.float32,) * 2 + (np.intp,), 2),
+    "standard": ((np.float64,) * 3 + (np.float32,) * 4 + (np.intp,), 4),
+}
+
+#: Live bytes per chunk voxel of the hungrier kernel (the standard one):
+#: what :func:`repro.backends.tiled._block_bytes` charges for a chunk.  One
+#: gather more than a chunk allocates: the previous chunk's last result is
+#: still bound while the next chunk's first gather runs.
+CHUNK_BYTES_PER_ELEMENT = max(
+    sum(np.dtype(dtype).itemsize for dtype in dtypes) + 4 * (gathers + 1)
+    for dtypes, gathers in _CHUNK_BUFFERS.values()
+)
+
+
+def chunk_slices(n_slices: int, n_cols: int) -> int:
+    """Slices per Z chunk of an ``(n_slices, n_cols)`` tile (at least one)."""
+    return min(n_slices, max(1, CHUNK_ELEMENTS // n_cols))
+
+
+def _padded_index(coord_int: np.ndarray, bound: int, origin=2.0) -> np.ndarray:
+    """Map floor coordinates onto a double-zero-padded axis, in place.
+
+    ``coord_int`` holds float64 ``floor`` values; on return it holds their
+    (still float64, exactly integral) positions on an axis laid out as
+    ``[0, 0, data[0..bound-1], 0, 0]``.  Clipping to ``[-2, bound]`` parks
+    every out-of-range neighbour (and the neighbour's ``+1`` successor) on a
+    zero sample, which replaces the bounds masks of a classic bilinear
+    gather with plain arithmetic.  ``origin`` is where ``data[0]`` sits: 2 on
+    the bare axis, or one position per column for axes laid end to end in a
+    flat table.
+    """
+    np.clip(coord_int, -2.0, float(bound), out=coord_int)
+    coord_int += origin
+    return coord_int
+
+
+def _row_band(slope: np.ndarray, offset: np.ndarray, ks: np.ndarray, nv: int):
+    """Padded detector rows ``[lo, hi)`` the slices ``ks`` can read.
+
+    ``v = slope·k + offset`` is monotone in ``k`` for every column — in
+    floating point too, since rounding is monotone — so the tile's two end
+    slices bound every row index the Z loop will form, and only that band
+    of the column table needs building: a thin Z slab pays for the rows it
+    projects onto, not for the whole detector.
+    """
+    ends = slope * ks[[0, -1], None] + offset
+    lo, hi = _padded_index(np.floor([ends.min(), ends.max()]), nv).astype(int).tolist()
+    return lo, hi + 2  # one past the upper neighbour of the highest row
+
+
+class BlockWorkspace:
+    """Scratch memory of one shard's kernel calls, allocated once per stack.
+
+    Holds the current projection inside a two-sample zero border on every
+    side (:meth:`load`) — ``(Nv+4, Nu+4)`` for the standard kernel,
+    transposed to ``(Nu+4, Nv+4)`` for the proposed one so a voxel column's
+    walk along ``v`` is contiguous — plus the proposed kernel's blended
+    column table and the fixed-size chunk buffers.  ``tile_shapes`` lists
+    the ``(slices, columns)`` extents of the tiles the workspace will
+    serve; it is sized for the largest and reused for every projection, so
+    the accumulation loop allocates nothing larger than one chunk.
+    """
+
+    def __init__(self, algorithm: str, nv: int, nu: int, tile_shapes) -> None:
+        tile_shapes = list(tile_shapes)
+        self.nv, self.nu = nv, nu
+        self._transposed = algorithm == "proposed"
+        padded = (nu + 4, nv + 4) if self._transposed else (nv + 4, nu + 4)
+        self.detector = np.zeros(padded, dtype=np.float32)
+        max_cols = max(cols for _, cols in tile_shapes)
+        self.table = np.empty(
+            max_cols * (nv + 4) if self._transposed else 0, dtype=np.float32
+        )
+        chunk = max(chunk_slices(k, cols) * cols for k, cols in tile_shapes)
+        self._chunk = [
+            np.empty(chunk, dtype=dtype) for dtype in _CHUNK_BUFFERS[algorithm][0]
+        ]
+
+    def load(self, projection: np.ndarray) -> None:
+        """Copy one filtered ``(Nv, Nu)`` projection inside the zero border."""
+        self.detector[2:-2, 2:-2] = projection.T if self._transposed else projection
+
+    def chunk(self, n_slices: int, n_cols: int):
+        """The chunk buffers as ``(n_slices, n_cols)`` views."""
+        size = n_slices * n_cols
+        return [buffer[:size].reshape(n_slices, n_cols) for buffer in self._chunk]
+
+
 def accumulate_proposed_block(
     out_block: np.ndarray,
-    projection: np.ndarray,
+    work: BlockWorkspace,
     p: np.ndarray,
     ks: np.ndarray,
     i_grid: np.ndarray,
@@ -127,8 +255,9 @@ def accumulate_proposed_block(
     out_block:
         Float32 accumulator view of shape ``(K, By, Nx)`` — Z slices ``ks``
         by a Y tile by the full X extent, in the i-major layout.
-    projection:
-        One filtered projection ``(Nv, Nu)``.
+    work:
+        The shard's workspace, holding the filtered projection
+        (:meth:`BlockWorkspace.load`) to back-project.
     p:
         The 3x4 projection matrix for this projection's angle.
     ks:
@@ -136,7 +265,7 @@ def accumulate_proposed_block(
     i_grid, j_grid:
         Float64 index meshes of shape ``(By, Nx)`` for the Y tile.
     """
-    nv, nu = projection.shape
+    nv, nu = work.nv, work.nu
     n_k = len(ks)
     n_y, n_x = i_grid.shape
     n_cols = n_y * n_x
@@ -148,49 +277,63 @@ def accumulate_proposed_block(
     u = x * f
     w = f * f
     y_base = p[1, 0] * i_grid + p[1, 1] * j_grid + p[1, 3]
+    u0 = np.floor(u)
+    du = u - u0
+    weight_left = ((1.0 - du) * w).astype(np.float32).reshape(n_cols, 1)
+    weight_right = (du * w).astype(np.float32).reshape(n_cols, 1)
+    row_left = _padded_index(u0, nu).astype(np.intp).ravel()
+    row_right = row_left + 1
+    # Theorem 3 again: v is affine in k, v = slope·k + offset per column.
+    offset = (y_base * f).ravel()
+    slope = (p[1, 2] * f).ravel()
+
+    lo, hi = _row_band(slope, offset, ks, nv)
+    band = hi - lo
+    source = np.ascontiguousarray(work.detector[:, lo:hi])
 
     # Fold the u interpolation and the distance weight into per-column
-    # detector tables: cols[v, jy, ix] = Wdis * ((1-du)·Q[v,u0] + du·Q[v,u0+1]),
-    # stored inside two zero rows top and bottom so the Z-loop gathers below
-    # need no bounds masks.
-    u0 = np.floor(u).astype(np.intp)
-    du = u - u0
-    left_ok = (u0 >= 0) & (u0 < nu)
-    right_ok = (u0 + 1 >= 0) & (u0 + 1 < nu)
-    u0c = np.clip(u0, 0, nu - 1).ravel()
-    u1c = np.clip(u0 + 1, 0, nu - 1).ravel()
-    cw_left = (np.where(left_ok, 1.0 - du, 0.0) * w).astype(np.float32).ravel()
-    cw_right = (np.where(right_ok, du, 0.0) * w).astype(np.float32).ravel()
-    padded = np.zeros((nv + 4, n_cols), dtype=np.float32)
-    np.add(
-        projection[:, u0c] * cw_left,
-        projection[:, u1c] * cw_right,
-        out=padded[2 : nv + 2],
-    )
-    flat_cols = padded.ravel()
+    # detector tables: table[col, v] = Wdis·((1-du)·Q[v,u0] + du·Q[v,u0+1]).
+    # Each is a contiguous row of the transposed projection, so the build is
+    # two row gathers and a blend; columns that leave the detector gather the
+    # zero border, and so do the Z-loop's reads above and below it.
+    table = work.table[: n_cols * band].reshape(n_cols, band)
+    step = max(1, CHUNK_ELEMENTS // band)
+    for c0 in range(0, n_cols, step):
+        c1 = c0 + step
+        left = np.take(source, row_left[c0:c1], axis=0, mode="raise")
+        left *= weight_left[c0:c1]
+        right = np.take(source, row_right[c0:c1], axis=0, mode="raise")
+        right *= weight_right[c0:c1]
+        np.add(left, right, out=table[c0:c1])
+    flat_low = table.reshape(-1)
+    flat_high = flat_low[1:]
+    origin = np.arange(n_cols, dtype=np.float64)
+    origin *= band
+    origin += 2 - lo
 
-    # Theorem 3 again: v is affine in k with slope p[1,2]·f per column.  The
-    # coordinate is computed in float64 (sub-pixel accuracy), the blend in
-    # float32 — a single rounding per sample, like the reference path.
-    v = (y_base * f).ravel()[None, :] + (p[1, 2] * f).ravel()[None, :] * ks[:, None]
-    v0 = np.floor(v)
-    dv = (v - v0).astype(np.float32)
-    dtype = _gather_dtype((nv + 4) * n_cols)
-    index = _padded_index(v0, nv, dtype)
-    index *= n_cols
-    index += np.arange(n_cols, dtype=dtype)[None, :]
-    sample_low = flat_cols.take(index)
-    index += n_cols
-    sample_high = flat_cols.take(index)
-    sample_low *= 1.0 - dv
-    sample_high *= dv
-    sample_low += sample_high
-    out_block += sample_low.reshape(n_k, n_y, n_x)
+    # The coordinate is computed in float64 (sub-pixel accuracy), the blend
+    # in float32 — a single rounding per sample, like the reference path.
+    kc = chunk_slices(n_k, n_cols)
+    for k0 in range(0, n_k, kc):
+        k1 = min(k0 + kc, n_k)
+        v, v0, dv, rest, index = work.chunk(k1 - k0, n_cols)
+        np.multiply(slope, ks[k0:k1, None], out=v)
+        v += offset
+        np.floor(v, out=v0)
+        np.subtract(v, v0, out=dv)
+        np.copyto(index, _padded_index(v0, nv, origin), casting="unsafe")
+        sample_low = flat_low.take(index, mode="raise")
+        sample_high = flat_high.take(index, mode="raise")
+        np.subtract(1.0, dv, out=rest)
+        sample_low *= rest
+        sample_high *= dv
+        sample_low += sample_high
+        out_block[k0:k1] += sample_low.reshape(k1 - k0, n_y, n_x)
 
 
 def accumulate_standard_block(
     out_block: np.ndarray,
-    projection: np.ndarray,
+    work: BlockWorkspace,
     p: np.ndarray,
     ks: np.ndarray,
     i_grid: np.ndarray,
@@ -199,53 +342,63 @@ def accumulate_standard_block(
     """Fused Algorithm 2 update of one ``(K, By, Nx)`` block.
 
     Three inner products per voxel (no hoisting — this is the standard
-    scheme), with the bilinear fetch done as four masked flat gathers fused
-    with the ``Wdis`` weighting.
+    scheme), with the bilinear fetch done as four flat gathers fused with
+    the ``Wdis`` weighting, over the same Z chunks and workspace discipline
+    as :func:`accumulate_proposed_block`.
     """
-    nv, nu = projection.shape
+    nv, nu = work.nv, work.nu
     n_k = len(ks)
     n_y, n_x = i_grid.shape
-    x_base = p[0, 0] * i_grid + p[0, 1] * j_grid + p[0, 3]
-    y_base = p[1, 0] * i_grid + p[1, 1] * j_grid + p[1, 3]
-    z_base = p[2, 0] * i_grid + p[2, 1] * j_grid + p[2, 3]
-    kcol = ks[:, None, None]
-    # Coordinates in float64 (sub-pixel accuracy); weights and samples in
-    # float32, matching the single rounding per sample of the reference.
-    x = x_base[None, :, :] + p[0, 2] * kcol
-    y = y_base[None, :, :] + p[1, 2] * kcol
-    z = z_base[None, :, :] + p[2, 2] * kcol
-    f = 1.0 / z
-    u = x * f
-    v = y * f
-    w = (f * f).astype(np.float32)
+    n_cols = n_y * n_x
+    x_base = (p[0, 0] * i_grid + p[0, 1] * j_grid + p[0, 3]).ravel()
+    y_base = (p[1, 0] * i_grid + p[1, 1] * j_grid + p[1, 3]).ravel()
+    z_base = (p[2, 0] * i_grid + p[2, 1] * j_grid + p[2, 3]).ravel()
 
-    # The projection is embedded in a plane with two zero rows/columns on
-    # every side, so all four bilinear neighbours resolve by arithmetic
-    # alone — out-of-detector fetches land on stored zeros, no masks.
+    # All four bilinear neighbours resolve by arithmetic alone —
+    # out-of-detector fetches land on the plane's stored zeros, no masks.
     width = nu + 4
-    plane = np.zeros((nv + 4, width), dtype=np.float32)
-    plane[2 : nv + 2, 2 : nu + 2] = projection
-    flat_plane = plane.ravel()
+    flat = work.detector.reshape(-1)
 
-    u0 = np.floor(u)
-    v0 = np.floor(v)
-    du = (u - u0).astype(np.float32)
-    dv = (v - v0).astype(np.float32)
-    dtype = _gather_dtype((nv + 4) * width)
-    index = _padded_index(v0, nv, dtype)
-    index *= width
-    index += _padded_index(u0, nu, dtype)
-    p00 = flat_plane.take(index)
-    index += 1
-    p10 = flat_plane.take(index)
-    index += width
-    p11 = flat_plane.take(index)
-    index -= 1
-    p01 = flat_plane.take(index)
+    kc = chunk_slices(n_k, n_cols)
+    for k0 in range(0, n_k, kc):
+        k1 = min(k0 + kc, n_k)
+        kcol = ks[k0:k1, None]
+        u, v, f, w, du, dv, rest, index = work.chunk(k1 - k0, n_cols)
+        # Coordinates in float64 (sub-pixel accuracy); weights and samples in
+        # float32, matching the single rounding per sample of the reference.
+        np.add(z_base, p[2, 2] * kcol, out=f)
+        np.divide(1.0, f, out=f)
+        np.add(x_base, p[0, 2] * kcol, out=u)
+        u *= f
+        np.add(y_base, p[1, 2] * kcol, out=v)
+        v *= f
+        np.multiply(f, f, out=w)
+        u0 = np.floor(u, out=f)
+        np.subtract(u, u0, out=du)
+        v0 = np.floor(v, out=u)
+        np.subtract(v, v0, out=dv)
+        flat_index = _padded_index(v0, nv)
+        flat_index *= width
+        flat_index += _padded_index(u0, nu)
+        np.copyto(index, flat_index, casting="unsafe")
+        p00 = flat.take(index, mode="raise")
+        p10 = flat[1:].take(index, mode="raise")
+        p01 = flat[width:].take(index, mode="raise")
+        p11 = flat[width + 1 :].take(index, mode="raise")
 
-    t1 = p00 * (1.0 - du) + p10 * du
-    t2 = p01 * (1.0 - du) + p11 * du
-    out_block += w * (t1 * (1.0 - dv) + t2 * dv)
+        np.subtract(1.0, du, out=rest)
+        p00 *= rest
+        p10 *= du
+        p00 += p10
+        p01 *= rest
+        p11 *= du
+        p01 += p11
+        np.subtract(1.0, dv, out=rest)
+        p00 *= rest
+        p01 *= dv
+        p00 += p01
+        p00 *= w
+        out_block[k0:k1] += p00.reshape(k1 - k0, n_y, n_x)
 
 
 _BLOCK_KERNELS = {

@@ -19,11 +19,14 @@ projections.  This module owns the arithmetic of that decomposition:
 The budget bounds the **streaming working set**: the per-chunk buffers the
 filter stage materializes (raw rows, weighted products, FFT spectra and
 their inverse transforms, the filtered output).  It deliberately excludes
-the output volume and the back-projection tile temporaries — those are
-bounded separately (the volume is the irreducible output; tiles by the
-tiled backend's ``byte_budget``, which every non-``reference`` backend
-name runs under) and exist identically in the one-chunk whole-stack case,
-so including them would make every budget comparison a tautology.
+the output volume and the back-projection workspace — those are bounded
+separately (the volume is the irreducible output; each shard's column
+tables and fixed Z-chunk workspace by the tiled backend's ``byte_budget``,
+which every non-``reference`` backend name runs under — allocated when a
+chunk's back-projection starts and released when it ends, so they never sit
+under the next chunk's filtering peak) and exist identically in the
+one-chunk whole-stack case, so including them would make every budget
+comparison a tautology.
 """
 
 from __future__ import annotations

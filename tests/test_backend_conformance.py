@@ -50,6 +50,7 @@ from repro.backends import (
     plan_tiles,
     validate_backend,
 )
+from repro.backends.tiled import _block_bytes
 from repro.core import CBCTGeometry, FDKReconstructor, default_geometry_for_problem
 from repro.core.types import DEFAULT_DTYPE, ProjectionStack
 from repro.scenarios import SCENARIO_PRESETS, get_scenario, reconstruct_scenario
@@ -488,7 +489,7 @@ def test_tile_plan_covers_slab_exactly(budget, workers):
 
 def test_tile_plan_splits_y_before_z():
     """A budget one full-height row fits never splits Z, however small."""
-    one_row = 8 * (3 * 26 * 18 + 8 * 9 * 18)  # _block_bytes(kt=9, yt=1)
+    one_row = _block_bytes(9, 1, 18, 26)
     assert {(z0, z1) for z0, z1, _, _ in plan_tiles(9, 14, 18, 26, one_row)} == {(0, 9)}
     assert len(plan_tiles(9, 14, 18, 26, one_row)) == 14
     assert len(plan_tiles(9, 14, 18, 26, one_row - 1)) == 28  # now Z halves
