@@ -10,11 +10,14 @@ their two rows double as a repeatability reading), with the conformance
 suite guaranteeing all outputs agree (bit-identically, within the tiled
 family).  The results are written to
 ``BENCH_backend_speed.json`` at the repo root so future PRs can track the
-hot path instead of guessing.  Each run also *appends* a trajectory entry
-(git sha, UTC date, host cpu count, per-backend GUPS) to the record's
-``history`` list; ``tests/test_bench_trajectory.py`` fails tier-1 if the
-newest entry regresses more than 25% against the previous entry measured
-on the same host profile.
+hot path instead of guessing.  The filter layer gets the same treatment:
+whole-stack ``filter_stack`` throughput (Mpix/s of raw detector samples) on
+the filter-bound 512x64x256 stack, per backend name.  Each run also
+*appends* a trajectory entry (git sha, UTC date, host cpu count,
+per-backend GUPS and filter Mpix/s) to the record's ``history`` list;
+``tests/test_bench_trajectory.py`` fails tier-1 if the newest entry
+regresses more than 25% against the previous entry measured on the same
+host profile.
 
 Two assertions gate the record:
 
@@ -54,6 +57,9 @@ RESULT_FILE = REPO_ROOT / "BENCH_backend_speed.json"
 #: The 64³ / 128-projection hot-path problem of the acceptance criterion.
 PROBLEM = ReconstructionProblem(nu=96, nv=96, np_=128, nx=64, ny=64, nz=64)
 
+#: The filter-bound stack (perfbench's ``fdk_filter_wide`` acquisition).
+FILTER_PROBLEM = ReconstructionProblem(nu=512, nv=64, np_=256, nx=16, ny=16, nz=16)
+
 #: Worker count of the recorded parallel run (the acceptance criterion's).
 PARALLEL_WORKERS = 4
 
@@ -70,11 +76,36 @@ def _best_seconds(fn, repeats: int = 2) -> float:
     return best
 
 
-def test_backend_speed_records_parallel_speedup():
-    geometry = default_geometry_for_problem(
-        nu=PROBLEM.nu, nv=PROBLEM.nv, np_=PROBLEM.np_,
-        nx=PROBLEM.nx, ny=PROBLEM.ny, nz=PROBLEM.nz,
+def _geometry(problem: ReconstructionProblem):
+    return default_geometry_for_problem(
+        nu=problem.nu, nv=problem.nv, np_=problem.np_,
+        nx=problem.nx, ny=problem.ny, nz=problem.nz,
     )
+
+
+def _filter_mpix_per_s(backends) -> dict:
+    """Whole-stack ``filter_stack`` throughput of each ``name -> backend``."""
+    geometry = _geometry(FILTER_PROBLEM)
+    stack = ProjectionStack(
+        data=np.random.default_rng(1).standard_normal(
+            (FILTER_PROBLEM.np_, FILTER_PROBLEM.nv, FILTER_PROBLEM.nu),
+            dtype=np.float32,
+        ),
+        angles=geometry.angles,
+    )
+    rates = {}
+    for name, backend in backends.items():
+        backend.filter_stack(stack.subset(range(2)), geometry)  # tables, plans
+        seconds = _best_seconds(
+            lambda: backend.filter_stack(stack, geometry),
+            repeats=1 if name == "reference" else 3,
+        )
+        rates[name] = stack.data.size / seconds / 1e6
+    return rates
+
+
+def test_backend_speed_records_parallel_speedup():
+    geometry = _geometry(PROBLEM)
     rng = np.random.default_rng(0)
     stack = ProjectionStack(
         data=rng.standard_normal(
@@ -101,9 +132,13 @@ def test_backend_speed_records_parallel_speedup():
         if name == "parallel":
             continue  # recorded separately with an explicit worker count
         results[name] = timed(get_backend(name), 1 if name == "reference" else 2)
+    filter_backends = {
+        name: get_backend(name) for name in BACKEND_NAMES if name != "parallel"
+    }
     with resolve_backend("parallel", workers=PARALLEL_WORKERS) as backend:
         results["parallel"] = timed(backend, 2)
         results["parallel"]["workers"] = PARALLEL_WORKERS
+        filter_rates = _filter_mpix_per_s({**filter_backends, "parallel": backend})
 
     record = {
         "benchmark": "proposed back-projection (Algorithm 4), hot path only",
@@ -111,6 +146,8 @@ def test_backend_speed_records_parallel_speedup():
         "updates": PROBLEM.updates,
         "cpus": os.cpu_count(),
         "backends": results,
+        "filter_problem": str(FILTER_PROBLEM),
+        "filter_mpix_per_s": filter_rates,
         "speedup_vectorized_over_reference": (
             results["reference"]["seconds"] / results["vectorized"]["seconds"]
         ),
@@ -129,15 +166,13 @@ def test_backend_speed_records_parallel_speedup():
             history = []
     if not isinstance(history, list):
         history = []
-    history.append(
-        trajectory_entry(
-            record,
-            sha=git_sha(REPO_ROOT),
-            date=datetime.datetime.now(datetime.timezone.utc).strftime(
-                "%Y-%m-%d"
-            ),
-        )
+    entry = trajectory_entry(
+        record,
+        sha=git_sha(REPO_ROOT),
+        date=datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d"),
     )
+    entry["filter_mpix_per_s"] = filter_rates
+    history.append(entry)
     record["history"] = history[-HISTORY_LIMIT:]
 
     RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")
@@ -146,6 +181,9 @@ def test_backend_speed_records_parallel_speedup():
     assert results["vectorized"]["seconds"] < results["reference"]["seconds"], (
         "vectorized backend must beat reference on the 64^3/128-projection "
         f"micro-benchmark: {record}"
+    )
+    assert filter_rates["vectorized"] > filter_rates["reference"], (
+        f"the real-FFT filter must beat the reference complex FFT: {record}"
     )
     assert results["parallel"]["seconds"] <= (
         MAX_PARALLEL_OVERHEAD * results["blocked"]["seconds"]

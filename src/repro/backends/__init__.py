@@ -12,7 +12,7 @@ ramp filtering and back-projection through a named
     Three names of one :class:`~repro.backends.tiled.TiledBackend`: fully
     batched NumPy kernels (per-projection geometry hoisted per Theorems
     2/3, fused weight·fetch·accumulate, real-FFT filtering) run over
-    (z, y) tiles and detector-row groups under a byte budget, on a
+    (z, y) tiles under a byte budget and fixed detector-row groups, on a
     persistent worker pool.  ``vectorized`` and ``blocked`` run one worker
     inline; ``parallel`` fans out (``workers=N``).  Bit-identical at every
     byte budget and worker count, because workers own disjoint tiles of one

@@ -14,11 +14,12 @@ The protocol
 
 A backend implements two primitives:
 
-``apply_filter(rows, response, tau)``
-    Convolve detector rows (last axis) with a precomputed ramp-filter
-    frequency ``response``; the surrounding cosine weighting and FDK
-    normalization are shared code (they are cheap elementwise products), so
-    a backend only owns the FFT convolution itself.
+``apply_filter(rows, response, tau, out)``
+    Convolve one group of detector rows (last axis) with a precomputed
+    ramp-filter frequency ``response`` into ``out``; the surrounding cosine
+    weighting, grouping and FDK normalization are shared code
+    (:func:`~repro.core.filtering.filter_projections`), so a backend only
+    owns the FFT convolution itself.
 
 ``accumulator(geometry, algorithm=..., z_range=...)``
     Return a :class:`VolumeAccumulator` bound to one geometry and Z slab.
@@ -182,16 +183,23 @@ class ComputeBackend(abc.ABC):
     # ------------------------------------------------------------------ #
     # Primitives
     # ------------------------------------------------------------------ #
+    #: Threads a run keeps busy (from two up the chunk driver may overlap
+    #: stages, on :meth:`~repro.backends.tiled.TiledBackend.on_workers` views).
+    workers: int = 1
+    #: :func:`~repro.core.filtering.filter_projections`' ``dispatch``: how
+    #: a backend spreads row groups over its threads (``None``: it has none).
+    dispatch_filter = None
+
     @abc.abstractmethod
     def apply_filter(
-        self, rows: np.ndarray, response: np.ndarray, tau: float
-    ) -> np.ndarray:
-        """Convolve detector rows (last axis) with the ramp ``response``.
+        self, rows: np.ndarray, response: np.ndarray, tau: float, out: np.ndarray
+    ) -> None:
+        """Convolve one ``(n, Nu)`` row group with the ramp ``response``.
 
         ``response`` is the full-length frequency response produced by
         :func:`repro.core.filtering.ramp_filter_frequency_response`; the
-        output must include the ``tau`` Riemann-sum factor and keep the
-        input's floating dtype (promoting integers to float32).
+        result, including the ``tau`` Riemann-sum factor, goes into the
+        float64 ``out`` of the same shape.
         """
 
     @abc.abstractmethod
@@ -237,6 +245,7 @@ class ComputeBackend(abc.ABC):
                 extra_scale=fdk_normalization(geometry),
                 redundancy=redundancy,
                 convolve=self.apply_filter,
+                dispatch=self.dispatch_filter,
             )
 
     def backproject(

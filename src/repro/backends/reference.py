@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.backprojection import accumulate_proposed, accumulate_standard
-from ..core.filtering import apply_ramp_filter
+from ..core.filtering import apply_ramp_filter_into
 from ..core.geometry import CBCTGeometry
 from ..core.types import DEFAULT_DTYPE, Volume
 from .base import ComputeBackend, VolumeAccumulator
@@ -70,10 +70,7 @@ class ReferenceBackend(ComputeBackend):
 
     name = "reference"
 
-    def apply_filter(
-        self, rows: np.ndarray, response: np.ndarray, tau: float
-    ) -> np.ndarray:
-        return apply_ramp_filter(rows, tau, response=response)
+    apply_filter = staticmethod(apply_ramp_filter_into)
 
     def accumulator(
         self,

@@ -3,13 +3,18 @@
 The block kernels of :mod:`repro.backends.vectorized` keep per-column
 state — the proposed kernel's detector table is ``(columns, Nv+4)`` — so
 handed every column of a 2048² slice at once they would hold gigabytes.
-This backend cuts every hot path into independent units bounded by a byte
-budget — ``(z, y)`` volume tiles for back-projection, detector-row groups
+This backend cuts every hot path into independent units — ``(z, y)`` volume
+tiles bounded by a byte budget for back-projection, ranges of the shared
+filter's fixed-size row groups (:data:`repro.core.filtering.GROUP_ROWS`)
 for filtering — and runs them on a persistent :class:`WorkerPool`.  It is
 registered under three names: ``vectorized`` and ``blocked`` (one worker,
 inline on the caller's thread) and ``parallel`` (:func:`default_workers`
-threads; the kernels spend their time in NumPy primitives that release the
-GIL).
+threads).  Threads buy less than their count: the FFTs release the GIL for
+a whole transform, but the back-projection kernels re-take it for every
+chunk-sized ufunc, so a second shard buys ~18 % (measured).  Where the
+filter is a material share of the work a worker buys more as the chunk
+driver's filter thread (``OVERLAP_MIN_FILTER_SHARE`` in
+:mod:`repro.streaming.reconstructor`), the other ``workers - 1`` as shards.
 
 What ``byte_budget`` bounds, per tile (:func:`_block_bytes`): the column
 tables and ``(i, j)`` temporaries, proportional to the tile's columns, plus
@@ -22,10 +27,11 @@ each shard's padded copy of the current projection.
 
 Neither tiling nor concurrency touches the numerics.  The kernels are
 elementwise in the ``(k, y)`` block and each detector row's transform is
-independent of how rows are grouped; every worker owns a statically
-assigned, *disjoint* subset of the tile plan (``tiles[w::workers]``) and
-writes only its own region of one preallocated output; within a tile the
-accumulation order is the sequential stack order.  So the result is
+independent of how rows are grouped or dealt to threads; every worker owns
+a statically assigned, *disjoint* subset of the tile plan
+(``tiles[w::workers]``) and writes only its own region of one preallocated
+output; within a tile the accumulation order is the sequential stack
+order.  So the result is
 **bit-identical** for every byte budget, worker count and run — asserted by
 ``tests/test_backend_conformance.py`` and ``tests/test_parallel_determinism.py``.
 
@@ -38,6 +44,7 @@ so closing a shared registry instance is always safe.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -289,6 +296,7 @@ class _TiledAccumulator(VolumeAccumulator):
         z_range: Optional[Tuple[int, int]],
         byte_budget: int,
         pool: WorkerPool,
+        workers: int,
         backend: str,
     ):
         super().__init__(geometry, algorithm=algorithm, z_range=z_range)
@@ -298,7 +306,6 @@ class _TiledAccumulator(VolumeAccumulator):
         self._out = np.zeros(
             (self.nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE
         )
-        workers = pool.workers
         tiles = plan_tiles(
             self.nz_local, geometry.ny, geometry.nx, geometry.nv,
             byte_budget, min_tiles=workers,
@@ -375,7 +382,7 @@ class TiledBackend(ComputeBackend):
     ``workers=None`` follows :func:`default_workers` (resolved on first
     execution); ``workers=1`` never starts a thread.  ``byte_budget``
     bounds the working set of one volume tile (column tables plus one Z
-    chunk of workspace) and the FFT spectrum of one detector-row group.
+    chunk of workspace); filtering runs in fixed row groups and needs none.
     ``name`` is the registry name the instance answers to (``vectorized`` /
     ``blocked`` / ``parallel``).
     """
@@ -392,50 +399,32 @@ class TiledBackend(ComputeBackend):
         self.name = name
         self.byte_budget = int(byte_budget)
         self._pool = WorkerPool(workers)
+        self._cut: Optional[int] = None  # set on :meth:`on_workers` views
 
     @property
     def workers(self) -> int:
         """The resolved worker count (reads the environment on first use)."""
-        return self._pool.workers
+        return self._cut or self._pool.workers
 
-    def apply_filter(
-        self, rows: np.ndarray, response: np.ndarray, tau: float
-    ) -> np.ndarray:
-        """Row-group rfft filtering, groups processed concurrently.
+    apply_filter = staticmethod(rfft_ramp_filter)
 
-        Groups share the precomputed frequency ``response`` and write
-        disjoint row ranges of one preallocated output; per-row transforms
-        are identical regardless of grouping, so any budget and worker
-        count is bit-exact.
+    def dispatch_filter(self, filter_groups, groups) -> None:
+        """Deal contiguous ranges of the row groups to the pool's workers.
+
+        Each group writes its own rows of the one result through the scratch
+        of whichever thread runs it (bit-exact at any worker count); a
+        one-group stack (an iFDK rank's call) stays on the calling thread.
         """
-        rows = np.asarray(rows)
-        flat = rows.reshape(-1, rows.shape[-1])
-        n_rows = flat.shape[0]
-        # ~16 bytes of complex spectrum per padded sample per row bound a
-        # group; never fewer groups than workers.
-        per_budget = self.byte_budget // (16 * response.shape[0])
-        per_worker = -(-n_rows // self.workers)
-        rows_per_group = max(1, min(per_budget, per_worker))
-        out = np.empty(
-            flat.shape, dtype=rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE
-        )
-        bounds = [
-            (start, min(start + rows_per_group, n_rows))
-            for start in range(0, n_rows, rows_per_group)
-        ]
-
-        def filter_group(start: int, stop: int) -> None:
-            out[start:stop] = rfft_ramp_filter(flat[start:stop], response, tau)
-
+        parts = min(self.workers, len(groups))
+        edges = [len(groups) * part // parts for part in range(parts + 1)]
+        shares = [groups[lo:hi] for lo, hi in zip(edges, edges[1:])]
         self._pool.run(_traced(
-            [partial(filter_group, start, stop) for start, stop in bounds],
+            [partial(filter_groups, share) for share in shares],
             "filter.worker",
-            lambda group: dict(
-                payload_bytes=int(flat[slice(*bounds[group])].nbytes),
-                rows=bounds[group][1] - bounds[group][0],
+            lambda worker: dict(
+                rows=sum(stop - first for _, first, stop in shares[worker])
             ),
         ))
-        return out.reshape(rows.shape)
 
     def accumulator(
         self,
@@ -450,8 +439,16 @@ class TiledBackend(ComputeBackend):
             z_range=z_range,
             byte_budget=self.byte_budget,
             pool=self._pool,
+            workers=self.workers,
             backend=self.name,
         )
+
+    def on_workers(self, workers: int) -> "TiledBackend":
+        """This backend on ``workers`` of its pool's threads: the chunk driver's
+        overlap filters ahead on one (inline, never behind the shards)."""
+        view = copy.copy(self)
+        view._cut = workers
+        return view
 
     def close(self) -> None:
         """Join the worker pool (restarts lazily if the backend is reused)."""

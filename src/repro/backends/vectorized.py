@@ -72,7 +72,7 @@ from typing import Tuple
 import numpy as np
 from scipy import fft as _fft  # the goldens are pinned to SciPy's pocketfft
 
-from ..core.types import DEFAULT_DTYPE
+from ..core.filtering import thread_scratch
 
 __all__ = [
     "rfft_ramp_filter",
@@ -97,27 +97,26 @@ def _index_grids(ny: int, nx: int) -> Tuple[np.ndarray, np.ndarray]:
 # Filtering: real-FFT ramp convolution
 # --------------------------------------------------------------------------- #
 def rfft_ramp_filter(
-    rows: np.ndarray, response: np.ndarray, tau: float
-) -> np.ndarray:
-    """Convolve rows (last axis) with the ramp response via the real FFT.
+    rows: np.ndarray, response: np.ndarray, tau: float, out: np.ndarray
+) -> None:
+    """Convolve one row group with the ramp response via the real FFT.
 
-    The ramp kernel is real and even, so its frequency response is real and
-    even too and the half-spectrum product equals the full complex-FFT
-    product.  Output matches :func:`repro.core.filtering.apply_ramp_filter`
-    to floating-point round-off (and is itself deterministic per row, which
-    is what makes row-blocked execution bit-exact).
+    The group kernel of :func:`repro.core.filtering.filter_projections`:
+    ``out`` (float64) receives the ``tau``-scaled result.  The ramp kernel
+    is real and even, so its frequency response is real and even too and
+    the half-spectrum product equals the full complex-FFT product.  Output
+    matches :func:`repro.core.filtering.apply_ramp_filter` to round-off (and
+    is deterministic per row, which makes row-grouped execution bit-exact).
+    Only the transforms' own outputs are allocated (SciPy takes no ``out=``).
     """
-    rows = np.asarray(rows)
     nu = rows.shape[-1]
     pad = response.shape[0]
     if pad < nu:
         raise ValueError("response is shorter than the rows to filter")
     half = response[: pad // 2 + 1]
-    spectrum = _fft.rfft(rows, n=pad, axis=-1)
-    filtered = _fft.irfft(spectrum * half, n=pad, axis=-1)[..., :nu]
-    return (filtered * tau).astype(
-        rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE
-    )
+    product = thread_scratch("spectrum", (len(rows), len(half)), np.complex128)
+    np.multiply(_fft.rfft(rows, n=pad, axis=-1), half, out=product)
+    np.multiply(_fft.irfft(product, n=pad, axis=-1)[:, :nu], tau, out=out)
 
 
 # --------------------------------------------------------------------------- #

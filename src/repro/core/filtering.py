@@ -4,7 +4,7 @@ The filtering (a.k.a. convolution) stage multiplies each projection by a
 2-D cosine-weighting table ``Fcos`` and convolves every detector row with a
 1-D ramp filter ``Framp`` (Algorithm 1).  The paper executes this stage on
 the CPU with multi-threading and SIMD (Section 3.1); here it is executed
-with vectorized NumPy/romFFT calls, which is the CPU-efficient idiom
+with vectorized NumPy/SciPy FFT calls, which is the CPU-efficient idiom
 available in this environment, and its measured throughput feeds the
 ``TH_flt`` micro-benchmark constant of the performance model.
 
@@ -29,9 +29,11 @@ Implementation notes
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import fft as _fft  # the goldens are pinned to SciPy's pocketfft
@@ -40,11 +42,13 @@ from .geometry import CBCTGeometry
 from .types import DEFAULT_DTYPE, ProjectionStack
 
 __all__ = [
+    "GROUP_ROWS",
     "RAMP_FILTERS",
     "cosine_weight_table",
     "ramp_kernel_spatial",
     "ramp_filter_frequency_response",
     "apply_ramp_filter",
+    "apply_ramp_filter_into",
     "filter_projections",
     "fdk_weight_and_filter",
     "measure_filtering_throughput",
@@ -181,6 +185,53 @@ def apply_ramp_filter(
 # --------------------------------------------------------------------------- #
 # Algorithm 1
 # --------------------------------------------------------------------------- #
+#: Detector rows of one projection filtered per step.  Chosen from this sweep
+#: on a 2-vCPU Xeon — op milliseconds, medians of three *fresh* processes:
+#: one worker on whole stacks, and the chunk driver overlapped (``parallel``,
+#: two workers, 384x384x96 -> 48^3 in 20 chunks from disk):
+#: rows    512x64x256  384x384x96  1024x768x16  overlapped 384x384
+#: ======  ==========  ==========  ===========  ==================
+#: parent  206         426         391          460
+#:     16  179         335         311          543
+#:     64  168         309         313          408
+#:    256  172         307         302          365
+#:    512  173         318         304          401
+#: One worker is flat from 64 rows up; small groups cost the *overlap*: each
+#: NumPy call of the filter thread must win the GIL back from the
+#: back-projection thread, so fewer, larger steps hide more.  Traps met:
+#: * Never judge a grouping by a warm loop.  Capping groups at 256 rows
+#:   *without* owning the buffers is 25 % faster than the parent warm and
+#:   38 % slower in a fresh process (220 -> 305 ms, 512-wide): 1-2 MB
+#:   temporaries sit just above glibc's dynamic trim threshold and are
+#:   returned and page-faulted again every group.  Own them; set no knob.
+#: * A filter running beside a back-projection must not submit its groups
+#:   to the backend's pool: they queue behind the shards (445 vs 384 ms).
+#: * Cache the buffers per thread and never dispatch a one-group stack: an
+#:   iFDK rank filters one 96-row projection per call (set-up: +2.5 %).
+#: When to overlap at all: ``repro.streaming.reconstructor.OVERLAP_MIN_FILTER_SHARE``.
+GROUP_ROWS = 256
+
+_scratch = threading.local()
+
+
+def thread_scratch(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's reusable, grow-only ``name`` buffer viewed as ``shape``
+    (a short last group reuses the full group's pages); dies with the thread."""
+    size = math.prod(shape)
+    flat = _scratch.__dict__.get(name)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = _scratch.__dict__[name] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
+
+
+def apply_ramp_filter_into(
+    rows: np.ndarray, response: np.ndarray, tau: float, out: np.ndarray
+) -> None:
+    """:func:`apply_ramp_filter` as a row-group kernel (widening its float32
+    result into the float64 ``out`` is exact: narrowing returns the bits)."""
+    out[...] = apply_ramp_filter(rows, tau, response=response)
+
+
 def filter_projections(
     stack: ProjectionStack,
     geometry: CBCTGeometry,
@@ -188,22 +239,30 @@ def filter_projections(
     *,
     extra_scale: float = 1.0,
     redundancy: Optional[np.ndarray] = None,
-    convolve: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None,
+    convolve: Callable[..., None] = apply_ramp_filter_into,
+    dispatch: Optional[Callable[..., None]] = None,
 ) -> ProjectionStack:
     """Algorithm 1: cosine weighting followed by row-wise ramp filtering.
 
-    This is the one place the cosine → redundancy → ramp → scale sequence
-    is written; every backend's ``filter_stack`` runs it with its own
-    convolution.  ``extra_scale`` is an optional constant folded into the
-    output (used by :func:`fdk_weight_and_filter` to absorb the FDK
-    normalization).  ``redundancy`` is an optional ``(Np, Nu)`` float
-    table — one weight per (projection, detector column), constant along
-    V — multiplied in with the cosine weights, *before* the ramp filter:
-    the hook acquisition scenarios use for Parker/short-scan and
-    offset-detector ray-redundancy handling.
-    ``convolve(rows, response, tau)`` is the row convolution
-    (:meth:`ComputeBackend.apply_filter <repro.backends.base.ComputeBackend.apply_filter>`);
-    the default is the reference complex-FFT :func:`apply_ramp_filter`.
+    This is the one place the cosine → redundancy → ramp → ``τ`` → scale
+    sequence is written; every backend's ``filter_stack`` runs it with its
+    own convolution, group by group — at most :data:`GROUP_ROWS` rows of one
+    projection — through two :func:`thread_scratch` buffers (float32 weighted
+    rows; float64 redundancy product, then convolution) straight into the
+    one ``(Np, Nv, Nu)`` float32 result: no whole-stack temporary exists, and
+    a row's operations, dtypes and roundings do not depend on the grouping.
+
+    ``extra_scale`` is an optional constant folded into the output (used by
+    :func:`fdk_weight_and_filter` to absorb the FDK normalization).
+    ``redundancy`` is an optional ``(Np, Nu)`` float table — one weight per
+    (projection, detector column), constant along V — multiplied in with
+    the cosine weights, *before* the ramp filter: the hook acquisition
+    scenarios use for Parker/short-scan and offset-detector ray-redundancy
+    handling.  ``convolve(rows, response, tau, out)`` writes the ``τ``-scaled
+    convolution of one ``(n, Nu)`` float32 group into the float64 ``out``
+    (:meth:`ComputeBackend.apply_filter <repro.backends.base.ComputeBackend.apply_filter>`).
+    ``dispatch(filter_groups, groups)`` decides which thread filters which
+    ``(projection, first row, stop row)`` groups (default: the caller, all).
     """
     if stack.nu != geometry.nu or stack.nv != geometry.nv:
         raise ValueError(
@@ -214,7 +273,6 @@ def filter_projections(
     # Virtual-detector pitch: detector pitch scaled back to the rotation axis.
     tau = geometry.du * geometry.sad / geometry.sdd
     response = ramp_filter_frequency_response(geometry.nu, tau, window)
-    weighted = stack.data * fcos[None, :, :]
     if redundancy is not None:
         redundancy = np.asarray(redundancy, dtype=np.float64)
         if redundancy.shape != (stack.np_, stack.nu):
@@ -222,20 +280,37 @@ def filter_projections(
                 f"redundancy table shape {redundancy.shape} does not match "
                 f"(Np, Nu) = ({stack.np_}, {stack.nu})"
             )
-        weighted = (weighted * redundancy[:, None, :]).astype(
-            DEFAULT_DTYPE, copy=False
-        )
-    if convolve is None:
-        filtered = apply_ramp_filter(weighted, tau, response=response)
+    data = stack.data  # float32: ProjectionStack holds nothing else
+    out = np.empty(data.shape, dtype=DEFAULT_DTYPE)
+    scale = DEFAULT_DTYPE(extra_scale)
+    shape = (min(GROUP_ROWS, stack.nv), stack.nu)
+
+    def filter_groups(groups) -> None:
+        narrow = thread_scratch("narrow", shape, DEFAULT_DTYPE)
+        wide = thread_scratch("wide", shape, np.float64)
+        for p, first, stop in groups:
+            rows, result = narrow[: stop - first], wide[: stop - first]
+            np.multiply(data[p, first:stop], fcos[first:stop], out=rows)
+            if redundancy is not None:
+                # The float64 product, narrowed once, as rows to convolve.
+                np.multiply(rows, redundancy[p], out=result)
+                np.copyto(rows, result)
+            convolve(rows, response, tau, result)
+            filtered = out[p, first:stop]
+            np.copyto(filtered, result)
+            if extra_scale != 1.0:
+                np.multiply(filtered, scale, out=filtered)
+
+    groups = [
+        (p, first, min(first + shape[0], stack.nv))
+        for p in range(stack.np_)
+        for first in range(0, stack.nv, shape[0])
+    ]
+    if dispatch is None:
+        filter_groups(groups)
     else:
-        filtered = convolve(weighted, response, tau)
-    if extra_scale != 1.0:
-        filtered = filtered * DEFAULT_DTYPE(extra_scale)
-    return ProjectionStack(
-        data=filtered.astype(DEFAULT_DTYPE, copy=False),
-        angles=stack.angles.copy(),
-        filtered=True,
-    )
+        dispatch(filter_groups, groups)
+    return ProjectionStack(data=out, angles=stack.angles.copy(), filtered=True)
 
 
 def fdk_normalization(geometry: CBCTGeometry) -> float:

@@ -56,6 +56,15 @@ class _Context:
                 self.point_to_point[key] = queue.Queue()
             return self.point_to_point[key]
 
+    def abort(self) -> None:
+        """Break this communicator's barrier and every ``Split`` child's, so
+        a rank blocked in any derived collective stops waiting for a dead one."""
+        self.barrier.abort()
+        with self.lock:
+            children = list(self._split_cache.values())
+        for child in children:
+            child.abort()
+
     def account(self, operation: str, nbytes: int) -> None:
         with self.lock:
             self.bytes_moved += int(nbytes)

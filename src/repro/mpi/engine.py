@@ -88,9 +88,9 @@ def run_spmd(
                         traceback_text=traceback.format_exc(),
                     )
                 )
-            # Abort the barrier so sibling ranks blocked in a collective see
-            # a BrokenBarrierError instead of deadlocking.
-            context.barrier.abort()
+            # Abort every barrier (sub-communicators' too) so sibling ranks
+            # blocked in a collective see a BrokenBarrierError, not a deadlock.
+            context.abort()
 
     threads = [
         threading.Thread(target=worker, args=(rank,), name=f"{name}-rank{rank}")
@@ -104,7 +104,7 @@ def run_spmd(
         if thread.is_alive():
             hung.append(rank)
     if hung:
-        context.barrier.abort()
+        context.abort()
         for thread in threads:
             thread.join(timeout=5.0)
         raise SpmdError(

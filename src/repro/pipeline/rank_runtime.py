@@ -115,6 +115,8 @@ def _bp_thread(
         result_holder["projections"] = projections
     except BaseException as exc:  # noqa: BLE001 - surfaced by run_rank
         errors.append(exc)
+    finally:
+        in_buffer.close()  # a stopped consumer must not leave ``put`` blocked
 
 
 def run_rank(
@@ -202,11 +204,12 @@ def run_rank(
         errors.append(exc)
     finally:
         gathered_buffer.close()
+        filtered_buffer.close()  # releases a filtering thread blocked in put
 
     filter_thread.join()
     bp_thread.join()
     if errors:
-        raise errors[0]
+        raise errors[0]  # the failure itself; later ones are its fallout
 
     # ------------------------------------------------------------------ #
     # Post-processing: D2H, row Reduce, store (Figure 4b)

@@ -16,9 +16,9 @@ projections.  This module owns the arithmetic of that decomposition:
   clear :class:`ValueError` when the budget cannot fit even one projection
   instead of thrashing.
 
-The budget bounds the **streaming working set**: the per-chunk buffers the
-filter stage materializes (raw rows, weighted products, FFT spectra and
-their inverse transforms, the filtered output).  It deliberately excludes
+The budget bounds the **streaming working set**: the raw and filtered rows
+of the chunks in flight plus the filter's row-group buffers, over-counted
+(see :func:`per_projection_working_set_bytes`).  It deliberately excludes
 the output volume and the back-projection workspace — those are bounded
 separately (the volume is the irreducible output; each shard's column
 tables and fixed Z-chunk workspace by the tiled backend's ``byte_budget``,
@@ -86,19 +86,16 @@ def _fft_pad(nu: int) -> int:
 
 
 def per_projection_working_set_bytes(geometry: CBCTGeometry) -> int:
-    """Transient bytes one projection needs in the filtering pipeline.
+    """Budgeted transient bytes per ``(Nv, Nu)`` projection of a chunk.
 
-    Counts every intermediate the shared :meth:`ComputeBackend.filter_stack`
-    driver materializes per ``(Nv, Nu)`` projection, over-estimating on the
-    safe side:
-
-    * the raw float32 rows and the cosine-weighted product (2 x 4 bytes);
-    * the float64 redundancy-weighted intermediate (8 bytes — charged even
-      for ideal scans so a scenario can never blow a validated budget);
-    * the complex128 FFT spectrum of the zero-padded rows (NumPy transforms
-      in double precision regardless of input dtype);
-    * the float64 inverse transform over the padded length;
-    * the filtered float32 output rows.
+    The formula is the whole-chunk filter it was written for — raw rows,
+    weighted product, float64 redundancy intermediate, complex128 spectrum
+    and float64 inverse over the padded length, filtered output — kept
+    because budgets, chunk counts and stored plans are expressed in it.
+    A run holds far less (``tests/test_streaming.py`` traces one): the
+    filter is fused per row group, so a chunk is its raw and filtered
+    float32 rows, an overlapped run has at most two chunks in flight and a
+    filtering thread adds :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
     """
     nv, nu = int(geometry.nv), int(geometry.nu)
     pad = _fft_pad(nu)

@@ -4,12 +4,17 @@
 :class:`~repro.streaming.ProjectionChunkSource`, filters each through the
 shared driver (:meth:`ComputeBackend.filter_stack` with the scenario's
 redundancy rows sliced to the chunk) and folds it into one persistent
-:class:`~repro.backends.base.VolumeAccumulator` before the next chunk is
-even read.  Filtering the whole ``(Np, Nv, Nu)`` stack and then
-back-projecting it is the one-chunk case of the same loop
-(:meth:`StreamingReconstructor.reconstruct_stack`) — that is all
-:class:`~repro.core.fdk.FDKReconstructor` and a non-streaming
+:class:`~repro.backends.base.VolumeAccumulator`.  Filtering the whole
+``(Np, Nv, Nu)`` stack and then back-projecting it is the one-chunk case of
+the same loop (:meth:`StreamingReconstructor.reconstruct_stack`) — that is
+all :class:`~repro.core.fdk.FDKReconstructor` and a non-streaming
 :class:`~repro.api.Session` do.
+
+With one worker, one chunk or a back-projection-bound geometry the stages
+run strictly in turn.  Otherwise (:data:`OVERLAP_MIN_FILTER_SHARE`) the loop
+is the paper's Fig. 4a pipeline at depth two: a producer thread reads and
+filters chunk *n + 1* while the calling thread back-projects chunk *n* on
+the other ``workers - 1`` shards, so the filter leaves the critical path.
 
 Bit-identity is the design invariant, not an accident:
 
@@ -20,22 +25,26 @@ Bit-identity is the design invariant, not an accident:
 * the scenario redundancy table is ``(Np, Nu)`` and slices cleanly to each
   chunk's global projection window;
 * back-projection is a sum over projections, and chunks are accumulated in
-  acquisition order through one accumulator — the floating-point
-  accumulation order is *exactly* the whole-stack order, on every backend
-  (``parallel`` included: its shards accumulate each tile in sequential
-  stack order per dispatch).
+  acquisition order through one accumulator, whichever thread filtered
+  them — the floating-point accumulation order is *exactly* the
+  whole-stack order, on every backend (``parallel`` included: its shards
+  accumulate each tile in sequential stack order per dispatch).
 
 ``tests/test_streaming.py`` pins that invariant across the full
-backend × scenario × dtype × chunk-size matrix.
+backend × scenario × dtype × chunk-size matrix, in turn and overlapped.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from functools import partial
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..backends.base import ComputeBackend
+from ..backends.tiled import WORKER_THREAD_PREFIX
 from ..core.filtering import RAMP_FILTERS
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, Volume
@@ -45,8 +54,11 @@ from ..obs import (
     MetricsRegistry,
     get_tracer,
     peak_rss_bytes,
+    use_tracer,
 )
+from ..pipeline.circular_buffer import BufferClosed, CircularBuffer
 from .chunks import (
+    _fft_pad,
     chunk_working_set_bytes,
     plan_chunks,
     resolve_chunk_size,
@@ -54,6 +66,30 @@ from .chunks import (
 from .sources import ProjectionChunkSource, StackChunkSource, StreamingError
 
 __all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
+
+#: The estimated filter share of a projection's work (:func:`_filter_share`)
+#: from which a chunked run with a second worker overlaps its stages.  That
+#: hands one worker to the filter thread and cuts the shards for the other
+#: ``workers - 1``: it pays only where hiding the filter beats one more shard.
+#: Two workers on a 2-vCPU Xeon, 14 geometries in fresh processes — op ms
+#: overlapped / in turn, by estimated share:
+#: .06 383/313, .20 397/346, .31 197/194, .34 227/224, .41 387/339, .49 401/410
+#: | .55 101/155, .58 338/361 (``stream_pfs_par``), .59 214/377, .90 171/240.
+#: Below, a run is the in-turn loop on ``workers`` shards; that forgoes 3-40 % on
+#: four 32³-48³ volumes (.31 101/167, .41 135/167, .44 260/267, .45 174/188)
+#: where the second *shard* is what costs — ROADMAP 1(b), not this rule.
+OVERLAP_MIN_FILTER_SHARE = 0.5
+
+
+def _filter_share(geometry: CBCTGeometry, nz: int) -> float:
+    """Estimated filter share of one projection's single-thread work.  In
+    units of 1.5 ns the filter costs ``Nv·pad·log2(pad) / 2``, the kernel
+    ``Nx·Ny·(5·Nz + Nv)`` (voxel updates plus per-column detector tables):
+    nine geometries, shares within 0.06 from 32³ to 128³ (16³: 0.90 for 0.72,
+    its per-projection overhead is not modelled)."""
+    pad = _fft_pad(geometry.nu)
+    filtering = geometry.nv * pad * (pad.bit_length() - 1) / 2
+    return filtering / (filtering + geometry.nx * geometry.ny * (5 * nz + geometry.nv))
 
 
 def plan_fields(plan) -> dict:
@@ -83,8 +119,12 @@ class StreamingResult:
     num_projections: int
     chunk_size: int
     chunk_count: int
+    #: Filter time on the critical path: the stage's own time in turn; when
+    #: overlapped, its part of the driver's waits (the rest is the source's).
     filter_seconds: float
     backprojection_seconds: float
+    #: The filter stage's busy time, wherever it ran.
+    filter_busy_seconds: float
     #: Over-estimated streaming working set of one executed chunk.
     working_set_bytes: int
     #: The budget the run was planned under (``None`` = unconstrained).
@@ -95,6 +135,12 @@ class StreamingResult:
     @property
     def total_seconds(self) -> float:
         return self.filter_seconds + self.backprojection_seconds
+
+    @property
+    def overlap_delta(self) -> float:
+        """The paper's δ: stage busy time over critical path (1 in turn)."""
+        busy = self.filter_busy_seconds + self.backprojection_seconds
+        return busy / self.total_seconds if self.total_seconds > 0 else 1.0
 
 
 class StreamingReconstructor:
@@ -249,19 +295,12 @@ class StreamingReconstructor:
             )
         return self._run(StackChunkSource(stack), stack.np_, NULL_TRACER)
 
-    def _run(
-        self, source: ProjectionChunkSource, chunk: int, tracer
-    ) -> StreamingResult:
-        """The filter→accumulate loop; ``tracer`` records the chunk spans."""
-        np_total = int(source.num_projections)
-        bounds = plan_chunks(np_total, chunk)
-        acc = self.backend.accumulator(
-            self.geometry, algorithm=self.algorithm, z_range=self.z_range
-        )
-        chunk_counter = self.metrics.counter("streaming.chunks")
-        filter_seconds = 0.0
-        backproject_seconds = 0.0
-        delivered = 0
+    def _filtered_chunks(
+        self, source: ProjectionChunkSource, bounds, span, backend
+    ) -> Iterator[tuple]:
+        """The filter half of a step, on ``backend`` under a ``span``:
+        ``(index, chunk, filtered, seconds reading, seconds filtering)``."""
+        resumed = time.perf_counter()
         for index, piece in enumerate(source.chunks(bounds)):
             if index >= len(bounds) or (piece.start, piece.stop) != bounds[index]:
                 raise StreamingError(
@@ -270,7 +309,6 @@ class StreamingReconstructor:
                     f"{bounds[index] if index < len(bounds) else 'no chunk'}"
                 )
             stack = piece.stack
-            span_attrs = dict(chunk=index, start=piece.start, stop=piece.stop)
             t0 = time.perf_counter()
             if stack.filtered:
                 if self.redundancy is not None:
@@ -278,33 +316,65 @@ class StreamingReconstructor:
                         f"scenario {self.scenario.name!r} applies redundancy "
                         "weights in the filtering stage, but this source "
                         "delivers pre-filtered projections (already filtered): "
-                        "filter raw projections through this reconstructor, or "
-                        "drop the scenario if the weights were already applied"
+                        "filter raw projections here, or drop the scenario"
                     )
                 filtered = stack
             else:
-                with tracer.span(
-                    "filter.chunk",
+                with span(
                     payload_bytes=int(stack.data.nbytes),
-                    **span_attrs,
+                    chunk=index, start=piece.start, stop=piece.stop,
                 ):
                     # The chunk's rows of the scenario's (Np, Nu) table.
-                    filtered = self.backend.filter_stack(
+                    filtered = backend.filter_stack(
                         stack, self.geometry, self.ramp_filter,
                         redundancy=None if self.redundancy is None
                         else self.redundancy[piece.start:piece.stop],
                     )
             t1 = time.perf_counter()
-            with tracer.span(
-                "backproject.chunk",
-                payload_bytes=int(filtered.data.nbytes),
-                **span_attrs,
-            ):
-                acc.add_stack(filtered)
-            backproject_seconds += time.perf_counter() - t1
-            filter_seconds += t1 - t0
-            delivered += piece.size
-            chunk_counter.inc()
+            yield index, piece, filtered, t0 - resumed, t1 - t0
+            resumed = time.perf_counter()
+
+    def _run(
+        self, source: ProjectionChunkSource, chunk: int, tracer
+    ) -> StreamingResult:
+        """The filter→accumulate loop (``tracer`` records the chunk spans);
+        overlapped, :func:`_one_ahead` runs the same filter steps on a thread."""
+        np_total = int(source.num_projections)
+        bounds = plan_chunks(np_total, chunk)
+        workers = self.backend.workers
+        z0, z1 = self.z_range or (0, self.geometry.nz)
+        overlap = len(bounds) > 1 and workers >= 2 and (
+            _filter_share(self.geometry, z1 - z0) >= OVERLAP_MIN_FILTER_SHARE
+        )
+        filters = folds = self.backend
+        if overlap:  # one worker filters ahead, the shards are cut for the rest
+            filters, folds = folds.on_workers(1), folds.on_workers(workers - 1)
+        acc = folds.accumulator(
+            self.geometry, algorithm=self.algorithm, z_range=self.z_range
+        )
+        chunk_counter = self.metrics.counter("streaming.chunks")
+        # Whichever thread filters, its spans hang under the caller's.
+        span = partial(tracer.span, "filter.chunk", parent=tracer.current_span_id())
+        steps = self._filtered_chunks(source, bounds, span, filters)
+        filter_busy = filter_waited = backproject_seconds = 0.0
+        delivered = 0
+        with closing(_one_ahead(steps) if overlap else steps) as filtered_chunks:
+            asked = time.perf_counter()
+            for index, piece, filtered, reading, busy in filtered_chunks:
+                t1 = time.perf_counter()
+                # The filter's part of the wait (the rest is the source's).
+                filter_waited += (t1 - asked) * busy / ((reading + busy) or 1.0)
+                filter_busy += busy
+                with tracer.span(
+                    "backproject.chunk",
+                    payload_bytes=int(filtered.data.nbytes),
+                    chunk=index, start=piece.start, stop=piece.stop,
+                ):
+                    acc.add_stack(filtered)
+                asked = time.perf_counter()
+                backproject_seconds += asked - t1
+                delivered += piece.size
+                chunk_counter.inc()
         if delivered != np_total:
             raise StreamingError(
                 f"source delivered {delivered} of {np_total} projections — "
@@ -318,12 +388,54 @@ class StreamingReconstructor:
             num_projections=np_total,
             chunk_size=chunk,
             chunk_count=len(bounds),
-            filter_seconds=filter_seconds,
+            filter_seconds=filter_waited if overlap else filter_busy,
+            filter_busy_seconds=filter_busy,
             backprojection_seconds=backproject_seconds,
             working_set_bytes=chunk_working_set_bytes(self.geometry, chunk),
             memory_budget_bytes=self.memory_budget_bytes,
             peak_rss_bytes=rss,
         )
+
+
+def _one_ahead(steps: Iterator) -> Iterator:
+    """Yield ``steps`` as a producer thread runs them, one step ahead (Fig. 4a).
+
+    A step starts only while fewer than two are unfinished — the chunk being
+    back-projected and the one being read and filtered, or waiting.  Either
+    side stopping releases the other: the producer closes the buffer behind
+    its error, raised here after the finished steps; closing this generator
+    joins the thread.
+    """
+    ready: CircularBuffer = CircularBuffer(1)
+    slots = threading.Semaphore(2)  # chunks in flight
+    errors: List[BaseException] = []
+    tracer = get_tracer()  # ambient on the dispatching thread
+
+    def produce() -> None:
+        try:
+            with use_tracer(tracer):
+                while slots.acquire() and not ready.closed:
+                    ready.put(next(steps))
+        except (StopIteration, BufferClosed):
+            pass  # the steps are exhausted, or the consumer has left
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+        finally:
+            ready.close()
+
+    thread = threading.Thread(target=produce, name=WORKER_THREAD_PREFIX + "-filter")
+    thread.start()
+    try:
+        for step in ready:
+            yield step
+            slots.release()  # the step just folded is finished
+        if errors:
+            raise errors[0]
+    finally:
+        ready.close()
+        slots.release()
+        thread.join()
+        steps.close()
 
 
 def reconstruct_streaming(

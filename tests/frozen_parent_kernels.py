@@ -6,9 +6,23 @@ and never edited: ``tests/test_block_kernels.py`` holds the live kernels to
 recorded hash survive a kernel rewrite.  Each call handles one projection
 and one whole ``(K, By, Nx)`` block with full-size temporaries — the memory
 behaviour the rewrite removed, and the reason this lives under ``tests/``.
+
+The second half keeps the filter stage as it stood before the row-group
+fusion (PR 14), under the same rule.
 """
 
+from typing import Callable, Optional
+
 import numpy as np
+from scipy import fft as _fft
+
+from repro.core.filtering import (
+    apply_ramp_filter,
+    cosine_weight_table,
+    ramp_filter_frequency_response,
+)
+from repro.core.geometry import CBCTGeometry
+from repro.core.types import DEFAULT_DTYPE, ProjectionStack
 
 
 def _gather_dtype(max_index: int):
@@ -162,3 +176,93 @@ def accumulate_standard_block(
     t1 = p00 * (1.0 - du) + p10 * du
     t2 = p01 * (1.0 - du) + p11 * du
     out_block += w * (t1 * (1.0 - dv) + t2 * dv)
+
+
+# --------------------------------------------------------------------------- #
+# The filter stage as it stood before the row-group fusion (PR 14)
+# --------------------------------------------------------------------------- #
+# Frozen verbatim from ``src/repro/core/filtering.py`` (``filter_projections``)
+# and ``src/repro/backends/vectorized.py`` (``rfft_ramp_filter``) at commit
+# d6a5f35 and never edited: ``tests/test_filter_fusion.py`` holds the fused
+# filter to these bit for bit.  Whole-stack ``stack * fcos``, spectrum,
+# product and inverse temporaries and all — the memory behaviour the fusion
+# removed.  The tables they read are unchanged library functions.
+def rfft_ramp_filter(
+    rows: np.ndarray, response: np.ndarray, tau: float
+) -> np.ndarray:
+    """Convolve rows (last axis) with the ramp response via the real FFT.
+
+    The ramp kernel is real and even, so its frequency response is real and
+    even too and the half-spectrum product equals the full complex-FFT
+    product.  Output matches :func:`repro.core.filtering.apply_ramp_filter`
+    to floating-point round-off (and is itself deterministic per row, which
+    is what makes row-blocked execution bit-exact).
+    """
+    rows = np.asarray(rows)
+    nu = rows.shape[-1]
+    pad = response.shape[0]
+    if pad < nu:
+        raise ValueError("response is shorter than the rows to filter")
+    half = response[: pad // 2 + 1]
+    spectrum = _fft.rfft(rows, n=pad, axis=-1)
+    filtered = _fft.irfft(spectrum * half, n=pad, axis=-1)[..., :nu]
+    return (filtered * tau).astype(
+        rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE
+    )
+
+
+def filter_projections(
+    stack: ProjectionStack,
+    geometry: CBCTGeometry,
+    window: str = "ram-lak",
+    *,
+    extra_scale: float = 1.0,
+    redundancy: Optional[np.ndarray] = None,
+    convolve: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None,
+) -> ProjectionStack:
+    """Algorithm 1: cosine weighting followed by row-wise ramp filtering.
+
+    This is the one place the cosine → redundancy → ramp → scale sequence
+    is written; every backend's ``filter_stack`` runs it with its own
+    convolution.  ``extra_scale`` is an optional constant folded into the
+    output (used by :func:`fdk_weight_and_filter` to absorb the FDK
+    normalization).  ``redundancy`` is an optional ``(Np, Nu)`` float
+    table — one weight per (projection, detector column), constant along
+    V — multiplied in with the cosine weights, *before* the ramp filter:
+    the hook acquisition scenarios use for Parker/short-scan and
+    offset-detector ray-redundancy handling.
+    ``convolve(rows, response, tau)`` is the row convolution
+    (:meth:`ComputeBackend.apply_filter <repro.backends.base.ComputeBackend.apply_filter>`);
+    the default is the reference complex-FFT :func:`apply_ramp_filter`.
+    """
+    if stack.nu != geometry.nu or stack.nv != geometry.nv:
+        raise ValueError(
+            f"projection stack ({stack.nv}x{stack.nu}) does not match detector "
+            f"({geometry.nv}x{geometry.nu})"
+        )
+    fcos = cosine_weight_table(geometry)
+    # Virtual-detector pitch: detector pitch scaled back to the rotation axis.
+    tau = geometry.du * geometry.sad / geometry.sdd
+    response = ramp_filter_frequency_response(geometry.nu, tau, window)
+    weighted = stack.data * fcos[None, :, :]
+    if redundancy is not None:
+        redundancy = np.asarray(redundancy, dtype=np.float64)
+        if redundancy.shape != (stack.np_, stack.nu):
+            raise ValueError(
+                f"redundancy table shape {redundancy.shape} does not match "
+                f"(Np, Nu) = ({stack.np_}, {stack.nu})"
+            )
+        weighted = (weighted * redundancy[:, None, :]).astype(
+            DEFAULT_DTYPE, copy=False
+        )
+    if convolve is None:
+        filtered = apply_ramp_filter(weighted, tau, response=response)
+    else:
+        filtered = convolve(weighted, response, tau)
+    if extra_scale != 1.0:
+        filtered = filtered * DEFAULT_DTYPE(extra_scale)
+    return ProjectionStack(
+        data=filtered.astype(DEFAULT_DTYPE, copy=False),
+        angles=stack.angles.copy(),
+        filtered=True,
+    )

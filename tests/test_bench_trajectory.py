@@ -61,6 +61,24 @@ def test_checked_in_record_has_not_regressed():
     )
 
 
+def test_filter_throughput_is_tracked_and_has_not_regressed():
+    """The filter layer's figure (Mpix/s per backend) rides in the same
+    history — entries from before it was recorded simply lack the key —
+    and is held to the same same-host 25% gate."""
+    record = load_record(RESULT_FILE)
+    tracked = [
+        dict(entry, gups=entry["filter_mpix_per_s"])
+        for entry in record["history"] if "filter_mpix_per_s" in entry
+    ]
+    assert tracked, "no history entry records filter_mpix_per_s"
+    assert tracked[-1]["sha"] == record["history"][-1]["sha"]
+    assert tracked[-1]["gups"] == pytest.approx(record["filter_mpix_per_s"])
+    assert set(record["filter_mpix_per_s"]) == set(record["backends"])
+    assert all(rate > 0 for entry in tracked for rate in entry["gups"].values())
+    regressions = check_regression(tracked)
+    assert not regressions, "filter throughput regressed:\n" + "\n".join(regressions)
+
+
 def test_latest_history_entry_matches_flat_record():
     """The newest entry is the flat record's own numbers, not a stale copy."""
     record = load_record(RESULT_FILE)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.backends import get_backend
 from repro.core.filtering import (
+    GROUP_ROWS,
     RAMP_FILTERS,
     apply_ramp_filter,
     cosine_weight_table,
@@ -155,17 +156,23 @@ class TestFilterStackDriver:
         )
 
     def test_convolve_hook_receives_weighted_rows(self, small_geometry, small_projections):
-        seen = {}
+        """The hook sees one cosine-weighted row group at a time."""
+        seen = {"rows": 0}
 
-        def convolve(rows, response, tau):
-            seen.update(shape=rows.shape, pad=response.shape[0], tau=tau)
-            return apply_ramp_filter(rows, tau, response=response)
+        def convolve(rows, response, tau, out):
+            seen.update(
+                rows=seen["rows"] + rows.shape[0], nu=rows.shape[1],
+                out=(out.shape, out.dtype), pad=response.shape[0], tau=tau,
+            )
+            out[...] = apply_ramp_filter(rows, tau, response=response)
 
         hooked = filter_projections(small_projections, small_geometry, convolve=convolve)
         np.testing.assert_array_equal(
             hooked.data, filter_projections(small_projections, small_geometry).data
         )
-        assert seen["shape"] == small_projections.data.shape
+        np_, nv, nu = small_projections.data.shape
+        assert (seen["rows"], seen["nu"]) == (np_ * nv, nu)
+        assert seen["out"] == ((min(nv, GROUP_ROWS), nu), np.float64)
         assert seen["pad"] >= 2 * small_geometry.nu
 
     def test_rejects_wrong_shape(self, small_geometry, rng):

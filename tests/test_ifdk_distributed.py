@@ -8,9 +8,14 @@ single-node FDK pipeline.
 
 from __future__ import annotations
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api import plan_for_problem, run_plan
+from repro.backends.base import VolumeAccumulator
 from repro.core import (
     EllipsoidPhantom,
     default_geometry_for_problem,
@@ -18,6 +23,8 @@ from repro.core import (
     reconstruct_fdk,
     shepp_logan_ellipsoids,
 )
+from repro.core.types import ProjectionStack
+from repro.mpi import SimCommunicator, SpmdError
 from repro.pfs import SimulatedPFS
 from repro.pipeline import IFDKConfig, IFDKFramework
 
@@ -101,3 +108,81 @@ def test_device_memory_constraint_enforced(geometry):
     config = IFDKConfig(geometry=geometry, rows=2, columns=2, device=tiny_device)
     with pytest.raises(ValueError):
         IFDKFramework(config)
+
+
+# --------------------------------------------------------------------------- #
+# A failed stage must fail the run, never hang it
+# --------------------------------------------------------------------------- #
+def _run_with_deadline(run, seconds=30.0):
+    """``run()`` on a daemon thread; its exception, or fail if it never ends."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(run())
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), (
+        "the iFDK run is still blocked — a thread is waiting on a circular "
+        "buffer whose other side has died"
+    )
+    return outcome[0]
+
+
+def _long_run(rows=1, columns=1):
+    """At least 16 AllGather rounds per rank: more than a buffer (8) holds."""
+    plan = plan_for_problem(
+        "24x24x64->16x16x16", target="ifdk", rows=rows, columns=columns
+    )
+    stack = ProjectionStack(
+        data=np.ones((64, 24, 24), dtype=np.float32), angles=plan.geometry.angles
+    )
+    return lambda: run_plan(plan, stack)
+
+
+@pytest.mark.parametrize("rows,columns", [(1, 1), (2, 2)])
+def test_failed_backprojection_fails_the_run_instead_of_hanging(
+    monkeypatch, rows, columns
+):
+    """The BP thread dying used to leave the main thread in ``put`` forever
+    (and, on a grid, every sibling rank in its column's ``Allgather``)."""
+    calls = itertools.count(1)  # next() is atomic: exactly one call is #2
+    real = VolumeAccumulator.add_stack
+
+    def add_stack(self, stack):
+        if next(calls) == 2:
+            raise FloatingPointError("injected back-projection failure")
+        return real(self, stack)
+
+    monkeypatch.setattr(VolumeAccumulator, "add_stack", add_stack)
+    outcome = _run_with_deadline(_long_run(rows, columns))
+    assert isinstance(outcome, SpmdError)
+    # The failing rank reports the failure itself, not the BufferClosed
+    # fallout its other threads see; its siblings report the broken barrier.
+    kinds = sorted(type(f.exception).__name__ for f in outcome.failures)
+    assert kinds == ["BrokenBarrierError"] * (rows * columns - 1) + [
+        "FloatingPointError"
+    ]
+
+
+def test_failed_allgather_releases_the_filtering_thread(monkeypatch):
+    """A main-thread failure used to leave the filter thread in ``put``."""
+    calls = itertools.count(1)
+    real = SimCommunicator.Allgather
+
+    def allgather(self, sendbuf, recvbuf=None):
+        if next(calls) == 3:
+            raise ConnectionError("injected collective failure")
+        return real(self, sendbuf, recvbuf)
+
+    monkeypatch.setattr(SimCommunicator, "Allgather", allgather)
+    outcome = _run_with_deadline(_long_run())
+    assert isinstance(outcome, SpmdError)
+    assert isinstance(outcome.failures[0].exception, ConnectionError)
+    assert not [
+        t for t in threading.enumerate() if t.name.endswith(("-filter", "-bp"))
+    ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -198,6 +199,89 @@ def test_workers_one_never_starts_threads():
         backend.backproject(stack, geometry)
         assert not backend.pool_started
     assert parallel_threads(baseline) == []
+
+
+def test_workers_one_driver_never_starts_threads():
+    """The chunk driver at one worker is the single-threaded loop it was."""
+    from repro.streaming import reconstruct_streaming
+
+    before = set(threading.enumerate())
+    geometry = default_geometry_for_problem(nu=24, nv=24, np_=12, nx=12, ny=12, nz=8)
+    stack = make_stack(geometry, filtered=False)
+    with TiledBackend(workers=1) as backend:
+        result = reconstruct_streaming(stack, geometry, backend=backend, chunk_size=3)
+        assert result.chunk_count == 4 and not backend.pool_started
+    assert set(threading.enumerate()) == before
+
+
+@pytest.fixture
+def always_overlap(monkeypatch):
+    """Small geometries are back-projection-bound: lift the selection rule."""
+    from repro.streaming import reconstructor
+
+    monkeypatch.setattr(reconstructor, "OVERLAP_MIN_FILTER_SHARE", 0.0)
+
+
+def test_overlapped_driver_thread_is_attributable_and_joined(always_overlap):
+    """The driver's producer carries the pool's name prefix (so every leak
+    check here sees it), lives only inside a run and is gone after it —
+    whether the run returned or raised."""
+    from repro.streaming import StreamingError, StreamingReconstructor, StackChunkSource
+
+    baseline = parallel_threads()
+    geometry = default_geometry_for_problem(nu=24, nv=24, np_=12, nx=12, ny=12, nz=8)
+    stack = make_stack(geometry, filtered=False)
+    seen = []
+
+    class Watching(StackChunkSource):
+        def chunks(self, bounds):
+            for piece in super().chunks(bounds):
+                seen.append(threading.current_thread().name)
+                yield piece
+
+    driver = StreamingReconstructor(
+        geometry, backend="parallel", workers=3, chunk_size=3
+    )
+    driver.reconstruct(Watching(stack))
+    assert set(seen) == {WORKER_THREAD_PREFIX + "-filter"}
+    assert not [t for t in parallel_threads(baseline) if "filter" in t.name]
+
+    class Short(Watching):
+        def chunks(self, bounds):
+            return super().chunks(bounds[:3])
+
+    with pytest.raises(StreamingError, match="partial volume"):
+        driver.reconstruct(Short(stack))
+    assert not [t for t in parallel_threads(baseline) if "filter" in t.name]
+    driver.close()
+    leaked = [t for t in parallel_threads(baseline) if t.is_alive()]
+    assert not leaked, f"leaked worker threads: {[t.name for t in leaked]}"
+
+
+def test_overlapped_driver_under_thread_switch_stress(always_overlap):
+    """More workers than cores and a 10 µs switch interval: every run still
+    produces the one-worker bits and leaves no thread behind."""
+    from repro.streaming import reconstruct_streaming
+
+    baseline = parallel_threads()
+    geometry = default_geometry_for_problem(nu=24, nv=24, np_=24, nx=16, ny=16, nz=12)
+    stack = make_stack(geometry, filtered=False)
+    expected = reconstruct_streaming(stack, geometry, backend="blocked").volume.data
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    deadline = time.monotonic() + 20.0
+    try:
+        with TiledBackend(workers=4) as backend:
+            for chunk_size in (1, 2, 5, 1, 2, 5):
+                result = reconstruct_streaming(
+                    stack, geometry, backend=backend, chunk_size=chunk_size
+                )
+                assert result.volume.data.tobytes() == expected.tobytes()
+                assert time.monotonic() < deadline
+    finally:
+        sys.setswitchinterval(interval)
+    leaked = [t for t in parallel_threads(baseline) if t.is_alive()]
+    assert not leaked, f"leaked worker threads: {[t.name for t in leaked]}"
 
 
 def test_malformed_env_workers_fails_on_use_not_import(monkeypatch):
