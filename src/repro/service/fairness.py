@@ -34,10 +34,17 @@ Everything is deterministic: subqueue order, tenant visiting order and
 deficit arithmetic are pure functions of the queue snapshot and the
 persisted attained-service accounting — replaying the same trace twice
 yields bit-identical placement orders.
+
+The order is rebuilt every scheduling cycle, under the service lock, so
+its cost is bounded by what it emits: the subqueues are one pass over the
+already ordered base queue, and DRR rounds in which no tenant can afford
+its head (``cost / (quantum x weight)`` of them per job — unbounded as a
+plan-carried weight goes to zero) are taken in closed form, not walked.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
@@ -144,7 +151,8 @@ class FairShareQueue(JobQueue):
         self._register(job)
         depth_cap = self.policy.max_queue_depth_per_tenant
         if depth_cap is not None:
-            queued = [j for j in self._jobs if j.tenant == job.tenant]
+            # Admission order: the hint below must add in it (see JobQueue).
+            queued = [j for j in self._admitted.values() if j.tenant == job.tenant]
             if len(queued) >= depth_cap:
                 # Retry-After from the backlog estimate: the tenant's own
                 # queued service seconds must drain before a slot frees
@@ -180,8 +188,9 @@ class FairShareQueue(JobQueue):
         self._attained[tenant] = (
             self._attained.get(tenant, 0.0) + cost / self.weight_of(tenant)
         )
-        for name, share in self.share_of_service().items():
-            self.obs.gauge(f"service.fairness.share[tenant={name}]").set(share)
+        if self.obs.enabled:
+            for name, share in self.share_of_service().items():
+                self.obs.gauge(f"service.fairness.share[tenant={name}]").set(share)
 
     def fairness_index(self) -> float:
         """Jain's index of the weight-normalized service attained so far."""
@@ -200,9 +209,13 @@ class FairShareQueue(JobQueue):
         exactly once.  The scheduler places a prefix of this order, so
         under contention placed service follows the weights.
         """
-        if not self._jobs:
+        if not self._ordered:
             return []
         quantum = self.policy.quantum_seconds
+
+        per_tenant: Dict[str, Deque[ReconstructionJob]] = {}
+        for job in self._ordered:
+            per_tenant.setdefault(job.tenant, deque()).append(job)
 
         # Per-tenant emission budget: in-flight cap minus currently running.
         inflight: Dict[str, int] = {}
@@ -210,13 +223,11 @@ class FairShareQueue(JobQueue):
             tenant = placement.job.tenant
             inflight[tenant] = inflight.get(tenant, 0) + 1
         budget: Dict[str, Optional[int]] = {}
-        for job in self._jobs:
-            if job.tenant not in budget:
-                cap = self.inflight_cap_of(job.tenant)
-                budget[job.tenant] = (
-                    None if cap is None
-                    else max(0, cap - inflight.get(job.tenant, 0))
-                )
+        for tenant in per_tenant:
+            cap = self.inflight_cap_of(tenant)
+            budget[tenant] = (
+                None if cap is None else max(0, cap - inflight.get(tenant, 0))
+            )
 
         order: List[ReconstructionJob] = []
 
@@ -228,10 +239,6 @@ class FairShareQueue(JobQueue):
                 budget[job.tenant] = remaining - 1
             order.append(job)
             return True
-
-        per_tenant: Dict[str, Deque[ReconstructionJob]] = {}
-        for job in self.ordered():
-            per_tenant.setdefault(job.tenant, deque()).append(job)
 
         # Starvation aging: each tenant's oldest waiting job (by scheduling
         # order) jumps the fair order once it has waited aging_seconds.
@@ -259,26 +266,47 @@ class FairShareQueue(JobQueue):
             )
             if per_tenant[tenant] and budget[tenant] != 0
         ]
-        deficits: Dict[str, float] = {tenant: 0.0 for tenant in active}
+        grant = {tenant: quantum * self.weight_of(tenant) for tenant in active}
+        deficits = dict.fromkeys(active, 0.0)
         rounds = 0
         while active:
+            # A round in which no tenant can afford its head only adds the
+            # grants, and there are cost / grant of them per emitted job —
+            # unbounded as a plan-carried weight goes to zero.  Take all
+            # but the last in one step; the round that may emit is walked
+            # with the plain additions and comparisons below.
+            idle = min(
+                math.ceil(
+                    ((per_tenant[tenant][0].estimated_seconds or quantum)
+                     - deficits[tenant]) / grant[tenant]
+                )
+                for tenant in active
+            ) - 1
+            if idle > 0:
+                rounds += idle
+                for tenant in active:
+                    deficits[tenant] += idle * grant[tenant]
             rounds += 1
-            for tenant in list(active):
-                deficits[tenant] += quantum * self.weight_of(tenant)
+            drained = False
+            for tenant in active:
+                deficit = deficits[tenant] + grant[tenant]
                 subqueue = per_tenant[tenant]
                 while subqueue:
                     head = subqueue[0]
                     cost = head.estimated_seconds or quantum
-                    if deficits[tenant] < cost:
+                    if deficit < cost:
                         break
                     if not emit(head):
                         subqueue.clear()  # budget exhausted this cycle
                         break
                     subqueue.popleft()
-                    deficits[tenant] -= cost
-                if not subqueue:
-                    active.remove(tenant)
-                    deficits[tenant] = 0.0  # classic DRR: no hoarding
+                    deficit -= cost
+                deficits[tenant] = deficit
+                drained = drained or not subqueue
+            if drained:
+                # Classic DRR, no hoarding: a tenant with nothing left
+                # leaves the rotation and its deficit with it.
+                active = [tenant for tenant in active if per_tenant[tenant]]
         self.deficit_rounds += rounds
         if rounds:
             self.obs.counter("service.fairness.deficit_rounds").inc(rounds)

@@ -27,11 +27,13 @@ order.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..core.types import ReconstructionProblem, problem_from_string
+from .cache import CacheKey
 
 __all__ = ["JobState", "ReconstructionJob", "job_sort_key"]
 
@@ -199,6 +201,13 @@ class ReconstructionJob:
         return job
 
     # ------------------------------------------------------------------ #
+    @functools.cached_property
+    def cache_key(self) -> CacheKey:
+        """Key of the filtered projections this job consumes, built on first
+        use: the scheduler asks at every evaluation of a waiting job, and
+        the fields the key reads are fixed once the job is submitted."""
+        return CacheKey.for_job(self)
+
     @property
     def deadline_seconds(self) -> float:
         """Absolute completion deadline (``inf`` for best-effort jobs)."""

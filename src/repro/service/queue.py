@@ -12,17 +12,27 @@ Jobs that fail admission are marked :attr:`~repro.service.job.JobState.REJECTED`
 with a reason, so tenants can tell "try later" from "never feasible" (the
 latter is detected by the service before the queue is consulted).
 
-The queue itself is a small ordered collection — scheduling order is
-``(priority, deadline, submission order)`` via
-:func:`~repro.service.job.job_sort_key` — with selective removal so the
-scheduler can backfill jobs from the middle of the queue.
+The queue is kept in scheduling order — ``(priority, deadline, submission
+order)`` via :func:`~repro.service.job.job_sort_key` — from :meth:`JobQueue.offer`
+on: admission bisects the job into place, so reading the order is a copy
+and the head is ``[0]``; nothing is re-sorted per scheduling cycle.
+Selective removal (the scheduler backfills jobs from the middle of the
+queue) bisects to the job's key and matches by identity.
+
+**Invariant:** a queued job's ``priority``, ``slo_seconds`` and
+``arrival_seconds`` do not change while it waits — ``submit`` stamps the
+arrival before offering, nothing in the service touches them afterwards,
+and :meth:`JobQueue.remove` raises if it cannot find the job under its
+current key, so a caller that breaks this fails loudly instead of
+corrupting the order.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .job import JobState, ReconstructionJob, job_sort_key
 
@@ -150,7 +160,14 @@ class JobQueue:
         self.policy = policy or AdmissionPolicy()
         # The queue has no lock of its own: the owning service serializes
         # every call on its lock (see ReconstructionService).
-        self._jobs: List[ReconstructionJob] = []  # guarded-by: caller
+        # Two views of the same jobs.  Scheduling order: ``_ordered`` with
+        # its sort keys beside it for bisect (no ``key=`` before Python
+        # 3.10).  Admission order: ``_admitted`` by ``id(job)`` — the
+        # backlog sums must add in this order, a sum over the sorted view
+        # differs from it in the last bit of ``retry_after_seconds``.
+        self._ordered: List[ReconstructionJob] = []  # guarded-by: caller
+        self._keys: List[Tuple[int, float, int]] = []  # guarded-by: caller
+        self._admitted: Dict[int, ReconstructionJob] = {}  # guarded-by: caller
         self.offered = 0  # guarded-by: caller
         self.rejected = 0  # guarded-by: caller
         # Lazily built: most callers (the service) estimate before offering,
@@ -159,7 +176,7 @@ class JobQueue:
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._ordered)
 
     def __iter__(self) -> Iterator[ReconstructionJob]:
         return iter(self.ordered())
@@ -167,11 +184,11 @@ class JobQueue:
     @property
     def backlog_seconds(self) -> float:
         """Sum of the queued jobs' estimated service times."""
-        return sum(job.estimated_seconds or 0.0 for job in self._jobs)
+        return sum(job.estimated_seconds or 0.0 for job in self._admitted.values())
 
     def ordered(self) -> List[ReconstructionJob]:
         """Snapshot of the queue in scheduling order."""
-        return sorted(self._jobs, key=job_sort_key)
+        return list(self._ordered)
 
     def scheduling_order(
         self, now: float, running: Sequence = ()
@@ -189,9 +206,7 @@ class JobQueue:
 
     def peek(self) -> Optional[ReconstructionJob]:
         """The job the scheduler should consider first (or ``None``)."""
-        if not self._jobs:
-            return None
-        return min(self._jobs, key=job_sort_key)
+        return self._ordered[0] if self._ordered else None
 
     # ------------------------------------------------------------------ #
     def offer(self, job: ReconstructionJob) -> bool:
@@ -208,13 +223,13 @@ class JobQueue:
         admitted with a warning — loud, never silent.
         """
         self.offered += 1
-        if len(self._jobs) >= self.policy.max_depth:
+        if len(self) >= self.policy.max_depth:
             # Transient overload, not infeasibility: hint when a slot
             # should free (the mean queued service time).
             job.mark_rejected(
-                f"queue full: depth {len(self._jobs)} at cap {self.policy.max_depth}",
+                f"queue full: depth {len(self)} at cap {self.policy.max_depth}",
                 retry_after_seconds=max(
-                    1.0, self.backlog_seconds / max(1, len(self._jobs))
+                    1.0, self.backlog_seconds / max(1, len(self))
                 ),
             )
             self.rejected += 1
@@ -241,7 +256,13 @@ class JobQueue:
                     self.rejected += 1
                     return False
         job.mark_queued()
-        self._jobs.append(job)
+        key = job_sort_key(job)
+        # After every equal key: ties keep admission order, as a stable
+        # sort of the admission-ordered list would.
+        index = bisect_right(self._keys, key)
+        self._keys.insert(index, key)
+        self._ordered.insert(index, job)
+        self._admitted[id(job)] = job
         return True
 
     def _estimate(self, job: ReconstructionJob) -> Optional[float]:
@@ -250,11 +271,27 @@ class JobQueue:
         return self._estimator(job)
 
     def remove(self, job: ReconstructionJob) -> None:
-        """Remove a specific job (used when the scheduler places it)."""
-        self._jobs.remove(job)
+        """Remove a specific job (used when the scheduler places it).
+
+        Found by its sort key, matched by identity; raises ``ValueError``
+        when the job is not queued under its current key (never offered,
+        already removed, or its key fields changed while it waited).
+        """
+        key = job_sort_key(job)
+        for index in range(bisect_left(self._keys, key), bisect_right(self._keys, key)):
+            if self._ordered[index] is job:
+                del self._keys[index], self._ordered[index], self._admitted[id(job)]
+                return
+        raise ValueError(
+            f"job {job.job_id} is not queued under its sort key {key}: it was "
+            "never admitted, was already removed, or its priority / SLO / "
+            "arrival changed while it waited"
+        )
 
     def drain(self) -> List[ReconstructionJob]:
         """Remove and return every queued job in scheduling order."""
         jobs = self.ordered()
-        self._jobs.clear()
+        self._keys.clear()
+        self._ordered.clear()
+        self._admitted.clear()
         return jobs

@@ -37,7 +37,7 @@ from ..core.types import ReconstructionProblem
 from ..gpusim.device import DeviceSpec, TESLA_V100
 from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
 from ..pipeline.perfmodel import IFDKPerformanceModel
-from .cache import CacheKey, FilteredProjectionCache
+from .cache import FilteredProjectionCache
 from .diskcache import OnDiskFilteredCache
 from .dispatch import BatchedDispatcher
 from .fairness import FairShareQueue
@@ -383,7 +383,7 @@ class ReconstructionService:
             # pilot failure may overturn one (counted separately as
             # `service.completions_overturned` — counters never decrease).
             self.obs.counter("service.jobs_completed").inc()
-            if job.latency_seconds is not None:
+            if self.obs.enabled and job.latency_seconds is not None:
                 self.obs.histogram("service.latency_seconds").observe(
                     job.latency_seconds
                 )
@@ -394,9 +394,7 @@ class ReconstructionService:
                 ).observe(job.latency_seconds)
             # Filtering ran as part of the job (unless it was a hit); its
             # output is now on the PFS for every later job on the dataset.
-            self.cache.insert(
-                CacheKey.for_job(job), nbytes=job.problem.input_bytes()
-            )
+            self.cache.insert(job.cache_key, nbytes=job.problem.input_bytes())
 
     def run_until_idle(self) -> None:
         """Drain the queue, all running jobs and any real executions."""

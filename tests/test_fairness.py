@@ -8,6 +8,7 @@ on replays.
 """
 
 import math
+import threading
 import types
 
 import pytest
@@ -152,6 +153,39 @@ class TestWeightedShares:
         assert [j.job_id for j in queue.scheduling_order(10.0)] == [
             "a-urgent", "a-relaxed",
         ]
+
+    @staticmethod
+    def _drain_with_plan_weight(weight: float, *, timeout: float = 5.0):
+        """Two Table-4 jobs, one carrying ``tenant_weight``; drain on a thread."""
+        service = ReconstructionService(16, admission=AdmissionPolicy(fair_share=True))
+        for tenant, plan_weight in (("std", None), ("tiny", weight)):
+            assert service.submit(ReconstructionJob(
+                problem="512x512x1024->256x256x256", tenant=tenant,
+                tenant_weight=plan_weight,
+            ))
+        # A daemon: before the fix this walks ~2e9 Python rounds under the
+        # service lock, and the test must fail its join, not hang the run.
+        worker = threading.Thread(target=service.run_until_idle, daemon=True)
+        worker.start()
+        worker.join(timeout)
+        return service, worker
+
+    def test_a_tiny_plan_weight_cannot_stall_the_service(self):
+        # DRR walked cost / (quantum x weight) rounds per emitted job, and
+        # tenant_weight is a plan field validated only as > 0: at 1e-9 one
+        # POST /plans held the service lock for ~20 minutes per cycle.
+        service, worker = self._drain_with_plan_weight(1e-9)
+        assert not worker.is_alive(), "scheduling cycle still walking empty DRR rounds"
+        assert service.report().summary["jobs_completed"] == 2.0
+        assert service.queue.deficit_rounds > 10**9  # counted, not walked
+
+    @pytest.mark.parametrize(
+        "weight, rounds", [(1.0, 3), (1e-2, 225), (1e-4, 22_432), (1e-5, 224_312)]
+    )
+    def test_skipped_rounds_are_counted_as_the_walk_counted_them(self, weight, rounds):
+        service, worker = self._drain_with_plan_weight(weight)
+        assert not worker.is_alive()
+        assert service.queue.deficit_rounds == rounds
 
 
 # --------------------------------------------------------------------------- #
