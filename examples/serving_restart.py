@@ -11,7 +11,7 @@ Demonstrates the durable-serving pieces of ``repro.service`` end to end:
 2. a second process (this one) rebuilds the service on the same state
    directory: the journal replay brings back every job exactly once —
    the completed job with its outcome, the pending ones re-queued;
-3. the recovered queue drains on a *process* dispatcher, and the jobs
+3. the recovered queue drains on fresh worker processes, and the jobs
    that re-request the warmed dataset hit the on-disk cache even though
    the process (and worker pool) that filtered it is long dead.
 
@@ -43,7 +43,7 @@ def crash_a_serving_process(state_dir: Path, cache_dir: Path) -> None:
         from repro.service import ReconstructionJob, ReconstructionService
 
         service = ReconstructionService(
-            16, backend="vectorized", workers=1, dispatcher="process",
+            16, backend="vectorized", workers=1,
             pilot_problem={PILOT!r},
             state_dir={str(state_dir)!r}, cache_dir={str(cache_dir)!r})
         # Complete one job: journals its outcome and warms the disk cache.
@@ -77,7 +77,7 @@ def main() -> None:
 
         print("phase 2: restart on the same state dir and recover")
         service = ReconstructionService(
-            16, backend="vectorized", workers=1, dispatcher="process",
+            16, backend="vectorized", workers=1,
             pilot_problem=PILOT, state_dir=state_dir, cache_dir=cache_dir,
         )
         print(f"  recovered {service.recovered_jobs} jobs "

@@ -41,7 +41,8 @@ DEFAULT_SCOPES: Dict[str, List[str]] = {
     # Annotation-driven: only files carrying `# guarded-by:` comments
     # produce obligations, so the pass safely runs everywhere.
     "lock-discipline": [],
-    # Pools live in the dispatchers and the tiled backend (backends/tiled.py).
+    # Pools live in the dispatcher (service/process_dispatch.py: spawned
+    # processes) and the tiled backend (backends/tiled.py: threads).
     "spawn-safety": ["*/service/*.py", "*/backends/*.py"],
     # Numeric paths that must replay bit-identically.
     "determinism": [

@@ -248,7 +248,9 @@ class ReconstructionPlan:
         tenant's scheduling weight and in-flight job cap, adopted by the
         service's :class:`~repro.service.fairness.FairShareQueue` for
         tenants the operator's :class:`~repro.service.queue.AdmissionPolicy`
-        does not configure explicitly (operator settings always win).
+        does not configure explicitly (operator settings always win).  A
+        weight is at least :data:`~repro.service.job.MIN_TENANT_WEIGHT`
+        (1e-9): below it the fair-share arithmetic underflows.
     streaming, chunk_size, memory_budget_bytes:
         Chunked execution on the ``fdk`` target: ``streaming=True`` routes
         :meth:`Session.run` through the
@@ -410,15 +412,19 @@ class ReconstructionPlan:
             raise ValueError(
                 "slo_seconds must be a positive finite number when given"
             )
-        if self.tenant_weight is not None and not (
-            isinstance(self.tenant_weight, (int, float))
-            and not isinstance(self.tenant_weight, bool)
-            and math.isfinite(self.tenant_weight)
-            and self.tenant_weight > 0
-        ):
-            raise ValueError(
-                "tenant_weight must be a positive finite number when given"
-            )
+        if self.tenant_weight is not None:
+            from ..service.job import MIN_TENANT_WEIGHT  # late: service imports api
+
+            if not (
+                isinstance(self.tenant_weight, (int, float))
+                and not isinstance(self.tenant_weight, bool)
+                and math.isfinite(self.tenant_weight)
+                and self.tenant_weight >= MIN_TENANT_WEIGHT
+            ):
+                raise ValueError(
+                    "tenant_weight must be a finite number of at least "
+                    f"{MIN_TENANT_WEIGHT:g} when given"
+                )
         if not isinstance(self.streaming, bool):
             raise ValueError(
                 f"streaming must be a boolean (got {self.streaming!r})"
@@ -427,9 +433,7 @@ class ReconstructionPlan:
             if self.target != "fdk":
                 raise ValueError(
                     "streaming execution is only wired for the fdk target "
-                    f"(this plan targets {self.target!r}); the service "
-                    "dispatcher streams via its own streaming_chunk_size "
-                    "configuration, not per-plan fields"
+                    f"(this plan targets {self.target!r})"
                 )
             from ..streaming import resolve_chunk_size  # late: streaming imports core
 

@@ -100,14 +100,13 @@ class Session:
         spans into it.  ``None`` (the default) keeps the process-wide
         no-op tracer: the hot paths execute their untraced branches and the
         run's :class:`~repro.obs.RunReport` carries no span totals.
-    dispatcher / state_dir / cache_dir:
+    state_dir / cache_dir:
         Serving durability knobs, forwarded to the owned
         :class:`~repro.service.service.ReconstructionService` (service
         target only; rejected otherwise so a typo'd target cannot silently
-        drop them).  ``dispatcher="process"`` executes pilots in a
-        crash-isolated process pool, ``state_dir`` journals the queue for
-        restart recovery, ``cache_dir`` shares filtered projections on
-        disk across worker processes and restarts.
+        drop them).  ``state_dir`` journals the queue for restart recovery,
+        ``cache_dir`` shares filtered projections on disk across the
+        service's worker processes (the plan's ``workers``) and restarts.
     """
 
     def __init__(
@@ -115,16 +114,15 @@ class Session:
         plan: ReconstructionPlan,
         *,
         tracer: Optional[Tracer] = None,
-        dispatcher: str = "thread",
         state_dir=None,
         cache_dir=None,
     ):
         plan.validate()
         if plan.target != "service" and (
-            dispatcher != "thread" or state_dir is not None or cache_dir is not None
+            state_dir is not None or cache_dir is not None
         ):
             raise ValueError(
-                "dispatcher/state_dir/cache_dir are service-target options; "
+                "state_dir/cache_dir are service-target options; "
                 f"this plan targets {plan.target!r}"
             )
         self.plan = plan
@@ -167,7 +165,6 @@ class Session:
                     policy="slo",
                     backend=plan.backend,
                     workers=plan.workers or 0,
-                    dispatcher=dispatcher,
                     state_dir=state_dir,
                     cache_dir=cache_dir,
                     # Lifetime instruments ride along with tracing; an
@@ -271,20 +268,12 @@ class Session:
             stage_totals = result.stage_totals()
             wall = time.perf_counter() - start
             if tracer.enabled:
-                # Import the rank-stage spans into the session trace.  Rank
-                # tracers start their own epochs after this run began, so
-                # anchoring events at the run start places every stage
-                # inside the run span (durations, hence stage totals, are
-                # exact either way).
+                # Adopt the rank-stage spans, at the times they happened.
                 for rank_result in result.rank_results:
-                    for event in rank_result.events:
+                    for span in rank_result.spans:
                         tracer.record(
-                            event.stage,
-                            start + event.start,
-                            start + event.stop,
-                            event.payload_bytes,
-                            parent=root_id,
-                            rank=event.rank,
+                            span.name, span.start, span.stop, span.payload_bytes,
+                            parent=root_id, **span.attrs,
                         )
             details.update(
                 rows=self.plan.rows,

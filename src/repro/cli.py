@@ -145,9 +145,9 @@ def add_plan_args(
     if workers:
         parser.add_argument(
             "--workers", type=int, default=None,
-            help="worker threads: a dedicated pool for the parallel backend "
-                 "(reconstruct), or the real-execution dispatcher width "
-                 "(serve/submit)",
+            help="workers: threads of a dedicated pool for the parallel "
+                 "backend (reconstruct), or pilot worker processes of the "
+                 "real-execution dispatcher (serve/submit)",
         )
     if scenario:
         parser.add_argument(
@@ -390,11 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="starvation aging: a tenant's oldest waiting job "
                             "jumps the fair-share order after waiting this "
                             "long")
-    serve.add_argument("--dispatcher", choices=("thread", "process"),
-                       default="thread",
-                       help="pilot executor: 'thread' (in-process pool) or "
-                            "'process' (crash-isolated workers with "
-                            "timeout/retry; default: %(default)s)")
     serve.add_argument("--state-dir", type=Path, default=None,
                        help="journal job transitions here; a restarted serve "
                             "recovers its queue from the journal")
@@ -729,7 +724,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission=admission,
         backend=args.backend or DEFAULT_BACKEND,
         workers=workers or 0,
-        dispatcher=args.dispatcher,
         state_dir=args.state_dir,
         cache_dir=args.cache_dir,
         obs=MetricsRegistry() if tracer is not None else None,

@@ -20,8 +20,8 @@ is the one substrate those measurements flow through:
   JSON-lines and a human-readable summary tree, surfaced on the CLI as
   ``--trace-out`` and ``repro report``.
 
-The iFDK rank runtime's :class:`~repro.pipeline.tracing.PipelineTracer`
-is a :class:`Tracer` subclass, so Figure-4c / Table-5 stage breakdowns
+The iFDK rank runtime times its stages as plain :class:`Span` records
+tagged ``rank=`` / ``stage=``, so Figure-4c / Table-5 stage breakdowns
 come out of the same span stream as everything else.
 """
 

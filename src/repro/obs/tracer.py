@@ -229,10 +229,6 @@ class Tracer:
         with self._lock:
             return len(self._spans)
 
-    def stage_seconds(self, name: str) -> float:
-        """Summed duration of every span with this name."""
-        return sum(s.duration for s in self.spans() if s.name == name)
-
     def stage_totals(self) -> Dict[str, float]:
         """Summed duration per span name."""
         totals: Dict[str, float] = {}

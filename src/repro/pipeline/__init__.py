@@ -1,6 +1,6 @@
 """The iFDK distributed framework (Section 4 of the paper)."""
 
-from .circular_buffer import BufferClosed, CircularBuffer
+from .circular_buffer import BufferClosed, CircularBuffer, ahead
 from .config import IFDKConfig, choose_grid, subvolume_bytes
 from .decomposition import Decomposition, RankAssignment
 from .ifdk import IFDKFramework, IFDKRunResult
@@ -11,7 +11,6 @@ from .perfmodel import (
     PerformanceBreakdown,
 )
 from .rank_runtime import RankResult, run_rank
-from .tracing import PipelineTracer, StageSummary, TraceEvent, summarize_events
 
 __all__ = [
     "ABCI_MICROBENCHMARKS",
@@ -24,13 +23,10 @@ __all__ = [
     "IFDKRunResult",
     "MicroBenchmarks",
     "PerformanceBreakdown",
-    "PipelineTracer",
     "RankAssignment",
     "RankResult",
-    "StageSummary",
-    "TraceEvent",
+    "ahead",
     "choose_grid",
     "run_rank",
     "subvolume_bytes",
-    "summarize_events",
 ]

@@ -9,9 +9,10 @@ the filtering stage.  ``repro serve`` and ``repro submit`` expose it on the
 command line.
 
 Real serving rides on three durable pieces: the
-:class:`~repro.service.process_dispatch.ProcessDispatcher` executes pilots
-in a crash-isolated process pool with per-job timeouts and bounded
-retries, the :class:`~repro.service.store.JobStore` journals every job
+:class:`~repro.service.process_dispatch.ProcessDispatcher` — the one way a
+placed job executes for real (``workers=N``) — runs pilots in a
+crash-isolated process pool with per-job timeouts and bounded retries, the
+:class:`~repro.service.store.JobStore` journals every job
 transition so ``repro serve --state-dir`` recovers its queue after a kill,
 and the :class:`~repro.service.diskcache.OnDiskFilteredCache` shares
 filtered projections across worker processes and restarts.  The
@@ -21,12 +22,11 @@ HTTP/JSON, speaking :class:`~repro.api.ReconstructionPlan`.
 
 from .cache import CacheKey, CacheStatistics, FilteredProjectionCache, fingerprint_stack
 from .diskcache import OnDiskFilteredCache
-from .dispatch import DEFAULT_PILOT_PROBLEM, BatchedDispatcher
 from .fairness import FairShareQueue, jains_index
 from .http import ServiceHTTPServer
 from .job import JobState, ReconstructionJob, job_sort_key
 from .metrics import QueueSample, ServiceMetrics, percentile
-from .process_dispatch import ProcessDispatcher
+from .process_dispatch import DEFAULT_PILOT_PROBLEM, ProcessDispatcher
 from .queue import AdmissionPolicy, JobQueue, model_runtime_estimator
 from .scheduler import AllocationPlan, ClusterScheduler, GPUCluster, Placement
 from .service import ReconstructionService, ServiceReport
@@ -42,7 +42,6 @@ __all__ = [
     "AdmissionPolicy",
     "AllocationPlan",
     "ArrivalTrace",
-    "BatchedDispatcher",
     "CacheKey",
     "CacheStatistics",
     "DEFAULT_PILOT_PROBLEM",

@@ -35,7 +35,14 @@ from typing import Optional, Tuple
 from ..core.types import ReconstructionProblem, problem_from_string
 from .cache import CacheKey
 
-__all__ = ["JobState", "ReconstructionJob", "job_sort_key"]
+__all__ = ["MIN_TENANT_WEIGHT", "JobState", "ReconstructionJob", "job_sort_key"]
+
+#: Smallest fair-share weight a plan, a job or an admission policy may carry.
+#: A DRR visit grants ``quantum_seconds x weight``: far enough below this the
+#: product underflows, ``cost / grant`` is infinite and every scheduling cycle
+#: of the service raises from then on — so smaller weights are refused at the
+#: door instead of queued.
+MIN_TENANT_WEIGHT = 1e-9
 
 _job_counter = itertools.count()
 
@@ -118,15 +125,15 @@ class ReconstructionJob:
     filter_seconds: Optional[float] = None
     backprojection_seconds: Optional[float] = None
     rejection_reason: Optional[str] = None
-    # Real-execution accounting, filled in by the BatchedDispatcher when the
+    # Real-execution accounting, filled in by the dispatcher when the
     # service runs placements for real (wall-clock seconds on the pool's
     # epoch, not the simulated service clock).
     workers: Optional[int] = None
     executed_start_seconds: Optional[float] = None
     executed_finish_seconds: Optional[float] = None
     # Whether the pilot's filtered projections came from the shared on-disk
-    # cache (ProcessDispatcher only; None when no real pilot ran or the
-    # dispatcher has no cache attached).
+    # cache (None when no real pilot ran or the dispatcher has no cache
+    # attached).
     pilot_cache_hit: Optional[bool] = None
     # How many times the real execution was attempted (retries after worker
     # crashes/timeouts increment this past 1).
@@ -149,8 +156,10 @@ class ReconstructionJob:
             raise ValueError("arrival_seconds must be non-negative")
         if not self.scenario:
             raise ValueError("scenario must be a non-empty preset name")
-        if self.tenant_weight is not None and not self.tenant_weight > 0:
-            raise ValueError("tenant_weight must be positive when given")
+        if self.tenant_weight is not None and not self.tenant_weight >= MIN_TENANT_WEIGHT:
+            raise ValueError(
+                f"tenant_weight must be at least {MIN_TENANT_WEIGHT:g} when given"
+            )
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError("max_inflight must be a positive integer when given")
         if not self.job_id:

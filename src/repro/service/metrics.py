@@ -13,13 +13,13 @@ service operator watches:
 * utilization — busy GPU-seconds over cluster capacity;
 * stage split — aggregate filtering vs back-projection seconds across
   completed jobs (the ``FDKResult``-level split, surfaced service-wide);
-* worker accounting — when placements run for real on the batched
-  dispatcher, the measured wall seconds and worker occupancy of those
-  executions, summed across jobs;
+* worker accounting — when placements run for real on the dispatcher,
+  the measured wall seconds and worker occupancy of those executions,
+  summed across jobs;
 * failures — jobs whose real execution crashed or timed out past the
-  retry budget (process dispatcher), plus the dispatch-level
-  retry/timeout/crash counters, so "failed loudly" is visible in the
-  same summary operators already read;
+  retry budget (the dispatcher's own retry/timeout/crash counters join
+  the summary in :meth:`ReconstructionService.report`), so "failed loudly"
+  is visible in the same summary operators already read;
 * per-tenant tails — p99 latency and job count per tenant, because a
   multi-tenant service's aggregate p99 hides exactly the tenant being
   starved;
@@ -69,11 +69,6 @@ class ServiceMetrics:
     rejected: List[ReconstructionJob] = field(default_factory=list)  # guarded-by: caller
     failed: List[ReconstructionJob] = field(default_factory=list)  # guarded-by: caller
     queue_samples: List[QueueSample] = field(default_factory=list)  # guarded-by: caller
-    # Dispatch-level fault counters (process dispatcher): cumulative over
-    # the metrics window, folded into summary() when non-zero.
-    dispatch_retries: int = 0
-    dispatch_timeouts: int = 0
-    dispatch_crashes: int = 0
 
     # ------------------------------------------------------------------ #
     def record_completion(self, job: ReconstructionJob) -> None:
@@ -217,12 +212,6 @@ class ServiceMetrics:
             out["worker_seconds_total"] = float(
                 sum(j.worker_seconds for j in executed)
             )
-        # Dispatch-fault accounting rides along only when the process
-        # dispatcher saw faults, keeping model-only report shapes exact.
-        if self.dispatch_retries or self.dispatch_timeouts or self.dispatch_crashes:
-            out["dispatch_retries"] = float(self.dispatch_retries)
-            out["dispatch_timeouts"] = float(self.dispatch_timeouts)
-            out["dispatch_crashes"] = float(self.dispatch_crashes)
         # One flat entry per scenario in the completed mix, so operators
         # (and the JSON report) see which acquisition protocols the
         # cluster actually served.

@@ -1,11 +1,20 @@
-"""Process-backed pilot execution: the :class:`ProcessDispatcher`.
+"""Real execution of placed jobs: the :class:`ProcessDispatcher`.
 
-The :class:`~repro.service.dispatch.BatchedDispatcher` runs pilots on a
-thread pool inside the service process — real concurrency, but one crash
-takes the whole service down and nothing survives a restart.  This module
-executes pilots in a **process pool** instead, which is what turns the
-simulator into a servable system:
+The discrete-event service predicts job runtimes with the Eq. 8-19 model —
+which is what lets a 2,048-GPU replay finish in milliseconds — and with
+``workers=0`` that is all it does.  With ``workers=N`` every scheduling
+cycle's new placements are handed to this dispatcher as one batch, and each
+job executes a **pilot reconstruction** — a scaled-down but genuine FDK
+execution (ramp filter + tile-kernel back-projection on the service's
+compute backend) standing in for the full problem the simulated cluster is
+solving — in a **process pool**, which is what turns the simulator into a
+servable system:
 
+* placements on disjoint GPU sets genuinely overlap in wall-clock, and each
+  job records when its execution started and finished and how many workers
+  it occupied (:meth:`ReconstructionJob.mark_executed`), reduced by
+  :class:`~repro.service.metrics.ServiceMetrics` to the
+  ``worker_seconds_total`` / ``jobs_executed`` KPIs;
 * workers are spawned (never forked) and initialized once with a
   module-level pilot runtime, so a worker crash cannot corrupt the
   service's state — it costs a pool rebuild, not the process;
@@ -22,6 +31,10 @@ simulator into a servable system:
   every future service incarnation — gets a cache hit
   (``job.pilot_cache_hit``), the Eq. 17 ``T_flt`` saving made real across
   process boundaries.
+
+The simulated clock is untouched: latencies, SLO attainment and GPU
+utilization still come from the event loop, so model-level tests and
+benchmarks are unaffected by how long the pilots really take.
 
 Fault injection (``fault_injection={"job-0001": {"crash_attempts": [1]}}``)
 exists so the crash/timeout/retry machinery is testable on demand: the
@@ -49,13 +62,21 @@ import threading
 import numpy as np
 
 from ..core.types import ReconstructionProblem, problem_from_string
-from ..obs import get_tracer
+from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
 from .cache import CacheKey
-from .dispatch import DEFAULT_PILOT_PROBLEM
 from .job import ReconstructionJob
 from .scheduler import Placement
 
-__all__ = ["ProcessDispatcher"]
+__all__ = ["DEFAULT_PILOT_PROBLEM", "ProcessDispatcher"]
+
+#: Default pilot: small enough that CLI submits stay instant, real enough
+#: that the hot-path kernels (not Python overhead) dominate.
+DEFAULT_PILOT_PROBLEM = ReconstructionProblem(
+    nu=24, nv=24, np_=8, nx=16, ny=16, nz=16
+)
+
+#: First retry's delay; doubles with every further attempt.
+RETRY_BACKOFF_SECONDS = 0.05
 
 
 # --------------------------------------------------------------------- #
@@ -65,10 +86,7 @@ _RUNTIME: Optional[dict] = None
 
 
 def _pilot_init(
-    problem_spec: str,
-    backend_name: str,
-    cache_dir: Optional[str],
-    cache_capacity_bytes: int,
+    problem_spec: str, backend_name: str, cache_dir: Optional[str]
 ) -> None:
     """Build this worker process's pilot runtime once, at pool start."""
     global _RUNTIME
@@ -88,13 +106,13 @@ def _pilot_init(
             (problem.np_, problem.nv, problem.nu)
         ).astype(np.float32),
         angles=geometry.angles,
-        filtered=False,  # process pilots run filter + back-projection
+        filtered=False,  # pilots run filter + back-projection
     )
     cache = None
     if cache_dir is not None:
         from .diskcache import OnDiskFilteredCache
 
-        cache = OnDiskFilteredCache(cache_dir, capacity_bytes=cache_capacity_bytes)
+        cache = OnDiskFilteredCache(cache_dir)
     _RUNTIME = {
         "backend": get_backend(backend_name),
         "geometry": geometry,
@@ -160,16 +178,12 @@ class _Pending:
 class ProcessDispatcher:
     """Runs pilots in a spawn-safe process pool with timeout/retry/degrade.
 
-    Interface-compatible with :class:`~repro.service.dispatch.BatchedDispatcher`
-    (``dispatch`` / ``drain`` / ``reset_accounting`` / ``close`` and the
-    accounting counters), so :class:`~repro.service.service.ReconstructionService`
-    treats either as "the dispatcher".  Differences that matter:
-
     * ``drain`` **returns the jobs that failed** (crash or timeout past the
-      retry budget) instead of raising — the service folds them into its
-      metrics as ``FAILED`` jobs;
-    * extra counters: ``retries`` / ``timeouts`` / ``crashes`` /
-      ``jobs_failed``;
+      retry budget) instead of raising; ``on_executed`` / ``on_failed`` hand
+      each outcome to the owning service as it is observed (journal, metrics);
+    * the dispatcher owns the fault counters — ``retries`` / ``timeouts`` /
+      ``crashes`` per accounting window (:meth:`fault_summary`), mirrored as
+      they happen into the lifetime ``dispatch.*`` instruments of ``obs``;
     * ``effective_workers`` may shrink below the configured width after
       crashes (graceful degradation), never below one.
     """
@@ -181,16 +195,12 @@ class ProcessDispatcher:
         backend: str = "vectorized",
         pilot_problem: Union[ReconstructionProblem, str, None] = None,
         cache_dir=None,
-        cache_capacity_bytes: int = 256 * 1024**3,
         timeout_seconds: float = 60.0,
         max_retries: int = 2,
-        retry_backoff_seconds: float = 0.05,
         fault_injection: Optional[Dict[str, dict]] = None,
         on_executed: Optional[Callable[[ReconstructionJob], None]] = None,
         on_failed: Optional[Callable[[ReconstructionJob], None]] = None,
-        on_retry: Optional[Callable[[ReconstructionJob, str], None]] = None,
-        on_timeout: Optional[Callable[[ReconstructionJob], None]] = None,
-        on_crash: Optional[Callable[[ReconstructionJob], None]] = None,
+        obs: Optional[MetricsRegistry] = None,
     ):
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise ValueError(f"workers must be a positive integer (got {workers!r})")
@@ -209,16 +219,12 @@ class ProcessDispatcher:
             pilot_problem = problem_from_string(pilot_problem)
         self.pilot_problem = pilot_problem
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self.cache_capacity_bytes = int(cache_capacity_bytes)
         self.timeout_seconds = float(timeout_seconds)
         self.max_retries = int(max_retries)
-        self.retry_backoff_seconds = float(retry_backoff_seconds)
         self.fault_injection = dict(fault_injection or {})
         self.on_executed = on_executed
         self.on_failed = on_failed
-        self.on_retry = on_retry
-        self.on_timeout = on_timeout
-        self.on_crash = on_crash
+        self.obs = obs if obs is not None else NULL_METRICS
 
         self._executor: Optional[ProcessPoolExecutor] = None  # guarded-by: _lock
         self._lock = threading.Lock()
@@ -245,12 +251,7 @@ class ProcessDispatcher:
                     max_workers=self._width,
                     mp_context=multiprocessing.get_context("spawn"),
                     initializer=_pilot_init,
-                    initargs=(
-                        str(self.pilot_problem),
-                        self.backend,
-                        self.cache_dir,
-                        self.cache_capacity_bytes,
-                    ),
+                    initargs=(str(self.pilot_problem), self.backend, self.cache_dir),
                 )
             return self._executor
 
@@ -333,8 +334,7 @@ class ProcessDispatcher:
         except FutureTimeoutError:
             with self._lock:
                 self.timeouts += 1
-            if self.on_timeout is not None:
-                self.on_timeout(entry.job)
+            self.obs.counter("dispatch.timeouts").inc()
             reason = (
                 f"pilot timed out after {self.timeout_seconds:.1f}s "
                 f"(attempt {entry.attempt})"
@@ -347,8 +347,7 @@ class ProcessDispatcher:
         except BrokenExecutor:
             with self._lock:
                 self.crashes += 1
-            if self.on_crash is not None:
-                self.on_crash(entry.job)
+            self.obs.counter("dispatch.crashes").inc()
             reason = f"pilot worker crashed (attempt {entry.attempt})"
             # Degrade one worker per crash so a poisoned workload converges
             # to a narrow-but-live pool instead of thrashing a wide one.
@@ -367,6 +366,10 @@ class ProcessDispatcher:
         job.execution_attempts = entry.attempt
         if isinstance(result, dict) and result.get("cache_hit") is not None:
             job.pilot_cache_hit = bool(result["cache_hit"])
+            self.obs.counter(
+                "dispatch.pilot_cache_hits" if job.pilot_cache_hit
+                else "dispatch.pilot_cache_misses"
+            ).inc()
         with self._lock:
             self.jobs_executed += 1
             self.busy_worker_seconds += finish - entry.submitted
@@ -395,9 +398,8 @@ class ProcessDispatcher:
         if entry.attempt <= self.max_retries:
             with self._lock:
                 self.retries += 1
-            if self.on_retry is not None:
-                self.on_retry(job, reason)
-            time.sleep(self.retry_backoff_seconds * (2 ** (entry.attempt - 1)))
+            self.obs.counter("dispatch.retries").inc()
+            time.sleep(RETRY_BACKOFF_SECONDS * (2 ** (entry.attempt - 1)))
             retry = _Pending(
                 job=job,
                 payload=self._payload_for(job, entry.attempt + 1),
@@ -463,6 +465,16 @@ class ProcessDispatcher:
             entry.future = executor.submit(_pilot_execute, entry.payload)
 
     # ------------------------------------------------------------------ #
+    def fault_summary(self) -> Dict[str, float]:
+        """This accounting window's ``dispatch_*`` summary keys — empty unless
+        a fault occurred, so fault-free report shapes stay exact."""
+        counts = {
+            "dispatch_retries": self.retries,
+            "dispatch_timeouts": self.timeouts,
+            "dispatch_crashes": self.crashes,
+        }
+        return {k: float(v) for k, v in counts.items()} if any(counts.values()) else {}
+
     def reset_accounting(self) -> None:
         """Zero cumulative counters at a quiescent point (drained)."""
         with self._lock:

@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .job import JobState, ReconstructionJob, job_sort_key
+from .job import MIN_TENANT_WEIGHT, JobState, ReconstructionJob, job_sort_key
 
 __all__ = [
     "AdmissionPolicy",
@@ -120,13 +120,15 @@ class AdmissionPolicy:
             raise ValueError("max_backlog_seconds must be positive when given")
         if self.tenant_weights is not None:
             for tenant, weight in self.tenant_weights.items():
-                if not weight > 0:
+                if not weight >= MIN_TENANT_WEIGHT:
                     raise ValueError(
-                        f"tenant weight for {tenant!r} must be positive "
-                        f"(got {weight!r})"
+                        f"tenant weight for {tenant!r} must be at least "
+                        f"{MIN_TENANT_WEIGHT:g} (got {weight!r})"
                     )
-        if not self.default_tenant_weight > 0:
-            raise ValueError("default_tenant_weight must be positive")
+        if not self.default_tenant_weight >= MIN_TENANT_WEIGHT:
+            raise ValueError(
+                f"default_tenant_weight must be at least {MIN_TENANT_WEIGHT:g}"
+            )
         for name in ("max_inflight_per_tenant", "max_queue_depth_per_tenant"):
             value = getattr(self, name)
             if value is not None and value < 1:

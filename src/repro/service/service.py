@@ -15,10 +15,11 @@ same dataset/filter skip the filtering stage (``T_flt`` leaves the Eq. 17
 overlap), which both shortens them and frees filtering capacity.
 
 With ``workers > 0`` the service additionally owns a
-:class:`~repro.service.dispatch.BatchedDispatcher`: every scheduling
-cycle's placements are dispatched as one batch onto a real worker pool,
-where each job runs a pilot reconstruction concurrently with its
-co-scheduled peers.  Submission is serialized on a reentrant service lock:
+:class:`~repro.service.process_dispatch.ProcessDispatcher`: every scheduling
+cycle's placements are dispatched as one batch onto a pool of that many
+worker processes, where each job runs a pilot reconstruction concurrently
+with its co-scheduled peers.  Submission is serialized on a reentrant
+service lock:
 concurrent tenants may call :meth:`submit` from their own threads, and the
 event loop processes each event atomically under the same lock, so
 concurrent submissions interleave between events rather than corrupting
@@ -39,7 +40,6 @@ from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
 from ..pipeline.perfmodel import IFDKPerformanceModel
 from .cache import FilteredProjectionCache
 from .diskcache import OnDiskFilteredCache
-from .dispatch import BatchedDispatcher
 from .fairness import FairShareQueue
 from .job import JobState, ReconstructionJob
 from .metrics import ServiceMetrics
@@ -90,9 +90,7 @@ class ReconstructionService:
         backend: str = "reference",
         workers: int = 0,
         pilot_problem: Union[ReconstructionProblem, str, None] = None,
-        streaming_chunk_size: Optional[int] = None,
         obs: Optional[MetricsRegistry] = None,
-        dispatcher: str = "thread",
         state_dir=None,
         cache_dir=None,
         dispatch_timeout_seconds: float = 60.0,
@@ -106,20 +104,15 @@ class ReconstructionService:
                 f"workers must be a non-negative integer (got {workers!r}); "
                 "0 disables real execution"
             )
-        if dispatcher not in ("thread", "process"):
-            raise ValueError(
-                f"dispatcher must be 'thread' or 'process' (got {dispatcher!r})"
-            )
-        if dispatcher == "process" and streaming_chunk_size is not None:
-            raise ValueError(
-                "streaming pilots are a thread-dispatcher configuration; "
-                "the process dispatcher always runs whole-stack pilots"
-            )
         self.backend = get_backend(backend).name
         self.workers = int(workers)
-        self.dispatcher_kind = dispatcher
-        self.dispatcher: Union[BatchedDispatcher, ProcessDispatcher, None] = None
-        if self.workers and dispatcher == "process":
+        # Lifetime instruments (queue waits, cache hits, scheduler cycles,
+        # dispatch faults).  ServiceMetrics stays the source of truth for
+        # per-job KPI reductions; the registry covers what per-job records
+        # cannot.
+        self.obs = obs if obs is not None else NULL_METRICS
+        self.dispatcher: Optional[ProcessDispatcher] = None
+        if self.workers:
             self.dispatcher = ProcessDispatcher(
                 self.workers,
                 backend=self.backend,
@@ -130,14 +123,7 @@ class ReconstructionService:
                 fault_injection=fault_injection,
                 on_executed=self._on_pilot_executed,
                 on_failed=self._on_pilot_failed,
-                on_retry=self._on_pilot_retry,
-                on_timeout=self._on_pilot_timeout,
-                on_crash=self._on_pilot_crash,
-            )
-        elif self.workers:
-            self.dispatcher = BatchedDispatcher(
-                self.workers, backend=self.backend, pilot_problem=pilot_problem,
-                streaming_chunk_size=streaming_chunk_size,
+                obs=self.obs,
             )
         self._lock = threading.RLock()
         self.cluster = GPUCluster(cluster_gpus, device=device)
@@ -158,10 +144,6 @@ class ReconstructionService:
             max_gpus_per_job=max_gpus_per_job,
         )
         self.metrics = ServiceMetrics()  # guarded-by: _lock
-        # Lifetime instruments (queue waits, cache hits, scheduler cycles).
-        # ServiceMetrics stays the source of truth for per-job KPI
-        # reductions; the registry covers what per-job records cannot.
-        self.obs = obs if obs is not None else NULL_METRICS
         # Any fair-share knob on the admission policy upgrades the queue
         # to weighted deficit-round-robin with quotas and aging.
         if admission is not None and admission.fairness_enabled:
@@ -224,12 +206,6 @@ class ReconstructionService:
         with self._lock:
             if self.store is not None:
                 self.store.record_executed(job)
-            if job.pilot_cache_hit is not None:
-                name = (
-                    "dispatch.pilot_cache_hits" if job.pilot_cache_hit
-                    else "dispatch.pilot_cache_misses"
-                )
-                self.obs.counter(name).inc()
 
     def _on_pilot_failed(self, job: ReconstructionJob) -> None:
         with self._lock:
@@ -243,15 +219,6 @@ class ReconstructionService:
                 # counter reconciles it with summary()["jobs_completed"]:
                 # current completions = observed - overturned.
                 self.obs.counter("service.completions_overturned").inc()
-
-    def _on_pilot_retry(self, job: ReconstructionJob, reason: str) -> None:
-        self.obs.counter("dispatch.retries").inc()
-
-    def _on_pilot_timeout(self, job: ReconstructionJob) -> None:
-        self.obs.counter("dispatch.timeouts").inc()
-
-    def _on_pilot_crash(self, job: ReconstructionJob) -> None:
-        self.obs.counter("dispatch.crashes").inc()
 
     # ------------------------------------------------------------------ #
     # Submission and the event loop
@@ -417,8 +384,8 @@ class ReconstructionService:
             self._finish_heap.clear()
             self.clock_seconds = 0.0
             dispatcher = self.dispatcher
-        # Draining waits on pilot callbacks that take the service lock from
-        # worker threads, so it must happen after the lock is released.
+        # Draining waits on pilots for up to their timeouts, so it must
+        # happen after the lock is released: submitters never wait on it.
         if dispatcher is not None:
             dispatcher.drain()
             dispatcher.reset_accounting()
@@ -516,13 +483,6 @@ class ReconstructionService:
         snapshot would tear mid-update.
         """
         with self._lock:
-            dispatcher = self.dispatcher
-            if isinstance(dispatcher, ProcessDispatcher):
-                # Dispatcher counters are the source of truth for fault
-                # accounting; fold them into the metrics window at read time.
-                self.metrics.dispatch_retries = dispatcher.retries
-                self.metrics.dispatch_timeouts = dispatcher.timeouts
-                self.metrics.dispatch_crashes = dispatcher.crashes
             tenant_weights = (
                 self.queue.weights_snapshot()
                 if isinstance(self.queue, FairShareQueue) else None
@@ -531,6 +491,8 @@ class ReconstructionService:
                 cache=self.cache, cluster_gpus=self.cluster.total_gpus,
                 tenant_weights=tenant_weights,
             )
+            if self.dispatcher is not None:
+                summary.update(self.dispatcher.fault_summary())
             jobs = sorted(
                 self.metrics.completed + self.metrics.rejected + self.metrics.failed,
                 key=lambda j: (j.arrival_seconds, j.sequence),

@@ -36,12 +36,11 @@ backend × scenario × dtype × chunk-size matrix, in turn and overlapped.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from ..backends.base import ComputeBackend
 from ..backends.tiled import WORKER_THREAD_PREFIX
@@ -54,9 +53,8 @@ from ..obs import (
     MetricsRegistry,
     get_tracer,
     peak_rss_bytes,
-    use_tracer,
 )
-from ..pipeline.circular_buffer import BufferClosed, CircularBuffer
+from ..pipeline.circular_buffer import ahead
 from .chunks import (
     _fft_pad,
     chunk_working_set_bytes,
@@ -79,6 +77,10 @@ __all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
 #: four 32³-48³ volumes (.31 101/167, .41 135/167, .44 260/267, .45 174/188)
 #: where the second *shard* is what costs — ROADMAP 1(b), not this rule.
 OVERLAP_MIN_FILTER_SHARE = 0.5
+
+#: The overlapped loop's filter stage: one chunk ahead and no more, so a run
+#: under a memory budget has at most two chunks in flight.
+_one_ahead = partial(ahead, depth=1, name=WORKER_THREAD_PREFIX + "-filter")
 
 
 def _filter_share(geometry: CBCTGeometry, nz: int) -> float:
@@ -395,47 +397,6 @@ class StreamingReconstructor:
             memory_budget_bytes=self.memory_budget_bytes,
             peak_rss_bytes=rss,
         )
-
-
-def _one_ahead(steps: Iterator) -> Iterator:
-    """Yield ``steps`` as a producer thread runs them, one step ahead (Fig. 4a).
-
-    A step starts only while fewer than two are unfinished — the chunk being
-    back-projected and the one being read and filtered, or waiting.  Either
-    side stopping releases the other: the producer closes the buffer behind
-    its error, raised here after the finished steps; closing this generator
-    joins the thread.
-    """
-    ready: CircularBuffer = CircularBuffer(1)
-    slots = threading.Semaphore(2)  # chunks in flight
-    errors: List[BaseException] = []
-    tracer = get_tracer()  # ambient on the dispatching thread
-
-    def produce() -> None:
-        try:
-            with use_tracer(tracer):
-                while slots.acquire() and not ready.closed:
-                    ready.put(next(steps))
-        except (StopIteration, BufferClosed):
-            pass  # the steps are exhausted, or the consumer has left
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-        finally:
-            ready.close()
-
-    thread = threading.Thread(target=produce, name=WORKER_THREAD_PREFIX + "-filter")
-    thread.start()
-    try:
-        for step in ready:
-            yield step
-            slots.release()  # the step just folded is finished
-        if errors:
-            raise errors[0]
-    finally:
-        ready.close()
-        slots.release()
-        thread.join()
-        steps.close()
 
 
 def reconstruct_streaming(

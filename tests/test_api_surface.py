@@ -119,3 +119,82 @@ def test_geometry_serialization_covers_every_field():
         f"missing {sorted(actual - serialized)}, "
         f"stale {sorted(serialized - actual)}"
     )
+
+
+# --------------------------------------------------------------------------- #
+# Option inventory: every knob of the execution seams, by name.  A parameter
+# that drifts back (or a new one) fails here and has to be argued for.
+# --------------------------------------------------------------------------- #
+def _parameters(function):
+    import inspect
+
+    return [name for name in inspect.signature(function).parameters if name != "self"]
+
+
+def test_reconstruction_service_options_are_pinned():
+    from repro.service import ReconstructionService
+
+    assert _parameters(ReconstructionService.__init__) == [
+        "cluster_gpus", "policy", "model", "cache", "admission", "device",
+        "max_gpus_per_job", "backend", "workers", "pilot_problem", "obs",
+        "state_dir", "cache_dir", "dispatch_timeout_seconds",
+        "dispatch_max_retries", "fault_injection",
+    ]
+
+
+def test_session_options_are_pinned():
+    assert _parameters(repro.api.Session.__init__) == [
+        "plan", "tracer", "state_dir", "cache_dir",
+    ]
+
+
+def test_dispatcher_options_are_pinned():
+    from repro.service import ProcessDispatcher
+
+    assert _parameters(ProcessDispatcher.__init__) == [
+        "workers", "backend", "pilot_problem", "cache_dir", "timeout_seconds",
+        "max_retries", "fault_injection", "on_executed", "on_failed", "obs",
+    ]
+
+
+def test_run_rank_options_are_pinned():
+    from repro.pipeline import run_rank
+
+    assert _parameters(run_rank) == ["comm", "config", "pfs", "volume_name"]
+
+
+def test_serve_flags_are_pinned():
+    from repro.cli import build_parser
+
+    subparsers = next(
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.choices and "serve" in action.choices
+    )
+    flags = sorted(
+        option
+        for action in subparsers.choices["serve"]._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    )
+    assert flags == [
+        "--aging-seconds", "--backend", "--cache-dir", "--gpus", "--help",
+        "--http", "--http-host", "--max-inflight-per-tenant",
+        "--max-queue-depth", "--max-tenant-depth", "--policy", "--report",
+        "--state-dir", "--tenant-weights", "--trace", "--trace-out", "--workers",
+    ]
+
+
+def test_the_deleted_selector_is_an_unknown_keyword():
+    import pytest
+
+    from repro.api import plan_for_problem
+    from repro.cli import build_parser
+    from repro.service import ReconstructionService
+
+    with pytest.raises(TypeError, match="dispatcher"):
+        ReconstructionService(8, dispatcher="process")
+    plan = plan_for_problem("24x24x8->16x16x16", target="service")
+    with pytest.raises(TypeError, match="dispatcher"):
+        repro.api.Session(plan, dispatcher="process")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--http", "0", "--dispatcher", "process"])

@@ -150,6 +150,7 @@ class TestWorkersFlag:
         assert printed["volume_min"] == blocked["volume_min"]
         assert printed["volume_max"] == blocked["volume_max"]
 
+    @pytest.mark.serving
     def test_submit_with_workers_reports_real_execution(self, capsys):
         assert main(["submit", "--problem", "512x512x1024->256x256x256",
                      "--gpus", "4", "--workers", "1"]) == 0

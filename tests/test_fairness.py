@@ -29,6 +29,7 @@ from repro.service.queue import QUOTA_REJECTION_PREFIX
 pytestmark = pytest.mark.fairness
 
 PROBLEM = problem_from_string("48x48x24->32x32x32")
+SMALL = "512x512x1024->256x256x256"
 
 
 def make_job(
@@ -186,6 +187,83 @@ class TestWeightedShares:
         service, worker = self._drain_with_plan_weight(weight)
         assert not worker.is_alive()
         assert service.queue.deficit_rounds == rounds
+
+
+class TestWeightFloor:
+    """``tenant_weight=1e-320`` passed every ``> 0`` check, was queued, and
+    ``quantum x weight`` underflowed: the scheduling cycle raised
+    ``OverflowError`` for that submission and for every later one."""
+
+    GOOD = dict(target="service", backend="vectorized", tenant="good")
+
+    def test_an_underflowing_plan_weight_is_refused_before_it_is_queued(self):
+        from repro.api import plan_for_problem
+
+        service = ReconstructionService(
+            4, backend="vectorized", admission=AdmissionPolicy(fair_share=True)
+        )
+        good = plan_for_problem(SMALL, **self.GOOD)
+        for index in range(3):
+            service.submit_plan(good, dataset_id=f"queued-{index}")
+        bad = plan_for_problem(SMALL, **{**self.GOOD, "tenant": "evil"},
+                               tenant_weight=1e-320)
+        with pytest.raises(ValueError, match="at least 1e-09"):
+            bad.validate()
+        with pytest.raises(ValueError, match="at least 1e-09"):
+            service.submit_plan(bad, dataset_id="bad")
+        assert len(service.queue) == 3  # nothing of it was queued
+        service.submit_plan(good, dataset_id="after")
+        service.run_until_idle()  # raised OverflowError, forever, before
+        assert len(service.queue) == 0
+        assert service.report().summary["jobs_completed"] == 4.0
+
+    @pytest.mark.parametrize("weight", [1e-320, 1e-10, 0.0, float("nan")])
+    def test_one_floor_at_every_door(self, weight):
+        from repro.service.job import MIN_TENANT_WEIGHT
+
+        assert MIN_TENANT_WEIGHT <= 1e-9  # the 1e-9 case above still runs
+        with pytest.raises(ValueError):
+            ReconstructionJob(problem=SMALL, tenant_weight=weight)
+        with pytest.raises(ValueError):
+            AdmissionPolicy(tenant_weights={"a": weight})
+        with pytest.raises(ValueError):
+            AdmissionPolicy(default_tenant_weight=weight)
+        ReconstructionJob(problem=SMALL, tenant_weight=MIN_TENANT_WEIGHT)
+        AdmissionPolicy(tenant_weights={"a": MIN_TENANT_WEIGHT})
+
+    def test_over_http_it_is_a_400_and_the_next_submission_completes(self):
+        import json
+        import urllib.error
+        import urllib.request
+
+        from repro.api import plan_for_problem
+        from repro.service import ServiceHTTPServer
+
+        def post(url, plan):
+            request = urllib.request.Request(
+                url, data=plan.to_json().encode("utf-8"), method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return json.loads(response.read())
+
+        service = ReconstructionService(
+            4, backend="vectorized", admission=AdmissionPolicy(fair_share=True)
+        )
+        server = ServiceHTTPServer(service, auto_advance=True)
+        server.start()
+        try:
+            url = f"http://127.0.0.1:{server.port}/plans"
+            bad = plan_for_problem(SMALL, **{**self.GOOD, "tenant": "evil"},
+                                   tenant_weight=1e-320)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(url, bad)
+            assert excinfo.value.code == 400
+            assert "tenant_weight" in json.loads(excinfo.value.read())["error"]
+            good = post(url, plan_for_problem(SMALL, **self.GOOD))
+            assert good["state"] == "completed"
+        finally:
+            server.stop()
+            service.close()
 
 
 # --------------------------------------------------------------------------- #

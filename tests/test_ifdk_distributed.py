@@ -81,6 +81,50 @@ def test_run_result_reports_statistics(geometry, projections):
     assert np.isfinite(result.mean_overlap_delta())
 
 
+def test_stage_totals_name_the_eight_stages(geometry, projections):
+    result = IFDKFramework(
+        IFDKConfig(geometry=geometry, rows=2, columns=2)
+    ).reconstruct(projections)
+    assert list(result.stage_totals()) == [
+        "load", "filter", "allgather", "h2d", "backprojection", "d2h", "reduce", "store",
+    ]
+    for rank_result in result.rank_results:
+        by_name = {}
+        for span in rank_result.spans:
+            assert span.attrs == {"rank": rank_result.rank, "stage": span.name}
+            by_name[span.name] = by_name.get(span.name, 0.0) + span.duration
+        for stage, seconds in rank_result.stage_seconds.items():
+            assert seconds == pytest.approx(by_name.get(stage, 0.0))
+
+
+def test_traced_session_adopts_rank_spans_at_their_true_times(geometry, projections):
+    """Each rank's spans land in the session trace where they happened — inside
+    the ``run`` span, not shifted by the rank's own start-up offset."""
+    from repro.api import ReconstructionPlan, Session
+    from repro.obs import Tracer
+
+    plan = ReconstructionPlan(geometry=geometry, target="ifdk", rows=2, columns=2)
+    tracer = Tracer()
+    with Session(plan, tracer=tracer) as session:
+        session.run(projections)
+    spans = tracer.spans()
+    (run,) = [span for span in spans if span.name == "run"]
+    staged = [span for span in spans if "stage" in span.attrs]
+    assert len(staged) == len(spans) - 1
+    for span in staged:
+        assert span.parent_id == run.span_id
+        assert span.attrs["rank"] in range(4) and span.attrs["stage"] == span.name
+        assert run.start <= span.start <= span.stop <= run.stop
+    for rank in range(4):
+        first = {}
+        for span in sorted(staged, key=lambda span: span.start):
+            if span.attrs["rank"] == rank:
+                first.setdefault(span.name, span)
+        # The Fig. 4a order on every rank: filtering is under way before the
+        # first back-projection is done.
+        assert first["filter"].start < first["backprojection"].stop
+
+
 def test_stage_input_validates_shape(geometry, projections):
     other = default_geometry_for_problem(nu=32, nv=32, np_=16, nx=32, ny=32, nz=32)
     config = IFDKConfig(geometry=other, rows=2, columns=2)
@@ -184,5 +228,5 @@ def test_failed_allgather_releases_the_filtering_thread(monkeypatch):
     assert isinstance(outcome, SpmdError)
     assert isinstance(outcome.failures[0].exception, ConnectionError)
     assert not [
-        t for t in threading.enumerate() if t.name.endswith(("-filter", "-bp"))
+        t for t in threading.enumerate() if t.name.endswith(("-filter", "-allgather"))
     ]

@@ -1,9 +1,11 @@
-"""Tests for the iFDK pipeline: config, decomposition, buffers, tracing, perf model."""
+"""Tests for the iFDK pipeline: config, decomposition, buffers, the stage
+primitive, the overlap factor, perf model."""
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.bench import PROBLEM_4K, PROBLEM_8K
 from repro.core import default_geometry_for_problem
 from repro.core.types import ReconstructionProblem
 from repro.gpusim import TESLA_V100
+from repro.obs import Tracer, get_tracer, use_tracer
 from repro.pipeline import (
     ABCI_MICROBENCHMARKS,
     BufferClosed,
@@ -19,11 +22,11 @@ from repro.pipeline import (
     Decomposition,
     IFDKConfig,
     IFDKPerformanceModel,
-    PipelineTracer,
+    ahead,
     choose_grid,
     subvolume_bytes,
-    summarize_events,
 )
+from repro.pipeline.rank_runtime import _overlap_delta
 
 
 @pytest.fixture()
@@ -180,37 +183,110 @@ class TestCircularBuffer:
             CircularBuffer(capacity=0)
 
 
-class TestTracing:
-    def test_span_records_duration(self):
-        tracer = PipelineTracer(rank=0)
-        with tracer.span("work", payload_bytes=10):
-            time.sleep(0.01)
-        events = tracer.events()
-        assert len(events) == 1
-        assert events[0].duration >= 0.009
-        assert tracer.stage_seconds("work") >= 0.009
+def _stage_threads():
+    return [t for t in threading.enumerate() if t.name == "stage-under-test"]
 
-    def test_overlap_delta_greater_than_one_for_parallel_stages(self):
-        tracer = PipelineTracer(rank=0)
-        # Two fully-overlapping synthetic events.
+
+@pytest.mark.parametrize("depth", [1, 8])
+class TestAhead:
+    """The one Fig. 4a stage primitive, at the chunk driver's depth and the
+    rank runtime's: the cases ``tests/test_ifdk_distributed.py`` drives through
+    a whole run, directly."""
+
+    def test_yields_every_step_in_order_and_joins(self, depth):
+        closed = []
+
+        def steps():
+            try:
+                yield from range(40)
+            finally:
+                closed.append(True)
+
+        assert list(ahead(steps(), depth, name="stage-under-test")) == list(range(40))
+        assert closed == [True] and not _stage_threads()
+
+    def test_runs_at_most_depth_steps_ahead(self, depth):
+        started = []
+
+        def steps():
+            for index in range(40):
+                started.append(index)
+                yield index
+
+        stream = ahead(steps(), depth, name="stage-under-test")
+        assert next(stream) == 0
+        deadline = time.perf_counter() + 5.0
+        while len(started) < depth + 1 and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.02)  # a producer that overran would have by now
+        # Step 0 is held by the consumer; depth more are made or waiting.
+        assert len(started) == depth + 1
+        stream.close()
+        assert not _stage_threads()
+
+    def test_consumer_dying_mid_stream_releases_the_producer(self, depth):
+        """The consumer stops with the producer as far ahead as it may get:
+        it must be released and joined, and the steps closed."""
+        closed = []
+
+        def steps():
+            try:
+                for index in range(1000):
+                    yield index
+            finally:
+                closed.append(True)
+
+        with pytest.raises(FloatingPointError):
+            with closing(ahead(steps(), depth, name="stage-under-test")) as stream:
+                for index in stream:
+                    if index == 2:
+                        time.sleep(0.02)  # let the producer run into its bound
+                        raise FloatingPointError("consumer failed")
+        assert closed == [True] and not _stage_threads()
+
+    def test_producer_dying_mid_stream_raises_its_own_exception(self, depth):
+        """After the finished steps the consumer gets the producer's error
+        itself, not the closed buffer it leaves behind."""
+
+        def steps():
+            yield from range(5)
+            raise ConnectionError("producer failed")
+
+        seen = []
+        with pytest.raises(ConnectionError, match="producer failed"):
+            for index in ahead(steps(), depth, name="stage-under-test"):
+                seen.append(index)
+        assert seen == list(range(5)) and not _stage_threads()
+
+    def test_producer_sees_the_consumers_ambient_tracer(self, depth):
+        def steps():
+            yield get_tracer()
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert list(ahead(steps(), depth, name="stage-under-test")) == [tracer]
+
+
+class TestOverlapDelta:
+    def test_greater_than_one_for_parallel_stages(self):
+        tracer = Tracer()
+        # Two fully-overlapping synthetic spans.
         tracer.record("a", 100.0, 101.0)
         tracer.record("b", 100.0, 101.0)
-        assert tracer.overlap_delta() == pytest.approx(2.0)
+        assert _overlap_delta(tracer.spans(), ("a", "b")) == pytest.approx(2.0)
 
-    def test_overlap_delta_one_for_serial_stages(self):
-        tracer = PipelineTracer(rank=0)
+    def test_one_for_serial_stages(self):
+        tracer = Tracer()
         tracer.record("a", 0.0, 1.0)
         tracer.record("b", 1.0, 2.0)
-        assert tracer.overlap_delta() == pytest.approx(1.0)
+        assert _overlap_delta(tracer.spans(), ("a", "b")) == pytest.approx(1.0)
 
-    def test_summarize_events(self):
-        tracer = PipelineTracer(rank=3)
-        tracer.record("x", 0.0, 1.0, payload_bytes=5)
-        tracer.record("x", 2.0, 2.5, payload_bytes=5)
-        summary = summarize_events(tracer.events())
-        assert summary["x"].events == 2
-        assert summary["x"].total_seconds == pytest.approx(1.5)
-        assert summary["x"].payload_bytes == 10
+    def test_only_the_named_stages_count(self):
+        tracer = Tracer()
+        tracer.record("a", 0.0, 1.0)
+        tracer.record("tail", 1.0, 5.0)
+        assert _overlap_delta(tracer.spans(), ("a",)) == pytest.approx(1.0)
+        assert _overlap_delta(tracer.spans(), ("absent",)) == 0.0
 
 
 class TestPerformanceModel:

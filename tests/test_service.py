@@ -14,13 +14,13 @@ from repro.pfs import SimulatedPFS
 from repro.service import (
     AdmissionPolicy,
     ArrivalTrace,
-    BatchedDispatcher,
     CacheKey,
     ClusterScheduler,
     FilteredProjectionCache,
     GPUCluster,
     JobQueue,
     JobState,
+    ProcessDispatcher,
     ReconstructionJob,
     ReconstructionService,
     ServiceMetrics,
@@ -472,115 +472,102 @@ class TestReconstructionService:
 
 
 # --------------------------------------------------------------------------- #
-# Real concurrent execution (the batched dispatcher)
+# Real concurrent execution (the dispatcher's worker processes)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parallel
-class TestBatchedDispatch:
-    #: A pilot heavy enough (~tens of ms of tile-kernel work) that two
-    #: concurrent executions must overlap in wall-clock by a wide margin.
-    OVERLAP_PILOT = "48x48x64->32x32x32"
-
-    def test_disjoint_placements_overlap_in_wall_clock(self):
-        with ReconstructionService(
-            16, backend="blocked", workers=2, pilot_problem=self.OVERLAP_PILOT
-        ) as service:
-            jobs = [make_job(SMALL, slo_seconds=500.0) for _ in range(2)]
-            for job in jobs:
-                assert service.submit(job)
-            service.run_until_idle()
-            first, second = jobs
-            # Both were placed in the same scheduling cycle on disjoint GPU
-            # sets and dispatched as one batch to a 2-worker pool: each must
-            # start before the other finishes.
-            assert first.executed_wall_seconds > 0
-            assert second.executed_wall_seconds > 0
-            assert first.executed_start_seconds < second.executed_finish_seconds
-            assert second.executed_start_seconds < first.executed_finish_seconds
-            assert service.dispatcher.batches_dispatched == 1
-            assert service.dispatcher.jobs_executed == 2
-
-    def test_cache_hits_are_safe_under_concurrent_submit(self):
+@pytest.mark.serving
+class TestDispatch:
+    @pytest.fixture(scope="class")
+    def service(self):
+        """One two-worker service for the class: its pool is spawned once."""
         with ReconstructionService(16, backend="blocked", workers=2) as service:
-            warm = make_job(dataset_id="shared")
-            assert service.submit(warm)
-            service.run_until_idle()
-            jobs = [make_job(dataset_id="shared") for _ in range(8)]
-            outcomes = [None] * len(jobs)
+            yield service
 
-            def tenant(index):
-                outcomes[index] = service.submit(jobs[index])
+    def test_disjoint_placements_overlap_in_wall_clock(self, service):
+        service.reset()
+        jobs = [make_job(SMALL, slo_seconds=500.0) for _ in range(2)]
+        for job in jobs:
+            assert service.submit(job)
+        service.run_until_idle()
+        first, second = jobs
+        # Both were placed in the same scheduling cycle on disjoint GPU
+        # sets and dispatched as one batch to a 2-worker pool: each must
+        # start before the other finishes.
+        assert first.executed_wall_seconds > 0
+        assert second.executed_wall_seconds > 0
+        assert first.executed_start_seconds < second.executed_finish_seconds
+        assert second.executed_start_seconds < first.executed_finish_seconds
+        assert service.dispatcher.batches_dispatched == 1
+        assert service.dispatcher.jobs_executed == 2
 
-            threads = [
-                threading.Thread(target=tenant, args=(i,), name=f"tenant-{i}")
-                for i in range(len(jobs))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(outcomes)
-            service.run_until_idle()
-            assert all(j.state is JobState.COMPLETED for j in jobs)
-            assert all(j.cache_hit for j in jobs)  # warmed dataset: all hit
-            stats = service.cache.stats
-            # Counted lookups stayed consistent under concurrency.
-            assert stats.hits + stats.misses == stats.lookups
-            assert stats.hits >= len(jobs)
+    def test_cache_hits_are_safe_under_concurrent_submit(self, service):
+        warm = make_job(dataset_id="shared")
+        assert service.submit(warm)
+        service.run_until_idle()
+        jobs = [make_job(dataset_id="shared") for _ in range(8)]
+        outcomes = [None] * len(jobs)
 
-    def test_worker_accounting_sums_correctly(self):
-        trace = synthetic_trace(10, cluster_gpus=8, seed=4)
-        with ReconstructionService(8, backend="blocked", workers=2) as service:
-            report = service.replay(trace)
-            done = [j for j in report.jobs if j["state"] == "completed"]
-            assert done and all(j["executed_wall_s"] > 0 for j in done)
-            assert all(j["workers"] >= 1 for j in done)
-            summary = report.summary
-            assert summary["jobs_executed"] == len(done)
-            assert summary["worker_seconds_total"] == pytest.approx(
-                sum(j["worker_seconds"] for j in done)
-            )
-            assert summary["executed_wall_seconds_total"] == pytest.approx(
-                sum(j["executed_wall_s"] for j in done)
-            )
-            # The dispatcher's own busy accounting agrees with the per-job sum.
-            assert service.dispatcher.busy_worker_seconds == pytest.approx(
-                summary["worker_seconds_total"]
-            )
-            # A second replay starts its worker accounting fresh too, so the
-            # invariant holds on a reused service.
-            second = service.replay(synthetic_trace(4, cluster_gpus=8, seed=5))
-            assert second.summary["jobs_executed"] == 4
-            assert service.dispatcher.busy_worker_seconds == pytest.approx(
-                second.summary["worker_seconds_total"]
-            )
+        def tenant(index):
+            outcomes[index] = service.submit(jobs[index])
+
+        threads = [
+            threading.Thread(target=tenant, args=(i,), name=f"tenant-{i}")
+            for i in range(len(jobs))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(outcomes)
+        service.run_until_idle()
+        assert all(j.state is JobState.COMPLETED for j in jobs)
+        assert all(j.cache_hit for j in jobs)  # warmed dataset: all hit
+        stats = service.cache.stats
+        # Counted lookups stayed consistent under concurrency.
+        assert stats.hits + stats.misses == stats.lookups
+        assert stats.hits >= len(jobs)
+
+    def test_worker_accounting_sums_correctly(self, service):
+        report = service.replay(synthetic_trace(10, cluster_gpus=8, seed=4))
+        done = [j for j in report.jobs if j["state"] == "completed"]
+        assert done and all(j["executed_wall_s"] > 0 for j in done)
+        assert all(j["workers"] >= 1 for j in done)
+        summary = report.summary
+        assert summary["jobs_executed"] == len(done)
+        assert summary["worker_seconds_total"] == pytest.approx(
+            sum(j["worker_seconds"] for j in done)
+        )
+        assert summary["executed_wall_seconds_total"] == pytest.approx(
+            sum(j["executed_wall_s"] for j in done)
+        )
+        # No fault, no fault keys: the report keeps its fault-free shape.
+        assert not [key for key in summary if key.startswith("dispatch_")]
+        # The dispatcher's own busy accounting agrees with the per-job sum.
+        assert service.dispatcher.busy_worker_seconds == pytest.approx(
+            summary["worker_seconds_total"]
+        )
+        # A second replay starts its worker accounting fresh too, so the
+        # invariant holds on a reused service.
+        second = service.replay(synthetic_trace(4, cluster_gpus=8, seed=5))
+        assert second.summary["jobs_executed"] == 4
+        assert service.dispatcher.busy_worker_seconds == pytest.approx(
+            second.summary["worker_seconds_total"]
+        )
 
     def test_model_only_service_has_no_worker_accounting(self):
         report = ReconstructionService(8).replay(synthetic_trace(4, seed=0))
         assert "worker_seconds_total" not in report.summary
         assert all(j["executed_wall_s"] is None for j in report.jobs)
 
-    def test_dispatcher_validation_and_thread_hygiene(self):
+    def test_dispatcher_validation(self):
         with pytest.raises(ValueError, match="positive integer"):
-            BatchedDispatcher(0)
+            ProcessDispatcher(0)
         with pytest.raises(ValueError, match="non-negative integer"):
             ReconstructionService(8, workers=-1)
-        service = ReconstructionService(8, backend="blocked", workers=2)
+
+    def test_record_with_execution_is_json_serializable(self, service):
         job = make_job(SMALL)
         assert service.submit(job)
         service.run_until_idle()
-        assert job.executed_wall_seconds > 0
-        service.close()
-        leaked = [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-dispatch") and t.is_alive()
-        ]
-        assert not leaked
-
-    def test_record_with_execution_is_json_serializable(self):
-        with ReconstructionService(8, backend="blocked", workers=1) as service:
-            job = make_job(SMALL)
-            assert service.submit(job)
-            service.run_until_idle()
         json.dumps(job.as_record())
         with pytest.raises(ValueError):
             job.mark_executed(2.0, 1.0, workers=1)
@@ -870,7 +857,7 @@ class TestPlanDrivenCacheKeying:
 
 # --------------------------------------------------------------------------- #
 # Service-layer bugfix regressions (cache eviction, fingerprint dtype,
-# dispatcher lock contention, backlog-cap bypass)
+# backlog-cap bypass)
 # --------------------------------------------------------------------------- #
 class TestCacheEvictionRegressions:
     def key(self, dataset):
@@ -929,66 +916,6 @@ class TestFingerprintDtypeRegression:
         assert alias.data.tobytes() == base.data.tobytes()
         assert alias.data.shape == base.data.shape
         assert fingerprint_stack(base) != fingerprint_stack(alias)
-
-
-class TestDispatcherLockContentionRegression:
-    def test_completion_accounting_proceeds_during_long_dispatch(self):
-        import time
-
-        from repro.service import AllocationPlan, Placement
-
-        dispatcher = BatchedDispatcher(2, backend="vectorized")
-        inner = dispatcher._ensure()
-        gate = threading.Event()
-        observed_during_dispatch = threading.Event()
-
-        class SlowSubmitExecutor:
-            """Stretches the dispatch loop: blocks after the first submit."""
-
-            def __init__(self, executor):
-                self._executor = executor
-                self._submissions = 0
-
-            def submit(self, fn, *args):
-                future = self._executor.submit(fn, *args)
-                self._submissions += 1
-                if self._submissions == 1:
-                    gate.wait(timeout=15.0)
-                return future
-
-            def __getattr__(self, name):
-                return getattr(self._executor, name)
-
-        dispatcher._executor = SlowSubmitExecutor(inner)
-
-        def watch():
-            deadline = time.time() + 10.0
-            while time.time() < deadline:
-                if dispatcher.jobs_executed >= 1:
-                    observed_during_dispatch.set()
-                    break
-                time.sleep(0.005)
-            gate.set()  # always unblock dispatch: fail the assert, not hang
-
-        watcher = threading.Thread(target=watch, name="accounting-watcher")
-        watcher.start()
-        plan = AllocationPlan(
-            gpus=1, rows=1, columns=1, runtime_seconds=1.0, cache_hit=False
-        )
-        placements = [
-            Placement(job=make_job(SMALL), plan=plan, start_seconds=0.0)
-            for _ in range(2)
-        ]
-        try:
-            # Pre-fix, dispatch held the dispatcher lock across the whole
-            # submit loop, so the first pilot's completion accounting (which
-            # needs the same lock) could not land until dispatch returned.
-            dispatcher.dispatch(placements)
-        finally:
-            watcher.join()
-            dispatcher.close()
-        assert observed_during_dispatch.is_set()
-        assert dispatcher.jobs_executed == 2
 
 
 class TestQueueBacklogEstimationRegression:

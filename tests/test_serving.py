@@ -2,20 +2,23 @@
 process dispatcher and the HTTP front door.
 
 Fast tests (journal replay, disk-cache semantics, in-process restart
-recovery, HTTP endpoints) run in tier-1.  Tests that spawn real worker
-processes or kill a subprocess are additionally marked ``slow`` — the CI
-``service-serving`` job runs them with ``-m serving``.
+recovery, HTTP endpoints, one real-worker retry) run in tier-1.  Tests that
+crash, wedge or kill worker processes or a subprocess are additionally
+marked ``slow`` — the CI ``service-serving`` job runs them with
+``-m serving``.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -585,8 +588,7 @@ class TestPoolRebuildBookkeeping:
         from concurrent.futures import Future
 
         dispatcher = ProcessDispatcher(2, backend="vectorized",
-                                       pilot_problem=PILOT,
-                                       retry_backoff_seconds=0.0)
+                                       pilot_problem=PILOT)
         fake = _FakeExecutor()
         dispatcher._ensure = lambda: fake
         dispatcher._teardown_pool = lambda: None
@@ -613,7 +615,7 @@ class TestProcessDispatcher:
     def test_cross_process_cache_hit_across_service_restarts(self, tmp_path):
         cache_dir = tmp_path / "cache"
         first = ReconstructionService(
-            16, backend="vectorized", workers=2, dispatcher="process",
+            16, backend="vectorized", workers=2,
             pilot_problem=PILOT, cache_dir=cache_dir,
         )
         j1 = make_job(job_id="warm", dataset_id="ds-X")
@@ -624,7 +626,7 @@ class TestProcessDispatcher:
 
         # A new service = new worker processes; same cache directory.
         second = ReconstructionService(
-            16, backend="vectorized", workers=2, dispatcher="process",
+            16, backend="vectorized", workers=2,
             pilot_problem=PILOT, cache_dir=cache_dir,
         )
         j2 = make_job(job_id="hit", dataset_id="ds-X")
@@ -641,7 +643,7 @@ class TestProcessDispatcher:
 
         obs = MetricsRegistry()
         service = ReconstructionService(
-            16, backend="vectorized", workers=2, dispatcher="process",
+            16, backend="vectorized", workers=2,
             pilot_problem=PILOT, dispatch_timeout_seconds=60.0,
             dispatch_max_retries=1, obs=obs,
             fault_injection={"doomed": {"crash_attempts": [1, 2]}},
@@ -668,7 +670,7 @@ class TestProcessDispatcher:
 
     def test_timeout_is_killed_and_retried_to_success(self, tmp_path):
         service = ReconstructionService(
-            16, backend="vectorized", workers=1, dispatcher="process",
+            16, backend="vectorized", workers=1,
             pilot_problem=PILOT, dispatch_timeout_seconds=2.0,
             dispatch_max_retries=2,
             fault_injection={"stuck": {"sleep_seconds": 30.0,
@@ -685,7 +687,7 @@ class TestProcessDispatcher:
 
     def test_exhausted_timeouts_fail_the_job_not_the_service(self, tmp_path):
         service = ReconstructionService(
-            16, backend="vectorized", workers=1, dispatcher="process",
+            16, backend="vectorized", workers=1,
             pilot_problem=PILOT, dispatch_timeout_seconds=1.0,
             dispatch_max_retries=0,
             fault_injection={"wedged": {"sleep_seconds": 30.0}},
@@ -716,6 +718,101 @@ class TestProcessDispatcher:
         assert job.execution_attempts == 2
         assert dispatcher.retries == 1
         dispatcher.close()
+
+
+# --------------------------------------------------------------------------- #
+# The one dispatcher: faults counted once, nothing left behind
+# --------------------------------------------------------------------------- #
+def _left_behind(before, allowed=0):
+    """Worker processes (beyond ``before``) still alive once the dying have
+    had time to die, and dispatcher-named threads."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        children = [
+            child for child in multiprocessing.active_children()
+            if child not in before
+        ]
+        if len(children) <= allowed or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    threads = [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith("repro-dispatch")
+    ]
+    return children, threads
+
+
+class TestOneDispatcher:
+    def test_a_fault_is_counted_once_and_close_leaves_nothing(self):
+        before = multiprocessing.active_children()
+        obs = MetricsRegistry()
+        service = ReconstructionService(
+            16, backend="vectorized", workers=1, pilot_problem=PILOT, obs=obs,
+            fault_injection={"flaky": {"raise_attempts": [1]}},
+        )
+        flaky = make_job(job_id="flaky", dataset_id="ds-f")
+        fine = make_job(job_id="fine", dataset_id="ds-g")
+        service.submit(flaky)
+        service.submit(fine)
+        service.run_until_idle()
+        assert flaky.state is JobState.COMPLETED and flaky.execution_attempts == 2
+        assert fine.execution_attempts == 1
+        # One retry: in the dispatcher's window counter, in the summary the
+        # report builds from it, and in the lifetime instrument — the same 1.
+        summary = service.report().summary
+        assert service.dispatcher.retries == 1
+        assert (
+            summary["dispatch_retries"],
+            summary["dispatch_timeouts"],
+            summary["dispatch_crashes"],
+        ) == (1.0, 0.0, 0.0)
+        assert obs.snapshot()["dispatch.retries"] == 1.0
+        assert "dispatch.crashes" not in obs.snapshot()
+        # A fresh window forgets it (and the summary its keys); the lifetime
+        # instrument does not.
+        service.reset()
+        assert "dispatch_retries" not in service.report().summary
+        assert obs.snapshot()["dispatch.retries"] == 1.0
+        service.close()
+        assert _left_behind(before) == ([], [])
+
+    @pytest.mark.slow
+    def test_an_injected_crash_leaves_nothing(self):
+        before = multiprocessing.active_children()
+        service = ReconstructionService(
+            16, backend="vectorized", workers=2, pilot_problem=PILOT,
+            dispatch_max_retries=0,
+            fault_injection={"doomed": {"crash_attempts": [1]}},
+        )
+        doomed = make_job(job_id="doomed", dataset_id="ds-c")
+        service.submit(doomed)
+        service.run_until_idle()
+        assert doomed.state is JobState.FAILED
+        # The broken pool's workers are gone; only the rebuilt pool's live.
+        children, _ = _left_behind(
+            before, allowed=service.dispatcher.effective_workers
+        )
+        assert len(children) <= service.dispatcher.effective_workers == 1
+        service.close()
+        assert _left_behind(before) == ([], [])
+
+    @pytest.mark.slow
+    def test_an_exhausted_timeout_leaves_nothing(self):
+        before = multiprocessing.active_children()
+        service = ReconstructionService(
+            16, backend="vectorized", workers=1, pilot_problem=PILOT,
+            dispatch_timeout_seconds=1.0, dispatch_max_retries=0,
+            fault_injection={"wedged": {"sleep_seconds": 30.0}},
+        )
+        wedged = make_job(job_id="wedged", dataset_id="ds-w")
+        service.submit(wedged)
+        service.run_until_idle()
+        assert wedged.state is JobState.FAILED
+        # The wedged worker was killed, not abandoned to finish its sleep.
+        children, _ = _left_behind(before, allowed=1)
+        assert len(children) <= 1
+        service.close()
+        assert _left_behind(before) == ([], [])
 
 
 # --------------------------------------------------------------------------- #

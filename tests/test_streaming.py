@@ -55,8 +55,6 @@ from repro.pfs import SimulatedPFS
 from repro.pfs.projection_io import write_projection_dataset
 from repro.pipeline import CircularBuffer
 from repro.scenarios import get_scenario
-from repro.service import ReconstructionService
-from repro.service.dispatch import BatchedDispatcher
 from repro.streaming import reconstructor as reconstructor_module
 from repro.streaming import (
     DEFAULT_CHUNK_SIZE,
@@ -1080,33 +1078,6 @@ class TestStreamingSeams:
         )
         assert direct.memory_budget_bytes == 64 << 20
         assert direct.working_set_bytes <= 64 << 20
-
-    def test_dispatcher_streaming_pilot_is_bit_identical(self):
-        plain = BatchedDispatcher(1, backend="vectorized")
-        streaming = BatchedDispatcher(
-            1, backend="vectorized", streaming_chunk_size=3
-        )
-        whole = plain._backend.backproject(
-            plain._stack, plain._geometry, algorithm="proposed"
-        )
-        chunked = streaming._streaming.reconstruct(streaming._source)
-        np.testing.assert_array_equal(chunked.volume.data, whole.data)
-        assert chunked.chunk_size == 3
-
-    def test_service_executes_streaming_jobs(self):
-        plan = plan_for_problem(
-            "96x96x120->64x64x64", target="service",
-            backend="vectorized", workers=2,
-        )
-        with ReconstructionService(
-            8, backend="vectorized", workers=2, streaming_chunk_size=3
-        ) as service:
-            job = service.submit_plan(plan, dataset_id="stream-1")
-            service.run_until_idle()
-            service.dispatcher.drain()
-            assert service.dispatcher.jobs_executed == 1
-            assert service.dispatcher.streaming_chunk_size == 3
-        assert job.as_record()["state"] == "completed"
 
     def test_workers_rejected_on_backend_instances(self):
         with pytest.raises(ValueError, match="by name"):
