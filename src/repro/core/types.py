@@ -15,6 +15,7 @@ All arrays are single-precision ``float32`` by default, matching the paper's
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
@@ -139,12 +140,18 @@ class ReconstructionProblem:
         )
 
 
+@functools.lru_cache(maxsize=256)
 def problem_from_string(spec: str) -> ReconstructionProblem:
     """Parse ``"NuxNvxNp->NxxNyxNz"`` into a :class:`ReconstructionProblem`.
 
     The format mirrors how the paper writes problems, e.g.
     ``"2048x2048x4096->4096x4096x4096"``.  ``k`` suffixes are accepted
     (``"2k"`` means 2048).
+
+    Memoised (bounded): a trace names a handful of specs thousands of
+    times, the problem is frozen, so equal specs share one object — which
+    makes the dictionaries keyed by problem hit on identity.  A spec that
+    fails to parse raises every time; nothing is cached for it.
     """
 
     def parse_dim(token: str) -> int:

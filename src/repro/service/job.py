@@ -150,10 +150,17 @@ class ReconstructionJob:
             self.problem = problem_from_string(self.problem)
         if self.priority < 0:
             raise ValueError("priority must be non-negative (0 = most urgent)")
-        if self.slo_seconds is not None and self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive when given")
-        if self.arrival_seconds < 0:
-            raise ValueError("arrival_seconds must be non-negative")
+        # ``not x > 0``, not ``x <= 0``: NaN must fail too.  A NaN deadline
+        # has no place in the ordered queue (every comparison is false) and
+        # a NaN arrival never becomes due on the event loop's clock.
+        if self.slo_seconds is not None and not self.slo_seconds > 0:
+            raise ValueError(
+                f"slo_seconds must be positive when given (got {self.slo_seconds!r})"
+            )
+        if not self.arrival_seconds >= 0:
+            raise ValueError(
+                f"arrival_seconds must be non-negative (got {self.arrival_seconds!r})"
+            )
         if not self.scenario:
             raise ValueError("scenario must be a non-empty preset name")
         if self.tenant_weight is not None and not self.tenant_weight >= MIN_TENANT_WEIGHT:

@@ -19,12 +19,23 @@ and the head is ``[0]``; nothing is re-sorted per scheduling cycle.
 Selective removal (the scheduler backfills jobs from the middle of the
 queue) bisects to the job's key and matches by identity.
 
-**Invariant:** a queued job's ``priority``, ``slo_seconds`` and
-``arrival_seconds`` do not change while it waits — ``submit`` stamps the
-arrival before offering, nothing in the service touches them afterwards,
-and :meth:`JobQueue.remove` raises if it cannot find the job under its
-current key, so a caller that breaks this fails loudly instead of
-corrupting the order.
+**Invariant:** a queued job's ``priority``, ``slo_seconds``,
+``arrival_seconds`` and ``problem`` do not change while it waits —
+``submit`` stamps the arrival before offering, nothing in the service
+touches them afterwards, and :meth:`JobQueue.remove` raises if it cannot
+find the job under its current key, so a caller that breaks this fails
+loudly instead of corrupting the order.
+
+Beside the scheduling order and the admission order the queue keeps a third
+view of the same jobs: a census ``problem -> number of waiting jobs``
+(:meth:`JobQueue.waiting_problems`).  A job's allocation table is a
+function of its problem, so the scheduler's backfill asks "can anything
+still fit?" once per waiting *problem* instead of once per waiting job.
+The census is maintained where the other two views are (admission,
+removal, drain), under the same caller-held lock and the same
+fixed-while-waiting invariant; ``census_epoch`` moves whenever a problem
+enters or leaves it, so what the scheduler derives from the *set* of
+waiting problems is rebuilt only then.
 """
 
 from __future__ import annotations
@@ -32,8 +43,10 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.types import ReconstructionProblem
 from .job import MIN_TENANT_WEIGHT, JobState, ReconstructionJob, job_sort_key
 
 __all__ = [
@@ -162,14 +175,18 @@ class JobQueue:
         self.policy = policy or AdmissionPolicy()
         # The queue has no lock of its own: the owning service serializes
         # every call on its lock (see ReconstructionService).
-        # Two views of the same jobs.  Scheduling order: ``_ordered`` with
+        # Three views of the same jobs.  Scheduling order: ``_ordered`` with
         # its sort keys beside it for bisect (no ``key=`` before Python
         # 3.10).  Admission order: ``_admitted`` by ``id(job)`` — the
         # backlog sums must add in this order, a sum over the sorted view
         # differs from it in the last bit of ``retry_after_seconds``.
+        # Census: ``_waiting`` counts the jobs per problem, no zero entries;
+        # ``census_epoch`` moves whenever a problem enters or leaves it.
         self._ordered: List[ReconstructionJob] = []  # guarded-by: caller
         self._keys: List[Tuple[int, float, int]] = []  # guarded-by: caller
         self._admitted: Dict[int, ReconstructionJob] = {}  # guarded-by: caller
+        self._waiting: Dict[ReconstructionProblem, int] = {}  # guarded-by: caller
+        self.census_epoch = 0  # guarded-by: caller
         self.offered = 0  # guarded-by: caller
         self.rejected = 0  # guarded-by: caller
         # Lazily built: most callers (the service) estimate before offering,
@@ -209,6 +226,15 @@ class JobQueue:
     def peek(self) -> Optional[ReconstructionJob]:
         """The job the scheduler should consider first (or ``None``)."""
         return self._ordered[0] if self._ordered else None
+
+    def waiting_problems(self) -> Mapping[ReconstructionProblem, int]:
+        """Read-only census: how many jobs of each problem are waiting.
+
+        Counts every queued job, including those a fair-share queue
+        withholds from :meth:`scheduling_order` this cycle.  The *set* of
+        problems is unchanged for as long as ``census_epoch`` is.
+        """
+        return MappingProxyType(self._waiting)
 
     # ------------------------------------------------------------------ #
     def offer(self, job: ReconstructionJob) -> bool:
@@ -265,6 +291,10 @@ class JobQueue:
         self._keys.insert(index, key)
         self._ordered.insert(index, job)
         self._admitted[id(job)] = job
+        waiting = self._waiting.get(job.problem, 0)
+        self._waiting[job.problem] = waiting + 1
+        if not waiting:
+            self.census_epoch += 1
         return True
 
     def _estimate(self, job: ReconstructionJob) -> Optional[float]:
@@ -283,6 +313,12 @@ class JobQueue:
         for index in range(bisect_left(self._keys, key), bisect_right(self._keys, key)):
             if self._ordered[index] is job:
                 del self._keys[index], self._ordered[index], self._admitted[id(job)]
+                waiting = self._waiting[job.problem]
+                if waiting == 1:
+                    del self._waiting[job.problem]
+                    self.census_epoch += 1
+                else:
+                    self._waiting[job.problem] = waiting - 1
                 return
         raise ValueError(
             f"job {job.job_id} is not queued under its sort key {key}: it was "
@@ -296,4 +332,6 @@ class JobQueue:
         self._keys.clear()
         self._ordered.clear()
         self._admitted.clear()
+        self._waiting.clear()
+        self.census_epoch += 1
         return jobs

@@ -30,6 +30,7 @@ them.  The measured worker accounting lands in
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -235,7 +236,9 @@ class ReconstructionService:
         different backend than this service runs is a caller error, not a
         rejection: the plan's key *is* its numerics identity, so silently
         re-targeting the job would make every record lie about what
-        executed.  Raises :class:`ValueError` before any state changes.
+        executed.  Raises :class:`ValueError` before any state changes —
+        as does a NaN or infinite ``now``, which would stamp the job with
+        an arrival the ordered queue and the event loop cannot compare.
         """
         if job.plan_key and job.backend != self.backend:
             raise ValueError(
@@ -243,6 +246,11 @@ class ReconstructionService:
                 f"backend {job.backend!r}, but this service runs "
                 f"{self.backend!r}; build the service from the plan "
                 "(Session does) or align the plan's backend"
+            )
+        if now is not None and not math.isfinite(now):
+            raise ValueError(
+                f"job {job.job_id} cannot be submitted at now={now!r}: the "
+                "service clock is a finite number of seconds"
             )
         with self._lock:
             now = self.clock_seconds if now is None else now

@@ -71,6 +71,21 @@ class TraceEntry:
     ramp_filter: str = "ram-lak"
     scenario: str = "full_scan"
 
+    def __post_init__(self) -> None:
+        # ``not x >= 0``, so that NaN fails too — ``json`` reads a bare NaN.
+        # Refused here, by name: a NaN arrival never becomes due, and a
+        # replay of it would not end.
+        if not self.arrival_seconds >= 0:
+            raise ValueError(
+                f"trace entry {self.job_id!r}: arrival must be a non-negative "
+                f"number (got {self.arrival_seconds!r})"
+            )
+        if self.slo_seconds is not None and not self.slo_seconds > 0:
+            raise ValueError(
+                f"trace entry {self.job_id!r}: slo must be positive when given "
+                f"(got {self.slo_seconds!r})"
+            )
+
     def to_json(self) -> Dict:
         return {
             "id": self.job_id,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import numpy as np
@@ -954,3 +955,97 @@ class TestQueueBacklogEstimationRegression:
 
         queue = JobQueue(estimator=exploding)
         assert queue.offer(make_job())
+
+
+class TestNotANumberRegression:
+    """``slo_seconds <= 0`` and ``arrival_seconds < 0`` are both false for
+    NaN, so a NaN SLO was queued — under a key no bisect can find again,
+    after which ``run_until_idle`` raised "job ... is not queued under its
+    sort key" for a *healthy* job in every later cycle — and a NaN arrival
+    was replayed: ``min(nan, finish)`` never reaches it and the event loop
+    spun for good."""
+
+    NAN = float("nan")
+
+    def test_a_nan_slo_is_refused_and_the_service_keeps_serving(self):
+        from repro.api import plan_for_problem
+
+        def submit_all(service, jobs):
+            for job in jobs:
+                assert service.submit(job, now=0.0)
+
+        with ReconstructionService(16) as service:
+            submit_all(service, [make_job(HEAVY, slo_seconds=90.0) for _ in range(3)])
+            with pytest.raises(ValueError, match="slo_seconds"):
+                service.submit(make_job(SMALL, slo_seconds=self.NAN), now=0.0)
+            bad_plan = plan_for_problem(SMALL, target="service", slo_seconds=self.NAN)
+            # The plan door was already shut (validate() asks isfinite, and
+            # key() will not hash a NaN): pinned here beside the job door.
+            with pytest.raises(ValueError, match="slo_seconds"):
+                bad_plan.validate()
+            with pytest.raises(ValueError):
+                service.submit_plan(bad_plan, dataset_id="bad", now=0.0)
+            assert len(service.queue) == 3 and len(service.jobs) == 3
+            submit_all(service, [make_job(HEAVY, slo_seconds=90.0) for _ in range(3)])
+            submit_all(service, [make_job(SMALL, slo_seconds=5.0) for _ in range(6)])
+            service.run_until_idle()  # raised ValueError, forever, before
+            assert len(service.queue) == 0
+            assert service.report().summary["jobs_completed"] == 12.0
+
+    @pytest.mark.parametrize("slo", [NAN, 0.0, -1.0])
+    def test_one_rule_for_the_slo_at_every_door(self, slo):
+        with pytest.raises(ValueError, match="slo_seconds"):
+            make_job(slo_seconds=slo)
+        with pytest.raises(ValueError, match="'j7'.*slo"):
+            TraceEntry.from_json(
+                {"id": "j7", "arrival": 0.0, "problem": SMALL, "slo": slo}
+            )
+
+    @pytest.mark.parametrize("arrival", [NAN, -1.0])
+    def test_one_rule_for_the_arrival_at_every_door(self, arrival):
+        with pytest.raises(ValueError, match="arrival_seconds"):
+            make_job(arrival_seconds=arrival)
+        with pytest.raises(ValueError, match="'j7'.*arrival"):
+            TraceEntry.from_json({"id": "j7", "arrival": arrival, "problem": SMALL})
+        with pytest.raises(ValueError, match="'j8'.*arrival"):  # hand-built, too
+            TraceEntry(job_id="j8", tenant="t", arrival_seconds=arrival,
+                       problem=SMALL, dataset_id="d")
+
+    def test_an_infinite_slo_is_still_best_effort(self):
+        job = make_job(slo_seconds=float("inf"), arrival_seconds=3.0)
+        assert job.deadline_seconds == float("inf")
+        entry = TraceEntry.from_json(
+            {"id": "j", "arrival": 3.0, "problem": SMALL, "slo": float("inf")}
+        )
+        assert entry.to_job().deadline_seconds == float("inf")
+
+    @pytest.mark.parametrize("now", [NAN, float("inf"), float("-inf")])
+    def test_submit_refuses_a_clock_that_is_not_a_number(self, now):
+        with ReconstructionService(16) as service:
+            job = make_job(job_id="late")
+            with pytest.raises(ValueError, match="now="):
+                service.submit(job, now=now)
+            assert "late" not in service.jobs and len(service.queue) == 0
+            assert service.submit(job, now=0.0)
+
+    def test_a_trace_file_with_a_nan_arrival_is_refused_at_load(self, tmp_path):
+        """Through the CLI in a child process, under a timeout: at the
+        parent this replay never returned."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        payload = json.loads(synthetic_trace(30, seed=1).to_json())
+        payload["jobs"][10]["arrival"] = self.NAN
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))  # json writes, and reads, a bare NaN
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        served = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--trace", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, timeout=30,
+            capture_output=True, text=True,
+        )
+        assert served.returncode == 2
+        assert "job-0010" in served.stderr and "arrival" in served.stderr
+        with pytest.raises(ValueError, match="'job-0010'.*arrival"):
+            ArrivalTrace.load(path)

@@ -13,11 +13,18 @@ multiply-add): :func:`test_drr_skip_is_exact_on_dyadic_values` holds it on
 dyadic quanta, weights and costs, which are exact in both arithmetics;
 the service-level replays run it on the performance model's costs.
 
+Backfill asks "can anything still fit?" once per class of waiting job and
+leaves the walk when nothing can.  That must be a no-op too: the replays
+pinned at a small depth cap are where it fires on most cycles, and
+:func:`test_nothing_fits_iff_no_waiting_job_would_be_backfilled` holds the
+predicate itself to the per-job rule.
+
 The second half holds the *cost* of a scheduling cycle by call counts, not
 by a stopwatch, and a disabled metrics registry to doing no work.
 """
 
 import contextlib
+import itertools
 import random
 import types
 from collections import Counter
@@ -31,6 +38,7 @@ from hypothesis import strategies as st
 import repro.service.fairness as fairness_module
 import repro.service.queue as queue_module
 import repro.service.scheduler as scheduler_module
+from repro.core.types import ReconstructionProblem
 from repro.obs import MetricsRegistry
 from repro.pipeline.perfmodel import IFDKPerformanceModel
 from repro.service import (
@@ -45,6 +53,7 @@ from repro.service import (
     ReconstructionService,
     synthetic_trace,
 )
+from repro.service.scheduler import AllocationPlan
 from repro.service.trace import HEAVY_PROBLEM, MIXED_TABLE4_PROBLEMS
 
 GIB = 1024**3
@@ -252,6 +261,219 @@ def test_replays_reach_every_path_the_oracle_claims():
 
 
 # --------------------------------------------------------------------------- #
+# Where the backfill walk is left early
+# --------------------------------------------------------------------------- #
+def overload_specs(n_jobs, seed, mean_gap):
+    """The synthetic trace's shape — a quarter heavy low-priority jobs that
+    need a quarter of the cluster or more, interactive ones with SLOs they
+    can meet — so a head is blocked while GPUs are free, which
+    ``random_specs`` (a third best-effort, a third hopeless: both start on
+    whatever is free) rarely produces.  Plus everything the cut must see
+    through: an infeasible problem, datasets that flip between hit and
+    miss, hopeless and absent SLOs, per-job weights and in-flight caps."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(n_jobs):
+        kind = rng.random()
+        heavy = kind < 0.25
+        slo = (90.0 if heavy else 25.0) * rng.choice([0.5, 1.0, 3.0])
+        specs.append({
+            "problem": (HEAVY_PROBLEM if heavy else INFEASIBLE if kind < 0.28
+                        else rng.choice(MIXED_TABLE4_PROBLEMS)),
+            "tenant": rng.choice("abc"),
+            "dataset": rng.randrange(4),
+            "priority": 2 if heavy else rng.randrange(2),
+            "slo": rng.choice([None, 0.01] + 8 * [slo]),
+            "gap": rng.expovariate(1.0 / mean_gap),
+            "weight": rng.choice([None, None, rng.uniform(0.05, 8.0)]),
+            "max_inflight": rng.choice([None, None, 1, 2]),
+        })
+    return specs
+
+
+#: Arrivals faster than service and a depth cap of 8-16: a short trace pins
+#: the queue at its cap and a cycle with free GPUs mostly has a blocked head.
+pinned_specs = st.builds(
+    overload_specs,
+    n_jobs=st.integers(40, 100),
+    seed=st.integers(0, 2**32 - 1),
+    mean_gap=st.sampled_from([0.6, 1.2, 2.4]),
+)
+pinned_plain = st.builds(
+    AdmissionPolicy,
+    max_depth=st.integers(8, 16),
+    max_backlog_seconds=st.one_of(st.none(), st.floats(100.0, 2000.0)),
+)
+pinned_fair = st.builds(
+    AdmissionPolicy,
+    max_depth=st.integers(8, 16),
+    fair_share=st.just(True),
+    tenant_weights=st.one_of(
+        st.none(), st.dictionaries(st.sampled_from(["a", "b"]), st.floats(0.05, 8.0))
+    ),
+    # Withheld jobs stay queued: they are in the census, not in the order.
+    max_inflight_per_tenant=st.one_of(st.none(), st.integers(1, 3)),
+    quantum_seconds=st.floats(0.5, 20.0),
+    aging_seconds=st.one_of(st.none(), st.floats(0.5, 30.0)),
+)
+
+
+@given(specs=pinned_specs, gpus=st.sampled_from([4, 16]), admission=pinned_plain,
+       capacity=capacities)
+@settings(max_examples=100, deadline=None)
+def test_plain_replay_pinned_at_its_cap_equals_the_frozen_parent(
+    specs, gpus, admission, capacity
+):
+    assert_same_replay(
+        specs, gpus=gpus, policy="slo", admission=admission, capacity=capacity
+    )
+
+
+@pytest.mark.fairness
+@given(specs=pinned_specs, gpus=st.sampled_from([4, 16]), admission=pinned_fair,
+       capacity=capacities)
+@settings(max_examples=100, deadline=None)
+def test_fair_replay_pinned_at_its_cap_equals_the_frozen_parent(
+    specs, gpus, admission, capacity
+):
+    assert_same_replay(
+        specs, gpus=gpus, policy="slo", admission=admission, capacity=capacity
+    )
+
+
+@contextlib.contextmanager
+def counted_backfill_answers():
+    """Count what the per-class question answered, by its answer."""
+    answers = Counter()
+    can_backfill = ClusterScheduler._can_backfill
+
+    def counting(*args):
+        answer = can_backfill(*args)
+        answers[answer] += 1
+        return answer
+
+    with mock.patch.object(ClusterScheduler, "_can_backfill", staticmethod(counting)):
+        yield answers
+
+
+@pytest.mark.parametrize("admission, seeds", [
+    pytest.param(AdmissionPolicy(max_depth=12), (1, 3), id="plain"),
+    pytest.param(
+        AdmissionPolicy(max_depth=12, fair_share=True, max_inflight_per_tenant=2,
+                        tenant_weights={"a": 3.0}),
+        (1, 4), id="fair", marks=pytest.mark.fairness,
+    ),
+])
+def test_pinned_replays_do_leave_the_walk_early(admission, seeds):
+    """The two properties above are not vacuously equal: on two such
+    traces per queue the question is asked dozens of times, answers
+    "nothing fits" often and "something may" before a backfill."""
+    answers, reasons = Counter(), ""
+    for seed in seeds:
+        specs = overload_specs(90, seed=seed, mean_gap=2.4)
+        with counted_backfill_answers() as counted:
+            live = replay(specs, frozen=False, gpus=16, policy="slo",
+                          admission=admission, capacity=70 * GIB)
+        assert live == replay(specs, frozen=True, gpus=16, policy="slo",
+                              admission=admission, capacity=70 * GIB)
+        answers += counted
+        reasons += " ".join(str(job["rejection_reason"]) for job in live["jobs"])
+        assert live["cache"]["hits"] and live["cache"]["evictions"]
+    assert answers[False] >= 20 and answers[True] >= 1  # 71 / 3 plain, 28 / 31 fair
+    assert "infeasible" in reasons and "queue full" in reasons
+
+
+def trace_specs(trace):
+    """A synthetic trace as ``make_jobs`` specs (same arrivals on both sides)."""
+    specs, previous = [], 0.0
+    for entry in trace.entries:
+        specs.append({
+            "problem": entry.problem, "tenant": entry.tenant,
+            "dataset": entry.dataset_id, "priority": entry.priority,
+            "slo": entry.slo_seconds, "gap": entry.arrival_seconds - previous,
+            "weight": None, "max_inflight": None,
+        })
+        previous = entry.arrival_seconds
+    return specs
+
+
+@pytest.mark.parametrize("seed, admission", [
+    pytest.param(13, None, id="plain-13"),
+    pytest.param(17, None, id="plain-17"),
+    pytest.param(
+        19, AdmissionPolicy(fair_share=True, tenant_weights={"tenant-0": 3.0}),
+        id="fair-19", marks=pytest.mark.fairness,
+    ),
+])
+def test_full_size_replays_equal_the_frozen_parent(seed, admission):
+    """The benchmark's shape — default 256-deep queue, pinned for most of
+    the trace — on seeds nothing else in this file or its issue uses."""
+    trace = synthetic_trace(1300 if admission else 1500, cluster_gpus=16, seed=seed)
+    live = assert_same_replay(
+        trace_specs(trace), gpus=16, policy="slo", admission=admission,
+        capacity=FilteredProjectionCache().capacity_bytes,
+    )
+    assert max(len(order) for order in live["orders"]) == 256
+
+
+def random_table(rng, cached):
+    """Any table ``best_plan`` accepts: power-of-two counts, fewest first;
+    runtimes in no particular order (the model's fall with the count, the
+    argument for the exit does not need them to)."""
+    counts = [gpus for gpus in (1, 2, 4, 8, 16) if rng.random() < 0.6]
+    return [
+        AllocationPlan(gpus=gpus, rows=1, columns=gpus, cache_hit=cached,
+                       runtime_seconds=rng.choice([0.5, 3.0, rng.uniform(0.5, 120.0)]))
+        for gpus in counts
+    ]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(1, 4),
+    free=st.integers(0, 16),
+    spare=st.integers(0, 16),
+    now=st.sampled_from([0.0, 7.25, 1000.0 / 3.0]),
+    wait=st.one_of(st.just(float("inf")), st.floats(0.0, 150.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_nothing_fits_iff_no_waiting_job_would_be_backfilled(
+    seed, classes, free, spare, now, wait
+):
+    rng = random.Random(seed)
+    reservation_time = now + wait
+    scheduler = ClusterScheduler(GPUCluster(16), cache=FilteredProjectionCache())
+    queue = JobQueue()
+    problems = [ReconstructionProblem(64 + index, 64, 64, 32, 32, 32)
+                for index in range(classes)]
+    for problem in problems:
+        for cached in (False, True):
+            scheduler._tables[problem, cached] = random_table(rng, cached)
+        assert queue.offer(ReconstructionJob(problem=problem))
+    can_backfill = scheduler._can_backfill(
+        scheduler._backfill_envelope(queue), free, spare, now, reservation_time
+    )
+
+    # The per-job rule, for every job that could be waiting on this census:
+    # either cache state; deadline missed whatever runs, met by anything,
+    # met by some plans only, and none at all.
+    placed = []
+    for problem, cached, slo in itertools.product(
+        problems, (False, True), (1e-6, 1e9, now + rng.uniform(0.5, 120.0), None)
+    ):
+        job = ReconstructionJob(problem=problem, slo_seconds=slo,
+                                dataset_id=f"ds-{problem.nu}-{cached}")
+        if cached:
+            scheduler.cache.insert(job.cache_key, nbytes=1)
+        plan = scheduler.best_plan(job, free, now)
+        placed.append(plan is not None and (
+            plan.finish_at(now) <= reservation_time or plan.gpus <= spare
+        ))
+        assert plan is None or plan.cache_hit is cached
+    assert can_backfill == any(placed)
+
+
+# --------------------------------------------------------------------------- #
 # The queues and the scheduler directly
 # --------------------------------------------------------------------------- #
 def queue_job(index, tenant, cost, priority, slo, weight=None):
@@ -400,7 +622,8 @@ def test_allocation_tables_equal_the_parents_candidate_plans(problem):
 @contextlib.contextmanager
 def counted_calls():
     """Count the calls a scheduling cycle used to repeat, by their inputs."""
-    counts = {name: Counter() for name in ("choose_grid", "breakdown", "for_job", "sort_key")}
+    counts = {name: Counter() for name in
+              ("choose_grid", "breakdown", "for_job", "sort_key", "best_plan")}
     choose_grid = scheduler_module.choose_grid
     breakdown = IFDKPerformanceModel.breakdown
     for_job = CacheKey.for_job.__func__
@@ -422,7 +645,14 @@ def counted_calls():
         counts["sort_key"][job.job_id] += 1
         return sort_key(job)
 
+    best_plan = ClusterScheduler.best_plan
+
+    def counting_best_plan(self, job, *args, **kwargs):
+        counts["best_plan"][job.job_id] += 1
+        return best_plan(self, job, *args, **kwargs)
+
     with mock.patch.object(scheduler_module, "choose_grid", counting_choose_grid), \
+            mock.patch.object(ClusterScheduler, "best_plan", counting_best_plan), \
             mock.patch.object(IFDKPerformanceModel, "breakdown", counting_breakdown), \
             mock.patch.object(CacheKey, "for_job", classmethod(counting_for_job)), \
             mock.patch.object(queue_module, "job_sort_key", counting_sort_key), \
@@ -451,9 +681,148 @@ def test_plain_replay_derives_each_table_entry_once_and_each_key_once():
         assert max(counts["for_job"].values()) == 1
         assert max(counts["sort_key"].values()) <= 2
     assert sum(large["choose_grid"].values()) <= 2 * 5 * len(PROBLEMS)
+    # Evaluations per job do not follow the queue depth: the submission's
+    # feasibility check, the cycles in which the job is at the head, and
+    # those in which something could still be backfilled.
+    assert sum(small["best_plan"].values()) <= 5 * 300  # 3.3 per job; the parent: 18
+    assert sum(large["best_plan"].values()) <= 5 * 1200  # 3.2; the parent: 46
     for name in small:
         growth = sum(large[name].values()) / sum(small[name].values())
         assert growth <= 4.2, (name, growth)  # the parent's choose_grid: 8.3x
+
+
+def test_plain_benchmark_replay_evaluates_a_job_a_few_times():
+    counts, _ = counted_replay(3000)  # svc_replay_plain_3k at seed 3
+    assert sum(counts["best_plan"].values()) <= 12_000  # 8 695; the parent: 233 095
+
+
+@pytest.mark.fairness
+def test_fair_benchmark_replay_evaluates_a_job_a_few_times():
+    admission = AdmissionPolicy(fair_share=True, tenant_weights={"tenant-0": 3.0})
+    counts, _ = counted_replay(1000, admission)  # svc_replay_fair_1k at seed 3
+    assert sum(counts["best_plan"].values()) <= 5_000  # 3 338; the parent: 35 610
+
+
+def distinct_specs(n_jobs, seed):
+    """``overload_specs`` with every job its own problem (a projection
+    fewer each): as many classes as waiting jobs, the envelope's worst case."""
+    specs = overload_specs(n_jobs, seed, mean_gap=1.2)
+    for index, spec in enumerate(specs):
+        inputs, volume = spec["problem"].split("->")
+        nu, nv, projections = inputs.split("x")
+        spec["problem"] = f"{nu}x{nv}x{int(projections) - index}->{volume}"
+    assert len({spec["problem"] for spec in specs}) == n_jobs
+    return specs
+
+
+@pytest.mark.parametrize("n_jobs, max_depth", [(300, 32), (600, 64)])
+def test_a_queue_of_distinct_problems_consults_no_more_tables_than_the_parent(
+    n_jobs, max_depth
+):
+    """One consultation is one ``(problem, cached)`` table fetched for one
+    question: a ``candidate_plans`` call in the frozen parent (which derives
+    it), an ``_allocation_table`` call here (a job's evaluation, or one of
+    the two tables a waiting problem adds to the envelope).  With one class
+    per job the envelope is as long as the walk it replaces, so it is kept
+    until the set of waiting problems changes; rebuilt in every backfill
+    cycle this reads 1.8x / 1.9x the parent's tables at these two depths."""
+    consulted = Counter()
+    allocation_table = ClusterScheduler._allocation_table
+    candidate_plans = parent.ClusterScheduler.candidate_plans
+
+    def counting_table(self, problem, cached):
+        consulted["live"] += 1
+        return allocation_table(self, problem, cached)
+
+    def counting_candidates(self, job, gpu_budget):
+        consulted["frozen"] += 1
+        return candidate_plans(self, job, gpu_budget)
+
+    with mock.patch.object(ClusterScheduler, "_allocation_table", counting_table), \
+            mock.patch.object(parent.ClusterScheduler, "candidate_plans", counting_candidates):
+        live = assert_same_replay(
+            distinct_specs(n_jobs, seed=1), gpus=16, policy="slo",
+            admission=AdmissionPolicy(max_depth=max_depth), capacity=96 * GIB,
+        )
+    cycles = len(live["orders"])
+    assert max(len(order) for order in live["orders"]) == max_depth
+    # 8.4 against 8.1 per cycle at depth 32, 15.4 against 14.8 at depth 64.
+    assert consulted["live"] / cycles <= consulted["frozen"] / cycles + 1.0
+
+
+def census_job(index, problem, tenant):
+    job = ReconstructionJob(problem=problem, tenant=tenant, job_id=f"c{index:03d}")
+    job.estimated_seconds = 1.0
+    return job
+
+
+@pytest.mark.parametrize("fair", [False, pytest.param(True, marks=pytest.mark.fairness)])
+@given(ops=st.lists(
+    st.tuples(
+        st.sampled_from(["offer", "offer", "offer", "remove", "remove_unqueued", "drain"]),
+        st.sampled_from(PROBLEMS[:4]),
+        st.sampled_from(["a", "b"]),
+        st.integers(0, 10**6),  # which queued job to remove
+    ),
+    max_size=40,
+))
+@settings(max_examples=100, deadline=None)
+def test_census_counts_exactly_what_is_queued(fair, ops):
+    """After any admission, depth or quota rejection, removal, refused
+    removal or drain, the census is the multiset of the queued jobs'
+    problems, and its epoch has moved whenever a problem entered or left."""
+    if fair:
+        queue = FairShareQueue(AdmissionPolicy(
+            max_depth=5, fair_share=True, max_queue_depth_per_tenant=3))
+    else:
+        queue = JobQueue(AdmissionPolicy(max_depth=5))
+    outcomes = Counter()
+    for index, (op, problem, tenant, pick) in enumerate(ops):
+        before, epoch = dict(queue.waiting_problems()), queue.census_epoch
+        if op == "offer":
+            job = census_job(index, problem, tenant)
+            admitted = queue.offer(job)
+            outcomes[admitted or job.rejection_reason.split(":")[0]] += 1
+        elif op == "remove" and len(queue):
+            queue.remove(queue.ordered()[pick % len(queue)])
+        elif op == "remove_unqueued":
+            with pytest.raises(ValueError, match="not queued"):
+                queue.remove(census_job(index, problem, tenant))
+            assert dict(queue.waiting_problems()) == before
+        elif op == "drain":
+            queue.drain()
+        census = queue.waiting_problems()
+        assert dict(census) == Counter(job.problem for job in queue.ordered())
+        assert sum(census.values()) == len(queue)
+        assert queue.census_epoch >= epoch
+        if set(census) != set(before):
+            assert queue.census_epoch > epoch
+        with pytest.raises(TypeError):
+            census[problem] = 1  # a view, not the queue's dictionary
+    assert set(outcomes) <= {True, "queue full", "tenant quota"}
+
+
+@pytest.mark.serving
+@pytest.mark.parametrize("admission", [
+    None,
+    pytest.param(AdmissionPolicy(fair_share=True, max_inflight_per_tenant=1),
+                 marks=pytest.mark.fairness),
+], ids=["plain", "fair"])
+def test_census_is_rebuilt_by_a_journal_recovery(tmp_path, admission):
+    problems = [PROBLEMS[0], PROBLEMS[1], PROBLEMS[0], HEAVY_PROBLEM, PROBLEMS[0]]
+    with ReconstructionService(16, admission=admission, state_dir=tmp_path) as first:
+        for index, problem in enumerate(problems):
+            assert first.submit(
+                ReconstructionJob(problem=problem, job_id=f"r{index}"), now=float(index)
+            )
+        expected = dict(first.queue.waiting_problems())
+        assert sum(expected.values()) == 5 and len(expected) == 3
+    with ReconstructionService(16, admission=admission, state_dir=tmp_path) as second:
+        assert second.recovered_jobs == 5
+        assert dict(second.queue.waiting_problems()) == expected
+        second.run_until_idle()
+        assert not second.queue.waiting_problems()
+        assert second.report().summary["jobs_completed"] == 5.0
 
 
 @pytest.mark.fairness

@@ -83,6 +83,26 @@ class TestProblemFromString:
         with pytest.raises(ValueError):
             problem_from_string("axbxc->1x2x3")
 
+    def test_each_distinct_spec_is_parsed_once_within_a_bound(self):
+        import inspect
+
+        spec = "96x80x64->48x40x32"
+        first = problem_from_string(spec)
+        hits = problem_from_string.cache_info().hits
+        assert problem_from_string(spec) is first  # frozen, so safe to share
+        assert problem_from_string.cache_info().hits == hits + 1
+        assert problem_from_string.cache_parameters()["maxsize"] is not None
+        # Still the function its callers and the docs know.
+        assert list(inspect.signature(problem_from_string).parameters) == ["spec"]
+        assert problem_from_string.__doc__.startswith("Parse")
+
+    def test_a_failed_parse_is_not_remembered(self):
+        size = problem_from_string.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cannot parse"):
+                problem_from_string("96x80->48x40x32")
+        assert problem_from_string.cache_info().currsize == size
+
 
 class TestProjectionStack:
     def test_shape_properties(self, rng):
