@@ -15,13 +15,23 @@ covers what per-job records cannot — event counts and distributions
 observed *while* the service runs (scheduler decisions, cache hits, queue
 waits) — and a disabled registry (:data:`NULL_METRICS`) makes every
 instrument a shared no-op, mirroring the tracer's strict no-op mode.
+The service's ``service.jobs_*`` counters are bumped from its one
+lifecycle transition method, with events defined in
+:data:`repro.service.job.LIFECYCLE` — a new lifecycle event is added
+there, not here.
+
+:func:`percentile` is the one percentile of the package: the histograms
+here and the service KPIs both reduce through it, so they cannot disagree
+in the last bit.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import insort
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -29,7 +39,15 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
+    "percentile",
 ]
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """NumPy's linear-interpolated percentile; ``nan`` for an empty series."""
+    if len(values) == 0:
+        return float("nan")
+    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
 class Counter:
@@ -130,17 +148,7 @@ class Histogram:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         with self._lock:
-            values = self._sorted
-            if not values:
-                return float("nan")
-            if len(values) == 1:
-                return values[0]
-            position = (q / 100.0) * (len(values) - 1)
-            low = int(position)
-            frac = position - low
-            if low + 1 >= len(values):
-                return values[-1]
-            return values[low] * (1.0 - frac) + values[low + 1] * frac
+            return percentile(self._sorted, q)
 
     @property
     def p50(self) -> float:

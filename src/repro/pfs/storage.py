@@ -18,7 +18,8 @@ replaces GPFS with :class:`SimulatedPFS`:
 
 from __future__ import annotations
 
-import io
+import ast
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -144,7 +145,7 @@ class SimulatedPFS:
             self.stats.bytes_read += len(blob)
             self.stats.files_read += 1
             self.stats.modelled_read_seconds += seconds
-        return _decode_blob(blob)
+        return _decode_blob(blob, name)
 
     def exists(self, name: str) -> bool:
         with self._lock:
@@ -190,10 +191,28 @@ def _encode_header(array: np.ndarray) -> bytes:
     return len(header).to_bytes(4, "little") + header
 
 
-def _decode_blob(blob: bytes) -> np.ndarray:
-    header_len = int.from_bytes(blob[:4], "little")
-    header = eval(blob[4 : 4 + header_len].decode("ascii"))  # noqa: S307 - trusted, self-written
-    dtype = np.lib.format.descr_to_dtype(header["descr"])
-    shape = tuple(header["shape"])
-    payload = blob[4 + header_len :]
+def _decode_blob(blob: bytes, name: str) -> np.ndarray:
+    """Parse a blob read back from storage; ``name`` is for the error only.
+
+    An on-disk object is outside input: the header is parsed as a literal,
+    never evaluated, and a torn or foreign one is a ``ValueError`` naming
+    the object — not a traceback from inside NumPy, and never code run.
+    """
+    try:
+        header_len = int.from_bytes(blob[:4], "little")
+        if len(blob) < 4 + header_len:
+            raise ValueError(f"header of {header_len} bytes in a {len(blob)}-byte object")
+        header = ast.literal_eval(blob[4 : 4 + header_len].decode("ascii"))
+        if not isinstance(header, dict):
+            raise ValueError("header is not a dictionary")
+        dtype = np.lib.format.descr_to_dtype(header["descr"])
+        shape = tuple(header["shape"])
+        if dtype.hasobject or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ValueError(f"unusable dtype {dtype!r} / shape {shape!r}")
+        payload = blob[4 + header_len :]
+        expected = dtype.itemsize * math.prod(shape)
+        if len(payload) != expected:
+            raise ValueError(f"payload is {len(payload)} bytes, header promises {expected}")
+    except (ValueError, SyntaxError, KeyError, TypeError, MemoryError, RecursionError) as exc:
+        raise ValueError(f"corrupt PFS object {name!r}: {exc}") from exc
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()

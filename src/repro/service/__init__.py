@@ -20,12 +20,13 @@ filtered projections across worker processes and restarts.  The
 HTTP/JSON, speaking :class:`~repro.api.ReconstructionPlan`.
 """
 
+from ..obs.metrics import percentile
 from .cache import CacheKey, CacheStatistics, FilteredProjectionCache, fingerprint_stack
 from .diskcache import OnDiskFilteredCache
 from .fairness import FairShareQueue, jains_index
 from .http import ServiceHTTPServer
 from .job import JobState, ReconstructionJob, job_sort_key
-from .metrics import QueueSample, ServiceMetrics, percentile
+from .metrics import ServiceMetrics
 from .process_dispatch import DEFAULT_PILOT_PROBLEM, ProcessDispatcher
 from .queue import AdmissionPolicy, JobQueue, model_runtime_estimator
 from .scheduler import AllocationPlan, ClusterScheduler, GPUCluster, Placement
@@ -56,7 +57,6 @@ __all__ = [
     "OnDiskFilteredCache",
     "Placement",
     "ProcessDispatcher",
-    "QueueSample",
     "ReconstructionJob",
     "ReconstructionService",
     "RecoveredState",

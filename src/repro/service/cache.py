@@ -1,4 +1,4 @@
-"""Content-keyed LRU cache of filtered projections on the PFS.
+"""Content-keyed LRU cache of filtered projections: key, statistics, byte index.
 
 Filtering (weighting + ramp filtering, Algorithm 1) is a pure function of
 the raw projection data and the filter window.  When several tenants request
@@ -16,10 +16,12 @@ never served the full-scan filtering of the same dataset.  Eviction is LRU
 by byte capacity, sized against the PFS scratch space reserved for the
 cache.
 
-When constructed over a :class:`~repro.pfs.storage.SimulatedPFS`, entries
-write through to PFS objects under ``filtered-cache/`` so the functional
-(NumPy) path can round-trip real filtered stacks; without a PFS the cache
-tracks byte sizes only, which is all the scheduling simulation needs.
+:class:`FilteredProjectionCache` is the in-process index: it tracks which
+datasets are resident and how many bytes they hold, which is all the
+scheduling simulation needs.  Filtered stacks themselves are stored and
+served only by :class:`~repro.service.diskcache.OnDiskFilteredCache`, the
+shared-directory implementation of the same duck-typed surface; both name
+an entry by :attr:`CacheKey.tag`, defined once here.
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ from __future__ import annotations
 import hashlib
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.types import ProjectionStack
-from ..pfs.storage import SimulatedPFS
 
 __all__ = [
     "CacheKey",
@@ -149,12 +149,11 @@ class CacheKey:
         )
 
     @property
-    def object_name(self) -> str:
-        """PFS object name the filtered stack is stored under."""
-        tag = hashlib.sha256(
+    def tag(self) -> str:
+        """Name of this key's cache entry: a hash of dataset and filtering identity."""
+        return hashlib.sha256(
             f"{self.dataset_id}|{self.filter_key}".encode("utf-8")
         ).hexdigest()[:16]
-        return f"filtered-cache/{tag}"
 
 
 #: Equal keys built by :meth:`CacheKey.for_job` are one object while any job
@@ -186,22 +185,15 @@ class CacheStatistics:
 @dataclass
 class _Entry:
     nbytes: int
-    stored_on_pfs: bool = False
 
 
 class FilteredProjectionCache:
-    """LRU cache of filtered projection stacks, capacity-bounded in bytes."""
+    """LRU index of filtered projection datasets, capacity-bounded in bytes."""
 
-    def __init__(
-        self,
-        capacity_bytes: int = 256 * 1024**3,
-        *,
-        pfs: Optional[SimulatedPFS] = None,
-    ):
+    def __init__(self, capacity_bytes: int = 256 * 1024**3):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self.pfs = pfs
         self.stats = CacheStatistics()
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         # Running byte total, maintained on every insert/refresh/eviction:
@@ -240,65 +232,24 @@ class FilteredProjectionCache:
         self.stats.hits += 1
         return True
 
-    def insert(
-        self,
-        key: CacheKey,
-        *,
-        nbytes: Optional[int] = None,
-        filtered: Optional[ProjectionStack] = None,
-    ) -> None:
-        """Add (or refresh) a filtered dataset.
-
-        Either the byte size (scheduling simulation) or the actual filtered
-        stack (functional path; written through to the PFS when one is
-        attached) must be supplied.
-        """
-        if filtered is not None:
-            nbytes = filtered.nbytes
-        if nbytes is None:
-            raise ValueError("insert needs either nbytes or a filtered stack")
+    def insert(self, key: CacheKey, *, nbytes: int) -> None:
+        """Add (or refresh) a filtered dataset of ``nbytes`` bytes."""
         if nbytes > self.capacity_bytes:
             raise ValueError(
                 f"cannot cache a {nbytes}-byte filtered dataset: it exceeds "
                 f"the cache capacity of {self.capacity_bytes} bytes (no "
                 "amount of eviction can make it fit)"
             )
-        stored = False
-        if self.pfs is not None and filtered is not None:
-            self.pfs.write_array(key.object_name, filtered.data)
-            self.pfs.write_array(key.object_name + "/angles", filtered.angles)
-            stored = True
         if key in self._entries:
             self._entries.move_to_end(key)
             entry = self._entries[key]
             self._used_bytes += nbytes - entry.nbytes
             entry.nbytes = nbytes
-            entry.stored_on_pfs = entry.stored_on_pfs or stored
         else:
-            self._entries[key] = _Entry(nbytes=nbytes, stored_on_pfs=stored)
+            self._entries[key] = _Entry(nbytes=nbytes)
             self._used_bytes += nbytes
             self.stats.insertions += 1
         self._evict_over_capacity()
-
-    def get_filtered(self, key: CacheKey, *, count: bool = True) -> Optional[ProjectionStack]:
-        """Read a filtered stack back from the PFS (functional path).
-
-        An entry known only by its byte size (scheduling path) cannot
-        satisfy a functional read, so it counts as a miss here.
-        """
-        entry = self._entries.get(key)
-        usable = entry is not None and entry.stored_on_pfs and self.pfs is not None
-        if count:
-            if usable:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-        if not usable:
-            return None
-        self._entries.move_to_end(key)
-        data = self.pfs.read_array(key.object_name)
-        angles = self.pfs.read_array(key.object_name + "/angles")
-        return ProjectionStack(data=data, angles=angles, filtered=True)
 
     # ------------------------------------------------------------------ #
     def _evict_over_capacity(self) -> None:
@@ -307,9 +258,6 @@ class FilteredProjectionCache:
         # resident forever (oversize inserts are now rejected up front, but
         # a refresh shrinking the budget headroom must still converge).
         while self._used_bytes > self.capacity_bytes and self._entries:
-            key, entry = self._entries.popitem(last=False)
+            _, entry = self._entries.popitem(last=False)
             self._used_bytes -= entry.nbytes
-            if entry.stored_on_pfs and self.pfs is not None:
-                self.pfs.delete(key.object_name)
-                self.pfs.delete(key.object_name + "/angles")
             self.stats.evictions += 1

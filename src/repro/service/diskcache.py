@@ -1,16 +1,18 @@
 """Shared on-disk LRU cache of filtered projections.
 
 The in-memory :class:`~repro.service.cache.FilteredProjectionCache` models
-the PFS scratch reservation inside one process.  Real serving needs the
-same thing *across* processes and restarts: a pilot filtered in worker
+the PFS scratch reservation inside one process, by byte size only.  Real
+serving needs the same thing *across* processes and restarts, and needs
+the filtered stacks themselves — this is the only cache that stores and
+serves payloads: a pilot filtered in worker
 process A must be a cache hit for worker process B, and for the service
 that comes back after a ``kill -9``.  :class:`OnDiskFilteredCache` provides
 that as plain files under a cache directory — no daemon, no new deps:
 
 * one ``<tag>.meta.json`` per entry (key fields + byte size + whether a
-  payload is present), where ``tag`` is the same
-  ``sha256(dataset_id|filter_key)`` prefix the in-memory cache uses for
-  its PFS object names — the two caches agree on identity by construction;
+  payload is present), where ``tag`` is :attr:`CacheKey.tag
+  <repro.service.cache.CacheKey.tag>` — the entry name is defined once, on
+  the key;
 * one ``<tag>.npz`` holding the filtered stack (data + angles) when the
   entry carries a real payload;
 * **mtime is the LRU clock**: every hit touches the meta file, and
@@ -28,7 +30,6 @@ fit, and accepting it would immediately evict the entire cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -46,20 +47,15 @@ _META_SUFFIX = ".meta.json"
 _PAYLOAD_SUFFIX = ".npz"
 
 
-def _key_tag(key: CacheKey) -> str:
-    """Entry tag: the same hash the in-memory cache's PFS objects use."""
-    return hashlib.sha256(
-        f"{key.dataset_id}|{key.filter_key}".encode("utf-8")
-    ).hexdigest()[:16]
-
-
 class OnDiskFilteredCache:
     """File-backed filtered-projection cache shared across processes.
 
     Duck-types the :class:`~repro.service.cache.FilteredProjectionCache`
     surface the scheduler and service use (``contains`` / ``lookup`` /
-    ``insert`` / ``get_filtered`` / ``used_bytes`` / ``stats``), so either
-    can be plugged into :class:`~repro.service.service.ReconstructionService`.
+    ``insert(key, nbytes=)`` / ``used_bytes`` / ``stats``), so either can be
+    plugged into :class:`~repro.service.service.ReconstructionService`;
+    ``insert(key, filtered=)`` and ``get_filtered`` — the payload side the
+    pilot workers use — exist only here.
     ``stats`` are process-local (each process counts its own hits and
     misses); the *entries* are shared.
     """
@@ -121,7 +117,7 @@ class OnDiskFilteredCache:
 
     def contains(self, key: CacheKey) -> bool:
         """Peek without touching LRU order or hit/miss statistics."""
-        return self._read_meta(_key_tag(key)) is not None
+        return self._read_meta(key.tag) is not None
 
     @property
     def used_bytes(self) -> int:
@@ -130,7 +126,7 @@ class OnDiskFilteredCache:
     # ------------------------------------------------------------------ #
     def lookup(self, key: CacheKey) -> bool:
         """Counted lookup: refreshes the entry's LRU recency on a hit."""
-        tag = _key_tag(key)
+        tag = key.tag
         meta = self._read_meta(tag)
         if meta is None:
             self.stats.misses += 1
@@ -164,7 +160,7 @@ class OnDiskFilteredCache:
                 f"the cache capacity of {self.capacity_bytes} bytes (no "
                 "amount of eviction can make it fit)"
             )
-        tag = _key_tag(key)
+        tag = key.tag
         with self._lock:
             existing = self._read_meta(tag)
             if filtered is not None:
@@ -197,7 +193,7 @@ class OnDiskFilteredCache:
 
     def get_filtered(self, key: CacheKey, *, count: bool = True) -> Optional[ProjectionStack]:
         """Read the filtered stack back; size-only entries miss here."""
-        tag = _key_tag(key)
+        tag = key.tag
         meta = self._read_meta(tag)
         usable = meta is not None and meta.get("payload")
         stack: Optional[ProjectionStack] = None
@@ -238,9 +234,3 @@ class OnDiskFilteredCache:
                 path.unlink()
             except FileNotFoundError:
                 pass
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept; they are process-local)."""
-        with self._lock:
-            for _, tag, _ in self._entries():
-                self._delete(tag)

@@ -19,6 +19,13 @@ job whose pilot reconstruction crashed its worker process or exhausted
 its timeout/retry budget is failed loudly (with the reason recorded)
 instead of being silently counted as completed.
 
+:data:`LIFECYCLE`, beside :class:`JobState`, is the lifecycle written
+once: each journal event, the state it puts a job in, and the journal
+field <-> job attribute pairs it carries.  The job store writes and replays
+through it and the service's one transition method looks events up in it,
+so **a new event or a new journaled field is added there and nowhere
+else**.
+
 Priorities are small integers with **0 the most urgent** (like an inverted
 Unix nice value); ties break on the earlier SLO deadline, then on submission
 order.
@@ -30,12 +37,22 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.types import ReconstructionProblem, problem_from_string
 from .cache import CacheKey
 
-__all__ = ["MIN_TENANT_WEIGHT", "JobState", "ReconstructionJob", "job_sort_key"]
+__all__ = [
+    "LIFECYCLE",
+    "MIN_TENANT_WEIGHT",
+    "TERMINAL_EVENTS",
+    "TERMINAL_STATES",
+    "JobState",
+    "JobsByState",
+    "ReconstructionJob",
+    "Transition",
+    "job_sort_key",
+]
 
 #: Smallest fair-share weight a plan, a job or an admission policy may carry.
 #: A DRR visit grants ``quantum_seconds x weight``: far enough below this the
@@ -56,6 +73,102 @@ class JobState(enum.Enum):
     COMPLETED = "completed"
     REJECTED = "rejected"
     FAILED = "failed"
+
+
+#: States that end a lifecycle.  A job enters the service's outcome ledger
+#: the first time it reaches one; the only later change is a pilot failure
+#: overturning a simulated completion.
+TERMINAL_STATES = frozenset({JobState.COMPLETED, JobState.REJECTED, JobState.FAILED})
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One journal event: the state it leaves a job in and what it carries.
+
+    ``state`` is ``None`` for a side record, which enriches a job without
+    moving it.  Each entry of ``fields`` is ``(journal field, job attribute,
+    replay default)``: the writer journals the attribute under the field
+    name, and replay sets the attribute from the field — as journaled when
+    the default is ``None``, otherwise coerced to the default's type with
+    the default standing in for a missing or null value.
+    """
+
+    state: Optional[JobState]
+    fields: Tuple[Tuple[str, str, object], ...] = ()
+
+    def journal_fields(self, job: "ReconstructionJob") -> dict:
+        """What this event writes about ``job``."""
+        return {name: getattr(job, attribute) for name, attribute, _ in self.fields}
+
+    def apply(self, job: "ReconstructionJob", record: dict) -> None:
+        """Replay one journaled ``record`` of this event onto ``job``."""
+        for name, attribute, default in self.fields:
+            value = record.get(name)
+            if default is not None:
+                value = type(default)(value or default)
+            setattr(job, attribute, value)
+        if self.state is not None:
+            job.state = self.state
+
+
+#: The lifecycle, once.  ``submitted`` is the one event that creates a job
+#: instead of changing one: it carries the static identity
+#: (:meth:`ReconstructionJob.to_payload`) under ``job``.  A caller may
+#: journal more fields with an event (``placed`` carries the planned
+#: ``finish``); replay ignores what the table does not pair.
+LIFECYCLE: Dict[str, Transition] = {
+    "submitted": Transition(JobState.PENDING),
+    "queued": Transition(JobState.QUEUED),
+    "rejected": Transition(
+        JobState.REJECTED, (("reason", "rejection_reason", "rejected"),)
+    ),
+    "placed": Transition(JobState.RUNNING, (
+        ("start", "start_seconds", 0.0),
+        ("gpus", "gpus", 0),
+        ("rows", "rows", 0),
+        ("columns", "columns", 0),
+        ("cache_hit", "cache_hit", False),
+        ("filter_seconds", "filter_seconds", None),
+        ("backprojection_seconds", "backprojection_seconds", None),
+    )),
+    "executed": Transition(None, (
+        ("start", "executed_start_seconds", 0.0),
+        ("finish", "executed_finish_seconds", None),
+        ("workers", "workers", 1),
+        ("pilot_cache_hit", "pilot_cache_hit", None),
+        ("attempts", "execution_attempts", 0),
+    )),
+    "completed": Transition(JobState.COMPLETED, (("finish", "finish_seconds", 0.0),)),
+    "failed": Transition(JobState.FAILED, (("reason", "failure_reason", "failed"),)),
+}
+
+
+#: Events that end a job's lifecycle; anything else leaves it in flight.
+TERMINAL_EVENTS = frozenset(
+    name for name, transition in LIFECYCLE.items()
+    if transition.state in TERMINAL_STATES
+)
+
+
+#: The static identity ``submitted`` carries: job field -> coercion on
+#: replay.  A field a payload lacks (or holds as null) keeps its default.
+_IDENTITY = {
+    "job_id": str,
+    "problem": problem_from_string,
+    "tenant": str,
+    "dataset_id": str,
+    "priority": int,
+    "slo_seconds": float,
+    "arrival_seconds": float,
+    "ramp_filter": str,
+    "scenario": str,
+    "tenant_weight": float,
+    "max_inflight": int,
+    "plan_key": str,
+    "acquisition": str,
+    "backend": str,
+    "estimated_seconds": float,
+}
 
 
 @dataclass
@@ -236,11 +349,7 @@ class ReconstructionJob:
         """Arrival-to-completion latency; ``None`` until the job finishes."""
         if self.finish_seconds is None:
             return None
-        return self.finish_seconds - self.start_to_finish_origin
-
-    @property
-    def start_to_finish_origin(self) -> float:
-        return self.arrival_seconds
+        return self.finish_seconds - self.arrival_seconds
 
     @property
     def met_slo(self) -> Optional[bool]:
@@ -324,58 +433,21 @@ class ReconstructionJob:
         transitions as separate events, and recovery rebuilds a fresh
         ``PENDING`` job from this payload before replaying them.
         """
-        return {
-            "job_id": self.job_id,
-            "problem": str(self.problem),
-            "tenant": self.tenant,
-            "dataset_id": self.dataset_id,
-            "priority": self.priority,
-            "slo_seconds": self.slo_seconds,
-            "arrival_seconds": self.arrival_seconds,
-            "ramp_filter": self.ramp_filter,
-            "scenario": self.scenario,
-            "tenant_weight": self.tenant_weight,
-            "max_inflight": self.max_inflight,
-            "plan_key": self.plan_key,
-            "acquisition": self.acquisition,
-            "backend": self.backend,
-            "estimated_seconds": self.estimated_seconds,
-        }
+        payload = {name: getattr(self, name) for name in _IDENTITY}
+        payload["problem"] = str(self.problem)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ReconstructionJob":
         """Rebuild a fresh ``PENDING`` job from :meth:`to_payload` output."""
-        try:
-            job = cls(
-                problem=problem_from_string(str(payload["problem"])),
-                tenant=str(payload.get("tenant", "default")),
-                dataset_id=str(payload.get("dataset_id", "")),
-                priority=int(payload.get("priority", 1)),
-                slo_seconds=(
-                    None if payload.get("slo_seconds") is None
-                    else float(payload["slo_seconds"])
-                ),
-                arrival_seconds=float(payload.get("arrival_seconds", 0.0)),
-                ramp_filter=str(payload.get("ramp_filter", "ram-lak")),
-                scenario=str(payload.get("scenario", "full_scan")),
-                tenant_weight=(
-                    None if payload.get("tenant_weight") is None
-                    else float(payload["tenant_weight"])
-                ),
-                max_inflight=(
-                    None if payload.get("max_inflight") is None
-                    else int(payload["max_inflight"])
-                ),
-                job_id=str(payload["job_id"]),
-                plan_key=str(payload.get("plan_key", "")),
-                acquisition=str(payload.get("acquisition", "")),
-            )
-        except KeyError as exc:
-            raise ValueError(f"job payload missing required field {exc}") from exc
-        job.backend = str(payload.get("backend", job.backend))
-        if payload.get("estimated_seconds") is not None:
-            job.estimated_seconds = float(payload["estimated_seconds"])
-        return job
+        for required in ("problem", "job_id"):
+            if payload.get(required) is None:
+                raise ValueError(f"job payload missing required field {required!r}")
+        return cls(**{
+            name: coerce(payload[name])
+            for name, coerce in _IDENTITY.items()
+            if payload.get(name) is not None
+        })
 
     # ------------------------------------------------------------------ #
     def as_record(self) -> dict:
@@ -411,6 +483,29 @@ class ReconstructionJob:
             "retry_after_s": self.retry_after_seconds,
             "failure_reason": self.failure_reason,
         }
+
+
+@dataclass
+class JobsByState:
+    """One list of jobs, viewed by state: a job is in it once and has one
+    state, so the views cannot disagree the way separate lists can."""
+
+    jobs: List[ReconstructionJob] = field(default_factory=list)  # guarded-by: caller
+
+    def in_state(self, state: JobState) -> List[ReconstructionJob]:
+        return [job for job in self.jobs if job.state is state]
+
+    @property
+    def completed(self) -> List[ReconstructionJob]:
+        return self.in_state(JobState.COMPLETED)
+
+    @property
+    def rejected(self) -> List[ReconstructionJob]:
+        return self.in_state(JobState.REJECTED)
+
+    @property
+    def failed(self) -> List[ReconstructionJob]:
+        return self.in_state(JobState.FAILED)
 
 
 def job_sort_key(job: ReconstructionJob) -> Tuple[int, float, int]:

@@ -1,8 +1,13 @@
 """Service-level metrics: throughput, tail latency, queueing, cache efficacy.
 
-The collector accumulates one record per finished (or rejected) job plus a
-time series of queue-depth samples, and reduces them to the numbers a
-service operator watches:
+The collector keeps **one ledger** — every job that reached a terminal
+state, in the order it first did — plus a running queue-depth statistic,
+and reduces them to the numbers a service operator watches.  A job is in
+the ledger once and has one state, so ``completed`` / ``rejected`` /
+``failed`` are filters over it, never separate lists to keep in step; the
+service enters jobs from its one transition method (see
+:data:`repro.service.job.LIFECYCLE`, where the lifecycle is defined).  The
+KPIs:
 
 * throughput — completed jobs/s and aggregate GUPS over the makespan
   (the Section 2.3(II) metric, summed across tenants);
@@ -32,84 +37,57 @@ service operator watches:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..obs.metrics import percentile
 from .cache import FilteredProjectionCache
-from .job import JobState, ReconstructionJob
+from .job import TERMINAL_STATES, JobsByState, JobState, ReconstructionJob
 from .queue import QUOTA_REJECTION_PREFIX
 
-__all__ = ["QueueSample", "ServiceMetrics", "percentile"]
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Linear-interpolated percentile; ``nan`` for an empty series."""
-    if not values:
-        return float("nan")
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-@dataclass(frozen=True)
-class QueueSample:
-    """Queue depth observed at one scheduling event."""
-
-    time_seconds: float
-    depth: int
+__all__ = ["ServiceMetrics"]
 
 
 @dataclass
-class ServiceMetrics:
-    """Accumulates per-job outcomes and reduces them to service KPIs."""
+class ServiceMetrics(JobsByState):
+    """One ledger of terminal jobs (``jobs``, in the order each first became
+    terminal — completed jobs in completion order, which the sums below are
+    sensitive to), reduced to service KPIs."""
 
     # No lock of its own: the owning service's lock serializes mutation
-    # and snapshot (report() copies these lists under that lock).
-    completed: List[ReconstructionJob] = field(default_factory=list)  # guarded-by: caller
-    rejected: List[ReconstructionJob] = field(default_factory=list)  # guarded-by: caller
-    failed: List[ReconstructionJob] = field(default_factory=list)  # guarded-by: caller
-    queue_samples: List[QueueSample] = field(default_factory=list)  # guarded-by: caller
+    # and snapshot (report() reads the ledger under that lock).  The three
+    # counters are the queue depth over the scheduling cycles seen so far.
+    queue_cycles: int = 0  # guarded-by: caller
+    queue_depth_sum: int = 0  # guarded-by: caller
+    queue_depth_max: int = 0  # guarded-by: caller
 
     # ------------------------------------------------------------------ #
-    def record_completion(self, job: ReconstructionJob) -> None:
-        if job.state is not JobState.COMPLETED:
-            raise ValueError(f"job {job.job_id} is {job.state.value}, not completed")
-        self.completed.append(job)
+    def record(self, job: ReconstructionJob) -> bool:
+        """Enter ``job`` at its first terminal transition.
 
-    def record_rejection(self, job: ReconstructionJob) -> None:
-        if job.state is not JobState.REJECTED:
-            raise ValueError(f"job {job.job_id} is {job.state.value}, not rejected")
-        self.rejected.append(job)
-
-    def record_failure(self, job: ReconstructionJob) -> bool:
-        """Record a job whose real execution failed (crash/timeout).
-
-        The simulated event loop may already have counted the job as
-        completed — the pilot verdict arrives when the dispatcher drains,
-        after the discrete clock moved on — so a failed job is *removed*
-        from the completed list: one job, one outcome.  Returns ``True``
-        when a completion was overturned this way, so callers keeping
-        monotonic completion counters (e.g. the obs registry) can count
-        the demotion separately.
+        Returns ``False`` for a job that is already there.  The one second
+        verdict a job can get is a failure of its real execution: the
+        simulated event loop counts the job completed, and the pilot's
+        verdict arrives when the dispatcher drains, after the discrete
+        clock moved on.  The job's state already says ``FAILED``, so there
+        is nothing to move — but callers keeping monotonic completion
+        counters (the obs registry) count the overturned completion.
         """
-        if job.state is not JobState.FAILED:
-            raise ValueError(f"job {job.job_id} is {job.state.value}, not failed")
-        demoted = True
-        try:
-            self.completed.remove(job)
-        except ValueError:
-            demoted = False
-        self.failed.append(job)
-        return demoted
+        if job.state not in TERMINAL_STATES:
+            raise ValueError(f"job {job.job_id} is {job.state.value}, not terminal")
+        if job.state is JobState.FAILED and any(entry is job for entry in self.jobs):
+            return False
+        self.jobs.append(job)
+        return True
 
-    def sample_queue_depth(self, now: float, depth: int) -> None:
-        self.queue_samples.append(QueueSample(time_seconds=now, depth=depth))
+    def sample_queue_depth(self, depth: int) -> None:
+        self.queue_cycles += 1
+        self.queue_depth_sum += depth
+        self.queue_depth_max = max(self.queue_depth_max, depth)
 
     # ------------------------------------------------------------------ #
-    @property
-    def latencies(self) -> List[float]:
-        return [j.latency_seconds for j in self.completed if j.latency_seconds is not None]
-
     @property
     def scenario_counts(self) -> Dict[str, int]:
         """Completed jobs per acquisition scenario (the workload mix)."""
@@ -117,15 +95,6 @@ class ServiceMetrics:
         for job in self.completed:
             counts[job.scenario] = counts.get(job.scenario, 0) + 1
         return counts
-
-    @property
-    def tenant_latencies(self) -> Dict[str, List[float]]:
-        """Arrival-to-completion latencies grouped by tenant."""
-        grouped: Dict[str, List[float]] = {}
-        for job in self.completed:
-            if job.latency_seconds is not None:
-                grouped.setdefault(job.tenant, []).append(job.latency_seconds)
-        return grouped
 
     @property
     def quota_rejections(self) -> Dict[str, int]:
@@ -137,23 +106,6 @@ class ServiceMetrics:
                 counts[job.tenant] = counts.get(job.tenant, 0) + 1
         return counts
 
-    def tenant_service_seconds(self) -> Dict[str, float]:
-        """Busy GPU-seconds per tenant across completed jobs."""
-        grouped: Dict[str, float] = {}
-        for job in self.completed:
-            seconds = (job.runtime_seconds or 0.0) * (job.gpus or 0)
-            grouped[job.tenant] = grouped.get(job.tenant, 0.0) + seconds
-        return grouped
-
-    @property
-    def makespan_seconds(self) -> float:
-        """First arrival to last completion across the replayed workload."""
-        if not self.completed:
-            return 0.0
-        start = min(j.arrival_seconds for j in self.completed)
-        finish = max(j.finish_seconds for j in self.completed)
-        return finish - start
-
     def summary(
         self,
         *,
@@ -162,15 +114,30 @@ class ServiceMetrics:
         tenant_weights: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
         """Reduce everything recorded so far to a flat KPI dictionary."""
-        latencies = self.latencies
-        makespan = self.makespan_seconds
-        n_done = len(self.completed)
-        total_updates = sum(j.problem.updates for j in self.completed)
-        slo_jobs = [j for j in self.completed if j.slo_seconds is not None]
-        busy_gpu_seconds = sum(
-            (j.runtime_seconds or 0.0) * (j.gpus or 0) for j in self.completed
+        completed = self.completed
+        latencies = [
+            j.latency_seconds for j in completed if j.latency_seconds is not None
+        ]
+        # First arrival to last completion across the replayed workload.
+        makespan = (
+            max(j.finish_seconds for j in completed)
+            - min(j.arrival_seconds for j in completed)
+            if completed else 0.0
         )
-        depths = [s.depth for s in self.queue_samples]
+        n_done = len(completed)
+        total_updates = sum(j.problem.updates for j in completed)
+        slo_jobs = [j for j in completed if j.slo_seconds is not None]
+        # Busy GPU-seconds per tenant, and latencies grouped by tenant.
+        tenant_service: Dict[str, float] = {}
+        tenant_latencies: Dict[str, List[float]] = {}
+        for job in completed:
+            seconds = (job.runtime_seconds or 0.0) * (job.gpus or 0)
+            tenant_service[job.tenant] = tenant_service.get(job.tenant, 0.0) + seconds
+            if job.latency_seconds is not None:
+                tenant_latencies.setdefault(job.tenant, []).append(job.latency_seconds)
+        busy_gpu_seconds = sum(
+            (j.runtime_seconds or 0.0) * (j.gpus or 0) for j in completed
+        )
         out: Dict[str, float] = {
             "jobs_completed": float(n_done),
             "jobs_rejected": float(len(self.rejected)),
@@ -188,11 +155,13 @@ class ServiceMetrics:
                 sum(1 for j in slo_jobs if j.met_slo) / len(slo_jobs)
                 if slo_jobs else float("nan")
             ),
-            "queue_depth_mean": float(np.mean(depths)) if depths else 0.0,
-            "queue_depth_max": float(max(depths)) if depths else 0.0,
+            "queue_depth_mean": (
+                self.queue_depth_sum / self.queue_cycles if self.queue_cycles else 0.0
+            ),
+            "queue_depth_max": float(self.queue_depth_max),
         }
-        filter_total = sum(j.filter_seconds or 0.0 for j in self.completed)
-        bp_total = sum(j.backprojection_seconds or 0.0 for j in self.completed)
+        filter_total = sum(j.filter_seconds or 0.0 for j in completed)
+        bp_total = sum(j.backprojection_seconds or 0.0 for j in completed)
         out["filter_seconds_total"] = filter_total
         out["backprojection_seconds_total"] = bp_total
         # 0.0 (not NaN) when nothing completed: the report must stay valid
@@ -203,7 +172,7 @@ class ServiceMetrics:
         )
         # Real-execution worker accounting (absent when nothing ran for
         # real, so model-only reports keep their exact shape).
-        executed = [j for j in self.completed if j.worker_seconds is not None]
+        executed = [j for j in completed if j.worker_seconds is not None]
         if executed:
             out["jobs_executed"] = float(len(executed))
             out["executed_wall_seconds_total"] = float(
@@ -219,7 +188,7 @@ class ServiceMetrics:
             out[f"scenario[{scenario}]_jobs"] = float(count)
         # Per-tenant tail latency: the aggregate p99 of a multi-tenant mix
         # hides a starved tenant; the per-tenant p99 does not.
-        for tenant, latencies_t in sorted(self.tenant_latencies.items()):
+        for tenant, latencies_t in sorted(tenant_latencies.items()):
             out[f"tenant[{tenant}]_jobs"] = float(len(latencies_t))
             out[f"tenant[{tenant}]_p99_s"] = percentile(latencies_t, 99.0)
         # Quota rejections ride along whenever the fair-share layer
@@ -236,10 +205,9 @@ class ServiceMetrics:
         if tenant_weights is not None:
             from .fairness import jains_index  # late: fairness imports queue
 
-            service = self.tenant_service_seconds()
-            total_service = sum(service.values())
+            total_service = sum(tenant_service.values())
             normalized: List[float] = []
-            for tenant, seconds in sorted(service.items()):
+            for tenant, seconds in sorted(tenant_service.items()):
                 if total_service > 0:
                     out[f"tenant[{tenant}]_share_of_service"] = (
                         seconds / total_service

@@ -25,10 +25,19 @@ event loop processes each event atomically under the same lock, so
 concurrent submissions interleave between events rather than corrupting
 them.  The measured worker accounting lands in
 :class:`~repro.service.metrics.ServiceMetrics`.
+
+Whoever moves a job — queue, scheduler, event loop, dispatcher — the
+bookkeeping of the move is written once, in
+:meth:`ReconstructionService._transition`: the registry, the journal, the
+lifetime ``service.jobs_*`` counters and the outcome ledger are touched
+there and nowhere else, with the event looked up in
+:data:`repro.service.job.LIFECYCLE` (the only place an event or a
+journaled field is added).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import threading
@@ -42,7 +51,7 @@ from ..pipeline.perfmodel import IFDKPerformanceModel
 from .cache import FilteredProjectionCache
 from .diskcache import OnDiskFilteredCache
 from .fairness import FairShareQueue
-from .job import JobState, ReconstructionJob
+from .job import TERMINAL_EVENTS, JobState, ReconstructionJob
 from .metrics import ServiceMetrics
 from .process_dispatch import ProcessDispatcher
 from .queue import AdmissionPolicy, JobQueue
@@ -51,6 +60,16 @@ from .store import JobStore
 from .trace import ArrivalTrace
 
 __all__ = ["ReconstructionService", "ServiceReport"]
+
+#: The lifetime counter a live event bumps.  A submission counts once it is
+#: admitted, so ``submitted`` itself bumps nothing and ``queued`` does.
+_EVENT_COUNTERS = {
+    "queued": "service.jobs_submitted",
+    "rejected": "service.jobs_rejected",
+    "placed": "service.jobs_placed",
+    "completed": "service.jobs_completed",
+    "failed": "service.jobs_failed",
+}
 
 
 @dataclass
@@ -122,8 +141,8 @@ class ReconstructionService:
                 timeout_seconds=dispatch_timeout_seconds,
                 max_retries=dispatch_max_retries,
                 fault_injection=fault_injection,
-                on_executed=self._on_pilot_executed,
-                on_failed=self._on_pilot_failed,
+                on_executed=functools.partial(self._transition, "executed"),
+                on_failed=functools.partial(self._transition, "failed"),
                 obs=self.obs,
             )
         self._lock = threading.RLock()
@@ -174,7 +193,7 @@ class ReconstructionService:
             return [placement.job for placement in self._running]
 
     # ------------------------------------------------------------------ #
-    # Restart recovery and pilot-outcome callbacks
+    # Restart recovery and the one transition path
     # ------------------------------------------------------------------ #
     def _recover(self) -> None:
         """Replay the job store's journal into this fresh service.
@@ -189,36 +208,45 @@ class ReconstructionService:
         with self._lock:
             recovered = self.store.recover()
             self.recovered_jobs = len(recovered)
-            for job in recovered.completed:
-                self.jobs[job.job_id] = job
-                self.metrics.record_completion(job)
-            for job in recovered.rejected:
-                self.jobs[job.job_id] = job
-                self.metrics.record_rejection(job)
-            for job in recovered.failed:
-                self.jobs[job.job_id] = job
-                self.metrics.record_failure(job)
+            for job in recovered.jobs:
+                # A terminal event is named after the state it means.
+                event = job.state.value if job.state.value in TERMINAL_EVENTS else "submitted"
+                self._transition(event, job, recovered=True)
             for job in recovered.pending:
                 self.submit(job, now=job.arrival_seconds)
-            if recovered.pending:
-                self.obs.counter("service.jobs_recovered").inc(len(recovered.pending))
 
-    def _on_pilot_executed(self, job: ReconstructionJob) -> None:
-        with self._lock:
-            if self.store is not None:
-                self.store.record_executed(job)
+    def _transition(
+        self, event: str, job: ReconstructionJob, *, recovered: bool = False, **extra
+    ) -> None:
+        """The bookkeeping of one lifecycle event, for every caller.
 
-    def _on_pilot_failed(self, job: ReconstructionJob) -> None:
+        The job's own fields are set by whoever moved it (queue, scheduler,
+        event loop, dispatcher); this makes the move known: the registry
+        holds the job, the journal gets the event with the fields
+        :data:`~repro.service.job.LIFECYCLE` pairs with it (plus ``extra``),
+        the event's lifetime counter moves, and a job reaching a terminal
+        state enters the ledger.  ``recovered`` marks history replayed from
+        the journal: it is neither journaled nor counted again — an
+        in-flight job counts as recovered and is then resubmitted live.
+        """
+        terminal = event in TERMINAL_EVENTS
         with self._lock:
-            demoted = self.metrics.record_failure(job)
-            if self.store is not None:
-                self.store.record_failed(job)
-            self.obs.counter("service.jobs_failed").inc()
-            if demoted:
-                # Obs counters are monotonic, so `service.jobs_completed`
-                # (completions *observed*) cannot be walked back; this
-                # counter reconciles it with summary()["jobs_completed"]:
-                # current completions = observed - overturned.
+            self.jobs[job.job_id] = job
+            if recovered:
+                if not terminal:
+                    self.obs.counter("service.jobs_recovered").inc()
+            else:
+                if self.store is not None:
+                    self.store.record(event, job, **extra)
+                counter = _EVENT_COUNTERS.get(event)
+                if counter is not None:
+                    # `service.jobs_completed` counts completions *observed*
+                    # at simulated completion time; counters never decrease.
+                    self.obs.counter(counter).inc()
+            if terminal and not self.metrics.record(job):
+                # A late pilot failure overturned a completion.  This
+                # counter reconciles the monotonic one with
+                # summary()["jobs_completed"]: current = observed - overturned.
                 self.obs.counter("service.completions_overturned").inc()
 
     # ------------------------------------------------------------------ #
@@ -256,33 +284,21 @@ class ReconstructionService:
             now = self.clock_seconds if now is None else now
             job.arrival_seconds = now
             job.backend = self.backend  # every rank runs one backend
-            self.jobs[job.job_id] = job
-            if self.store is not None:
-                # Journal the submission before deciding its fate: a service
-                # killed mid-admission re-admits the job on recovery.
-                self.store.record_submitted(job)
+            # Journal the submission before deciding its fate: a service
+            # killed mid-admission re-admits the job on recovery.
+            self._transition("submitted", job)
             feasibility = self.scheduler.best_plan(job, self.cluster.total_gpus, now)
             if feasibility is None:
                 job.mark_rejected(
                     f"infeasible: no (R, C) decomposition of {job.problem} fits "
                     f"{self.cluster.total_gpus} x {self.cluster.device.name}"
                 )
-                self.metrics.record_rejection(job)
-                if self.store is not None:
-                    self.store.record_rejected(job)
-                self.obs.counter("service.jobs_rejected").inc()
-                return False
-            job.estimated_seconds = feasibility.runtime_seconds
-            if not self.queue.offer(job):
-                self.metrics.record_rejection(job)
-                if self.store is not None:
-                    self.store.record_rejected(job)
-                self.obs.counter("service.jobs_rejected").inc()
-                return False
-            if self.store is not None:
-                self.store.record_queued(job)
-            self.obs.counter("service.jobs_submitted").inc()
-            return True
+                admitted = False
+            else:
+                job.estimated_seconds = feasibility.runtime_seconds
+                admitted = self.queue.offer(job)  # marks the job queued or rejected
+            self._transition("queued" if admitted else "rejected", job)
+            return admitted
 
     def submit_plan(
         self, plan, *, dataset_id: str = "", now: Optional[float] = None
@@ -317,19 +333,16 @@ class ReconstructionService:
                 )
             self.obs.counter("service.scheduler_cycles").inc()
             for job in rejected:
-                self.metrics.record_rejection(job)
-                if self.store is not None:
-                    self.store.record_rejected(job)
-                self.obs.counter("service.jobs_rejected").inc()
+                self._transition("rejected", job)
             for placement in placements:
                 self._running.append(placement)
                 heapq.heappush(
                     self._finish_heap,
                     (placement.finish_seconds, placement.job.sequence, placement),
                 )
-                if self.store is not None:
-                    self.store.record_placed(placement.job, placement.finish_seconds)
-                self.obs.counter("service.jobs_placed").inc()
+                self._transition(
+                    "placed", placement.job, finish=placement.finish_seconds
+                )
                 self.obs.histogram("service.queue_wait_seconds").observe(
                     placement.start_seconds - placement.job.arrival_seconds
                 )
@@ -337,7 +350,7 @@ class ReconstructionService:
                     self.obs.counter("service.cache_hits").inc()
                 else:
                     self.obs.counter("service.cache_misses").inc()
-            self.metrics.sample_queue_depth(now, len(self.queue))
+            self.metrics.sample_queue_depth(len(self.queue))
             self.obs.gauge("service.queue_depth").set(len(self.queue))
         # Real execution rides along as one batch per scheduling cycle; the
         # pool runs outside the lock so submissions never wait on pilots.
@@ -351,13 +364,7 @@ class ReconstructionService:
             self.cluster.release(placement.gpus)
             job = placement.job
             job.mark_completed(now)
-            self.metrics.record_completion(job)
-            if self.store is not None:
-                self.store.record_completed(job)
-            # Completions *observed* at simulated completion time; a late
-            # pilot failure may overturn one (counted separately as
-            # `service.completions_overturned` — counters never decrease).
-            self.obs.counter("service.jobs_completed").inc()
+            self._transition("completed", job)
             if self.obs.enabled and job.latency_seconds is not None:
                 self.obs.histogram("service.latency_seconds").observe(
                     job.latency_seconds
@@ -389,6 +396,7 @@ class ReconstructionService:
             if self._running or len(self.queue):
                 raise RuntimeError("cannot reset while jobs are queued or running")
             self.metrics = ServiceMetrics()
+            self.jobs.clear()  # every job here is terminal: nothing queued or running
             self._finish_heap.clear()
             self.clock_seconds = 0.0
             dispatcher = self.dispatcher
@@ -465,9 +473,7 @@ class ReconstructionService:
                         job.mark_rejected(
                             "starved: no future completion can free enough GPUs"
                         )
-                        self.metrics.record_rejection(job)
-                        if self.store is not None:
-                            self.store.record_rejected(job)
+                        self._transition("rejected", job)
                     break
                 self.clock_seconds = now
                 while self._finish_heap and self._finish_heap[0][0] <= now:
@@ -502,8 +508,7 @@ class ReconstructionService:
             if self.dispatcher is not None:
                 summary.update(self.dispatcher.fault_summary())
             jobs = sorted(
-                self.metrics.completed + self.metrics.rejected + self.metrics.failed,
-                key=lambda j: (j.arrival_seconds, j.sequence),
+                self.metrics.jobs, key=lambda j: (j.arrival_seconds, j.sequence)
             )
             records = [job.as_record() for job in jobs]
         return ServiceReport(

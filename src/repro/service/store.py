@@ -12,6 +12,12 @@ under a state directory::
     {"event": "executed",  "job_id": "job-0001", "start": 0.01, "finish": 0.2, ...}
     {"event": "completed", "job_id": "job-0001", "finish": 12.5}
 
+The event names, the state each one means and the fields it carries are
+not spelled here: :meth:`JobStore.record` writes, and :meth:`recover`
+replays, through :data:`repro.service.job.LIFECYCLE` — the only place an
+event or a journaled field is added.  :meth:`JobStore.append` is the raw
+line writer underneath.
+
 On restart, :meth:`recover` replays the journal and classifies every job
 by its *last durable state*:
 
@@ -37,45 +43,31 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, TextIO
 
 from ..obs import get_tracer
-from .job import ReconstructionJob
+from .job import LIFECYCLE, TERMINAL_EVENTS, JobsByState, JobState, ReconstructionJob
 
 __all__ = ["JobStore", "RecoveredState", "JOURNAL_NAME"]
 
 #: File name of the journal inside the state directory.
 JOURNAL_NAME = "journal.jsonl"
 
-#: Events that end a job's lifecycle; anything else leaves it in flight.
-_TERMINAL_EVENTS = frozenset({"completed", "rejected", "failed"})
-
-_KNOWN_EVENTS = frozenset(
-    {"submitted", "queued", "rejected", "placed", "executed", "completed", "failed"}
-)
-
 
 @dataclass
-class RecoveredState:
-    """Outcome of one journal replay, classified by last durable state."""
-
-    #: Jobs that were in flight (submitted/queued/placed) — re-admit these.
-    pending: List[ReconstructionJob] = field(default_factory=list)
-    completed: List[ReconstructionJob] = field(default_factory=list)
-    rejected: List[ReconstructionJob] = field(default_factory=list)
-    failed: List[ReconstructionJob] = field(default_factory=list)
+class RecoveredState(JobsByState):
+    """Outcome of one journal replay: every job once, in submission order,
+    in its last durable state."""
 
     @property
-    def jobs(self) -> List[ReconstructionJob]:
-        """Every recovered job, terminal and in-flight."""
-        return self.pending + self.completed + self.rejected + self.failed
+    def pending(self) -> List[ReconstructionJob]:
+        """Jobs that were in flight (submitted/queued/placed) — re-admit these."""
+        return self.in_state(JobState.PENDING)
 
     def __len__(self) -> int:
-        return len(self.pending) + len(self.completed) + len(self.rejected) + len(
-            self.failed
-        )
+        return len(self.jobs)
 
 
 class JobStore:
@@ -87,14 +79,13 @@ class JobStore:
         self.journal_path = self.state_dir / JOURNAL_NAME
         self._lock = threading.Lock()
         self._handle: Optional[TextIO] = None
-        self.events_appended = 0
 
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
     def append(self, event: str, job_id: str, **fields) -> None:
         """Journal one transition; flushed before returning (kill-safe)."""
-        if event not in _KNOWN_EVENTS:
+        if event not in LIFECYCLE:
             raise ValueError(f"unknown journal event {event!r}")
         record = {"event": event, "job_id": job_id}
         record.update(fields)
@@ -105,7 +96,6 @@ class JobStore:
                 self._handle = self.journal_path.open("a", encoding="utf-8")
             self._handle.write(line + "\n")
             self._handle.flush()
-            self.events_appended += 1
 
     def _repair_torn_tail(self) -> None:
         """Truncate a partial final line left by a mid-write ``kill -9``.
@@ -140,45 +130,12 @@ class JobStore:
         except FileNotFoundError:
             return
 
-    def record_submitted(self, job: ReconstructionJob) -> None:
-        self.append("submitted", job.job_id, job=job.to_payload())
-
-    def record_queued(self, job: ReconstructionJob) -> None:
-        self.append("queued", job.job_id)
-
-    def record_rejected(self, job: ReconstructionJob) -> None:
-        self.append("rejected", job.job_id, reason=job.rejection_reason)
-
-    def record_placed(self, job: ReconstructionJob, finish_seconds: float) -> None:
-        self.append(
-            "placed",
-            job.job_id,
-            start=job.start_seconds,
-            finish=finish_seconds,
-            gpus=job.gpus,
-            rows=job.rows,
-            columns=job.columns,
-            cache_hit=job.cache_hit,
-            filter_seconds=job.filter_seconds,
-            backprojection_seconds=job.backprojection_seconds,
-        )
-
-    def record_executed(self, job: ReconstructionJob) -> None:
-        self.append(
-            "executed",
-            job.job_id,
-            start=job.executed_start_seconds,
-            finish=job.executed_finish_seconds,
-            workers=job.workers,
-            pilot_cache_hit=job.pilot_cache_hit,
-            attempts=job.execution_attempts,
-        )
-
-    def record_completed(self, job: ReconstructionJob) -> None:
-        self.append("completed", job.job_id, finish=job.finish_seconds)
-
-    def record_failed(self, job: ReconstructionJob) -> None:
-        self.append("failed", job.job_id, reason=job.failure_reason)
+    def record(self, event: str, job: ReconstructionJob, **extra) -> None:
+        """Journal ``event`` for ``job`` with the fields the lifecycle table
+        pairs with it (plus any ``extra`` ones replay does not need)."""
+        if event == "submitted":
+            extra["job"] = job.to_payload()
+        self.append(event, job.job_id, **LIFECYCLE[event].journal_fields(job), **extra)
 
     # ------------------------------------------------------------------ #
     # Replay
@@ -219,82 +176,43 @@ class JobStore:
         re-journal their re-submissions — recovers exactly once.
         """
         with get_tracer().span("service.store", op="recover"):
-            submitted: Dict[str, dict] = {}
-            last: Dict[str, dict] = {}
-            extras: Dict[str, Dict[str, dict]] = {}
+            identity: Dict[str, dict] = {}  # latest submission wins (identical across re-journals)
+            outcome: Dict[str, str] = {}  # the event holding each job's durable state
+            latest: Dict[str, Dict[str, dict]] = {}  # each job's last record per event
             for event in self.events():
                 job_id = str(event.get("job_id", ""))
                 kind = event["event"]
                 if kind == "submitted":
-                    # Latest submission wins (identical across re-journals).
-                    submitted[job_id] = event.get("job", {})
-                    if job_id not in last or last[job_id]["event"] not in _TERMINAL_EVENTS:
-                        last[job_id] = event
-                    continue
-                if job_id not in submitted:
+                    identity[job_id] = event.get("job", {})
+                elif job_id not in identity:
                     raise ValueError(
                         f"corrupt journal {self.journal_path}: {kind!r} event "
                         f"for unknown job {job_id!r}"
                     )
-                extras.setdefault(job_id, {})[kind] = event
-                # A pilot's `executed` verdict lands after the simulated
-                # `completed` (the dispatcher drains after the event loop);
-                # side-records never demote a terminal outcome — only
-                # another terminal event (e.g. a late pilot `failed`
-                # overturning `completed`) may replace one.
-                if (
-                    job_id in last
-                    and last[job_id]["event"] in _TERMINAL_EVENTS
-                    and kind not in _TERMINAL_EVENTS
-                ):
-                    continue
-                last[job_id] = event
-            state = RecoveredState()
-            for job_id, payload in submitted.items():
-                job = ReconstructionJob.from_payload(payload)
-                side = extras.get(job_id, {})
-                outcome = last[job_id]["event"]
-                if outcome in _TERMINAL_EVENTS:
-                    self._apply_terminal(job, outcome, side)
-                if outcome == "completed":
-                    state.completed.append(job)
-                elif outcome == "rejected":
-                    state.rejected.append(job)
-                elif outcome == "failed":
-                    state.failed.append(job)
                 else:
-                    state.pending.append(job)
+                    latest.setdefault(job_id, {})[kind] = event
+                # A pilot's `executed` verdict lands after the simulated
+                # `completed` (the dispatcher drains after the event loop),
+                # and a recovery re-journals `submitted`: nothing but
+                # another terminal event (e.g. a late pilot `failed`
+                # overturning `completed`) replaces a terminal outcome.
+                if kind in TERMINAL_EVENTS or outcome.get(job_id) not in TERMINAL_EVENTS:
+                    outcome[job_id] = kind
+            state = RecoveredState()
+            for job_id, payload in identity.items():
+                job = ReconstructionJob.from_payload(payload)
+                last = outcome[job_id]
+                if last in TERMINAL_EVENTS:
+                    # The placement and the pilot's accounting, then the
+                    # outcome itself; an overturned completion leaves no
+                    # trace.  In-flight jobs restart as they were submitted.
+                    records = latest[job_id]
+                    for kind, record in records.items():
+                        if kind in LIFECYCLE and kind not in TERMINAL_EVENTS:
+                            LIFECYCLE[kind].apply(job, record)
+                    LIFECYCLE[last].apply(job, records[last])
+                state.jobs.append(job)
             return state
-
-    @staticmethod
-    def _apply_terminal(job: ReconstructionJob, outcome: str, side: Dict[str, dict]) -> None:
-        placed = side.get("placed")
-        if placed is not None:
-            job.mark_running(
-                float(placed.get("start") or 0.0),
-                gpus=int(placed.get("gpus") or 0),
-                rows=int(placed.get("rows") or 0),
-                columns=int(placed.get("columns") or 0),
-                cache_hit=bool(placed.get("cache_hit", False)),
-                filter_seconds=placed.get("filter_seconds"),
-                backprojection_seconds=placed.get("backprojection_seconds"),
-            )
-        executed = side.get("executed")
-        if executed is not None and executed.get("finish") is not None:
-            job.mark_executed(
-                float(executed.get("start") or 0.0),
-                float(executed["finish"]),
-                workers=int(executed.get("workers") or 1),
-            )
-            if executed.get("pilot_cache_hit") is not None:
-                job.pilot_cache_hit = bool(executed["pilot_cache_hit"])
-            job.execution_attempts = int(executed.get("attempts") or 0)
-        if outcome == "completed":
-            job.mark_completed(float(side["completed"].get("finish") or 0.0))
-        elif outcome == "rejected":
-            job.mark_rejected(str(side["rejected"].get("reason") or "rejected"))
-        elif outcome == "failed":
-            job.mark_failed(str(side["failed"].get("reason") or "failed"))
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

@@ -460,10 +460,10 @@ class TestFairnessMetrics:
         job = make_job("a", "a-0")
         job.mark_rejected(f"{QUOTA_REJECTION_PREFIX}: tenant 'a' capped",
                           retry_after_seconds=2.0)
-        metrics.record_rejection(job)
+        metrics.record(job)
         other = make_job("b", "b-0")
         other.mark_rejected("infeasible: no decomposition")
-        metrics.record_rejection(other)
+        metrics.record(other)
         assert metrics.quota_rejections == {"a": 1}
         summary = metrics.summary()
         assert summary["quota_rejections"] == 1.0

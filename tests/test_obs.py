@@ -418,6 +418,28 @@ def test_null_metrics_registry_is_inert():
     assert registry.snapshot() == {}
 
 
+def test_histogram_percentiles_are_numpys_to_the_last_bit():
+    # One percentile in the package (obs.metrics.percentile): the hand-
+    # rolled a*(1-t)+b*t this replaced differed from np.percentile in the
+    # last bit on 54 of these 600 series, and from the service KPIs with it.
+    from repro.obs.metrics import percentile
+    from repro.service import percentile as service_percentile
+
+    assert service_percentile is percentile
+    rng = np.random.default_rng(21)
+    for _ in range(600):
+        series = rng.lognormal(2.0, 1.5, size=int(rng.integers(1, 200)))
+        histogram = MetricsRegistry().histogram("h")
+        for value in series:
+            histogram.observe(value)
+        assert histogram.p50 == np.percentile(series, 50.0)
+        assert histogram.p99 == np.percentile(series, 99.0)
+        assert histogram.percentile(100.0) == series.max()
+    assert np.isnan(MetricsRegistry().histogram("empty").p50)
+    with pytest.raises(ValueError):
+        histogram.percentile(101.0)
+
+
 # --------------------------------------------------------------------- #
 # The strict wall-clock bound (slow tier: wall-clock assertions flake
 # under load in the blocking suite; the benchmarks CI job runs them).

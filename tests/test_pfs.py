@@ -62,6 +62,49 @@ class TestSimulatedPFS:
         with pytest.raises(KeyError):
             SimulatedPFS().read_array("nope")
 
+    def test_hostile_header_is_refused_not_evaluated(self, tmp_path):
+        # An on-disk object is outside input; the header used to go
+        # through eval().
+        pfs = SimulatedPFS(root_dir=tmp_path)
+        marker = tmp_path.parent / "pwned"
+        header = f"__import__('pathlib').Path({str(marker)!r}).touch()".encode("ascii")
+        (tmp_path / "evil").write_bytes(len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ValueError, match="corrupt PFS object 'evil'"):
+            pfs.read_array("evil")
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("keep", [0, 3, 20, -8])
+    def test_truncated_object_is_a_named_error(self, rng, tmp_path, keep):
+        pfs = SimulatedPFS(root_dir=tmp_path)
+        pfs.write_array("projections/000007", rng.random((4, 4)).astype(np.float32))
+        path = tmp_path / "projections__000007"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="corrupt PFS object 'projections/000007'"):
+            pfs.read_array("projections/000007")
+
+    @pytest.mark.parametrize("header", [
+        b"{'descr': '<f4', 'shape': (2, -1)}",
+        b"{'descr': '|O', 'shape': (1,)}",
+        b"{'descr': '<f4'}",
+        b"['<f4', (2,)]",
+        b"\xff\xfe",
+    ])
+    def test_malformed_header_is_a_named_error(self, tmp_path, header):
+        pfs = SimulatedPFS(root_dir=tmp_path)
+        blob = len(header).to_bytes(4, "little") + header + bytes(8)
+        (tmp_path / "x").write_bytes(blob)
+        with pytest.raises(ValueError, match="corrupt PFS object 'x'"):
+            pfs.read_array("x")
+
+    def test_good_object_round_trips_bit_identically_and_counts_one_read(self, rng, tmp_path):
+        pfs = SimulatedPFS(root_dir=tmp_path)
+        data = rng.standard_normal((3, 5, 7)).astype(np.float32)
+        pfs.write_array("a", data)
+        out = pfs.read_array("a")
+        assert out.dtype == data.dtype and out.tobytes() == data.tobytes()
+        assert pfs.stats.files_read == 1
+        assert pfs.stats.bytes_read == (tmp_path / "a").stat().st_size
+
     def test_statistics_accumulate(self, rng):
         pfs = SimulatedPFS()
         pfs.write_array("a", rng.random(100).astype(np.float32))

@@ -9,9 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import fdk_weight_and_filter
 from repro.core.types import problem_from_string
-from repro.pfs import SimulatedPFS
 from repro.service import (
     AdmissionPolicy,
     ArrivalTrace,
@@ -149,29 +147,6 @@ class TestFilteredProjectionCache:
         assert cache.used_bytes <= 250
         assert cache.stats.evictions == 1 and not cache.contains(b)
 
-    def test_get_filtered_counts_byte_only_entry_as_miss(self):
-        cache = FilteredProjectionCache(pfs=SimulatedPFS())
-        key = self.key()
-        cache.insert(key, nbytes=100)  # scheduling path: no stored stack
-        assert cache.get_filtered(key) is None
-        assert cache.stats.misses == 1 and cache.stats.hits == 0
-
-    def test_pfs_write_through_roundtrip(self, small_geometry, small_projections):
-        pfs = SimulatedPFS()
-        cache = FilteredProjectionCache(pfs=pfs)
-        filtered = fdk_weight_and_filter(small_projections, small_geometry)
-        key = CacheKey(
-            dataset_id=fingerprint_stack(small_projections),
-            ramp_filter="ram-lak",
-            nu=small_projections.nu,
-            nv=small_projections.nv,
-            np_=small_projections.np_,
-        )
-        cache.insert(key, filtered=filtered)
-        restored = cache.get_filtered(key)
-        assert restored is not None and restored.filtered
-        np.testing.assert_array_equal(restored.data, filtered.data)
-
     def test_fingerprint_tracks_content(self, small_projections):
         base = fingerprint_stack(small_projections)
         assert base == fingerprint_stack(small_projections.copy())
@@ -295,7 +270,7 @@ class TestServiceMetrics:
             job = make_job(SMALL, arrival_seconds=float(i))
             job.mark_running(float(i), gpus=2, rows=1, columns=2, cache_hit=False)
             job.mark_completed(float(i) + latency)
-            metrics.record_completion(job)
+            metrics.record(job)
         summary = metrics.summary(cluster_gpus=4)
         assert summary["jobs_completed"] == 4
         assert summary["latency_p50_s"] == pytest.approx(2.5)
@@ -306,7 +281,7 @@ class TestServiceMetrics:
     def test_rejects_wrong_state(self):
         metrics = ServiceMetrics()
         with pytest.raises(ValueError):
-            metrics.record_completion(make_job())
+            metrics.record(make_job())
 
 
 # --------------------------------------------------------------------------- #
@@ -632,7 +607,7 @@ class TestScenarioAwareService:
         cache.insert(self.key(scenario="full"), nbytes=10)
         assert not cache.lookup(self.key(scenario="short"))
         assert cache.lookup(self.key(scenario="full"))
-        assert self.key("full").object_name != self.key("short").object_name
+        assert self.key("full").tag != self.key("short").tag
 
     def test_for_job_resolves_preset_to_cache_token(self):
         """PR 1's cache can no longer serve full-scan filtering to a
@@ -694,7 +669,7 @@ class TestScenarioAwareService:
             job = make_job(scenario=scenario)
             job.mark_running(0.0, gpus=1, rows=1, columns=1, cache_hit=False)
             job.mark_completed(1.0)
-            metrics.record_completion(job)
+            metrics.record(job)
         assert metrics.scenario_counts == {"full_scan": 1, "short_scan": 2}
         summary = metrics.summary()
         assert summary["scenario[full_scan]_jobs"] == 1.0

@@ -10,6 +10,7 @@ marked ``slow`` — the CI ``service-serving`` job runs them with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -72,17 +73,17 @@ class TestJobStore:
     def test_round_trip_of_all_lifecycle_events(self, tmp_path):
         store = JobStore(tmp_path)
         done = make_job(job_id="done", dataset_id="ds-1", slo_seconds=60.0)
-        store.record_submitted(done)
-        store.record_queued(done)
+        store.record("submitted", done)
+        store.record("queued", done)
         done.mark_running(1.0, gpus=4, rows=1, columns=4, cache_hit=True,
                           filter_seconds=0.5, backprojection_seconds=2.0)
-        store.record_placed(done, 9.0)
+        store.record("placed", done, finish=9.0)
         done.mark_executed(0.1, 0.4, workers=2)
         done.execution_attempts = 1
         done.pilot_cache_hit = True
-        store.record_executed(done)
+        store.record("executed", done)
         done.mark_completed(9.0)
-        store.record_completed(done)
+        store.record("completed", done)
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -98,13 +99,13 @@ class TestJobStore:
     def test_in_flight_jobs_recover_as_fresh_pending(self, tmp_path):
         store = JobStore(tmp_path)
         queued = make_job(job_id="q", arrival_seconds=3.0)
-        store.record_submitted(queued)
-        store.record_queued(queued)
+        store.record("submitted", queued)
+        store.record("queued", queued)
         placed = make_job(job_id="p", arrival_seconds=4.0)
-        store.record_submitted(placed)
-        store.record_queued(placed)
+        store.record("submitted", placed)
+        store.record("queued", placed)
         placed.mark_running(5.0, gpus=2, rows=1, columns=2, cache_hit=False)
-        store.record_placed(placed, 30.0)
+        store.record("placed", placed, finish=30.0)
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -120,14 +121,14 @@ class TestJobStore:
     def test_terminal_classification(self, tmp_path):
         store = JobStore(tmp_path)
         rej = make_job(job_id="rej")
-        store.record_submitted(rej)
+        store.record("submitted", rej)
         rej.mark_rejected("queue full")
-        store.record_rejected(rej)
+        store.record("rejected", rej)
         bad = make_job(job_id="bad")
-        store.record_submitted(bad)
-        store.record_queued(bad)
+        store.record("submitted", bad)
+        store.record("queued", bad)
         bad.mark_failed("pilot worker crashed")
-        store.record_failed(bad)
+        store.record("failed", bad)
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -141,12 +142,12 @@ class TestJobStore:
         # next recovery must still see one job, in its latest state.
         store = JobStore(tmp_path)
         job = make_job(job_id="twice")
-        store.record_submitted(job)
-        store.record_queued(job)
-        store.record_submitted(job)  # the re-journal from a recovery
-        store.record_queued(job)
+        store.record("submitted", job)
+        store.record("queued", job)
+        store.record("submitted", job)  # the re-journal from a recovery
+        store.record("queued", job)
         job.mark_completed(7.0)
-        store.record_completed(job)
+        store.record("completed", job)
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -159,16 +160,16 @@ class TestJobStore:
         # it must enrich the outcome, not demote the job back to pending.
         store = JobStore(tmp_path)
         job = make_job(job_id="late")
-        store.record_submitted(job)
-        store.record_queued(job)
+        store.record("submitted", job)
+        store.record("queued", job)
         job.mark_running(0.0, gpus=2, rows=1, columns=2, cache_hit=False)
-        store.record_placed(job, 5.0)
+        store.record("placed", job, finish=5.0)
         job.mark_completed(5.0)
-        store.record_completed(job)
+        store.record("completed", job)
         job.mark_executed(0.0, 0.3, workers=1)
         job.pilot_cache_hit = False
         job.execution_attempts = 1
-        store.record_executed(job)  # after `completed`
+        store.record("executed", job)  # after `completed`
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -182,12 +183,12 @@ class TestJobStore:
         # outcome, and the real execution wins.
         store = JobStore(tmp_path)
         job = make_job(job_id="overturned")
-        store.record_submitted(job)
-        store.record_queued(job)
+        store.record("submitted", job)
+        store.record("queued", job)
         job.mark_completed(5.0)
-        store.record_completed(job)
+        store.record("completed", job)
         job.mark_failed("pilot worker crashed (attempt 2)")
-        store.record_failed(job)
+        store.record("failed", job)
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -199,8 +200,8 @@ class TestJobStore:
     def test_torn_final_line_is_ignored(self, tmp_path):
         store = JobStore(tmp_path)
         job = make_job(job_id="ok")
-        store.record_submitted(job)
-        store.record_queued(job)
+        store.record("submitted", job)
+        store.record("queued", job)
         store.close()
         with store.journal_path.open("a", encoding="utf-8") as handle:
             handle.write('{"event": "comp')  # killed mid-write
@@ -216,8 +217,8 @@ class TestJobStore:
         # or refuses the whole journal as corrupt.
         store = JobStore(tmp_path)
         job = make_job(job_id="ok")
-        store.record_submitted(job)
-        store.record_queued(job)
+        store.record("submitted", job)
+        store.record("queued", job)
         store.close()
         with store.journal_path.open("a", encoding="utf-8") as handle:
             handle.write('{"event": "comp')  # killed mid-write
@@ -225,8 +226,8 @@ class TestJobStore:
         second = JobStore(tmp_path)
         assert [j.job_id for j in second.recover().pending] == ["ok"]
         new = make_job(job_id="new")
-        second.record_submitted(new)
-        second.record_queued(new)
+        second.record("submitted", new)
+        second.record("queued", new)
         second.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -239,8 +240,8 @@ class TestJobStore:
         store = JobStore(tmp_path)
         store.journal_path.write_text('{"event": "subm', encoding="utf-8")
         job = make_job(job_id="fresh")
-        store.record_submitted(job)
-        store.record_queued(job)
+        store.record("submitted", job)
+        store.record("queued", job)
         store.close()
 
         recovered = JobStore(tmp_path).recover()
@@ -249,7 +250,7 @@ class TestJobStore:
     def test_corruption_before_the_tail_raises(self, tmp_path):
         store = JobStore(tmp_path)
         job = make_job(job_id="ok")
-        store.record_submitted(job)
+        store.record("submitted", job)
         store.close()
         lines = store.journal_path.read_text().splitlines()
         store.journal_path.write_text("not json\n" + "\n".join(lines) + "\n")
@@ -295,16 +296,14 @@ class TestOnDiskFilteredCache:
         assert second.stats.hits == 2
 
     def test_lru_eviction_by_byte_budget(self, tmp_path):
-        from repro.service.diskcache import _key_tag
-
         cache = OnDiskFilteredCache(tmp_path, capacity_bytes=250)
         a, b, c = disk_key("a"), disk_key("b"), disk_key("c")
         cache.insert(a, nbytes=100)
         cache.insert(b, nbytes=100)
         # Make the recency order unambiguous (mtime is the LRU clock):
         # a is oldest, b was touched more recently.
-        os.utime(cache._meta_path(_key_tag(a)), (1_000_000, 1_000_000))
-        os.utime(cache._meta_path(_key_tag(b)), (2_000_000, 2_000_000))
+        os.utime(cache._meta_path(a.tag), (1_000_000, 1_000_000))
+        os.utime(cache._meta_path(b.tag), (2_000_000, 2_000_000))
         cache.insert(c, nbytes=100)  # 300 > 250: evicts the oldest (a)
         assert not cache.contains(a)
         assert cache.contains(b) and cache.contains(c)
@@ -424,8 +423,8 @@ class TestServiceRestartRecovery:
 # --------------------------------------------------------------------------- #
 class TestServiceAccounting:
     def test_overturned_completion_reconciles_obs_counters(self):
-        # A late pilot failure demotes a completed job.  ServiceMetrics
-        # moves it completed -> failed; the monotonic obs counter
+        # A late pilot failure demotes a completed job.  Its ledger entry
+        # now reads failed, not completed; the monotonic obs counter
         # `service.jobs_completed` (completions *observed*) cannot be
         # walked back, so `service.completions_overturned` must record the
         # demotion: observed - overturned == summary()["jobs_completed"].
@@ -439,7 +438,7 @@ class TestServiceAccounting:
         assert job.state is JobState.COMPLETED
 
         job.mark_failed("pilot worker crashed (attempt 3)")
-        service._on_pilot_failed(job)
+        service._transition("failed", job)
 
         snapshot = service.obs_snapshot()
         summary = service.report().summary
@@ -463,11 +462,86 @@ class TestServiceAccounting:
         service = ReconstructionService(16, backend="vectorized", obs=registry)
         job = make_job(job_id="plain-fail", dataset_id="ds-p")
         job.mark_failed("pilot timed out after 1.0s (attempt 1)")
-        service._on_pilot_failed(job)
+        service._transition("failed", job)
 
         snapshot = service.obs_snapshot()
         assert snapshot["service.jobs_failed"] == 1.0
         assert "service.completions_overturned" not in snapshot
+
+    def test_every_kind_of_rejection_is_counted_exactly_once(self, tmp_path):
+        # infeasible, queue full, scheduler-rejected, starved: each goes
+        # through the one transition path, so the obs counter, the summary
+        # and the journal agree (the `starved:` branch used to journal and
+        # record but never count).
+        registry = MetricsRegistry()
+        service = ReconstructionService(
+            8, backend="vectorized", obs=registry, state_dir=tmp_path,
+            admission=AdmissionPolicy(max_depth=2),
+        )
+        refused = []
+
+        def places_nothing(queue, now, running):
+            # Refuses one job outright, then leaves the rest waiting with
+            # nothing running: no future event can free GPUs for them.
+            if not refused:
+                job = queue.ordered()[0]
+                queue.remove(job)
+                job.mark_rejected("infeasible: does not fit the cluster")
+                refused.append(job)
+                return [], [job]
+            return [], []
+
+        service.scheduler.schedule = places_nothing
+        jobs = {
+            "infeasible": make_job("8192x8192x8192->8192x8192x8192", job_id="r-inf"),
+            "scheduler": make_job(job_id="r-sched"),
+            "starved": make_job(job_id="r-starved"),
+            "queue full": make_job(job_id="r-full"),
+        }
+        for job in jobs.values():
+            service.submit(job, now=0.0)
+        service.run_until_idle()
+        service.close()
+
+        assert all(job.state is JobState.REJECTED for job in jobs.values())
+        assert jobs["starved"].rejection_reason.startswith("starved:")
+        assert jobs["queue full"].rejection_reason.startswith("queue full")
+        summary = service.report().summary
+        events = [e["event"] for e in JobStore(tmp_path).events()]
+        assert registry.snapshot()["service.jobs_rejected"] == 4.0
+        assert summary["jobs_rejected"] == 4.0
+        assert events.count("rejected") == 4
+
+    def test_reset_empties_the_registry_with_the_ledger(self):
+        # reset() "forgets all jobs": after two replays of traces with
+        # disjoint ids the registry GET /jobs serves held both traces'
+        # jobs while the report listed the second's.
+        from repro.service import ArrivalTrace, synthetic_trace
+
+        first = synthetic_trace(5, cluster_gpus=16, seed=1)
+        second = ArrivalTrace(
+            entries=[
+                dataclasses.replace(entry, job_id=f"second-{entry.job_id}")
+                for entry in synthetic_trace(3, cluster_gpus=16, seed=2).entries
+            ],
+            cluster_gpus=16,
+        )
+        service = ReconstructionService(16, backend="vectorized")
+        service.replay(first)
+        report = service.replay(second)
+        assert len(report.jobs) == 3
+        assert sorted(service.jobs) == sorted(r["job_id"] for r in report.jobs)
+
+        server = ServiceHTTPServer(service, auto_advance=False)
+        server.start()
+        try:
+            listed = _get(f"http://127.0.0.1:{server.port}/jobs")["jobs"]
+        finally:
+            server.stop()
+            service.close()
+        assert sorted(r["job_id"] for r in listed) == sorted(
+            r["job_id"] for r in report.jobs
+        )
 
     def test_report_is_consistent_under_concurrent_submissions(self):
         # GET /metrics runs report() on HTTP handler threads while the
