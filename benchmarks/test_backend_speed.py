@@ -10,10 +10,12 @@ their two rows double as a repeatability reading), with the conformance
 suite guaranteeing all outputs agree (bit-identically, within the tiled
 family).  The results are written to
 ``BENCH_backend_speed.json`` at the repo root so future PRs can track the
-hot path instead of guessing.  The filter layer gets the same treatment:
+hot path instead of guessing, together with the kernel ``executor`` the tiled
+names ran (the compiled Algorithm 4 kernel or, on a host without a compiler,
+NumPy).  The filter layer gets the same treatment:
 whole-stack ``filter_stack`` throughput (Mpix/s of raw detector samples) on
 the filter-bound 512x64x256 stack, per backend name.  Each run also
-*appends* a trajectory entry (git sha, UTC date, host cpu count,
+*appends* a trajectory entry (git sha, UTC date, host cpu count, executor,
 per-backend GUPS and filter Mpix/s) to the record's ``history`` list;
 ``tests/test_bench_trajectory.py`` fails tier-1 if the newest entry
 regresses more than 25% against the previous entry measured on the same
@@ -145,6 +147,9 @@ def test_backend_speed_records_parallel_speedup():
         "problem": str(PROBLEM),
         "updates": PROBLEM.updates,
         "cpus": os.cpu_count(),
+        # Which kernel executor the tiled names ran ("native" / "numpy"): part
+        # of the host profile the trajectory gate compares within.
+        "executor": get_backend("vectorized").accumulator(geometry).executor,
         "backends": results,
         "filter_problem": str(FILTER_PROBLEM),
         "filter_mpix_per_s": filter_rates,

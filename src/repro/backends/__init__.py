@@ -16,7 +16,11 @@ ramp filtering and back-projection through a named
     persistent worker pool.  ``vectorized`` and ``blocked`` run one worker
     inline; ``parallel`` fans out (``workers=N``).  Bit-identical at every
     byte budget and worker count, because workers own disjoint tiles of one
-    preallocated volume.
+    preallocated volume.  Algorithm 4's voxel updates run as compiled code
+    (:mod:`repro.backends.native`: ``alg4.c``, built with the system ``cc`` on
+    first use and cached per user) wherever that builds, loads and reproduces
+    the NumPy kernel's bits on a self-check — otherwise on the NumPy kernels,
+    with one warning: same bits, slower.
 
 Adding a backend
 ----------------

@@ -29,6 +29,13 @@ A backend implements two primitives:
     owns the voxel-update loop — this is where backends differ in batching,
     blocking and memory layout.
 
+Which code runs the voxel updates is the accumulator's ``executor``:
+``reference`` is NumPy/SciPy throughout; the tiled names (``vectorized``,
+``blocked``, ``parallel``) run Algorithm 4 on the compiled kernel of
+:mod:`repro.backends.native` where the host can build it and on the NumPy
+block kernels where it cannot, bit-identically, and Algorithm 2 always on
+NumPy.  No name, plan field or option selects between them.
+
 Everything else (`filter_stack`, `backproject`) is derived from those two
 primitives by shared driver code in this class, so all backends execute the
 *same* orchestration and differ only in the inner kernels.  The
@@ -43,7 +50,8 @@ with it registered:
 
 * each hot path must agree with ``reference`` to a relative RMSE of at most
   ``1e-5`` on every geometry preset, input dtype and Z-slab decomposition of
-  the matrix (in practice the NumPy backends agree to ~1e-7);
+  the matrix (in practice the tiled backend agrees to ~1e-7), on both kernel
+  executors;
 * a backend that only reorders traversal (the tiled backend at any byte
   budget and worker count) must agree with itself **bit-exactly**;
 * the Theorem 1–3 invariants (mirror-row reflection, u/z/Wdis constant
@@ -88,6 +96,10 @@ class VolumeAccumulator(abc.ABC):
     #: Registry name of the backend that built this accumulator (a trace
     #: attribute of the ``backproject`` span).
     backend: str = ""
+    #: What runs the voxel updates: ``"native"`` (compiled code that releases
+    #: the GIL for a whole stack) or ``"numpy"`` (array calls that re-take it).
+    #: A trace attribute too, and what the chunk driver's overlap rule reads.
+    executor: str = "numpy"
 
     def __init__(
         self,
@@ -141,6 +153,7 @@ class VolumeAccumulator(abc.ABC):
             "backproject",
             payload_bytes=int(stack.data.nbytes),
             backend=self.backend,
+            executor=self.executor,
             algorithm=self.algorithm,
             projections=stack.np_,
         ):

@@ -9,14 +9,26 @@ filter's fixed-size row groups (:data:`repro.core.filtering.GROUP_ROWS`)
 for filtering — and runs them on a persistent :class:`WorkerPool`.  It is
 registered under three names: ``vectorized`` and ``blocked`` (one worker,
 inline on the caller's thread) and ``parallel`` (:func:`default_workers`
-threads).  Threads buy less than their count: the FFTs release the GIL for
-a whole transform, but the back-projection kernels re-take it for every
-chunk-sized ufunc, so a second shard buys ~18 % (measured).  Where the
-filter is a material share of the work a worker buys more as the chunk
-driver's filter thread (``OVERLAP_MIN_FILTER_SHARE`` in
-:mod:`repro.streaming.reconstructor`), the other ``workers - 1`` as shards.
+threads).
 
-What ``byte_budget`` bounds, per tile (:func:`_block_bytes`): the column
+The proposed kernel (Algorithm 4) has two executors of one operation
+sequence.  ``native`` — :mod:`repro.backends.native`, ``alg4.c`` built on
+first use — folds a shard's tiles for a whole stack in one foreign call that
+releases the GIL, so shards scale with cores (measured on 2 vCPUs,
+96x96x128->64^3: 204 ms on one shard, 106 on two; the NumPy executor: 335
+and 371).  ``numpy`` — the block kernels of
+:mod:`repro.backends.vectorized` — is the fallback on a host without a C
+compiler, the load-time oracle of the compiled object, and the only executor
+of the standard kernel (Algorithm 2): same bits, but it re-takes the GIL for
+every chunk-sized ufunc, so a second shard buys 1.07x and the chunk driver
+may give a worker to its filter thread instead
+(``OVERLAP_MIN_FILTER_SHARE`` in :mod:`repro.streaming.reconstructor`).  An
+accumulator's ``executor`` says which one it runs; so does its
+``backproject`` span.
+
+What ``byte_budget`` bounds, per tile (:func:`_block_bytes`, the NumPy
+executor's working set — the compiled one holds 32 bytes per tile column
+and one padded projection, far inside it): the column
 tables and ``(i, j)`` temporaries, proportional to the tile's columns, plus
 one Z chunk of workspace — ``CHUNK_ELEMENTS`` voxels, whatever the tile's Z
 extent, because the kernels walk Z in fixed chunks themselves.  So the
@@ -56,6 +68,7 @@ import numpy as np
 from ..core.geometry import CBCTGeometry
 from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
 from ..obs import get_tracer
+from . import native
 from .base import ComputeBackend, VolumeAccumulator
 from .vectorized import (
     _BLOCK_KERNELS,
@@ -97,7 +110,8 @@ def default_workers() -> int:
     The environment override is how CI forces a fixed pool width (the
     ``parallel-conformance`` job runs the whole matrix with 4 workers on
     whatever runner it lands on); without it the count follows the host,
-    capped at 4 — the tile kernels are memory-bandwidth-bound beyond that.
+    capped at 4: nothing wider has been measured (the development host has
+    two cores, on which the compiled kernel's shards scale 1.9x).
     """
     env = os.environ.get("REPRO_PARALLEL_WORKERS")
     if env is not None:
@@ -117,9 +131,10 @@ class WorkerPool:
     """A persistent, lazily-started worker pool with blocking dispatch.
 
     :meth:`run` executes a batch of callables and returns when all have
-    finished, re-raising the first failure.  With one worker (or one task)
-    the batch runs inline on the caller's thread — no pool is started, so
-    ``workers=1`` is exactly the single-threaded execution it claims to be.
+    finished, re-raising the first failure.  The caller's thread runs the
+    first task and pool threads the others, so ``workers`` counts the caller:
+    with one worker (or one task) no pool is started and ``workers=1`` is
+    exactly the single-threaded execution it claims to be.
     ``workers=None`` resolves :func:`default_workers` on first use, never at
     construction, so a malformed ``REPRO_PARALLEL_WORKERS`` cannot fail an
     import that merely builds a pool.
@@ -161,9 +176,19 @@ class WorkerPool:
             for task in tasks:
                 task()
             return
+        # The caller is a worker too: it runs the first task itself and pool
+        # threads the rest — one hand-off fewer per dispatch (``stream_pfs_par``
+        # 3-4 % faster in 3 of 3 runs, 2 MiB less RSS).  It also keeps the
+        # caller's core busy: the development VM's guest scheduler can leave
+        # the threads a parked caller woke sharing its vCPU while the other
+        # idles; two shards ran so stacked (207 ms for 106) in 2 of 10 fresh
+        # process starts before this and in 0 of 10 after.
         executor = self._ensure(workers)
-        futures = [executor.submit(task) for task in tasks]
-        wait(futures)
+        futures = [executor.submit(task) for task in tasks[1:]]
+        try:
+            tasks[0]()
+        finally:
+            wait(futures)
         for future in futures:
             future.result()
 
@@ -302,7 +327,11 @@ class _TiledAccumulator(VolumeAccumulator):
         super().__init__(geometry, algorithm=algorithm, z_range=z_range)
         self.backend = backend
         self._pool = pool
-        self._kernel = _BLOCK_KERNELS[self.algorithm]
+        # Algorithm 4 has a compiled executor (resolved on the first proposed
+        # accumulator of the process, never at import); Algorithm 2 and a
+        # host without a usable compiler run the NumPy block kernels.
+        self._native = native.resolve() if self.algorithm == "proposed" else None
+        self.executor = "numpy" if self._native is None else "native"
         self._out = np.zeros(
             (self.nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE
         )
@@ -310,31 +339,39 @@ class _TiledAccumulator(VolumeAccumulator):
             self.nz_local, geometry.ny, geometry.nx, geometry.nv,
             byte_budget, min_tiles=workers,
         )
-        j_grid, i_grid = _index_grids(geometry.ny, geometry.nx)
-        z_start = self.z_range[0]
         # Static round-robin shards: worker w owns tiles[w::workers] —
         # disjoint by construction and interleaved for load balance, with no
-        # scheduling-dependent assignment.  Per tile, built once: the output
-        # view, the global Z indices of its slices and the index meshes of
-        # its rows — the kernel's operands.
-        self._shards = [
-            [
-                (
-                    self._out[z0:z1, y0:y1, :],
-                    np.arange(z_start + z0, z_start + z1, dtype=np.float64),
-                    i_grid[y0:y1, :],
-                    j_grid[y0:y1, :],
-                )
-                for z0, z1, y0, y1 in shard
+        # scheduling-dependent assignment.
+        shards = [shard for shard in (tiles[w::workers] for w in range(workers)) if shard]
+        if self._native is not None:  # the compiled kernel takes the tiles themselves
+            self._shards = [np.array(shard, dtype=np.int64) for shard in shards]
+        else:
+            j_grid, i_grid = _index_grids(geometry.ny, geometry.nx)
+            z_start = self.z_range[0]
+            # Per tile, built once: the output view, the global Z indices of its
+            # slices and the index meshes of its rows — the NumPy kernel's operands.
+            self._shards = [
+                [
+                    (
+                        self._out[z0:z1, y0:y1, :],
+                        np.arange(z_start + z0, z_start + z1, dtype=np.float64),
+                        i_grid[y0:y1, :],
+                        j_grid[y0:y1, :],
+                    )
+                    for z0, z1, y0, y1 in shard
+                ]
+                for shard in shards
             ]
-            for shard in (tiles[w::workers] for w in range(workers))
-            if shard
-        ]
 
-    def _fold_shard(self, shard, projections: np.ndarray, matrices) -> None:
+    def _fold_shard(self, shard, projections: np.ndarray, matrices: np.ndarray) -> None:
+        if self._native is not None:
+            # One GIL-free foreign call: the projection loop runs inside C.
+            self._native(self._out, self.z_range[0], shard, projections, matrices)
+            return
         # One workspace per shard and stack, sized for the shard's largest
         # tile and reused for every projection; released with the stack, so
         # it never sits under the next chunk's filtering peak.
+        kernel = _BLOCK_KERNELS[self.algorithm]
         work = BlockWorkspace(
             self.algorithm, self.geometry.nv, self.geometry.nu,
             [(len(ks), rows.size) for _, ks, rows, _ in shard],
@@ -342,12 +379,16 @@ class _TiledAccumulator(VolumeAccumulator):
         for matrix, projection in zip(matrices, projections):
             work.load(projection)
             for block, ks, i_grid, j_grid in shard:
-                self._kernel(block, work, matrix, ks, i_grid, j_grid)
+                kernel(block, work, matrix, ks, i_grid, j_grid)
 
     def _dispatch(self, projections: np.ndarray, angles: Sequence[float]) -> None:
-        matrices = [
+        # Packed once for every shard: (Np, 3, 4) float64, and for the compiled
+        # executor the stack as the float32 C array its pointer will cross as.
+        matrices = np.stack([
             self.geometry.projection_matrix(float(angle)).matrix for angle in angles
-        ]
+        ])
+        if self._native is not None:
+            projections = np.ascontiguousarray(projections, dtype=DEFAULT_DTYPE)
         tasks = [
             partial(self._fold_shard, shard, projections, matrices)
             for shard in self._shards
@@ -357,6 +398,7 @@ class _TiledAccumulator(VolumeAccumulator):
             worker=worker,
             tiles=len(self._shards[worker]),
             projections=len(matrices),
+            executor=self.executor,
         )))
 
     def add(self, projection: np.ndarray, angle: float) -> None:

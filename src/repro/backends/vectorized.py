@@ -1,4 +1,11 @@
-"""The vectorized block kernels of the tiled backend.
+"""The vectorized block kernels of the tiled backend: its NumPy executor.
+
+Algorithm 2 always runs here.  Algorithm 4 runs here on a host without a C
+compiler — elsewhere :mod:`repro.backends.native` executes the same
+per-voxel operation sequence as compiled code (no column table, no Z chunks),
+is proved against :func:`accumulate_proposed_block` with ``==`` before first
+use, and everything below about chunking, tables and the GIL describes this
+executor only.
 
 Where the ``reference`` backend is a literal transcription of the paper's
 algorithms (per-projection Python loops, chunked coordinate batches, SciPy
@@ -122,9 +129,11 @@ def rfft_ramp_filter(
 # --------------------------------------------------------------------------- #
 # Back-projection block kernels (elementwise in the (k, y) block)
 # --------------------------------------------------------------------------- #
-#: Voxels (slices x columns) per Z chunk of a tile, and rows x band per piece
-#: of the column-table build: the size of every array the kernels touch per
-#: step.  Chosen from this sweep of proposed back-projection on a 2-vCPU Xeon
+#: The NumPy executor's: voxels (slices x columns) per Z chunk of a tile, and
+#: rows x band per piece of the column-table build — the size of every array
+#: these kernels touch per step (the compiled executor has no chunks and does
+#: not read it).  Chosen from this sweep of proposed back-projection, NumPy
+#: executor, on a 2-vCPU Xeon
 #: (4 MiB L2 per core), seconds with one worker / two workers:
 #:
 #: ==========  ===================  ====================
@@ -197,7 +206,10 @@ def _row_band(slope: np.ndarray, offset: np.ndarray, ks: np.ndarray, nv: int):
     projects onto, not for the whole detector.
     """
     ends = slope * ks[[0, -1], None] + offset
-    lo, hi = _padded_index(np.floor([ends.min(), ends.max()]), nv).astype(int).tolist()
+    band = _padded_index(np.floor([ends.min(), ends.max()]), nv)
+    if np.isnan(band).any():  # what the Z loop's take() would raise on, named
+        raise IndexError("a voxel's detector row is not finite: index out of range")
+    lo, hi = band.astype(int).tolist()
     return lo, hi + 2  # one past the upper neighbour of the highest row
 
 

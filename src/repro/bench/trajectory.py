@@ -9,9 +9,11 @@ the same host profile, failing on a throughput regression larger than
 :data:`REGRESSION_THRESHOLD`.
 
 Numbers measured on different hosts are not comparable — a 1-cpu CI runner
-is not a 16-core workstation — so comparisons are gated on the host profile
-(today: the cpu count).  Entries from other profiles are kept in the
-history but never compared against.
+is not a 16-core workstation, and a host without a C compiler runs the
+NumPy kernels where another runs the compiled one — so comparisons are
+gated on the host profile: the cpu count and the kernel ``executor``
+(entries from before it was recorded ran ``numpy``).  Entries from other
+profiles are kept in the history but never compared against.
 
 Run ``python -m repro.bench.trajectory`` for the report-only view used by
 CI: it prints the trajectory and any detected regressions but exits 0
@@ -80,12 +82,20 @@ def trajectory_entry(record: Dict, *, sha: str, date: str) -> Dict:
         if "gups" not in result:
             raise ValueError(f"backend {name!r} result has no 'gups' field")
         gups[name] = float(result["gups"])
-    return {
+    entry = {
         "sha": str(sha),
         "date": str(date),
         "cpus": int(record.get("cpus") or 1),
         "gups": gups,
     }
+    if "executor" in record:
+        entry["executor"] = str(record["executor"])
+    return entry
+
+
+def _host_profile(entry: Dict) -> tuple:
+    """What must match for two entries' numbers to be comparable."""
+    return entry.get("cpus"), entry.get("executor", "numpy")
 
 
 def load_record(path) -> Dict:
@@ -119,7 +129,7 @@ def check_regression(
 
     Returns one human-readable line per backend whose latest GUPS fell more
     than ``threshold`` (fractional) below the most recent earlier entry
-    with the same ``cpus`` profile.  An empty list means no regression —
+    with the same host profile (``cpus`` and kernel ``executor``).  An empty list means no regression —
     including the no-comparison cases (fewer than two entries, or no prior
     entry on this host profile).
     """
@@ -132,7 +142,7 @@ def check_regression(
         (
             entry
             for entry in reversed(history[:-1])
-            if entry.get("cpus") == latest.get("cpus")
+            if _host_profile(entry) == _host_profile(latest)
         ),
         None,
     )
@@ -148,7 +158,8 @@ def check_regression(
             regressions.append(
                 f"{name}: {old_gups:.4f} -> {float(new_gups):.4f} GUPS "
                 f"({drop:.0%} drop > {threshold:.0%} allowed; "
-                f"{previous['sha']} -> {latest['sha']}, cpus={latest['cpus']})"
+                f"{previous['sha']} -> {latest['sha']}, cpus={latest['cpus']}, "
+                f"executor={_host_profile(latest)[1]})"
             )
     return regressions
 
@@ -167,7 +178,8 @@ def format_trajectory(record: Dict) -> str:
             for name in backends
         )
         lines.append(
-            f"  {entry['date']}  {entry['sha']:>9}  cpus={entry['cpus']:<3} {gups}"
+            f"  {entry['date']}  {entry['sha']:>9}  cpus={entry['cpus']:<3} "
+            f"{_host_profile(entry)[1]:<6} {gups}"
         )
     regressions = check_regression(history)
     if regressions:

@@ -271,6 +271,9 @@ def summary_tree(source, *, title: str = "trace summary") -> str:
                 detail += f" ({len(group)}×)"
             if payload:
                 detail += f", {_format_bytes(payload)}"
+            executors = sorted({s.attrs["executor"] for s in group if "executor" in s.attrs})
+            if executors:  # which kernel executor ran the voxel updates
+                detail += f", executor={'+'.join(executors)}"
             lines.append(f"{prefix}{branch}{name:<28s} {detail}")
             for span in group:
                 render(span.span_id, prefix + extend)

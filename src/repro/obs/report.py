@@ -83,6 +83,14 @@ class RunReport:
         tracer actually recorded (a null tracer yields an untraced report).
         """
         traced = tracer is not None and tracer.enabled
+        details = dict(details or {})
+        if traced:  # which kernel executor the back-projection spans name
+            executors = {
+                span.attrs.get("executor") for span in tracer.spans()
+                if span.name == "backproject"
+            } - {None}
+            if executors:
+                details["executor"] = "+".join(sorted(executors))
         return cls(
             plan_key=plan_key,
             target=target,
@@ -97,7 +105,7 @@ class RunReport:
             traced=traced,
             span_count=len(tracer) if traced else 0,
             stage_seconds=tracer.stage_totals() if traced else {},
-            details=dict(details or {}),
+            details=details,
         )
 
     # ------------------------------------------------------------------ #
@@ -127,13 +135,14 @@ class RunReport:
     def summary(self) -> str:
         """Operator-facing text block (what ``repro reconstruct`` prints
         to stderr when tracing is on)."""
+        executor = self.details.get("executor")
         lines = [
             f"run {self.plan_key} [{self.target}] backend={self.backend} "
             f"scenario={self.scenario} problem={self.problem}",
             f"  wall            {self.wall_seconds:.4f}s",
             f"  filter          {self.filter_seconds:.4f}s",
             f"  backprojection  {self.backprojection_seconds:.4f}s "
-            f"({self.gups:.4f} GUPS)",
+            f"({self.gups:.4f} GUPS{f', executor={executor}' if executor else ''})",
             f"  peak RSS        {self.peak_rss_bytes / 2**20:.1f} MiB",
         ]
         if self.traced:

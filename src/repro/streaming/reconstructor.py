@@ -10,11 +10,14 @@ the same loop (:meth:`StreamingReconstructor.reconstruct_stack`) — that is
 all :class:`~repro.core.fdk.FDKReconstructor` and a non-streaming
 :class:`~repro.api.Session` do.
 
-With one worker, one chunk or a back-projection-bound geometry the stages
-run strictly in turn.  Otherwise (:data:`OVERLAP_MIN_FILTER_SHARE`) the loop
-is the paper's Fig. 4a pipeline at depth two: a producer thread reads and
-filters chunk *n + 1* while the calling thread back-projects chunk *n* on
-the other ``workers - 1`` shards, so the filter leaves the critical path.
+On the compiled kernel executor (:mod:`repro.backends.native`) the stages
+run strictly in turn, filter and shards on all ``workers``: its kernel
+releases the GIL, so a second shard buys more than hiding the filter does.
+On the NumPy executor — a host without a C compiler — a run with a second
+worker, more than one chunk and a filter-bound geometry
+(:data:`OVERLAP_MIN_FILTER_SHARE`) is the paper's Fig. 4a pipeline at depth
+two: a producer thread reads and filters chunk *n + 1* while the calling
+thread back-projects chunk *n* on the other ``workers - 1`` shards.
 
 Bit-identity is the design invariant, not an accident:
 
@@ -65,17 +68,31 @@ from .sources import ProjectionChunkSource, StackChunkSource, StreamingError
 
 __all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
 
-#: The estimated filter share of a projection's work (:func:`_filter_share`)
+#: FALLBACK ONLY — read when the kernel executor is ``numpy`` (no compiler on
+#: the host); ROADMAP item 3 replaces it and :func:`_filter_share` with the
+#: calibrated cost model.  The estimated filter share of a projection's work
 #: from which a chunked run with a second worker overlaps its stages.  That
 #: hands one worker to the filter thread and cuts the shards for the other
-#: ``workers - 1``: it pays only where hiding the filter beats one more shard.
-#: Two workers on a 2-vCPU Xeon, 14 geometries in fresh processes — op ms
-#: overlapped / in turn, by estimated share:
+#: ``workers - 1``: it pays only where hiding the filter beats one more shard,
+#: and only while the kernel holds the GIL (a second NumPy shard buys 1.07x).
+#: NumPy executor, two workers on a 2-vCPU Xeon, 14 geometries in fresh
+#: processes — op ms overlapped / in turn, by estimated share:
 #: .06 383/313, .20 397/346, .31 197/194, .34 227/224, .41 387/339, .49 401/410
 #: | .55 101/155, .58 338/361 (``stream_pfs_par``), .59 214/377, .90 171/240.
 #: Below, a run is the in-turn loop on ``workers`` shards; that forgoes 3-40 % on
 #: four 32³-48³ volumes (.31 101/167, .41 135/167, .44 260/267, .45 174/188)
-#: where the second *shard* is what costs — ROADMAP 1(b), not this rule.
+#: where the second NumPy *shard* is what costs.
+#:
+#: The compiled executor never overlaps (``_run`` reads the accumulator's
+#: ``executor``).  Same host, same protocol, 14 geometries — op ms overlapped
+#: / in turn / in turn on ONE worker, by estimated share: .05 218/143/232,
+#: .20 123/104/174, .31 45/54/67 (128x128x128->32^3; three re-runs 68/70,
+#: 68/71, 68/71: a 3-4 % tie, the one row not won in turn), .34 113/102/172,
+#: .41 318/259/456, .41 83/72/116, .43 239/165/290, .45 107/86/148,
+#: .49 296/229/398, .53 133/103/178, .58 284/205/350 (``stream_pfs_par``),
+#: .59 216/162/277, .69 137/102/167, .90 153/101/147.  No geometry loses more
+#: than 5 % in turn, so none keeps the overlap; and the second shard, which
+#: cost up to 40 % on 32^3-48^3 volumes, now buys 1.24-1.76x on every row.
 OVERLAP_MIN_FILTER_SHARE = 0.5
 
 #: The overlapped loop's filter stage: one chunk ahead and no more, so a run
@@ -84,7 +101,8 @@ _one_ahead = partial(ahead, depth=1, name=WORKER_THREAD_PREFIX + "-filter")
 
 
 def _filter_share(geometry: CBCTGeometry, nz: int) -> float:
-    """Estimated filter share of one projection's single-thread work.  In
+    """FALLBACK ONLY (the NumPy executor's overlap rule, fitted on its
+    kernel).  Estimated filter share of one projection's single-thread work.  In
     units of 1.5 ns the filter costs ``Nv·pad·log2(pad) / 2``, the kernel
     ``Nx·Ny·(5·Nz + Nv)`` (voxel updates plus per-column detector tables):
     nine geometries, shares within 0.06 from 32³ to 128³ (16³: 0.90 for 0.72,
@@ -345,15 +363,20 @@ class StreamingReconstructor:
         bounds = plan_chunks(np_total, chunk)
         workers = self.backend.workers
         z0, z1 = self.z_range or (0, self.geometry.nz)
-        overlap = len(bounds) > 1 and workers >= 2 and (
-            _filter_share(self.geometry, z1 - z0) >= OVERLAP_MIN_FILTER_SHARE
-        )
-        filters = folds = self.backend
-        if overlap:  # one worker filters ahead, the shards are cut for the rest
-            filters, folds = folds.on_workers(1), folds.on_workers(workers - 1)
-        acc = folds.accumulator(
+        filters = self.backend
+        acc = filters.accumulator(
             self.geometry, algorithm=self.algorithm, z_range=self.z_range
         )
+        # Overlap costs the shards a worker, so it can pay only while the
+        # kernel executor holds the GIL; the compiled one runs in turn.
+        overlap = len(bounds) > 1 and workers >= 2 and acc.executor == "numpy" and (
+            _filter_share(self.geometry, z1 - z0) >= OVERLAP_MIN_FILTER_SHARE
+        )
+        if overlap:  # one worker filters ahead, the shards are cut for the rest
+            filters = self.backend.on_workers(1)
+            acc = self.backend.on_workers(workers - 1).accumulator(
+                self.geometry, algorithm=self.algorithm, z_range=self.z_range
+            )
         chunk_counter = self.metrics.counter("streaming.chunks")
         # Whichever thread filters, its spans hang under the caller's.
         span = partial(tracer.span, "filter.chunk", parent=tracer.current_span_id())

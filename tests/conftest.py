@@ -8,12 +8,17 @@ locally and is marked ``slow``.
 
 from __future__ import annotations
 
+import os
+import shutil
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.analysis import LockOrderSanitizer, enabled_from_env
+from repro.backends import native
 from repro.core import (
     CBCTGeometry,
     EllipsoidPhantom,
@@ -30,16 +35,28 @@ from repro.core import (
 _LOCK_SANITIZER: LockOrderSanitizer | None = None
 
 
+#: The session's own compiled-kernel cache, unless the caller named one: a
+#: run neither trusts nor litters the user's (and worker processes inherit it).
+_NATIVE_CACHE: str | None = None
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: slower end-to-end tests")
-    global _LOCK_SANITIZER
+    global _LOCK_SANITIZER, _NATIVE_CACHE
+    if "XDG_CACHE_HOME" not in os.environ and _NATIVE_CACHE is None:
+        _NATIVE_CACHE = tempfile.mkdtemp(prefix="repro-test-cache-")
+        os.environ["XDG_CACHE_HOME"] = _NATIVE_CACHE
     if enabled_from_env() and _LOCK_SANITIZER is None:
         _LOCK_SANITIZER = LockOrderSanitizer()
         _LOCK_SANITIZER.install()
 
 
 def pytest_sessionfinish(session, exitstatus):
-    global _LOCK_SANITIZER
+    global _LOCK_SANITIZER, _NATIVE_CACHE
+    if _NATIVE_CACHE is not None:
+        shutil.rmtree(_NATIVE_CACHE, ignore_errors=True)
+        del os.environ["XDG_CACHE_HOME"]
+        _NATIVE_CACHE = None
     if _LOCK_SANITIZER is None:
         return
     sanitizer, _LOCK_SANITIZER = _LOCK_SANITIZER, None
@@ -49,6 +66,29 @@ def pytest_sessionfinish(session, exitstatus):
         # Any observed A->B / B->A pair is a latent deadlock: fail the
         # whole session even if every test passed.
         session.exitstatus = 3
+
+
+@pytest.fixture
+def numpy_executor():
+    """The fallback as a host without a compiler sees it: the loader patched
+    out, every accumulator on the NumPy block kernels."""
+    with mock.patch.object(native, "resolve", return_value=None):
+        yield
+
+
+@pytest.fixture
+def native_executor():
+    """The compiled Algorithm 4 kernel, or a skip on a host that has none."""
+    if native.resolve() is None:
+        pytest.skip("no compiled kernel on this host (see the fallback warning)")
+
+
+@pytest.fixture(params=["native", "numpy"])
+def executor(request):
+    """Run the test once per kernel executor (``usefixtures("executor")``):
+    the compiled Algorithm 4 kernel, then NumPy with the loader patched out."""
+    request.getfixturevalue(f"{request.param}_executor")
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -198,3 +198,45 @@ def test_the_deleted_selector_is_an_unknown_keyword():
         repro.api.Session(plan, dispatcher="process")
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--http", "0", "--dispatcher", "process"])
+
+
+# --------------------------------------------------------------------------- #
+# The compiled kernel: package data, not API
+# --------------------------------------------------------------------------- #
+def test_the_kernel_source_ships_as_package_data_and_adds_no_export(tmp_path):
+    """A built tree (what a wheel holds) carries ``alg4.c`` beside its loader,
+    ``importlib.resources`` finds it there, and it names the same cached
+    object a source checkout does; ``repro.backends`` exports nothing new and
+    ``TiledBackend`` grew no option."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro.backends
+    from repro.backends import native
+
+    repo = Path(__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(tmp_path),
+         "build", "--build-base", str(tmp_path / "base"),
+         "--build-lib", str(tmp_path / "lib")],
+        cwd=repo, check=True, capture_output=True,
+    )
+    shipped = tmp_path / "lib" / "repro" / "backends" / "alg4.c"
+    assert shipped.read_bytes() == native.source()
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.backends import native\n"
+         "print(native.__file__)\n"
+         "print(native.object_name(native.source()))"],
+        cwd=tmp_path, check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tmp_path / "lib")},
+    )
+    module_file, name = child.stdout.split()
+    assert Path(module_file).parent == shipped.parent
+    assert name == native.object_name(native.source())
+    assert "native" not in repro.backends.__all__
+    assert _parameters(repro.backends.TiledBackend.__init__) == [
+        "workers", "byte_budget", "name",
+    ]

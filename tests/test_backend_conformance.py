@@ -63,6 +63,10 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is available in CI
     HAVE_HYPOTHESIS = False
 
+#: The whole matrix runs once per executor of the proposed kernel: the
+#: compiled ``alg4.c``, then the NumPy kernels with the loader patched out.
+pytestmark = pytest.mark.usefixtures("executor")
+
 #: Conformance bound: relative RMSE against the reference backend.
 RMSE_TOL = 1e-5
 

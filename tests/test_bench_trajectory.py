@@ -29,8 +29,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_backend_speed.json"
 
 
-def _entry(sha, gups, *, cpus=4, date="2026-08-08"):
-    return {"sha": sha, "date": date, "cpus": cpus, "gups": gups}
+def _entry(sha, gups, *, cpus=4, date="2026-08-08", executor=None):
+    entry = {"sha": sha, "date": date, "cpus": cpus, "gups": gups}
+    if executor is not None:
+        entry["executor"] = executor
+    return entry
 
 
 # --------------------------------------------------------------------- #
@@ -125,6 +128,24 @@ def test_comparison_is_gated_on_host_profile():
     assert len(check_regression(history)) == 1
 
 
+def test_comparison_is_gated_on_the_kernel_executor():
+    """A host without a compiler runs the NumPy kernels: half the GUPS of the
+    compiled entry before it, and not a regression — it is held to the last
+    NumPy entry (one from before the field existed counts as one)."""
+    history = [
+        _entry("aaaa", {"vectorized": 0.09}),
+        _entry("bbbb", {"vectorized": 0.17}, executor="native"),
+        _entry("cccc", {"vectorized": 0.085}, executor="numpy"),
+    ]
+    assert check_regression(history) == []
+    history.append(_entry("dddd", {"vectorized": 0.10}, executor="native"))
+    (regression,) = check_regression(history)
+    assert "bbbb -> dddd" in regression and "executor=native" in regression
+    history.append(_entry("eeee", {"vectorized": 0.05}))
+    (regression,) = check_regression(history)
+    assert "cccc -> eeee" in regression and "executor=numpy" in regression
+
+
 def test_no_comparison_cases_pass():
     assert check_regression([]) == []
     assert check_regression([_entry("aaaa", {"vectorized": 1.0})]) == []
@@ -174,6 +195,14 @@ def test_trajectory_entry_from_record():
         "cpus": 8,
         "gups": {"reference": 0.01, "vectorized": 0.04},
     }
+
+
+def test_trajectory_entry_carries_the_executor_when_recorded():
+    record = {"cpus": 2, "executor": "native", "backends": {"vectorized": {"gups": 0.2}}}
+    assert trajectory_entry(record, sha="a", date="d")["executor"] == "native"
+    assert "native" in format_trajectory(
+        {"history": [trajectory_entry(record, sha="a", date="d")]}
+    )
 
 
 def test_trajectory_entry_rejects_malformed_records():

@@ -10,15 +10,25 @@ both sides of the detector, volumes past its top and bottom, Z slabs down
 to one slice, chunk sizes that do not divide the slab, both input dtypes and
 any ``(byte_budget, workers)``.
 
+Every bit test runs on both executors of the proposed kernel — the compiled
+``alg4.c`` and, with the loader patched out, the NumPy one — so the frozen
+parent is the oracle of both.  A property test over garbage matrices (NaN,
+infinities, huge values) holds the two to the same answer or the same
+``IndexError``.
+
 **Memory.**  ``_block_bytes`` is the model ``byte_budget`` is enforced
-against; ``tracemalloc`` checks that a real ``add_stack`` stays under it
-and that the per-projection working set does not grow with the slab's Z
-extent.
+against; ``tracemalloc`` checks that a real ``add_stack`` of the NumPy
+executor stays under it and that the per-projection working set does not
+grow with the slab's Z extent.  ``tracemalloc`` cannot see ``malloc``, so the
+compiled executor's scratch is computed from the sizes its entry point is
+handed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -26,7 +36,7 @@ import numpy as np
 import pytest
 
 import frozen_parent_kernels as parent
-from repro.backends import TiledBackend, get_backend, plan_tiles
+from repro.backends import TiledBackend, get_backend, native, plan_tiles
 from repro.backends import vectorized
 from repro.backends.tiled import _block_bytes
 from repro.core import CBCTGeometry, default_geometry_for_problem
@@ -41,6 +51,7 @@ except ImportError:  # pragma: no cover - hypothesis is available in CI
     HAVE_HYPOTHESIS = False
 
 ALGORITHMS = ("proposed", "standard")
+both_executors = pytest.mark.usefixtures("executor")
 PARENT_KERNELS = {
     "proposed": parent.accumulate_proposed_block,
     "standard": parent.accumulate_standard_block,
@@ -116,6 +127,7 @@ def base_geometry(**overrides):
     return CBCTGeometry(**fields)
 
 
+@both_executors
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("offset", [-40.0, -9.0, 9.0, 40.0])
 def test_columns_leaving_the_detector_on_either_side(algorithm, offset):
@@ -129,6 +141,7 @@ def test_columns_leaving_the_detector_on_either_side(algorithm, offset):
     check_matches_parent(geometry, algorithm=algorithm)
 
 
+@both_executors
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_columns_leaving_on_both_sides_at_once(algorithm):
     geometry = base_geometry(nu=6, nx=16, ny=16, sad=40.0, sdd=60.0)
@@ -137,6 +150,7 @@ def test_columns_leaving_on_both_sides_at_once(algorithm):
     check_matches_parent(geometry, algorithm=algorithm)
 
 
+@both_executors
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_volume_taller_than_the_detector_sees(algorithm):
     """``v`` is clipped at both ends: slices above and below every row."""
@@ -148,6 +162,7 @@ def test_volume_taller_than_the_detector_sees(algorithm):
     check_matches_parent(geometry, algorithm=algorithm, z_range=(37, 40))
 
 
+@both_executors
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_one_slice_slabs_stitch_to_the_parent_volume(algorithm):
     geometry = base_geometry()
@@ -155,10 +170,12 @@ def test_one_slice_slabs_stitch_to_the_parent_volume(algorithm):
         check_matches_parent(geometry, algorithm=algorithm, z_range=(k, k + 1))
 
 
+@pytest.mark.usefixtures("numpy_executor")
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("chunk_elements", [1, 62, 63, 64, 200, 10_000])
 def test_chunks_that_do_not_divide_the_slab(algorithm, chunk_elements):
-    """63 columns x 11 slices: chunks of 1, 3 and all slices, with remainders."""
+    """63 columns x 11 slices: chunks of 1, 3 and all slices, with remainders
+    (the Z chunks are the NumPy executor's; the compiled one has none)."""
     geometry = base_geometry()
     assert geometry.nx * geometry.ny == 63
     check_matches_parent(geometry, algorithm=algorithm, chunk_elements=chunk_elements)
@@ -225,6 +242,7 @@ def random_case(rng_or_draw):
 
 if HAVE_HYPOTHESIS:
 
+    @both_executors
     @pytest.mark.parallel
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -234,6 +252,7 @@ if HAVE_HYPOTHESIS:
 
 else:  # pragma: no cover - exercised only without hypothesis
 
+    @both_executors
     @pytest.mark.parallel
     @pytest.mark.parametrize("seed", range(120))
     def test_any_case_has_the_parent_kernels_bits(seed):
@@ -241,6 +260,7 @@ else:  # pragma: no cover - exercised only without hypothesis
         check_matches_parent(case.pop("geometry"), **case)
 
 
+@both_executors
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_streamed_add_has_the_parent_kernels_bits(algorithm):
     """The workspace is reused across ``add`` calls without carrying state."""
@@ -253,6 +273,79 @@ def test_streamed_add_has_the_parent_kernels_bits(algorithm):
         acc.volume().data,
         parent_backproject(stack, geometry, algorithm, (0, geometry.nz)),
     )
+
+
+# --------------------------------------------------------------------------- #
+# Matrices no geometry produces: the two executors reject the same inputs
+# --------------------------------------------------------------------------- #
+def fold_under(matrices, *, numpy_only, workers=1):
+    """``base_geometry``'s stack folded under arbitrary ``matrices``: the
+    volume, or :class:`IndexError` if the executor raised it."""
+    geometry = base_geometry(np_=len(matrices))
+    feed = iter(matrices)
+    with TiledBackend(workers=workers) as backend:
+        with mock.patch.object(native, "resolve", return_value=None) if numpy_only \
+                else contextlib.nullcontext():
+            acc = backend.accumulator(geometry)
+        assert acc.executor == ("numpy" if numpy_only else "native")
+        with mock.patch.object(
+            CBCTGeometry, "projection_matrix",
+            lambda self, angle: mock.Mock(matrix=next(feed)),
+        ), np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NaN -> intp casts
+            try:
+                acc.add_stack(make_stack(geometry))
+            except IndexError:
+                return IndexError
+        return acc.volume().data
+
+
+#: Values a caller should never send (and a few it might).
+GARBAGE = (np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 0.0, -0.0, 1.0, -37.5)
+
+
+def check_garbage_matrices(pick):
+    geometry = base_geometry(np_=3)
+    matrices = np.stack(
+        [geometry.projection_matrix(float(a)).matrix for a in geometry.angles]
+    )
+    for _ in range(pick(1, 3)):
+        matrices[pick(0, 2), pick(0, 2), pick(0, 3)] = GARBAGE[pick(0, len(GARBAGE) - 1)]
+    expected = fold_under(matrices, numpy_only=True)
+    result = fold_under(matrices, numpy_only=False)
+    if expected is IndexError or result is IndexError:
+        assert expected is result, "one executor accepted what the other rejected"
+    else:
+        assert_same_bits(result, expected)  # NaN and infinite voxels included
+
+
+needs_native = pytest.mark.usefixtures("native_executor")
+
+if HAVE_HYPOTHESIS:
+
+    @needs_native
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_garbage_matrices_get_the_same_answer_or_the_same_index_error(data):
+        check_garbage_matrices(lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+else:  # pragma: no cover - exercised only without hypothesis
+
+    @needs_native
+    @pytest.mark.parametrize("seed", range(150))
+    def test_garbage_matrices_get_the_same_answer_or_the_same_index_error(seed):
+        rng = np.random.default_rng(7000 + seed)
+        check_garbage_matrices(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+
+
+@both_executors
+@pytest.mark.parametrize("entry", [(1, 2), (0, 0), (2, 3), (1, 3)])
+def test_a_nan_matrix_is_an_index_error_on_either_executor(executor, entry):
+    """Per column (``u``) and per voxel (``v``): the clip-then-index argument
+    needs finite coordinates, and both executors check instead of trusting."""
+    matrices = np.stack([base_geometry().projection_matrix(0.3).matrix] * 2)
+    matrices[(1,) + entry] = np.nan
+    assert fold_under(matrices, numpy_only=executor == "numpy") is IndexError
 
 
 # --------------------------------------------------------------------------- #
@@ -300,6 +393,7 @@ def outside_the_budget(geometry, nz_local):
     return 4 * nz_local * geometry.ny * geometry.nx + 2 * padded
 
 
+@pytest.mark.usefixtures("numpy_executor")
 @pytest.mark.parametrize("byte_budget", [1 << 25, 1 << 21])
 @pytest.mark.parametrize("problem", [(40, 40, 3, 40), (72, 56, 2, 64)])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -314,6 +408,7 @@ def test_add_stack_stays_under_block_bytes(algorithm, problem, byte_budget):
     assert peak <= model + outside_the_budget(geometry, n)
 
 
+@pytest.mark.usefixtures("numpy_executor")
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_working_set_does_not_grow_with_the_slab(algorithm):
     """Four times the slices, the same workspace: only the output grows."""
@@ -336,3 +431,41 @@ def test_working_set_does_not_grow_with_the_slab(algorithm):
     # how the last piece of the table build falls, the float64 slice indices.
     slack = padded + 4 * vectorized.CHUNK_ELEMENTS + 16 * nz
     assert working[thick] <= working[thin] + slack < 1.1 * working[thin]
+
+
+@needs_native
+def test_compiled_scratch_follows_the_widest_tile_not_the_slab_or_the_stack():
+    """The compiled executor's per-call scratch, from the sizes its entry point
+    is handed: 32 B per column of the shard's widest tile plus one padded
+    projection — whatever the slab's thickness and the stack's length."""
+    n, nz = 48, 64
+    geometry = default_geometry_for_problem(nu=n, nv=nz, np_=8, nx=n, ny=n, nz=nz)
+    stack = make_stack(geometry)
+    padded = 4 * (geometry.nu + 4) * (geometry.nv + 4)
+    scratch = {}
+    for z_range, views, budget in [
+        ((24, 32), 8, 1 << 25), ((0, nz), 8, 1 << 25), ((0, nz), 2, 1 << 25),
+        ((0, nz), 8, 1 << 21),
+    ]:
+        acc = TiledBackend(workers=1, byte_budget=budget).accumulator(
+            geometry, z_range=z_range
+        )
+        handed = []
+        fold = acc._native
+
+        def recording(out, z_start, tiles, projections, matrices, fold=fold):
+            handed.append((np.array(tiles), np.shape(projections)))
+            fold(out, z_start, tiles, projections, matrices)
+
+        acc._native = recording
+        acc.add_stack(stack.subset(range(views)))
+        (tiles, shape), = handed  # one foreign call per (shard, stack)
+        assert shape == (views, geometry.nv, geometry.nu)
+        assert (len(tiles) == 1) == (budget == 1 << 25)
+        widest = int(((tiles[:, 3] - tiles[:, 2]) * n).max())
+        scratch[z_range, views, budget] = 32 * widest + padded
+    whole_rows = 32 * n * n + padded
+    assert [*scratch.values()][:3] == [whole_rows] * 3
+    assert padded < scratch[(0, nz), 8, 1 << 21] < whole_rows  # narrower tiles
+    model = _block_bytes(nz, n, n, geometry.nv)  # what NumPy may hold for one tile
+    assert 20 * whole_rows < model

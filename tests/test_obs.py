@@ -217,6 +217,7 @@ def _overlapped_trace(**plan_fields):
 
 
 @pytest.mark.parallel
+@pytest.mark.usefixtures("numpy_executor")  # whose GIL the overlap hides behind
 def test_overlapped_chunk_spans_overlap_in_time_under_the_run_span(tmp_path, capsys):
     tracer, result, by_name = _overlapped_trace(streaming=True, chunk_size=8)
     (run,) = by_name["run"]
@@ -281,6 +282,34 @@ def test_whole_stack_trace_keeps_its_shape_whatever_the_projection_count():
     }
     assert {s.attrs["worker"] for s in by_name["backproject.worker"]} == {0, 1}
     assert result.details["overlap_delta"] == 1.0
+
+
+@pytest.mark.parallel
+def test_a_traced_run_names_the_kernel_executor(executor, tmp_path, capsys):
+    """``native`` where the compiled kernel loads, ``numpy`` with the loader
+    patched out — on the span, on every worker span, in the report the CLI
+    prints and in ``repro report``'s tree."""
+    tracer, result, by_name = _overlapped_trace()
+    (backproject,) = by_name["backproject"]
+    assert backproject.attrs["executor"] == executor
+    assert {s.attrs["executor"] for s in by_name["backproject.worker"]} == {executor}
+    assert result.report.details["executor"] == executor
+    assert f"GUPS, executor={executor})" in result.report.summary()
+    from repro.cli import main
+
+    path = write_trace(tracer, tmp_path / "run.jsonl")
+    assert main(["report", str(path)]) == 0
+    tree = capsys.readouterr().out
+    (line,) = [line for line in tree.splitlines() if "backproject " in line]
+    assert line.endswith(f"executor={executor}")
+    # Algorithm 2 has no compiled kernel: the standard scheme says so.
+    standard = Tracer()
+    plan = plan_for_problem("48x48x6->16x16x16", backend="vectorized", algorithm="standard")
+    with Session(plan, tracer=standard) as session:
+        session.run(_stack_for(plan))
+    assert {
+        s.attrs["executor"] for s in standard.spans() if s.name == "backproject"
+    } == {"numpy"}
 
 
 # --------------------------------------------------------------------- #

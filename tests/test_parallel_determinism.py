@@ -18,22 +18,33 @@ order, pool reuse or repetition.  This module locks that down:
   conformance RMSE of the checked-in golden volumes;
 * **no leaked threads** — after ``FDKReconstructor`` teardown every worker
   thread is joined (the accounting idiom of ``repro.mpi.engine``: all
-  threads this package starts are named, joinable and attributable).
+  threads this package starts are named, joinable and attributable);
+* **native shards** — the compiled Algorithm 4 executor
+  (``repro.backends.native``) under the same pool: worker counts agree on
+  both executors, racing first users end with one usable object, a failed
+  foreign call surfaces after every sibling finished, and every way the
+  build-and-cache path can go wrong (no compiler, a corrupt cached object,
+  an unusable cache directory) is a rebuild or the NumPy fallback with one
+  warning naming the reason — never a crash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.backends import TiledBackend
+from repro.backends import TiledBackend, native
 from repro.backends.tiled import WORKER_THREAD_PREFIX, WorkerPool
 from repro.core import FDKReconstructor, default_geometry_for_problem
 from repro.core.types import ProjectionStack
@@ -77,6 +88,7 @@ def test_repeated_runs_are_bit_identical():
     assert first.tobytes() == second.tobytes()
 
 
+@pytest.mark.usefixtures("executor")
 @pytest.mark.parametrize("algorithm", ["proposed", "standard"])
 def test_worker_counts_agree_end_to_end(algorithm):
     """Full FDK (filter + BP) is invariant across workers and equals blocked."""
@@ -215,8 +227,9 @@ def test_workers_one_driver_never_starts_threads():
 
 
 @pytest.fixture
-def always_overlap(monkeypatch):
-    """Small geometries are back-projection-bound: lift the selection rule."""
+def always_overlap(monkeypatch, numpy_executor):
+    """Small geometries are back-projection-bound: lift the selection rule
+    (which overlaps on the NumPy executor only — its kernel holds the GIL)."""
     from repro.streaming import reconstructor
 
     monkeypatch.setattr(reconstructor, "OVERLAP_MIN_FILTER_SHARE", 0.0)
@@ -334,6 +347,26 @@ def test_worker_pool_validation_and_error_propagation():
     pool.close()
 
 
+def test_the_caller_is_one_of_the_workers():
+    """``run`` keeps the calling thread busy with the first task instead of
+    parking it (a parked caller wakes every pool thread on its own core)."""
+    pool = WorkerPool(3)
+    ran = {}
+    barrier = threading.Barrier(3)  # all three tasks are in flight at once
+
+    def task(index):
+        barrier.wait(timeout=10.0)
+        ran[index] = threading.current_thread()
+
+    try:
+        pool.run([lambda i=i: task(i) for i in range(3)])
+    finally:
+        pool.close()
+    assert ran[0] is threading.current_thread()
+    assert {ran[1].name, ran[2].name} <= {f"{WORKER_THREAD_PREFIX}_{n}" for n in range(3)}
+    assert ran[1] is not ran[2]
+
+
 def test_worker_pool_waits_for_siblings_before_raising():
     """A failed task must not return control while siblings still write.
 
@@ -354,8 +387,261 @@ def test_worker_pool_waits_for_siblings_before_raising():
         finished.append("slow")
 
     try:
-        with pytest.raises(RuntimeError, match="tile failed"):
-            pool.run([bad, slow])
-        assert finished == ["slow"], "run() raised while a sibling was running"
+        for tasks in ([bad, slow], [slow, bad]):  # failing on the caller, or beside it
+            finished.clear()
+            sibling_started.clear()
+            with pytest.raises(RuntimeError, match="tile failed"):
+                pool.run(tasks)
+            assert finished == ["slow"], "run() raised while a sibling was running"
     finally:
         pool.close()
+
+
+# --------------------------------------------------------------------------- #
+# Native shards: the compiled executor's build, cache, load and failure paths
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """An empty compiled-kernel cache (and nowhere else to fall back to)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    return tmp_path / "cache"
+
+
+def resolve_fresh():
+    """A first use, as a new process would make it: ``(fold, warnings)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        resolver = native._Resolver()
+        fold = resolver.resolve()
+        assert resolver.resolve() is fold  # decided once: no second attempt
+    return fold, [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+def assert_usable(fold):
+    """``fold`` reproduces the NumPy executor's bits on a small stack."""
+    geometry = default_geometry_for_problem(nu=20, nv=16, np_=3, nx=10, ny=8, nz=6)
+    stack = make_stack(geometry)
+    with mock.patch.object(native, "resolve", return_value=None):
+        expected = TiledBackend(workers=1).backproject(stack, geometry).data
+    with mock.patch.object(native, "resolve", return_value=fold):
+        result = TiledBackend(workers=1).backproject(stack, geometry).data
+    assert result.tobytes() == expected.tobytes()
+
+
+def test_compiler_flags_are_pinned(native_executor, empty_cache):
+    """No ``-ffast-math``, no ``-Ofast``, no ISA flag; contraction off."""
+    assert native.FLAGS == ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+    commands = []
+    real_run = subprocess.run
+
+    def run(command, **kwargs):
+        commands.append(list(command))
+        return real_run(command, **kwargs)
+
+    with mock.patch.object(native.subprocess, "run", run):
+        fold, reasons = resolve_fresh()
+    assert fold is not None and not reasons
+    (command,) = commands  # one build, and a cache hit starts no process
+    flags = [arg for arg in command[1:] if arg.startswith("-") and arg != "-"]
+    assert flags == ["-O2", "-ffp-contract=off", "-shared", "-fPIC", "-x", "-o"]
+    (cached,) = empty_cache.glob("repro-native-*/*")
+    assert cached.name == native.object_name(native.source())
+    assert cached.parent.stat().st_mode & 0o777 == 0o700
+    with mock.patch.object(native.subprocess, "run", side_effect=AssertionError):
+        assert_usable(resolve_fresh()[0])
+
+
+def test_threads_racing_the_first_load_share_one_object(native_executor, empty_cache):
+    baseline = set(threading.enumerate())
+    resolver = native._Resolver()
+    barrier = threading.Barrier(4)
+    folds = []
+
+    def first_use():
+        barrier.wait(timeout=10.0)
+        folds.append(resolver.resolve())
+
+    builds = []
+    real_build = native.build
+    with mock.patch.object(
+        native, "build", lambda *args: (builds.append(args), real_build(*args))
+    ):
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    assert len(builds) == 1 and len(folds) == 4
+    assert all(fold is folds[0] for fold in folds)
+    assert_usable(folds[0])
+    assert [path.suffix for path in empty_cache.glob("repro-native-*/*")] == [".so"]
+    assert set(threading.enumerate()) == baseline
+
+
+def test_builders_racing_one_cache_each_install_a_whole_object(native_executor, empty_cache):
+    """Write-then-``os.replace``: whoever loses the race still loads a
+    complete object, and no partial file is left beside it."""
+    path = native.cache_dir() / native.object_name(native.source())
+    threads = [
+        threading.Thread(target=native.build, args=(native.source(), path))
+        for _ in range(3)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+    assert_usable(native.load())
+
+
+def _wrong_architecture(image: bytes) -> bytes:
+    """The same ELF object claiming another machine (``e_machine``, offset 18),
+    sealed again: the digest holds, ``dlopen`` itself must refuse it."""
+    machine = int.from_bytes(image[18:20], "little")
+    other = 183 if machine != 183 else 62  # EM_AARCH64, else EM_X86_64
+    body = image[:18] + other.to_bytes(2, "little") + image[20:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda image: b"",
+    lambda image: image[: len(image) // 3],
+    _wrong_architecture,
+    lambda image: b"not an object at all\n" * 40,
+], ids=["zero-byte", "truncated", "wrong-architecture", "text"])
+def test_a_corrupt_cached_object_is_a_rebuild(native_executor, empty_cache, damage):
+    path = native.cache_dir() / native.object_name(native.source())
+    native.build(native.source(), path)
+    good = path.read_bytes()
+    path.write_bytes(damage(good))
+    fold, reasons = resolve_fresh()
+    assert not reasons
+    assert_usable(fold)
+    assert path.read_bytes()[:64] == good[:64] and len(path.read_bytes()) == len(good)
+
+
+@pytest.mark.parametrize("setup, reason", [
+    ("cc-false", "build failed"),
+    ("no-cc", "no compiler"),
+    ("cache-is-a-file", "cache not writable"),
+    ("cache-of-another-user", "cache not writable"),
+    ("wrong-bits", "self-check mismatch"),
+])
+def test_every_failure_is_the_numpy_fallback_with_one_named_warning(
+    empty_cache, monkeypatch, setup, reason
+):
+    if setup == "cc-false":
+        monkeypatch.setenv("CC", "false")
+    elif setup == "no-cc":
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", str(empty_cache.parent / "tmp"))
+    elif setup == "cache-is-a-file":
+        empty_cache.write_text("in the way")
+        monkeypatch.setattr(native.tempfile, "tempdir", str(empty_cache))
+    elif setup == "cache-of-another-user":
+        # As seen by a caller with another uid: the directories exist already
+        # and are not that caller's.
+        for root in (empty_cache, empty_cache.parent / "tmp"):
+            (root / f"repro-native-{os.getuid() + 1}").mkdir(parents=True)
+        monkeypatch.setattr(native.os, "getuid", lambda uid=os.getuid(): uid + 1)
+    elif setup == "wrong-bits":
+        if native.resolve() is None:
+            pytest.skip("no compiled kernel on this host")
+        real_bind = native._bind
+
+        def bind(path):
+            fold = real_bind(path)
+
+            def off_by_one_ulp(out, *operands):
+                fold(out, *operands)
+                out.view(np.uint32)[0, 0, 0] ^= 1
+
+            return off_by_one_ulp
+
+        monkeypatch.setattr(native, "_bind", bind)
+    fold, reasons = resolve_fresh()
+    assert fold is None
+    (warning,) = reasons  # once per process, whatever is asked again
+    assert reason in warning and "same bits, slower" in warning
+    if setup == "cc-false":
+        assert not list(empty_cache.glob("repro-native-*/*"))  # no partial file
+    # ... and the run a user asked for goes through on the NumPy kernels.
+    with mock.patch.object(native, "_RESOLVER", native._Resolver()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        geometry = default_geometry_for_problem(nu=20, nv=16, np_=3, nx=10, ny=8, nz=6)
+        with TiledBackend(workers=2) as backend:
+            acc = backend.accumulator(geometry)
+            acc.add_stack(make_stack(geometry))
+    assert acc.executor == "numpy" and np.isfinite(acc.volume().data).all()
+
+
+def test_fold_checks_its_operands_before_any_pointer_crosses(native_executor):
+    fold = native.resolve()
+    out = np.zeros((4, 5, 6), dtype=np.float32)
+    stack = np.zeros((2, 7, 8), dtype=np.float32)
+    matrices = np.zeros((2, 3, 4))
+    tiles = [(0, 4, 0, 5)]
+    for bad in [
+        dict(out=out.astype(np.float64)),
+        dict(out=out[:, :, ::2]),
+        dict(out=np.zeros((4, 5), dtype=np.float32)),
+        dict(tiles=[(0, 5, 0, 5)]),
+        dict(tiles=[(0, 4, 0, 6)]),
+        dict(tiles=[(-1, 4, 0, 5)]),
+        dict(tiles=[(0, 4, 3, 2)]),
+        dict(tiles=[(0, 4, 0)]),
+        dict(matrices=np.zeros((3, 3, 4))),
+        dict(matrices=np.zeros((2, 4, 3))),
+        dict(projections=np.zeros((7, 8), dtype=np.float32)),
+    ]:
+        operands = dict(out=out, tiles=tiles, projections=stack, matrices=matrices)
+        operands.update(bad)
+        with pytest.raises(ValueError):
+            fold(operands["out"], 0, operands["tiles"], operands["projections"],
+                 operands["matrices"])
+    read_only = out.copy()
+    read_only.setflags(write=False)
+    with pytest.raises(ValueError):
+        fold(read_only, 0, tiles, stack, matrices)
+
+
+@pytest.mark.usefixtures("executor")
+def test_an_index_error_surfaces_after_every_sibling_finished(executor):
+    """``WorkerPool.run``'s contract, through a foreign call: with ``inf`` in
+    ``p[0, 1]`` row ``j = 0`` has ``u = inf * 0 = NaN`` (an ``IndexError``) and
+    every other row a clipped ``u = inf`` — so of two shards one fails and one
+    folds its whole stack, and the caller sees the error only after both."""
+    baseline = set(threading.enumerate())
+    geometry = default_geometry_for_problem(nu=24, nv=24, np_=6, nx=12, ny=12, nz=8)
+    garbage = geometry.projection_matrix(0.0).matrix.copy()
+    garbage[0, 1] = np.inf
+    finished = []
+    with TiledBackend(workers=2) as backend:
+        acc = backend.accumulator(geometry)
+        assert acc.executor == executor and len(acc._shards) == 2
+        fold_shard = acc._fold_shard
+
+        def watched(shard, *operands):
+            try:
+                fold_shard(shard, *operands)
+                finished.append("folded")
+            except IndexError:
+                time.sleep(0.05)  # the sibling must not be waited on by luck
+                finished.append("raised")
+                raise
+
+        acc._fold_shard = watched
+        with mock.patch.object(
+            type(geometry), "projection_matrix",
+            lambda self, angle: mock.Mock(matrix=garbage),
+        ), np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(IndexError, match="not finite|out of bounds"):
+                acc.add_stack(make_stack(geometry))
+        assert sorted(finished) == ["folded", "raised"]
+    assert set(threading.enumerate()) == baseline

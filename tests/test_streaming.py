@@ -526,9 +526,10 @@ def assert_same_bits(result, expected):
 
 class TestOverlappedDriver:
     @pytest.fixture(autouse=True)
-    def always_overlap(self):
+    def always_overlap(self, numpy_executor):
         """The matrix geometries are small and back-projection-bound: lift the
-        selection rule so these tests drive the pipeline itself."""
+        selection rule so these tests drive the pipeline itself (on the NumPy
+        executor — the compiled one never hands a shard's worker away)."""
         with mock.patch.object(reconstructor_module, "OVERLAP_MIN_FILTER_SHARE", 0.0):
             yield
 
@@ -773,10 +774,12 @@ class TestOverlappedDriver:
     ("384x384x8->64x64x64", 2, (8, 16), True),
 ])
 def test_overlap_is_selected_by_estimated_filter_share(
-    problem, workers, z_range, overlaps
+    problem, workers, z_range, overlaps, executor
 ):
     """Overlapped: a producer thread, inline filtering, ``workers - 1``
-    shards.  Otherwise the parent's loop: filter and shards on all workers."""
+    shards.  Otherwise the parent's loop: filter and shards on all workers —
+    and always on the compiled executor, whose kernel does not hold the GIL
+    the filter thread would otherwise be hidden behind."""
     geometry = plan_for_problem(problem).geometry
     stack = ProjectionStack(
         data=np.random.default_rng(6).standard_normal(
@@ -789,6 +792,7 @@ def test_overlap_is_selected_by_estimated_filter_share(
     assert (share >= reconstructor_module.OVERLAP_MIN_FILTER_SHARE) == (
         overlaps or workers == 1
     )
+    overlaps = overlaps and executor == "numpy"
     shards, dealt = [], []
     real_dispatch = TiledBackend.dispatch_filter
 
@@ -816,7 +820,8 @@ def test_overlap_is_selected_by_estimated_filter_share(
             result = driver.reconstruct(StackChunkSource(stack))
             whole = driver.reconstruct_stack(stack)
     assert one_ahead.call_count == int(overlaps)
-    assert shards == [workers - overlaps, workers]
+    # One accumulator per run — cut again for the shards an overlap leaves.
+    assert shards == [workers] + [workers - 1] * overlaps + [workers]
     producer = WORKER_THREAD_PREFIX + "-filter"
     here = threading.current_thread().name
     assert dealt == [(1, producer) if overlaps else (workers, here)] * 2 + [
@@ -862,6 +867,7 @@ def traced_overlapped_run(np_, chunk):
     return geometry, peak - excluded
 
 
+@pytest.mark.usefixtures("numpy_executor")
 def test_overlapped_run_stays_under_the_working_set_estimate():
     chunk = 6
     geometry, working = traced_overlapped_run(24, chunk)
