@@ -616,9 +616,12 @@ class ReconstructionPlan:
         """Content hash of the filtering identity (drives the service cache).
 
         Deliberately *excludes* ``workers``, ``backend``, ``target``, the
-        output-volume extent/voxel pitch and all QoS fields: none of them
-        change the filtered projections, so plans differing only there
-        share a filtered-projection cache entry.
+        output-volume extent/voxel pitch and all QoS fields, so plans
+        differing only there share a filtered-projection cache entry.  All but
+        ``backend`` leave the filtered projections bit-identical; ``backend``
+        leaves them the same to the conformance bound (``reference`` and the
+        single-precision tiled names are ~9e-8 relative RMSE apart), so a cache
+        that stores payloads holds one family's bits or keys on the family.
         """
         return filter_cache_identity(**self.filter_identity())
 

@@ -11,7 +11,7 @@ ramp filtering and back-projection through a named
 ``vectorized`` / ``blocked`` / ``parallel``
     Three names of one :class:`~repro.backends.tiled.TiledBackend`: fully
     batched NumPy kernels (per-projection geometry hoisted per Theorems
-    2/3, fused weight·fetch·accumulate, real-FFT filtering) run over
+    2/3, fused weight·fetch·accumulate, single-precision real-FFT filtering) run over
     (z, y) tiles under a byte budget and fixed detector-row groups, on a
     persistent worker pool.  ``vectorized`` and ``blocked`` run one worker
     inline; ``parallel`` fans out (``workers=N``).  Bit-identical at every
@@ -29,7 +29,8 @@ First ask whether it is a new *kernel* (add it to
 :mod:`repro.backends.vectorized` and let the tiled backend drive it) or a
 new execution strategy.  For the latter subclass
 :class:`~repro.backends.base.ComputeBackend`, implement ``apply_filter``
-and ``accumulator``, give it a unique ``name`` and call
+(padded float32 row group in, final float32 rows out) and ``accumulator``,
+give it a unique ``name`` and call
 :func:`register_backend`.  The new backend must pass the conformance
 matrix in ``tests/test_backend_conformance.py`` (≤ 1e-5 relative RMSE
 against ``reference`` on every preset/dtype/slab combination) before it is

@@ -14,12 +14,14 @@ The protocol
 
 A backend implements two primitives:
 
-``apply_filter(rows, response, tau, out)``
-    Convolve one group of detector rows (last axis) with a precomputed
-    ramp-filter frequency ``response`` into ``out``; the surrounding cosine
-    weighting, grouping and FDK normalization are shared code
-    (:func:`~repro.core.filtering.filter_projections`), so a backend only
-    owns the FFT convolution itself.
+``apply_filter(rows, response, tau, scale, out)``
+    Convolve one group of cosine-weighted, zero-padded float32 detector rows
+    with a precomputed ramp-filter frequency ``response`` and write the final
+    float32 rows into ``out``; cosine weighting, redundancy and grouping are
+    shared code (:func:`~repro.core.filtering.filter_projections`), so a
+    backend owns the FFT convolution and its precision: ``reference`` a
+    complex FFT and float64 product (the goldens' bits), the tiled backends
+    the paper's single-precision real FFT (~9e-8 relative RMSE apart).
 
 ``accumulator(geometry, algorithm=..., z_range=...)``
     Return a :class:`VolumeAccumulator` bound to one geometry and Z slab.
@@ -205,14 +207,17 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def apply_filter(
-        self, rows: np.ndarray, response: np.ndarray, tau: float, out: np.ndarray
+        self, rows: np.ndarray, response: np.ndarray, tau: float, scale: float, out: np.ndarray
     ) -> None:
-        """Convolve one ``(n, Nu)`` row group with the ramp ``response``.
+        """Convolve one row group with the ramp ``response`` into ``out``.
 
-        ``response`` is the full-length frequency response produced by
+        ``rows`` is ``(n, pad)`` float32: the cosine-weighted samples in
+        ``[:, :Nu]``, zeros beyond — read, never written (the zeros are the
+        next group's padding too).  ``response`` is the ``pad``-long table of
         :func:`repro.core.filtering.ramp_filter_frequency_response`; the
-        result, including the ``tau`` Riemann-sum factor, goes into the
-        float64 ``out`` of the same shape.
+        result times ``tau`` (the Riemann-sum factor) and the constant
+        ``scale`` goes into the ``(n, Nu)`` float32 ``out`` — the final
+        filtered rows: nothing rescales or narrows them afterwards.
         """
 
     @abc.abstractmethod

@@ -29,7 +29,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from functools import lru_cache
@@ -186,27 +185,30 @@ def apply_ramp_filter(
 # Algorithm 1
 # --------------------------------------------------------------------------- #
 #: Detector rows of one projection filtered per step.  Chosen from this sweep
-#: on a 2-vCPU Xeon — op milliseconds, medians of three *fresh* processes:
-#: one worker on whole stacks, and the chunk driver overlapped (``parallel``,
-#: two workers, 384x384x96 -> 48^3 in 20 chunks from disk):
-#: rows    512x64x256  384x384x96  1024x768x16  overlapped 384x384
-#: ======  ==========  ==========  ===========  ==================
-#: parent  206         426         391          460
-#:     16  179         335         311          543
-#:     64  168         309         313          408
-#:    256  172         307         302          365
-#:    512  173         318         304          401
-#: One worker is flat from 64 rows up; small groups cost the *overlap*: each
-#: NumPy call of the filter thread must win the GIL back from the
-#: back-projection thread, so fewer, larger steps hide more.  Traps met:
-#: * Never judge a grouping by a warm loop.  Capping groups at 256 rows
-#:   *without* owning the buffers is 25 % faster than the parent warm and
-#:   38 % slower in a fresh process (220 -> 305 ms, 512-wide): 1-2 MB
-#:   temporaries sit just above glibc's dynamic trim threshold and are
-#:   returned and page-faulted again every group.  Own them; set no knob.
+#: on a 2-vCPU Xeon — whole-run ms, medians of three *fresh* processes:
+#: ``vectorized`` (one worker, compiled kernel), and ``parallel`` on two
+#: workers over 24 chunks on the NumPy kernels, the executor that overlaps:
+#: rows     512x64x256->16^3  384x384x96->48^3  1024x768x16->32^3  overlapped 384x384
+#: =======  ================  ================  =================  ==================
+#: float64  156               366               244                379
+#:      16  117               304               174                549
+#:      64  107               275               167                383
+#:     256  107               284               167                348
+#:     512  106               352               163                334
+#: (``float64``: 256 rows, before the transforms went single precision.)  One
+#: worker is flat from 64 to 256 rows, so 256 stays; small groups cost the
+#: *overlap*: each NumPy call of the filter thread must win the GIL back from
+#: the back-projection thread, so fewer, larger steps hide more.  Traps met:
+#: * Never judge a grouping by a warm loop: 1-2 MB temporaries sit just above
+#:   glibc's dynamic trim threshold and are returned and page-faulted again
+#:   every group in a fresh process (+38 %).  Own the buffers; set no knob.
+#:   The transforms' own outputs cannot be owned (SciPy takes no ``out=``;
+#:   NumPy's FFT does and is 40 % slower): at 1 MB each (256 rows, 384- or
+#:   512-wide) they stay on the heap, at 1.25 MB (320 rows) the filter alone
+#:   goes 182 -> 250 ms on 384x384x96 — the 512-row line's 352.
 #: * A filter running beside a back-projection must not submit its groups
 #:   to the backend's pool: they queue behind the shards (445 vs 384 ms).
-#: * Cache the buffers per thread and never dispatch a one-group stack: an
+#: * Keep the buffers per thread and never dispatch a one-group stack: an
 #:   iFDK rank filters one 96-row projection per call (set-up: +2.5 %).
 #: When to overlap at all: ``repro.streaming.reconstructor.OVERLAP_MIN_FILTER_SHARE``.
 GROUP_ROWS = 256
@@ -214,22 +216,23 @@ GROUP_ROWS = 256
 _scratch = threading.local()
 
 
-def thread_scratch(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's reusable, grow-only ``name`` buffer viewed as ``shape``
-    (a short last group reuses the full group's pages); dies with the thread."""
-    size = math.prod(shape)
-    flat = _scratch.__dict__.get(name)
-    if flat is None or flat.dtype != dtype or flat.size < size:
-        flat = _scratch.__dict__[name] = np.empty(size, dtype=dtype)
-    return flat[:size].reshape(shape)
+def thread_scratch(name: str, key, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's zeroed ``name`` buffer, made anew when asked for under
+    another ``key``.  Keyed by exact layout, never re-viewed: a grow-only
+    buffer at a new ``(rows, pad)`` shows old samples in the zero tails."""
+    held = _scratch.__dict__.get(name)
+    if held is None or held[0] != key:
+        held = _scratch.__dict__[name] = (key, np.zeros(shape, dtype=dtype))
+    return held[1]
 
 
 def apply_ramp_filter_into(
-    rows: np.ndarray, response: np.ndarray, tau: float, out: np.ndarray
+    rows: np.ndarray, response: np.ndarray, tau: float, scale: float, out: np.ndarray
 ) -> None:
-    """:func:`apply_ramp_filter` as a row-group kernel (widening its float32
-    result into the float64 ``out`` is exact: narrowing returns the bits)."""
-    out[...] = apply_ramp_filter(rows, tau, response=response)
+    """:func:`apply_ramp_filter`, then the float32 ``scale``, as a row-group
+    kernel: the ``reference`` backend's, complex FFT and float64 product."""
+    out[...] = apply_ramp_filter(rows[:, : out.shape[-1]], tau, response=response)
+    out *= DEFAULT_DTYPE(scale)
 
 
 def filter_projections(
@@ -246,11 +249,12 @@ def filter_projections(
 
     This is the one place the cosine → redundancy → ramp → ``τ`` → scale
     sequence is written; every backend's ``filter_stack`` runs it with its
-    own convolution, group by group — at most :data:`GROUP_ROWS` rows of one
-    projection — through two :func:`thread_scratch` buffers (float32 weighted
-    rows; float64 redundancy product, then convolution) straight into the
-    one ``(Np, Nv, Nu)`` float32 result: no whole-stack temporary exists, and
-    a row's operations, dtypes and roundings do not depend on the grouping.
+    own group kernel, group by group — at most :data:`GROUP_ROWS` rows of one
+    projection.  The weighted float32 rows are written once, into the thread's
+    zero-padded buffer, and the kernel writes the finished float32 rows
+    straight into the one ``(Np, Nv, Nu)`` result: no whole-stack temporary
+    exists, and a row's operations, dtypes and roundings do not depend on the
+    grouping.
 
     ``extra_scale`` is an optional constant folded into the output (used by
     :func:`fdk_weight_and_filter` to absorb the FDK normalization).
@@ -258,9 +262,10 @@ def filter_projections(
     (projection, detector column), constant along V — multiplied in with
     the cosine weights, *before* the ramp filter: the hook acquisition
     scenarios use for Parker/short-scan and offset-detector ray-redundancy
-    handling.  ``convolve(rows, response, tau, out)`` writes the ``τ``-scaled
-    convolution of one ``(n, Nu)`` float32 group into the float64 ``out``
-    (:meth:`ComputeBackend.apply_filter <repro.backends.base.ComputeBackend.apply_filter>`).
+    handling (a float64 product narrowed once, the same rows on every backend).
+    ``convolve(rows, response, tau, scale, out)`` is the group kernel
+    (:meth:`ComputeBackend.apply_filter <repro.backends.base.ComputeBackend.apply_filter>`):
+    padded float32 rows in, the ``τ · scale``-scaled float32 rows out.
     ``dispatch(filter_groups, groups)`` decides which thread filters which
     ``(projection, first row, stop row)`` groups (default: the caller, all).
     """
@@ -282,29 +287,27 @@ def filter_projections(
             )
     data = stack.data  # float32: ProjectionStack holds nothing else
     out = np.empty(data.shape, dtype=DEFAULT_DTYPE)
-    scale = DEFAULT_DTYPE(extra_scale)
-    shape = (min(GROUP_ROWS, stack.nv), stack.nu)
+    n_rows, nu, pad = min(GROUP_ROWS, stack.nv), stack.nu, response.shape[0]
 
     def filter_groups(groups) -> None:
-        narrow = thread_scratch("narrow", shape, DEFAULT_DTYPE)
-        wide = thread_scratch("wide", shape, np.float64)
+        # Zero beyond Nu: the transforms' padding, kept by writing [:, :nu] only.
+        padded = thread_scratch("padded", (n_rows, nu, pad), (n_rows, pad), DEFAULT_DTYPE)
         for p, first, stop in groups:
-            rows, result = narrow[: stop - first], wide[: stop - first]
-            np.multiply(data[p, first:stop], fcos[first:stop], out=rows)
+            rows = padded[: stop - first]
+            weighted = rows[:, :nu]
+            np.multiply(data[p, first:stop], fcos[first:stop], out=weighted)
             if redundancy is not None:
-                # The float64 product, narrowed once, as rows to convolve.
-                np.multiply(rows, redundancy[p], out=result)
-                np.copyto(rows, result)
-            convolve(rows, response, tau, result)
-            filtered = out[p, first:stop]
-            np.copyto(filtered, result)
-            if extra_scale != 1.0:
-                np.multiply(filtered, scale, out=filtered)
+                # A float64 product narrowed once, through the ufunc's own buffer.
+                np.multiply(
+                    weighted, redundancy[p], out=weighted,
+                    dtype=np.float64, casting="same_kind",
+                )
+            convolve(rows, response, tau, extra_scale, out[p, first:stop])
 
     groups = [
-        (p, first, min(first + shape[0], stack.nv))
+        (p, first, min(first + n_rows, stack.nv))
         for p in range(stack.np_)
-        for first in range(0, stack.nv, shape[0])
+        for first in range(0, stack.nv, n_rows)
     ]
     if dispatch is None:
         filter_groups(groups)

@@ -9,7 +9,7 @@ assigned to one rank.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,16 +54,13 @@ def read_projection_subset(
     if not indices:
         raise ValueError("at least one projection index is required")
     angles = dataset_angles(pfs)
-    images: List[np.ndarray] = []
-    selected_angles: List[float] = []
     for index in indices:
         if not 0 <= index < len(angles):
             raise IndexError(
                 f"projection index {index} outside dataset of {len(angles)} projections"
             )
-        images.append(pfs.read_array(projection_object_name(index)))
-        selected_angles.append(float(angles[index]))
+    # Stacked straight from read-only views of the objects read: one copy each.
     return ProjectionStack(
-        data=np.stack(images, axis=0),
-        angles=np.asarray(selected_angles, dtype=np.float64),
+        data=np.stack([pfs.read_view(projection_object_name(i)) for i in indices]),
+        angles=np.asarray(angles[indices], dtype=np.float64),
     )

@@ -131,6 +131,11 @@ class SimulatedPFS:
 
     def read_array(self, name: str) -> np.ndarray:
         """Load the array stored under ``name`` (raises ``KeyError`` if absent)."""
+        return self.read_view(name).copy()
+
+    def read_view(self, name: str) -> np.ndarray:
+        """:meth:`read_array` without its copy: a read-only array over the bytes
+        read, for a caller that copies anyway (stacking projections)."""
         with self._lock:
             if self.root_dir is not None:
                 path = self._path_for(name)
@@ -192,7 +197,8 @@ def _encode_header(array: np.ndarray) -> bytes:
 
 
 def _decode_blob(blob: bytes, name: str) -> np.ndarray:
-    """Parse a blob read back from storage; ``name`` is for the error only.
+    """Parse a blob read back from storage into a read-only array over its
+    payload bytes (no copy); ``name`` is for the error only.
 
     An on-disk object is outside input: the header is parsed as a literal,
     never evaluated, and a torn or foreign one is a ``ValueError`` naming
@@ -209,10 +215,10 @@ def _decode_blob(blob: bytes, name: str) -> np.ndarray:
         shape = tuple(header["shape"])
         if dtype.hasobject or not all(isinstance(n, int) and n >= 0 for n in shape):
             raise ValueError(f"unusable dtype {dtype!r} / shape {shape!r}")
-        payload = blob[4 + header_len :]
+        payload_bytes = len(blob) - 4 - header_len
         expected = dtype.itemsize * math.prod(shape)
-        if len(payload) != expected:
-            raise ValueError(f"payload is {len(payload)} bytes, header promises {expected}")
+        if payload_bytes != expected:
+            raise ValueError(f"payload is {payload_bytes} bytes, header promises {expected}")
+        return np.frombuffer(blob, dtype=dtype, offset=4 + header_len).reshape(shape)
     except (ValueError, SyntaxError, KeyError, TypeError, MemoryError, RecursionError) as exc:
         raise ValueError(f"corrupt PFS object {name!r}: {exc}") from exc
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()

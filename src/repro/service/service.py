@@ -375,8 +375,11 @@ class ReconstructionService:
                     f"service.latency_seconds[tenant={job.tenant}]"
                 ).observe(job.latency_seconds)
             # Filtering ran as part of the job (unless it was a hit); its
-            # output is now on the PFS for every later job on the dataset.
-            self.cache.insert(job.cache_key, nbytes=job.problem.input_bytes())
+            # output is now on the PFS for every later job on the dataset —
+            # unless it is larger than the whole cache, which no eviction fixes.
+            nbytes = job.problem.input_bytes()
+            if nbytes <= self.cache.capacity_bytes:
+                self.cache.insert(job.cache_key, nbytes=nbytes)
 
     def run_until_idle(self) -> None:
         """Drain the queue, all running jobs and any real executions."""

@@ -88,20 +88,21 @@ def _fft_pad(nu: int) -> int:
 def per_projection_working_set_bytes(geometry: CBCTGeometry) -> int:
     """Budgeted transient bytes per ``(Nv, Nu)`` projection of a chunk.
 
-    The formula is the whole-chunk filter it was written for — raw rows,
+    The formula is the whole-chunk filter as it was written — raw rows,
     weighted product, float64 redundancy intermediate, complex128 spectrum
-    and float64 inverse over the padded length, filtered output — kept
-    because budgets, chunk counts and stored plans are expressed in it.
-    A run holds far less (``tests/test_streaming.py`` traces one): the
-    filter is fused per row group, so a chunk is its raw and filtered
-    float32 rows, an overlapped run has at most two chunks in flight and a
-    filtering thread adds :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
+    and float64 inverse over the padded length, filtered output — kept as the
+    unit of account: budgets, chunk counts and stored plans are expressed in
+    it.  No backend allocates those wide buffers per chunk any more and a run
+    holds far less (``tests/test_streaming.py`` traces one): the filter is
+    fused per row group, so a chunk is its raw and filtered float32 rows, an
+    overlapped run has at most two chunks in flight and a filtering thread
+    adds :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
     """
     nv, nu = int(geometry.nv), int(geometry.nu)
     pad = _fft_pad(nu)
     row_bytes = nv * nu * (4 + 4 + 8 + 4)  # raw + weighted + f64 + filtered
-    spectrum_bytes = nv * (pad // 2 + 1) * 16  # complex128 rfft bins
-    inverse_bytes = nv * pad * 8  # float64 irfft over the padded length
+    spectrum_bytes = nv * (pad // 2 + 1) * 16  # complex128 rfft bins, as written
+    inverse_bytes = nv * pad * 8  # float64 irfft over the padded length, as written
     return row_bytes + spectrum_bytes + inverse_bytes
 
 

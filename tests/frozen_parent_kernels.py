@@ -7,14 +7,13 @@ recorded hash survive a kernel rewrite.  Each call handles one projection
 and one whole ``(K, By, Nx)`` block with full-size temporaries — the memory
 behaviour the rewrite removed, and the reason this lives under ``tests/``.
 
-The second half keeps the filter stage as it stood before the row-group
-fusion (PR 14), under the same rule.
+The second half keeps the filter stage's shared sequence as it stood before
+the row-group fusion (PR 14), under the same rule.
 """
 
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import fft as _fft
 
 from repro.core.filtering import (
     apply_ramp_filter,
@@ -182,35 +181,13 @@ def accumulate_standard_block(
 # The filter stage as it stood before the row-group fusion (PR 14)
 # --------------------------------------------------------------------------- #
 # Frozen verbatim from ``src/repro/core/filtering.py`` (``filter_projections``)
-# and ``src/repro/backends/vectorized.py`` (``rfft_ramp_filter``) at commit
-# d6a5f35 and never edited: ``tests/test_filter_fusion.py`` holds the fused
-# filter to these bit for bit.  Whole-stack ``stack * fcos``, spectrum,
-# product and inverse temporaries and all — the memory behaviour the fusion
-# removed.  The tables they read are unchanged library functions.
-def rfft_ramp_filter(
-    rows: np.ndarray, response: np.ndarray, tau: float
-) -> np.ndarray:
-    """Convolve rows (last axis) with the ramp response via the real FFT.
-
-    The ramp kernel is real and even, so its frequency response is real and
-    even too and the half-spectrum product equals the full complex-FFT
-    product.  Output matches :func:`repro.core.filtering.apply_ramp_filter`
-    to floating-point round-off (and is itself deterministic per row, which
-    is what makes row-blocked execution bit-exact).
-    """
-    rows = np.asarray(rows)
-    nu = rows.shape[-1]
-    pad = response.shape[0]
-    if pad < nu:
-        raise ValueError("response is shorter than the rows to filter")
-    half = response[: pad // 2 + 1]
-    spectrum = _fft.rfft(rows, n=pad, axis=-1)
-    filtered = _fft.irfft(spectrum * half, n=pad, axis=-1)[..., :nu]
-    return (filtered * tau).astype(
-        rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE
-    )
-
-
+# at commit d6a5f35 and never edited: ``tests/test_filter_fusion.py`` holds the
+# ``reference`` backend's filter to its complex-FFT path (``convolve=None``)
+# bit for bit.  Whole-stack ``stack * fcos``, spectrum, product and inverse
+# temporaries and all — the memory behaviour the fusion removed.  The tables
+# it reads are unchanged library functions.  (The real-FFT ``rfft_ramp_filter``
+# frozen beside it retired when the tiled filter went single precision: that
+# path is held to ``reference`` by a bound and to itself by ``==`` now.)
 def filter_projections(
     stack: ProjectionStack,
     geometry: CBCTGeometry,

@@ -156,24 +156,33 @@ class TestFilterStackDriver:
         )
 
     def test_convolve_hook_receives_weighted_rows(self, small_geometry, small_projections):
-        """The hook sees one cosine-weighted row group at a time."""
-        seen = {"rows": 0}
+        """The hook sees one cosine-weighted, zero-padded float32 row group at a
+        time and writes the finished float32 rows, scale included."""
+        seen = {"rows": 0, "tails": 0.0}
+        _, nv, nu = small_projections.data.shape
 
-        def convolve(rows, response, tau, out):
+        def convolve(rows, response, tau, scale, out):
             seen.update(
-                rows=seen["rows"] + rows.shape[0], nu=rows.shape[1],
-                out=(out.shape, out.dtype), pad=response.shape[0], tau=tau,
+                rows=seen["rows"] + rows.shape[0], row_shape=rows.shape[1:],
+                row_dtype=rows.dtype, tails=seen["tails"] + np.abs(rows[:, nu:]).sum(),
+                out=(out.shape, out.dtype), pad=response.shape[0], tau=tau, scale=scale,
             )
-            out[...] = apply_ramp_filter(rows, tau, response=response)
+            out[...] = apply_ramp_filter(rows[:, :nu], tau, response=response)
+            out *= np.float32(scale)
 
-        hooked = filter_projections(small_projections, small_geometry, convolve=convolve)
-        np.testing.assert_array_equal(
-            hooked.data, filter_projections(small_projections, small_geometry).data
+        hooked = filter_projections(
+            small_projections, small_geometry, convolve=convolve, extra_scale=3.0
         )
-        np_, nv, nu = small_projections.data.shape
-        assert (seen["rows"], seen["nu"]) == (np_ * nv, nu)
-        assert seen["out"] == ((min(nv, GROUP_ROWS), nu), np.float64)
-        assert seen["pad"] >= 2 * small_geometry.nu
+        np.testing.assert_array_equal(
+            hooked.data,
+            filter_projections(small_projections, small_geometry, extra_scale=3.0).data,
+        )
+        assert seen["rows"] == small_projections.np_ * nv
+        assert seen["row_shape"] == (seen["pad"],) and seen["row_dtype"] == np.float32
+        assert seen["tails"] == 0.0
+        assert seen["out"] == ((min(nv, GROUP_ROWS), nu), np.float32)
+        assert hooked.data.dtype == np.float32
+        assert seen["pad"] >= 2 * small_geometry.nu and seen["scale"] == 3.0
 
     def test_rejects_wrong_shape(self, small_geometry, rng):
         stack = ProjectionStack(data=rng.random((2, 3, 3)), angles=[0.0, 1.0])

@@ -105,6 +105,20 @@ class TestSimulatedPFS:
         assert pfs.stats.files_read == 1
         assert pfs.stats.bytes_read == (tmp_path / "a").stat().st_size
 
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_read_array_is_a_fresh_writable_copy_and_read_view_is_not(
+        self, rng, tmp_path, on_disk
+    ):
+        pfs = SimulatedPFS(root_dir=tmp_path if on_disk else None)
+        data = rng.standard_normal((4, 6)).astype(np.float32)
+        pfs.write_array("a", data)
+        out = pfs.read_array("a")
+        assert out.flags.writeable and out.flags.owndata
+        out[...] = 0.0  # the caller's array: the stored object does not move
+        view = pfs.read_view("a")
+        assert not view.flags.writeable and view.tobytes() == data.tobytes()
+        assert pfs.stats.files_read == 2
+
     def test_statistics_accumulate(self, rng):
         pfs = SimulatedPFS()
         pfs.write_array("a", rng.random(100).astype(np.float32))
@@ -139,6 +153,9 @@ class TestProjectionIO:
         np.testing.assert_array_equal(subset.data[0], small_projections.data[3])
         np.testing.assert_array_equal(subset.data[1], small_projections.data[0])
         assert subset.angles[2] == pytest.approx(small_projections.angles[5])
+        # Stacked from read-only views of the objects: still the caller's own.
+        assert subset.data.flags.writeable and subset.data.dtype == np.float32
+        assert pfs.stats.files_read == 4  # the angles object and three projections
 
     def test_angles_stored(self, small_projections):
         pfs = SimulatedPFS()

@@ -350,6 +350,21 @@ class TestReconstructionService:
         report = service.replay(trace)
         assert report.summary["cache_hit_rate"] > 0
 
+    def test_job_larger_than_the_whole_cache_completes_uncached(self, tmp_path):
+        """Its input can never fit, so it is simply not cached: the job still
+        completes, is journaled and counted, and ``run_until_idle`` returns."""
+        trace = synthetic_trace(1, cluster_gpus=8, seed=1)
+        (job,) = trace.jobs()
+        cache = FilteredProjectionCache(capacity_bytes=job.problem.input_bytes() - 1)
+        with ReconstructionService(8, cache=cache, state_dir=tmp_path) as service:
+            assert service.submit(job, now=0.0)
+            service.run_until_idle()
+            assert service.report().summary["jobs_completed"] == 1
+        assert len(cache) == 0 and cache.stats.insertions == 0
+        with ReconstructionService(8, cache=cache, state_dir=tmp_path) as recovered:
+            assert recovered.report().summary["jobs_completed"] == 1
+            assert len(recovered.queue) == 0
+
     def test_concurrent_jobs_never_exceed_cluster(self):
         trace = synthetic_trace(20, cluster_gpus=8, seed=2)
         service = ReconstructionService(8)
