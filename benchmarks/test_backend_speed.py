@@ -12,11 +12,12 @@ family).  The results are written to
 ``BENCH_backend_speed.json`` at the repo root so future PRs can track the
 hot path instead of guessing, together with the kernel ``executor`` the tiled
 names ran (the compiled Algorithm 4 kernel or, on a host without a compiler,
-NumPy).  The filter layer gets the same treatment:
+NumPy) and the compiled kernel's ``isa`` (its AVX2 lane loop or its scalar
+one).  The filter layer gets the same treatment:
 whole-stack ``filter_stack`` throughput (Mpix/s of raw detector samples) on
 the filter-bound 512x64x256 stack, per backend name.  Each run also
 *appends* a trajectory entry (git sha, UTC date, host cpu count, executor,
-per-backend GUPS and filter Mpix/s) to the record's ``history`` list;
+isa, per-backend GUPS and filter Mpix/s) to the record's ``history`` list;
 ``tests/test_bench_trajectory.py`` fails tier-1 if the newest entry
 regresses more than 25% against the previous entry measured on the same
 host profile.
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends import BACKEND_NAMES, get_backend, resolve_backend
+from repro.backends import BACKEND_NAMES, get_backend, native, resolve_backend
 from repro.bench.trajectory import HISTORY_LIMIT, git_sha, trajectory_entry
 from repro.core import default_geometry_for_problem
 from repro.core.types import ProjectionStack, ReconstructionProblem
@@ -147,9 +148,11 @@ def test_backend_speed_records_parallel_speedup():
         "problem": str(PROBLEM),
         "updates": PROBLEM.updates,
         "cpus": os.cpu_count(),
-        # Which kernel executor the tiled names ran ("native" / "numpy"): part
-        # of the host profile the trajectory gate compares within.
+        # Which kernel executor the tiled names ran ("native" / "numpy") and,
+        # on the compiled one, its loop ("avx2" / "scalar"): the host profile
+        # the trajectory gate compares within.
         "executor": get_backend("vectorized").accumulator(geometry).executor,
+        "isa": native.isa(),
         "backends": results,
         "filter_problem": str(FILTER_PROBLEM),
         "filter_mpix_per_s": filter_rates,

@@ -11,24 +11,37 @@
  * (-O2 -ffp-contract=off, never -ffast-math), and the loader proves every
  * object against the NumPy kernel before first use.
  *
+ * Two loops run that sequence over a row of tile columns.  The scalar one
+ * takes one column per step; on x86-64 the AVX2 one takes four, one per
+ * lane, with the same operations in the same order (a separate mul and add,
+ * never an FMA; the same floor; the clip in double; four gathers).  There is
+ * no ISA flag: alg4_fold picks the lane loop per call by cpuid, so one object
+ * serves every host of its machine type, and alg4_isa says which loop that is.
+ * alg4_fold_scalar never takes the lanes.  Tail columns, lane groups with a
+ * non-finite or huge v, and planes too large for int32 gather offsets run
+ * the scalar loop.
+ *
  * The projection sits transposed, (Nu+4, Nv+4), inside a two-sample zero
  * border, so a clipped coordinate always lands on a stored sample; a NaN
  * coordinate never reaches an integer cast and is the IndexError that NumPy's
  * take(mode="raise") raises.
  *
- * Scratch per call: 32 bytes per column of the largest tile plus one padded
- * projection.  No threads, no globals, no libm.
+ * Scratch per call: 28 bytes per column of the largest tile (structure of
+ * arrays, rounded up to a lane multiple) plus one padded projection.  No
+ * threads, no globals of its own (the cpuid answer is libgcc's), no libm.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
 enum { ALG4_OK = 0, ALG4_INDEX = 1, ALG4_MEMORY = 2 };
+enum { LANES = 4 };
 
+/* The column table of one tile: everything but v (Theorems 2 and 3). */
 typedef struct {
-    double slope, offset; /* v = slope*k + offset (Theorem 3)         */
-    const float *left;    /* row u0 of the padded plane; u0+1 follows */
-    float wl, wr;         /* f32((1-du)*Wdis), f32(du*Wdis)           */
-} column_t;
+    double *slope, *offset; /* v = slope*k + offset (Theorem 3)           */
+    float *wl, *wr;         /* f32((1-du)*Wdis), f32(du*Wdis)             */
+    int32_t *left;          /* row u0's plane offset is left * row_scale  */
+} columns_t;
 
 /* floor(v) into *v0 and np.clip(floor(v), -2, bound) + 2, the index on a
  * double-zero-padded axis; -1 for NaN, where the NumPy kernel raises.
@@ -66,24 +79,113 @@ static inline int64_t floor_index(double v, int64_t bound, double *v0)
     return r < 0.0 ? 0 : bound + 2; /* past either clip bound */
 }
 
+/* Voxel c of a row at slice k, one column per step.  plane + left*row_scale
+ * is the column's row u0 of the padded plane, and the next row follows. */
+static inline int fold_voxel(float *voxel, const columns_t *t, int64_t c, double k,
+                             const float *plane, int64_t stride, int64_t row_scale,
+                             int64_t nv)
+{
+    const double v = t->slope[c] * k + t->offset[c];
+    double v0;
+    const int64_t index = floor_index(v, nv, &v0);
+    if (index < 0)
+        return ALG4_INDEX;
+    const float dv = (float)(v - v0);
+    const float *l = plane + t->left[c] * row_scale + index, *r = l + stride;
+    const float lo = t->wl[c] * l[0] + t->wr[c] * r[0];
+    const float hi = t->wl[c] * l[1] + t->wr[c] * r[1];
+    const float rest = 1.0f - dv;
+    voxel[c] += lo * rest + hi * dv;
+    return ALG4_OK;
+}
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+static int have_lanes(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
+
+/* fold_voxel for columns [0, n_cols - n_cols % 4), four per step: the same
+ * IEEE sequence once per lane.  left holds int32 plane offsets here. */
+__attribute__((target("avx2"))) static int fold_lanes(
+    float *voxel, const columns_t *t, int64_t n_cols, double k,
+    const float *plane, int64_t stride, int64_t nv)
+{
+    const __m256d kk = _mm256_set1_pd(k), magic = _mm256_set1_pd(0x1.8p52);
+    const __m256d one = _mm256_set1_pd(1.0), sign = _mm256_set1_pd(-0.0);
+    const __m256d exact = _mm256_set1_pd(0x1p51);
+    const __m256d low = _mm256_set1_pd(-2.0), high = _mm256_set1_pd((double)nv);
+    const __m128i two = _mm_set1_epi32(2);
+    for (int64_t c = 0; c + LANES <= n_cols; c += LANES) {
+        const __m256d v = _mm256_add_pd(
+            _mm256_mul_pd(_mm256_loadu_pd(t->slope + c), kk),
+            _mm256_loadu_pd(t->offset + c));
+        /* |v| >= 2^51 or NaN in any lane: floor_index's other branches. */
+        if (_mm256_movemask_pd(
+                _mm256_cmp_pd(_mm256_andnot_pd(sign, v), exact, _CMP_NLT_UQ))) {
+            for (int64_t lane = c; lane < c + LANES; lane++)
+                if (fold_voxel(voxel, t, lane, k, plane, stride, 1, nv) != ALG4_OK)
+                    return ALG4_INDEX;
+            continue;
+        }
+        __m256d r = _mm256_sub_pd(_mm256_add_pd(v, magic), magic);
+        r = _mm256_blendv_pd(r, _mm256_sub_pd(r, one), _mm256_cmp_pd(r, v, _CMP_GT_OQ));
+        const __m128i index = _mm_add_epi32(
+            _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_max_pd(r, low), high)), two);
+        const __m128 dv = _mm256_cvtpd_ps(_mm256_sub_pd(v, r));
+        const __m128i at = _mm_add_epi32(
+            _mm_loadu_si128((const __m128i *)(t->left + c)), index);
+        const __m128 wl = _mm_loadu_ps(t->wl + c), wr = _mm_loadu_ps(t->wr + c);
+        const __m128 lo = _mm_add_ps(
+            _mm_mul_ps(wl, _mm_i32gather_ps(plane, at, 4)),
+            _mm_mul_ps(wr, _mm_i32gather_ps(plane + stride, at, 4)));
+        const __m128 hi = _mm_add_ps(
+            _mm_mul_ps(wl, _mm_i32gather_ps(plane + 1, at, 4)),
+            _mm_mul_ps(wr, _mm_i32gather_ps(plane + stride + 1, at, 4)));
+        const __m128 rest = _mm_sub_ps(_mm_set1_ps(1.0f), dv);
+        const __m128 blend = _mm_add_ps(_mm_mul_ps(lo, rest), _mm_mul_ps(hi, dv));
+        _mm_storeu_ps(voxel + c, _mm_add_ps(_mm_loadu_ps(voxel + c), blend));
+    }
+    return ALG4_OK;
+}
+#else
+static int have_lanes(void)
+{
+    return 0;
+}
+#endif
+
 /* out: the (nz, ny, nx) float32 slab whose slice 0 is global slice z_start.
  * tiles: n_tiles x (z0, z1, y0, y1), local to the slab, disjoint.
  * projections: (np, nv, nu) float32; matrices: (np, 3, 4) float64.
  * The caller (native.py) has checked every shape, dtype and tile bound. */
-int alg4_fold(float *out, int64_t ny, int64_t nx, int64_t z_start,
-              const int64_t *tiles, int64_t n_tiles,
-              const float *projections, int64_t np, int64_t nv, int64_t nu,
-              const double *matrices)
+static int fold(int lanes, float *out, int64_t ny, int64_t nx, int64_t z_start,
+                const int64_t *tiles, int64_t n_tiles, const float *projections,
+                int64_t np, int64_t nv, int64_t nu, const double *matrices)
 {
     const int64_t stride = nv + 4, slice = ny * nx;
-    int64_t max_cols = 1;
+    if (nu + 4 > INT32_MAX) /* a row index the column table cannot hold */
+        return ALG4_MEMORY;
+    /* Gather offsets are int32: a larger plane keeps rows, not offsets. */
+    const int64_t row_scale = (nu + 4) * stride > INT32_MAX ? stride : 1;
+    lanes = lanes && row_scale == 1;
+    int64_t max_cols = LANES;
     for (int64_t t = 0; t < n_tiles; t++) {
         const int64_t cols = (tiles[4 * t + 3] - tiles[4 * t + 2]) * nx;
         max_cols = cols > max_cols ? cols : max_cols;
     }
+    max_cols = (max_cols + LANES - 1) / LANES * LANES;
     float *plane = calloc((size_t)((nu + 4) * stride), sizeof(float));
-    column_t *columns = malloc((size_t)max_cols * sizeof(column_t));
-    int status = plane && columns ? ALG4_OK : ALG4_MEMORY;
+    char *scratch = malloc((size_t)max_cols * 28);
+    const columns_t table = {
+        (double *)scratch, (double *)scratch + max_cols,
+        (float *)(scratch + 16 * max_cols), (float *)(scratch + 20 * max_cols),
+        (int32_t *)(scratch + 24 * max_cols),
+    };
+    int status = plane && scratch ? ALG4_OK : ALG4_MEMORY;
 
     for (int64_t s = 0; s < np && status == ALG4_OK; s++) {
         const double *p = matrices + 12 * s;
@@ -97,9 +199,9 @@ int alg4_fold(float *out, int64_t ny, int64_t nx, int64_t z_start,
             const int64_t y0 = tiles[4 * t + 2], y1 = tiles[4 * t + 3];
             const int64_t n_cols = (y1 - y0) * nx;
             /* Theorems 2 and 3: everything but v depends only on (i, j). */
-            column_t *column = columns;
+            int64_t c = 0;
             for (int64_t jj = y0; jj < y1; jj++) {
-                for (int64_t ii = 0; ii < nx; ii++, column++) {
+                for (int64_t ii = 0; ii < nx; ii++, c++) {
                     const double i = (double)ii, j = (double)jj;
                     const double x = p[0] * i + p[1] * j + p[3];
                     const double z = p[8] * i + p[9] * j + p[11];
@@ -114,37 +216,56 @@ int alg4_fold(float *out, int64_t ny, int64_t nx, int64_t z_start,
                         goto done;
                     }
                     const double du = u - u0;
-                    column->wl = (float)((1.0 - du) * w);
-                    column->wr = (float)(du * w);
-                    column->left = plane + row * stride;
-                    column->offset = y_base * f;
-                    column->slope = p[6] * f;
+                    table.wl[c] = (float)((1.0 - du) * w);
+                    table.wr[c] = (float)(du * w);
+                    table.left[c] = (int32_t)(row_scale == 1 ? row * stride : row);
+                    table.offset[c] = y_base * f;
+                    table.slope[c] = p[6] * f;
                 }
             }
             for (int64_t kk = z0; kk < z1; kk++) {
                 const double k = (double)(z_start + kk);
                 float *voxel = out + kk * slice + y0 * nx;
-                for (int64_t c = 0; c < n_cols; c++) {
-                    const column_t *q = columns + c;
-                    const double v = q->slope * k + q->offset;
-                    double v0;
-                    const int64_t index = floor_index(v, nv, &v0);
-                    if (index < 0) {
-                        status = ALG4_INDEX;
-                        goto done;
-                    }
-                    const float dv = (float)(v - v0);
-                    const float *l = q->left + index, *r = l + stride;
-                    const float lo = q->wl * l[0] + q->wr * r[0];
-                    const float hi = q->wl * l[1] + q->wr * r[1];
-                    const float rest = 1.0f - dv;
-                    voxel[c] += lo * rest + hi * dv;
+                c = 0;
+#if defined(__x86_64__)
+                if (lanes) {
+                    status = fold_lanes(voxel, &table, n_cols, k, plane, stride, nv);
+                    c = n_cols - n_cols % LANES;
                 }
+#endif
+                for (; c < n_cols && status == ALG4_OK; c++)
+                    status = fold_voxel(voxel, &table, c, k, plane, stride, row_scale, nv);
+                if (status != ALG4_OK)
+                    goto done;
             }
         }
     }
 done:
-    free(columns);
+    free(scratch);
     free(plane);
     return status;
+}
+
+int alg4_fold(float *out, int64_t ny, int64_t nx, int64_t z_start,
+              const int64_t *tiles, int64_t n_tiles,
+              const float *projections, int64_t np, int64_t nv, int64_t nu,
+              const double *matrices)
+{
+    return fold(have_lanes(), out, ny, nx, z_start, tiles, n_tiles, projections,
+                np, nv, nu, matrices);
+}
+
+int alg4_fold_scalar(float *out, int64_t ny, int64_t nx, int64_t z_start,
+                     const int64_t *tiles, int64_t n_tiles,
+                     const float *projections, int64_t np, int64_t nv, int64_t nu,
+                     const double *matrices)
+{
+    return fold(0, out, ny, nx, z_start, tiles, n_tiles, projections, np, nv, nu,
+                matrices);
+}
+
+/* The loop alg4_fold runs on this host. */
+const char *alg4_isa(void)
+{
+    return have_lanes() ? "avx2" : "scalar";
 }

@@ -11,6 +11,11 @@ Every failure — no compiler, a failed build, an unusable cache directory, an
 object that will not load (one rebuild), a self-check mismatch — is the
 fallback plus one ``RuntimeWarning`` per process that names the reason.
 Nothing here runs at import; hiding the compiler is the off-switch.
+
+One object serves every host of its machine type: ``alg4_fold`` picks its
+four-column AVX2 loop or its scalar loop per call by cpuid (:func:`isa`
+says which), so the proof covers the loop this host runs;
+``alg4_fold_scalar`` is the scalar loop alone, for the tests.
 """
 
 from __future__ import annotations
@@ -108,14 +113,17 @@ def build(code: bytes, path: Path) -> None:
         partial.unlink(missing_ok=True)
 
 
-def _bind(path: Path) -> Callable:
+def _bind(path: Path, entry_point: str = "alg4_fold") -> Callable:
     # dlopen maps a truncated object without complaint and the process dies of
     # SIGBUS on first touch, so only an image whose trailing digest (ignored by
     # the loader) matches its bytes is ever opened.
     image = path.read_bytes()
     if hashlib.sha256(image[:-32]).digest() != image[-32:]:
         raise OSError(f"{path} is damaged")
-    entry = ctypes.CDLL(str(path)).alg4_fold
+    library = ctypes.CDLL(str(path))
+    library.alg4_isa.restype = ctypes.c_char_p
+    library.alg4_isa.argtypes = ()
+    entry = getattr(library, entry_point)
     entry.restype = ctypes.c_int
     entry.argtypes = (
         [_POINTER] + [_INT64] * 3 + [_POINTER, _INT64, _POINTER] + [_INT64] * 3 + [_POINTER]
@@ -146,12 +154,14 @@ def _bind(path: Path) -> Callable:
             error, message = _ERRORS[status]
             raise error(message)
 
+    fold.isa = "scalar" if entry_point == "alg4_fold_scalar" else library.alg4_isa().decode()
     return fold
 
 
 def _prove(fold: Callable) -> None:
     """``fold`` against the NumPy kernel on a block whose columns leave the
-    detector on one side and whose slices pass its top and bottom."""
+    detector on one side and whose slices pass its top and bottom, in tiles
+    of 63, 9, 18 and 36 columns: every tail a four-lane loop can leave."""
     from ..core.geometry import CBCTGeometry
     from .vectorized import BlockWorkspace, _index_grids, accumulate_proposed_block
 
@@ -169,21 +179,23 @@ def _prove(fold: Callable) -> None:
         accumulate_proposed_block(
             expected, work, matrix, np.arange(24, dtype=np.float64), i_grid, j_grid
         )
-    fold(got, 0, [(0, 11, 0, 7), (11, 24, 0, 3), (11, 24, 3, 7)], stack, matrices)
+    tiles = [(0, 11, 0, 7), (11, 24, 0, 1), (11, 24, 1, 3), (11, 24, 3, 7)]
+    fold(got, 0, tiles, stack, matrices)
     if not np.array_equal(got.view(np.uint32), expected.view(np.uint32)):
         raise Unavailable("self-check mismatch")
 
 
-def load() -> Callable:
-    """The proven ``fold`` of this host, built if the cache has none."""
+def load(entry_point: str = "alg4_fold") -> Callable:
+    """The proven ``fold`` of this host, built if the cache has none:
+    ``alg4_fold`` (the loop :func:`isa` names) or ``alg4_fold_scalar``."""
     code = source()
     path = cache_dir() / object_name(code)
     try:
-        fold = _bind(path)
+        fold = _bind(path, entry_point)
     except (OSError, AttributeError):  # missing, truncated or foreign: build once
         build(code, path)
         try:
-            fold = _bind(path)
+            fold = _bind(path, entry_point)
         except (OSError, AttributeError) as exc:
             raise Unavailable(f"build failed: {exc}") from exc
     _prove(fold)
@@ -220,3 +232,10 @@ def resolve() -> Optional[Callable]:
     """The compiled ``fold(out, z_start, tiles, projections, matrices)`` or
     ``None`` (run the NumPy kernel); decided once per process, thread-safe."""
     return _RESOLVER.resolve()
+
+
+def isa() -> Optional[str]:
+    """The loop the resolved kernel runs — ``"avx2"`` (four columns per step)
+    or ``"scalar"`` — or ``None`` when the NumPy kernels run."""
+    fold = resolve()
+    return None if fold is None else fold.isa

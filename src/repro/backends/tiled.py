@@ -14,20 +14,23 @@ threads).
 The proposed kernel (Algorithm 4) has two executors of one operation
 sequence.  ``native`` — :mod:`repro.backends.native`, ``alg4.c`` built on
 first use — folds a shard's tiles for a whole stack in one foreign call that
-releases the GIL, so shards scale with cores (measured on 2 vCPUs,
-96x96x128->64^3: 204 ms on one shard, 106 on two; the NumPy executor: 335
-and 371).  ``numpy`` — the block kernels of
+releases the GIL, so shards scale with cores; on x86-64 with AVX2 it takes
+four tile columns per step (:func:`repro.backends.native.isa` names the
+loop).  Measured on 2 vCPUs (a Xeon with AVX2), 96x96x128->64^3, median of
+7: 96 ms on one shard and 53 on two with the lanes, 197 and 107 on the
+scalar loop; the NumPy executor: 374-431 and 297-340 over three runs.
+``numpy`` — the block kernels of
 :mod:`repro.backends.vectorized` — is the fallback on a host without a C
 compiler, the load-time oracle of the compiled object, and the only executor
 of the standard kernel (Algorithm 2): same bits, but it re-takes the GIL for
-every chunk-sized ufunc, so a second shard buys 1.07x and the chunk driver
+every chunk-sized ufunc, so a second shard buys ~1.3x and the chunk driver
 may give a worker to its filter thread instead
 (``OVERLAP_MIN_FILTER_SHARE`` in :mod:`repro.streaming.reconstructor`).  An
 accumulator's ``executor`` says which one it runs; so does its
 ``backproject`` span.
 
 What ``byte_budget`` bounds, per tile (:func:`_block_bytes`, the NumPy
-executor's working set — the compiled one holds 32 bytes per tile column
+executor's working set — the compiled one holds 28 bytes per tile column
 and one padded projection, far inside it): the column
 tables and ``(i, j)`` temporaries, proportional to the tile's columns, plus
 one Z chunk of workspace — ``CHUNK_ELEMENTS`` voxels, whatever the tile's Z
@@ -111,7 +114,7 @@ def default_workers() -> int:
     ``parallel-conformance`` job runs the whole matrix with 4 workers on
     whatever runner it lands on); without it the count follows the host,
     capped at 4: nothing wider has been measured (the development host has
-    two cores, on which the compiled kernel's shards scale 1.9x).
+    two cores, on which the compiled kernel's shards scale 1.8x).
     """
     env = os.environ.get("REPRO_PARALLEL_WORKERS")
     if env is not None:
@@ -332,6 +335,11 @@ class _TiledAccumulator(VolumeAccumulator):
         # host without a usable compiler run the NumPy block kernels.
         self._native = native.resolve() if self.algorithm == "proposed" else None
         self.executor = "numpy" if self._native is None else "native"
+        # What every ``backproject.worker`` span says ran: the executor and,
+        # on the compiled one, the loop of alg4.c ("avx2" / "scalar").
+        self._worker_attrs = {"executor": self.executor}
+        if self._native is not None:
+            self._worker_attrs["isa"] = self._native.isa
         self._out = np.zeros(
             (self.nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE
         )
@@ -398,7 +406,7 @@ class _TiledAccumulator(VolumeAccumulator):
             worker=worker,
             tiles=len(self._shards[worker]),
             projections=len(matrices),
-            executor=self.executor,
+            **self._worker_attrs,
         )))
 
     def add(self, projection: np.ndarray, angle: float) -> None:

@@ -10,10 +10,13 @@ the same host profile, failing on a throughput regression larger than
 
 Numbers measured on different hosts are not comparable — a 1-cpu CI runner
 is not a 16-core workstation, and a host without a C compiler runs the
-NumPy kernels where another runs the compiled one — so comparisons are
-gated on the host profile: the cpu count and the kernel ``executor``
-(entries from before it was recorded ran ``numpy``).  Entries from other
-profiles are kept in the history but never compared against.
+NumPy kernels where another runs the compiled one, and a host without AVX2
+runs its scalar loop where another takes four columns per step — so
+comparisons are gated on the host profile: the cpu count, the kernel
+``executor`` (entries from before it was recorded ran ``numpy``) and, on the
+compiled one, its ``isa`` (entries from before it was recorded ran
+``scalar``).  Entries from other profiles are kept in the history but never
+compared against.
 
 Run ``python -m repro.bench.trajectory`` for the report-only view used by
 CI: it prints the trajectory and any detected regressions but exits 0
@@ -88,14 +91,24 @@ def trajectory_entry(record: Dict, *, sha: str, date: str) -> Dict:
         "cpus": int(record.get("cpus") or 1),
         "gups": gups,
     }
-    if "executor" in record:
-        entry["executor"] = str(record["executor"])
+    for key in ("executor", "isa"):
+        if record.get(key) is not None:
+            entry[key] = str(record[key])
     return entry
 
 
 def _host_profile(entry: Dict) -> tuple:
-    """What must match for two entries' numbers to be comparable."""
-    return entry.get("cpus"), entry.get("executor", "numpy")
+    """What must match for two entries' numbers to be comparable:
+    ``(cpus, executor, isa)``, ``isa`` ``None`` on the NumPy executor."""
+    executor = entry.get("executor", "numpy")
+    isa = entry.get("isa", "scalar") if executor == "native" else None
+    return entry.get("cpus"), executor, isa
+
+
+def _kernel(entry: Dict) -> str:
+    """The profile's kernel as a report shows it: ``numpy`` or ``native/avx2``."""
+    _, executor, isa = _host_profile(entry)
+    return executor if isa is None else f"{executor}/{isa}"
 
 
 def load_record(path) -> Dict:
@@ -129,7 +142,7 @@ def check_regression(
 
     Returns one human-readable line per backend whose latest GUPS fell more
     than ``threshold`` (fractional) below the most recent earlier entry
-    with the same host profile (``cpus`` and kernel ``executor``).  An empty list means no regression —
+    with the same host profile (``cpus``, kernel ``executor`` and ``isa``).  An empty list means no regression —
     including the no-comparison cases (fewer than two entries, or no prior
     entry on this host profile).
     """
@@ -159,7 +172,7 @@ def check_regression(
                 f"{name}: {old_gups:.4f} -> {float(new_gups):.4f} GUPS "
                 f"({drop:.0%} drop > {threshold:.0%} allowed; "
                 f"{previous['sha']} -> {latest['sha']}, cpus={latest['cpus']}, "
-                f"executor={_host_profile(latest)[1]})"
+                f"executor={_kernel(latest)})"
             )
     return regressions
 
@@ -179,7 +192,7 @@ def format_trajectory(record: Dict) -> str:
         )
         lines.append(
             f"  {entry['date']}  {entry['sha']:>9}  cpus={entry['cpus']:<3} "
-            f"{_host_profile(entry)[1]:<6} {gups}"
+            f"{_kernel(entry):<13} {gups}"
         )
     regressions = check_regression(history)
     if regressions:

@@ -83,12 +83,33 @@ def native_executor():
         pytest.skip("no compiled kernel on this host (see the fallback warning)")
 
 
-@pytest.fixture(params=["native", "numpy"])
+@pytest.fixture(scope="session")
+def scalar_fold():
+    """The compiled kernel's scalar loop (``alg4_fold_scalar``), proven, or
+    ``None`` on a host that has no compiled kernel."""
+    if native.resolve() is None:
+        return None
+    return native.load("alg4_fold_scalar")
+
+
+@pytest.fixture
+def scalar_executor(scalar_fold):
+    """The compiled kernel held to its scalar loop whatever this host's cpuid
+    picks, so a host with AVX2 proves the loop a host without one runs."""
+    if scalar_fold is None:
+        pytest.skip("no compiled kernel on this host (see the fallback warning)")
+    with mock.patch.object(native, "resolve", return_value=scalar_fold):
+        yield
+
+
+@pytest.fixture(params=["native", "scalar", "numpy"])
 def executor(request):
     """Run the test once per kernel executor (``usefixtures("executor")``):
-    the compiled Algorithm 4 kernel, then NumPy with the loader patched out."""
+    the compiled Algorithm 4 kernel as dispatched here, its scalar loop, then
+    NumPy with the loader patched out.  The value is the ``executor`` an
+    accumulator reports: ``"native"`` for either compiled loop."""
     request.getfixturevalue(f"{request.param}_executor")
-    return request.param
+    return "numpy" if request.param == "numpy" else "native"
 
 
 @pytest.fixture(scope="session")

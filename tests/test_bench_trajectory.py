@@ -29,10 +29,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_backend_speed.json"
 
 
-def _entry(sha, gups, *, cpus=4, date="2026-08-08", executor=None):
+def _entry(sha, gups, *, cpus=4, date="2026-08-08", executor=None, isa=None):
     entry = {"sha": sha, "date": date, "cpus": cpus, "gups": gups}
     if executor is not None:
         entry["executor"] = executor
+    if isa is not None:
+        entry["isa"] = isa
     return entry
 
 
@@ -146,6 +148,24 @@ def test_comparison_is_gated_on_the_kernel_executor():
     assert "cccc -> eeee" in regression and "executor=numpy" in regression
 
 
+def test_comparison_is_gated_on_the_compiled_kernels_loop():
+    """A host without AVX2 runs the scalar loop at half the lane loop's GUPS:
+    not a regression against an ``avx2`` entry, but held to the last scalar
+    one (a native entry from before ``isa`` was recorded counts as one)."""
+    history = [
+        _entry("aaaa", {"vectorized": 0.15}, executor="native"),
+        _entry("bbbb", {"vectorized": 0.30}, executor="native", isa="avx2"),
+        _entry("cccc", {"vectorized": 0.14}, executor="native", isa="scalar"),
+    ]
+    assert check_regression(history) == []
+    history.append(_entry("dddd", {"vectorized": 0.20}, executor="native", isa="avx2"))
+    (regression,) = check_regression(history)
+    assert "bbbb -> dddd" in regression and "executor=native/avx2" in regression
+    history.append(_entry("eeee", {"vectorized": 0.05}, executor="numpy", isa="avx2"))
+    assert check_regression(history) == []  # the NumPy executor has no loop
+    assert "native/avx2" in format_trajectory({"history": history})
+
+
 def test_no_comparison_cases_pass():
     assert check_regression([]) == []
     assert check_regression([_entry("aaaa", {"vectorized": 1.0})]) == []
@@ -200,6 +220,8 @@ def test_trajectory_entry_from_record():
 def test_trajectory_entry_carries_the_executor_when_recorded():
     record = {"cpus": 2, "executor": "native", "backends": {"vectorized": {"gups": 0.2}}}
     assert trajectory_entry(record, sha="a", date="d")["executor"] == "native"
+    assert trajectory_entry({**record, "isa": "avx2"}, sha="a", date="d")["isa"] == "avx2"
+    assert "isa" not in trajectory_entry({**record, "isa": None}, sha="a", date="d")
     assert "native" in format_trajectory(
         {"history": [trajectory_entry(record, sha="a", date="d")]}
     )

@@ -10,11 +10,14 @@ both sides of the detector, volumes past its top and bottom, Z slabs down
 to one slice, chunk sizes that do not divide the slab, both input dtypes and
 any ``(byte_budget, workers)``.
 
-Every bit test runs on both executors of the proposed kernel — the compiled
-``alg4.c`` and, with the loader patched out, the NumPy one — so the frozen
-parent is the oracle of both.  A property test over garbage matrices (NaN,
-infinities, huge values) holds the two to the same answer or the same
-``IndexError``.
+Every bit test runs on every executor of the proposed kernel — the compiled
+``alg4.c`` as this host dispatches it (four columns per step with AVX2),
+its scalar loop alone, and, with the loader patched out, the NumPy one — so
+the frozen parent is the oracle of all three.  A property test over garbage
+matrices (NaN, infinities, huge values) holds both compiled loops to the
+NumPy answer or the same ``IndexError``; named cases put every tail the
+four-lane loop leaves, and lane groups that mix huge or NaN lanes with
+ordinary ones, in front of it.
 
 **Memory.**  ``_block_bytes`` is the model ``byte_budget`` is enforced
 against; ``tracemalloc`` checks that a real ``add_stack`` of the NumPy
@@ -51,7 +54,7 @@ except ImportError:  # pragma: no cover - hypothesis is available in CI
     HAVE_HYPOTHESIS = False
 
 ALGORITHMS = ("proposed", "standard")
-both_executors = pytest.mark.usefixtures("executor")
+every_executor = pytest.mark.usefixtures("executor")
 PARENT_KERNELS = {
     "proposed": parent.accumulate_proposed_block,
     "standard": parent.accumulate_standard_block,
@@ -127,7 +130,7 @@ def base_geometry(**overrides):
     return CBCTGeometry(**fields)
 
 
-@both_executors
+@every_executor
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("offset", [-40.0, -9.0, 9.0, 40.0])
 def test_columns_leaving_the_detector_on_either_side(algorithm, offset):
@@ -141,7 +144,7 @@ def test_columns_leaving_the_detector_on_either_side(algorithm, offset):
     check_matches_parent(geometry, algorithm=algorithm)
 
 
-@both_executors
+@every_executor
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_columns_leaving_on_both_sides_at_once(algorithm):
     geometry = base_geometry(nu=6, nx=16, ny=16, sad=40.0, sdd=60.0)
@@ -150,7 +153,7 @@ def test_columns_leaving_on_both_sides_at_once(algorithm):
     check_matches_parent(geometry, algorithm=algorithm)
 
 
-@both_executors
+@every_executor
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_volume_taller_than_the_detector_sees(algorithm):
     """``v`` is clipped at both ends: slices above and below every row."""
@@ -162,12 +165,35 @@ def test_volume_taller_than_the_detector_sees(algorithm):
     check_matches_parent(geometry, algorithm=algorithm, z_range=(37, 40))
 
 
-@both_executors
+@every_executor
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_one_slice_slabs_stitch_to_the_parent_volume(algorithm):
     geometry = base_geometry()
     for k in range(geometry.nz):
         check_matches_parent(geometry, algorithm=algorithm, z_range=(k, k + 1))
+
+
+#: The compiled loops alone: cases that hand ``alg4_fold`` its tiles directly.
+compiled_executors = pytest.mark.parametrize(
+    "executor", ["native", "scalar"], indirect=True
+)
+
+
+@compiled_executors
+@pytest.mark.parametrize("nx", [5, 7])
+def test_tiles_of_every_width_modulo_the_lanes(executor, nx):
+    """Tiles of 1, 2, 3 and 4 rows of ``nx`` columns: every tail the four-lane
+    loop leaves, on slices that clip at the detector's top and bottom."""
+    geometry = base_geometry(nx=nx, ny=10, nz=40, dz=2.0, nv=10)
+    _, v = detector_coordinates(geometry)
+    assert v.min() < -2 and v.max() > geometry.nv + 1
+    tiles = [(0, 40, 0, 1), (0, 40, 1, 3), (0, 40, 3, 6), (0, 40, 6, 10)]
+    assert sorted((y1 - y0) * nx % 4 for _, _, y0, y1 in tiles) == [0, 1, 2, 3]
+    stack = make_stack(geometry)
+    matrices = np.stack([geometry.projection_matrix(float(a)).matrix for a in stack.angles])
+    out = np.zeros((40, 10, nx), dtype=np.float32)
+    native.resolve()(out, 0, tiles, stack.data, matrices)
+    assert_same_bits(out, parent_backproject(stack, geometry, "proposed", (0, 40)))
 
 
 @pytest.mark.usefixtures("numpy_executor")
@@ -242,7 +268,7 @@ def random_case(rng_or_draw):
 
 if HAVE_HYPOTHESIS:
 
-    @both_executors
+    @every_executor
     @pytest.mark.parallel
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -252,7 +278,7 @@ if HAVE_HYPOTHESIS:
 
 else:  # pragma: no cover - exercised only without hypothesis
 
-    @both_executors
+    @every_executor
     @pytest.mark.parallel
     @pytest.mark.parametrize("seed", range(120))
     def test_any_case_has_the_parent_kernels_bits(seed):
@@ -260,7 +286,7 @@ else:  # pragma: no cover - exercised only without hypothesis
         check_matches_parent(case.pop("geometry"), **case)
 
 
-@both_executors
+@every_executor
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_streamed_add_has_the_parent_kernels_bits(algorithm):
     """The workspace is reused across ``add`` calls without carrying state."""
@@ -276,7 +302,7 @@ def test_streamed_add_has_the_parent_kernels_bits(algorithm):
 
 
 # --------------------------------------------------------------------------- #
-# Matrices no geometry produces: the two executors reject the same inputs
+# Matrices no geometry produces: the executors reject the same inputs
 # --------------------------------------------------------------------------- #
 def fold_under(matrices, *, numpy_only, workers=1):
     """``base_geometry``'s stack folded under arbitrary ``matrices``: the
@@ -319,11 +345,10 @@ def check_garbage_matrices(pick):
         assert_same_bits(result, expected)  # NaN and infinite voxels included
 
 
-needs_native = pytest.mark.usefixtures("native_executor")
-
 if HAVE_HYPOTHESIS:
 
-    @needs_native
+    @pytest.mark.usefixtures("executor")
+    @compiled_executors
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_garbage_matrices_get_the_same_answer_or_the_same_index_error(data):
@@ -331,18 +356,45 @@ if HAVE_HYPOTHESIS:
 
 else:  # pragma: no cover - exercised only without hypothesis
 
-    @needs_native
+    @pytest.mark.usefixtures("executor")
+    @compiled_executors
     @pytest.mark.parametrize("seed", range(150))
     def test_garbage_matrices_get_the_same_answer_or_the_same_index_error(seed):
         rng = np.random.default_rng(7000 + seed)
         check_garbage_matrices(lambda lo, hi: int(rng.integers(lo, hi + 1)))
 
 
-@both_executors
+@compiled_executors
+def test_lane_groups_that_mix_huge_and_ordinary_lanes(executor):
+    """``p[1, 0]`` scales ``v`` with ``i``: column ``i = 0`` of a row stays on
+    the detector while ``i = 1, 2, 3`` pass 2^50, 2^51 and 2^52 (every branch
+    of the floor), so four-column groups mix them and fall back to the scalar
+    loop; the answer is the NumPy kernel's.  Then ``inf`` there makes lane
+    ``i = 0`` NaN (``inf * 0``) beside infinite lanes: the same IndexError."""
+    geometry = base_geometry()
+    matrices = np.stack([geometry.projection_matrix(float(a)).matrix for a in geometry.angles])
+    matrices[:, 1, 0] = 0.75 * 2.0**51 * matrices[:, 2, 3] * np.resize([1, -1], len(matrices))
+    k, j, i = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in (11, 7, 9)), indexing="ij")
+    p = matrices[:, :, :, None, None, None]
+    v = np.abs((p[:, 1, 0] * i + p[:, 1, 1] * j + p[:, 1, 2] * k + p[:, 1, 3])
+               / (p[:, 2, 0] * i + p[:, 2, 1] * j + p[:, 2, 3]))
+    groups = v.reshape(len(matrices), 11, 63)[:, :, :60].reshape(-1, 4)
+    bands = [(2.0**50, 2.0**51), (2.0**51, 2.0**52), (2.0**52, np.inf)]
+    has = [((groups >= low) & (groups < high)).any(axis=1) for low, high in bands]
+    assert (np.logical_and.reduce(has) & (groups.min(axis=1) < geometry.nv)).any()
+    expected = fold_under(matrices, numpy_only=True)
+    assert expected is not IndexError
+    assert_same_bits(fold_under(matrices, numpy_only=False), expected)
+    matrices[1, 1, 0] = np.inf
+    assert fold_under(matrices, numpy_only=True) is IndexError
+    assert fold_under(matrices, numpy_only=False) is IndexError
+
+
+@every_executor
 @pytest.mark.parametrize("entry", [(1, 2), (0, 0), (2, 3), (1, 3)])
 def test_a_nan_matrix_is_an_index_error_on_either_executor(executor, entry):
     """Per column (``u``) and per voxel (``v``): the clip-then-index argument
-    needs finite coordinates, and both executors check instead of trusting."""
+    needs finite coordinates, and every executor checks instead of trusting."""
     matrices = np.stack([base_geometry().projection_matrix(0.3).matrix] * 2)
     matrices[(1,) + entry] = np.nan
     assert fold_under(matrices, numpy_only=executor == "numpy") is IndexError
@@ -433,11 +485,12 @@ def test_working_set_does_not_grow_with_the_slab(algorithm):
     assert working[thick] <= working[thin] + slack < 1.1 * working[thin]
 
 
-@needs_native
+@pytest.mark.usefixtures("native_executor")
 def test_compiled_scratch_follows_the_widest_tile_not_the_slab_or_the_stack():
     """The compiled executor's per-call scratch, from the sizes its entry point
-    is handed: 32 B per column of the shard's widest tile plus one padded
-    projection — whatever the slab's thickness and the stack's length."""
+    is handed: 28 B per column of the shard's widest tile (rounded up to a
+    multiple of the four lanes) plus one padded projection — whatever the
+    slab's thickness and the stack's length."""
     n, nz = 48, 64
     geometry = default_geometry_for_problem(nu=n, nv=nz, np_=8, nx=n, ny=n, nz=nz)
     stack = make_stack(geometry)
@@ -463,8 +516,8 @@ def test_compiled_scratch_follows_the_widest_tile_not_the_slab_or_the_stack():
         assert shape == (views, geometry.nv, geometry.nu)
         assert (len(tiles) == 1) == (budget == 1 << 25)
         widest = int(((tiles[:, 3] - tiles[:, 2]) * n).max())
-        scratch[z_range, views, budget] = 32 * widest + padded
-    whole_rows = 32 * n * n + padded
+        scratch[z_range, views, budget] = 28 * (-(-widest // 4) * 4) + padded
+    whole_rows = 28 * n * n + padded
     assert [*scratch.values()][:3] == [whole_rows] * 3
     assert padded < scratch[(0, nz), 8, 1 << 21] < whole_rows  # narrower tiles
     model = _block_bytes(nz, n, n, geometry.nv)  # what NumPy may hold for one tile

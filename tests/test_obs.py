@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session, plan_for_problem
-from repro.backends import BACKEND_NAMES
+from repro.backends import BACKEND_NAMES, native
 from repro.core.types import ProjectionStack
 from repro.obs import (
     NULL_TRACER,
@@ -288,11 +288,13 @@ def test_whole_stack_trace_keeps_its_shape_whatever_the_projection_count():
 def test_a_traced_run_names_the_kernel_executor(executor, tmp_path, capsys):
     """``native`` where the compiled kernel loads, ``numpy`` with the loader
     patched out — on the span, on every worker span, in the report the CLI
-    prints and in ``repro report``'s tree."""
+    prints and in ``repro report``'s tree.  Worker spans of the compiled
+    kernel also name its loop (``isa``)."""
     tracer, result, by_name = _overlapped_trace()
     (backproject,) = by_name["backproject"]
     assert backproject.attrs["executor"] == executor
     assert {s.attrs["executor"] for s in by_name["backproject.worker"]} == {executor}
+    assert {s.attrs.get("isa") for s in by_name["backproject.worker"]} == {native.isa()}
     assert result.report.details["executor"] == executor
     assert f"GUPS, executor={executor})" in result.report.summary()
     from repro.cli import main

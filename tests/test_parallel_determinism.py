@@ -23,9 +23,10 @@ order, pool reuse or repetition.  This module locks that down:
   (``repro.backends.native``) under the same pool: worker counts agree on
   both executors, racing first users end with one usable object, a failed
   foreign call surfaces after every sibling finished, and every way the
-  build-and-cache path can go wrong (no compiler, a corrupt cached object,
-  an unusable cache directory) is a rebuild or the NumPy fallback with one
-  warning naming the reason — never a crash.
+  build-and-cache path can go wrong (no compiler, a corrupt cached object or
+  one flipped bit of it, an unusable cache directory) is a rebuild or the
+  NumPy fallback with one warning naming the reason — never a crash; and
+  the source with its x86-64 blocks removed builds the proven scalar loop.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -524,6 +526,92 @@ def test_a_corrupt_cached_object_is_a_rebuild(native_executor, empty_cache, dama
     assert path.read_bytes()[:64] == good[:64] and len(path.read_bytes()) == len(good)
 
 
+def _install(path: Path, image: bytes) -> None:
+    """``image`` at ``path`` as a new file: an object this process has mapped
+    is never rewritten in place."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_bytes(image)
+    os.replace(partial, path)
+
+
+def _sampled_offsets(image: bytes) -> list:
+    """Offsets to damage in a sealed 64-bit little-endian ELF object: header
+    fields, ``.text`` and the entry points and lane loop in it, the middle of
+    the image, the 32-byte digest trailer."""
+    shoff, = struct.unpack_from("<Q", image, 0x28)
+    shentsize, shnum, shstrndx = struct.unpack_from("<HHH", image, 0x3A)
+    headers = [
+        struct.unpack_from("<IIQQQQIIQQ", image, shoff + n * shentsize) for n in range(shnum)
+    ]
+
+    def name(table, at):
+        start = headers[table][4] + at
+        return image[start:image.index(b"\0", start)].decode()
+
+    sections = {name(shstrndx, h[0]): h for h in headers}
+    _, _, _, text_addr, text_offset, text_size, *_ = sections[".text"]
+    symtab, strtab = sections[".symtab"], headers.index(sections[".strtab"])
+    functions = {}
+    for at in range(symtab[4], symtab[4] + symtab[5], 24):
+        st_name, _, _, _, value, size = struct.unpack_from("<IBBHQQ", image, at)
+        functions[name(strtab, st_name)] = (value - text_addr + text_offset, size)
+    offsets = [0, 4, 18, 0x28, text_offset, text_offset + text_size // 2]
+    # The static ones only where the compiler kept them (the lane loop: x86-64).
+    for function in ["alg4_fold", "alg4_fold_scalar", "fold", "fold_lanes"]:
+        if function in functions or function.startswith("alg4"):
+            start, size = functions[function]
+            offsets += [start, start + size // 2]
+    return offsets + [len(image) // 2, len(image) - 32, len(image) - 1]
+
+
+def test_every_flipped_bit_of_the_cached_object_is_refused_before_dlopen(
+    native_executor, empty_cache
+):
+    """One bit flipped at each sampled offset of a sealed object: ``_bind``
+    raises ``OSError`` without calling ``dlopen``, and ``load`` rebuilds a
+    proven object (here by reinstalling the good image, so no flip pays a
+    compile)."""
+    path = native.cache_dir() / native.object_name(native.source())
+    native.build(native.source(), path)
+    good = path.read_bytes()
+    offsets = _sampled_offsets(good)
+    assert len(set(offsets)) >= 13 and max(offsets) < len(good)
+    rebuilt = []
+
+    def rebuild(code, target):
+        rebuilt.append(target)
+        _install(target, good)
+
+    for offset in offsets:
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << offset % 8
+        _install(path, bytes(flipped))
+        with mock.patch.object(native.ctypes, "CDLL", side_effect=AssertionError("dlopen")):
+            with pytest.raises(OSError, match="damaged"):
+                native._bind(path)
+        with mock.patch.object(native, "build", rebuild):
+            assert native.load().isa == native.isa()
+        assert path.read_bytes() == good
+    assert rebuilt == [path] * len(offsets)
+
+
+def test_the_source_without_its_x86_blocks_builds_the_proven_scalar_loop(
+    native_executor, tmp_path
+):
+    """What a build for another machine type compiles: ``alg4.c`` with its
+    x86-64 blocks preprocessed out (``-U__x86_64__`` would also undefine it
+    for the C library's headers) builds with the pinned flags, reports the
+    scalar loop and passes the same proof."""
+    guard = b"#if defined(__x86_64__)"
+    code = native.source()
+    assert code.count(guard) == 2
+    path = tmp_path / "alg4-portable.so"
+    native.build(code.replace(guard, b"#if 0"), path)
+    fold = native._bind(path)
+    assert fold.isa == "scalar"
+    native._prove(fold)
+
+
 @pytest.mark.parametrize("setup, reason", [
     ("cc-false", "build failed"),
     ("no-cc", "no compiler"),
@@ -553,8 +641,8 @@ def test_every_failure_is_the_numpy_fallback_with_one_named_warning(
             pytest.skip("no compiled kernel on this host")
         real_bind = native._bind
 
-        def bind(path):
-            fold = real_bind(path)
+        def bind(*args):
+            fold = real_bind(*args)
 
             def off_by_one_ulp(out, *operands):
                 fold(out, *operands)
