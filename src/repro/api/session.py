@@ -308,8 +308,6 @@ class Session:
             )
             if self._streaming_metrics is not None:
                 details["streaming_obs"] = self._streaming_metrics.snapshot()
-        details["filter_busy_seconds"] = streamed.filter_busy_seconds
-        details["overlap_delta"] = streamed.overlap_delta
         if self._service is not None:
             from ..service.cache import fingerprint_stack
             from ..service.job import JobState

@@ -100,7 +100,7 @@ class VolumeAccumulator(abc.ABC):
     backend: str = ""
     #: What runs the voxel updates: ``"native"`` (compiled code that releases
     #: the GIL for a whole stack) or ``"numpy"`` (array calls that re-take it).
-    #: A trace attribute too, and what the chunk driver's overlap rule reads.
+    #: A trace attribute too.
     executor: str = "numpy"
 
     def __init__(
@@ -198,8 +198,7 @@ class ComputeBackend(abc.ABC):
     # ------------------------------------------------------------------ #
     # Primitives
     # ------------------------------------------------------------------ #
-    #: Threads a run keeps busy (from two up the chunk driver may overlap
-    #: stages, on :meth:`~repro.backends.tiled.TiledBackend.on_workers` views).
+    #: Threads a run keeps busy, in each stage in turn.
     workers: int = 1
     #: :func:`~repro.core.filtering.filter_projections`' ``dispatch``: how
     #: a backend spreads row groups over its threads (``None``: it has none).

@@ -23,9 +23,7 @@ scalar loop; the NumPy executor: 374-431 and 297-340 over three runs.
 :mod:`repro.backends.vectorized` — is the fallback on a host without a C
 compiler, the load-time oracle of the compiled object, and the only executor
 of the standard kernel (Algorithm 2): same bits, but it re-takes the GIL for
-every chunk-sized ufunc, so a second shard buys ~1.3x and the chunk driver
-may give a worker to its filter thread instead
-(``OVERLAP_MIN_FILTER_SHARE`` in :mod:`repro.streaming.reconstructor`).  An
+every chunk-sized ufunc, so a second shard buys only ~1.3x.  An
 accumulator's ``executor`` says which one it runs; so does its
 ``backproject`` span.
 
@@ -59,7 +57,6 @@ so closing a shared registry instance is always safe.
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -449,12 +446,11 @@ class TiledBackend(ComputeBackend):
         self.name = name
         self.byte_budget = int(byte_budget)
         self._pool = WorkerPool(workers)
-        self._cut: Optional[int] = None  # set on :meth:`on_workers` views
 
     @property
     def workers(self) -> int:
         """The resolved worker count (reads the environment on first use)."""
-        return self._cut or self._pool.workers
+        return self._pool.workers
 
     apply_filter = staticmethod(rfft_ramp_filter)
 
@@ -492,13 +488,6 @@ class TiledBackend(ComputeBackend):
             workers=self.workers,
             backend=self.name,
         )
-
-    def on_workers(self, workers: int) -> "TiledBackend":
-        """This backend on ``workers`` of its pool's threads: the chunk driver's
-        overlap filters ahead on one (inline, never behind the shards)."""
-        view = copy.copy(self)
-        view._cut = workers
-        return view
 
     def close(self) -> None:
         """Join the worker pool (restarts lazily if the backend is reused)."""

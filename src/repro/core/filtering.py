@@ -185,20 +185,17 @@ def apply_ramp_filter(
 # Algorithm 1
 # --------------------------------------------------------------------------- #
 #: Detector rows of one projection filtered per step.  Chosen from this sweep
-#: on a 2-vCPU Xeon — whole-run ms, medians of three *fresh* processes:
-#: ``vectorized`` (one worker, compiled kernel), and ``parallel`` on two
-#: workers over 24 chunks on the NumPy kernels, the executor that overlaps:
-#: rows     512x64x256->16^3  384x384x96->48^3  1024x768x16->32^3  overlapped 384x384
-#: =======  ================  ================  =================  ==================
-#: float64  156               366               244                379
-#:      16  117               304               174                549
-#:      64  107               275               167                383
-#:     256  107               284               167                348
-#:     512  106               352               163                334
+#: on a 2-vCPU Xeon — whole-run ms of ``vectorized`` (one worker, compiled
+#: kernel), medians of three *fresh* processes:
+#: rows     512x64x256->16^3  384x384x96->48^3  1024x768x16->32^3
+#: =======  ================  ================  =================
+#: float64  156               366               244
+#:      16  117               304               174
+#:      64  107               275               167
+#:     256  107               284               167
+#:     512  106               352               163
 #: (``float64``: 256 rows, before the transforms went single precision.)  One
-#: worker is flat from 64 to 256 rows, so 256 stays; small groups cost the
-#: *overlap*: each NumPy call of the filter thread must win the GIL back from
-#: the back-projection thread, so fewer, larger steps hide more.  Traps met:
+#: worker is flat from 64 to 256 rows, so 256 stays.  Traps met:
 #: * Never judge a grouping by a warm loop: 1-2 MB temporaries sit just above
 #:   glibc's dynamic trim threshold and are returned and page-faulted again
 #:   every group in a fresh process (+38 %).  Own the buffers; set no knob.
@@ -206,11 +203,8 @@ def apply_ramp_filter(
 #:   NumPy's FFT does and is 40 % slower): at 1 MB each (256 rows, 384- or
 #:   512-wide) they stay on the heap, at 1.25 MB (320 rows) the filter alone
 #:   goes 182 -> 250 ms on 384x384x96 — the 512-row line's 352.
-#: * A filter running beside a back-projection must not submit its groups
-#:   to the backend's pool: they queue behind the shards (445 vs 384 ms).
 #: * Keep the buffers per thread and never dispatch a one-group stack: an
 #:   iFDK rank filters one 96-row projection per call (set-up: +2.5 %).
-#: When to overlap at all: ``repro.streaming.reconstructor.OVERLAP_MIN_FILTER_SHARE``.
 GROUP_ROWS = 256
 
 _scratch = threading.local()

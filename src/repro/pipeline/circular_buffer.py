@@ -7,8 +7,7 @@ bounded producer/consumer ring: the producer blocks when the buffer is full
 empty, and the producer signals completion by closing the buffer.
 
 :func:`ahead` is the one way a stage is put on such a ring: the rank runtime
-chains two of them (filter ‖ AllGather ‖ back-project) and the chunk driver
-runs its filter stage through one.
+chains two of them (filter ‖ AllGather ‖ back-project).
 """
 
 from __future__ import annotations

@@ -163,8 +163,6 @@ class FairShareQueue(JobQueue):
                     f"{len(queued)} queued jobs at its cap {depth_cap}",
                     retry_after_seconds=max(1.0, backlog),
                 )
-                self.offered += 1
-                self.rejected += 1
                 self.quota_rejections[job.tenant] = (
                     self.quota_rejections.get(job.tenant, 0) + 1
                 )

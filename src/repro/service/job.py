@@ -64,6 +64,19 @@ MIN_TENANT_WEIGHT = 1e-9
 _job_counter = itertools.count()
 
 
+def reserve_job_ids(job_ids) -> None:
+    """Number every later default job id past the ``job-NNNN`` in ``job_ids``.
+
+    The counter starts at zero in each process, so a service recovering a
+    journal written by an earlier one calls this with the recovered ids.
+    """
+    global _job_counter
+    taken = [int(job_id[4:]) for job_id in job_ids
+             if job_id.startswith("job-") and job_id[4:].isdigit()]
+    if taken:
+        _job_counter = itertools.count(max(max(taken) + 1, next(_job_counter)))
+
+
 class JobState(enum.Enum):
     """Lifecycle state of a :class:`ReconstructionJob`."""
 

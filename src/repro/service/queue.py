@@ -187,8 +187,6 @@ class JobQueue:
         self._admitted: Dict[int, ReconstructionJob] = {}  # guarded-by: caller
         self._waiting: Dict[ReconstructionProblem, int] = {}  # guarded-by: caller
         self.census_epoch = 0  # guarded-by: caller
-        self.offered = 0  # guarded-by: caller
-        self.rejected = 0  # guarded-by: caller
         # Lazily built: most callers (the service) estimate before offering,
         # so the model is only constructed when a job actually needs it.
         self._estimator = estimator
@@ -250,7 +248,6 @@ class JobQueue:
         arrivals).  Only when no estimate can be produced at all is the job
         admitted with a warning — loud, never silent.
         """
-        self.offered += 1
         if len(self) >= self.policy.max_depth:
             # Transient overload, not infeasibility: hint when a slot
             # should free (the mean queued service time).
@@ -260,7 +257,6 @@ class JobQueue:
                     1.0, self.backlog_seconds / max(1, len(self))
                 ),
             )
-            self.rejected += 1
             return False
         cap = self.policy.max_backlog_seconds
         if cap is not None:
@@ -281,7 +277,6 @@ class JobQueue:
                         f"backlog {backlog:.1f}s exceeds admission cap {cap:.1f}s",
                         retry_after_seconds=max(1.0, backlog - cap),
                     )
-                    self.rejected += 1
                     return False
         job.mark_queued()
         key = job_sort_key(job)

@@ -51,7 +51,7 @@ from ..pipeline.perfmodel import IFDKPerformanceModel
 from .cache import FilteredProjectionCache
 from .diskcache import OnDiskFilteredCache
 from .fairness import FairShareQueue
-from .job import TERMINAL_EVENTS, JobState, ReconstructionJob
+from .job import TERMINAL_EVENTS, JobState, ReconstructionJob, reserve_job_ids
 from .metrics import ServiceMetrics
 from .process_dispatch import ProcessDispatcher
 from .queue import AdmissionPolicy, JobQueue
@@ -204,10 +204,12 @@ class ReconstructionService:
         the previous incarnation died) are re-admitted through the normal
         ``submit`` path at their original arrival times: at-least-once
         execution, no lost jobs, no duplicates (the journal dedups by id).
+        Jobs built after it are numbered past every recovered id.
         """
         with self._lock:
             recovered = self.store.recover()
             self.recovered_jobs = len(recovered)
+            reserve_job_ids(job.job_id for job in recovered.jobs)
             for job in recovered.jobs:
                 # A terminal event is named after the state it means.
                 event = job.state.value if job.state.value in TERMINAL_EVENTS else "submitted"

@@ -94,9 +94,9 @@ def per_projection_working_set_bytes(geometry: CBCTGeometry) -> int:
     unit of account: budgets, chunk counts and stored plans are expressed in
     it.  No backend allocates those wide buffers per chunk any more and a run
     holds far less (``tests/test_streaming.py`` traces one): the filter is
-    fused per row group, so a chunk is its raw and filtered float32 rows, an
-    overlapped run has at most two chunks in flight and a filtering thread
-    adds :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
+    fused per row group, so a chunk in flight is its raw and filtered
+    float32 rows, one chunk at a time, plus each filtering thread's
+    :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
     """
     nv, nu = int(geometry.nv), int(geometry.nu)
     pad = _fft_pad(nu)

@@ -10,14 +10,11 @@ the same loop (:meth:`StreamingReconstructor.reconstruct_stack`) — that is
 all :class:`~repro.core.fdk.FDKReconstructor` and a non-streaming
 :class:`~repro.api.Session` do.
 
-On the compiled kernel executor (:mod:`repro.backends.native`) the stages
-run strictly in turn, filter and shards on all ``workers``: its kernel
-releases the GIL, so a second shard buys more than hiding the filter does.
-On the NumPy executor — a host without a C compiler — a run with a second
-worker, more than one chunk and a filter-bound geometry
-(:data:`OVERLAP_MIN_FILTER_SHARE`) is the paper's Fig. 4a pipeline at depth
-two: a producer thread reads and filters chunk *n + 1* while the calling
-thread back-projects chunk *n* on the other ``workers - 1`` shards.
+Every run has one schedule, whichever kernel executor back-projects: each
+chunk is read, filtered on all of the backend's ``workers``, then
+back-projected on all of them, in acquisition order.  The paper overlaps the
+two stages (Fig. 4) because they run on different hardware, the filter on
+CPUs beside a GPU back-projection; here both share the same cores.
 
 Bit-identity is the design invariant, not an accident:
 
@@ -28,25 +25,22 @@ Bit-identity is the design invariant, not an accident:
 * the scenario redundancy table is ``(Np, Nu)`` and slices cleanly to each
   chunk's global projection window;
 * back-projection is a sum over projections, and chunks are accumulated in
-  acquisition order through one accumulator, whichever thread filtered
-  them — the floating-point accumulation order is *exactly* the
-  whole-stack order, on every backend (``parallel`` included: its shards
-  accumulate each tile in sequential stack order per dispatch).
+  acquisition order through one accumulator — the floating-point
+  accumulation order is *exactly* the whole-stack order, on every backend
+  (``parallel`` included: its shards accumulate each tile in sequential
+  stack order per dispatch).
 
 ``tests/test_streaming.py`` pins that invariant across the full
-backend × scenario × dtype × chunk-size matrix, in turn and overlapped.
+backend × scenario × dtype × chunk-size matrix, on every kernel executor.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..backends.base import ComputeBackend
-from ..backends.tiled import WORKER_THREAD_PREFIX
 from ..core.filtering import RAMP_FILTERS
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, Volume
@@ -57,59 +51,10 @@ from ..obs import (
     get_tracer,
     peak_rss_bytes,
 )
-from ..pipeline.circular_buffer import ahead
-from .chunks import (
-    _fft_pad,
-    chunk_working_set_bytes,
-    plan_chunks,
-    resolve_chunk_size,
-)
+from .chunks import chunk_working_set_bytes, plan_chunks, resolve_chunk_size
 from .sources import ProjectionChunkSource, StackChunkSource, StreamingError
 
 __all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
-
-#: FALLBACK ONLY — read when the kernel executor is ``numpy`` (no compiler on
-#: the host); ROADMAP item 3 replaces it and :func:`_filter_share` with the
-#: calibrated cost model.  The estimated filter share of a projection's work
-#: from which a chunked run with a second worker overlaps its stages.  That
-#: hands one worker to the filter thread and cuts the shards for the other
-#: ``workers - 1``: it pays only where hiding the filter beats one more shard,
-#: and only while the kernel holds the GIL (a second NumPy shard buys 1.07x).
-#: NumPy executor, two workers on a 2-vCPU Xeon, 14 geometries in fresh
-#: processes — op ms overlapped / in turn, by estimated share:
-#: .06 383/313, .20 397/346, .31 197/194, .34 227/224, .41 387/339, .49 401/410
-#: | .55 101/155, .58 338/361 (``stream_pfs_par``), .59 214/377, .90 171/240.
-#: Below, a run is the in-turn loop on ``workers`` shards; that forgoes 3-40 % on
-#: four 32³-48³ volumes (.31 101/167, .41 135/167, .44 260/267, .45 174/188)
-#: where the second NumPy *shard* is what costs.
-#:
-#: The compiled executor never overlaps (``_run`` reads the accumulator's
-#: ``executor``).  Same host, same protocol, 14 geometries — op ms overlapped
-#: / in turn / in turn on ONE worker, by estimated share: .05 218/143/232,
-#: .20 123/104/174, .31 45/54/67 (128x128x128->32^3; three re-runs 68/70,
-#: 68/71, 68/71: a 3-4 % tie, the one row not won in turn), .34 113/102/172,
-#: .41 318/259/456, .41 83/72/116, .43 239/165/290, .45 107/86/148,
-#: .49 296/229/398, .53 133/103/178, .58 284/205/350 (``stream_pfs_par``),
-#: .59 216/162/277, .69 137/102/167, .90 153/101/147.  No geometry loses more
-#: than 5 % in turn, so none keeps the overlap; and the second shard, which
-#: cost up to 40 % on 32^3-48^3 volumes, now buys 1.24-1.76x on every row.
-OVERLAP_MIN_FILTER_SHARE = 0.5
-
-#: The overlapped loop's filter stage: one chunk ahead and no more, so a run
-#: under a memory budget has at most two chunks in flight.
-_one_ahead = partial(ahead, depth=1, name=WORKER_THREAD_PREFIX + "-filter")
-
-
-def _filter_share(geometry: CBCTGeometry, nz: int) -> float:
-    """FALLBACK ONLY (the NumPy executor's overlap rule, fitted on its
-    kernel).  Estimated filter share of one projection's single-thread work.  In
-    units of 1.5 ns the filter costs ``Nv·pad·log2(pad) / 2``, the kernel
-    ``Nx·Ny·(5·Nz + Nv)`` (voxel updates plus per-column detector tables):
-    nine geometries, shares within 0.06 from 32³ to 128³ (16³: 0.90 for 0.72,
-    its per-projection overhead is not modelled)."""
-    pad = _fft_pad(geometry.nu)
-    filtering = geometry.nv * pad * (pad.bit_length() - 1) / 2
-    return filtering / (filtering + geometry.nx * geometry.ny * (5 * nz + geometry.nv))
 
 
 def plan_fields(plan) -> dict:
@@ -139,12 +84,8 @@ class StreamingResult:
     num_projections: int
     chunk_size: int
     chunk_count: int
-    #: Filter time on the critical path: the stage's own time in turn; when
-    #: overlapped, its part of the driver's waits (the rest is the source's).
     filter_seconds: float
     backprojection_seconds: float
-    #: The filter stage's busy time, wherever it ran.
-    filter_busy_seconds: float
     #: Over-estimated streaming working set of one executed chunk.
     working_set_bytes: int
     #: The budget the run was planned under (``None`` = unconstrained).
@@ -155,12 +96,6 @@ class StreamingResult:
     @property
     def total_seconds(self) -> float:
         return self.filter_seconds + self.backprojection_seconds
-
-    @property
-    def overlap_delta(self) -> float:
-        """The paper's δ: stage busy time over critical path (1 in turn)."""
-        busy = self.filter_busy_seconds + self.backprojection_seconds
-        return busy / self.total_seconds if self.total_seconds > 0 else 1.0
 
 
 class StreamingReconstructor:
@@ -315,12 +250,43 @@ class StreamingReconstructor:
             )
         return self._run(StackChunkSource(stack), stack.np_, NULL_TRACER)
 
-    def _filtered_chunks(
-        self, source: ProjectionChunkSource, bounds, span, backend
-    ) -> Iterator[tuple]:
-        """The filter half of a step, on ``backend`` under a ``span``:
-        ``(index, chunk, filtered, seconds reading, seconds filtering)``."""
-        resumed = time.perf_counter()
+    def _filtered(self, piece, index: int, tracer) -> ProjectionStack:
+        """Chunk ``index`` filtered on all ``workers`` (pre-filtered: as is)."""
+        stack = piece.stack
+        if stack.filtered:
+            if self.redundancy is not None:
+                raise ValueError(
+                    f"scenario {self.scenario.name!r} applies redundancy "
+                    "weights in the filtering stage, but this source "
+                    "delivers pre-filtered projections (already filtered): "
+                    "filter raw projections here, or drop the scenario"
+                )
+            return stack
+        with tracer.span(
+            "filter.chunk",
+            payload_bytes=int(stack.data.nbytes),
+            chunk=index, start=piece.start, stop=piece.stop,
+        ):
+            # The chunk's rows of the scenario's (Np, Nu) table.
+            return self.backend.filter_stack(
+                stack, self.geometry, self.ramp_filter,
+                redundancy=None if self.redundancy is None
+                else self.redundancy[piece.start:piece.stop],
+            )
+
+    def _run(
+        self, source: ProjectionChunkSource, chunk: int, tracer
+    ) -> StreamingResult:
+        """Read, filter and accumulate each chunk in turn, in acquisition
+        order (``tracer`` records the chunk spans)."""
+        np_total = int(source.num_projections)
+        bounds = plan_chunks(np_total, chunk)
+        acc = self.backend.accumulator(
+            self.geometry, algorithm=self.algorithm, z_range=self.z_range
+        )
+        chunk_counter = self.metrics.counter("streaming.chunks")
+        filter_seconds = backproject_seconds = 0.0
+        delivered = 0
         for index, piece in enumerate(source.chunks(bounds)):
             if index >= len(bounds) or (piece.start, piece.stop) != bounds[index]:
                 raise StreamingError(
@@ -328,78 +294,19 @@ class StreamingReconstructor:
                     f"where the plan expected "
                     f"{bounds[index] if index < len(bounds) else 'no chunk'}"
                 )
-            stack = piece.stack
             t0 = time.perf_counter()
-            if stack.filtered:
-                if self.redundancy is not None:
-                    raise ValueError(
-                        f"scenario {self.scenario.name!r} applies redundancy "
-                        "weights in the filtering stage, but this source "
-                        "delivers pre-filtered projections (already filtered): "
-                        "filter raw projections here, or drop the scenario"
-                    )
-                filtered = stack
-            else:
-                with span(
-                    payload_bytes=int(stack.data.nbytes),
-                    chunk=index, start=piece.start, stop=piece.stop,
-                ):
-                    # The chunk's rows of the scenario's (Np, Nu) table.
-                    filtered = backend.filter_stack(
-                        stack, self.geometry, self.ramp_filter,
-                        redundancy=None if self.redundancy is None
-                        else self.redundancy[piece.start:piece.stop],
-                    )
+            filtered = self._filtered(piece, index, tracer)
             t1 = time.perf_counter()
-            yield index, piece, filtered, t0 - resumed, t1 - t0
-            resumed = time.perf_counter()
-
-    def _run(
-        self, source: ProjectionChunkSource, chunk: int, tracer
-    ) -> StreamingResult:
-        """The filter→accumulate loop (``tracer`` records the chunk spans);
-        overlapped, :func:`_one_ahead` runs the same filter steps on a thread."""
-        np_total = int(source.num_projections)
-        bounds = plan_chunks(np_total, chunk)
-        workers = self.backend.workers
-        z0, z1 = self.z_range or (0, self.geometry.nz)
-        filters = self.backend
-        acc = filters.accumulator(
-            self.geometry, algorithm=self.algorithm, z_range=self.z_range
-        )
-        # Overlap costs the shards a worker, so it can pay only while the
-        # kernel executor holds the GIL; the compiled one runs in turn.
-        overlap = len(bounds) > 1 and workers >= 2 and acc.executor == "numpy" and (
-            _filter_share(self.geometry, z1 - z0) >= OVERLAP_MIN_FILTER_SHARE
-        )
-        if overlap:  # one worker filters ahead, the shards are cut for the rest
-            filters = self.backend.on_workers(1)
-            acc = self.backend.on_workers(workers - 1).accumulator(
-                self.geometry, algorithm=self.algorithm, z_range=self.z_range
-            )
-        chunk_counter = self.metrics.counter("streaming.chunks")
-        # Whichever thread filters, its spans hang under the caller's.
-        span = partial(tracer.span, "filter.chunk", parent=tracer.current_span_id())
-        steps = self._filtered_chunks(source, bounds, span, filters)
-        filter_busy = filter_waited = backproject_seconds = 0.0
-        delivered = 0
-        with closing(_one_ahead(steps) if overlap else steps) as filtered_chunks:
-            asked = time.perf_counter()
-            for index, piece, filtered, reading, busy in filtered_chunks:
-                t1 = time.perf_counter()
-                # The filter's part of the wait (the rest is the source's).
-                filter_waited += (t1 - asked) * busy / ((reading + busy) or 1.0)
-                filter_busy += busy
-                with tracer.span(
-                    "backproject.chunk",
-                    payload_bytes=int(filtered.data.nbytes),
-                    chunk=index, start=piece.start, stop=piece.stop,
-                ):
-                    acc.add_stack(filtered)
-                asked = time.perf_counter()
-                backproject_seconds += asked - t1
-                delivered += piece.size
-                chunk_counter.inc()
+            with tracer.span(
+                "backproject.chunk",
+                payload_bytes=int(filtered.data.nbytes),
+                chunk=index, start=piece.start, stop=piece.stop,
+            ):
+                acc.add_stack(filtered)
+            filter_seconds += t1 - t0
+            backproject_seconds += time.perf_counter() - t1
+            delivered += piece.size
+            chunk_counter.inc()
         if delivered != np_total:
             raise StreamingError(
                 f"source delivered {delivered} of {np_total} projections — "
@@ -413,8 +320,7 @@ class StreamingReconstructor:
             num_projections=np_total,
             chunk_size=chunk,
             chunk_count=len(bounds),
-            filter_seconds=filter_waited if overlap else filter_busy,
-            filter_busy_seconds=filter_busy,
+            filter_seconds=filter_seconds,
             backprojection_seconds=backproject_seconds,
             working_set_bytes=chunk_working_set_bytes(self.geometry, chunk),
             memory_budget_bytes=self.memory_budget_bytes,

@@ -10,11 +10,10 @@ every ramp window:
 * **accuracy** — the tiled backends' single-precision real-FFT filter stays
   within ``RMSE_TOL`` relative RMSE of the live ``reference`` filter and within
   ``SAMPLE_TOL`` of the RMS at any one sample (measured 9e-8 / 9e-7);
-* **live ``==``** — any group size, ``(byte_budget, workers)``, chunking of the
-  stack and the ``on_workers(1)`` inline view give the float32 bits of one
-  group per projection on one worker: pocketfft batches rows through SIMD
-  lanes, and this is the proof that the float32 inverse does not care which
-  lane a row rode in;
+* **live ``==``** — any group size, ``(byte_budget, workers)`` and chunking
+  of the stack give the float32 bits of one group per projection on one
+  worker: pocketfft batches rows through SIMD lanes, and this is the proof
+  that the float32 inverse does not care which lane a row rode in;
 * **``reference`` keeps the complex FFT** — bit for bit the whole-stack
   sequence frozen in ``tests/frozen_parent_kernels.py`` (what the goldens are
   pinned to).
@@ -84,16 +83,14 @@ def assert_within_bound(result, reference):
 
 def tiled_filter(
     stack, geometry, window="ram-lak", redundancy=None, *,
-    byte_budget=1 << 25, workers=1, cuts=(), group_rows=GROUP_ROWS, inline=False,
+    byte_budget=1 << 25, workers=1, cuts=(), group_rows=GROUP_ROWS,
 ):
     """The live tiled filter over the stack cut at ``cuts``, pieces rejoined."""
     edges = [0, *sorted(set(cuts)), geometry.np_]
     with mock.patch.object(filtering, "GROUP_ROWS", group_rows):
         with TiledBackend(workers=workers, byte_budget=byte_budget) as backend:
-            # ``inline``: the view an overlapped chunk driver filters on.
-            filters = backend.on_workers(1) if inline else backend
             pieces = [
-                filters.filter_stack(
+                backend.filter_stack(
                     ProjectionStack(
                         data=stack.data[lo:hi], angles=stack.angles[lo:hi]
                     ),
@@ -329,7 +326,6 @@ def random_case(rng_or_draw):
         workers=pick(1, 4),
         cuts=tuple(pick(0, np_) for _ in range(pick(0, 3))),
         group_rows=(1, 7, GROUP_ROWS)[pick(0, 2)],
-        inline=bool(pick(0, 1)),
     )
 
 

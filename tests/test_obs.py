@@ -198,14 +198,14 @@ def test_parallel_worker_spans_nest_under_stages(workers):
 
 
 # --------------------------------------------------------------------- #
-# The overlapped chunk driver: the trace shows the Fig. 4 pipeline.
+# The chunk driver: each chunk filtered, then back-projected, under the run.
 # --------------------------------------------------------------------- #
 
-def _overlapped_trace(**plan_fields):
-    # Filter-bound (estimated share 0.61), so a chunked run of it overlaps;
-    # milliseconds per chunk and stage, so thread hand-offs do not dominate.
+def _chunked_trace(workers=2, **plan_fields):
+    # Filter-heavy, with milliseconds per chunk and stage, so thread
+    # hand-offs do not dominate.
     plan = plan_for_problem(
-        "384x192x48->40x40x40", backend="parallel", workers=2, **plan_fields
+        "384x192x48->40x40x40", backend="parallel", workers=workers, **plan_fields
     )
     tracer = Tracer()
     with Session(plan, tracer=tracer) as session:
@@ -217,45 +217,39 @@ def _overlapped_trace(**plan_fields):
 
 
 @pytest.mark.parallel
-@pytest.mark.usefixtures("numpy_executor")  # whose GIL the overlap hides behind
-def test_overlapped_chunk_spans_overlap_in_time_under_the_run_span(tmp_path, capsys):
-    tracer, result, by_name = _overlapped_trace(streaming=True, chunk_size=8)
+@pytest.mark.usefixtures("executor")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_chunk_spans_run_in_turn_under_the_run_span(workers, tmp_path, capsys):
+    tracer, result, by_name = _chunked_trace(workers, streaming=True, chunk_size=8)
     (run,) = by_name["run"]
     filters = sorted(by_name["filter.chunk"], key=lambda s: s.attrs["chunk"])
     backprojects = sorted(
         by_name["backproject.chunk"], key=lambda s: s.attrs["chunk"]
     )
     assert len(filters) == len(backprojects) == result.details["chunks"] == 6
-    # Recorded on the producer thread, parented on the dispatching thread's
-    # span: both chunk stages are children of the run.
+    # Both chunk stages are children of the run, on its thread.
     assert {s.parent_id for s in filters + backprojects} == {run.span_id}
-    assert {s.thread for s in filters} == {"repro-parallel-filter"}
-    assert {s.thread for s in backprojects} == {run.thread}
-    # Stage spans still nest under their chunk, on either thread.
+    assert {s.thread for s in filters + backprojects} == {run.thread}
+    # Stage spans still nest under their chunk.
     for stage, chunks in (("filter", filters), ("backproject", backprojects)):
         assert sorted(s.parent_id for s in by_name[stage]) == sorted(
             s.span_id for s in chunks
         )
-    # filter.chunk[n + 1] never waits for backproject.chunk[n] to finish, and
-    # runs while it does.  (Chunk 1 is exempt from the second half: it may be
-    # filtered before the consumer has even picked up chunk 0.)
-    pairs = list(zip(filters[1:], backprojects))
-    assert all(f.start < b.stop for f, b in pairs)
-    overlap = [min(f.stop, b.stop) - max(f.start, b.start) for f, b in pairs[1:]]
-    assert all(seconds > 0 for seconds in overlap), overlap
-    # The report's split is the critical path (how small the filter's share
-    # gets is the scheduler's business); the spans carry the busy time.
+    # In turn: chunk n is filtered, then back-projected, before chunk n + 1.
+    stages = sorted(filters + backprojects, key=lambda s: s.start)
+    assert [(s.name, s.attrs["chunk"]) for s in stages] == [
+        (name, n) for n in range(6) for name in ("filter.chunk", "backproject.chunk")
+    ]
+    assert all(a.stop <= b.start for a, b in zip(stages, stages[1:]))
     report = result.report
     assert report.stage_sum_seconds <= report.wall_seconds
-    busy = result.details["filter_busy_seconds"]
-    assert report.stage_seconds["filter.chunk"] == pytest.approx(busy, rel=0.10, abs=5e-3)
-    assert result.details["overlap_delta"] == pytest.approx(
-        (busy + report.backprojection_seconds) / report.stage_sum_seconds
+    assert report.stage_seconds["filter.chunk"] == pytest.approx(
+        result.filter_seconds, rel=0.10, abs=5e-3
     )
     # ``repro report`` renders both stages under the run.
     from repro.cli import main
 
-    path = write_trace(tracer, tmp_path / "overlap.jsonl")
+    path = write_trace(tracer, tmp_path / "chunked.jsonl")
     assert main(["report", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     indent = {line.strip("│├└─ ").split()[0]: len(line) - len(line.lstrip("│├└─ "))
@@ -266,10 +260,9 @@ def test_overlapped_chunk_spans_overlap_in_time_under_the_run_span(tmp_path, cap
 
 @pytest.mark.parallel
 def test_whole_stack_trace_keeps_its_shape_whatever_the_projection_count():
-    """``reconstruct_stack`` is one chunk, in turn: one span per stage, the
-    worker spans under it and every worker a shard — at 48 projections, on
-    the geometry whose *chunked* run overlaps, as at 24 on any other."""
-    _, result, by_name = _overlapped_trace()
+    """``reconstruct_stack`` is one chunk: one span per stage, the worker
+    spans under it and every worker a shard — at 48 projections as at 24."""
+    _, result, by_name = _chunked_trace()
     assert "filter.chunk" not in by_name and "backproject.chunk" not in by_name
     (run,) = by_name["run"]
     (filter_span,) = by_name["filter"]
@@ -281,7 +274,6 @@ def test_whole_stack_trace_keeps_its_shape_whatever_the_projection_count():
         backproject_span.span_id
     }
     assert {s.attrs["worker"] for s in by_name["backproject.worker"]} == {0, 1}
-    assert result.details["overlap_delta"] == 1.0
 
 
 @pytest.mark.parallel
@@ -290,7 +282,7 @@ def test_a_traced_run_names_the_kernel_executor(executor, tmp_path, capsys):
     patched out — on the span, on every worker span, in the report the CLI
     prints and in ``repro report``'s tree.  Worker spans of the compiled
     kernel also name its loop (``isa``)."""
-    tracer, result, by_name = _overlapped_trace()
+    tracer, result, by_name = _chunked_trace()
     (backproject,) = by_name["backproject"]
     assert backproject.attrs["executor"] == executor
     assert {s.attrs["executor"] for s in by_name["backproject.worker"]} == {executor}

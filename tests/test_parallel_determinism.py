@@ -228,19 +228,12 @@ def test_workers_one_driver_never_starts_threads():
     assert set(threading.enumerate()) == before
 
 
-@pytest.fixture
-def always_overlap(monkeypatch, numpy_executor):
-    """Small geometries are back-projection-bound: lift the selection rule
-    (which overlaps on the NumPy executor only — its kernel holds the GIL)."""
-    from repro.streaming import reconstructor
-
-    monkeypatch.setattr(reconstructor, "OVERLAP_MIN_FILTER_SHARE", 0.0)
-
-
-def test_overlapped_driver_thread_is_attributable_and_joined(always_overlap):
-    """The driver's producer carries the pool's name prefix (so every leak
-    check here sees it), lives only inside a run and is gone after it —
-    whether the run returned or raised."""
+@pytest.mark.usefixtures("executor")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_chunk_driver_reads_in_turn_and_leaves_no_thread(workers):
+    """Every chunk is read on the calling thread, no ``-filter`` producer is
+    ever started, and closing the driver joins its pool — whether the run
+    returned or raised."""
     from repro.streaming import StreamingError, StreamingReconstructor, StackChunkSource
 
     baseline = parallel_threads()
@@ -255,11 +248,10 @@ def test_overlapped_driver_thread_is_attributable_and_joined(always_overlap):
                 yield piece
 
     driver = StreamingReconstructor(
-        geometry, backend="parallel", workers=3, chunk_size=3
+        geometry, backend="parallel", workers=workers, chunk_size=3
     )
     driver.reconstruct(Watching(stack))
-    assert set(seen) == {WORKER_THREAD_PREFIX + "-filter"}
-    assert not [t for t in parallel_threads(baseline) if "filter" in t.name]
+    assert seen == [threading.current_thread().name] * 4
 
     class Short(Watching):
         def chunks(self, bounds):
@@ -273,9 +265,11 @@ def test_overlapped_driver_thread_is_attributable_and_joined(always_overlap):
     assert not leaked, f"leaked worker threads: {[t.name for t in leaked]}"
 
 
-def test_overlapped_driver_under_thread_switch_stress(always_overlap):
-    """More workers than cores and a 10 µs switch interval: every run still
-    produces the one-worker bits and leaves no thread behind."""
+@pytest.mark.usefixtures("executor")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_chunk_driver_under_thread_switch_stress(workers):
+    """A 10 µs switch interval: every run still produces the one-worker bits
+    and leaves no thread behind."""
     from repro.streaming import reconstruct_streaming
 
     baseline = parallel_threads()
@@ -286,7 +280,7 @@ def test_overlapped_driver_under_thread_switch_stress(always_overlap):
     sys.setswitchinterval(1e-5)
     deadline = time.monotonic() + 20.0
     try:
-        with TiledBackend(workers=4) as backend:
+        with TiledBackend(workers=workers) as backend:
             for chunk_size in (1, 2, 5, 1, 2, 5):
                 result = reconstruct_streaming(
                     stack, geometry, backend=backend, chunk_size=chunk_size

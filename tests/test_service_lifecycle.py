@@ -18,6 +18,7 @@ ten times the examples and runs in the ``service-serving`` CI job.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import shutil
 import tempfile
@@ -43,6 +44,7 @@ from repro.service import (
     ReconstructionJob,
     ReconstructionService,
 )
+from repro.service import job as job_module
 from repro.service.job import LIFECYCLE, TERMINAL_STATES
 
 pytestmark = pytest.mark.serving
@@ -147,6 +149,27 @@ class TestJournalCompatibility:
             assert summary["jobs_rejected"] == 4.0
         again = JobStore(tmp_path).recover()
         assert not again.pending and len(again) == 12
+
+
+def test_a_restart_never_reuses_a_recovered_job_id(tmp_path, monkeypatch):
+    """Each process numbers default job ids from zero, so recovery must move
+    the numbering past every recovered ``job-NNNN``: a reused id would make
+    the journal fold two jobs into one."""
+    def new_process():
+        monkeypatch.setattr(job_module, "_job_counter", itertools.count())
+
+    new_process()
+    ReconstructionJob(problem=problem_from_string(SMALL))  # built, never submitted
+    with ReconstructionService(GPUS, workers=0, state_dir=tmp_path) as service:
+        first = [service.submit_plan(PLANS[0]).job_id for _ in range(2)]
+    new_process()
+    with ReconstructionService(GPUS, workers=0, state_dir=tmp_path) as service:
+        assert sorted(service.jobs) == first
+        later = [service.submit_plan(PLANS[0]).job_id for _ in range(2)]
+    assert not set(later) & set(first)
+    new_process()
+    again = JobStore(tmp_path).recover()
+    assert sorted(job.job_id for job in again.jobs) == sorted(first + later)
 
 
 # --------------------------------------------------------------------------- #

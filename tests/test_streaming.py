@@ -34,6 +34,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -45,7 +46,7 @@ from hypothesis import strategies as st
 from repro.api import ReconstructionPlan, Session, plan_for_problem, run_plan
 from repro.backends import TiledBackend, available_backends, get_backend
 from repro.backends.base import VolumeAccumulator
-from repro.backends.tiled import WORKER_THREAD_PREFIX, _block_bytes
+from repro.backends.tiled import WORKER_THREAD_PREFIX
 from repro.cli import main
 from repro.core import FDKReconstructor, default_geometry_for_problem
 from repro.core.filtering import GROUP_ROWS
@@ -55,7 +56,6 @@ from repro.pfs import SimulatedPFS
 from repro.pfs.projection_io import write_projection_dataset
 from repro.pipeline import CircularBuffer
 from repro.scenarios import get_scenario
-from repro.streaming import reconstructor as reconstructor_module
 from repro.streaming import (
     DEFAULT_CHUNK_SIZE,
     OnlineChunkSource,
@@ -466,16 +466,8 @@ class TestOnlineSource:
 
 
 # --------------------------------------------------------------------------- #
-# The overlapped driver: same bits, same faults, no thread left behind
+# The chunk driver on a pool: same bits, same faults, no thread left behind
 # --------------------------------------------------------------------------- #
-def filter_threads():
-    """Live threads of the driver's producer (``repro-parallel-filter``)."""
-    return [
-        t for t in threading.enumerate()
-        if t.name.startswith(WORKER_THREAD_PREFIX + "-filter")
-    ]
-
-
 class ScriptedSource(ProjectionChunkSource):
     """A stack's chunks with one scripted misbehaviour at chunk ``at``.
 
@@ -510,13 +502,26 @@ class ScriptedSource(ProjectionChunkSource):
             self.closed = True
 
 
-@pytest.fixture
-def overlapped():
-    """A two-worker backend, and the guarantee it leaks no producer."""
-    assert not filter_threads()
-    with TiledBackend(workers=2) as backend:
+@contextmanager
+def thread_starts():
+    """The names of the threads started inside the block."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    with mock.patch.object(threading.Thread, "start", start):
+        yield started
+
+
+@pytest.fixture(params=[2, 3])
+def pooled(request):
+    """A 2- or 3-worker backend; the run starts only pool threads."""
+    with thread_starts() as started, TiledBackend(workers=request.param) as backend:
         yield backend
-    assert not filter_threads(), "a producer thread outlived its run"
+    assert not [n for n in started if n.startswith(WORKER_THREAD_PREFIX + "-filter")]
 
 
 def assert_same_bits(result, expected):
@@ -524,46 +529,25 @@ def assert_same_bits(result, expected):
     np.testing.assert_array_equal(result.view(np.uint32), expected.view(np.uint32))
 
 
-class TestOverlappedDriver:
-    @pytest.fixture(autouse=True)
-    def always_overlap(self, numpy_executor):
-        """The matrix geometries are small and back-projection-bound: lift the
-        selection rule so these tests drive the pipeline itself (on the NumPy
-        executor — the compiled one never hands a shard's worker away)."""
-        with mock.patch.object(reconstructor_module, "OVERLAP_MIN_FILTER_SHARE", 0.0):
-            yield
-
+@pytest.mark.usefixtures("executor")
+class TestChunkedDriver:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    @pytest.mark.parametrize("name,workers", [
-        ("vectorized", 1), ("blocked", 1), ("parallel", 2), ("parallel", 3),
-    ])
-    def test_overlapped_equals_in_turn_equals_whole_stack(
-        self, name, workers, scenario, dtype, chunk_size, whole_stack_volumes
+    def test_chunked_on_a_pool_equals_whole_stack(
+        self, pooled, scenario, dtype, chunk_size, whole_stack_volumes
     ):
         geometry, stack, _ = scenario_case(scenario, dtype)
-        with mock.patch.object(
-            reconstructor_module, "_one_ahead",
-            wraps=reconstructor_module._one_ahead,
-        ) as one_ahead:
-            with TiledBackend(workers=workers, name=name) as backend:
-                result = reconstruct_streaming(
-                    stack, geometry, backend=backend,
-                    scenario=None if scenario == "full_scan" else scenario,
-                    chunk_size=chunk_size,
-                )
-        # The run overlapped exactly when it had a second worker and chunk.
-        assert one_ahead.call_count == int(workers >= 2 and result.chunk_count > 1)
+        result = reconstruct_streaming(
+            stack, geometry, backend=pooled,
+            scenario=None if scenario == "full_scan" else scenario,
+            chunk_size=chunk_size,
+        )
         assert_same_bits(
             result.volume.data, whole_stack_volumes("vectorized", scenario, dtype)
         )
-        assert not filter_threads()
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_whole_stack_is_one_chunk_in_turn(self, workers):
-        """Even with the rule lifted: one chunk has nothing to overlap, so a
-        whole-stack run keeps every worker a shard and starts no producer."""
+    def test_whole_stack_is_one_chunk(self, pooled):
         geometry = default_geometry_for_problem(
             nu=32, nv=24, np_=48, nx=16, ny=16, nz=12
         )
@@ -576,27 +560,14 @@ class TestOverlappedDriver:
         in_turn = StreamingReconstructor(
             geometry, backend="vectorized"
         ).reconstruct_stack(stack)
-        with mock.patch.object(reconstructor_module, "_one_ahead") as one_ahead:
-            with StreamingReconstructor(
-                geometry, backend="parallel", workers=workers
-            ) as driver:
-                whole = driver.reconstruct_stack(stack)
-        assert not one_ahead.called
+        whole = StreamingReconstructor(geometry, backend=pooled).reconstruct_stack(stack)
         assert (whole.chunk_count, whole.chunk_size) == (1, geometry.np_)
-        assert whole.filter_busy_seconds == whole.filter_seconds
         assert_same_bits(whole.volume.data, in_turn.volume.data)
 
     def test_one_worker_starts_no_thread(self):
         geometry, stack, _ = scenario_case("full_scan", "float32")
         before = set(threading.enumerate())
-        started = []
-        real_start = threading.Thread.start
-
-        def start(thread):
-            started.append(thread.name)
-            real_start(thread)
-
-        with mock.patch.object(threading.Thread, "start", start):
+        with thread_starts() as started:
             for backend in ("reference", "vectorized", TiledBackend(workers=1)):
                 reconstruct_streaming(stack, geometry, backend=backend, chunk_size=5)
         assert started == [] and set(threading.enumerate()) == before
@@ -607,11 +578,11 @@ class TestOverlappedDriver:
         ("stop", StreamingError),
         ("shift", StreamingError),
     ])
-    def test_source_faults_surface_unchanged(self, overlapped, fault, expected):
+    def test_source_faults_surface_unchanged(self, pooled, fault, expected):
         geometry, stack, _ = scenario_case("full_scan", "float32")
         source = ScriptedSource(stack, fault)
         with pytest.raises(expected) as raised:
-            reconstruct_streaming(source, geometry, backend=overlapped, chunk_size=5)
+            reconstruct_streaming(source, geometry, backend=pooled, chunk_size=5)
         if isinstance(fault, Exception):
             assert raised.value is fault  # the original, not a wrapper
         elif fault == "stop":
@@ -624,11 +595,9 @@ class TestOverlappedDriver:
         FloatingPointError("scripted accumulator failure"), KeyboardInterrupt(),
     ])
     @pytest.mark.parametrize("at", [1, 3])
-    def test_consumer_faults_release_the_producer(
-        self, overlapped, monkeypatch, error, at
-    ):
-        """The accumulator raising on chunk ``at`` must not strand a producer
-        that is filtering ahead or waiting to hand over."""
+    def test_consumer_faults_surface_unchanged(self, pooled, monkeypatch, error, at):
+        """The accumulator raising on chunk ``at`` surfaces as itself and
+        closes the source."""
         geometry, stack, _ = scenario_case("full_scan", "float32")
         calls = itertools.count(1)
         real = VolumeAccumulator.add_stack
@@ -641,11 +610,11 @@ class TestOverlappedDriver:
         monkeypatch.setattr(VolumeAccumulator, "add_stack", add_stack)
         source = ScriptedSource(stack)
         with pytest.raises(type(error)) as raised:
-            reconstruct_streaming(source, geometry, backend=overlapped, chunk_size=3)
+            reconstruct_streaming(source, geometry, backend=pooled, chunk_size=3)
         assert raised.value is error
-        assert source.closed and not filter_threads()
+        assert source.closed
 
-    def test_filter_failure_on_the_producer_surfaces(self, overlapped, monkeypatch):
+    def test_filter_failure_surfaces(self, pooled, monkeypatch):
         geometry, stack, _ = scenario_case("full_scan", "float32")
         error = FloatingPointError("scripted filter failure")
         calls = itertools.count(1)
@@ -658,10 +627,10 @@ class TestOverlappedDriver:
 
         monkeypatch.setattr(TiledBackend, "apply_filter", apply_filter)
         with pytest.raises(FloatingPointError) as raised:
-            reconstruct_streaming(stack, geometry, backend=overlapped, chunk_size=4)
+            reconstruct_streaming(stack, geometry, backend=pooled, chunk_size=4)
         assert raised.value is error
 
-    def test_online_source_faults_under_overlap(self, overlapped):
+    def test_online_source_faults(self, pooled):
         geometry, stack, _ = scenario_case("full_scan", "float32")
         # The acquisition dies after ten projections and closes its buffer ...
         buffer = CircularBuffer(capacity=7)
@@ -671,7 +640,7 @@ class TestOverlappedDriver:
         with pytest.raises(StreamingError, match="refusing"):
             reconstruct_streaming(
                 OnlineChunkSource(buffer, geometry.np_, timeout=10.0),
-                geometry, backend=overlapped, chunk_size=4,
+                geometry, backend=pooled, chunk_size=4,
             )
         acquisition.join(timeout=10.0)
         assert not acquisition.is_alive()
@@ -679,11 +648,11 @@ class TestOverlappedDriver:
         with pytest.raises(TimeoutError):
             reconstruct_streaming(
                 OnlineChunkSource(CircularBuffer(4), geometry.np_, timeout=0.05),
-                geometry, backend=overlapped, chunk_size=4,
+                geometry, backend=pooled, chunk_size=4,
             )
 
     def test_online_acquisition_reconstructs_exactly(
-        self, overlapped, whole_stack_volumes
+        self, pooled, whole_stack_volumes
     ):
         geometry, stack, _ = scenario_case("full_scan", "float32")
         buffer = CircularBuffer(capacity=7)
@@ -691,7 +660,7 @@ class TestOverlappedDriver:
         acquisition.start()
         result = reconstruct_streaming(
             OnlineChunkSource(buffer, geometry.np_, timeout=10.0),
-            geometry, backend=overlapped, chunk_size=7,
+            geometry, backend=pooled, chunk_size=7,
         )
         acquisition.join(timeout=10.0)
         assert not acquisition.is_alive()
@@ -700,86 +669,28 @@ class TestOverlappedDriver:
             whole_stack_volumes("vectorized", "full_scan", "float32"),
         )
 
-    def test_producer_is_never_more_than_one_chunk_ahead(self, overlapped, monkeypatch):
-        """Slots, not queue capacity: two chunks in flight, never three."""
-        geometry, stack, _ = scenario_case("full_scan", "float32")
-        lock = threading.Lock()
-        in_flight, peak = set(), []
-        real_chunks = StackChunkSource.chunks
-
-        def chunks(self, bounds):
-            for piece in real_chunks(self, bounds):
-                with lock:
-                    in_flight.add(piece.start)
-                    peak.append(len(in_flight))
-                yield piece
-
-        real_add = VolumeAccumulator.add_stack
-
-        def add_stack(self, filtered):
-            time.sleep(0.01)  # let the producer run as far ahead as it may
-            real_add(self, filtered)
-            with lock:
-                in_flight.remove(min(in_flight))
-
-        monkeypatch.setattr(StackChunkSource, "chunks", chunks)
-        monkeypatch.setattr(VolumeAccumulator, "add_stack", add_stack)
-        result = reconstruct_streaming(stack, geometry, backend=overlapped, chunk_size=2)
-        assert result.chunk_count == 12 and max(peak) == 2
-
-    def test_timing_splits_critical_path_from_busy_time(self, overlapped):
+    def test_stage_times_add_up_inside_the_wall_time(self, pooled):
         geometry, stack, _ = scenario_case("full_scan", "float32")
         start = time.perf_counter()
-        result = reconstruct_streaming(stack, geometry, backend=overlapped, chunk_size=4)
+        result = reconstruct_streaming(stack, geometry, backend=pooled, chunk_size=4)
         wall = time.perf_counter() - start
-        assert 0 < result.filter_seconds + result.backprojection_seconds <= wall
+        assert result.filter_seconds > 0 and result.backprojection_seconds > 0
         assert result.total_seconds == (
             result.filter_seconds + result.backprojection_seconds
-        )
-        assert result.filter_busy_seconds > 0
-        assert result.overlap_delta == pytest.approx(
-            (result.filter_busy_seconds + result.backprojection_seconds)
-            / result.total_seconds
-        )
-        in_turn = reconstruct_streaming(stack, geometry, backend="vectorized", chunk_size=4)
-        assert in_turn.filter_busy_seconds == in_turn.filter_seconds
-        assert in_turn.overlap_delta == 1.0
-
-    def test_session_reports_busy_time_and_overlap(self, small_geometry, small_projections):
-        plan = ReconstructionPlan(
-            geometry=small_geometry, backend="parallel", workers=2,
-            streaming=True, chunk_size=6,
-        )
-        result = run_plan(plan, small_projections)
-        assert result.details["filter_busy_seconds"] > 0
-        assert result.details["overlap_delta"] > 0
-        assert result.filter_seconds + result.backprojection_seconds <= result.wall_seconds
-        whole = run_plan(
-            ReconstructionPlan(geometry=small_geometry, backend="vectorized"),
-            small_projections,
-        )
-        assert whole.details["overlap_delta"] == 1.0
-        assert whole.details["filter_busy_seconds"] == whole.filter_seconds
-        np.testing.assert_array_equal(result.volume.data, whole.volume.data)
+        ) <= wall
 
 
-@pytest.mark.parametrize("problem,workers,z_range,overlaps", [
-    # perfbench's two sides of the rule, at a few projections each:
-    ("96x96x8->64x64x64", 2, None, False),    # fdk_bp_64: share 0.06
-    ("384x384x8->48x48x48", 2, None, True),   # stream_pfs_par: share 0.58
-    ("384x384x8->48x48x48", 3, None, True),
-    ("384x384x8->48x48x48", 1, None, False),  # nobody to filter ahead
-    # The slab is what a run back-projects: 0.41 whole, 0.53 on 8 slices.
-    ("384x384x8->64x64x64", 2, None, False),
-    ("384x384x8->64x64x64", 2, (8, 16), True),
+@pytest.mark.parametrize("problem,workers,z_range", [
+    ("96x96x8->64x64x64", 2, None),           # fdk_bp_64's geometry
+    ("384x384x8->48x48x48", 2, None),         # stream_pfs_par's
+    ("384x384x8->48x48x48", 3, None),
+    ("384x384x8->64x64x64", 2, (8, 16)),
 ])
-def test_overlap_is_selected_by_estimated_filter_share(
-    problem, workers, z_range, overlaps, executor
+def test_every_run_filters_and_back_projects_on_all_workers(
+    problem, workers, z_range, executor
 ):
-    """Overlapped: a producer thread, inline filtering, ``workers - 1``
-    shards.  Otherwise the parent's loop: filter and shards on all workers —
-    and always on the compiled executor, whose kernel does not hold the GIL
-    the filter thread would otherwise be hidden behind."""
+    """Chunked or whole-stack, filter-bound or not, on any executor: each
+    stage is dealt to every worker from the calling thread."""
     geometry = plan_for_problem(problem).geometry
     stack = ProjectionStack(
         data=np.random.default_rng(6).standard_normal(
@@ -787,12 +698,6 @@ def test_overlap_is_selected_by_estimated_filter_share(
         ),
         angles=geometry.angles,
     )
-    nz = geometry.nz if z_range is None else z_range[1] - z_range[0]
-    share = reconstructor_module._filter_share(geometry, nz)
-    assert (share >= reconstructor_module.OVERLAP_MIN_FILTER_SHARE) == (
-        overlaps or workers == 1
-    )
-    overlaps = overlaps and executor == "numpy"
     shards, dealt = [], []
     real_dispatch = TiledBackend.dispatch_filter
 
@@ -808,35 +713,25 @@ def test_overlap_is_selected_by_estimated_filter_share(
         return acc
 
     with mock.patch.object(TiledBackend, "dispatch_filter", dispatch_filter), \
-            mock.patch.object(TiledBackend, "accumulator", accumulator), \
-            mock.patch.object(
-                reconstructor_module, "_one_ahead",
-                wraps=reconstructor_module._one_ahead,
-            ) as one_ahead:
+            mock.patch.object(TiledBackend, "accumulator", accumulator):
         with StreamingReconstructor(
             geometry, backend="parallel", workers=workers, z_range=z_range,
             chunk_size=4,
         ) as driver:
             result = driver.reconstruct(StackChunkSource(stack))
             whole = driver.reconstruct_stack(stack)
-    assert one_ahead.call_count == int(overlaps)
-    # One accumulator per run — cut again for the shards an overlap leaves.
-    assert shards == [workers] + [workers - 1] * overlaps + [workers]
-    producer = WORKER_THREAD_PREFIX + "-filter"
-    here = threading.current_thread().name
-    assert dealt == [(1, producer) if overlaps else (workers, here)] * 2 + [
-        (workers, here)
-    ]
+    assert result.chunk_count == 2
+    assert shards == [workers, workers]
+    assert dealt == [(workers, threading.current_thread().name)] * 3
     assert_same_bits(result.volume.data, whole.volume.data)
-    assert not filter_threads()
 
 
 # --------------------------------------------------------------------------- #
 # The memory model, measured
 # --------------------------------------------------------------------------- #
-def traced_overlapped_run(np_, chunk):
-    """Peak traced bytes of an overlapped out-of-core run, minus what the
-    budget deliberately excludes (volume, back-projection workspace)."""
+def traced_chunked_run(np_, chunk):
+    """Peak traced bytes of a chunked out-of-core run on two workers, minus
+    the volume and the shards' padded projections."""
     n = 16
     geometry = default_geometry_for_problem(nu=96, nv=80, np_=np_, nx=n, ny=n, nz=n)
     pfs = SimulatedPFS()
@@ -857,32 +752,29 @@ def traced_overlapped_run(np_, chunk):
         finally:
             tracemalloc.stop()
     assert result.chunk_count == -(-np_ // chunk) > 1
-    # A filter-bound geometry: the run did overlap.
-    assert reconstructor_module._filter_share(geometry, n) >= (
-        reconstructor_module.OVERLAP_MIN_FILTER_SHARE
-    )
     volume = 2 * result.volume.data.nbytes  # the accumulator's and the copy
     padded = 2 * 4 * (geometry.nu + 4) * (geometry.nv + 4)
-    excluded = volume + _block_bytes(n, n, n, geometry.nv) + padded
-    return geometry, peak - excluded
+    return geometry, peak - volume - padded
 
 
 @pytest.mark.usefixtures("numpy_executor")
-def test_overlapped_run_stays_under_the_working_set_estimate():
+def test_chunked_run_stays_under_the_working_set_estimate():
     chunk = 6
-    geometry, working = traced_overlapped_run(24, chunk)
+    geometry, working = traced_chunked_run(24, chunk)
     nv, nu = geometry.nv, geometry.nu
     pad = 1 << int(np.ceil(np.log2(2 * nu)))
-    # What may be live at once: two chunks' raw and filtered rows, the
+    # What may be live at once: one chunk's raw and filtered rows, the
     # source assembling the next raw chunk from its per-projection reads,
-    # one row group's buffers and transform outputs (float32 + float64
-    # rows, complex128 product, SciPy's complex64 spectrum and float64
-    # inverse), and small change.
+    # each worker's row group of buffers and transform outputs (float32 +
+    # float64 rows, complex128 product, SciPy's complex64 spectrum and
+    # float64 inverse), and small change.  The stages run in turn, so the
+    # back-projection's workspace, which the budget leaves out, is never
+    # live beside the filter's and stays inside the same bound.
     rows = min(GROUP_ROWS, nv)
     model = (
-        2 * chunk * 8 * nv * nu
+        chunk * 8 * nv * nu
         + chunk * 4 * nv * nu
-        + rows * (12 * nu + 24 * (pad // 2 + 1) + 8 * pad)
+        + 2 * rows * (12 * nu + 24 * (pad // 2 + 1) + 8 * pad)
         + (64 << 10)
     )
     assert 0 < working <= model
@@ -890,7 +782,7 @@ def test_overlapped_run_stays_under_the_working_set_estimate():
     assert model <= 0.6 * chunk_working_set_bytes(geometry, chunk)
     # and which does not grow with the acquisition: four times the
     # projections fit the same model.
-    assert traced_overlapped_run(96, chunk)[1] <= model
+    assert traced_chunked_run(96, chunk)[1] <= model
 
 
 # --------------------------------------------------------------------------- #
@@ -978,13 +870,16 @@ class TestStreamingSeams:
         )
         streamed = run_plan(
             ReconstructionPlan(
-                geometry=small_geometry, backend="vectorized",
+                geometry=small_geometry, backend="parallel", workers=2,
                 streaming=True, chunk_size=7,
             ),
             small_projections,
         )
         np.testing.assert_array_equal(
             streamed.volume.data, whole.volume.data
+        )
+        assert streamed.filter_seconds + streamed.backprojection_seconds <= (
+            streamed.wall_seconds
         )
         assert streamed.details["streaming"] is True
         assert streamed.details["chunk_size"] == 7
