@@ -13,14 +13,13 @@ tables printed next to the paper's reference values.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.core import (
     EllipsoidPhantom,
     default_geometry_for_problem,
     forward_project_analytic,
-    fdk_weight_and_filter,
     shepp_logan_ellipsoids,
 )
 
@@ -39,4 +38,4 @@ def bench_projections(bench_geometry):
 
 @pytest.fixture(scope="session")
 def bench_filtered(bench_geometry, bench_projections):
-    return fdk_weight_and_filter(bench_projections, bench_geometry)
+    return get_backend("reference").filter_stack(bench_projections, bench_geometry)

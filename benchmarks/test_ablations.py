@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bench import PROBLEM_4K, TABLE4_PROBLEMS, format_table
-from repro.core.backprojection import backproject_proposed
+from repro.core.backprojection import accumulate_proposed
 from repro.gpusim import BP_L1, L1_TRAN, BackprojectionCostModel, TESLA_V100
 from repro.pfs import PFSConfig
 from repro.pipeline import ABCI_MICROBENCHMARKS, IFDKPerformanceModel
@@ -44,12 +44,19 @@ def test_ablation_projection_transpose_for_l1_path(benchmark):
 def test_ablation_symmetry_halving(benchmark, bench_geometry, bench_filtered):
     """Theorem-1 symmetry: identical results, roughly half the inner products."""
     subset = bench_filtered.subset(range(6))
+    matrices = bench_geometry.projection_matrices(subset.angles)
 
-    with_symmetry = benchmark(
-        backproject_proposed, subset, bench_geometry, use_symmetry=True
-    )
-    without = backproject_proposed(subset, bench_geometry, use_symmetry=False)
-    np.testing.assert_allclose(with_symmetry.data, without.data, atol=1e-5)
+    def fold(use_symmetry):
+        kmajor = np.zeros(bench_geometry.volume_shape[::-1], dtype=np.float32)
+        for pm, projection in zip(matrices, subset.data):
+            accumulate_proposed(
+                kmajor, np.ascontiguousarray(projection.T), pm, use_symmetry=use_symmetry
+            )
+        return kmajor
+
+    with_symmetry = benchmark(fold, True)
+    without = fold(False)
+    np.testing.assert_allclose(with_symmetry, without, atol=1e-5)
 
 
 def test_ablation_overlap_vs_serial_pipeline(benchmark):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.bench import TABLE4_PROBLEMS, format_table, paper_reference_table4
-from repro.core.backprojection import backproject_proposed, backproject_standard
 from repro.gpusim import KERNEL_VARIANTS, predict_table4
 
 pytestmark = pytest.mark.slow  # paper-scale replay: excluded from tier-1 by default
@@ -59,16 +59,19 @@ def test_table4_model_reproduces_paper_shape(benchmark):
     assert np.isnan(by_problem["512x512x1024->1024x1024x2048"]["RTK-32"])
 
 
-@pytest.mark.parametrize("algorithm,fn", [
-    ("standard (Algorithm 2 / RTK)", backproject_standard),
-    ("proposed (Algorithm 4)", backproject_proposed),
+@pytest.mark.parametrize("algorithm,label", [
+    ("standard", "Algorithm 2 / RTK"),
+    ("proposed", "Algorithm 4"),
 ])
-def test_backprojection_measured_throughput(benchmark, bench_geometry, bench_filtered, algorithm, fn):
-    """Measured GUPS of the two algorithms on this machine (scaled-down problem)."""
+def test_backprojection_measured_throughput(benchmark, bench_geometry, bench_filtered, algorithm, label):
+    """Measured GUPS of the two algorithms on this machine (scaled-down problem),
+    both on the ``reference`` backend's NumPy transcriptions."""
     subset = bench_filtered.subset(range(8))
-    volume = benchmark(fn, subset, bench_geometry)
+    volume = benchmark(
+        get_backend("reference").backproject, subset, bench_geometry, algorithm=algorithm
+    )
     assert np.all(np.isfinite(volume.data))
     updates = bench_geometry.nx * bench_geometry.ny * bench_geometry.nz * subset.np_
     if benchmark.stats is not None:  # absent when run with --benchmark-disable
         gups = updates / (benchmark.stats["mean"] * 2**30)
-        print(f"\n{algorithm}: {gups:.3f} GUPS (CPU/NumPy, {updates} updates)")
+        print(f"\n{algorithm} ({label}): {gups:.3f} GUPS (CPU/NumPy, {updates} updates)")

@@ -1,10 +1,15 @@
-"""The ``reference`` backend: the repo's original NumPy hot paths, unchanged.
+"""The ``reference`` backend: the paper-literal NumPy hot paths.
 
 This backend is the ground truth of the conformance contract.  It routes
 straight to the literal Algorithm 1/2/4 transcriptions in
 :mod:`repro.core.filtering` and :mod:`repro.core.backprojection` — the code
 every paper-facing test was written against — so its outputs are *defined*
 to be correct, and every other backend is measured against it.
+
+Its ``filter_stack`` and ``backproject(algorithm=...)`` are the one
+whole-stack entry point to those transcriptions: the tests' fixtures, the
+Table 3 kernel variants of :mod:`repro.gpusim.kernels` and the iterative
+solvers of :mod:`repro.core.iterative` all run them through here.
 """
 
 from __future__ import annotations

@@ -8,8 +8,6 @@ to exercise them end-to-end.
 
 from .backprojection import (
     OperationCounts,
-    backproject_proposed,
-    backproject_standard,
     operation_counts,
     projection_compute_reduction,
 )
@@ -18,7 +16,6 @@ from .iterative import IterativeResult, art, mlem, osem, sart, sirt
 from .filtering import (
     RAMP_FILTERS,
     cosine_weight_table,
-    fdk_weight_and_filter,
     filter_projections,
 )
 from .forward import (
@@ -73,12 +70,9 @@ __all__ = [
     "SymmetryReport",
     "Volume",
     "apply_poisson_gaussian_noise",
-    "backproject_proposed",
-    "backproject_standard",
     "bilinear_interpolate",
     "cosine_weight_table",
     "default_geometry_for_problem",
-    "fdk_weight_and_filter",
     "filter_projections",
     "forward_project_analytic",
     "forward_project_volume",

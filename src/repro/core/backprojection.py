@@ -1,22 +1,27 @@
 """Back-projection: the standard algorithm and the paper's proposed algorithm.
 
-This module implements both back-projection schemes evaluated in the paper:
+This module implements both back-projection schemes evaluated in the paper,
+one filtered projection at a time:
 
-* :func:`backproject_standard` — Algorithm 2, the voxel-driven scheme used by
+* :func:`accumulate_standard` — Algorithm 2, the voxel-driven scheme used by
   RTK, RabbitCT and OSCaR: three inner products per voxel per projection to
   obtain ``(x, y, z)``, a reciprocal, the distance weight ``Wdis = 1/z²`` and
   a bilinear fetch.  The volume is stored i-major (``[k, j, i]``).
-* :func:`backproject_proposed` — Algorithm 4, the paper's contribution.  It
+* :func:`accumulate_proposed` — Algorithm 4, the paper's contribution.  It
   exploits Theorems 2 and 3 to hoist ``u``, ``1/z`` and ``Wdis`` out of the
   innermost (Z) loop, and Theorem 1 to obtain the detector row of the
   mirrored voxel by reflection (``ṽ = Nv - 1 - v``) instead of a third inner
-  product.  The volume is stored k-major (``[i, j, k]``) and reshaped at the
-  end (Algorithm 4 line 22), and each projection is transposed once before
-  use (line 3) to make the detector fetches contiguous.
+  product.  The volume is stored k-major (``[i, j, k]``) and takes each
+  projection transposed (Algorithm 4 line 3) so the detector fetches are
+  contiguous.
 
-Both functions are fully vectorized over voxels with NumPy (the "CPU
-reference" path); the GPU kernel variants of Table 3/4 are modelled in
-:mod:`repro.gpusim.kernels` on top of the same arithmetic.
+Both are fully vectorized over voxels with NumPy.  A whole stack goes
+through the ``reference`` backend
+(``get_backend("reference").backproject(stack, geometry, algorithm=...)``),
+which folds it projection by projection into these accumulators and
+reshapes the k-major volume at the end (Algorithm 4 line 22); the GPU kernel
+variants of Table 3/4 in :mod:`repro.gpusim.kernels` name which of the two
+algorithms ``reference`` runs for them.
 
 Distributed operation
 ---------------------
@@ -36,19 +41,21 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import CBCTGeometry, ProjectionMatrix
+from .geometry import ProjectionMatrix
 from .interpolation import bilinear_interpolate
-from .types import DEFAULT_DTYPE, ProjectionStack, ReconstructionProblem, Volume
+from .types import DEFAULT_DTYPE, ReconstructionProblem
 
 __all__ = [
-    "backproject_standard",
-    "backproject_proposed",
     "accumulate_standard",
     "accumulate_proposed",
     "OperationCounts",
     "operation_counts",
     "projection_compute_reduction",
 ]
+
+#: Z slices whose coordinates are computed in one vectorized batch (bounds
+#: the size of the coordinate temporaries).
+_Z_BATCH = 32
 
 
 # --------------------------------------------------------------------------- #
@@ -60,7 +67,6 @@ def accumulate_standard(
     pm: ProjectionMatrix,
     *,
     z_range: Optional[Tuple[int, int]] = None,
-    k_chunk: int = 32,
 ) -> None:
     """Accumulate one filtered projection into an i-major volume (Algorithm 2).
 
@@ -76,9 +82,6 @@ def accumulate_standard(
         Projection matrix for this projection's gantry angle.
     z_range:
         Global Z index range ``(z_start, z_stop)`` held by ``volume``.
-    k_chunk:
-        Number of Z slices processed per vectorized batch (bounds the size of
-        the coordinate temporaries).
     """
     geometry = pm.geometry
     nz_local, ny, nx = volume.shape
@@ -106,8 +109,8 @@ def accumulate_standard(
     y_base = p[1, 0] * i_grid + p[1, 1] * j_grid + p[1, 3]
     z_base = p[2, 0] * i_grid + p[2, 1] * j_grid + p[2, 3]
 
-    for k0 in range(0, nz_local, max(1, k_chunk)):
-        k1 = min(k0 + k_chunk, nz_local)
+    for k0 in range(0, nz_local, _Z_BATCH):
+        k1 = min(k0 + _Z_BATCH, nz_local)
         ks = np.arange(z_start + k0, z_start + k1, dtype=np.float64)
         # Broadcast to (kc, Ny, Nx): Algorithm 2 computes the full 3-vector
         # (x, y, z) for every voxel — three inner products per voxel.
@@ -120,27 +123,6 @@ def accumulate_standard(
         v = y * f
         samples = bilinear_interpolate(projection, u, v)
         volume[k0:k1] += w * samples
-
-
-def backproject_standard(
-    stack: ProjectionStack,
-    geometry: CBCTGeometry,
-    *,
-    z_range: Optional[Tuple[int, int]] = None,
-    out: Optional[np.ndarray] = None,
-    k_chunk: int = 32,
-) -> Volume:
-    """Algorithm 2: back-project a whole stack of filtered projections."""
-    z_start, z_stop = z_range if z_range is not None else (0, geometry.nz)
-    nz_local = z_stop - z_start
-    if out is None:
-        out = np.zeros((nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE)
-    matrices = geometry.projection_matrices(stack.angles)
-    for pm, projection in zip(matrices, stack.data):
-        accumulate_standard(
-            out, projection, pm, z_range=(z_start, z_stop), k_chunk=k_chunk
-        )
-    return Volume(data=out, voxel_pitch=geometry.voxel_pitch)
 
 
 # --------------------------------------------------------------------------- #
@@ -175,7 +157,6 @@ def accumulate_proposed(
     pm: ProjectionMatrix,
     *,
     z_range: Optional[Tuple[int, int]] = None,
-    k_chunk: int = 32,
     use_symmetry: bool = True,
 ) -> None:
     """Accumulate one transposed projection into a k-major volume (Algorithm 4).
@@ -246,57 +227,26 @@ def accumulate_proposed(
         )
 
     # --- symmetric pairs: one inner product serves two slices ------------- #
-    for c0 in range(0, len(paired_lower), max(1, k_chunk)):
-        ks = paired_lower[c0 : c0 + k_chunk].astype(np.float64)
+    for c0 in range(0, len(paired_lower), _Z_BATCH):
+        ks = paired_lower[c0 : c0 + _Z_BATCH].astype(np.float64)
         y = y_base_t[:, :, None] + p[1, 2] * ks[None, None, :]
         v = y * f_t[:, :, None]
         v_mirror = (nv - 1) - v  # Theorem 1
         samples = fetch(v)
         samples_mirror = fetch(v_mirror)
-        idx = (paired_lower[c0 : c0 + k_chunk] - z_start).astype(np.intp)
-        idx_mirror = ((nz_global - 1) - paired_lower[c0 : c0 + k_chunk] - z_start).astype(np.intp)
+        idx = (paired_lower[c0 : c0 + _Z_BATCH] - z_start).astype(np.intp)
+        idx_mirror = ((nz_global - 1) - paired_lower[c0 : c0 + _Z_BATCH] - z_start).astype(np.intp)
         kmajor[:, :, idx] += w_t[:, :, None] * samples
         kmajor[:, :, idx_mirror] += w_t[:, :, None] * samples_mirror
 
     # --- unpaired slices: direct evaluation -------------------------------- #
-    for c0 in range(0, len(direct), max(1, k_chunk)):
-        ks = direct[c0 : c0 + k_chunk].astype(np.float64)
+    for c0 in range(0, len(direct), _Z_BATCH):
+        ks = direct[c0 : c0 + _Z_BATCH].astype(np.float64)
         y = y_base_t[:, :, None] + p[1, 2] * ks[None, None, :]
         v = y * f_t[:, :, None]
         samples = fetch(v)
-        idx = (direct[c0 : c0 + k_chunk] - z_start).astype(np.intp)
+        idx = (direct[c0 : c0 + _Z_BATCH] - z_start).astype(np.intp)
         kmajor[:, :, idx] += w_t[:, :, None] * samples
-
-
-def backproject_proposed(
-    stack: ProjectionStack,
-    geometry: CBCTGeometry,
-    *,
-    z_range: Optional[Tuple[int, int]] = None,
-    k_chunk: int = 32,
-    use_symmetry: bool = True,
-) -> Volume:
-    """Algorithm 4: back-project a stack with the proposed algorithm.
-
-    The accumulation happens in the k-major layout; the final reshape back to
-    the i-major :class:`Volume` corresponds to Algorithm 4 line 22.
-    """
-    z_start, z_stop = z_range if z_range is not None else (0, geometry.nz)
-    nz_local = z_stop - z_start
-    kmajor = np.zeros((geometry.nx, geometry.ny, nz_local), dtype=DEFAULT_DTYPE)
-    matrices = geometry.projection_matrices(stack.angles)
-    for pm, projection in zip(matrices, stack.data):
-        projection_t = np.ascontiguousarray(projection.T)  # Algorithm 4 line 3
-        accumulate_proposed(
-            kmajor,
-            projection_t,
-            pm,
-            z_range=(z_start, z_stop),
-            k_chunk=k_chunk,
-            use_symmetry=use_symmetry,
-        )
-    data = np.ascontiguousarray(kmajor.transpose(2, 1, 0), dtype=DEFAULT_DTYPE)
-    return Volume(data=data, voxel_pitch=geometry.voxel_pitch)
 
 
 # --------------------------------------------------------------------------- #

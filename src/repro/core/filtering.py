@@ -5,8 +5,7 @@ The filtering (a.k.a. convolution) stage multiplies each projection by a
 1-D ramp filter ``Framp`` (Algorithm 1).  The paper executes this stage on
 the CPU with multi-threading and SIMD (Section 3.1); here it is executed
 with vectorized NumPy/SciPy FFT calls, which is the CPU-efficient idiom
-available in this environment, and its measured throughput feeds the
-``TH_flt`` micro-benchmark constant of the performance model.
+available in this environment.
 
 Implementation notes
 --------------------
@@ -21,16 +20,16 @@ Implementation notes
   filter deeply affects the final image quality, yet it has no effect on the
   compute intensity of the filtering stage" (Section 2.2.2), which is why
   they share a single code path.
-* :func:`fdk_weight_and_filter` additionally folds the constant FDK scale
-  ``d² · Δβ / 2`` into the filtered projections so that the back-projection
-  stage can remain a literal transcription of Algorithm 2 / Algorithm 4
-  (which only accumulate ``Wdis · interp2`` with ``Wdis = 1/z²``).
+* Every backend's ``filter_stack`` additionally folds the constant FDK scale
+  :func:`fdk_normalization` into the filtered projections so that the
+  back-projection stage can remain a literal transcription of Algorithm 2 /
+  Algorithm 4 (which only accumulate ``Wdis · interp2`` with
+  ``Wdis = 1/z²``).  The ``reference`` backend's is the paper-literal one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
@@ -49,8 +48,6 @@ __all__ = [
     "apply_ramp_filter",
     "apply_ramp_filter_into",
     "filter_projections",
-    "fdk_weight_and_filter",
-    "measure_filtering_throughput",
 ]
 
 
@@ -251,7 +248,7 @@ def filter_projections(
     grouping.
 
     ``extra_scale`` is an optional constant folded into the output (used by
-    :func:`fdk_weight_and_filter` to absorb the FDK normalization).
+    ``filter_stack`` to absorb the FDK normalization).
     ``redundancy`` is an optional ``(Np, Nu)`` float table — one weight per
     (projection, detector column), constant along V — multiplied in with
     the cosine weights, *before* the ramp filter: the hook acquisition
@@ -316,64 +313,9 @@ def fdk_normalization(geometry: CBCTGeometry) -> float:
     The classical Feldkamp formula back-projects with weight ``d²/z²`` and
     integrates over the trajectory with measure ``dβ/2``.  Algorithm 2 /
     Algorithm 4 use ``Wdis = 1/z²``, so the remaining constant is folded into
-    the filtered projections by :func:`fdk_weight_and_filter`.  ``Δβ`` is
+    the filtered projections by every backend's ``filter_stack``.  ``Δβ`` is
     ``geometry.theta = angular_range / Np``, so sparse-view and short-scan
     geometries are normalized for their own angular sampling automatically
     (redundancy weights handle the rest of the short-scan bookkeeping).
     """
     return float(geometry.sad**2 * geometry.theta / 2.0)
-
-
-def fdk_weight_and_filter(
-    stack: ProjectionStack,
-    geometry: CBCTGeometry,
-    window: str = "ram-lak",
-    *,
-    redundancy: Optional[np.ndarray] = None,
-) -> ProjectionStack:
-    """Filtering stage with the FDK normalization folded in.
-
-    Output projections ``Q`` are ready for the literal Algorithm 2/4
-    back-projection: ``I(i,j,k) = Σ_s (1/z²) · interp2(Q_s, u, v)``.
-    ``redundancy`` optionally applies a scenario's per-projection
-    ray-redundancy table (Parker / offset-detector weights).
-    """
-    return filter_projections(
-        stack, geometry, window,
-        extra_scale=fdk_normalization(geometry),
-        redundancy=redundancy,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Micro-benchmark (TH_flt)
-# --------------------------------------------------------------------------- #
-def measure_filtering_throughput(
-    geometry: CBCTGeometry,
-    *,
-    n_projections: int = 8,
-    repeats: int = 3,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Measure filtering throughput in projections/second (``TH_flt``).
-
-    This is the micro-benchmark of Section 4.2.1 used to parameterize the
-    performance model.  The measurement uses random projections because the
-    filter cost is content independent.
-    """
-    from ..backends import get_backend  # late import: backends import core
-
-    rng = rng or np.random.default_rng(0)
-    backend = get_backend("reference")
-    batch = ProjectionStack(
-        data=rng.random((n_projections, geometry.nv, geometry.nu), dtype=np.float32),
-        angles=np.zeros(n_projections, dtype=np.float64),
-    )
-    backend.filter_stack(batch, geometry)  # warm-up (plan FFTs, fill table caches)
-    best = np.inf
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        backend.filter_stack(batch, geometry)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return n_projections / best

@@ -7,25 +7,22 @@ the L1 cache.  This module provides:
 
 * :func:`interp2` — a literal, scalar transcription of Algorithm 3 (used by
   tests as the ground truth and by the warp-level GPU simulation).
-* :func:`bilinear_interpolate` — a fully vectorized NumPy implementation with
-  the same zero-padding boundary behaviour, used by all production code.
+* :func:`bilinear_interpolate` — the vectorized form on SciPy's compiled
+  ``map_coordinates``, with the same zero-padding boundary behaviour, used
+  by the ``reference`` back-projection.
 * :func:`trilinear_interpolate` — the 3-D analogue, used by the ray-marching
-  forward projector and the iterative solvers.
+  forward projector and the iterative solvers;
+  :func:`trilinear_interpolate_numpy` is its pure-NumPy oracle off the grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # scipy's compiled map_coordinates is the fast path; NumPy is the fallback.
-    from scipy import ndimage as _ndimage
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _ndimage = None
+from scipy import ndimage as _ndimage
 
 __all__ = [
     "interp2",
     "bilinear_interpolate",
-    "bilinear_interpolate_numpy",
     "trilinear_interpolate",
     "trilinear_interpolate_numpy",
 ]
@@ -59,9 +56,8 @@ def bilinear_interpolate(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.
     """Vectorized bilinear interpolation with zero padding outside the image.
 
     Uses :func:`scipy.ndimage.map_coordinates` (compiled, order-1 spline with
-    constant boundary — exactly bilinear with zero padding) when SciPy is
-    available, and falls back to :func:`bilinear_interpolate_numpy` otherwise.
-    Both paths match :func:`interp2` to floating-point round-off.
+    constant boundary — exactly bilinear with zero padding), which matches
+    :func:`interp2` to floating-point round-off.
 
     Parameters
     ----------
@@ -76,61 +72,23 @@ def bilinear_interpolate(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.
         Interpolated values with the broadcast shape of ``u`` and ``v`` and
         the dtype of ``image`` (promoted to at least float32).
     """
-    if _ndimage is not None:
-        image = np.asarray(image)
-        if image.ndim != 2:
-            raise ValueError(f"image must be 2-D, got shape {image.shape}")
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        u, v = np.broadcast_arrays(u, v)
-        out_dtype = np.result_type(image.dtype, np.float32)
-        coords = np.stack([v.ravel(), u.ravel()], axis=0)
-        sampled = _ndimage.map_coordinates(
-            image.astype(out_dtype, copy=False),
-            coords,
-            order=1,
-            mode="grid-constant",
-            cval=0.0,
-            prefilter=False,
-        )
-        return sampled.reshape(u.shape).astype(out_dtype, copy=False)
-    return bilinear_interpolate_numpy(image, u, v)
-
-
-def bilinear_interpolate_numpy(
-    image: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Pure-NumPy bilinear interpolation (reference path for the fast one)."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {image.shape}")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     u, v = np.broadcast_arrays(u, v)
-
-    nv, nu = image.shape
-    u0 = np.floor(u).astype(np.intp)
-    v0 = np.floor(v).astype(np.intp)
-    du = (u - u0).astype(image.dtype if image.dtype.kind == "f" else np.float32)
-    dv = (v - v0).astype(du.dtype)
-
     out_dtype = np.result_type(image.dtype, np.float32)
-
-    def gather(uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        valid = (uu >= 0) & (uu < nu) & (vv >= 0) & (vv < nv)
-        uu_c = np.clip(uu, 0, nu - 1)
-        vv_c = np.clip(vv, 0, nv - 1)
-        values = image[vv_c, uu_c].astype(out_dtype, copy=False)
-        return np.where(valid, values, out_dtype.type(0))
-
-    p00 = gather(u0, v0)
-    p10 = gather(u0 + 1, v0)
-    p01 = gather(u0, v0 + 1)
-    p11 = gather(u0 + 1, v0 + 1)
-
-    t1 = p00 * (1.0 - du) + p10 * du
-    t2 = p01 * (1.0 - du) + p11 * du
-    return (t1 * (1.0 - dv) + t2 * dv).astype(out_dtype, copy=False)
+    coords = np.stack([v.ravel(), u.ravel()], axis=0)
+    sampled = _ndimage.map_coordinates(
+        image.astype(out_dtype, copy=False),
+        coords,
+        order=1,
+        mode="grid-constant",
+        cval=0.0,
+        prefilter=False,
+    )
+    return sampled.reshape(u.shape).astype(out_dtype, copy=False)
 
 
 def trilinear_interpolate(
@@ -141,34 +99,33 @@ def trilinear_interpolate(
     Coordinates are voxel indices: ``x`` along the last (contiguous) axis,
     ``y`` along the middle axis and ``z`` along the first axis.  Samples
     outside the volume contribute zero.  Uses SciPy's compiled
-    ``map_coordinates`` when available.
+    ``map_coordinates``.
     """
-    if _ndimage is not None:
-        volume = np.asarray(volume)
-        if volume.ndim != 3:
-            raise ValueError(f"volume must be 3-D, got shape {volume.shape}")
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        x, y, z = np.broadcast_arrays(x, y, z)
-        out_dtype = np.result_type(volume.dtype, np.float32)
-        coords = np.stack([z.ravel(), y.ravel(), x.ravel()], axis=0)
-        sampled = _ndimage.map_coordinates(
-            volume.astype(out_dtype, copy=False),
-            coords,
-            order=1,
-            mode="grid-constant",
-            cval=0.0,
-            prefilter=False,
-        )
-        return sampled.reshape(x.shape).astype(out_dtype, copy=False)
-    return trilinear_interpolate_numpy(volume, x, y, z)
+    volume = np.asarray(volume)
+    if volume.ndim != 3:
+        raise ValueError(f"volume must be 3-D, got shape {volume.shape}")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    x, y, z = np.broadcast_arrays(x, y, z)
+    out_dtype = np.result_type(volume.dtype, np.float32)
+    coords = np.stack([z.ravel(), y.ravel(), x.ravel()], axis=0)
+    sampled = _ndimage.map_coordinates(
+        volume.astype(out_dtype, copy=False),
+        coords,
+        order=1,
+        mode="grid-constant",
+        cval=0.0,
+        prefilter=False,
+    )
+    return sampled.reshape(x.shape).astype(out_dtype, copy=False)
 
 
 def trilinear_interpolate_numpy(
     volume: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Pure-NumPy trilinear interpolation (reference path for the fast one)."""
+    """Pure-NumPy trilinear interpolation: the oracle that holds
+    :func:`trilinear_interpolate` to the textbook formula off the grid."""
     volume = np.asarray(volume)
     if volume.ndim != 3:
         raise ValueError(f"volume must be 3-D, got shape {volume.shape}")

@@ -7,8 +7,10 @@ to be repeated dozens of times, e.g. ART, SART, MLEM, and MBIR".  This module
 demonstrates that claim: every solver below is expressed purely in terms of
 
 * the forward operator ``A``  — :func:`repro.core.forward.forward_project_volume`
-* the back-projection operator ``Aᵀ`` — Algorithm 2 or Algorithm 4 from
-  :mod:`repro.core.backprojection` (selectable per solver),
+* the back-projection operator ``Aᵀ`` — Algorithm 2 or Algorithm 4
+  (selectable per solver), run through the ``reference`` backend's
+  ``backproject``, the one whole-stack entry point to the literal
+  transcriptions in :mod:`repro.core.backprojection`,
 
 so switching the back-projection algorithm changes the runtime but not the
 result (validated by the test-suite).
@@ -25,11 +27,10 @@ The solvers implement the classical update rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .backprojection import backproject_proposed, backproject_standard
 from .forward import forward_project_volume
 from .geometry import CBCTGeometry
 from .types import DEFAULT_DTYPE, ProjectionStack, Volume
@@ -62,11 +63,9 @@ class IterativeResult:
 def _backproject(
     stack: ProjectionStack, geometry: CBCTGeometry, algorithm: str
 ) -> Volume:
-    if algorithm == "proposed":
-        return backproject_proposed(stack, geometry)
-    if algorithm == "standard":
-        return backproject_standard(stack, geometry)
-    raise ValueError(f"unknown back-projection algorithm {algorithm!r}")
+    from ..backends import get_backend  # late import: backends import core
+
+    return get_backend("reference").backproject(stack, geometry, algorithm=algorithm)
 
 
 def _residual_norm(residual: np.ndarray) -> float:

@@ -14,14 +14,13 @@ L1-Tran   no            yes       yes                   yes
 
 RTK-32 executes the *standard* Algorithm 2; the other four execute the
 *proposed* Algorithm 4 and differ only in their detector read path and
-layout choices — which change performance, never results.  Accordingly each
-:class:`KernelVariant` here couples
-
-* a numerically exact NumPy execution (delegating to
-  :mod:`repro.core.backprojection`), used by the correctness tests and the
-  functional distributed runs, and
-* the architectural characteristics the throughput model of
-  :mod:`repro.gpusim.costmodel` needs to predict its GUPS on a given device.
+layout choices — which change performance, never results.  Accordingly a
+:class:`KernelVariant` here is a Table 3 row plus the architectural
+characteristics the throughput model of :mod:`repro.gpusim.costmodel` needs
+to predict its GUPS on a given device.  Its voxel values are those of its
+``algorithm`` on the ``reference`` backend
+(``get_backend("reference").backproject(stack, geometry,
+algorithm=kernel.algorithm)``).
 
 :func:`shfl_bp_reference` is additionally a literal, warp-level transcription
 of Listing 1 (the ``shflBP`` kernel), used to validate that the shuffle-based
@@ -35,10 +34,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.backprojection import accumulate_proposed, accumulate_standard
-from ..core.geometry import CBCTGeometry, ProjectionMatrix
+from ..core.geometry import CBCTGeometry
 from ..core.interpolation import interp2
-from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
+from ..core.types import ProjectionStack
 from .texture import ReadPathModel, read_path_for
 from .warp import FULL_MASK, Warp
 
@@ -68,7 +66,8 @@ class KernelVariant:
     name:
         The paper's kernel name.
     algorithm:
-        ``"standard"`` (Algorithm 2) or ``"proposed"`` (Algorithm 4).
+        ``"standard"`` (Algorithm 2) or ``"proposed"`` (Algorithm 4): what
+        the ``reference`` backend's ``backproject`` runs for this kernel.
     uses_texture, uses_l1:
         Detector read path (mutually exclusive; neither means plain global
         loads through L2 only).
@@ -149,34 +148,6 @@ class KernelVariant:
     def device_output_bytes(self, nbytes: int) -> float:
         """Device-memory footprint of an output volume of ``nbytes``."""
         return self.output_memory_multiplier * nbytes
-
-    # ------------------------------------------------------------------ #
-    # Numerically exact execution (NumPy)
-    # ------------------------------------------------------------------ #
-    def backproject(
-        self,
-        stack: ProjectionStack,
-        geometry: CBCTGeometry,
-        *,
-        z_range: Optional[Tuple[int, int]] = None,
-    ) -> Volume:
-        """Run this kernel's algorithm exactly (results, not timing)."""
-        z_start, z_stop = z_range if z_range is not None else (0, geometry.nz)
-        nz_local = z_stop - z_start
-        matrices = geometry.projection_matrices(stack.angles)
-        if self.algorithm == "standard":
-            out = np.zeros((nz_local, geometry.ny, geometry.nx), dtype=DEFAULT_DTYPE)
-            for pm, projection in zip(matrices, stack.data):
-                accumulate_standard(out, projection, pm, z_range=(z_start, z_stop))
-            return Volume(data=out, voxel_pitch=geometry.voxel_pitch)
-        kmajor = np.zeros((geometry.nx, geometry.ny, nz_local), dtype=DEFAULT_DTYPE)
-        for pm, projection in zip(matrices, stack.data):
-            projection_t = np.ascontiguousarray(projection.T)
-            accumulate_proposed(
-                kmajor, projection_t, pm, z_range=(z_start, z_stop)
-            )
-        data = np.ascontiguousarray(kmajor.transpose(2, 1, 0), dtype=DEFAULT_DTYPE)
-        return Volume(data=data, voxel_pitch=geometry.voxel_pitch)
 
 
 #: RTK 1.4.0's ``kernel_fdk_3Dgrid`` extended to 32-projection batches.

@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import LockOrderSanitizer, enabled_from_env
-from repro.backends import native
+from repro.backends import get_backend, native
 from repro.core import (
     CBCTGeometry,
     EllipsoidPhantom,
     ProjectionStack,
     default_geometry_for_problem,
-    fdk_weight_and_filter,
     forward_project_analytic,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
@@ -138,7 +137,7 @@ def small_projections(small_geometry, shepp_logan_phantom) -> ProjectionStack:
 @pytest.fixture(scope="session")
 def small_filtered(small_geometry, small_projections) -> ProjectionStack:
     """Filtered (FDK-normalized) projections for the small geometry."""
-    return fdk_weight_and_filter(small_projections, small_geometry)
+    return get_backend("reference").filter_stack(small_projections, small_geometry)
 
 
 @pytest.fixture(scope="session")

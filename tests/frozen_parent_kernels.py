@@ -202,7 +202,7 @@ def filter_projections(
     This is the one place the cosine → redundancy → ramp → scale sequence
     is written; every backend's ``filter_stack`` runs it with its own
     convolution.  ``extra_scale`` is an optional constant folded into the
-    output (used by :func:`fdk_weight_and_filter` to absorb the FDK
+    output (used by ``filter_stack`` to absorb the FDK
     normalization).  ``redundancy`` is an optional ``(Np, Nu)`` float
     table — one weight per (projection, detector column), constant along
     V — multiplied in with the cosine weights, *before* the ramp filter:

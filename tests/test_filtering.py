@@ -12,9 +12,7 @@ from repro.core.filtering import (
     apply_ramp_filter,
     cosine_weight_table,
     fdk_normalization,
-    fdk_weight_and_filter,
     filter_projections,
-    measure_filtering_throughput,
     ramp_filter_frequency_response,
     ramp_kernel_spatial,
 )
@@ -119,11 +117,9 @@ class TestFilterProjections:
         expected = small_geometry.sad**2 * small_geometry.theta / 2.0
         assert fdk_normalization(small_geometry) == pytest.approx(expected)
 
-    def test_fdk_weight_and_filter_is_scaled_filtering(
-        self, small_geometry, small_projections
-    ):
+    def test_filter_stack_is_scaled_filtering(self, small_geometry, small_projections):
         plain = filter_projections(small_projections, small_geometry)
-        scaled = fdk_weight_and_filter(small_projections, small_geometry)
+        scaled = get_backend("reference").filter_stack(small_projections, small_geometry)
         ratio = fdk_normalization(small_geometry)
         np.testing.assert_allclose(
             scaled.data, plain.data * np.float32(ratio), rtol=1e-4
@@ -149,10 +145,15 @@ class TestFilterStackDriver:
         ])
         np.testing.assert_array_equal(batch, singles)
 
-    def test_reference_is_fdk_weight_and_filter(self, small_geometry, small_projections):
+    def test_reference_is_filter_projections_with_the_fdk_scale(
+        self, small_geometry, small_projections
+    ):
         np.testing.assert_array_equal(
             get_backend("reference").filter_stack(small_projections, small_geometry).data,
-            fdk_weight_and_filter(small_projections, small_geometry).data,
+            filter_projections(
+                small_projections, small_geometry,
+                extra_scale=fdk_normalization(small_geometry),
+            ).data,
         )
 
     def test_convolve_hook_receives_weighted_rows(self, small_geometry, small_projections):
@@ -218,8 +219,3 @@ class TestTableCaches:
         for array in (table, response):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
-
-
-def test_measure_filtering_throughput_positive(small_geometry):
-    th = measure_filtering_throughput(small_geometry, n_projections=2, repeats=1)
-    assert th > 0

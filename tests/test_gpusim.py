@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import default_geometry_for_problem, fdk_weight_and_filter
-from repro.core.backprojection import backproject_proposed, backproject_standard
-from repro.core.types import problem_from_string
+from repro.backends import get_backend
+from repro.core import default_geometry_for_problem
+from repro.core.types import ProjectionStack, problem_from_string
 from repro.gpusim import (
     BP_L1,
     BP_TEX,
@@ -148,17 +148,36 @@ class TestKernelVariants:
         assert RTK_32.supports_output_bytes(8 * 2**30)
 
     def test_kernel_execution_matches_reference(self, small_geometry, small_filtered):
-        std_ref = backproject_standard(small_filtered, small_geometry)
-        new_ref = backproject_proposed(small_filtered, small_geometry)
-        rtk = RTK_32.backproject(small_filtered, small_geometry)
-        l1 = L1_TRAN.backproject(small_filtered, small_geometry)
-        np.testing.assert_allclose(rtk.data, std_ref.data, atol=1e-6)
-        np.testing.assert_allclose(l1.data, new_ref.data, atol=1e-6)
+        # Listing 1's per-voxel warp program against the whole volume that
+        # ``reference`` folds for the kernel's algorithm, at a corner, an
+        # interior voxel and a voxel next to the Z-mirror plane.
+        reference = get_backend("reference")
+        voxels = [(0, 0, 0), (9, 21, 5), (small_geometry.nx - 1, 14, small_geometry.nz // 2 - 1)]
+        for kernel in (RTK_32, L1_TRAN):
+            volume = reference.backproject(
+                small_filtered, small_geometry, algorithm=kernel.algorithm
+            ).data
+            for i, j, k in voxels:
+                total, total_mirror = shfl_bp_reference(small_filtered, small_geometry, (i, j, k))
+                k_mirror = small_geometry.nz - 1 - k
+                assert total == pytest.approx(float(volume[k, j, i]), rel=1e-5, abs=1e-6)
+                assert total_mirror == pytest.approx(
+                    float(volume[k_mirror, j, i]), rel=1e-5, abs=1e-6
+                )
 
     def test_all_kernels_agree_numerically(self, small_geometry, small_filtered):
-        volumes = [k.backproject(small_filtered, small_geometry).data for k in KERNEL_VARIANTS]
-        for other in volumes[1:]:
-            np.testing.assert_allclose(volumes[0], other, atol=2e-4)
+        # A kernel's voxel values are its algorithm's on the reference backend.
+        reference = get_backend("reference")
+        volumes = {
+            algorithm: reference.backproject(
+                small_filtered, small_geometry, algorithm=algorithm
+            ).data
+            for algorithm in {k.algorithm for k in KERNEL_VARIANTS}
+        }
+        for kernel in KERNEL_VARIANTS:
+            np.testing.assert_allclose(
+                volumes[kernel.algorithm], volumes[RTK_32.algorithm], atol=2e-4
+            )
 
 
 class TestShflBPReference:
@@ -169,8 +188,9 @@ class TestShflBPReference:
         stack = forward_project_analytic(
             EllipsoidPhantom(shepp_logan_ellipsoids()), geo
         )
-        filt = fdk_weight_and_filter(stack, geo)
-        volume = backproject_proposed(filt, geo)
+        reference = get_backend("reference")
+        filt = reference.filter_stack(stack, geo)
+        volume = reference.backproject(filt, geo, algorithm="proposed")
         i, j, k = 4, 6, 3
         total, total_mirror = shfl_bp_reference(filt, geo, (i, j, k))
         k_mirror = geo.nz - 1 - k
@@ -178,9 +198,15 @@ class TestShflBPReference:
         assert total_mirror == pytest.approx(float(volume.data[k_mirror, j, i]), rel=1e-3, abs=1e-4)
 
     def test_rejects_oversized_batch(self, small_geometry, small_filtered):
-        big = small_filtered
-        if big.np_ <= 32:
-            pytest.skip("fixture batch not larger than a warp")
+        # One more projection than the 32 lanes of a warp can hold.
+        indices = np.arange(33) % small_filtered.np_
+        big = ProjectionStack(
+            data=small_filtered.data[indices],
+            angles=small_filtered.angles[indices],
+            filtered=True,
+        )
+        with pytest.raises(ValueError, match="at most 32"):
+            shfl_bp_reference(big, small_geometry, (0, 0, 0))
 
     def test_rejects_voxel_outside_volume(self, small_geometry, small_filtered):
         with pytest.raises(ValueError):

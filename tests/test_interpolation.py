@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.interpolation import (
     bilinear_interpolate,
-    bilinear_interpolate_numpy,
     interp2,
     trilinear_interpolate,
     trilinear_interpolate_numpy,
@@ -44,16 +43,6 @@ class TestBilinearVectorized:
         fast = bilinear_interpolate(img, u, v)
         ref = np.array([interp2(img, float(a), float(b)) for a, b in zip(u, v)])
         np.testing.assert_allclose(fast, ref, atol=1e-5)
-
-    def test_scipy_and_numpy_paths_agree(self, rng):
-        img = rng.random((9, 11)).astype(np.float32)
-        u = rng.uniform(-1, 12, 300)
-        v = rng.uniform(-1, 10, 300)
-        np.testing.assert_allclose(
-            bilinear_interpolate(img, u, v),
-            bilinear_interpolate_numpy(img, u, v),
-            atol=1e-5,
-        )
 
     def test_broadcasting(self, rng):
         img = rng.random((8, 8)).astype(np.float32)

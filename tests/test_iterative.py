@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    EllipsoidPhantom,
     default_geometry_for_problem,
     forward_project_analytic,
     uniform_sphere_phantom,
@@ -61,6 +60,12 @@ class TestSIRT:
     def test_invalid_iterations(self, tiny_geometry, tiny_projections):
         with pytest.raises(ValueError):
             sirt(tiny_projections, tiny_geometry, iterations=0)
+
+    def test_unknown_algorithm_rejected_by_the_accumulator(
+        self, tiny_geometry, tiny_projections
+    ):
+        with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+            sirt(tiny_projections, tiny_geometry, iterations=1, algorithm="magic")
 
 
 class TestSARTAndART:

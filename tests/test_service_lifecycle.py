@@ -204,6 +204,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
+        self.job_counter = job_module._job_counter  # restored in teardown
         self.state_dir = Path(tempfile.mkdtemp(prefix="repro-lifecycle-"))
         # One registry for the life of the machine: the counters are
         # lifetime counters, so they keep counting across restarts.
@@ -221,6 +222,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
 
     def teardown(self):
         self.service.close()
+        job_module._job_counter = self.job_counter
         shutil.rmtree(self.state_dir, ignore_errors=True)
 
     # ------------------------------------------------------------------ #
@@ -255,12 +257,15 @@ class ServiceLifecycle(RuleBasedStateMachine):
 
     @rule()
     def restart(self):
+        # Each reopening is a new process: default job ids count from zero.
         self.service.close()
+        job_module._job_counter = itertools.count()
         self.service = self._open()
         once = _registry(self.service)
         # recover . recover == recover: the reopening re-journaled its
         # re-submissions; a second one must find the same jobs.
         self.service.close()
+        job_module._job_counter = itertools.count()
         self.service = self._open()
         assert _registry(self.service) == once
 
