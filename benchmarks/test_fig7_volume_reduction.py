@@ -16,10 +16,10 @@ from repro.core import (
     EllipsoidPhantom,
     default_geometry_for_problem,
     forward_project_analytic,
-    reconstruct_fdk,
     shepp_logan_ellipsoids,
 )
 from repro.pipeline import IFDKConfig, IFDKFramework
+from repro.streaming import StreamingReconstructor
 
 pytestmark = pytest.mark.slow  # paper-scale replay: excluded from tier-1 by default
 
@@ -27,7 +27,7 @@ pytestmark = pytest.mark.slow  # paper-scale replay: excluded from tier-1 by def
 def test_fig7_volume_reduction_4x4_grid(benchmark):
     geometry = default_geometry_for_problem(nu=48, nv=48, np_=16, nx=32, ny=32, nz=32)
     stack = forward_project_analytic(EllipsoidPhantom(shepp_logan_ellipsoids()), geometry)
-    reference = reconstruct_fdk(stack, geometry)
+    reference = StreamingReconstructor(geometry).reconstruct_stack(stack).volume
     config = IFDKConfig(geometry=geometry, rows=4, columns=4)
 
     def run():

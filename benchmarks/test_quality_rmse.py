@@ -14,17 +14,21 @@ import pytest
 
 import numpy as np
 
-from repro.core import reconstruct_fdk
 from repro.core.metrics import normalized_cross_correlation, rmse
+from repro.streaming import StreamingReconstructor
 
 pytestmark = pytest.mark.slow  # paper-scale replay: excluded from tier-1 by default
 
 
+def fdk_volume(stack, geometry, algorithm):
+    return StreamingReconstructor(
+        geometry, algorithm=algorithm
+    ).reconstruct_stack(stack).volume
+
+
 def test_rmse_against_rtk_style_reference(benchmark, bench_geometry, bench_projections):
-    proposed = benchmark(
-        reconstruct_fdk, bench_projections, bench_geometry, algorithm="proposed"
-    )
-    reference = reconstruct_fdk(bench_projections, bench_geometry, algorithm="standard")
+    proposed = benchmark(fdk_volume, bench_projections, bench_geometry, "proposed")
+    reference = fdk_volume(bench_projections, bench_geometry, "standard")
 
     scale = float(np.abs(reference.data).max())
     error = rmse(proposed.data, reference.data)

@@ -23,12 +23,12 @@ from repro.core import (
     EllipsoidPhantom,
     default_geometry_for_problem,
     forward_project_analytic,
-    reconstruct_fdk,
     shepp_logan_ellipsoids,
 )
 from repro.bench import PROBLEM_4K
 from repro.pfs import SimulatedPFS
 from repro.pipeline import IFDKConfig, IFDKFramework, IFDKPerformanceModel, choose_grid
+from repro.streaming import StreamingReconstructor
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ def main() -> None:
     framework = IFDKFramework(config, pfs=SimulatedPFS())
     result = framework.reconstruct(projections)
 
-    reference = reconstruct_fdk(projections, geometry)
+    reference = StreamingReconstructor(geometry).reconstruct_stack(projections).volume
     max_diff = float(np.abs(result.volume.data - reference.data).max())
     print(f"\nfunctional run finished in {result.wall_seconds:.1f} s wall clock")
     print(f"distributed vs single-node max |difference| = {max_diff:.2e} "

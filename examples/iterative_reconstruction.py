@@ -17,11 +17,11 @@ import numpy as np
 from repro.core import (
     default_geometry_for_problem,
     forward_project_analytic,
-    reconstruct_fdk,
     uniform_sphere_phantom,
 )
 from repro.core.iterative import osem, sirt
 from repro.core.metrics import interior_mask, rmse
+from repro.streaming import StreamingReconstructor
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
 
     print("reconstructing a 16-view acquisition (24^3 volume)\n")
 
-    fdk = reconstruct_fdk(projections, geometry)
+    fdk = StreamingReconstructor(geometry).reconstruct_stack(projections).volume
     print(f"FDK baseline          interior RMSE = {rmse(fdk.data, reference.data, mask):.4f}")
 
     result = sirt(projections, geometry, iterations=8, relaxation=1.0)

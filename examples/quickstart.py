@@ -18,13 +18,13 @@ import numpy as np
 
 from repro.core import (
     EllipsoidPhantom,
-    FDKReconstructor,
     default_geometry_for_problem,
     forward_project_analytic,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
 )
 from repro.core.metrics import interior_mask, normalized_cross_correlation, psnr, rmse
+from repro.streaming import StreamingReconstructor
 
 
 def main() -> None:
@@ -40,14 +40,15 @@ def main() -> None:
     projections = forward_project_analytic(phantom, geometry)
 
     print("reconstructing with FDK (proposed Algorithm 4 back-projection) ...")
-    reconstructor = FDKReconstructor(geometry=geometry, algorithm="proposed")
-    result = reconstructor.reconstruct(projections)
+    reconstructor = StreamingReconstructor(geometry, algorithm="proposed")
+    result = reconstructor.reconstruct_stack(projections)
 
     reference = shepp_logan_3d(n)
     mask = interior_mask(reference.shape, 0.7)
+    gups = geometry.problem().gups(result.backprojection_seconds)
     print(f"filtering took       {result.filter_seconds:6.2f} s")
     print(f"back-projection took {result.backprojection_seconds:6.2f} s "
-          f"({result.gups:.3f} GUPS on this CPU)")
+          f"({gups:.3f} GUPS on this CPU)")
     print(f"interior RMSE vs analytic phantom : {rmse(result.volume.data, reference.data, mask):.4f}")
     print(f"interior correlation              : "
           f"{normalized_cross_correlation(result.volume.data, reference.data, mask):.3f}")

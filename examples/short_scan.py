@@ -17,13 +17,13 @@ import numpy as np
 
 from repro.core import (
     EllipsoidPhantom,
-    FDKReconstructor,
     default_geometry_for_problem,
     forward_project_analytic,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
 )
-from repro.scenarios import available_scenarios, get_scenario, reconstruct_scenario
+from repro.scenarios import available_scenarios, get_scenario
+from repro.streaming import StreamingReconstructor
 
 
 def rel_rmse(volume: np.ndarray, truth: np.ndarray) -> float:
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"simulating ideal full scan: {base.np_} projections over 2π ...")
     ideal = forward_project_analytic(phantom, base)
 
-    full = FDKReconstructor(geometry=base, backend="vectorized").reconstruct(ideal)
+    full = StreamingReconstructor(base, backend="vectorized").reconstruct_stack(ideal)
 
     scenario = get_scenario("short_scan")
     geometry, scan = scenario.apply(base, ideal)
@@ -51,12 +51,14 @@ def main() -> None:
 
     # The Parker table: per-(projection, column) weights whose conjugate
     # ray pairs sum to one.  It rides into the filtering stage of every
-    # backend via FDKReconstructor(scenario=...).
+    # backend via StreamingReconstructor(scenario=...).
     table = scenario.redundancy_weights(geometry)
     print(f"Parker weight table: shape {table.shape}, "
           f"range [{table.min():.3f}, {table.max():.3f}]")
 
-    short = reconstruct_scenario("short_scan", base, ideal, backend="vectorized")
+    short = StreamingReconstructor(
+        geometry, backend="vectorized", scenario=scenario
+    ).reconstruct_stack(scan)
 
     full_rmse = rel_rmse(full.volume.data, truth)
     short_rmse = rel_rmse(short.volume.data, truth)

@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 
-from repro.core import default_geometry_for_problem, reconstruct_fdk
+from repro.core import default_geometry_for_problem
 from repro.core.types import ProjectionStack
 from repro.pipeline import CircularBuffer
 from repro.streaming import (
@@ -92,8 +92,10 @@ def main() -> None:
 
     # The punchline: the online, out-of-order, chunk-at-a-time volume is
     # bit-identical to the offline whole-stack reconstruction.
-    offline = reconstruct_fdk(stack, geometry, backend="vectorized")
-    exact = np.array_equal(result.volume.data, offline.data)
+    offline = StreamingReconstructor(
+        geometry, backend="vectorized"
+    ).reconstruct_stack(stack)
+    exact = np.array_equal(result.volume.data, offline.volume.data)
     print(f"bit-identical to the offline whole-stack volume: {exact}")
     assert exact
 

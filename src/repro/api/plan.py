@@ -2,12 +2,12 @@
 
 After the service, backend and scenario layers grew around the original
 single-node pipeline, the framework had four divergent parameter surfaces
-for the same underlying reconstruction: ``FDKReconstructor(geometry,
-backend, scenario, workers)``, ``IFDKConfig(geometry, rows, columns,
+for the same underlying reconstruction: ``StreamingReconstructor(geometry,
+backend, scenario, workers, ...)``, ``IFDKConfig(geometry, rows, columns,
 backend, workers)``, ``ReconstructionJob(problem, ramp_filter, scenario,
 priority, ...)`` and the CLI flag sets that re-plumb all of them.  A
 :class:`ReconstructionPlan` is the single, frozen, serializable object
-those surfaces now share:
+those surfaces now share (each has a ``from_plan``):
 
 * **declarative** — geometry + scenario + backend + workers + dtype +
   execution target, nothing resolved, nothing stateful;
@@ -236,7 +236,7 @@ class ReconstructionPlan:
         the field exists so the identity hash is future-proof.
     ramp_filter, algorithm:
         Filtering window and back-projection algorithm, as on
-        :class:`~repro.core.fdk.FDKReconstructor`.
+        :class:`~repro.streaming.StreamingReconstructor`.
     rows, columns:
         ``R`` and ``C`` of the 2-D rank grid; required when (and only
         meaningful when) ``target="ifdk"``.

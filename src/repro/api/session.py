@@ -7,8 +7,10 @@ acquisition scenario and its derived geometry, and the execution engine
 for the plan's target:
 
 ``fdk``
-    The chunk driver, a :class:`~repro.streaming.StreamingReconstructor`:
-    one chunk (the whole stack, ``reconstruct_stack``) by default, or,
+    The one single-node reconstructor,
+    :meth:`StreamingReconstructor.from_plan
+    <repro.streaming.StreamingReconstructor.from_plan>`: one chunk (the
+    whole stack, ``reconstruct_stack``) by default, or,
     when the plan sets ``streaming: true``, a
     :class:`~repro.streaming.StackChunkSource` chunked under the plan's
     memory budget (bit-identical output).
@@ -188,15 +190,17 @@ class Session:
         """Apply the plan's scenario to the base acquisition when needed.
 
         Sessions accept the *base* stack the plan's geometry describes; a
-        non-ideal scenario selects/crops/perturbs it here, exactly as the
-        CLI and :func:`repro.scenarios.reconstruct_scenario` always have.
+        non-ideal scenario selects/crops/perturbs it here with
+        :meth:`AcquisitionScenario.apply`, exactly as the CLI always has.
         A stack whose shape already matches the scenario geometry (and no
         longer the base) passes through untransformed.  For scenarios that
         preserve the acquisition shape (e.g. ``noisy``) the two are
         indistinguishable, so the input is *always* treated as the base
         stack — pre-applying such a scenario and running it through a
         session would apply it twice; hand a pre-transformed stack to
-        :meth:`FDKReconstructor.reconstruct` directly instead.
+        :meth:`StreamingReconstructor.reconstruct_stack
+        <repro.streaming.StreamingReconstructor.reconstruct_stack>` directly
+        instead.
         """
         if self._scenario.is_ideal:
             return stack
@@ -219,7 +223,7 @@ class Session:
 
         ``stack`` is the raw acquisition on the plan's base geometry (a
         pre-filtered stack is accepted for ideal scans, as with
-        :meth:`FDKReconstructor.reconstruct`).  ``dataset_id`` names the
+        ``StreamingReconstructor.reconstruct_stack``).  ``dataset_id`` names the
         dataset for service-target cache identity; it defaults to a
         content fingerprint of the stack.
 

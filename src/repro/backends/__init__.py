@@ -1,7 +1,8 @@
 """Pluggable compute backends for the FDK hot paths.
 
-Every layer of the stack — :class:`repro.core.fdk.FDKReconstructor`, the
-iFDK rank runtime, the reconstruction service and the CLI — executes its
+Every layer of the stack — the single-node driver
+:class:`repro.streaming.StreamingReconstructor`, the iFDK rank runtime, the
+reconstruction service and the CLI — executes its
 ramp filtering and back-projection through a named
 :class:`~repro.backends.base.ComputeBackend`:
 
@@ -117,7 +118,7 @@ def resolve_backend(
     ``workers=None`` is a plain :func:`get_backend` lookup (instances pass
     through).  An explicit worker count builds a *dedicated*
     :class:`TiledBackend` whose pool the caller owns — close it on
-    teardown (``FDKReconstructor.close`` does).  Requesting workers on any
+    teardown (``StreamingReconstructor.close`` does).  Requesting workers on any
     other backend is a :class:`ValueError`: only ``parallel`` executes on a
     worker pool.
     """

@@ -61,8 +61,8 @@ with it registered:
 
 Register the backend with :func:`repro.backends.register_backend` and add
 its name to the conformance matrix; nothing else in the stack needs to
-change — `FDKReconstructor`, the iFDK rank runtime, the service and the CLI
-all select backends by name.
+change — `StreamingReconstructor`, the iFDK rank runtime, the service and
+the CLI all select backends by name.
 """
 
 from __future__ import annotations

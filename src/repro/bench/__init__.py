@@ -1,7 +1,7 @@
 """Workload definitions, calibration constants and reporting helpers shared
 by the benchmark harness that regenerates the paper's tables and figures."""
 
-from .calibration import PAPER_CALIBRATION, CalibrationEntry, abci_microbenchmarks
+from .calibration import PAPER_CALIBRATION, CalibrationEntry
 from .reporting import format_scaling_figure, format_table, paper_reference_table4
 from .trajectory import (
     HISTORY_LIMIT,
@@ -42,7 +42,6 @@ __all__ = [
     "STRONG_SCALING_4K_GPUS",
     "STRONG_SCALING_8K_GPUS",
     "TABLE4_PROBLEMS",
-    "abci_microbenchmarks",
     "check_regression",
     "figure6_workloads",
     "format_scaling_figure",

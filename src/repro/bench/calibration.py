@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..pipeline.perfmodel import ABCI_MICROBENCHMARKS, MicroBenchmarks
-
-__all__ = ["CalibrationEntry", "PAPER_CALIBRATION", "abci_microbenchmarks"]
+__all__ = ["CalibrationEntry", "PAPER_CALIBRATION"]
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,3 @@ PAPER_CALIBRATION: Dict[str, CalibrationEntry] = {
         source="Table 4, row 512^2x1k -> 1k^3",
     ),
 }
-
-
-def abci_microbenchmarks() -> MicroBenchmarks:
-    """The :class:`MicroBenchmarks` instance built from the paper's constants."""
-    return ABCI_MICROBENCHMARKS

@@ -1,9 +1,11 @@
-"""Core algorithms of the iFDK reproduction.
+"""Core numerics of the iFDK reproduction.
 
 This package contains the paper's primary contribution — the FDK filtering
 and back-projection algorithms (standard and proposed variants) — together
 with the geometry, phantom, forward-projection and metric utilities needed
-to exercise them end-to-end.
+to exercise them.  It holds numerics only: the filter→back-project driver
+is :class:`repro.streaming.StreamingReconstructor`, and the plan front
+door is :class:`repro.api.Session`.
 """
 
 from .backprojection import (
@@ -11,7 +13,6 @@ from .backprojection import (
     operation_counts,
     projection_compute_reduction,
 )
-from .fdk import FDKReconstructor, FDKResult, reconstruct_fdk
 from .iterative import IterativeResult, art, mlem, osem, sart, sirt
 from .filtering import (
     RAMP_FILTERS,
@@ -60,8 +61,6 @@ __all__ = [
     "DEFAULT_DTYPE",
     "Ellipsoid",
     "EllipsoidPhantom",
-    "FDKReconstructor",
-    "FDKResult",
     "OperationCounts",
     "ProjectionMatrix",
     "ProjectionStack",
@@ -85,7 +84,6 @@ __all__ = [
     "problem_from_string",
     "projection_compute_reduction",
     "psnr",
-    "reconstruct_fdk",
     "rmse",
     "shepp_logan_2d",
     "shepp_logan_3d",

@@ -134,11 +134,6 @@ class CBCTGeometry:
         return (self.nz, self.ny, self.nx)
 
     @property
-    def detector_shape(self) -> Tuple[int, int]:
-        """Detector shape as ``(Nv, Nu)``."""
-        return (self.nv, self.nu)
-
-    @property
     def voxel_pitch(self) -> Tuple[float, float, float]:
         return (self.dx, self.dy, self.dz)
 

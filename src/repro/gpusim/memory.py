@@ -11,7 +11,7 @@ where a real CUDA allocation would fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -34,12 +34,6 @@ class DeviceAllocation:
     shape: Tuple[int, ...]
     dtype: np.dtype
     array: Optional[np.ndarray] = None
-
-    def require_array(self) -> np.ndarray:
-        """Return the backing array, materializing it lazily."""
-        if self.array is None:
-            self.array = np.zeros(self.shape, dtype=self.dtype)
-        return self.array
 
 
 class DeviceMemoryPool:

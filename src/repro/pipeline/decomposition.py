@@ -35,10 +35,6 @@ class RankAssignment:
     column_projections: Tuple[int, ...]
     z_range: Tuple[int, int]
 
-    @property
-    def n_owned(self) -> int:
-        return len(self.owned_projections)
-
 
 class Decomposition:
     """2-D decomposition of one :class:`~repro.pipeline.config.IFDKConfig`."""

@@ -18,9 +18,8 @@ Symbol          Meaning                                                Unit
 ==============  =====================================================  =========
 
 ``ABCI_MICROBENCHMARKS`` reproduces the constants the paper publishes for
-its testbed; ``measured_microbenchmarks`` derives the same constants from
-this machine (used when the functional simulation is compared against the
-model).  The individual terms implement Equations 8-16 verbatim;
+its testbed (their provenance is in :mod:`repro.bench.calibration`).  The
+individual terms implement Equations 8-16 verbatim;
 ``T_compute`` (Eq. 17), ``T_post`` (Eq. 18) and ``T_runtime`` (Eq. 19)
 combine them exactly as the paper does.
 """

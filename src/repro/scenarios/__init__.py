@@ -22,7 +22,6 @@ from .scenario import (
     available_scenarios,
     cache_token_for,
     get_scenario,
-    reconstruct_scenario,
     register_scenario,
 )
 from .weights import conjugate_angle, offset_detector_weights, parker_weights
@@ -37,6 +36,5 @@ __all__ = [
     "get_scenario",
     "offset_detector_weights",
     "parker_weights",
-    "reconstruct_scenario",
     "register_scenario",
 ]

@@ -54,7 +54,6 @@ __all__ = [
     "cache_token_for",
     "get_scenario",
     "register_scenario",
-    "reconstruct_scenario",
 ]
 
 
@@ -362,35 +361,3 @@ register_scenario(AcquisitionScenario(
 
 #: The built-in presets, name -> scenario.
 SCENARIO_PRESETS: Dict[str, AcquisitionScenario] = dict(_registry)
-
-
-# --------------------------------------------------------------------------- #
-# Convenience driver
-# --------------------------------------------------------------------------- #
-def reconstruct_scenario(
-    scenario: Union[str, AcquisitionScenario],
-    base: CBCTGeometry,
-    stack: ProjectionStack,
-    *,
-    backend: str = "reference",
-    algorithm: str = "proposed",
-    ramp_filter: str = "ram-lak",
-):
-    """Apply ``scenario`` to a base acquisition and run FDK end to end.
-
-    Returns the :class:`~repro.core.fdk.FDKResult`; use
-    :meth:`AcquisitionScenario.apply` directly when the intermediate
-    geometry or measurement stack is needed.
-    """
-    from ..core.fdk import FDKReconstructor  # late: fdk resolves scenarios
-
-    scenario = get_scenario(scenario)
-    geometry, scenario_stack = scenario.apply(base, stack)
-    reconstructor = FDKReconstructor(
-        geometry=geometry,
-        ramp_filter=ramp_filter,
-        algorithm=algorithm,
-        backend=backend,
-        scenario=scenario,
-    )
-    return reconstructor.reconstruct(scenario_stack)

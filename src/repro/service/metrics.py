@@ -17,7 +17,8 @@ KPIs:
 * cache — hit rate of the filtered-projection cache;
 * utilization — busy GPU-seconds over cluster capacity;
 * stage split — aggregate filtering vs back-projection seconds across
-  completed jobs (the ``FDKResult``-level split, surfaced service-wide);
+  completed jobs (the split a single-node result carries, surfaced
+  service-wide);
 * worker accounting — when placements run for real on the dispatcher,
   the measured wall seconds and worker occupancy of those executions,
   summed across jobs;

@@ -91,7 +91,7 @@ class AllocationPlan:
     ``filter_seconds``/``backprojection_seconds`` carry the per-stage split
     of the Eq. 8-19 breakdown (``T_flt``/``T_bp``), so the service can
     report how each completed job divided its time between the two hot
-    paths instead of losing that split above ``FDKResult``.
+    paths instead of losing that split above the single-node result.
     """
 
     gpus: int

@@ -1,9 +1,9 @@
-"""Chunked streaming reconstruction: out-of-core and online FDK.
+"""The single-node FDK driver: whole-stack, out-of-core and online.
 
-The whole-stack FDK path (`core.fdk` → `backends`) filters all ``Np``
-projections, then back-projects them — two full ``(Np, Nv, Nu)`` arrays
-resident at once.  This package refactors that handoff into a *chunk
-iterator* pipeline so reconstruction can (a) bound its working set by an
+A whole-stack FDK run filters all ``Np`` projections, then back-projects
+them — two full ``(Np, Nv, Nu)`` arrays resident at once.  This package
+runs that handoff as a *chunk iterator* pipeline, the whole stack being
+its one-chunk case, so reconstruction can (a) bound its working set by an
 explicit ``memory_budget_bytes`` for stacks that exceed node RAM, and
 (b) start before acquisition finishes, consuming projections through
 :class:`~repro.pipeline.CircularBuffer` — the paper's "instant FDK"
@@ -18,8 +18,9 @@ The pieces:
   protocol and its three implementations (in-memory stack, PFS-backed
   reader, online circular-buffer consumer);
 * :mod:`~repro.streaming.reconstructor` — the
-  :class:`StreamingReconstructor` executor, bit-identical to the
-  whole-stack path on every backend by construction.
+  :class:`StreamingReconstructor` executor (``reconstruct_stack`` for one
+  chunk, ``reconstruct`` for a source), whose chunked runs are
+  bit-identical to its one-chunk run on every backend by construction.
 
 The same plan/Session/CLI seams drive it: set ``streaming: true`` (plus
 optional ``chunk_size`` / ``memory_budget_bytes``) on a

@@ -137,24 +137,27 @@ def resolve_chunk_size(
       the budget (an impossible request must fail, not silently shrink).
 
     A budget too small for even a single projection raises
-    :class:`ValueError` naming the minimum feasible budget.
+    :class:`ValueError` naming the minimum feasible budget, and either knob
+    that is not a true positive integer raises as
+    :meth:`ReconstructionPlan.validate <repro.api.ReconstructionPlan.validate>`
+    does — never truncated to one.
     """
     if num_projections < 1:
         raise ValueError(
             f"num_projections must be positive, got {num_projections}"
         )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if memory_budget_bytes is not None and memory_budget_bytes < 1:
-        raise ValueError(
-            f"memory_budget_bytes must be positive, got {memory_budget_bytes}"
-        )
+    for name, value in (("chunk_size", chunk_size),
+                        ("memory_budget_bytes", memory_budget_bytes)):
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < 1
+        ):
+            raise ValueError(f"{name} must be a positive integer (got {value!r})")
     if memory_budget_bytes is None:
         if chunk_size is None:
             return min(DEFAULT_CHUNK_SIZE, num_projections)
-        return min(int(chunk_size), num_projections)
+        return min(chunk_size, num_projections)
     per = per_projection_working_set_bytes(geometry)
-    largest_fitting = int(memory_budget_bytes) // per
+    largest_fitting = memory_budget_bytes // per
     if largest_fitting < 1:
         raise ValueError(
             f"memory_budget_bytes={memory_budget_bytes} cannot stream even "
@@ -163,7 +166,7 @@ def resolve_chunk_size(
             f"budget to at least {per} bytes"
         )
     if chunk_size is not None:
-        chunk_size = min(int(chunk_size), num_projections)
+        chunk_size = min(chunk_size, num_projections)
         if chunk_size > largest_fitting:
             raise ValueError(
                 f"chunk_size={chunk_size} needs a working set of "

@@ -1,14 +1,16 @@
 """The chunk driver: the one filter→back-project loop of the repo.
 
-:class:`StreamingReconstructor` pulls bounded chunks from a
+:class:`StreamingReconstructor` is the one single-node reconstructor and its
+keyword constructor the one keyword surface; a
+:class:`~repro.api.ReconstructionPlan` describes the same run
+(:meth:`StreamingReconstructor.from_plan`).  It pulls bounded chunks from a
 :class:`~repro.streaming.ProjectionChunkSource`, filters each through the
 shared driver (:meth:`ComputeBackend.filter_stack` with the scenario's
 redundancy rows sliced to the chunk) and folds it into one persistent
 :class:`~repro.backends.base.VolumeAccumulator`.  Filtering the whole
 ``(Np, Nv, Nu)`` stack and then back-projecting it is the one-chunk case of
 the same loop (:meth:`StreamingReconstructor.reconstruct_stack`) — that is
-all :class:`~repro.core.fdk.FDKReconstructor` and a non-streaming
-:class:`~repro.api.Session` do.
+all a non-streaming :class:`~repro.api.Session` does.
 
 Every run has one schedule, whichever kernel executor back-projects: each
 chunk is read, filtered on all of the backend's ``workers``, then
@@ -57,25 +59,6 @@ from .sources import ProjectionChunkSource, StackChunkSource, StreamingError
 __all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
 
 
-def plan_fields(plan) -> dict:
-    """The reconstructor arguments a single-node plan describes.
-
-    Shared by :meth:`StreamingReconstructor.from_plan` and
-    :meth:`FDKReconstructor.from_plan <repro.core.fdk.FDKReconstructor.from_plan>`:
-    the scenario is resolved and its geometry derived, so the reconstructor
-    is ready for the scenario-shaped stack.
-    """
-    scenario = plan.resolved_scenario()
-    return dict(
-        geometry=plan.scenario_geometry(),
-        ramp_filter=plan.ramp_filter,
-        algorithm=plan.algorithm,
-        backend=plan.backend,
-        scenario=None if scenario.is_ideal else scenario,
-        workers=plan.workers,
-    )
-
-
 @dataclass
 class StreamingResult:
     """Outcome of one streaming reconstruction, with chunk accounting."""
@@ -99,25 +82,44 @@ class StreamingResult:
 
 
 class StreamingReconstructor:
-    """Chunked FDK reconstruction under an explicit memory budget.
+    """FDK reconstruction, whole-stack or chunked under a memory budget.
 
-    Parameters mirror :class:`~repro.core.fdk.FDKReconstructor` (geometry,
-    ramp filter, algorithm, Z slab, backend, scenario, workers) plus the
-    streaming knobs:
-
+    Parameters
+    ----------
+    geometry:
+        Acquisition geometry (detector, trajectory and volume description).
+    ramp_filter:
+        One of :data:`repro.core.filtering.RAMP_FILTERS`.
+    algorithm:
+        Back-projection algorithm: ``"proposed"`` (Algorithm 4, default) or
+        ``"standard"`` (Algorithm 2).
+    z_range:
+        Optional Z slab to reconstruct.
+    backend:
+        A backend *name* (``reference``, ``vectorized``, ``blocked`` or
+        ``parallel``, resolved through the registry) or a live
+        :class:`ComputeBackend` instance (used as-is; ``workers`` must then
+        be ``None``).
+    scenario:
+        Optional acquisition scenario (an
+        :class:`~repro.scenarios.AcquisitionScenario` or preset name).
+        ``geometry`` must already be the scenario-shaped geometry (see
+        :meth:`AcquisitionScenario.apply_geometry`); its per-projection
+        redundancy-weight table rides into the filtering stage.
+    workers:
+        Worker-thread count for the ``parallel`` backend name.  When given,
+        the reconstructor owns a dedicated pool (close it with
+        :meth:`close` or a ``with`` block); on any other backend it raises
+        :class:`ValueError`.  ``None`` uses the shared registry backend.
     chunk_size:
-        Projections per chunk (``None`` derives it from the budget, or
-        falls back to :data:`~repro.streaming.DEFAULT_CHUNK_SIZE`).
+        Projections per chunk of :meth:`reconstruct` (``None`` derives it
+        from the budget, or falls back to
+        :data:`~repro.streaming.DEFAULT_CHUNK_SIZE`).
     memory_budget_bytes:
         Upper bound on the streaming working set (see
         :func:`~repro.streaming.chunk_working_set_bytes` for exactly what
         is counted).  Chunk planning never exceeds it; an infeasible
         combination raises :class:`ValueError` up front.
-    backend:
-        A backend *name* (resolved through the registry, with ``workers``
-        sizing a dedicated pool exactly as on ``FDKReconstructor``) or a
-        live :class:`ComputeBackend` instance (used as-is; ``workers``
-        must then be ``None``).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` receiving the
         ``streaming.chunks`` counter and ``streaming.peak_rss_bytes``
@@ -189,19 +191,30 @@ class StreamingReconstructor:
     ) -> "StreamingReconstructor":
         """The executor a single-node plan describes.
 
-        A ``streaming: true`` plan runs :meth:`reconstruct` under its
+        The plan's scenario is resolved and its geometry derived, so the
+        reconstructor is ready for the scenario-shaped stack.  A
+        ``streaming: true`` plan runs :meth:`reconstruct` under its
         ``chunk_size`` / ``memory_budget_bytes``; any other plan runs
         :meth:`reconstruct_stack` and never consults them.
         """
+        scenario = plan.resolved_scenario()
         return cls(
-            **plan_fields(plan),
+            plan.scenario_geometry(),
+            ramp_filter=plan.ramp_filter,
+            algorithm=plan.algorithm,
+            backend=plan.backend,
+            scenario=None if scenario.is_ideal else scenario,
+            workers=plan.workers,
             chunk_size=plan.chunk_size,
             memory_budget_bytes=plan.memory_budget_bytes,
             metrics=metrics,
         )
 
     def close(self) -> None:
-        """Join the worker pool of a dedicated ``parallel`` backend."""
+        """Join the worker pool of a dedicated ``parallel`` backend.
+
+        Idempotent; a no-op for shared registry backends and instances.
+        """
         if self._owns_backend:
             self.backend.close()
 

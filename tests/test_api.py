@@ -7,13 +7,13 @@ Three layers of guarantees:
    golden plan's key is pinned).
 2. **Execution equivalence** — a plan serialized, reloaded and executed
    through a :class:`Session` produces a bit-identical volume to the
-   equivalent direct :class:`FDKReconstructor` call, for every registered
+   equivalent direct :class:`StreamingReconstructor` call, for every registered
    backend and every execution target that shares the single-node compute
    path.
 3. **Identity threading** — the plan's filtering identity is exactly what
-   the service cache keys on, and the shims (``FDKReconstructor.from_plan``,
-   ``IFDKConfig.from_plan``, ``ReconstructionJob.from_plan``) agree with
-   the keyword constructors they wrap.
+   the service cache keys on, and the plan constructors
+   (``StreamingReconstructor.from_plan``, ``IFDKConfig.from_plan``,
+   ``ReconstructionJob.from_plan``) agree with the keyword constructors.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from repro.api import (
     run_plan,
 )
 from repro.backends import available_backends
-from repro.core import FDKReconstructor, default_geometry_for_problem
+from repro.core import default_geometry_for_problem
 from repro.pipeline import IFDKConfig
 from repro.scenarios import get_scenario
 from repro.service import CacheKey, ReconstructionJob
+from repro.streaming import StreamingReconstructor
 
 GOLDEN_PLAN = Path(__file__).parent / "data" / "golden_plan.json"
 
@@ -276,14 +277,14 @@ class TestSessionExecution:
     def test_serialized_plan_matches_direct_fdk_bit_for_bit(
         self, backend, small_geometry, small_projections
     ):
-        """JSON round-trip + Session == direct FDKReconstructor, exactly."""
+        """JSON round-trip + Session == direct StreamingReconstructor, exactly."""
         plan = ReconstructionPlan(geometry=small_geometry, backend=backend)
         reloaded = ReconstructionPlan.from_json(plan.to_json())
         with Session(reloaded) as session:
             result = session.run(small_projections)
-        direct = FDKReconstructor(
-            geometry=small_geometry, backend=backend
-        ).reconstruct(small_projections)
+        direct = StreamingReconstructor(
+            small_geometry, backend=backend
+        ).reconstruct_stack(small_projections)
         np.testing.assert_array_equal(result.volume.data, direct.volume.data)
         assert result.plan_key == plan.key()
         assert result.target == "fdk"
@@ -291,15 +292,15 @@ class TestSessionExecution:
     def test_scenario_plan_matches_direct_scenario_path(
         self, small_geometry, small_projections
     ):
-        from repro.scenarios import reconstruct_scenario
-
         plan = ReconstructionPlan(
             geometry=small_geometry, scenario="short_scan", backend="vectorized"
         )
         result = run_plan(plan, small_projections)
-        direct = reconstruct_scenario(
-            "short_scan", small_geometry, small_projections, backend="vectorized"
-        )
+        scenario = get_scenario("short_scan")
+        geometry, scenario_stack = scenario.apply(small_geometry, small_projections)
+        direct = StreamingReconstructor(
+            geometry, backend="vectorized", scenario=scenario
+        ).reconstruct_stack(scenario_stack)
         np.testing.assert_array_equal(result.volume.data, direct.volume.data)
         assert result.problem.np_ < small_geometry.np_
 
@@ -377,18 +378,18 @@ class TestSessionExecution:
 # Constructor shims and identity threading
 # --------------------------------------------------------------------------- #
 class TestPlanShims:
-    def test_fdk_reconstructor_from_plan(self, small_geometry, small_projections):
+    def test_reconstructor_from_plan(self, small_geometry, small_projections):
         plan = ReconstructionPlan(geometry=small_geometry, backend="blocked")
-        with FDKReconstructor.from_plan(plan) as via_plan:
-            a = via_plan.reconstruct(small_projections).volume
-        b = FDKReconstructor(
-            geometry=small_geometry, backend="blocked"
-        ).reconstruct(small_projections).volume
+        with StreamingReconstructor.from_plan(plan) as via_plan:
+            a = via_plan.reconstruct_stack(small_projections).volume
+        b = StreamingReconstructor(
+            small_geometry, backend="blocked"
+        ).reconstruct_stack(small_projections).volume
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_fdk_from_plan_resolves_scenario_geometry(self, small_geometry):
+    def test_reconstructor_from_plan_resolves_scenario_geometry(self, small_geometry):
         plan = ReconstructionPlan(geometry=small_geometry, scenario="short_scan")
-        reconstructor = FDKReconstructor.from_plan(plan)
+        reconstructor = StreamingReconstructor.from_plan(plan)
         assert reconstructor.geometry.np_ < small_geometry.np_
         assert reconstructor.scenario is not None
 

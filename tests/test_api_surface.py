@@ -148,6 +148,16 @@ def test_session_options_are_pinned():
     ]
 
 
+def test_single_node_reconstructor_options_are_pinned():
+    """The one keyword surface of a single-node run."""
+    from repro.streaming import StreamingReconstructor
+
+    assert _parameters(StreamingReconstructor.__init__) == [
+        "geometry", "ramp_filter", "algorithm", "z_range", "backend",
+        "scenario", "workers", "chunk_size", "memory_budget_bytes", "metrics",
+    ]
+
+
 def test_dispatcher_options_are_pinned():
     from repro.service import ProcessDispatcher
 

@@ -51,9 +51,10 @@ from repro.backends import (
     validate_backend,
 )
 from repro.backends.tiled import _block_bytes
-from repro.core import CBCTGeometry, FDKReconstructor, default_geometry_for_problem
+from repro.core import CBCTGeometry, default_geometry_for_problem
 from repro.core.types import DEFAULT_DTYPE, ProjectionStack
-from repro.scenarios import SCENARIO_PRESETS, get_scenario, reconstruct_scenario
+from repro.scenarios import SCENARIO_PRESETS, get_scenario
+from repro.streaming import StreamingReconstructor
 
 try:
     from hypothesis import given, settings
@@ -311,6 +312,15 @@ def scenario_base_stack(dtype: str, seed: int = 11) -> ProjectionStack:
     return ProjectionStack(data=data, angles=geometry.angles, filtered=False)
 
 
+def scenario_volume(name: str, stack: ProjectionStack, backend: str) -> np.ndarray:
+    """Scenario ``name`` applied to the base acquisition, then FDK."""
+    scenario = get_scenario(name)
+    geometry, scenario_stack = scenario.apply(scenario_base_geometry(), stack)
+    return StreamingReconstructor(
+        geometry, backend=backend, scenario=scenario
+    ).reconstruct_stack(scenario_stack).volume.data
+
+
 @pytest.fixture(scope="module")
 def scenario_reference_volumes():
     """Reference-backend volume per (scenario, dtype), computed once."""
@@ -319,11 +329,9 @@ def scenario_reference_volumes():
     def compute(scenario: str, dtype: str) -> np.ndarray:
         key = (scenario, dtype)
         if key not in cache:
-            result = reconstruct_scenario(
-                scenario, scenario_base_geometry(), scenario_base_stack(dtype),
-                backend="reference",
-            )
-            cache[key] = result.volume.data.astype(np.float64)
+            cache[key] = scenario_volume(
+                scenario, scenario_base_stack(dtype), "reference"
+            ).astype(np.float64)
         return cache[key]
 
     return compute
@@ -337,13 +345,10 @@ def test_scenario_backend_matches_reference(
     backend, scenario, dtype, scenario_reference_volumes
 ):
     """Every scenario preset conforms on every backend and input dtype."""
-    result = reconstruct_scenario(
-        scenario, scenario_base_geometry(), scenario_base_stack(dtype),
-        backend=backend,
-    )
+    volume = scenario_volume(scenario, scenario_base_stack(dtype), backend)
     reference = scenario_reference_volumes(scenario, dtype)
-    assert result.volume.data.shape == reference.shape
-    assert rel_rmse(result.volume.data, reference) <= RMSE_TOL
+    assert volume.shape == reference.shape
+    assert rel_rmse(volume, reference) <= RMSE_TOL
 
 
 @pytest.mark.scenario
@@ -351,10 +356,7 @@ def test_scenario_backend_matches_reference(
 def test_scenario_exact_family_is_bit_identical(scenario):
     """Redundancy weighting must not break the family's bit-equality."""
     volumes = [
-        reconstruct_scenario(
-            scenario, scenario_base_geometry(), scenario_base_stack("float32"),
-            backend=backend,
-        ).volume.data
+        scenario_volume(scenario, scenario_base_stack("float32"), backend)
         for backend in EXACT_FAMILY
     ]
     for other in volumes[1:]:
@@ -369,10 +371,9 @@ def test_scenario_slab_decomposition_conforms(backend):
     base = scenario_base_geometry()
     stack = scenario_base_stack("float32")
     geometry, scenario_stack = scenario.apply(base, stack)
-    reconstructor = FDKReconstructor(
-        geometry=geometry, backend=backend, scenario=scenario
+    filtered = get_backend(backend).filter_stack(
+        scenario_stack, geometry, redundancy=scenario.redundancy_weights(geometry)
     )
-    filtered = reconstructor.filter(scenario_stack)
     full = get_backend(backend).backproject(filtered, geometry).data
     stitched = np.concatenate(
         [
@@ -391,13 +392,11 @@ def test_scenario_full_scan_is_the_seed_arithmetic():
     """The full_scan preset must be a strict no-op: identical bits."""
     base = scenario_base_geometry()
     stack = scenario_base_stack("float32")
-    seed_volume = FDKReconstructor(geometry=base, backend="vectorized").reconstruct(
+    seed_volume = StreamingReconstructor(base, backend="vectorized").reconstruct_stack(
         stack.copy()
     ).volume.data
-    scenario_volume = reconstruct_scenario(
-        "full_scan", base, stack, backend="vectorized"
-    ).volume.data
-    np.testing.assert_array_equal(scenario_volume, seed_volume)
+    full_scan_volume = scenario_volume("full_scan", stack, "vectorized")
+    np.testing.assert_array_equal(full_scan_volume, seed_volume)
 
 
 # --------------------------------------------------------------------------- #
@@ -416,14 +415,14 @@ def test_filter_matches_reference(backend, preset, dtype, window):
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end through FDKReconstructor (the seam every layer uses)
+# End-to-end through the chunk driver (the seam every layer uses)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", NON_REFERENCE)
-def test_fdk_reconstructor_backend_conforms(backend, small_projections, small_geometry):
-    reference = FDKReconstructor(geometry=small_geometry).reconstruct(
+def test_reconstructor_backend_conforms(backend, small_projections, small_geometry):
+    reference = StreamingReconstructor(small_geometry).reconstruct_stack(
         small_projections.copy()
     )
-    result = FDKReconstructor(geometry=small_geometry, backend=backend).reconstruct(
+    result = StreamingReconstructor(small_geometry, backend=backend).reconstruct_stack(
         small_projections.copy()
     )
     assert rel_rmse(

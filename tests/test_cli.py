@@ -212,7 +212,7 @@ class TestScenariosCommand:
         assert printed["projections"] < 16
         assert printed["angular_range"] < 2 * np.pi
 
-    def test_reconstruct_scenario_matches_direct_api(self, capsys):
+    def test_reconstruct_with_scenario_matches_direct_api(self, capsys):
         """--scenario output agrees with the library path (same min/max)."""
         from repro.core import (
             EllipsoidPhantom,
@@ -220,7 +220,8 @@ class TestScenariosCommand:
             forward_project_analytic,
             shepp_logan_ellipsoids,
         )
-        from repro.scenarios import reconstruct_scenario
+        from repro.scenarios import get_scenario
+        from repro.streaming import StreamingReconstructor
 
         code = main(["reconstruct", "--problem", "32x32x16->16x16x16",
                      "--scenario", "sparse_view"])
@@ -232,7 +233,11 @@ class TestScenariosCommand:
         stack = forward_project_analytic(
             EllipsoidPhantom(shepp_logan_ellipsoids()), geometry
         )
-        result = reconstruct_scenario("sparse_view", geometry, stack)
+        scenario = get_scenario("sparse_view")
+        sparse_geometry, sparse = scenario.apply(geometry, stack)
+        result = StreamingReconstructor(
+            sparse_geometry, scenario=scenario
+        ).reconstruct_stack(sparse)
         assert printed["volume_min"] == pytest.approx(
             float(result.volume.data.min())
         )

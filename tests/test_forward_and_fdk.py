@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FDKReconstructor,
     default_geometry_for_problem,
     forward_project_analytic,
     forward_project_volume,
-    reconstruct_fdk,
     shepp_logan_3d,
     uniform_sphere_phantom,
 )
 from repro.core.metrics import interior_mask, normalized_cross_correlation, rmse
+from repro.streaming import StreamingReconstructor
+
+
+def fdk_volume(stack, geometry, **options):
+    """Whole-stack FDK: the chunk driver's one-chunk case."""
+    return StreamingReconstructor(geometry, **options).reconstruct_stack(stack).volume
 
 
 class TestForwardProjectors:
@@ -70,7 +74,7 @@ class TestFDKReconstruction:
     def test_reconstruction_quantitatively_close_to_phantom(
         self, small_geometry, small_projections, small_reference_volume
     ):
-        volume = reconstruct_fdk(small_projections, small_geometry)
+        volume = fdk_volume(small_projections, small_geometry)
         mask = interior_mask(small_reference_volume.shape, 0.7)
         err = rmse(volume.data, small_reference_volume.data, mask)
         ncc = normalized_cross_correlation(volume.data, small_reference_volume.data, mask)
@@ -86,50 +90,50 @@ class TestFDKReconstruction:
         geo = default_geometry_for_problem(nu=64, nv=64, np_=60, nx=32, ny=32, nz=32)
         sphere = uniform_sphere_phantom(radius=0.6, value=1.0)
         stack = forward_project_analytic(sphere, geo)
-        volume = reconstruct_fdk(stack, geo)
+        volume = fdk_volume(stack, geo)
         assert volume.data[16, 16, 16] == pytest.approx(1.0, abs=0.15)
 
     def test_both_algorithms_give_same_reconstruction(self, small_geometry, small_projections):
-        a = reconstruct_fdk(small_projections, small_geometry, algorithm="standard")
-        b = reconstruct_fdk(small_projections, small_geometry, algorithm="proposed")
+        a = fdk_volume(small_projections, small_geometry, algorithm="standard")
+        b = fdk_volume(small_projections, small_geometry, algorithm="proposed")
         np.testing.assert_allclose(a.data, b.data, atol=1e-4)
 
     def test_reconstructor_reports_timings_and_gups(self, small_geometry, small_projections):
-        result = FDKReconstructor(geometry=small_geometry).reconstruct(small_projections)
+        result = StreamingReconstructor(small_geometry).reconstruct_stack(
+            small_projections
+        )
         assert result.filter_seconds >= 0
         assert result.backprojection_seconds > 0
-        assert result.gups > 0
+        assert small_geometry.problem().gups(result.backprojection_seconds) > 0
         assert result.total_seconds >= result.backprojection_seconds
 
     def test_reconstructor_accepts_prefiltered_stack(self, small_geometry, small_filtered):
-        recon = FDKReconstructor(geometry=small_geometry)
-        result = recon.reconstruct(small_filtered)
-        reference = recon.backproject(small_filtered)
+        recon = StreamingReconstructor(small_geometry)
+        result = recon.reconstruct_stack(small_filtered)
+        reference = recon.backend.backproject(small_filtered, small_geometry)
         np.testing.assert_allclose(result.volume.data, reference.data, atol=1e-6)
 
     def test_reconstructor_validates_configuration(self, small_geometry):
         with pytest.raises(ValueError):
-            FDKReconstructor(geometry=small_geometry, ramp_filter="nope")
+            StreamingReconstructor(small_geometry, ramp_filter="nope")
         with pytest.raises(ValueError):
-            FDKReconstructor(geometry=small_geometry, algorithm="nope")
+            StreamingReconstructor(small_geometry, algorithm="nope")
 
     def test_reconstructor_rejects_mismatched_stack(self, small_geometry, medium_projections):
         with pytest.raises(ValueError):
-            FDKReconstructor(geometry=small_geometry).reconstruct(medium_projections)
+            StreamingReconstructor(small_geometry).reconstruct_stack(medium_projections)
 
     @pytest.mark.parametrize("window", ["ram-lak", "hann", "shepp-logan"])
     def test_apodized_filters_reduce_noise_amplification(
         self, small_geometry, small_projections, window
     ):
-        volume = reconstruct_fdk(small_projections, small_geometry, ramp_filter=window)
+        volume = fdk_volume(small_projections, small_geometry, ramp_filter=window)
         assert np.all(np.isfinite(volume.data))
 
     def test_z_slab_reconstructor(self, small_geometry, small_projections):
-        full = FDKReconstructor(geometry=small_geometry).reconstruct(small_projections)
-        slab = FDKReconstructor(geometry=small_geometry, z_range=(8, 24)).reconstruct(
-            small_projections
-        )
-        np.testing.assert_allclose(slab.volume.data, full.volume.data[8:24], atol=1e-5)
+        full = fdk_volume(small_projections, small_geometry)
+        slab = fdk_volume(small_projections, small_geometry, z_range=(8, 24))
+        np.testing.assert_allclose(slab.data, full.data[8:24], atol=1e-5)
 
     @pytest.mark.parametrize("backend", ["reference", "blocked"])
     def test_subset_stack_reconstructs_with_its_own_angles(
@@ -148,14 +152,11 @@ class TestFDKReconstruction:
         expected = engine.backproject(
             engine.filter_stack(subset, small_geometry), small_geometry
         )
-        with FDKReconstructor(geometry=small_geometry, backend=backend) as recon:
-            result = recon.reconstruct(subset)
+        result = StreamingReconstructor(
+            small_geometry, backend=backend
+        ).reconstruct_stack(subset)
         np.testing.assert_array_equal(result.volume.data, expected.data)
-        assert result.problem.np_ == subset.np_
-        np.testing.assert_array_equal(
-            reconstruct_fdk(subset, small_geometry, backend=backend).data,
-            expected.data,
-        )
+        assert result.num_projections == result.chunk_size == subset.np_
         via_session = run_plan(
             ReconstructionPlan(geometry=small_geometry, backend=backend), subset
         )
@@ -172,6 +173,6 @@ class TestFDKReconstruction:
             small_geometry, small_projections
         )
         subset = ProjectionStack(data=stack.data[:4], angles=stack.angles[:4])
-        recon = FDKReconstructor(geometry=geometry, scenario="short_scan")
+        recon = StreamingReconstructor(geometry, scenario="short_scan")
         with pytest.raises(ValueError, match="weights .* projections"):
-            recon.reconstruct(subset)
+            recon.reconstruct_stack(subset)

@@ -49,14 +49,14 @@ import pytest
 from repro.backends import BACKEND_NAMES
 from repro.core import (
     EllipsoidPhantom,
-    FDKReconstructor,
     default_geometry_for_problem,
     forward_project_analytic,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
 )
 from repro.core.types import ProjectionStack
-from repro.scenarios import reconstruct_scenario
+from repro.scenarios import get_scenario
+from repro.streaming import StreamingReconstructor
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -93,17 +93,24 @@ def golden_stack() -> ProjectionStack:
     )
 
 
+def short_scan_volume(base, stack, backend) -> np.ndarray:
+    """The ``short_scan`` scenario applied to a base acquisition, then FDK."""
+    scenario = get_scenario("short_scan")
+    geometry, scenario_stack = scenario.apply(base, stack)
+    return StreamingReconstructor(
+        geometry, backend=backend, scenario=scenario
+    ).reconstruct_stack(scenario_stack).volume.data
+
+
 def reconstruct(family: str, backend: str = "reference") -> np.ndarray:
     if family == "full":
         return (
-            FDKReconstructor(geometry=golden_geometry(), backend=backend)
-            .reconstruct(golden_stack())
+            StreamingReconstructor(golden_geometry(), backend=backend)
+            .reconstruct_stack(golden_stack())
             .volume.data
         )
     if family == "shortscan":
-        return reconstruct_scenario(
-            "short_scan", golden_geometry(), golden_stack(), backend=backend
-        ).volume.data
+        return short_scan_volume(golden_geometry(), golden_stack(), backend)
     raise ValueError(f"unknown golden family {family!r}")
 
 
@@ -199,14 +206,12 @@ def test_short_scan_rmse_within_2x_of_full_scan():
     def rmse_vs_truth(volume: np.ndarray) -> float:
         return float(np.sqrt(np.mean((volume - truth) ** 2))) / scale
 
-    full = FDKReconstructor(geometry=geometry, backend="vectorized").reconstruct(
+    full = StreamingReconstructor(geometry, backend="vectorized").reconstruct_stack(
         stack
     )
-    short = reconstruct_scenario(
-        "short_scan", geometry, stack, backend="vectorized"
-    )
+    short = short_scan_volume(geometry, stack, "vectorized")
     full_rmse = rmse_vs_truth(full.volume.data)
-    short_rmse = rmse_vs_truth(short.volume.data)
+    short_rmse = rmse_vs_truth(short)
     assert short_rmse <= 2.0 * full_rmse, (
         f"short-scan RMSE {short_rmse:.4f} exceeds twice the full-scan "
         f"RMSE {full_rmse:.4f}"

@@ -20,13 +20,13 @@ from repro.core import (
     EllipsoidPhantom,
     default_geometry_for_problem,
     forward_project_analytic,
-    reconstruct_fdk,
     shepp_logan_ellipsoids,
 )
 from repro.core.types import ProjectionStack
 from repro.mpi import SimCommunicator, SpmdError
 from repro.pfs import SimulatedPFS
 from repro.pipeline import IFDKConfig, IFDKFramework
+from repro.streaming import StreamingReconstructor
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,9 @@ def projections(geometry):
 
 @pytest.fixture(scope="module")
 def reference_volume(geometry, projections):
-    return reconstruct_fdk(projections, geometry, algorithm="proposed")
+    return StreamingReconstructor(
+        geometry, algorithm="proposed"
+    ).reconstruct_stack(projections).volume
 
 
 @pytest.mark.parametrize("rows,columns", [(2, 1), (1, 4), (4, 2), (2, 4)])

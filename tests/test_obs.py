@@ -201,11 +201,11 @@ def test_parallel_worker_spans_nest_under_stages(workers):
 # The chunk driver: each chunk filtered, then back-projected, under the run.
 # --------------------------------------------------------------------- #
 
-def _chunked_trace(workers=2, **plan_fields):
+def _chunked_trace(workers=2, **fields):
     # Filter-heavy, with milliseconds per chunk and stage, so thread
     # hand-offs do not dominate.
     plan = plan_for_problem(
-        "384x192x48->40x40x40", backend="parallel", workers=workers, **plan_fields
+        "384x192x48->40x40x40", backend="parallel", workers=workers, **fields
     )
     tracer = Tracer()
     with Session(plan, tracer=tracer) as session:

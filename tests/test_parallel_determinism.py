@@ -11,12 +11,12 @@ order, pool reuse or repetition.  This module locks that down:
   byte-identical;
 * **same bits across worker counts** — workers ∈ {1, 2, 3, 4} all produce
   the identical volume, equal to the single-threaded ``blocked`` name,
-  through the full ``FDKReconstructor`` path (filter + back-project);
+  through the full ``StreamingReconstructor`` path (filter + back-project);
 * **golden-acquisition hashes** — on the pinned 32³ golden acquisition
   (full scan and Parker-weighted short scan), ``parallel`` reproduces the
   exact vectorized-family hash at every worker count and stays within the
   conformance RMSE of the checked-in golden volumes;
-* **no leaked threads** — after ``FDKReconstructor`` teardown every worker
+* **no leaked threads** — after ``StreamingReconstructor`` teardown every worker
   thread is joined (the accounting idiom of ``repro.mpi.engine``: all
   threads this package starts are named, joinable and attributable);
 * **native shards** — the compiled Algorithm 4 executor
@@ -48,9 +48,9 @@ import pytest
 
 from repro.backends import TiledBackend, native
 from repro.backends.tiled import WORKER_THREAD_PREFIX, WorkerPool
-from repro.core import FDKReconstructor, default_geometry_for_problem
+from repro.core import default_geometry_for_problem
 from repro.core.types import ProjectionStack
-from repro.scenarios import reconstruct_scenario
+from repro.streaming import StreamingReconstructor
 
 import test_golden_fdk as golden
 
@@ -98,16 +98,16 @@ def test_worker_counts_agree_end_to_end(algorithm):
     raw = make_stack(geometry, filtered=False)
     reference_bytes = None
     for workers in WORKER_COUNTS:
-        with FDKReconstructor(
-            geometry=geometry, algorithm=algorithm, backend="parallel",
-            workers=workers,
+        with StreamingReconstructor(
+            geometry, algorithm=algorithm, backend="parallel", workers=workers,
         ) as reconstructor:
-            volume = reconstructor.reconstruct(raw.copy()).volume.data
+            volume = reconstructor.reconstruct_stack(raw.copy()).volume.data
         if reference_bytes is None:
             reference_bytes = volume.tobytes()
         assert volume.tobytes() == reference_bytes, f"workers={workers} diverged"
-    blocked = FDKReconstructor(geometry=geometry, algorithm=algorithm,
-                               backend="blocked").reconstruct(raw.copy())
+    blocked = StreamingReconstructor(
+        geometry, algorithm=algorithm, backend="blocked"
+    ).reconstruct_stack(raw.copy())
     assert blocked.volume.data.tobytes() == reference_bytes
 
 
@@ -145,15 +145,13 @@ def test_parallel_reproduces_golden_acquisition_hash(family, workers, family_has
     geometry = golden.golden_geometry()
     stack = golden.golden_stack()
     if family == "full":
-        with FDKReconstructor(
-            geometry=geometry, backend="parallel", workers=workers
+        with StreamingReconstructor(
+            geometry, backend="parallel", workers=workers
         ) as reconstructor:
-            volume = reconstructor.reconstruct(stack).volume.data
+            volume = reconstructor.reconstruct_stack(stack).volume.data
     else:
         with TiledBackend(workers=workers) as backend:
-            volume = reconstruct_scenario(
-                "short_scan", geometry, stack, backend=backend
-            ).volume.data
+            volume = golden.short_scan_volume(geometry, stack, backend)
     digest = hashlib.sha256(volume.tobytes()).hexdigest()
     assert digest == family_hashes[family], (
         f"parallel workers={workers} drifted from the vectorized family on "
@@ -180,10 +178,8 @@ def test_no_leaked_threads_after_reconstructor_teardown():
     baseline = parallel_threads()
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=8, nx=16, ny=16, nz=16)
     stack = make_stack(geometry, filtered=False)
-    reconstructor = FDKReconstructor(
-        geometry=geometry, backend="parallel", workers=3
-    )
-    reconstructor.reconstruct(stack)
+    reconstructor = StreamingReconstructor(geometry, backend="parallel", workers=3)
+    reconstructor.reconstruct_stack(stack)
     assert parallel_threads(baseline), "a 3-worker run should have started a pool"
     reconstructor.close()
     leaked = [t for t in parallel_threads(baseline) if t.is_alive()]
@@ -234,7 +230,7 @@ def test_chunk_driver_reads_in_turn_and_leaves_no_thread(workers):
     """Every chunk is read on the calling thread, no ``-filter`` producer is
     ever started, and closing the driver joins its pool — whether the run
     returned or raised."""
-    from repro.streaming import StreamingError, StreamingReconstructor, StackChunkSource
+    from repro.streaming import StreamingError, StackChunkSource
 
     baseline = parallel_threads()
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=12, nx=12, ny=12, nz=8)

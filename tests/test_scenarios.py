@@ -24,11 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    CBCTGeometry,
-    FDKReconstructor,
-    default_geometry_for_problem,
-)
+from repro.core import CBCTGeometry, default_geometry_for_problem
 from repro.core.filtering import fdk_normalization
 from repro.core.forward import apply_poisson_gaussian_noise
 from repro.core.types import ProjectionStack
@@ -43,6 +39,7 @@ from repro.scenarios import (
     parker_weights,
     register_scenario,
 )
+from repro.streaming import StreamingReconstructor
 
 try:
     from hypothesis import given, settings
@@ -221,15 +218,13 @@ def test_noise_changes_data_but_not_shape_or_angles():
 
 def test_noisy_scenario_reconstruction_is_deterministic():
     """Two independent runs of the noisy preset agree bit for bit."""
-    from repro.scenarios import reconstruct_scenario
-
-    base = base_geometry()
-    volumes = [
-        reconstruct_scenario(
-            "noisy", base, base_stack(), backend="vectorized"
-        ).volume.data
-        for _ in range(2)
-    ]
+    scenario = get_scenario("noisy")
+    volumes = []
+    for _ in range(2):
+        geometry, noisy = scenario.apply(base_geometry(), base_stack())
+        volumes.append(StreamingReconstructor(
+            geometry, backend="vectorized", scenario=scenario
+        ).reconstruct_stack(noisy).volume.data)
     np.testing.assert_array_equal(volumes[0], volumes[1])
 
 
@@ -338,22 +333,25 @@ def test_scenario_reconstructor_rejects_prefiltered_stack():
     scenario = get_scenario("short_scan")
     base = base_geometry()
     geometry, sub = scenario.apply(base, base_stack())
-    reconstructor = FDKReconstructor(geometry=geometry, scenario=scenario)
-    filtered = reconstructor.filter(sub)
+    reconstructor = StreamingReconstructor(geometry, scenario=scenario)
+    filtered = reconstructor.backend.filter_stack(
+        sub, geometry, reconstructor.ramp_filter,
+        redundancy=reconstructor.redundancy,
+    )
     with pytest.raises(ValueError, match="already filtered"):
-        reconstructor.reconstruct(filtered)
+        reconstructor.reconstruct_stack(filtered)
 
 
-def test_fdk_reconstructor_resolves_scenario_by_name():
+def test_reconstructor_resolves_scenario_by_name():
     scenario = get_scenario("short_scan")
     base = base_geometry()
     geometry, sub = scenario.apply(base, base_stack())
-    by_name = FDKReconstructor(
-        geometry=geometry, backend="vectorized", scenario="short_scan"
-    ).reconstruct(sub.copy())
-    by_instance = FDKReconstructor(
-        geometry=geometry, backend="vectorized", scenario=scenario
-    ).reconstruct(sub.copy())
+    by_name = StreamingReconstructor(
+        geometry, backend="vectorized", scenario="short_scan"
+    ).reconstruct_stack(sub.copy())
+    by_instance = StreamingReconstructor(
+        geometry, backend="vectorized", scenario=scenario
+    ).reconstruct_stack(sub.copy())
     np.testing.assert_array_equal(
         by_name.volume.data, by_instance.volume.data
     )

@@ -48,7 +48,7 @@ from repro.backends import TiledBackend, available_backends, get_backend
 from repro.backends.base import VolumeAccumulator
 from repro.backends.tiled import WORKER_THREAD_PREFIX
 from repro.cli import main
-from repro.core import FDKReconstructor, default_geometry_for_problem
+from repro.core import default_geometry_for_problem
 from repro.core.filtering import GROUP_ROWS
 from repro.core.types import ProjectionStack
 from repro.obs import MetricsRegistry, Tracer, use_tracer
@@ -162,20 +162,18 @@ class TestStreamingEquivalence:
         assert result.num_projections == geometry.np_
 
     @pytest.mark.parametrize("backend", sorted(available_backends()))
-    def test_fdk_reconstructor_slab_is_one_chunk_of_the_driver(self, backend):
-        """``FDKReconstructor(z_range=)`` ≡ that slab of a multi-chunk run."""
+    def test_slab_stack_is_one_chunk_of_the_driver(self, backend):
+        """``reconstruct_stack`` with a ``z_range`` ≡ that slab of a
+        multi-chunk run."""
         geometry, stack, _ = scenario_case("short_scan", "float32")
         slab = (3, 8)
-        with FDKReconstructor(
-            geometry=geometry, backend=backend, scenario="short_scan", z_range=slab
-        ) as whole_stack:
-            one_chunk = whole_stack.reconstruct(stack)
-        assert one_chunk.problem.nz == slab[1] - slab[0]
         with StreamingReconstructor(
             geometry, backend=backend, scenario="short_scan", z_range=slab,
             chunk_size=5,
         ) as driver:
+            one_chunk = driver.reconstruct_stack(stack)
             chunked = driver.reconstruct(StackChunkSource(stack))
+        assert one_chunk.volume.data.shape[0] == slab[1] - slab[0]
         assert chunked.chunk_count > 1
         np.testing.assert_array_equal(one_chunk.volume.data, chunked.volume.data)
         if backend != "reference":  # the reference pairs mirror slices per slab
@@ -335,6 +333,25 @@ class TestChunkPlanning:
         assert resolve_chunk_size(
             PLAN_GEOMETRY, 2, memory_budget_bytes=budget
         ) == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("chunk_size", 2.5),
+        ("chunk_size", True),
+        ("memory_budget_bytes", 1.5e6),
+        ("memory_budget_bytes", True),
+    ])
+    def test_keyword_knobs_are_refused_like_plan_fields(self, name, value):
+        """A bool or non-integer knob is an error on the keyword surface, in
+        the plan's words — never truncated to a smaller chunk or budget."""
+        message = f"{name} must be a positive integer"
+        with pytest.raises(ValueError, match=message):
+            StreamingReconstructor(PLAN_GEOMETRY, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            resolve_chunk_size(PLAN_GEOMETRY, 24, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            ReconstructionPlan(
+                geometry=PLAN_GEOMETRY, streaming=True, **{name: value}
+            ).validate()
 
     def test_whole_stack_estimate_scales_with_projections(self):
         assert whole_stack_working_set_bytes(PLAN_GEOMETRY, 24) == (
