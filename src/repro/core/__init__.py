@@ -13,7 +13,7 @@ from .backprojection import (
     operation_counts,
     projection_compute_reduction,
 )
-from .iterative import IterativeResult, art, mlem, osem, sart, sirt
+from .iterative import IterativeResult, mlem, osem, sart, sirt
 from .filtering import (
     RAMP_FILTERS,
     cosine_weight_table,
@@ -53,7 +53,6 @@ from .types import (
 __all__ = [
     "CBCTGeometry",
     "IterativeResult",
-    "art",
     "mlem",
     "osem",
     "sart",

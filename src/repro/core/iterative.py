@@ -19,7 +19,6 @@ The solvers implement the classical update rules:
 
 * **SIRT** — simultaneous update with row/column sum normalization.
 * **SART** — per-projection (ordered-subsets of size 1) relaxed update.
-* **ART** — classical Kaczmarz sweep approximated at projection granularity.
 * **MLEM / OSEM** — multiplicative expectation-maximization update for
   emission-style data (non-negative volumes).
 """
@@ -39,7 +38,6 @@ __all__ = [
     "IterativeResult",
     "sirt",
     "sart",
-    "art",
     "mlem",
     "osem",
 ]
@@ -182,34 +180,6 @@ def sart(
         if callback is not None:
             callback(it, history[-1])
     return IterativeResult(volume=x, residual_history=history, iterations=iterations)
-
-
-def art(
-    measured: ProjectionStack,
-    geometry: CBCTGeometry,
-    *,
-    iterations: int = 3,
-    relaxation: float = 0.2,
-    algorithm: str = "proposed",
-    initial: Optional[Volume] = None,
-    step_mm: Optional[float] = None,
-) -> IterativeResult:
-    """Algebraic Reconstruction Technique (Gordon, Bender & Herman 1970).
-
-    Implemented as a strongly-relaxed SART sweep — the classical ART updates
-    one detector row at a time, which at Python granularity is prohibitively
-    slow; per-view updates with a small relaxation factor converge to the
-    same fixed point and exercise exactly the same operators.
-    """
-    return sart(
-        measured,
-        geometry,
-        iterations=iterations,
-        relaxation=relaxation,
-        algorithm=algorithm,
-        initial=initial,
-        step_mm=step_mm,
-    )
 
 
 def mlem(

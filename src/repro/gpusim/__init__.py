@@ -13,7 +13,6 @@ modelled in :mod:`~repro.gpusim.memory` and :mod:`~repro.gpusim.transfer`.
 from .costmodel import (
     BackprojectionCostModel,
     KernelTiming,
-    predict_gups,
     predict_table4,
 )
 from .device import A100_40GB, TESLA_P100, TESLA_V100, DeviceSpec
@@ -60,7 +59,6 @@ __all__ = [
     "TextureReadPath",
     "Warp",
     "get_kernel",
-    "predict_gups",
     "predict_table4",
     "shfl_bp_reference",
 ]

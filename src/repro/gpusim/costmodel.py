@@ -46,7 +46,6 @@ from .kernels import DEFAULT_PROJECTION_BATCH, KERNEL_VARIANTS, KernelVariant
 __all__ = [
     "BackprojectionCostModel",
     "KernelTiming",
-    "predict_gups",
     "predict_table4",
 ]
 
@@ -184,15 +183,6 @@ class BackprojectionCostModel:
         return {
             kernel.name: self.gups(kernel, problem) for kernel in KERNEL_VARIANTS
         }
-
-
-def predict_gups(
-    problem: ReconstructionProblem,
-    kernel: KernelVariant,
-    device: DeviceSpec = TESLA_V100,
-) -> float:
-    """Convenience wrapper: predicted GUPS of one kernel on one problem."""
-    return BackprojectionCostModel(device).gups(kernel, problem)
 
 
 def predict_table4(

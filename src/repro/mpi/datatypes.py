@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["ReduceOp", "validate_buffer", "buffers_compatible"]
+__all__ = ["ReduceOp", "validate_buffer"]
 
 
 class ReduceOp(Enum):
@@ -49,8 +49,3 @@ def validate_buffer(buffer: np.ndarray, name: str = "buffer") -> np.ndarray:
     if not isinstance(buffer, np.ndarray):
         raise TypeError(f"{name} must be a numpy.ndarray, got {type(buffer).__name__}")
     return buffer
-
-
-def buffers_compatible(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two buffers have identical shape and dtype."""
-    return a.shape == b.shape and a.dtype == b.dtype

@@ -14,15 +14,15 @@ placed job executes for real (``workers=N``) — runs pilots in a
 crash-isolated process pool with per-job timeouts and bounded retries, the
 :class:`~repro.service.store.JobStore` journals every job
 transition so ``repro serve --state-dir`` recovers its queue after a kill,
-and the :class:`~repro.service.diskcache.OnDiskFilteredCache` shares
-filtered projections across worker processes and restarts.  The
+and a :class:`~repro.service.cache.FilteredProjectionCache` on a directory
+(``--cache-dir``) shares filtered projections across processes.  The
 :class:`~repro.service.http.ServiceHTTPServer` exposes it all over
 HTTP/JSON, speaking :class:`~repro.api.ReconstructionPlan`.
 """
 
 from ..obs.metrics import percentile
 from .cache import CacheKey, CacheStatistics, FilteredProjectionCache, fingerprint_stack
-from .diskcache import OnDiskFilteredCache
+from .cache import OnDiskFilteredCache
 from .fairness import FairShareQueue, jains_index
 from .http import ServiceHTTPServer
 from .job import JobState, ReconstructionJob, job_sort_key

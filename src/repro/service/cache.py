@@ -1,4 +1,4 @@
-"""Content-keyed LRU cache of filtered projections: key, statistics, byte index.
+"""Content-keyed LRU cache of filtered projections: key, statistics, policy, stores.
 
 Filtering (weighting + ramp filtering, Algorithm 1) is a pure function of
 the raw projection data and the filter window.  When several tenants request
@@ -16,20 +16,29 @@ never served the full-scan filtering of the same dataset.  Eviction is LRU
 by byte capacity, sized against the PFS scratch space reserved for the
 cache.
 
-:class:`FilteredProjectionCache` is the in-process index: it tracks which
-datasets are resident and how many bytes they hold, which is all the
-scheduling simulation needs.  Filtered stacks themselves are stored and
-served only by :class:`~repro.service.diskcache.OnDiskFilteredCache`, the
-shared-directory implementation of the same duck-typed surface; both name
-an entry by :attr:`CacheKey.tag`, defined once here.
+:class:`FilteredProjectionCache` is the one cache: its LRU byte-budget
+policy is written once, over one of two entry stores.  The memory store
+(default) is all the scheduling simulation needs.  The directory store
+(``directory=``, the service's ``cache_dir``) shares entries across
+processes and restarts: a pilot filtered in worker process A is a hit for
+worker B and for the service that comes back after a ``kill -9``.  Either
+store keeps the filtered stack an ``insert(key, filtered=)`` hands it;
+a size-only entry (``insert(key, nbytes=)``) misses in ``get_filtered``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import os
+import threading
 import weakref
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +48,7 @@ __all__ = [
     "CacheKey",
     "CacheStatistics",
     "FilteredProjectionCache",
+    "OnDiskFilteredCache",
     "fingerprint_stack",
 ]
 
@@ -182,35 +192,28 @@ class CacheStatistics:
         return self.hits / self.lookups
 
 
-@dataclass
-class _Entry:
-    nbytes: int
-
-
 class FilteredProjectionCache:
-    """LRU index of filtered projection datasets, capacity-bounded in bytes."""
+    """LRU cache of filtered projection datasets, capacity-bounded in bytes.
 
-    def __init__(self, capacity_bytes: int = 256 * 1024**3):
+    ``stats`` count this instance's own lookups; entries under a
+    ``directory`` are shared by every instance on it.
+    """
+
+    def __init__(self, capacity_bytes: int = 256 * 1024**3, *, directory=None):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        self.capacity_bytes = capacity_bytes
+        self.capacity_bytes = int(capacity_bytes)
         self.stats = CacheStatistics()
-        self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
-        # Running byte total, maintained on every insert/refresh/eviction:
-        # eviction must not re-sum the whole table per evicted entry
-        # (O(n^2) on a full cache), and used_bytes stays O(1).
-        self._used_bytes = 0
+        self._store = _MemoryStore() if directory is None else _DirectoryStore(directory)
+        self._lock = threading.Lock()  # one insert's check, write and eviction at a time
 
     # ------------------------------------------------------------------ #
     @property
     def used_bytes(self) -> int:
-        return self._used_bytes
+        return self._store.used_bytes()
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
+        return sum(1 for _ in self._store.oldest_first())
 
     def contains(self, key: CacheKey) -> bool:
         """Peek without touching LRU order or hit/miss statistics.
@@ -219,45 +222,211 @@ class FilteredProjectionCache:
         job many times before placing it); only the definitive
         :meth:`lookup` at placement time is counted.
         """
-        return key in self._entries
+        return self._store.get(key) is not None
 
-    # ------------------------------------------------------------------ #
     def lookup(self, key: CacheKey) -> bool:
         """Counted lookup: touches LRU order and records a hit or miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return False
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return True
+        return self._counted(key, self._store.get(key)) is not None
 
-    def insert(self, key: CacheKey, *, nbytes: int) -> None:
-        """Add (or refresh) a filtered dataset of ``nbytes`` bytes."""
+    def get_filtered(self, key: CacheKey) -> Optional[ProjectionStack]:
+        """Counted read of the filtered stack; a size-only entry misses here."""
+        return self._counted(key, self._store.payload(key))
+
+    def _counted(self, key: CacheKey, found):
+        """Record a miss, or a hit that refreshes recency; pass ``found`` on."""
+        if found is None:
+            self.stats.misses += 1
+        else:
+            self._store.touch(key)
+            self.stats.hits += 1
+        return found
+
+    def insert(
+        self,
+        key: CacheKey,
+        *,
+        nbytes: Optional[int] = None,
+        filtered: Optional[ProjectionStack] = None,
+    ) -> None:
+        """Add (or refresh) an entry; it holds the stack when one is given."""
+        if filtered is not None:
+            nbytes = filtered.nbytes
+        if nbytes is None:
+            raise ValueError("insert needs either nbytes or a filtered stack")
+        nbytes = int(nbytes)
         if nbytes > self.capacity_bytes:
             raise ValueError(
                 f"cannot cache a {nbytes}-byte filtered dataset: it exceeds "
                 f"the cache capacity of {self.capacity_bytes} bytes (no "
                 "amount of eviction can make it fit)"
             )
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            entry = self._entries[key]
-            self._used_bytes += nbytes - entry.nbytes
-            entry.nbytes = nbytes
-        else:
-            self._entries[key] = _Entry(nbytes=nbytes)
-            self._used_bytes += nbytes
-            self.stats.insertions += 1
-        self._evict_over_capacity()
+        with self._lock:
+            if self._store.get(key) is None:
+                self.stats.insertions += 1
+            written = self._store.put(key, nbytes, filtered)
+            used = self._store.used_bytes()
+            if used <= self.capacity_bytes:
+                return
+            victims = []
+            for name, size in self._store.oldest_first():
+                if used <= self.capacity_bytes:
+                    break
+                if name != written:  # never evict the entry just written
+                    victims.append(name)
+                    used -= size
+            for name in victims:
+                self._store.delete(name)
+            self.stats.evictions += len(victims)
 
-    # ------------------------------------------------------------------ #
-    def _evict_over_capacity(self) -> None:
-        # Evict down to empty if that is what it takes: the old
-        # ``len(self._entries) > 1`` guard left a single over-budget entry
-        # resident forever (oversize inserts are now rejected up front, but
-        # a refresh shrinking the budget headroom must still converge).
-        while self._used_bytes > self.capacity_bytes and self._entries:
-            _, entry = self._entries.popitem(last=False)
-            self._used_bytes -= entry.nbytes
-            self.stats.evictions += 1
+
+class OnDiskFilteredCache(FilteredProjectionCache):
+    """``FilteredProjectionCache(capacity_bytes, directory=cache_dir)`` by its older name."""
+
+    def __init__(self, cache_dir, capacity_bytes: int = 256 * 1024**3):
+        super().__init__(capacity_bytes, directory=cache_dir)
+
+
+# Entry stores.  Both answer ``get`` (the entry, None when absent), ``touch``,
+# ``put`` (returns the entry's name), ``payload``, ``oldest_first`` (an
+# iterable of ``(name, nbytes)``), ``delete(name)`` and ``used_bytes``.
+@dataclass
+class _Entry:
+    nbytes: int
+    filtered: Optional[ProjectionStack] = None
+
+
+class _MemoryStore:
+    """Entries oldest first, keyed by the :class:`CacheKey` object — never by
+    its ``tag``, a hash ~30x the cost of a dict probe on the scheduler's
+    hottest call — with a running byte total, so inserts never re-sum."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
+        self._used_bytes = 0
+        # The scheduler's hot calls go straight to the dict's C methods.
+        self.get = self._entries.get
+        self.touch = self._entries.move_to_end
+
+    def used_bytes(self) -> int:
+        return self._used_bytes
+
+    def put(self, key: CacheKey, nbytes: int, filtered: Optional[ProjectionStack]) -> CacheKey:
+        entry = self._entries.get(key)
+        if entry is None:
+            self._entries[key] = entry = _Entry(0)
+        else:
+            self._entries.move_to_end(key)  # a refresh makes it the newest
+        self._used_bytes += nbytes - entry.nbytes
+        entry.nbytes = nbytes
+        if filtered is not None:
+            entry.filtered = filtered
+        return key
+
+    def payload(self, key: CacheKey) -> Optional[ProjectionStack]:
+        entry = self._entries.get(key)
+        return None if entry is None else entry.filtered
+
+    def oldest_first(self) -> Iterator[Tuple[CacheKey, int]]:
+        return ((key, entry.nbytes) for key, entry in self._entries.items())
+
+    def delete(self, key: CacheKey) -> None:
+        self._used_bytes -= self._entries.pop(key).nbytes
+
+
+_META_SUFFIX = ".meta.json"
+_PAYLOAD_SUFFIX = ".npz"
+#: What ``np.load`` raised across a flip of every byte, and a cut at every
+#: length, of a cached ``.npz``: each one is a damaged payload, i.e. a miss.
+_DAMAGED_PAYLOAD = (EOFError, KeyError, NotImplementedError, OSError, ValueError,
+                    zipfile.BadZipFile)
+
+
+class _DirectoryStore:
+    """``<tag>.meta.json`` (key fields, byte size, payload flag) plus, with a
+    payload, ``<tag>.npz`` per entry, ``tag`` being :attr:`CacheKey.tag`.
+
+    The meta file's mtime is the recency clock; writes go through a temp
+    file and ``os.replace``.  An unreadable meta file is an absent entry and
+    a damaged payload a miss: races and stray or corrupt files cost a
+    refilter, never an error.
+    """
+
+    def __init__(self, directory) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, tag: str, suffix: str) -> Path:
+        return self.directory / (tag + suffix)
+
+    def _meta(self, tag: str) -> Optional[dict]:
+        """The meta record; None unless a UTF-8 JSON object with an int ``nbytes`` >= 0."""
+        try:
+            meta = json.loads(self._path(tag, _META_SUFFIX).read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            return None
+        nbytes = meta.get("nbytes") if isinstance(meta, dict) else None
+        valid = isinstance(nbytes, int) and not isinstance(nbytes, bool) and nbytes >= 0
+        return meta if valid else None
+
+    def _write(self, path: Path, write) -> None:
+        # Through an open handle: ``np.savez`` appends ``.npz`` to a bare
+        # *filename*, which would orphan the temp file.
+        tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
+        try:
+            with tmp.open("wb") as handle:
+                write(handle)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def used_bytes(self) -> int:
+        return sum(nbytes for _, nbytes in self.oldest_first())
+
+    def get(self, key: CacheKey) -> Optional[dict]:
+        return self._meta(key.tag)
+
+    def touch(self, key: CacheKey) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            os.utime(self._path(key.tag, _META_SUFFIX))
+
+    def put(self, key: CacheKey, nbytes: int, filtered: Optional[ProjectionStack]) -> str:
+        tag = key.tag
+        existing = self._meta(tag)
+        if filtered is not None:
+            self._write(self._path(tag, _PAYLOAD_SUFFIX),
+                        lambda out: np.savez(out, data=filtered.data, angles=filtered.angles))
+        meta = {
+            "dataset_id": key.dataset_id,
+            "filter_key": key.filter_key,
+            "nbytes": nbytes,
+            "payload": filtered is not None or bool(existing and existing.get("payload")),
+        }
+        self._write(self._path(tag, _META_SUFFIX),
+                    lambda out: out.write(json.dumps(meta, sort_keys=True).encode("utf-8")))
+        return tag
+
+    def payload(self, key: CacheKey) -> Optional[ProjectionStack]:
+        tag = key.tag
+        meta = self._meta(tag)
+        if meta is None or not meta.get("payload"):
+            return None
+        try:
+            with np.load(self._path(tag, _PAYLOAD_SUFFIX)) as archive:
+                return ProjectionStack(archive["data"], archive["angles"], filtered=True)
+        except _DAMAGED_PAYLOAD:
+            return None  # evicted, torn or damaged between meta read and load
+
+    def oldest_first(self) -> List[Tuple[str, int]]:
+        rows = []
+        for meta_path in self.directory.glob("*" + _META_SUFFIX):
+            tag = meta_path.name[: -len(_META_SUFFIX)]
+            meta = self._meta(tag)
+            if meta is not None:
+                with contextlib.suppress(OSError):  # evicted since the read
+                    rows.append((meta_path.stat().st_mtime, tag, meta["nbytes"]))
+        rows.sort(key=lambda row: row[0])
+        return [(tag, nbytes) for _, tag, nbytes in rows]
+
+    def delete(self, tag: str) -> None:
+        for suffix in (_META_SUFFIX, _PAYLOAD_SUFFIX):
+            self._path(tag, suffix).unlink(missing_ok=True)

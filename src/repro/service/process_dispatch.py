@@ -25,12 +25,11 @@ servable system:
 * a crashed worker (``BrokenProcessPool``) is detected, counted, and the
   pool is rebuilt **one worker narrower** (never below one): repeated
   crashes degrade capacity gracefully instead of thrashing;
-* pilots share an :class:`~repro.service.diskcache.OnDiskFilteredCache`
-  when one is attached: the first worker process to filter a dataset
-  writes the filtered projections to disk, and every other worker — and
-  every future service incarnation — gets a cache hit
-  (``job.pilot_cache_hit``), the Eq. 17 ``T_flt`` saving made real across
-  process boundaries.
+* with a ``cache_dir``, pilots share a :class:`~repro.service.cache.FilteredProjectionCache`
+  on it: the first worker process to filter a dataset writes the filtered
+  projections to disk, and every other worker — and every future service
+  incarnation — gets a cache hit (``job.pilot_cache_hit``), the Eq. 17
+  ``T_flt`` saving made real across process boundaries.
 
 The simulated clock is untouched: latencies, SLO attainment and GPU
 utilization still come from the event loop, so model-level tests and
@@ -61,9 +60,9 @@ import threading
 
 import numpy as np
 
-from ..core.types import ReconstructionProblem, problem_from_string
+from ..core.types import ProjectionStack, ReconstructionProblem, problem_from_string
 from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
-from .cache import CacheKey
+from .cache import CacheKey, FilteredProjectionCache
 from .job import ReconstructionJob
 from .scheduler import Placement
 
@@ -99,8 +98,6 @@ def _pilot_init(
         nx=problem.nx, ny=problem.ny, nz=problem.nz,
     )
     rng = np.random.default_rng(2026)
-    from ..core.types import ProjectionStack
-
     raw = ProjectionStack(
         data=rng.standard_normal(
             (problem.np_, problem.nv, problem.nu)
@@ -108,11 +105,7 @@ def _pilot_init(
         angles=geometry.angles,
         filtered=False,  # pilots run filter + back-projection
     )
-    cache = None
-    if cache_dir is not None:
-        from .diskcache import OnDiskFilteredCache
-
-        cache = OnDiskFilteredCache(cache_dir)
+    cache = None if cache_dir is None else FilteredProjectionCache(directory=cache_dir)
     _RUNTIME = {
         "backend": get_backend(backend_name),
         "geometry": geometry,

@@ -10,9 +10,10 @@ from the calibrated Eq. 8-19 performance model, so a 2,048-GPU deployment
 replays in milliseconds of wall time.
 
 On completion each job's filtered projections are inserted into the
-:class:`~repro.service.cache.FilteredProjectionCache`; later jobs on the
-same dataset/filter skip the filtering stage (``T_flt`` leaves the Eq. 17
-overlap), which both shortens them and frees filtering capacity.
+:class:`~repro.service.cache.FilteredProjectionCache` (in ``cache_dir`` when
+given); later jobs on the same dataset/filter skip the filtering stage
+(``T_flt`` leaves the Eq. 17 overlap), which shortens them and frees
+filtering capacity.
 
 With ``workers > 0`` the service additionally owns a
 :class:`~repro.service.process_dispatch.ProcessDispatcher`: every scheduling
@@ -49,7 +50,6 @@ from ..gpusim.device import DeviceSpec, TESLA_V100
 from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
 from ..pipeline.perfmodel import IFDKPerformanceModel
 from .cache import FilteredProjectionCache
-from .diskcache import OnDiskFilteredCache
 from .fairness import FairShareQueue
 from .job import TERMINAL_EVENTS, JobState, ReconstructionJob, reserve_job_ids
 from .metrics import ServiceMetrics
@@ -147,15 +147,9 @@ class ReconstructionService:
             )
         self._lock = threading.RLock()
         self.cluster = GPUCluster(cluster_gpus, device=device)
-        if cache is not None:
-            self.cache = cache
-        elif cache_dir is not None:
-            # Shared on-disk cache: entries (and their LRU recency) are
-            # files, so they survive restarts and are visible to every
-            # process sharing the directory — including pilot workers.
-            self.cache = OnDiskFilteredCache(cache_dir)
-        else:
-            self.cache = FilteredProjectionCache()
+        # With a cache_dir, entries and their LRU recency are files: they
+        # survive restarts and are shared with the pilot worker processes.
+        self.cache = cache if cache is not None else FilteredProjectionCache(directory=cache_dir)
         self.scheduler = ClusterScheduler(
             self.cluster,
             model=model,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import os
 import threading
@@ -9,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.types import problem_from_string
+from repro.core.types import ProjectionStack, problem_from_string
 from repro.service import (
     AdmissionPolicy,
     ArrivalTrace,
@@ -102,29 +104,98 @@ class TestJobQueue:
 # --------------------------------------------------------------------------- #
 # Filtered-projection cache
 # --------------------------------------------------------------------------- #
-class TestFilteredProjectionCache:
-    def key(self, dataset="ds-0", nu=64, nv=64, np_=32, ramp="ram-lak"):
-        return CacheKey(dataset_id=dataset, ramp_filter=ramp, nu=nu, nv=nv, np_=np_)
+CAPACITY = 250
 
-    def test_hit_miss_accounting(self):
-        cache = FilteredProjectionCache(capacity_bytes=1 << 30)
-        key = self.key()
+
+def cache_key(dataset="ds-0", ramp="ram-lak") -> CacheKey:
+    return CacheKey(dataset_id=dataset, ramp_filter=ramp, nu=64, nv=64, np_=32)
+
+
+def tiny_filtered_stack(seed=0) -> ProjectionStack:
+    """A 128-byte filtered stack: small enough for a CAPACITY-byte cache."""
+    rng = np.random.default_rng(seed)
+    return ProjectionStack(
+        data=rng.standard_normal((2, 4, 4)).astype(np.float32),
+        angles=np.array([0.0, np.pi]),
+        filtered=True,
+    )
+
+
+def stamp_recency(cache: FilteredProjectionCache) -> FilteredProjectionCache:
+    """Give every write and touch of a directory cache its own mtime second.
+
+    The meta file's mtime is the directory store's recency clock, and the
+    kernel stamps files from a coarse clock: writes microseconds apart tie,
+    and a tie falls back to directory order.  One second per event makes
+    recency exactly the order of the calls, as it is in memory.
+    """
+    store = cache._store
+    clock = itertools.count(1_000_000)
+    put, touch = store.put, store.touch
+
+    def stamp(tag):
+        second = next(clock)
+        os.utime(store.directory / f"{tag}.meta.json", (second, second))
+
+    def stamped_put(key, nbytes, filtered):
+        tag = put(key, nbytes, filtered)
+        stamp(tag)
+        return tag
+
+    def stamped_touch(key):
+        touch(key)
+        stamp(key.tag)
+
+    store.put, store.touch = stamped_put, stamped_touch
+    return cache
+
+
+@pytest.fixture(params=["memory", "directory"])
+def cache(request, tmp_path) -> FilteredProjectionCache:
+    """A CAPACITY-byte cache on each entry store: one body per property."""
+    if request.param == "memory":
+        return FilteredProjectionCache(capacity_bytes=CAPACITY)
+    return stamp_recency(
+        FilteredProjectionCache(capacity_bytes=CAPACITY, directory=tmp_path / "cache")
+    )
+
+
+def resummed(cache: FilteredProjectionCache) -> int:
+    """Ground truth: the sizes the store holds (in its dict, or in its meta
+    files on disk), summed afresh."""
+    store = cache._store
+    if hasattr(store, "directory"):
+        return sum(
+            json.loads(meta.read_text(encoding="utf-8"))["nbytes"]
+            for meta in store.directory.glob("*.meta.json")
+        )
+    return sum(entry.nbytes for entry in store._entries.values())
+
+
+class TestFilteredProjectionCache:
+    def test_hit_miss_accounting(self, cache):
+        key = cache_key()
         assert not cache.lookup(key)
-        cache.insert(key, nbytes=1000)
+        cache.insert(key, nbytes=100)
         assert cache.lookup(key)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
+        assert cache.stats.insertions == 1
 
-    def test_content_keyed(self):
-        cache = FilteredProjectionCache()
-        cache.insert(self.key(dataset="a"), nbytes=10)
-        assert not cache.contains(self.key(dataset="b"))
-        assert not cache.contains(self.key(dataset="a", ramp="hann"))
-        assert cache.contains(self.key(dataset="a"))
+    def test_contains_does_not_count(self, cache):
+        assert not cache.contains(cache_key())
+        cache.insert(cache_key(), nbytes=10)
+        assert cache.contains(cache_key())
+        assert cache.stats.lookups == 0
 
-    def test_lru_eviction_by_bytes(self):
-        cache = FilteredProjectionCache(capacity_bytes=250)
-        a, b, c = self.key("a"), self.key("b"), self.key("c")
+    def test_content_keyed(self, cache):
+        cache.insert(cache_key("a"), nbytes=10)
+        assert not cache.contains(cache_key("b"))
+        assert not cache.contains(cache_key("a", ramp="hann"))
+        assert cache.contains(cache_key("a"))
+
+    def test_lru_eviction_by_bytes(self, cache):
+        a, b, c = cache_key("a"), cache_key("b"), cache_key("c")
         cache.insert(a, nbytes=100)
         cache.insert(b, nbytes=100)
         cache.lookup(a)  # a becomes most-recently-used
@@ -132,20 +203,98 @@ class TestFilteredProjectionCache:
         assert cache.contains(a) and cache.contains(c)
         assert not cache.contains(b)
         assert cache.stats.evictions == 1
+        assert cache.used_bytes == 200 == resummed(cache)
 
-    def test_contains_does_not_count(self):
-        cache = FilteredProjectionCache()
-        cache.contains(self.key())
-        assert cache.stats.lookups == 0
-
-    def test_refreshing_entry_still_enforces_capacity(self):
-        cache = FilteredProjectionCache(capacity_bytes=250)
-        a, b = self.key("a"), self.key("b")
+    def test_refresh_that_grows_an_entry_still_enforces_capacity(self, cache):
+        a, b = cache_key("a"), cache_key("b")
         cache.insert(a, nbytes=100)
         cache.insert(b, nbytes=100)
         cache.insert(a, nbytes=200)  # refresh grows a over capacity
-        assert cache.used_bytes <= 250
+        assert cache.used_bytes == 200 == resummed(cache)
         assert cache.stats.evictions == 1 and not cache.contains(b)
+        assert cache.stats.insertions == 2  # a refresh is not an insertion
+
+    def test_refresh_that_shrinks_an_entry_makes_it_the_newest(self, cache):
+        a, b, c = cache_key("a"), cache_key("b"), cache_key("c")
+        cache.insert(a, nbytes=100)
+        cache.insert(b, nbytes=100)
+        cache.insert(a, nbytes=20)  # refresh shrinks a, moves it to MRU
+        assert cache.used_bytes == 120 == resummed(cache)
+        cache.insert(c, nbytes=150)  # 270 > 250: evicts b (LRU), not a
+        assert cache.used_bytes == 170 == resummed(cache)
+        assert cache.contains(a) and cache.contains(c) and not cache.contains(b)
+        assert cache.stats.evictions == 1 and cache.stats.insertions == 3
+
+    def test_oversize_insert_is_refused(self, cache):
+        # An entry larger than the capacity must be refused up front: once
+        # accepted, no eviction could make it fit.
+        with pytest.raises(ValueError, match="exceeds the cache capacity"):
+            cache.insert(cache_key("big"), nbytes=CAPACITY + 1)
+        assert len(cache) == 0 and cache.used_bytes == 0
+        assert cache.stats.insertions == 0
+
+    def test_oversize_refresh_is_refused_without_corrupting_the_total(self, cache):
+        cache.insert(cache_key("a"), nbytes=40)
+        with pytest.raises(ValueError, match="exceeds the cache capacity"):
+            cache.insert(cache_key("a"), nbytes=CAPACITY + 1)
+        assert cache.used_bytes == 40 == resummed(cache)
+        assert cache.contains(cache_key("a"))
+
+    def test_used_bytes_is_a_resum_through_inserts_refreshes_and_evictions(self, cache):
+        sizes = [90, 40, 120, 10, 250, 0, 60, 70, 200, 5]
+        for step, nbytes in enumerate(sizes):
+            cache.insert(cache_key(f"ds-{step % 4}"), nbytes=nbytes)
+            assert cache.used_bytes == resummed(cache) <= CAPACITY
+
+    def test_insert_needs_a_size_or_a_stack(self, cache):
+        with pytest.raises(ValueError, match="either nbytes or a filtered stack"):
+            cache.insert(cache_key())
+
+    def test_payload_round_trip(self, cache):
+        key, stack = cache_key(), tiny_filtered_stack(seed=7)
+        cache.insert(key, filtered=stack)
+        assert cache.contains(key) and cache.used_bytes == stack.nbytes
+        restored = cache.get_filtered(key)
+        np.testing.assert_array_equal(restored.data, stack.data)
+        np.testing.assert_array_equal(restored.angles, stack.angles)
+        assert restored.filtered is True
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
+
+    def test_size_only_refresh_keeps_the_payload(self, cache):
+        key, stack = cache_key(), tiny_filtered_stack()
+        cache.insert(key, filtered=stack)
+        cache.insert(key, nbytes=stack.nbytes)
+        np.testing.assert_array_equal(cache.get_filtered(key).data, stack.data)
+
+    def test_size_only_entry_misses_on_read(self, cache):
+        key = cache_key("sched-only")
+        cache.insert(key, nbytes=64)
+        assert cache.contains(key)
+        assert cache.get_filtered(key) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
+    def test_memory_store_keeps_a_running_total_not_a_rescan(self):
+        # A re-sum per access was O(n^2) over an eviction loop.  The running
+        # total does not see a mutation made behind the store's back; a
+        # re-sum would.
+        cache = FilteredProjectionCache(capacity_bytes=1000)
+        cache.insert(cache_key("a"), nbytes=100)
+        cache._store._entries[cache_key("a")].nbytes = 999
+        assert cache.used_bytes == 100
+
+    def test_memory_store_never_hashes_the_tag(self, monkeypatch):
+        # The tag is ~30x a dict probe; the scheduler's hot calls must not pay it.
+        def no_tag(self):
+            raise AssertionError("memory store computed CacheKey.tag")
+
+        monkeypatch.setattr(CacheKey, "tag", property(no_tag))
+        cache = FilteredProjectionCache(capacity_bytes=CAPACITY)
+        for dataset in "abc":
+            cache.contains(cache_key(dataset))
+            cache.lookup(cache_key(dataset))
+            cache.insert(cache_key(dataset), nbytes=100)
+        assert cache.get_filtered(cache_key("c")) is None
+        assert cache.stats.evictions == 1
 
     def test_fingerprint_tracks_content(self, small_projections):
         base = fingerprint_stack(small_projections)
@@ -153,6 +302,34 @@ class TestFilteredProjectionCache:
         modified = small_projections.copy()
         modified.data[0, 0, 0] += 1.0
         assert base != fingerprint_stack(modified)
+
+
+@pytest.mark.parametrize(
+    "jobs, seed, counters", [(500, 3, (437, 63, 47, 34)), (1000, 7, (923, 77, 54, 41))]
+)
+def test_replay_is_identical_on_both_stores(tmp_path, jobs, seed, counters):
+    """The policy decides; the store only keeps entries.  Recency is stamped
+    per event on the directory (see stamp_recency), so both stores see the
+    same LRU order and must make every decision alike."""
+    trace = synthetic_trace(jobs, cluster_gpus=16, seed=seed)
+    services = [
+        ReconstructionService(16, policy="slo"),
+        ReconstructionService(
+            16, policy="slo", cache=stamp_recency(FilteredProjectionCache(directory=tmp_path))
+        ),
+    ]
+    memory, directory = (service.replay(trace).as_dict() for service in services)
+    for service in services:
+        stats = service.cache.stats
+        assert (stats.hits, stats.misses, stats.insertions, stats.evictions) == counters
+    assert memory["summary"] == directory["summary"]
+    # Byte-identical, compared by digest: a diff of two megabyte-long JSON
+    # strings would take pytest minutes to render.
+    memory, directory = (
+        hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        for report in (memory, directory)
+    )
+    assert memory == directory
 
 
 # --------------------------------------------------------------------------- #
@@ -847,52 +1024,8 @@ class TestPlanDrivenCacheKeying:
 
 
 # --------------------------------------------------------------------------- #
-# Service-layer bugfix regressions (cache eviction, fingerprint dtype,
-# backlog-cap bypass)
+# Service-layer bugfix regressions (fingerprint dtype, backlog-cap bypass)
 # --------------------------------------------------------------------------- #
-class TestCacheEvictionRegressions:
-    def key(self, dataset):
-        return CacheKey(dataset_id=dataset, ramp_filter="ram-lak", nu=64, nv=64, np_=32)
-
-    def test_oversize_insert_is_rejected(self):
-        # Pre-fix: an entry larger than the capacity was accepted and the
-        # `len > 1` eviction guard kept it resident forever.
-        cache = FilteredProjectionCache(capacity_bytes=100)
-        with pytest.raises(ValueError, match="exceeds the cache capacity"):
-            cache.insert(self.key("big"), nbytes=150)
-        assert len(cache) == 0 and cache.used_bytes == 0
-
-    def test_oversize_refresh_is_rejected_without_corrupting_accounting(self):
-        cache = FilteredProjectionCache(capacity_bytes=100)
-        cache.insert(self.key("a"), nbytes=40)
-        with pytest.raises(ValueError, match="exceeds the cache capacity"):
-            cache.insert(self.key("a"), nbytes=150)
-        assert cache.used_bytes == 40 and cache.contains(self.key("a"))
-
-    def test_used_bytes_is_a_running_total_not_a_rescan(self):
-        # Pre-fix, used_bytes re-summed every entry on each access (O(n^2)
-        # over an eviction loop).  A running total does not see mutations
-        # made behind the cache's back; the re-sum did.
-        cache = FilteredProjectionCache(capacity_bytes=1000)
-        cache.insert(self.key("a"), nbytes=100)
-        next(iter(cache._entries.values())).nbytes = 999
-        assert cache.used_bytes == 100
-
-    def test_running_total_tracks_insert_refresh_and_eviction(self):
-        cache = FilteredProjectionCache(capacity_bytes=100)
-        a, b, c = self.key("a"), self.key("b"), self.key("c")
-        cache.insert(a, nbytes=40)
-        cache.insert(b, nbytes=40)
-        cache.insert(a, nbytes=10)  # refresh shrinks a, moves it to MRU
-        assert cache.used_bytes == 50
-        cache.insert(c, nbytes=60)  # 110 > 100: evicts b (LRU)
-        assert cache.used_bytes == 70
-        assert cache.contains(a) and cache.contains(c) and not cache.contains(b)
-        assert cache.stats.evictions == 1
-        # The running total always agrees with a ground-truth re-sum.
-        assert cache.used_bytes == sum(e.nbytes for e in cache._entries.values())
-
-
 class TestFingerprintDtypeRegression:
     def test_dtype_reinterpretation_changes_fingerprint(self):
         from repro.core.types import ProjectionStack

@@ -35,6 +35,7 @@ from repro.obs import MetricsRegistry
 from repro.service import (
     AdmissionPolicy,
     CacheKey,
+    FilteredProjectionCache,
     JobState,
     JobStore,
     OnDiskFilteredCache,
@@ -263,7 +264,10 @@ class TestJobStore:
 
 
 # --------------------------------------------------------------------------- #
-# On-disk filtered-projection cache
+# The filtered-projection cache's directory store.  Policy properties (LRU,
+# refresh, oversize refusal, payload round trip) are held on both stores by
+# tests/test_service.py::TestFilteredProjectionCache; these are the
+# directory's own: sharing, on-disk layout, and damaged files.
 # --------------------------------------------------------------------------- #
 def disk_key(dataset_id: str, **kwargs) -> CacheKey:
     fields = dict(dataset_id=dataset_id, ramp_filter="ram-lak",
@@ -272,65 +276,125 @@ def disk_key(dataset_id: str, **kwargs) -> CacheKey:
     return CacheKey(**fields)
 
 
-class TestOnDiskFilteredCache:
-    def test_payload_round_trip(self, tmp_path):
-        cache = OnDiskFilteredCache(tmp_path, capacity_bytes=1 << 20)
-        key = disk_key("ds-1")
-        stack = make_filtered_stack(seed=7)
-        assert cache.lookup(key) is False
-        cache.insert(key, filtered=stack)
-        assert cache.contains(key)
-        restored = cache.get_filtered(key)
-        np.testing.assert_array_equal(restored.data, stack.data)
-        np.testing.assert_array_equal(restored.angles, stack.angles)
-        assert restored.filtered is True
+#: Meta-file contents that are not an entry: not UTF-8, not an object, and
+#: an object whose ``nbytes`` is not a non-negative integer.
+UNREADABLE_META = {
+    "not-utf8": b"\xff\xfe",
+    "not-an-object": b"[1]",
+    "nbytes-not-an-int": b'{"nbytes": "x", "payload": true}',
+}
 
+
+def damage(path: Path, how: str) -> None:
+    blob = bytearray(path.read_bytes())
+    if how == "truncate-half":
+        del blob[len(blob) // 2:]
+    else:
+        offset = len(blob) // 2 if how == "flip-mid" else len(blob) - 10
+        blob[offset] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+class TestDirectoryCache:
     def test_second_instance_sees_entries(self, tmp_path):
-        first = OnDiskFilteredCache(tmp_path, capacity_bytes=1 << 20)
+        first = FilteredProjectionCache(1 << 20, directory=tmp_path)
         key = disk_key("ds-shared")
         first.insert(key, filtered=make_filtered_stack(seed=1))
         # A different instance (as a different process would build) hits.
-        second = OnDiskFilteredCache(tmp_path, capacity_bytes=1 << 20)
+        second = FilteredProjectionCache(1 << 20, directory=tmp_path)
         assert second.lookup(key) is True
         assert second.get_filtered(key) is not None
         assert second.stats.hits == 2
 
-    def test_lru_eviction_by_byte_budget(self, tmp_path):
-        cache = OnDiskFilteredCache(tmp_path, capacity_bytes=250)
-        a, b, c = disk_key("a"), disk_key("b"), disk_key("c")
-        cache.insert(a, nbytes=100)
-        cache.insert(b, nbytes=100)
-        # Make the recency order unambiguous (mtime is the LRU clock):
-        # a is oldest, b was touched more recently.
-        os.utime(cache._meta_path(a.tag), (1_000_000, 1_000_000))
-        os.utime(cache._meta_path(b.tag), (2_000_000, 2_000_000))
-        cache.insert(c, nbytes=100)  # 300 > 250: evicts the oldest (a)
-        assert not cache.contains(a)
-        assert cache.contains(b) and cache.contains(c)
-        assert cache.used_bytes <= 250
-        assert cache.stats.evictions == 1
-
-    def test_oversize_insert_is_rejected(self, tmp_path):
-        cache = OnDiskFilteredCache(tmp_path, capacity_bytes=100)
-        with pytest.raises(ValueError, match="exceeds the cache capacity"):
-            cache.insert(disk_key("big"), nbytes=101)
-        assert len(cache) == 0
-
-    def test_size_only_entry_misses_functional_read(self, tmp_path):
-        cache = OnDiskFilteredCache(tmp_path, capacity_bytes=1 << 20)
-        key = disk_key("sched-only")
-        cache.insert(key, nbytes=64)
-        assert cache.contains(key)
-        assert cache.get_filtered(key) is None
-        assert cache.stats.misses == 1
-
     def test_eviction_survives_missing_payload_file(self, tmp_path):
-        cache = OnDiskFilteredCache(tmp_path, capacity_bytes=1 << 20)
+        cache = FilteredProjectionCache(1 << 20, directory=tmp_path)
         key = disk_key("gone")
         cache.insert(key, filtered=make_filtered_stack())
         # Simulate a concurrent eviction between meta read and payload load.
-        cache._payload_path(cache._entries()[0][1]).unlink()
+        (tmp_path / f"{key.tag}.npz").unlink()
         assert cache.get_filtered(key) is None  # a miss, not an error
+        assert cache.stats.misses == 1
+
+    def test_entry_layout_is_meta_json_plus_npz_by_tag(self, tmp_path):
+        """A directory written by an earlier release stays warm: same names,
+        same meta bytes, same archive members."""
+        key, stack = disk_key("ds-layout"), make_filtered_stack(seed=3)
+        FilteredProjectionCache(1 << 20, directory=tmp_path).insert(key, filtered=stack)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{key.tag}.meta.json", f"{key.tag}.npz"
+        ]
+        meta = {"dataset_id": key.dataset_id, "filter_key": key.filter_key,
+                "nbytes": stack.nbytes, "payload": True}
+        assert (tmp_path / f"{key.tag}.meta.json").read_text(encoding="utf-8") == (
+            json.dumps(meta, sort_keys=True)
+        )
+        with np.load(tmp_path / f"{key.tag}.npz") as archive:
+            assert sorted(archive.files) == ["angles", "data"]
+            np.testing.assert_array_equal(archive["data"], stack.data)
+
+    def test_on_disk_filtered_cache_is_the_directory_store(self, tmp_path):
+        # The name perfbench's store probe builds: constructor only.
+        cache = OnDiskFilteredCache(tmp_path, capacity_bytes=1 << 20)
+        assert isinstance(cache, FilteredProjectionCache)
+        key, stack = disk_key("probe"), make_filtered_stack()
+        cache.insert(key, filtered=stack)
+        assert FilteredProjectionCache(directory=tmp_path).contains(key)
+        np.testing.assert_array_equal(cache.get_filtered(key).data, stack.data)
+
+    @pytest.mark.parametrize("content", UNREADABLE_META.values(), ids=UNREADABLE_META)
+    def test_unreadable_meta_is_an_absent_entry(self, tmp_path, content):
+        key = disk_key("ds-corrupt")
+        (tmp_path / f"{key.tag}.meta.json").write_bytes(content)
+        (tmp_path / "deadbeefdeadbeef.meta.json").write_bytes(content)
+        cache = FilteredProjectionCache(100, directory=tmp_path)
+        assert not cache.contains(key)
+        assert not cache.lookup(key)
+        assert cache.get_filtered(key) is None
+        assert len(cache) == 0 and cache.used_bytes == 0
+        assert cache.stats.misses == 2
+        cache.insert(disk_key("other"), nbytes=60)
+        cache.insert(key, nbytes=60)  # overwrites the bad meta; evicts "other"
+        assert cache.contains(key) and not cache.contains(disk_key("other"))
+        assert cache.used_bytes == 60 and cache.stats.evictions == 1
+
+    @pytest.mark.parametrize("content", UNREADABLE_META.values(), ids=UNREADABLE_META)
+    def test_unreadable_meta_does_not_take_the_service_down(self, tmp_path, content):
+        (tmp_path / "deadbeefdeadbeef.meta.json").write_bytes(content)
+        service = ReconstructionService(16, cache_dir=tmp_path)
+        job = make_job(dataset_id="ds-1")
+        assert service.submit(job, now=0.0)
+        service.run_until_idle()
+        assert job.state is JobState.COMPLETED
+        assert service.cache.contains(job.cache_key)
+
+    @pytest.mark.parametrize("how", ["flip-mid", "flip-10-from-end", "truncate-half"])
+    def test_damaged_payload_is_a_counted_miss(self, tmp_path, how):
+        cache = FilteredProjectionCache(1 << 20, directory=tmp_path)
+        key = disk_key("ds-damaged")
+        cache.insert(key, filtered=make_filtered_stack())
+        damage(tmp_path / f"{key.tag}.npz", how)
+        assert cache.get_filtered(key) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        cache.insert(key, filtered=make_filtered_stack())  # the refilter heals it
+        assert cache.get_filtered(key) is not None
+
+    def test_no_flip_or_cut_of_a_payload_raises_or_serves_wrong_bits(self, tmp_path):
+        cache = FilteredProjectionCache(1 << 20, directory=tmp_path)
+        key, stack = disk_key("ds-sweep"), make_filtered_stack()
+        cache.insert(key, filtered=stack)
+        payload = tmp_path / f"{key.tag}.npz"
+        good = payload.read_bytes()
+        damaged = [good[:cut] for cut in range(0, len(good), 7)]
+        for offset in range(len(good)):
+            blob = bytearray(good)
+            blob[offset] ^= 0xFF
+            damaged.append(bytes(blob))
+        for blob in damaged:
+            payload.write_bytes(blob)
+            restored = cache.get_filtered(key)
+            if restored is not None:  # only the zip's unchecked header fields
+                np.testing.assert_array_equal(restored.data, stack.data)
+                np.testing.assert_array_equal(restored.angles, stack.angles)
 
 
 # --------------------------------------------------------------------------- #
