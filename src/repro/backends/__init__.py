@@ -12,7 +12,8 @@ ramp filtering and back-projection through a named
 ``vectorized`` / ``blocked`` / ``parallel``
     Three names of one :class:`~repro.backends.tiled.TiledBackend`: fully
     batched NumPy kernels (per-projection geometry hoisted per Theorems
-    2/3, fused weight·fetch·accumulate, single-precision real-FFT filtering) run over
+    2/3, fused weight·fetch·accumulate, single-precision real-FFT filtering
+    at the shortest exact transform length) run over
     (z, y) tiles under a byte budget and fixed detector-row groups, on a
     persistent worker pool.  ``vectorized`` and ``blocked`` run one worker
     inline; ``parallel`` fans out (``workers=N``).  Bit-identical at every
@@ -31,7 +32,8 @@ First ask whether it is a new *kernel* (add it to
 new execution strategy.  For the latter subclass
 :class:`~repro.backends.base.ComputeBackend`, implement ``apply_filter``
 (padded float32 row group in, final float32 rows out) and ``accumulator``,
-give it a unique ``name`` and call
+optionally set ``ramp_response`` (the ramp table, and with it the pad;
+the canonical power-of-two one by default), give it a unique ``name`` and call
 :func:`register_backend`.  The new backend must pass the conformance
 matrix in ``tests/test_backend_conformance.py`` (≤ 1e-5 relative RMSE
 against ``reference`` on every preset/dtype/slab combination) before it is

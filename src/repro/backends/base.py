@@ -21,7 +21,10 @@ A backend implements two primitives:
     shared code (:func:`~repro.core.filtering.filter_projections`), so a
     backend owns the FFT convolution and its precision: ``reference`` a
     complex FFT and float64 product (the goldens' bits), the tiled backends
-    the paper's single-precision real FFT (~9e-8 relative RMSE apart).
+    the paper's single-precision real FFT (~1e-7 relative RMSE apart).
+    Beside it, ``ramp_response(nu, tau, window)`` picks the table and with
+    it the padded length: the canonical power of two by default, the
+    shortest exact length on the tiled backends (the same kernel taps).
 
 ``accumulator(geometry, algorithm=..., z_range=...)``
     Return a :class:`VolumeAccumulator` bound to one geometry and Z slab.
@@ -72,7 +75,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.filtering import fdk_normalization, filter_projections
+from ..core.filtering import (
+    fdk_normalization,
+    filter_projections,
+    ramp_filter_frequency_response,
+)
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, Volume
 from ..obs import get_tracer
@@ -203,6 +210,11 @@ class ComputeBackend(abc.ABC):
     #: :func:`~repro.core.filtering.filter_projections`' ``dispatch``: how
     #: a backend spreads row groups over its threads (``None``: it has none).
     dispatch_filter = None
+    #: :func:`~repro.core.filtering.filter_projections`' ``ramp_response``:
+    #: ``(nu, tau, window)`` to the frequency table :meth:`apply_filter`
+    #: multiplies by, whose length is the pad.  The canonical power-of-two
+    #: table here; the tiled backends take the shortest exact one.
+    ramp_response = staticmethod(ramp_filter_frequency_response)
 
     @abc.abstractmethod
     def apply_filter(
@@ -213,7 +225,7 @@ class ComputeBackend(abc.ABC):
         ``rows`` is ``(n, pad)`` float32: the cosine-weighted samples in
         ``[:, :Nu]``, zeros beyond — read, never written (the zeros are the
         next group's padding too).  ``response`` is the ``pad``-long table of
-        :func:`repro.core.filtering.ramp_filter_frequency_response`; the
+        :attr:`ramp_response`; the
         result times ``tau`` (the Riemann-sum factor) and the constant
         ``scale`` goes into the ``(n, Nu)`` float32 ``out`` — the final
         filtered rows: nothing rescales or narrows them afterwards.
@@ -263,6 +275,7 @@ class ComputeBackend(abc.ABC):
                 redundancy=redundancy,
                 convolve=self.apply_filter,
                 dispatch=self.dispatch_filter,
+                ramp_response=self.ramp_response,
             )
 
     def backproject(

@@ -65,6 +65,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.filtering import shortest_ramp_filter_response
 from ..core.geometry import CBCTGeometry
 from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
 from ..obs import get_tracer
@@ -453,6 +454,7 @@ class TiledBackend(ComputeBackend):
         return self._pool.workers
 
     apply_filter = staticmethod(rfft_ramp_filter)
+    ramp_response = staticmethod(shortest_ramp_filter_response)
 
     def dispatch_filter(self, filter_groups, groups) -> None:
         """Deal contiguous ranges of the row groups to the pool's workers.

@@ -16,6 +16,9 @@ for NumPy throughput:
   precision end to end — the ramp response is real and even, so multiplying
   the half-spectrum is mathematically identical to the complex FFT path at
   half the transform work, and float32 transforms halve the bytes again.
+  The tiled backends transform at the shortest exact length
+  (:func:`repro.core.filtering.shortest_ramp_filter_response`: 768, not
+  1024, for a 384-wide row).
 * **Proposed back-projection (Algorithm 4)** hoists everything Theorems 2
   and 3 allow out of the Z loop *and* fuses the remaining work: for each
   projection the per-column detector coordinate ``u``, reciprocal ``f=1/z``
@@ -110,14 +113,17 @@ def rfft_ramp_filter(
     The group kernel of :func:`repro.core.filtering.filter_projections` at
     the paper's precision (Alg. 1 is single precision): ``rfft`` of the padded
     rows as they stand, the complex64 half-spectrum times the float32
-    half-response with ``tau * scale`` folded in (``pad/2 + 1`` float64
+    half-response with ``tau * scale`` folded in (``pad//2 + 1`` float64
     products rounded once, 1-2 µs a call), in place, and the float32
-    ``irfft``'s first ``Nu`` columns copied into ``out``.  The ramp kernel is
-    real and even, so this is the full complex-FFT product; against
-    ``reference``'s complex128 one the rows differ by ~9e-8 relative RMSE, at
-    most ~9e-7 of the RMS at a sample (bounded at 1e-6 / 5e-6 by
-    ``tests/test_filter_fusion.py``).  A row's bits do not depend on the rows
-    it shares a call with.  SciPy takes no ``out=``: its outputs are allocated.
+    ``irfft``'s first ``Nu`` columns copied into ``out``.  ``pad`` is the
+    response's length, whatever it is (even or odd): the tiled backends hand
+    in :func:`~repro.core.filtering.shortest_ramp_filter_response`'s.  The
+    ramp kernel is real and even, so this is the full complex-FFT product;
+    against ``reference``'s complex128 one at the canonical pad the rows
+    differ by ~1e-7 relative RMSE, at most ~1.4e-6 of the RMS at a sample
+    (bounded at 1e-6 / 5e-6 by ``tests/test_filter_fusion.py``).  A row's
+    bits do not depend on the rows it shares a call with.  SciPy takes no
+    ``out=``: its outputs are allocated.
     """
     pad = rows.shape[-1]
     if pad != response.shape[0] or pad < out.shape[-1]:

@@ -44,7 +44,9 @@ __all__ = [
     "RAMP_FILTERS",
     "cosine_weight_table",
     "ramp_kernel_spatial",
+    "canonical_fft_length",
     "ramp_filter_frequency_response",
+    "shortest_ramp_filter_response",
     "apply_ramp_filter",
     "apply_ramp_filter_into",
     "filter_projections",
@@ -119,13 +121,16 @@ def _window(name: str, freqs: np.ndarray, nyquist: float) -> np.ndarray:
 RAMP_FILTERS = ("ram-lak", "shepp-logan", "cosine", "hamming", "hann")
 
 
+def canonical_fft_length(nu: int) -> int:
+    """The ramp filter's canonical transform length: the next power of two
+    ≥ ``2 * nu`` (linear, not circular, convolution).  The length the window
+    is sampled at, and the ``reference`` backend's transform length."""
+    return 1 << (max(2 * nu, 2) - 1).bit_length()
+
+
 @lru_cache(maxsize=8)
 def ramp_filter_frequency_response(
-    nu: int,
-    tau: float,
-    window: str = "ram-lak",
-    *,
-    pad_to: Optional[int] = None,
+    nu: int, tau: float, window: str = "ram-lak"
 ) -> np.ndarray:
     """Frequency response of the (windowed) ramp filter (cached, read-only).
 
@@ -137,21 +142,49 @@ def ramp_filter_frequency_response(
         Sample pitch (mm) of the detector row on the virtual detector.
     window:
         One of :data:`RAMP_FILTERS`.
-    pad_to:
-        FFT length; defaults to the next power of two ≥ ``2 * nu`` (linear,
-        not circular, convolution).
+
+    The table is :func:`canonical_fft_length` long.
     """
     if window not in RAMP_FILTERS:
         raise ValueError(f"unknown ramp filter window {window!r}; valid: {RAMP_FILTERS}")
-    if pad_to is None:
-        pad_to = 1 << int(np.ceil(np.log2(max(2 * nu, 2))))
-    if pad_to < nu:
-        raise ValueError("pad_to must be at least the row length")
-    kernel = ramp_kernel_spatial(pad_to, tau)
+    length = canonical_fft_length(nu)
+    kernel = ramp_kernel_spatial(length, tau)
     response = np.real(_fft.fft(kernel))
-    freqs = np.fft.fftfreq(pad_to, d=tau)
+    freqs = np.fft.fftfreq(length, d=tau)
     nyquist = 1.0 / (2.0 * tau)
     response = response * _window(window, freqs, nyquist)
+    response.setflags(write=False)
+    return response
+
+
+@lru_cache(maxsize=8)
+def shortest_ramp_filter_response(
+    nu: int, tau: float, window: str = "ram-lak"
+) -> np.ndarray:
+    """:func:`ramp_filter_frequency_response` at the shortest exact transform
+    length ``L = next_fast_len(2 * nu - 1, real=True)`` (cached, read-only).
+
+    A linear convolution of ``nu`` samples reads only the kernel's taps at
+    offsets ``|d| <= nu - 1``, and any circular length ``L >= 2 * nu - 1``
+    keeps those from wrapping onto each other.  So the canonical table is
+    brought back to taps, the taps a row can reach are kept, and they are
+    transformed at ``L``: the same kernel, windowed once on the canonical grid
+    and never re-sampled, so rows convolved through either table differ by
+    round-off only (~1e-15 relative in float64).  Where ``L`` is the
+    canonical length (``nu`` a power of two) the canonical table itself is
+    returned.
+    """
+    canonical = ramp_filter_frequency_response(nu, tau, window)
+    length = _fft.next_fast_len(2 * nu - 1, real=True)
+    if length == canonical.shape[0]:
+        return canonical
+    taps = np.real(_fft.ifft(canonical))
+    reach = nu - 1
+    short = np.zeros(length, dtype=np.float64)
+    short[: reach + 1] = taps[: reach + 1]
+    if reach:
+        short[-reach:] = taps[-reach:]
+    response = np.real(_fft.fft(short))
     response.setflags(write=False)
     return response
 
@@ -191,15 +224,18 @@ def apply_ramp_filter(
 #:      64  107               275               167
 #:     256  107               284               167
 #:     512  106               352               163
-#: (``float64``: 256 rows, before the transforms went single precision.)  One
-#: worker is flat from 64 to 256 rows, so 256 stays.  Traps met:
+#: (``float64``: 256 rows, before the transforms went single precision.  The
+#: sweep ran at the canonical power-of-two pad; the tiled backends now pad to
+#: the shortest exact length, 768 instead of 1024 for the 384-wide detector.)
+#: One worker is flat from 64 to 256 rows, so 256 stays.  Traps met:
 #: * Never judge a grouping by a warm loop: 1-2 MB temporaries sit just above
 #:   glibc's dynamic trim threshold and are returned and page-faulted again
 #:   every group in a fresh process (+38 %).  Own the buffers; set no knob.
 #:   The transforms' own outputs cannot be owned (SciPy takes no ``out=``;
-#:   NumPy's FFT does and is 40 % slower): at 1 MB each (256 rows, 384- or
-#:   512-wide) they stay on the heap, at 1.25 MB (320 rows) the filter alone
-#:   goes 182 -> 250 ms on 384x384x96 — the 512-row line's 352.
+#:   NumPy's FFT does and is 40 % slower): at 1 MB each (256 rows at a
+#:   1024 pad; 0.75 MB at 768) they stay on the heap, at 1.25 MB (320 rows,
+#:   1024 pad) the filter alone went 182 -> 250 ms on 384x384x96 — the
+#:   512-row line's 352.
 #: * Keep the buffers per thread and never dispatch a one-group stack: an
 #:   iFDK rank filters one 96-row projection per call (set-up: +2.5 %).
 GROUP_ROWS = 256
@@ -235,6 +271,7 @@ def filter_projections(
     redundancy: Optional[np.ndarray] = None,
     convolve: Callable[..., None] = apply_ramp_filter_into,
     dispatch: Optional[Callable[..., None]] = None,
+    ramp_response: Callable[..., np.ndarray] = ramp_filter_frequency_response,
 ) -> ProjectionStack:
     """Algorithm 1: cosine weighting followed by row-wise ramp filtering.
 
@@ -259,6 +296,11 @@ def filter_projections(
     padded float32 rows in, the ``τ · scale``-scaled float32 rows out.
     ``dispatch(filter_groups, groups)`` decides which thread filters which
     ``(projection, first row, stop row)`` groups (default: the caller, all).
+    ``ramp_response(nu, tau, window)`` is the frequency table the kernel
+    multiplies by (:attr:`ComputeBackend.ramp_response
+    <repro.backends.base.ComputeBackend.ramp_response>`; default the canonical
+    :func:`ramp_filter_frequency_response`); its length ``L`` is the padded
+    length, so each thread's row buffer is ``(rows, L)`` float32.
     """
     if stack.nu != geometry.nu or stack.nv != geometry.nv:
         raise ValueError(
@@ -268,7 +310,7 @@ def filter_projections(
     fcos = cosine_weight_table(geometry)
     # Virtual-detector pitch: detector pitch scaled back to the rotation axis.
     tau = geometry.du * geometry.sad / geometry.sdd
-    response = ramp_filter_frequency_response(geometry.nu, tau, window)
+    response = ramp_response(geometry.nu, tau, window)
     if redundancy is not None:
         redundancy = np.asarray(redundancy, dtype=np.float64)
         if redundancy.shape != (stack.np_, stack.nu):

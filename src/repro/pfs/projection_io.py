@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.types import ProjectionStack
+from ..core.types import DEFAULT_DTYPE, ProjectionStack
 from .storage import SimulatedPFS
 
 __all__ = [
@@ -59,8 +59,12 @@ def read_projection_subset(
             raise IndexError(
                 f"projection index {index} outside dataset of {len(angles)} projections"
             )
-    # Stacked straight from read-only views of the objects read: one copy each.
-    return ProjectionStack(
-        data=np.stack([pfs.read_view(projection_object_name(i)) for i in indices]),
-        angles=np.asarray(angles[indices], dtype=np.float64),
-    )
+    # The first object sets the chunk's shape and is copied in from a view;
+    # the rest are read straight into their slices of the one float32 chunk
+    # (cast only if stored wider), and one of another shape is refused.
+    first = pfs.read_view(projection_object_name(indices[0]))
+    data = np.empty((len(indices),) + first.shape, dtype=DEFAULT_DTYPE)
+    data[0] = first
+    for slot, index in enumerate(indices[1:], start=1):
+        pfs.read_into(projection_object_name(index), data[slot])
+    return ProjectionStack(data=data, angles=np.asarray(angles[indices], dtype=np.float64))

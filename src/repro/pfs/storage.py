@@ -24,7 +24,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -135,7 +135,7 @@ class SimulatedPFS:
 
     def read_view(self, name: str) -> np.ndarray:
         """:meth:`read_array` without its copy: a read-only array over the bytes
-        read, for a caller that copies anyway (stacking projections)."""
+        read, for a caller that copies anyway."""
         with self._lock:
             if self.root_dir is not None:
                 path = self._path_for(name)
@@ -143,14 +143,57 @@ class SimulatedPFS:
                     raise KeyError(f"no PFS object named {name!r}")
                 blob = path.read_bytes()
             else:
-                if name not in self._objects:
-                    raise KeyError(f"no PFS object named {name!r}")
-                blob = self._objects[name]
-            seconds = self.config.read_seconds(len(blob))
-            self.stats.bytes_read += len(blob)
-            self.stats.files_read += 1
-            self.stats.modelled_read_seconds += seconds
+                blob = self._stored(name)
+            self._count_read(len(blob))
         return _decode_blob(blob, name)
+
+    def read_into(self, name: str, out: np.ndarray) -> None:
+        """:meth:`read_array` into ``out``, which must have the stored shape.
+
+        The same lock, statistics (one file, its full size) and header checks
+        as :meth:`read_array`.  When ``out`` has the stored dtype and is
+        contiguous, the payload goes straight into it — a file's with one
+        ``readinto``, an in-memory object's with one copy; otherwise the object
+        is decoded and cast.  A stored shape other than ``out``'s is a
+        ``ValueError`` naming the object and both shapes, never a broadcast.
+        """
+        with self._lock:
+            if self.root_dir is None:
+                blob = self._stored(name)
+                size = len(blob)
+            else:
+                try:
+                    handle = self._path_for(name).open("rb")
+                except FileNotFoundError:
+                    raise KeyError(f"no PFS object named {name!r}") from None
+                with handle:
+                    size = os.fstat(handle.fileno()).st_size
+                    head = handle.read(4)
+                    head += handle.read(min(int.from_bytes(head, "little"), max(size - 4, 0)))
+                    dtype, shape, _ = _parse_header(head, size, name)
+                    _check_shape(name, shape, out.shape)
+                    if dtype == out.dtype and out.flags.c_contiguous:
+                        blob = None
+                        if handle.readinto(memoryview(out).cast("B")) != out.nbytes:
+                            raise ValueError(f"corrupt PFS object {name!r}: payload cut short")
+                    else:
+                        blob = head + handle.read()
+            self._count_read(size)
+        if blob is not None:
+            stored = _decode_blob(blob, name)
+            _check_shape(name, stored.shape, out.shape)
+            out[...] = stored
+
+    def _stored(self, name: str) -> bytes:
+        if name not in self._objects:
+            raise KeyError(f"no PFS object named {name!r}")
+        return self._objects[name]
+
+    def _count_read(self, nbytes: int) -> None:
+        seconds = self.config.read_seconds(nbytes)
+        self.stats.bytes_read += nbytes
+        self.stats.files_read += 1
+        self.stats.modelled_read_seconds += seconds
 
     def exists(self, name: str) -> bool:
         with self._lock:
@@ -196,29 +239,45 @@ def _encode_header(array: np.ndarray) -> bytes:
     return len(header).to_bytes(4, "little") + header
 
 
-def _decode_blob(blob: bytes, name: str) -> np.ndarray:
-    """Parse a blob read back from storage into a read-only array over its
-    payload bytes (no copy); ``name`` is for the error only.
+def _parse_header(
+    head: bytes, size: int, name: str
+) -> Tuple[np.dtype, Tuple[int, ...], int]:
+    """``(dtype, shape, payload offset)`` of a stored ``size``-byte object
+    whose first bytes are ``head`` — its whole header, if it has one that
+    fits; ``name`` is for the error only.
 
     An on-disk object is outside input: the header is parsed as a literal,
     never evaluated, and a torn or foreign one is a ``ValueError`` naming
     the object — not a traceback from inside NumPy, and never code run.
     """
     try:
-        header_len = int.from_bytes(blob[:4], "little")
-        if len(blob) < 4 + header_len:
-            raise ValueError(f"header of {header_len} bytes in a {len(blob)}-byte object")
-        header = ast.literal_eval(blob[4 : 4 + header_len].decode("ascii"))
+        header_len = int.from_bytes(head[:4], "little")
+        if len(head) < 4 or size < 4 + header_len or len(head) < 4 + header_len:
+            raise ValueError(f"header of {header_len} bytes in a {size}-byte object")
+        header = ast.literal_eval(head[4 : 4 + header_len].decode("ascii"))
         if not isinstance(header, dict):
             raise ValueError("header is not a dictionary")
         dtype = np.lib.format.descr_to_dtype(header["descr"])
         shape = tuple(header["shape"])
         if dtype.hasobject or not all(isinstance(n, int) and n >= 0 for n in shape):
             raise ValueError(f"unusable dtype {dtype!r} / shape {shape!r}")
-        payload_bytes = len(blob) - 4 - header_len
+        payload_bytes = size - 4 - header_len
         expected = dtype.itemsize * math.prod(shape)
         if payload_bytes != expected:
             raise ValueError(f"payload is {payload_bytes} bytes, header promises {expected}")
-        return np.frombuffer(blob, dtype=dtype, offset=4 + header_len).reshape(shape)
+        return dtype, shape, 4 + header_len
     except (ValueError, SyntaxError, KeyError, TypeError, MemoryError, RecursionError) as exc:
         raise ValueError(f"corrupt PFS object {name!r}: {exc}") from exc
+
+
+def _decode_blob(blob: bytes, name: str) -> np.ndarray:
+    """A stored object as a read-only array over its payload bytes (no copy)."""
+    dtype, shape, offset = _parse_header(blob, len(blob), name)
+    return np.frombuffer(blob, dtype=dtype, offset=offset).reshape(shape)
+
+
+def _check_shape(name: str, stored: Tuple[int, ...], expected: Tuple[int, ...]) -> None:
+    if stored != expected:
+        raise ValueError(
+            f"corrupt PFS object {name!r}: shape {stored} where {expected} is expected"
+        )

@@ -34,8 +34,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-import numpy as np
-
+from ..core.filtering import canonical_fft_length
 from ..core.geometry import CBCTGeometry
 
 __all__ = [
@@ -80,26 +79,23 @@ def plan_chunks(num_projections: int, chunk_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _fft_pad(nu: int) -> int:
-    """FFT length of the ramp filter: next power of two >= ``2 * nu``."""
-    return 1 << int(np.ceil(np.log2(max(2 * nu, 2))))
-
-
 def per_projection_working_set_bytes(geometry: CBCTGeometry) -> int:
     """Budgeted transient bytes per ``(Nv, Nu)`` projection of a chunk.
 
     The formula is the whole-chunk filter as it was written — raw rows,
     weighted product, float64 redundancy intermediate, complex128 spectrum
-    and float64 inverse over the padded length, filtered output — kept as the
-    unit of account: budgets, chunk counts and stored plans are expressed in
-    it.  No backend allocates those wide buffers per chunk any more and a run
-    holds far less (``tests/test_streaming.py`` traces one): the filter is
-    fused per row group, so a chunk in flight is its raw and filtered
-    float32 rows, one chunk at a time, plus each filtering thread's
-    :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
+    and float64 inverse over the canonical padded length
+    (:func:`~repro.core.filtering.canonical_fft_length`), filtered output —
+    kept as the unit of account: budgets, chunk counts and stored plans are
+    expressed in it.  It is not what runs.  No backend allocates those wide
+    buffers per chunk any more, the tiled backends transform at a shorter
+    length, and a run holds far less (``tests/test_streaming.py`` traces
+    one): the filter is fused per row group, so a chunk in flight is its raw
+    and filtered float32 rows, one chunk at a time, plus each filtering
+    thread's :data:`~repro.core.filtering.GROUP_ROWS` rows of buffers.
     """
     nv, nu = int(geometry.nv), int(geometry.nu)
-    pad = _fft_pad(nu)
+    pad = canonical_fft_length(nu)
     row_bytes = nv * nu * (4 + 4 + 8 + 4)  # raw + weighted + f64 + filtered
     spectrum_bytes = nv * (pad // 2 + 1) * 16  # complex128 rfft bins, as written
     inverse_bytes = nv * pad * 8  # float64 irfft over the padded length, as written

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from repro.backends import get_backend
 from repro.core.filtering import (
     GROUP_ROWS,
     RAMP_FILTERS,
     apply_ramp_filter,
+    canonical_fft_length,
     cosine_weight_table,
     fdk_normalization,
     filter_projections,
     ramp_filter_frequency_response,
     ramp_kernel_spatial,
+    shortest_ramp_filter_response,
 )
 from repro.core.types import ProjectionStack
 
@@ -74,6 +77,59 @@ class TestRampKernel:
     def test_unknown_window_rejected(self):
         with pytest.raises(ValueError):
             ramp_filter_frequency_response(32, 1.0, "boxcar")
+
+
+SHORTEST_NU = (1, 2, 3, 7, 45, 96, 100, 129, 384, 500, 512)
+
+
+class TestShortestRampResponse:
+    """The tiled backends' table: the canonical kernel's reachable taps,
+    transformed at ``L = next_fast_len(2 Nu - 1, real=True)``."""
+
+    @pytest.mark.parametrize("window", RAMP_FILTERS)
+    @pytest.mark.parametrize("nu", SHORTEST_NU)
+    def test_length_and_float64_convolution_match_the_canonical_table(
+        self, rng, nu, window
+    ):
+        tau = 0.7
+        canonical = ramp_filter_frequency_response(nu, tau, window)
+        short = shortest_ramp_filter_response(nu, tau, window)
+        assert canonical.shape == (canonical_fft_length(nu),)
+        assert short.shape == (next_fast_len(2 * nu - 1, real=True),)
+        assert short.shape[0] <= canonical.shape[0]
+        if short.shape == canonical.shape:
+            assert short is canonical  # nu a power of two: not one bit moves
+        rows = rng.standard_normal((5, nu))
+        through_short = apply_ramp_filter(rows, tau, response=short)
+        through_canonical = apply_ramp_filter(rows, tau, response=canonical)
+        assert through_short.dtype == np.float64
+        scale = np.abs(through_canonical).max()
+        assert np.abs(through_short - through_canonical).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("nu", [45, 384, 512])
+    def test_cached_and_read_only(self, nu):
+        short = shortest_ramp_filter_response(nu, 0.5, "hann")
+        assert short is shortest_ramp_filter_response(nu, 0.5, "hann")
+        assert short is not shortest_ramp_filter_response(nu, 0.5, "ram-lak")
+        with pytest.raises(ValueError, match="read-only"):
+            short[...] = 0
+
+    def test_unknown_window_rejected(self):
+        with pytest.raises(ValueError, match="unknown ramp filter window"):
+            shortest_ramp_filter_response(32, 1.0, "boxcar")
+
+    def test_canonical_length_is_the_next_power_of_two_of_twice_nu(self):
+        for nu in range(1, 2050):
+            assert canonical_fft_length(nu) == 1 << int(np.ceil(np.log2(2 * nu)))
+
+    def test_the_table_is_a_backend_seam(self):
+        """``reference`` keeps the canonical length (the goldens' bits); the
+        tiled names run the shortest one."""
+        assert get_backend("reference").ramp_response(384, 0.5).shape == (1024,)
+        for name in ("vectorized", "blocked", "parallel"):
+            response = get_backend(name).ramp_response(384, 0.5)
+            assert response is shortest_ramp_filter_response(384, 0.5)
+            assert response.shape == (768,)
 
 
 class TestApplyRampFilter:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ from repro.pfs import (
     write_projection_dataset,
     write_volume_slices,
 )
+
+
+#: The two ways to load one object: a fresh array, or into the caller's.
+READERS = {
+    "read_array": lambda pfs, name: pfs.read_array(name),
+    "read_into": lambda pfs, name: pfs.read_into(name, np.empty((4, 4), dtype=np.float32)),
+}
 
 
 class TestPFSConfig:
@@ -58,11 +67,14 @@ class TestSimulatedPFS:
         np.testing.assert_array_equal(pfs.read_array("volumes/test/z1"), data)
         assert len(list(tmp_path.iterdir())) == 1
 
-    def test_missing_object_raises(self):
+    @pytest.mark.parametrize("on_disk", [False, True])
+    @pytest.mark.parametrize("read", READERS)
+    def test_missing_object_raises(self, tmp_path, on_disk, read):
         with pytest.raises(KeyError):
-            SimulatedPFS().read_array("nope")
+            READERS[read](SimulatedPFS(root_dir=tmp_path if on_disk else None), "nope")
 
-    def test_hostile_header_is_refused_not_evaluated(self, tmp_path):
+    @pytest.mark.parametrize("read", READERS)
+    def test_hostile_header_is_refused_not_evaluated(self, tmp_path, read):
         # An on-disk object is outside input; the header used to go
         # through eval().
         pfs = SimulatedPFS(root_dir=tmp_path)
@@ -70,18 +82,20 @@ class TestSimulatedPFS:
         header = f"__import__('pathlib').Path({str(marker)!r}).touch()".encode("ascii")
         (tmp_path / "evil").write_bytes(len(header).to_bytes(4, "little") + header)
         with pytest.raises(ValueError, match="corrupt PFS object 'evil'"):
-            pfs.read_array("evil")
+            READERS[read](pfs, "evil")
         assert not marker.exists()
 
+    @pytest.mark.parametrize("read", READERS)
     @pytest.mark.parametrize("keep", [0, 3, 20, -8])
-    def test_truncated_object_is_a_named_error(self, rng, tmp_path, keep):
+    def test_truncated_object_is_a_named_error(self, rng, tmp_path, keep, read):
         pfs = SimulatedPFS(root_dir=tmp_path)
         pfs.write_array("projections/000007", rng.random((4, 4)).astype(np.float32))
         path = tmp_path / "projections__000007"
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="corrupt PFS object 'projections/000007'"):
-            pfs.read_array("projections/000007")
+            READERS[read](pfs, "projections/000007")
 
+    @pytest.mark.parametrize("read", READERS)
     @pytest.mark.parametrize("header", [
         b"{'descr': '<f4', 'shape': (2, -1)}",
         b"{'descr': '|O', 'shape': (1,)}",
@@ -89,12 +103,41 @@ class TestSimulatedPFS:
         b"['<f4', (2,)]",
         b"\xff\xfe",
     ])
-    def test_malformed_header_is_a_named_error(self, tmp_path, header):
+    def test_malformed_header_is_a_named_error(self, tmp_path, header, read):
         pfs = SimulatedPFS(root_dir=tmp_path)
         blob = len(header).to_bytes(4, "little") + header + bytes(8)
         (tmp_path / "x").write_bytes(blob)
         with pytest.raises(ValueError, match="corrupt PFS object 'x'"):
-            pfs.read_array("x")
+            READERS[read](pfs, "x")
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    @pytest.mark.parametrize("stored", ["float32", "float64"])
+    def test_read_into_fills_out_and_counts_one_read(self, rng, tmp_path, on_disk, stored):
+        """Straight into ``out`` when the dtype matches, decoded and cast when
+        it does not (a float64 dataset still loads); either way one file read
+        of the object's full size, as :meth:`read_array` counts it."""
+        pfs = SimulatedPFS(root_dir=tmp_path if on_disk else None)
+        data = rng.standard_normal((3, 5)).astype(stored)
+        pfs.write_array("a", data)
+        out = np.full((3, 5), np.nan, dtype=np.float32)
+        pfs.read_into("a", out)
+        np.testing.assert_array_equal(out, data.astype(np.float32))
+        assert pfs.stats.files_read == 1
+        assert pfs.stats.bytes_read == pfs.stats.bytes_written
+        wide = np.empty((3, 5), dtype=np.float64)
+        pfs.read_into("a", wide[:, ::-1])  # not contiguous: decoded and copied
+        np.testing.assert_array_equal(wide[:, ::-1], data.astype(np.float64))
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_read_into_refuses_another_shape(self, rng, tmp_path, on_disk):
+        pfs = SimulatedPFS(root_dir=tmp_path if on_disk else None)
+        pfs.write_array("a", rng.random((1, 5)).astype(np.float32))
+        out = np.zeros((4, 5), dtype=np.float32)
+        with pytest.raises(
+            ValueError, match=r"corrupt PFS object 'a': shape \(1, 5\) where \(4, 5\)"
+        ):
+            pfs.read_into("a", out)
+        assert not out.any()
 
     def test_good_object_round_trips_bit_identically_and_counts_one_read(self, rng, tmp_path):
         pfs = SimulatedPFS(root_dir=tmp_path)
@@ -153,9 +196,24 @@ class TestProjectionIO:
         np.testing.assert_array_equal(subset.data[0], small_projections.data[3])
         np.testing.assert_array_equal(subset.data[1], small_projections.data[0])
         assert subset.angles[2] == pytest.approx(small_projections.angles[5])
-        # Stacked from read-only views of the objects: still the caller's own.
+        # Read into one preallocated chunk: the caller's own.
         assert subset.data.flags.writeable and subset.data.dtype == np.float32
         assert pfs.stats.files_read == 4  # the angles object and three projections
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_a_misshaped_projection_is_named_not_broadcast(self, rng, tmp_path, on_disk):
+        """One ``(1, 5)`` object among ``(4, 5)`` ones must not be broadcast
+        over the rows of its slice: a named error with both shapes."""
+        pfs = SimulatedPFS(root_dir=tmp_path if on_disk else None)
+        stack = ProjectionStack(
+            data=rng.random((6, 4, 5)).astype(np.float32), angles=np.arange(6.0)
+        )
+        write_projection_dataset(pfs, stack)
+        pfs.write_array(projection_object_name(3), rng.random((1, 5)).astype(np.float32))
+        with pytest.raises(ValueError, match=re.escape(
+            "corrupt PFS object 'projections/000003': shape (1, 5) where (4, 5) is expected"
+        )):
+            read_projection_subset(pfs, range(6))
 
     def test_angles_stored(self, small_projections):
         pfs = SimulatedPFS()
