@@ -49,11 +49,13 @@ def dgx2_projection(model: IFDKPerformanceModel) -> None:
     dgx2 = ABCI_MICROBENCHMARKS.scaled(
         bw_pcie=60.0e9,      # NVSwitch-class device<->host paths
         th_reduce=50.0e9,    # on-box reduction instead of InfiniBand
+        allgather_bandwidth=50.0e9,  # on-box AllGather instead of InfiniBand
+        allgather_latency=5e-6,
         bw_store=10.0e9,     # local NVMe array
         bw_load=20.0e9,
         gpus_per_node=16,
     )
-    dgx_model = IFDKPerformanceModel(dgx2, collectives=None)
+    dgx_model = IFDKPerformanceModel(dgx2)
     # The DGX-2 ships 32 GB V100s, which is what makes 16 GPUs enough for 4K.
     dgx2_gpu = TESLA_V100.with_memory(32 * 1024**3)
     r, c = choose_grid(PROBLEM_4K, 16, device=dgx2_gpu)

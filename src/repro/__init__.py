@@ -22,13 +22,14 @@ Sub-packages
     an analytic throughput model (Table 4).
 ``repro.mpi``
     An in-process MPI substrate: SPMD engine, collectives and the 2-D rank
-    grid used by the distributed framework, plus a collective cost model.
+    grid used by the distributed framework.
 ``repro.pfs``
-    A simulated parallel file system (GPFS-like) with striping and
-    bandwidth modelling.
+    A simulated parallel file system (GPFS-like) with striping and a
+    per-file write-time model.
 ``repro.pipeline``
     The iFDK distributed framework: problem decomposition, the three-thread
-    pipeline, the end-to-end driver and the Eq. 8–19 performance model.
+    pipeline, the end-to-end driver and the Eq. 8–19 performance model,
+    the one home of every modelled second and of the ABCI profile.
 ``repro.bench``
     Workload definitions and reporting helpers shared by the benchmark
     harness that regenerates every table and figure of the paper.

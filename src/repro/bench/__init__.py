@@ -1,7 +1,7 @@
-"""Workload definitions, calibration constants and reporting helpers shared
-by the benchmark harness that regenerates the paper's tables and figures."""
+"""Workload definitions and reporting helpers shared by the benchmark
+harness that regenerates the paper's tables and figures.  The calibration
+constants live with the model, in :mod:`repro.pipeline.perfmodel`."""
 
-from .calibration import PAPER_CALIBRATION, CalibrationEntry
 from .reporting import format_scaling_figure, format_table, paper_reference_table4
 from .trajectory import (
     HISTORY_LIMIT,
@@ -30,11 +30,9 @@ from .workloads import (
 )
 
 __all__ = [
-    "CalibrationEntry",
     "DistributedWorkload",
     "FIGURE6_GPU_COUNTS",
     "HISTORY_LIMIT",
-    "PAPER_CALIBRATION",
     "PROBLEM_2K",
     "PROBLEM_4K",
     "PROBLEM_8K",

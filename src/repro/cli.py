@@ -630,6 +630,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     problem = problem_from_string(args.problem)
     if args.rows is not None:
         rows = args.rows
+        if rows <= 0:
+            raise ValueError(f"rows must be a positive integer, got {rows}")
         if args.gpus % rows != 0:
             print(f"error: {args.gpus} GPUs not divisible by R={rows}", file=sys.stderr)
             return 2

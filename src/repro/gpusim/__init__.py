@@ -5,9 +5,9 @@ replaces the physical device with (a) an explicit architectural model
 (:mod:`~repro.gpusim.device`), (b) numerically exact NumPy executions of the
 five kernel variants of Table 3 (:mod:`~repro.gpusim.kernels`) and (c) a
 roofline-style throughput model that regenerates Table 4
-(:mod:`~repro.gpusim.costmodel`).  Device-memory capacity constraints and
-PCIe transfer costs — both of which shape the distributed design — are
-modelled in :mod:`~repro.gpusim.memory` and :mod:`~repro.gpusim.transfer`.
+(:mod:`~repro.gpusim.costmodel`).  Device-memory capacity constraints, which
+shape the distributed design, are tracked in :mod:`~repro.gpusim.memory`;
+PCIe transfer costs are Eq. 11 and Eq. 14 of :mod:`repro.pipeline.perfmodel`.
 """
 
 from .costmodel import (
@@ -15,7 +15,7 @@ from .costmodel import (
     KernelTiming,
     predict_table4,
 )
-from .device import A100_40GB, TESLA_P100, TESLA_V100, DeviceSpec
+from .device import A100_40GB, TESLA_V100, DeviceSpec
 from .kernels import (
     BP_L1,
     BP_TEX,
@@ -30,7 +30,6 @@ from .kernels import (
 )
 from .memory import DeviceAllocation, DeviceMemoryPool, DeviceOutOfMemoryError
 from .texture import GlobalReadPath, L1ReadPath, ReadPathModel, TextureReadPath
-from .transfer import PCIeModel
 from .warp import FULL_MASK, Warp
 
 __all__ = [
@@ -50,10 +49,8 @@ __all__ = [
     "KernelVariant",
     "L1ReadPath",
     "L1_TRAN",
-    "PCIeModel",
     "RTK_32",
     "ReadPathModel",
-    "TESLA_P100",
     "TESLA_V100",
     "TEX_TRAN",
     "TextureReadPath",

@@ -37,7 +37,7 @@ kernels for tiny outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..core.types import ReconstructionProblem
 from .device import DeviceSpec, TESLA_V100
@@ -168,15 +168,6 @@ class BackprojectionCostModel:
     def gups(self, kernel: KernelVariant, problem: ReconstructionProblem) -> float:
         """Predicted GUPS (``nan`` when the kernel cannot run the problem)."""
         return self.timing(kernel, problem).gups
-
-    def throughput_updates_per_second(
-        self, kernel: KernelVariant, problem: ReconstructionProblem
-    ) -> float:
-        """Predicted voxel updates per second (``TH_bp`` of Section 4.2.1)."""
-        timing = self.timing(kernel, problem)
-        if not timing.supported:
-            return float("nan")
-        return problem.updates / timing.total_seconds
 
     def table4_row(self, problem: ReconstructionProblem) -> Dict[str, float]:
         """Predicted GUPS of every Table 3 kernel for one problem."""

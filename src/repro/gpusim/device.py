@@ -5,20 +5,20 @@ x16).  No GPU is available in this environment, so the GPU is represented by
 an explicit :class:`DeviceSpec` — the set of architectural constants the
 paper's design decisions depend on: global-memory capacity (drives the
 ``R`` parameter selection of Section 4.1.5), DRAM bandwidth and FP32
-throughput (drive the back-projection kernel cost model of Table 4), L2
-capacity (drives the cache-hit behaviour of the non-texture kernels) and
-PCIe bandwidth (drives ``T_H2D``/``T_D2H`` in the performance model).
+throughput (drive the back-projection kernel cost model of Table 4) and L2
+capacity (drives the cache-hit behaviour of the non-texture kernels).  PCIe
+is not a device constant here: ``T_H2D``/``T_D2H`` take ``bw_pcie`` from the
+performance model's profile (:mod:`repro.pipeline.perfmodel`).
 
 The defaults are published figures for the V100-PCIe-16GB; the efficiency
-factors are the sustained fractions observed by the paper's own
-micro-benchmarks (e.g. ``BW_PCIe = 11.9 GB/s`` in Section 5.3.3).
+factors are sustained fractions of those peaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["DeviceSpec", "TESLA_V100", "TESLA_P100", "A100_40GB"]
+__all__ = ["DeviceSpec", "TESLA_V100", "A100_40GB"]
 
 GiB = 1024**3
 
@@ -47,9 +47,6 @@ class DeviceSpec:
         L2 cache capacity (shared by all SMs).
     sm_count, warp_size:
         Streaming-multiprocessor count and threads per warp.
-    pcie_bandwidth:
-        Sustained host<->device bandwidth of one PCIe link in bytes/second
-        (the paper measures 11.9 GB/s for PCIe gen3 x16).
     kernel_launch_overhead:
         Fixed host-side cost of launching one kernel, in seconds.
     """
@@ -63,7 +60,6 @@ class DeviceSpec:
     warp_size: int = 32
     dram_efficiency: float = 0.85
     fp32_efficiency: float = 0.60
-    pcie_bandwidth: float = 11.9e9
     kernel_launch_overhead: float = 5.0e-6
 
     def __post_init__(self) -> None:
@@ -114,16 +110,6 @@ TESLA_V100 = DeviceSpec(
     sm_count=80,
 )
 
-#: Previous-generation device, used for sanity checks of the cost model.
-TESLA_P100 = DeviceSpec(
-    name="Tesla P100 16GB",
-    global_memory_bytes=16 * GiB,
-    dram_bandwidth=720e9,
-    fp32_flops=9.3e12,
-    l2_cache_bytes=4 * 1024 * 1024,
-    sm_count=56,
-)
-
 #: A newer device, used by the what-if projections in the examples.
 A100_40GB = DeviceSpec(
     name="A100 40GB",
@@ -132,5 +118,4 @@ A100_40GB = DeviceSpec(
     fp32_flops=19.5e12,
     l2_cache_bytes=40 * 1024 * 1024,
     sm_count=108,
-    pcie_bandwidth=24.0e9,
 )

@@ -2,19 +2,17 @@
 
 Provides the SPMD programming model the paper's framework is written
 against — rank grids, collectives and point-to-point messages — implemented
-with one thread per rank inside a single Python process, plus an
-alpha–beta cost model used by the at-scale performance projections.
+with one thread per rank inside a single Python process.  What the
+collectives would cost at scale is modelled by Eq. 10 and Eq. 15 in
+:mod:`repro.pipeline.perfmodel`.
 """
 
 from .communicator import CommunicatorError, SimCommunicator
-from .costmodel import ABCI_COLLECTIVES, CollectiveCostModel
 from .datatypes import ReduceOp
 from .engine import RankFailure, SpmdError, run_spmd
 from .grid import GridPosition, RankGrid2D
 
 __all__ = [
-    "ABCI_COLLECTIVES",
-    "CollectiveCostModel",
     "CommunicatorError",
     "GridPosition",
     "RankFailure",

@@ -7,19 +7,13 @@ from .projection_io import (
     write_projection_dataset,
 )
 from .storage import PFSConfig, PFSStatistics, SimulatedPFS
-from .volume_io import (
-    modelled_store_seconds,
-    read_volume,
-    slice_object_name,
-    write_volume_slices,
-)
+from .volume_io import read_volume, slice_object_name, write_volume_slices
 
 __all__ = [
     "PFSConfig",
     "PFSStatistics",
     "SimulatedPFS",
     "dataset_angles",
-    "modelled_store_seconds",
     "projection_object_name",
     "read_projection_subset",
     "read_volume",

@@ -8,9 +8,9 @@ replaces GPFS with :class:`SimulatedPFS`:
 * data can be held **in memory** (default — fast, used by tests and by the
   functional distributed runs) or **on local disk** under a directory
   (used by the examples so the output volume really lands in files);
-* every read and write is charged against a bandwidth/striping model so the
-  framework can report modelled ``T_load``/``T_store`` values alongside the
-  wall-clock ones;
+* every write is charged against a per-file striping model (the stripe-size
+  ablation reads it); the aggregate ``T_load``/``T_store`` of Eq. 8 and
+  Eq. 16 are the performance model's (:mod:`repro.pipeline.perfmodel`);
 * files are striped across ``stripe_count`` object-storage targets with a
   configurable ``stripe_size`` — mirroring the paper's note that the output
   slices "written to PFS [are] not tuned to the ideal stripe size".
@@ -22,9 +22,9 @@ import ast
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,22 +33,20 @@ __all__ = ["PFSConfig", "PFSStatistics", "SimulatedPFS"]
 
 @dataclass(frozen=True)
 class PFSConfig:
-    """Bandwidth and striping parameters of the simulated file system.
+    """Write bandwidth and striping parameters of the simulated file system.
 
     The defaults model ABCI's GPFS as characterized in the paper:
-    28.5 GB/s aggregate sequential write, a comparable aggregate read rate,
-    and 1 MiB stripes across 16 targets.
+    28.5 GB/s aggregate sequential write and 1 MiB stripes across 16 targets.
     """
 
-    read_bandwidth: float = 40.0e9
     write_bandwidth: float = 28.5e9
     stripe_size: int = 1 << 20
     stripe_count: int = 16
     per_file_latency: float = 1.0e-3
 
     def __post_init__(self) -> None:
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
+        if self.write_bandwidth <= 0:
+            raise ValueError("write_bandwidth must be positive")
         if self.stripe_size <= 0 or self.stripe_count <= 0:
             raise ValueError("stripe_size and stripe_count must be positive")
         if self.per_file_latency < 0:
@@ -71,11 +69,6 @@ class PFSConfig:
         eff = self.stripe_efficiency(nbytes)
         return self.per_file_latency + nbytes / (self.write_bandwidth * eff)
 
-    def read_seconds(self, nbytes: int) -> float:
-        """Modelled time to read ``nbytes`` as a single file."""
-        eff = self.stripe_efficiency(nbytes)
-        return self.per_file_latency + nbytes / (self.read_bandwidth * eff)
-
 
 @dataclass
 class PFSStatistics:
@@ -85,12 +78,11 @@ class PFSStatistics:
     bytes_written: int = 0
     files_read: int = 0
     files_written: int = 0
-    modelled_read_seconds: float = 0.0
     modelled_write_seconds: float = 0.0
 
 
 class SimulatedPFS:
-    """A named, flat namespace of binary files with modelled timings."""
+    """A named, flat namespace of binary files with modelled write times."""
 
     def __init__(
         self,
@@ -190,10 +182,8 @@ class SimulatedPFS:
         return self._objects[name]
 
     def _count_read(self, nbytes: int) -> None:
-        seconds = self.config.read_seconds(nbytes)
         self.stats.bytes_read += nbytes
         self.stats.files_read += 1
-        self.stats.modelled_read_seconds += seconds
 
     def exists(self, name: str) -> bool:
         with self._lock:
@@ -215,19 +205,6 @@ class SimulatedPFS:
                     path.unlink()
             else:
                 self._objects.pop(name, None)
-
-    # ------------------------------------------------------------------ #
-    def modelled_aggregate_write_seconds(self, total_bytes: int) -> float:
-        """Time to write ``total_bytes`` at the aggregate bandwidth (Eq. 16)."""
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be non-negative")
-        return total_bytes / self.config.write_bandwidth
-
-    def modelled_aggregate_read_seconds(self, total_bytes: int) -> float:
-        """Time to read ``total_bytes`` at the aggregate bandwidth (Eq. 8)."""
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be non-negative")
-        return total_bytes / self.config.read_bandwidth
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ path and the stripe-size ablation benchmark share one implementation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "slice_object_name",
     "write_volume_slices",
     "read_volume",
-    "modelled_store_seconds",
 ]
 
 
@@ -79,8 +78,3 @@ def read_volume(
     slabs: List[np.ndarray] = [pfs.read_array(n.replace("__", "/")) for n in names]
     data = np.concatenate(slabs, axis=0)
     return Volume(data=data, voxel_pitch=voxel_pitch)
-
-
-def modelled_store_seconds(pfs: SimulatedPFS, volume_bytes: int) -> float:
-    """Equation 16: ``T_store = sizeof(float)·Nx·Ny·Nz / BW_store``."""
-    return pfs.modelled_aggregate_write_seconds(volume_bytes)

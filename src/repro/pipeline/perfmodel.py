@@ -1,43 +1,45 @@
 """The iFDK performance model (Section 4.2, Equations 8-19).
 
-The model predicts the end-to-end runtime of a distributed reconstruction
-from a handful of micro-benchmark constants (Section 4.2.1):
+This module is the one home of every modelled second.  The model predicts
+the end-to-end runtime of a distributed reconstruction from one profile of
+micro-benchmark constants (Section 4.2.1), a :class:`MicroBenchmarks`:
 
-==============  =====================================================  =========
-Symbol          Meaning                                                Unit
-==============  =====================================================  =========
-``BW_load``     aggregate PFS read bandwidth                           bytes/s
-``BW_store``    aggregate PFS write bandwidth                          bytes/s
-``TH_flt``      filtering throughput of one node                       proj/s
-``TH_bp``       back-projection throughput of one GPU                  proj/s
-``TH_allgather``AllGather operations per second within a column        1/s
-``TH_reduce``   Reduce bandwidth within a row                          bytes/s
-``TH_trans``    device-side volume transpose bandwidth                 bytes/s
-``BW_PCIe``     host<->device bandwidth of one PCIe link               bytes/s
-``N_PCIe``      PCIe links per node                                    —
-==============  =====================================================  =========
+=======================  ==============================================  =========
+Field                    Meaning                                         Unit
+=======================  ==============================================  =========
+``bw_load``              aggregate PFS read bandwidth (``BW_load``)      bytes/s
+``bw_store``             aggregate PFS write bandwidth (``BW_store``)    bytes/s
+``th_flt``               filtering throughput of one node                proj/s
+``th_bp``                back-projection throughput of one GPU           proj/s
+``allgather_bandwidth``  per-hop bandwidth β of the ring AllGather       bytes/s
+``allgather_latency``    per-message latency α of the ring AllGather     s
+``th_reduce``            Reduce bandwidth within a row                   bytes/s
+``th_trans``             device-side volume transpose bandwidth          bytes/s
+``bw_pcie``              host<->device bandwidth of one PCIe link        bytes/s
+``n_pcie``               PCIe links per node                             —
+``gpus_per_node``        GPUs per node                                   —
+=======================  ==============================================  =========
 
-``ABCI_MICROBENCHMARKS`` reproduces the constants the paper publishes for
-its testbed (their provenance is in :mod:`repro.bench.calibration`).  The
-individual terms implement Equations 8-16 verbatim;
-``T_compute`` (Eq. 17), ``T_post`` (Eq. 18) and ``T_runtime`` (Eq. 19)
-combine them exactly as the paper does.
+``ABCI_MICROBENCHMARKS`` is the only profile: the paper's testbed, each
+constant with its provenance in ``ABCI_PROVENANCE``.  The individual terms
+implement Equations 8-16; ``TH_AllGather`` of Eq. 10 is the α–β ring
+AllGather of one projection across a column.  ``T_compute`` (Eq. 17),
+``T_post`` (Eq. 18) and ``T_runtime`` (Eq. 19) combine them exactly as the
+paper does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+import math
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Tuple
 
 from ..core.types import ReconstructionProblem
-from ..gpusim.costmodel import BackprojectionCostModel
-from ..gpusim.device import DeviceSpec, TESLA_V100
-from ..gpusim.kernels import get_kernel
-from ..mpi.costmodel import ABCI_COLLECTIVES, CollectiveCostModel
 
 __all__ = [
     "MicroBenchmarks",
     "ABCI_MICROBENCHMARKS",
+    "ABCI_PROVENANCE",
     "PerformanceBreakdown",
     "IFDKPerformanceModel",
 ]
@@ -53,7 +55,8 @@ class MicroBenchmarks:
     bw_store: float
     th_flt: float
     th_bp: float
-    th_allgather: float
+    allgather_bandwidth: float
+    allgather_latency: float
     th_reduce: float
     th_trans: float
     bw_pcie: float
@@ -61,53 +64,87 @@ class MicroBenchmarks:
     gpus_per_node: int = 4
 
     def __post_init__(self) -> None:
-        for name in (
-            "bw_load",
-            "bw_store",
-            "th_flt",
-            "th_bp",
-            "th_allgather",
-            "th_reduce",
-            "th_trans",
-            "bw_pcie",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_pcie <= 0 or self.gpus_per_node <= 0:
-            raise ValueError("n_pcie and gpus_per_node must be positive")
+        # A NaN would vanish inside Eq. 17's max and an infinity would zero
+        # its term: every constant is a finite positive number, or refused.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value <= 0
+            ):
+                raise ValueError(
+                    f"{field.name} must be a finite positive number, got {value!r}"
+                )
 
     def scaled(self, **kwargs) -> "MicroBenchmarks":
         """Return a copy with some constants replaced (what-if studies)."""
         return replace(self, **kwargs)
 
 
-#: Constants of the ABCI testbed as published in the paper: GPFS write
-#: 28.5 GB/s (Section 5.3.3), PCIe 11.9 GB/s per link with two links per
-#: node, one AllGather of a 16 MB projection across a column in ≈0.25 s,
-#: an 8 GB row Reduce in ≈2.7 s, ≈366 projections/s/node filtering and a
-#: back-projection rate equivalent to ≈190 GUPS on an 8 GB sub-volume
-#: (both implied by Table 5).
-ABCI_MICROBENCHMARKS = MicroBenchmarks(
-    # GPFS aggregate read bandwidth.  The paper does not publish BW_load
-    # directly (T_load is folded into T_flt in Table 5); 120 GB/s is the IOR
-    # read rate consistent with T_compute staying flat in the weak-scaling
-    # experiments up to Np = 32k projections (Figure 5c).
-    bw_load=120.0e9,
-    bw_store=28.5e9,
-    th_flt=366.0,
-    th_bp=95.0,
-    th_allgather=4.07,
-    th_reduce=3.0e9,
-    th_trans=220.0e9,
-    # Effective per-link PCIe rate.  Nvidia's bandwidthTest reports 11.9 GB/s
-    # unidirectionally, but the paper's own projected T_D2H (32 GB over dual
-    # links in ~2.6 s, Section 5.3.3) implies ~6.2 GB/s sustained per link
-    # once both directions and the two-GPUs-per-switch contention are active;
-    # using the effective rate keeps Eq. 11/14 consistent with Figure 5.
-    bw_pcie=6.2e9,
-    n_pcie=2,
-    gpus_per_node=4,
-)
+#: The ABCI testbed: ``field -> (value, unit, where the paper gives it)``.
+_ABCI: Dict[str, Tuple[float, str, str]] = {
+    "bw_load": (
+        120.0e9, "bytes/s",
+        "IOR aggregate read rate of ABCI's GPFS; not published (T_load is folded "
+        "into T_flt in Table 5), and 120 GB/s keeps T_compute flat in the "
+        "weak-scaling runs up to Np = 32k (Figure 5c)",
+    ),
+    "bw_store": (
+        28.5e9, "bytes/s",
+        "Section 5.3.3: 'The peak sequential write bandwidth of GPFS is "
+        "28.5GB/s', so 256 GB are stored in ~9 s (Eq. 16)",
+    ),
+    "th_flt": (
+        366.0, "projections/s/node",
+        "Table 5: T_flt = 1.4 s for Np = 4096 on 8 nodes (Eq. 9)",
+    ),
+    "th_bp": (
+        95.0, "projections/s/GPU",
+        "Table 5: T_bp = 54.8 s at C = 1 (Eq. 12), consistent with the "
+        "~190-200 GUPS of Table 4 on an 8 GB sub-volume",
+    ),
+    "allgather_bandwidth": (
+        2.2e9, "bytes/s",
+        "Table 5: T_AllGather = 31.4 s for 4096 projections on a 32-rank "
+        "column, i.e. ~0.25 s per ring AllGather of one 16 MB projection (Eq. 10)",
+    ),
+    "allgather_latency": (
+        30e-6, "s",
+        "per-message latency of MPI on ABCI's dual InfiniBand EDR; negligible "
+        "next to the bandwidth term at projection sizes",
+    ),
+    "th_reduce": (
+        3.0e9, "bytes/s",
+        "Section 5.3.3: an 8 GB sub-volume is reduced over dual InfiniBand in "
+        "~2.7 s (Eq. 15)",
+    ),
+    "th_trans": (
+        220.0e9, "bytes/s",
+        "V100 device-memory transpose rate; Section 4.1.3 treats T_trans as "
+        "negligible (Eq. 13)",
+    ),
+    "bw_pcie": (
+        6.2e9, "bytes/s",
+        "Effective per-link rate: bandwidthTest reports 11.9 GB/s one way "
+        "(Section 5.3.3), but the paper's own T_D2H (32 GB over dual links in "
+        "~2.6 s) implies ~6.2 GB/s once both directions and two GPUs per "
+        "switch contend, which keeps Eq. 11/14 consistent with Figure 5",
+    ),
+    "n_pcie": (
+        2, "links/node",
+        "Section 5.1: two PCIe switches feed the four V100s of an ABCI node",
+    ),
+    "gpus_per_node": (4, "GPUs/node", "Section 5.1: four V100s per ABCI node"),
+}
+
+#: Constants of the ABCI testbed as published in the paper.
+ABCI_MICROBENCHMARKS = MicroBenchmarks(**{name: v for name, (v, _, _) in _ABCI.items()})
+#: ``field -> (unit, source)`` for every constant of ``ABCI_MICROBENCHMARKS``.
+ABCI_PROVENANCE: Dict[str, Tuple[str, str]] = {
+    name: (unit, source) for name, (_, unit, source) in _ABCI.items()
+}
 
 
 @dataclass(frozen=True)
@@ -147,6 +184,12 @@ class PerformanceBreakdown:
             return float("inf")
         return (self.t_flt + self.t_allgather + self.t_bp) / compute
 
+    def without_filtering(self) -> "PerformanceBreakdown":
+        """The breakdown of a run whose projections are already filtered (a
+        cache hit): ``T_flt = 0``, so Eq. 17 is ``max(T_load, T_AllGather,
+        T_bp)`` — every term is ≥ 0, so a zero never wins the max."""
+        return replace(self, t_flt=0.0)
+
     def as_dict(self) -> Dict[str, float]:
         return {
             "t_load": self.t_load,
@@ -166,28 +209,10 @@ class PerformanceBreakdown:
 
 
 class IFDKPerformanceModel:
-    """Evaluate Equations 8-19 for a problem and an (R, C) rank grid.
+    """Evaluate Equations 8-19 for a problem and an (R, C) rank grid."""
 
-    Parameters
-    ----------
-    micro:
-        Micro-benchmark constants (Section 4.2.1).
-    collectives:
-        Optional collective cost model.  When given (the default), the
-        AllGather term is computed from the actual message size and column
-        height ``R`` — important because a 256-rank column (8K problems)
-        pays ~8x more per AllGather than the 32-rank column the scalar
-        ``TH_AllGather`` constant was measured on.  Pass ``None`` to use the
-        scalar constant exactly as Equation 10 is written.
-    """
-
-    def __init__(
-        self,
-        micro: MicroBenchmarks = ABCI_MICROBENCHMARKS,
-        collectives: Optional[CollectiveCostModel] = ABCI_COLLECTIVES,
-    ):
+    def __init__(self, micro: MicroBenchmarks = ABCI_MICROBENCHMARKS):
         self.micro = micro
-        self.collectives = collectives
 
     # ------------------------------------------------------------------ #
     # Individual terms (Equations 8-16)
@@ -207,15 +232,17 @@ class IFDKPerformanceModel:
     def t_allgather(self, problem: ReconstructionProblem, rows: int, columns: int) -> float:
         """Eq. 10: one AllGather per projection handled by each rank.
 
-        With a collective model configured, ``TH_AllGather`` is derived from
-        the projection size and the column height ``R``; otherwise the scalar
-        constant is used verbatim.
+        ``1 / TH_AllGather`` is a ring AllGather of one projection across the
+        column's ``R`` ranks, ``(R - 1)·(α + m/β)``: a 256-rank column (8K
+        problems) pays ~8x more per operation than a 32-rank one, and a
+        one-rank column pays nothing.
         """
         operations = problem.np_ / (columns * rows)
-        if self.collectives is not None:
-            projection_bytes = _FLOAT_BYTES * problem.nu * problem.nv
-            return operations * self.collectives.allgather_seconds(projection_bytes, rows)
-        return operations / self.micro.th_allgather
+        projection_bytes = _FLOAT_BYTES * problem.nu * problem.nv
+        return operations * (
+            (rows - 1)
+            * (self.micro.allgather_latency + projection_bytes / self.micro.allgather_bandwidth)
+        )
 
     def t_h2d(self, problem: ReconstructionProblem, columns: int) -> float:
         """Eq. 11: push each column's filtered projections to the GPUs."""
@@ -284,48 +311,3 @@ class IFDKPerformanceModel:
     def gups(self, problem: ReconstructionProblem, rows: int, columns: int) -> float:
         """End-to-end GUPS (the Figure 6 metric) predicted by the model."""
         return problem.gups(self.runtime(problem, rows, columns))
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_components(
-        cls,
-        *,
-        device: DeviceSpec = TESLA_V100,
-        kernel: str = "L1-Tran",
-        problem: Optional[ReconstructionProblem] = None,
-        subvolume_bytes: int = 8 * 1024**3,
-        collectives: CollectiveCostModel = ABCI_COLLECTIVES,
-        base: MicroBenchmarks = ABCI_MICROBENCHMARKS,
-    ) -> "IFDKPerformanceModel":
-        """Build a model whose ``TH_bp``/``TH_allgather``/``TH_reduce`` come
-        from the GPU and collective cost models instead of published numbers.
-
-        This ties the three substrate models together: the GPU cost model
-        supplies the per-GPU back-projection rate for the kernel actually
-        selected, and the collective model supplies the AllGather/Reduce
-        throughput for the actual message sizes.
-        """
-        micro = base
-        if problem is not None:
-            # TH_bp: projections/s for a sub-volume of `subvolume_bytes`.
-            sub_voxels = max(1, subvolume_bytes // _FLOAT_BYTES)
-            sub_nz = max(1, sub_voxels // (problem.nx * problem.ny))
-            sub_problem = ReconstructionProblem(
-                nu=problem.nu, nv=problem.nv, np_=problem.np_,
-                nx=problem.nx, ny=problem.ny, nz=sub_nz,
-            )
-            cost = BackprojectionCostModel(device)
-            updates_per_second = cost.throughput_updates_per_second(
-                get_kernel(kernel), sub_problem
-            )
-            th_bp = updates_per_second / (problem.nx * problem.ny * sub_nz)
-            projection_bytes = problem.nu * problem.nv * _FLOAT_BYTES
-            th_allgather = collectives.allgather_throughput(projection_bytes, 32)
-            th_reduce = collectives.reduce_throughput_bytes(subvolume_bytes, 8)
-            micro = base.scaled(
-                th_bp=th_bp,
-                th_allgather=th_allgather,
-                th_reduce=th_reduce,
-                bw_pcie=device.pcie_bandwidth,
-            )
-        return cls(micro)

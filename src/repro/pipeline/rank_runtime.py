@@ -16,9 +16,9 @@ Each MPI rank runs three concurrent stages joined by circular buffers
 
 The real paper offloads the back-projection to a physical GPU; here the
 numerics run on the CPU while the :class:`~repro.gpusim.memory.DeviceMemoryPool`
-enforces the V100 capacity constraint and the PCIe/collective cost models
-record what the transfers would have cost at scale.  Every stage is timed
-as a plain :class:`repro.obs.Span` tagged ``rank=`` / ``stage=``.
+enforces the V100 capacity constraint; what the stages would cost at scale
+is the performance model's (:mod:`~repro.pipeline.perfmodel`).  Every stage
+is timed as a plain :class:`repro.obs.Span` tagged ``rank=`` / ``stage=``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from ..core.types import ProjectionStack
 from ..gpusim.kernels import get_kernel
 from ..gpusim.memory import DeviceMemoryPool
-from ..gpusim.transfer import PCIeModel
 from ..mpi.communicator import SimCommunicator
 from ..mpi.datatypes import ReduceOp
 from ..mpi.grid import RankGrid2D
@@ -65,7 +64,6 @@ class RankResult:
     stored_slab: Optional[Tuple[int, int]]
     stage_seconds: Dict[str, float]
     overlap_delta: float
-    modelled_seconds: Dict[str, float]
     #: The stage spans, on the ``time.perf_counter`` clock itself (ranks share
     #: no tracer epoch), so runs and ranks compare on one timeline.
     spans: List[Span] = field(default_factory=list)
@@ -104,7 +102,6 @@ def run_rank(
     position, column_comm, row_comm = grid.split(comm)
     assert (position.row, position.column) == (assignment.row, assignment.column)
 
-    pcie = PCIeModel(device=config.device, gpus_per_node=config.gpus_per_node)
     tracer = Tracer()
     geometry = config.geometry
     backend = config.compute_backend()
@@ -175,11 +172,9 @@ def run_rank(
     # ------------------------------------------------------------------ #
     # Post-processing: D2H, row Reduce, store (Figure 4b)
     # ------------------------------------------------------------------ #
-    modelled = {"allgather": 0.0, "h2d": 0.0}
     subvolume = accumulator.volume().data
     with stage("d2h", int(subvolume.nbytes)):
         host_subvolume = np.ascontiguousarray(subvolume)
-    modelled["d2h"] = pcie.transfer_seconds(int(subvolume.nbytes))
 
     with stage("reduce", int(subvolume.nbytes)):
         reduced = row_comm.Reduce(host_subvolume, op=ReduceOp.SUM, root=0)
@@ -187,7 +182,7 @@ def run_rank(
     stored_slab: Optional[Tuple[int, int]] = None
     if row_comm.rank == 0:
         with stage("store", int(host_subvolume.nbytes)):
-            modelled["store"] = write_volume_slices(
+            write_volume_slices(
                 pfs,
                 volume_name,
                 reduced,
@@ -213,7 +208,6 @@ def run_rank(
         overlap_delta=_overlap_delta(
             spans, ("load", "filter", "allgather", "backprojection", "h2d")
         ),
-        modelled_seconds=modelled,
         spans=spans,
         device_peak_bytes=pool.peak_bytes,
     )

@@ -167,8 +167,8 @@ class ClusterScheduler:
         """Predicted end-to-end runtime of one job on an ``R x C`` grid.
 
         A cache hit removes the filtering stage from the Eq. 17 overlap:
-        the ranks stream already-filtered projections from the PFS, so
-        ``T_compute = max(T_load, T_AllGather, T_bp)``.
+        the ranks stream already-filtered projections from the PFS
+        (:meth:`~repro.pipeline.perfmodel.PerformanceBreakdown.without_filtering`).
         """
         return self.stage_times(problem, rows, columns, cached=cached)[0]
 
@@ -187,13 +187,9 @@ class ClusterScheduler:
         service metrics surface.
         """
         breakdown = self.model.breakdown(problem, rows, columns)
-        t_flt = 0.0 if cached else breakdown.t_flt
         if cached:
-            t_compute = max(breakdown.t_load, breakdown.t_allgather, breakdown.t_bp)
-            seconds = t_compute + breakdown.t_post
-        else:
-            seconds = breakdown.t_runtime
-        return seconds, t_flt, breakdown.t_bp
+            breakdown = breakdown.without_filtering()
+        return breakdown.t_runtime, breakdown.t_flt, breakdown.t_bp
 
     def _is_cached(self, job: ReconstructionJob) -> bool:
         # Never memoized: a dataset becomes cached, or is evicted, between

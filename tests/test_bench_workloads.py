@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import (
-    PAPER_CALIBRATION,
     PROBLEM_4K,
     PROBLEM_8K,
     TABLE4_PROBLEMS,
@@ -57,11 +54,6 @@ class TestWorkloads:
         problem, rows, columns = scaled_for_functional_run(workload, max_ranks=8)
         assert rows * columns <= 8
         assert problem.nx <= 64 and problem.np_ % (rows * columns) == 0
-
-    def test_calibration_entries_documented(self):
-        assert PAPER_CALIBRATION["bw_store"].value == pytest.approx(28.5e9)
-        for entry in PAPER_CALIBRATION.values():
-            assert entry.source  # provenance is mandatory
 
 
 class TestReporting:

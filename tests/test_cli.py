@@ -173,6 +173,12 @@ class TestPredictCommand:
     def test_invalid_rows_returns_error_code(self, capsys):
         assert main(["predict", "--gpus", "100", "--rows", "64"]) == 2
 
+    @pytest.mark.parametrize("rows", ["0", "-4"])
+    def test_non_positive_rows_exit_2(self, capsys, rows):
+        assert main(["predict", "--gpus", "128", "--rows", rows]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_malformed_problem_spec_exits_2(self, capsys):
         assert main(["predict", "--problem", "64x64", "--gpus", "4"]) == 2
         assert "error" in capsys.readouterr().err

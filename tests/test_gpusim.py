@@ -20,7 +20,6 @@ from repro.gpusim import (
     DeviceMemoryPool,
     DeviceOutOfMemoryError,
     DeviceSpec,
-    PCIeModel,
     Warp,
     get_kernel,
     predict_table4,
@@ -271,23 +270,3 @@ class TestCostModel:
         v100 = BackprojectionCostModel(TESLA_V100).gups(L1_TRAN, p)
         a100 = BackprojectionCostModel(A100_40GB).gups(L1_TRAN, p)
         assert a100 > v100
-
-
-class TestPCIeModel:
-    def test_transfer_time_matches_paper_anchor(self):
-        # Section 5.3.3: 32 GB over two PCIe links in ~2.6-2.7 s.
-        model = PCIeModel()
-        seconds = model.node_d2h_seconds(32 * 10**9)
-        assert seconds == pytest.approx(32e9 / (2 * 11.9e9), rel=0.05)
-
-    def test_contention_halves_per_gpu_bandwidth(self):
-        model = PCIeModel()
-        assert model.per_gpu_bandwidth == pytest.approx(11.9e9 / 2)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            PCIeModel().transfer_seconds(-1)
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            PCIeModel(links_per_node=0)

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import (
-    ABCI_COLLECTIVES,
-    CollectiveCostModel,
     RankGrid2D,
     ReduceOp,
     SpmdError,
@@ -200,34 +198,3 @@ class TestRankGrid:
 
         with pytest.raises(SpmdError):
             run_spmd(2, program)
-
-
-class TestCollectiveCostModel:
-    def test_allgather_scales_with_group_size(self):
-        m = CollectiveCostModel()
-        t8 = m.allgather_seconds(16 << 20, 8)
-        t32 = m.allgather_seconds(16 << 20, 32)
-        assert t32 > t8
-        assert m.allgather_seconds(16 << 20, 1) == 0.0
-
-    def test_reduce_dominated_by_bandwidth_for_large_buffers(self):
-        m = CollectiveCostModel()
-        t = m.reduce_seconds(8 << 30, 16)
-        assert t == pytest.approx((8 << 30) / m.reduce_bandwidth, rel=0.01)
-
-    def test_abci_calibration_anchors(self):
-        # One 16 MB projection AllGather across a 32-rank column ~0.25 s (Table 5).
-        t_ag = ABCI_COLLECTIVES.allgather_seconds(2048 * 2048 * 4, 32)
-        assert 0.15 < t_ag < 0.4
-        # 8 GB Reduce ~2.7 s (Section 5.3.3).
-        t_red = ABCI_COLLECTIVES.reduce_seconds(8 * 2**30, 8)
-        assert 2.0 < t_red < 3.5
-
-    def test_invalid_inputs(self):
-        m = CollectiveCostModel()
-        with pytest.raises(ValueError):
-            m.allgather_seconds(-1, 4)
-        with pytest.raises(ValueError):
-            m.reduce_seconds(10, 0)
-        with pytest.raises(ValueError):
-            CollectiveCostModel(allgather_bandwidth=0)

@@ -12,7 +12,6 @@ from repro.pfs import (
     PFSConfig,
     SimulatedPFS,
     dataset_angles,
-    modelled_store_seconds,
     projection_object_name,
     read_projection_subset,
     read_volume,
@@ -180,13 +179,6 @@ class TestSimulatedPFS:
         pfs.delete("a")
         assert not pfs.exists("a")
 
-    def test_aggregate_models(self):
-        pfs = SimulatedPFS()
-        # Eq. 16 anchor: 256 GB at 28.5 GB/s ~ 9 s (Section 5.3.3).
-        assert pfs.modelled_aggregate_write_seconds(256e9) == pytest.approx(9.0, rel=0.02)
-        with pytest.raises(ValueError):
-            pfs.modelled_aggregate_read_seconds(-1)
-
 
 class TestProjectionIO:
     def test_write_and_read_subset(self, small_projections):
@@ -263,10 +255,6 @@ class TestVolumeIO:
             write_volume_slices(pfs, "v", rng.random((4, 4)))
         with pytest.raises(ValueError):
             write_volume_slices(pfs, "v", rng.random((4, 4, 4)), slices_per_file=0)
-
-    def test_modelled_store_seconds(self):
-        pfs = SimulatedPFS()
-        assert modelled_store_seconds(pfs, 256 * 10**9) == pytest.approx(9.0, rel=0.02)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,17 +3,16 @@ primitive, the overlap factor, perf model."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from contextlib import closing
 
-import numpy as np
 import pytest
 
 from repro.bench import PROBLEM_4K, PROBLEM_8K
 from repro.core import default_geometry_for_problem
-from repro.core.types import ReconstructionProblem
-from repro.gpusim import TESLA_V100
+from repro.core.types import ReconstructionProblem, problem_from_string
 from repro.obs import Tracer, get_tracer, use_tracer
 from repro.pipeline import (
     ABCI_MICROBENCHMARKS,
@@ -22,10 +21,12 @@ from repro.pipeline import (
     Decomposition,
     IFDKConfig,
     IFDKPerformanceModel,
+    MicroBenchmarks,
     ahead,
     choose_grid,
     subvolume_bytes,
 )
+from repro.pipeline.perfmodel import ABCI_PROVENANCE
 from repro.pipeline.rank_runtime import _overlap_delta
 
 
@@ -295,8 +296,21 @@ class TestPerformanceModel:
         return IFDKPerformanceModel(ABCI_MICROBENCHMARKS)
 
     def test_store_matches_paper_anchor(self, model):
-        # 256 GB at 28.5 GB/s ~ 9.0 s (Section 5.3.3).
+        # 256 GB at 28.5 GB/s ~ 9.0 s (Section 5.3.3, Eq. 16).
         assert model.t_store(PROBLEM_4K) == pytest.approx(9.0, rel=0.08)
+        volume_256gb = problem_from_string("2048x2048x4096->4000x4000x4000")
+        assert volume_256gb.output_bytes() == 256 * 10**9
+        assert model.t_store(volume_256gb) == pytest.approx(9.0, rel=0.02)
+
+    def test_allgather_matches_paper_anchor(self, model):
+        # Table 5: one ring AllGather of a 16 MB projection across a 32-rank
+        # column ~0.25 s; Eq. 10 charges one per projection a rank handles.
+        def per_operation(rows):
+            return model.t_allgather(PROBLEM_4K, rows, 1) * rows / PROBLEM_4K.np_
+
+        assert 0.15 < per_operation(32) < 0.4
+        assert per_operation(256) > 7 * per_operation(32)
+        assert model.t_allgather(PROBLEM_4K, rows=1, columns=8) == 0.0
 
     def test_d2h_matches_paper_anchor(self, model):
         # Paper: T_D2H ~ 2.6 s for the 4K volume with R = 32.
@@ -351,11 +365,32 @@ class TestPerformanceModel:
         with pytest.raises(ValueError):
             model.breakdown(PROBLEM_4K, rows=0, columns=1)
 
-    def test_from_components_builds_consistent_model(self):
-        model = IFDKPerformanceModel.from_components(problem=PROBLEM_4K, kernel="L1-Tran")
-        assert model.micro.th_bp > 0
-        assert np.isfinite(model.runtime(PROBLEM_4K, rows=32, columns=4))
+    def test_cache_hit_drops_filtering_from_eq17(self, model):
+        for rows, columns in ((32, 1), (32, 64), (4, 4)):
+            full = model.breakdown(PROBLEM_4K, rows, columns)
+            hit = full.without_filtering()
+            assert hit.t_flt == 0.0
+            assert hit.t_compute == max(full.t_load, full.t_allgather, full.t_bp)
+            assert hit.t_runtime == hit.t_compute + full.t_post
 
-    def test_microbenchmark_validation(self):
-        with pytest.raises(ValueError):
-            ABCI_MICROBENCHMARKS.scaled(th_bp=-1.0)
+    @pytest.mark.parametrize("field, value", [
+        ("th_bp", -1.0),
+        ("th_bp", float("nan")),
+        ("bw_store", float("inf")),
+        ("th_flt", float("-inf")),
+        ("bw_load", 0.0),
+        ("n_pcie", 0),
+        ("gpus_per_node", True),
+    ])
+    def test_microbenchmark_validation(self, field, value):
+        # A NaN T_bp used to vanish inside Eq. 17's max (PROBLEM_4K on 32x4
+        # predicted 22.9 s instead of 31.6 s); an infinite BW_store gave
+        # T_store = 0.
+        with pytest.raises(ValueError, match=f"^{field} must be a finite positive number"):
+            ABCI_MICROBENCHMARKS.scaled(**{field: value})
+
+    def test_every_profile_field_has_provenance(self):
+        assert set(ABCI_PROVENANCE) == {f.name for f in dataclasses.fields(MicroBenchmarks)}
+        for name, (unit, source) in ABCI_PROVENANCE.items():
+            assert unit and source, name
+        assert ABCI_MICROBENCHMARKS.bw_store == pytest.approx(28.5e9)
