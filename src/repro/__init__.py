@@ -17,17 +17,19 @@ Sub-packages
     ``parallel``, proven interchangeable by the cross-backend conformance
     suite.
 ``repro.gpusim``
-    A simulated GPU substrate: device model, memory tracking, warp/shuffle
-    semantics and the five back-projection kernel variants of Table 3 with
-    an analytic throughput model (Table 4).
+    A simulated GPU substrate: device model, warp/shuffle semantics and the
+    five back-projection kernel variants of Table 3 with an analytic
+    throughput model (Table 4).
 ``repro.mpi``
-    An in-process MPI substrate: SPMD engine, collectives and the 2-D rank
-    grid used by the distributed framework.
+    An in-process MPI substrate: SPMD engine and the four collectives the
+    distributed framework uses (``Split``, ``Allgather``, sum ``Reduce``,
+    ``Barrier``).
 ``repro.pfs``
     A simulated parallel file system (GPFS-like) with striping and a
     per-file write-time model.
 ``repro.pipeline``
-    The iFDK distributed framework: problem decomposition, the three-thread
+    The iFDK distributed framework: problem decomposition (the one rank
+    placement), Section 4.1.5's device-memory rule, the three-thread
     pipeline, the end-to-end driver and the Eq. 8–19 performance model,
     the one home of every modelled second and of the ABCI profile.
 ``repro.bench``

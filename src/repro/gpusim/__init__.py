@@ -5,9 +5,10 @@ replaces the physical device with (a) an explicit architectural model
 (:mod:`~repro.gpusim.device`), (b) numerically exact NumPy executions of the
 five kernel variants of Table 3 (:mod:`~repro.gpusim.kernels`) and (c) a
 roofline-style throughput model that regenerates Table 4
-(:mod:`~repro.gpusim.costmodel`).  Device-memory capacity constraints, which
-shape the distributed design, are tracked in :mod:`~repro.gpusim.memory`;
-PCIe transfer costs are Eq. 11 and Eq. 14 of :mod:`repro.pipeline.perfmodel`.
+(:mod:`~repro.gpusim.costmodel`).  The device-memory capacity that shapes
+the distributed design is checked once, by Section 4.1.5's rule in
+:func:`repro.pipeline.config.fits_device_memory`; PCIe transfer costs are
+Eq. 11 and Eq. 14 of :mod:`repro.pipeline.perfmodel`.
 """
 
 from .costmodel import (
@@ -28,7 +29,6 @@ from .kernels import (
     get_kernel,
     shfl_bp_reference,
 )
-from .memory import DeviceAllocation, DeviceMemoryPool, DeviceOutOfMemoryError
 from .texture import GlobalReadPath, L1ReadPath, ReadPathModel, TextureReadPath
 from .warp import FULL_MASK, Warp
 
@@ -38,9 +38,6 @@ __all__ = [
     "BP_TEX",
     "BackprojectionCostModel",
     "DEFAULT_PROJECTION_BATCH",
-    "DeviceAllocation",
-    "DeviceMemoryPool",
-    "DeviceOutOfMemoryError",
     "DeviceSpec",
     "FULL_MASK",
     "GlobalReadPath",

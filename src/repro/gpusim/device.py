@@ -4,7 +4,8 @@ The paper's evaluation platform is the Nvidia Tesla V100 (16 GB, PCIe gen3
 x16).  No GPU is available in this environment, so the GPU is represented by
 an explicit :class:`DeviceSpec` — the set of architectural constants the
 paper's design decisions depend on: global-memory capacity (drives the
-``R`` parameter selection of Section 4.1.5), DRAM bandwidth and FP32
+``R`` parameter selection of Section 4.1.5, whose one rule is
+:func:`repro.pipeline.config.fits_device_memory`), DRAM bandwidth and FP32
 throughput (drive the back-projection kernel cost model of Table 4) and L2
 capacity (drives the cache-hit behaviour of the non-texture kernels).  PCIe
 is not a device constant here: ``T_H2D``/``T_D2H`` take ``bw_pcie`` from the
@@ -83,18 +84,6 @@ class DeviceSpec:
         """Sustained FP32 throughput (FLOP/s)."""
         return self.fp32_flops * self.fp32_efficiency
 
-    def fits_in_memory(self, nbytes: int) -> bool:
-        """True if an allocation of ``nbytes`` fits in device memory."""
-        return 0 <= nbytes <= self.global_memory_bytes
-
-    def max_subvolume_bytes(self, projection_batch_bytes: int) -> int:
-        """Largest sub-volume that fits next to a projection batch.
-
-        Section 4.1.5's constraint:
-        ``sizeof(float)·(Nx·Ny·Nz/R + Nu·Nv·Nbatch) <= N_gpu_mem_size``.
-        """
-        return max(0, self.global_memory_bytes - projection_batch_bytes)
-
     def with_memory(self, nbytes: int) -> "DeviceSpec":
         """A copy of this device with a different memory capacity."""
         return replace(self, global_memory_bytes=int(nbytes))
@@ -110,7 +99,8 @@ TESLA_V100 = DeviceSpec(
     sm_count=80,
 )
 
-#: A newer device, used by the what-if projections in the examples.
+#: A newer device, for what-if comparisons against the V100 under the
+#: Table 4 kernel cost model.
 A100_40GB = DeviceSpec(
     name="A100 40GB",
     global_memory_bytes=40 * GiB,

@@ -1,23 +1,19 @@
 """In-process MPI substrate for the iFDK reproduction.
 
 Provides the SPMD programming model the paper's framework is written
-against — rank grids, collectives and point-to-point messages — implemented
-with one thread per rank inside a single Python process.  What the
-collectives would cost at scale is modelled by Eq. 10 and Eq. 15 in
-:mod:`repro.pipeline.perfmodel`.
+against — an SPMD engine and the four collectives iFDK uses (``Split``,
+``Allgather``, ``Reduce``, ``Barrier``) — implemented with one thread per
+rank inside a single Python process.  Which rank sits where in the R×C grid
+is :class:`repro.pipeline.Decomposition`'s; what the collectives would cost
+at scale is modelled by Eq. 10 and Eq. 15 in :mod:`repro.pipeline.perfmodel`.
 """
 
 from .communicator import CommunicatorError, SimCommunicator
-from .datatypes import ReduceOp
 from .engine import RankFailure, SpmdError, run_spmd
-from .grid import GridPosition, RankGrid2D
 
 __all__ = [
     "CommunicatorError",
-    "GridPosition",
     "RankFailure",
-    "RankGrid2D",
-    "ReduceOp",
     "SimCommunicator",
     "SpmdError",
     "run_spmd",

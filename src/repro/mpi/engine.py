@@ -10,7 +10,6 @@ is re-raised, so a failing test cannot leak threads).
 from __future__ import annotations
 
 import threading
-import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -21,14 +20,10 @@ __all__ = ["RankFailure", "SpmdError", "run_spmd"]
 
 @dataclass
 class RankFailure:
-    """Captured exception from one rank."""
+    """Captured exception from one rank (its ``__traceback__`` included)."""
 
     rank: int
     exception: BaseException
-    traceback_text: str
-
-    def __str__(self) -> str:  # pragma: no cover - formatting only
-        return f"rank {self.rank}: {self.exception!r}\n{self.traceback_text}"
 
 
 class SpmdError(RuntimeError):
@@ -70,7 +65,7 @@ def run_spmd(
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
 
-    context = _Context(size=n_ranks, name=name)
+    context = _Context(n_ranks)
     results: List[Any] = [None] * n_ranks
     failures: List[RankFailure] = []
     failures_lock = threading.Lock()
@@ -81,13 +76,7 @@ def run_spmd(
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - report every rank failure
             with failures_lock:
-                failures.append(
-                    RankFailure(
-                        rank=rank,
-                        exception=exc,
-                        traceback_text=traceback.format_exc(),
-                    )
-                )
+                failures.append(RankFailure(rank=rank, exception=exc))
             # Abort every barrier (sub-communicators' too) so sibling ranks
             # blocked in a collective see a BrokenBarrierError, not a deadlock.
             context.abort()
@@ -108,16 +97,8 @@ def run_spmd(
         for thread in threads:
             thread.join(timeout=5.0)
         raise SpmdError(
-            [
-                RankFailure(
-                    rank=rank,
-                    exception=TimeoutError(f"rank {rank} did not finish"),
-                    traceback_text="",
-                )
-                for rank in hung
-            ]
+            [RankFailure(rank, TimeoutError(f"rank {rank} did not finish")) for rank in hung]
         )
     if failures:
-        primary = sorted(failures, key=lambda f: f.rank)
-        raise SpmdError(primary)
+        raise SpmdError(sorted(failures, key=lambda f: f.rank))
     return results

@@ -1,7 +1,7 @@
 """The iFDK distributed framework (Section 4 of the paper)."""
 
 from .circular_buffer import BufferClosed, CircularBuffer, ahead
-from .config import IFDKConfig, choose_grid, subvolume_bytes
+from .config import IFDKConfig, choose_grid, fits_device_memory, subvolume_bytes
 from .decomposition import Decomposition, RankAssignment
 from .ifdk import IFDKFramework, IFDKRunResult
 from .perfmodel import (
@@ -27,6 +27,7 @@ __all__ = [
     "RankResult",
     "ahead",
     "choose_grid",
+    "fits_device_memory",
     "run_rank",
     "subvolume_bytes",
 ]

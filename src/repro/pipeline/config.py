@@ -5,7 +5,9 @@ The central configuration object couples the acquisition geometry with the
 kernel/filter choices.  :func:`choose_grid` implements the ``R`` selection
 policy of Section 4.1.5: minimize ``R`` (and therefore maximize ``C``)
 subject to the sub-volume fitting into device memory next to a
-32-projection staging batch, with ``R`` kept a power of two.
+32-projection staging batch, with ``R`` kept a power of two.  That memory
+rule is :func:`fits_device_memory`, the one place it is written; the
+configuration's own :meth:`IFDKConfig.validate_device_memory` applies it too.
 """
 
 from __future__ import annotations
@@ -16,16 +18,32 @@ from typing import Optional, Tuple
 from ..core.geometry import CBCTGeometry
 from ..core.types import ReconstructionProblem
 from ..gpusim.device import DeviceSpec, TESLA_V100
-from ..gpusim.kernels import DEFAULT_PROJECTION_BATCH
+from ..gpusim.kernels import DEFAULT_PROJECTION_BATCH, get_kernel
 
-__all__ = ["IFDKConfig", "choose_grid", "subvolume_bytes"]
+__all__ = ["IFDKConfig", "choose_grid", "fits_device_memory", "subvolume_bytes"]
 
 
-def subvolume_bytes(problem: ReconstructionProblem, rows: int, itemsize: int = 4) -> int:
-    """Size in bytes of one row's sub-volume (``N_sub_vol`` in Section 4.1.5)."""
+def subvolume_bytes(problem: ReconstructionProblem, rows: int) -> int:
+    """Size in bytes of one row's float32 sub-volume (``N_sub_vol`` in Section 4.1.5)."""
     if rows <= 0:
         raise ValueError("rows must be positive")
-    return problem.output_bytes(itemsize) // rows
+    return problem.output_bytes() // rows
+
+
+def fits_device_memory(
+    problem: ReconstructionProblem,
+    rows: int,
+    *,
+    device: DeviceSpec = TESLA_V100,
+    projection_batch: int = DEFAULT_PROJECTION_BATCH,
+) -> bool:
+    """Section 4.1.5's rule: one rank's sub-volume next to its staging batch
+    fits in device memory,
+
+    ``sizeof(float)·(Nx·Ny·Nz / R + Nu·Nv·N_batch) <= N_gpu_mem_size``.
+    """
+    batch_bytes = problem.nu * problem.nv * projection_batch * 4
+    return subvolume_bytes(problem, rows) + batch_bytes <= device.global_memory_bytes
 
 
 def choose_grid(
@@ -34,36 +52,27 @@ def choose_grid(
     *,
     device: DeviceSpec = TESLA_V100,
     projection_batch: int = DEFAULT_PROJECTION_BATCH,
-    itemsize: int = 4,
 ) -> Tuple[int, int]:
     """Select ``(R, C)`` for ``n_gpus`` ranks following Section 4.1.5.
 
-    ``R`` is the smallest power of two such that
-
-    ``sizeof(float)·(Nx·Ny·Nz / R + Nu·Nv·N_batch) <= N_gpu_mem_size``
-
-    and ``R`` divides ``n_gpus``; ``C = n_gpus / R``.  Raises when even
+    ``R`` is the smallest power of two that divides ``n_gpus`` and passes
+    :func:`fits_device_memory`; ``C = n_gpus / R``.  Raises when even
     ``R = n_gpus`` cannot satisfy the memory constraint.
     """
     if n_gpus <= 0:
         raise ValueError("n_gpus must be positive")
-    batch_bytes = problem.nu * problem.nv * projection_batch * itemsize
-    if batch_bytes >= device.global_memory_bytes:
-        raise ValueError(
-            "the projection staging batch alone exceeds device memory; "
-            "reduce the batch size or use a larger device"
-        )
     r = 1
     while r <= n_gpus:
-        if n_gpus % r == 0:
-            required = problem.output_bytes(itemsize) // r + batch_bytes
-            if required <= device.global_memory_bytes:
-                return r, n_gpus // r
+        if n_gpus % r == 0 and fits_device_memory(
+            problem, r, device=device, projection_batch=projection_batch
+        ):
+            return r, n_gpus // r
         r *= 2
     raise ValueError(
         f"no feasible R <= {n_gpus}: the output volume "
-        f"({problem.output_bytes(itemsize) / 2**30:.1f} GiB) does not fit even "
-        f"when split across all {n_gpus} GPUs of {device.name}"
+        f"({problem.output_bytes() / 2**30:.1f} GiB) and a {projection_batch}-projection "
+        f"staging batch do not fit even when split across all {n_gpus} GPUs of "
+        f"{device.name}"
     )
 
 
@@ -111,6 +120,7 @@ class IFDKConfig:
     def __post_init__(self) -> None:
         from ..backends import resolve_backend  # late import: backends import core
 
+        get_kernel(self.kernel)  # a ValueError naming the valid kernels, before any run
         # Resolve once (raises ValueError on unknown names / bad workers);
         # the frozen dataclass stashes the instance outside its fields.
         object.__setattr__(
@@ -224,16 +234,16 @@ class IFDKConfig:
 
     def validate_device_memory(self) -> None:
         """Enforce the Section 4.1.5 per-GPU memory constraint."""
-        g = self.geometry
-        required = 4 * (
-            g.nx * g.ny * self.slab_thickness
-            + g.nu * g.nv * self.projection_batch
-        )
-        if required > self.device.global_memory_bytes:
+        if not fits_device_memory(
+            self.problem,
+            self.rows,
+            device=self.device,
+            projection_batch=self.projection_batch,
+        ):
             raise ValueError(
-                f"a sub-volume of {self.slab_thickness} slices plus a "
-                f"{self.projection_batch}-projection batch needs "
-                f"{required / 2**30:.2f} GiB, exceeding the "
+                f"a sub-volume of {self.slab_thickness} slices "
+                f"({subvolume_bytes(self.problem, self.rows) / 2**30:.2f} GiB) plus a "
+                f"{self.projection_batch}-projection batch does not fit in the "
                 f"{self.device.global_memory_bytes / 2**30:.0f} GiB of {self.device.name}; "
                 "increase R"
             )

@@ -15,9 +15,11 @@ Each MPI rank runs three concurrent stages joined by circular buffers
   ``MPI_Reduce`` and (on the row root) stores the slab to the PFS.
 
 The real paper offloads the back-projection to a physical GPU; here the
-numerics run on the CPU while the :class:`~repro.gpusim.memory.DeviceMemoryPool`
-enforces the V100 capacity constraint; what the stages would cost at scale
-is the performance model's (:mod:`~repro.pipeline.perfmodel`).  Every stage
+numerics run on the CPU after
+:meth:`~repro.pipeline.config.IFDKConfig.validate_device_memory` has held the
+rank's sub-volume and projection batch to the V100 capacity (Section 4.1.5);
+what the stages would cost at scale is the performance model's
+(:mod:`~repro.pipeline.perfmodel`).  Every stage
 is timed as a plain :class:`repro.obs.Span` tagged ``rank=`` / ``stage=``.
 """
 
@@ -31,10 +33,7 @@ import numpy as np
 
 from ..core.types import ProjectionStack
 from ..gpusim.kernels import get_kernel
-from ..gpusim.memory import DeviceMemoryPool
 from ..mpi.communicator import SimCommunicator
-from ..mpi.datatypes import ReduceOp
-from ..mpi.grid import RankGrid2D
 from ..obs import Span, Tracer
 from ..pfs.projection_io import read_projection_subset
 from ..pfs.storage import SimulatedPFS
@@ -67,7 +66,6 @@ class RankResult:
     #: The stage spans, on the ``time.perf_counter`` clock itself (ranks share
     #: no tracer epoch), so runs and ranks compare on one timeline.
     spans: List[Span] = field(default_factory=list)
-    device_peak_bytes: int = 0
 
 
 def _overlap_delta(spans: Iterable[Span], stages: Tuple[str, ...]) -> float:
@@ -98,9 +96,9 @@ def run_rank(
     config.validate_device_memory()
     decomposition = Decomposition(config)
     assignment = decomposition.assignment(comm.rank)
-    grid = RankGrid2D(rows=config.rows, columns=config.columns)
-    position, column_comm, row_comm = grid.split(comm)
-    assert (position.row, position.column) == (assignment.row, assignment.column)
+    # Figure 3: a column shares its projections, a row reduces its slab.
+    column_comm = comm.Split(color=assignment.column, key=assignment.row)
+    row_comm = comm.Split(color=assignment.row, key=assignment.column)
 
     tracer = Tracer()
     geometry = config.geometry
@@ -108,15 +106,6 @@ def run_rank(
 
     def stage(name: str, payload_bytes: int = 0):
         return tracer.span(name, payload_bytes, rank=comm.rank, stage=name)
-
-    # Device-memory accounting for this rank (Section 4.1.5 constraint).
-    pool = DeviceMemoryPool(config.device, materialize=False)
-    pool.allocate(
-        "subvolume", (config.slab_thickness, geometry.ny, geometry.nx), np.float32
-    )
-    pool.allocate(
-        "projection_batch", (config.projection_batch, geometry.nv, geometry.nu), np.float32
-    )
 
     def filter_owned() -> Iterator[tuple]:
         """Load + filter this rank's own projections, in AllGather-round order."""
@@ -177,7 +166,7 @@ def run_rank(
         host_subvolume = np.ascontiguousarray(subvolume)
 
     with stage("reduce", int(subvolume.nbytes)):
-        reduced = row_comm.Reduce(host_subvolume, op=ReduceOp.SUM, root=0)
+        reduced = row_comm.Reduce(host_subvolume, root=0)
 
     stored_slab: Optional[Tuple[int, int]] = None
     if row_comm.rank == 0:
@@ -209,5 +198,4 @@ def run_rank(
             spans, ("load", "filter", "allgather", "backprojection", "h2d")
         ),
         spans=spans,
-        device_peak_bytes=pool.peak_bytes,
     )

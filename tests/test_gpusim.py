@@ -1,4 +1,4 @@
-"""Tests for the simulated GPU substrate (device, memory, warp, kernels, cost model)."""
+"""Tests for the simulated GPU substrate (device, warp, kernels, cost model)."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from repro.gpusim import (
     TESLA_V100,
     TEX_TRAN,
     BackprojectionCostModel,
-    DeviceMemoryPool,
-    DeviceOutOfMemoryError,
     DeviceSpec,
     Warp,
     get_kernel,
@@ -34,61 +32,12 @@ class TestDeviceSpec:
         assert TESLA_V100.warp_size == 32
         assert TESLA_V100.effective_dram_bandwidth < TESLA_V100.dram_bandwidth
 
-    def test_memory_fit_checks(self):
-        assert TESLA_V100.fits_in_memory(8 * 2**30)
-        assert not TESLA_V100.fits_in_memory(17 * 2**30)
-
-    def test_max_subvolume(self):
-        batch = 32 * 2048 * 2048 * 4
-        assert TESLA_V100.max_subvolume_bytes(batch) == 16 * 2**30 - batch
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DeviceSpec(
                 name="bad", global_memory_bytes=0, dram_bandwidth=1, fp32_flops=1,
                 l2_cache_bytes=1, sm_count=1,
             )
-
-
-class TestDeviceMemoryPool:
-    def test_allocate_and_free(self):
-        pool = DeviceMemoryPool(TESLA_V100)
-        alloc = pool.allocate("vol", (1024, 1024), np.float32)
-        assert alloc.nbytes == 1024 * 1024 * 4
-        assert pool.used_bytes == alloc.nbytes
-        pool.free("vol")
-        assert pool.used_bytes == 0
-
-    def test_out_of_memory(self):
-        pool = DeviceMemoryPool(TESLA_V100, materialize=False)
-        pool.allocate("a", (2 * 2**30,), np.float32)  # 8 GiB
-        with pytest.raises(DeviceOutOfMemoryError):
-            pool.allocate("b", (3 * 2**30,), np.float32)  # 12 GiB more
-
-    def test_duplicate_name_rejected(self):
-        pool = DeviceMemoryPool(TESLA_V100, materialize=False)
-        pool.allocate("a", (16,))
-        with pytest.raises(ValueError):
-            pool.allocate("a", (16,))
-
-    def test_peak_tracking(self):
-        pool = DeviceMemoryPool(TESLA_V100, materialize=False)
-        pool.allocate("a", (1000,))
-        pool.free("a")
-        pool.allocate("b", (10,))
-        assert pool.peak_bytes == 4000
-
-    def test_section_415_constraint_check(self):
-        pool = DeviceMemoryPool(TESLA_V100, materialize=False)
-        # 8 GB sub-volume + 32 x 2k^2 batch fits in 16 GB
-        assert pool.can_fit_reconstruction(2 * 2**30, 2048, 2048, 32)
-        # 16 GB sub-volume does not
-        assert not pool.can_fit_reconstruction(4 * 2**30, 2048, 2048, 32)
-
-    def test_free_unknown_raises(self):
-        pool = DeviceMemoryPool(TESLA_V100, materialize=False)
-        with pytest.raises(KeyError):
-            pool.free("nothing")
 
 
 class TestWarp:

@@ -156,6 +156,61 @@ def test_device_memory_constraint_enforced(geometry):
         IFDKFramework(config)
 
 
+def test_unknown_kernel_rejected_at_construction(geometry):
+    """An unknown kernel used to pass construction and fail only after the
+    input was staged and every rank had been launched."""
+    with pytest.raises(ValueError, match="valid kernels: .*L1-Tran"):
+        IFDKConfig(geometry=geometry, rows=2, columns=2, kernel="no-such-kernel")
+    plan = plan_for_problem("24x24x16->16x16x16", target="ifdk", rows=2, columns=2)
+    with pytest.raises(ValueError, match="unknown kernel 'no-such-kernel'"):
+        IFDKConfig.from_plan(plan, kernel="no-such-kernel")
+
+
+# --------------------------------------------------------------------------- #
+# Figure 3's decomposition is exact: columns back-project their own blocks,
+# rows own their slabs, and the row Reduce adds the columns in order
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def decomposed_problem():
+    plan = plan_for_problem("24x24x16->16x16x16")
+    rng = np.random.default_rng(20190)
+    stack = ProjectionStack(
+        data=rng.standard_normal((16, 24, 24)).astype(np.float32),
+        angles=plan.geometry.angles,
+    )
+    return plan.geometry, stack
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize(
+    "rows,columns", [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (1, 4), (2, 4)]
+)
+def test_fig3_decomposition_is_exact(decomposed_problem, backend, rows, columns):
+    geometry, stack = decomposed_problem
+    config = IFDKConfig(geometry=geometry, rows=rows, columns=columns, backend=backend)
+    distributed = IFDKFramework(config).reconstruct(stack).volume.data
+
+    per_column = geometry.np_ // columns
+    thickness = geometry.nz // rows
+    for row in range(rows):
+        slab = (row * thickness, (row + 1) * thickness)
+        partials = [
+            StreamingReconstructor(geometry, backend=backend, z_range=slab)
+            .reconstruct_stack(
+                ProjectionStack(
+                    data=stack.data[c * per_column:(c + 1) * per_column],
+                    angles=stack.angles[c * per_column:(c + 1) * per_column],
+                )
+            )
+            .volume.data
+            for c in range(columns)
+        ]
+        expected = partials[0].copy()
+        for partial in partials[1:]:
+            expected += partial
+        np.testing.assert_array_equal(distributed[slab[0]:slab[1]], expected)
+
+
 # --------------------------------------------------------------------------- #
 # A failed stage must fail the run, never hang it
 # --------------------------------------------------------------------------- #

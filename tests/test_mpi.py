@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.mpi import (
-    RankGrid2D,
-    ReduceOp,
-    SpmdError,
-    run_spmd,
-)
+from repro.core import default_geometry_for_problem
+from repro.mpi import CommunicatorError, SimCommunicator, SpmdError, run_spmd
+from repro.pipeline import Decomposition, IFDKConfig
 
 
 class TestRunSpmd:
@@ -41,18 +40,16 @@ class TestCollectives:
     def test_barrier_and_rank_size(self):
         def program(comm):
             comm.Barrier()
-            return (comm.Get_rank(), comm.Get_size())
+            return (comm.rank, comm.size)
 
         assert run_spmd(3, program) == [(0, 3), (1, 3), (2, 3)]
 
-    def test_bcast(self):
-        def program(comm):
-            buf = np.full(4, comm.rank, dtype=np.float64)
-            comm.Bcast(buf, root=1)
-            return buf.tolist()
-
-        for result in run_spmd(3, program):
-            assert result == [1.0, 1.0, 1.0, 1.0]
+    def test_public_methods_are_the_four_ifdk_collectives(self):
+        public = sorted(
+            name for name in vars(SimCommunicator)
+            if not name.startswith("_") and callable(getattr(SimCommunicator, name))
+        )
+        assert public == ["Allgather", "Barrier", "Reduce", "Split"]
 
     def test_allgather_preserves_rank_order(self):
         def program(comm):
@@ -81,50 +78,33 @@ class TestCollectives:
                 expected = [rank * 100 + round_index for rank in range(4)]
                 assert gathered.tolist() == expected
 
+    def test_allgather_into_recvbuf(self):
+        def program(comm):
+            recv = np.zeros((comm.size, 2), dtype=np.float32)
+            out = comm.Allgather(np.full(2, comm.rank, dtype=np.float32), recv)
+            return out is recv, recv[:, 0].tolist()
+
+        assert run_spmd(3, program) == [(True, [0.0, 1.0, 2.0])] * 3
+
     def test_reduce_sum_only_root_receives(self):
         def program(comm):
             send = np.full(3, float(comm.rank + 1))
-            out = comm.Reduce(send, op=ReduceOp.SUM, root=0)
+            out = comm.Reduce(send, root=0)
             return None if out is None else out.tolist()
 
         results = run_spmd(4, program)
         assert results[0] == [10.0, 10.0, 10.0]
         assert results[1] is None
 
-    @pytest.mark.parametrize("op,expected", [
-        (ReduceOp.SUM, 6.0), (ReduceOp.PROD, 6.0), (ReduceOp.MAX, 3.0), (ReduceOp.MIN, 1.0),
-    ])
-    def test_allreduce_operators(self, op, expected):
+    def test_reduce_to_a_nonzero_root_leaves_the_send_buffer_alone(self):
         def program(comm):
-            send = np.array([float(comm.rank + 1)])
-            return float(comm.Allreduce(send, op=op)[0])
+            send = np.full(2, float(comm.rank + 1), dtype=np.float32)
+            out = comm.Reduce(send, root=2)
+            return send.tolist(), None if out is None else out.tolist()
 
-        assert all(r == expected for r in run_spmd(3, program))
-
-    def test_gather_and_scatter(self):
-        def program(comm):
-            send = np.array([comm.rank], dtype=np.int64)
-            gathered = comm.Gather(send, None, root=0)
-            if comm.rank == 0:
-                table = gathered * 10
-            else:
-                table = None
-            recv = np.zeros(1, dtype=np.int64)
-            comm.Scatter(table, recv, root=0)
-            return int(recv[0])
-
-        assert run_spmd(4, program) == [0, 10, 20, 30]
-
-    def test_send_recv(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.Send(np.array([42.0]), dest=1, tag=7)
-                return None
-            buf = np.zeros(1)
-            comm.Recv(buf, source=0, tag=7)
-            return float(buf[0])
-
-        assert run_spmd(2, program)[1] == 42.0
+        results = run_spmd(3, program)
+        assert results[2] == ([3.0, 3.0], [6.0, 6.0])
+        assert results[0] == ([1.0, 1.0], None)
 
     def test_split_groups_and_orders(self):
         def program(comm):
@@ -138,63 +118,99 @@ class TestCollectives:
         assert results[0] == (0, 1, 2)
         assert results[1][2] == 2
 
-    def test_collective_accounting(self):
-        def program(comm):
-            comm.Allgather(np.zeros(10, dtype=np.float32))
-            comm.Barrier()
-            return comm.collective_calls
-
-        calls = run_spmd(2, program)[0]
-        assert calls["Allgather"] == 2  # one call per rank
-        assert calls["Barrier"] == 2
-
     def test_invalid_root_rejected(self):
         def program(comm):
-            comm.Bcast(np.zeros(1), root=5)
+            comm.Reduce(np.zeros(1), root=5)
 
-        with pytest.raises(SpmdError):
+        with pytest.raises(SpmdError) as excinfo:
             run_spmd(2, program)
+        assert all(
+            isinstance(f.exception, CommunicatorError) for f in excinfo.value.failures
+        )
+
+    def test_non_array_contribution_rejected(self):
+        def program(comm):
+            comm.Allgather([comm.rank])
+
+        with pytest.raises(SpmdError) as excinfo:
+            run_spmd(1, program)
+        assert isinstance(excinfo.value.failures[0].exception, TypeError)
 
 
-class TestRankGrid:
-    def test_column_major_layout_matches_figure3(self):
-        # Figure 3a: 32 ranks, R=8, C=4 -> rank 9 sits at row 1, column 1.
-        grid = RankGrid2D(rows=8, columns=4)
-        pos = grid.position(9)
-        assert (pos.row, pos.column) == (1, 1)
-        assert grid.global_rank(1, 1) == 9
+def test_a_rank_failing_after_a_collective_does_not_fail_its_siblings():
+    """A failing rank aborts every barrier, but a collective its siblings
+    already completed stays complete, even for a sibling whose thread has
+    not woken from the released wait yet."""
+    def program(comm):
+        comm.Allgather(np.array([comm.rank]))
+        if comm.rank == 0:
+            raise RuntimeError("rank 0 fails after the collective")
+        return comm.rank
 
-    def test_members(self):
-        grid = RankGrid2D(rows=4, columns=2)
-        assert grid.column_members(1) == [4, 5, 6, 7]
-        assert grid.row_members(2) == [2, 6]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(30):
+            with pytest.raises(SpmdError) as excinfo:
+                run_spmd(8, program, timeout=30.0)
+            assert [f.rank for f in excinfo.value.failures] == [0]
+    finally:
+        sys.setswitchinterval(interval)
 
-    def test_bounds(self):
-        grid = RankGrid2D(rows=2, columns=2)
-        with pytest.raises(ValueError):
-            grid.position(4)
-        with pytest.raises(ValueError):
-            grid.global_rank(2, 0)
 
-    def test_split_creates_row_and_column_communicators(self):
-        grid = RankGrid2D(rows=2, columns=2)
+class TestMismatchedContributions:
+    """Contributions that disagree in shape or dtype fail loudly on every
+    rank, naming the operation and each rank's layout — never a silent
+    broadcast or cast."""
+
+    @staticmethod
+    def _failures(program):
+        with pytest.raises(SpmdError) as excinfo:
+            run_spmd(2, program)
+        failures = excinfo.value.failures
+        assert sorted(f.rank for f in failures) == [0, 1]
+        assert all(isinstance(f.exception, CommunicatorError) for f in failures)
+        return [str(f.exception) for f in failures]
+
+    def test_reduce_rejects_mismatched_shapes(self):
+        def program(comm):
+            comm.Reduce(np.ones(3 if comm.rank == 0 else 1, dtype=np.float32), root=0)
+
+        for message in self._failures(program):
+            assert "Reduce" in message
+            assert "rank 0: (3,) float32" in message
+            assert "rank 1: (1,) float32" in message
+
+    def test_allgather_rejects_mismatched_dtypes(self):
+        def program(comm):
+            dtype = np.float32 if comm.rank == 0 else np.float64
+            comm.Allgather(np.full(1, 0.2, dtype=dtype))
+
+        for message in self._failures(program):
+            assert "Allgather" in message
+            assert "rank 0: (1,) float32" in message
+            assert "rank 1: (1,) float64" in message
+
+
+class TestGridCommunicators:
+    def test_split_by_assignment_creates_row_and_column_communicators(self):
+        """The two ``Split`` calls of ``run_rank``, keyed by the rank's
+        :class:`~repro.pipeline.RankAssignment` (column-major, Figure 3a)."""
+        geometry = default_geometry_for_problem(nu=8, nv=8, np_=4, nx=4, ny=4, nz=4)
+        decomposition = Decomposition(IFDKConfig(geometry=geometry, rows=2, columns=2))
 
         def program(comm):
-            pos, col_comm, row_comm = grid.split(comm)
-            col_sum = col_comm.Allreduce(np.array([float(comm.rank)]))
-            row_sum = row_comm.Allreduce(np.array([float(comm.rank)]))
-            return (pos.row, pos.column, float(col_sum[0]), float(row_sum[0]))
+            a = decomposition.assignment(comm.rank)
+            col_comm = comm.Split(color=a.column, key=a.row)
+            row_comm = comm.Split(color=a.row, key=a.column)
+            mine = np.array([comm.rank])
+            return (
+                a.row, a.column,
+                col_comm.Allgather(mine)[:, 0].tolist(),
+                row_comm.Allgather(mine)[:, 0].tolist(),
+            )
 
         results = run_spmd(4, program)
         # Columns are {0,1} and {2,3}; rows are {0,2} and {1,3}.
-        assert results[0] == (0, 0, 1.0, 2.0)
-        assert results[3] == (1, 1, 5.0, 4.0)
-
-    def test_split_size_mismatch(self):
-        grid = RankGrid2D(rows=4, columns=4)
-
-        def program(comm):
-            grid.split(comm)
-
-        with pytest.raises(SpmdError):
-            run_spmd(2, program)
+        assert results[0] == (0, 0, [0, 1], [0, 2])
+        assert results[3] == (1, 1, [2, 3], [1, 3])

@@ -13,6 +13,7 @@ import pytest
 from repro.bench import PROBLEM_4K, PROBLEM_8K
 from repro.core import default_geometry_for_problem
 from repro.core.types import ReconstructionProblem, problem_from_string
+from repro.gpusim import TESLA_V100
 from repro.obs import Tracer, get_tracer, use_tracer
 from repro.pipeline import (
     ABCI_MICROBENCHMARKS,
@@ -24,6 +25,7 @@ from repro.pipeline import (
     MicroBenchmarks,
     ahead,
     choose_grid,
+    fits_device_memory,
     subvolume_bytes,
 )
 from repro.pipeline.perfmodel import ABCI_PROVENANCE
@@ -61,6 +63,15 @@ class TestChooseGrid:
 
     def test_subvolume_bytes(self):
         assert subvolume_bytes(PROBLEM_4K, 32) == 4 * 4096**3 // 32
+
+    def test_section_415_rule(self):
+        # An 8 GiB sub-volume next to a 32 x 2k^2 batch fits in a V100's
+        # 16 GiB; a 16 GiB one does not.
+        problem = ReconstructionProblem(nu=2048, nv=2048, np_=4096, nx=2048, ny=2048, nz=2048)
+        assert subvolume_bytes(problem, 4) == 8 * 2**30
+        assert fits_device_memory(problem, 4, device=TESLA_V100, projection_batch=32)
+        assert not fits_device_memory(problem, 2, device=TESLA_V100, projection_batch=32)
+        assert choose_grid(problem, 8) == (4, 2)
 
 
 class TestIFDKConfig:
@@ -100,6 +111,12 @@ class TestDecomposition:
         assert a.z_range == (8, 16)
         per_column = config.projections_per_column
         assert a.column_projections[0] == per_column
+        # Figure 3a itself: 32 ranks, R=8, C=4 -> rank 9 sits at row 1, column 1.
+        geometry = default_geometry_for_problem(nu=8, nv=8, np_=32, nx=4, ny=4, nz=8)
+        fig3a = Decomposition(IFDKConfig(geometry=geometry, rows=8, columns=4))
+        a = fig3a.assignment(9)
+        assert (a.row, a.column) == (1, 1)
+        assert [fig3a.assignment(r).column for r in range(8, 16)] == [1] * 8
 
     def test_round_indices_cover_column_block(self, config):
         dec = Decomposition(config)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.filtering import apply_ramp_filter
 from repro.core.types import ReconstructionProblem, Volume
-from repro.mpi.datatypes import ReduceOp
+from repro.mpi import run_spmd
 from repro.pipeline import CircularBuffer, Decomposition, IFDKConfig
 from repro.core import default_geometry_for_problem
 
@@ -72,12 +72,15 @@ def test_decomposition_partitions_any_grid(rows, columns, proj_per_rank, slab):
     nbuffers=st.integers(1, 5),
 )
 @settings(max_examples=50, deadline=None)
-def test_reduce_ops_match_numpy(values, nbuffers):
+def test_reduce_sums_in_rank_order(values, nbuffers):
+    """``Reduce`` onto the root adds the ranks' buffers in rank order."""
     buffers = [np.array(values, dtype=np.float64) * (i + 1) for i in range(nbuffers)]
-    stacked = np.stack(buffers)
-    np.testing.assert_allclose(ReduceOp.SUM.combine(buffers), stacked.sum(axis=0), rtol=1e-9)
-    np.testing.assert_allclose(ReduceOp.MAX.combine(buffers), stacked.max(axis=0))
-    np.testing.assert_allclose(ReduceOp.MIN.combine(buffers), stacked.min(axis=0))
+    reduced = run_spmd(nbuffers, lambda comm: comm.Reduce(buffers[comm.rank], root=0))[0]
+    expected = buffers[0].copy()
+    for buffer in buffers[1:]:
+        expected += buffer
+    np.testing.assert_array_equal(reduced, expected)
+    np.testing.assert_allclose(reduced, np.stack(buffers).sum(axis=0), rtol=1e-9)
 
 
 @given(items=st.lists(st.integers(), max_size=30), capacity=st.integers(1, 8))
