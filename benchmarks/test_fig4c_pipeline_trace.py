@@ -74,7 +74,9 @@ def test_fig4c_pipeline_breakdown(benchmark):
 
 def test_fig4c_functional_trace(benchmark):
     """Trace a real scaled-down run and verify the three-thread structure."""
-    geometry = default_geometry_for_problem(nu=48, nv=48, np_=16, nx=32, ny=32, nz=32)
+    # 8 AllGather rounds per rank, 4 to a step (the 32-projection batch over
+    # R = 4): two steps, so the trace shows the step structure, not one call.
+    geometry = default_geometry_for_problem(nu=48, nv=48, np_=128, nx=32, ny=32, nz=32)
     stack = forward_project_analytic(uniform_sphere_phantom(), geometry)
     config = IFDKConfig(geometry=geometry, rows=4, columns=4)
 
@@ -87,8 +89,11 @@ def test_fig4c_functional_trace(benchmark):
     # Every pipeline stage of Figure 4 appears in the trace.
     for stage in ("load", "filter", "allgather", "backprojection", "d2h", "reduce"):
         assert counts[stage] > 0, f"missing stage {stage}"
-    # The rank processed one AllGather round per owned projection.
-    assert counts["allgather"] == config.projections_per_rank
+    # The rank gathered its 8 rounds in one AllGather per step, and each step
+    # was one load, one filter and one back-projection.
+    assert config.projections_per_rank == 8
+    for stage in ("load", "filter", "allgather", "backprojection"):
+        assert counts[stage] == 2, stage
     print(f"\nrank-0 stage seconds: "
           f"{ {k: round(v, 3) for k, v in rank0.stage_seconds.items()} }, "
           f"overlap delta = {rank0.overlap_delta:.2f}")

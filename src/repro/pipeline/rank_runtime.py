@@ -1,16 +1,18 @@
 """Per-rank runtime of the iFDK pipeline (Section 4.1.3 / Figure 4).
 
 Each MPI rank runs three concurrent stages joined by circular buffers
-(:func:`~repro.pipeline.circular_buffer.ahead`, twice):
+(:func:`~repro.pipeline.circular_buffer.ahead`, twice, one step deep).  A
+*step* is ``s = min(4, max(1, N_batch // R))`` AllGather rounds, so its ``s·R``
+projections fit the §4.1.5 batch when ``R`` does; each stage takes a step a call:
 
-* **Filtering** — loads this rank's projections from the PFS and runs the
-  filtering stage (Algorithm 1) on the CPU, up to a buffer ahead.
-* **AllGather** — takes filtered projections and shares them with the other
-  ranks of its *column* through ``MPI_Allgather`` (one projection per rank
-  per round), up to a buffer ahead of the back-projection.
+* **Filtering** — reads this rank's ``s`` projections of a step from the PFS
+  at once and filters them (Algorithm 1) on the CPU in one call.
+* **AllGather** — shares a filtered step with the other ranks of its
+  *column* in one ``MPI_Allgather`` (``s`` projections per rank), straight
+  into round-major, i.e. projection, order.  Angles are the dataset's.
 * **Back-projection** — on the rank's own thread: stages each gathered
-  batch "host to device" and back-projects it into this rank's Z slab with
-  the selected kernel (Algorithm 4 by default).  After the last round it
+  step "host to device" and back-projects it into this rank's Z slab in one
+  call of the selected kernel (Algorithm 4 by default).  After the last step it
   copies the sub-volume "device to host", reduces it across its *row* with
   ``MPI_Reduce`` and (on the row root) stores the slab to the PFS.
 
@@ -19,13 +21,15 @@ numerics run on the CPU after
 :meth:`~repro.pipeline.config.IFDKConfig.validate_device_memory` has held the
 rank's sub-volume and projection batch to the V100 capacity (Section 4.1.5);
 what the stages would cost at scale is the performance model's
-(:mod:`~repro.pipeline.perfmodel`).  Every stage
-is timed as a plain :class:`repro.obs.Span` tagged ``rank=`` / ``stage=``.
+(:mod:`~repro.pipeline.perfmodel`).  Every stage is timed as a plain
+:class:`repro.obs.Span` tagged ``rank=`` / ``stage=``, with the thread's CPU
+time in ``cpu_s`` beside the wall time.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
+import time
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -35,7 +39,7 @@ from ..core.types import ProjectionStack
 from ..gpusim.kernels import get_kernel
 from ..mpi.communicator import SimCommunicator
 from ..obs import Span, Tracer
-from ..pfs.projection_io import read_projection_subset
+from ..pfs.projection_io import dataset_angles, read_projection_subset
 from ..pfs.storage import SimulatedPFS
 from ..pfs.volume_io import write_volume_slices
 from .circular_buffer import ahead
@@ -45,7 +49,11 @@ from .decomposition import Decomposition
 __all__ = ["RankResult", "run_rank"]
 
 #: Steps each stage may run ahead of the next (the circular buffers' size).
-BUFFER_DEPTH = 8
+BUFFER_DEPTH = 1
+
+#: Most AllGather rounds in a step (fewer where ``4·R`` overruns the batch).  Larger
+#: steps ran faster but grew peak RSS: freed per-step arrays stay in malloc arenas.
+STEP_ROUNDS = 4
 
 #: The stages of Figure 4, in pipeline order.
 STAGES = ("load", "filter", "allgather", "h2d", "backprojection", "d2h", "reduce", "store")
@@ -62,6 +70,8 @@ class RankResult:
     projections_backprojected: int
     stored_slab: Optional[Tuple[int, int]]
     stage_seconds: Dict[str, float]
+    #: The same stages' thread CPU time: ``stage_seconds`` less the waiting.
+    stage_cpu_seconds: Dict[str, float]
     overlap_delta: float
     #: The stage spans, on the ``time.perf_counter`` clock itself (ranks share
     #: no tracer epoch), so runs and ranks compare on one timeline.
@@ -103,51 +113,51 @@ def run_rank(
     tracer = Tracer()
     geometry = config.geometry
     backend = config.compute_backend()
+    all_angles = dataset_angles(pfs)
+    rounds = config.projections_per_rank
+    per_step = min(STEP_ROUNDS, max(1, config.projection_batch // config.rows))
+    steps = [range(t, min(t + per_step, rounds)) for t in range(0, rounds, per_step)]
 
+    @contextmanager
     def stage(name: str, payload_bytes: int = 0):
-        return tracer.span(name, payload_bytes, rank=comm.rank, stage=name)
+        with tracer.span(name, payload_bytes, rank=comm.rank, stage=name) as span:
+            cpu = time.thread_time()
+            yield
+            span.attrs["cpu_s"] = time.thread_time() - cpu
 
     def filter_owned() -> Iterator[tuple]:
-        """Load + filter this rank's own projections, in AllGather-round order."""
-        for index in assignment.owned_projections:
-            with stage("load", geometry.nu * geometry.nv * 4):
-                stack = read_projection_subset(pfs, [index])
+        """Load + filter this rank's own projections, one step of rounds a call."""
+        for step in steps:
+            indices = assignment.owned_projections[step.start:step.stop]
+            with stage("load", geometry.nu * geometry.nv * 4 * len(indices)):
+                stack = read_projection_subset(pfs, indices)
             with stage("filter"):
-                filtered = backend.filter_stack(
-                    stack, geometry, config.ramp_filter
-                ).data[0]
-            yield index, float(stack.angles[0]), filtered
+                filtered = backend.filter_stack(stack, geometry, config.ramp_filter).data
+            yield step, indices, filtered
 
-    def allgather_rounds(filtered: Iterator[tuple]) -> Iterator[tuple]:
-        """One projection per rank of the column per round (Figure 4a)."""
-        angle_send = np.zeros(1, dtype=np.float64)
+    def allgather_steps(filtered: Iterator[tuple]) -> Iterator[tuple]:
+        """A step's rounds in one Allgather (Figure 4a): round ``t`` of rank
+        ``r'`` lands at ``t·R + r'`` of the batch, in projection order."""
         with closing(filtered):
-            for round_index, (index, angle, projection) in enumerate(filtered):
-                angle_send[0] = angle
-                with stage("allgather", int(projection.nbytes) * config.rows):
-                    gathered = column_comm.Allgather(np.ascontiguousarray(projection))
-                    gathered_angles = column_comm.Allgather(angle_send)[:, 0]
-                expected = decomposition.allgather_round_indices(
-                    assignment.column, round_index
-                )
-                if index != expected[assignment.row]:
-                    raise RuntimeError(
-                        f"rank {comm.rank} filtered projection {index} but round "
-                        f"{round_index} expected {expected[assignment.row]}"
-                    )
-                yield gathered_angles.copy(), gathered
+            for step, indices, projections in filtered:
+                shape = projections.shape[1:]
+                batch = np.empty((len(step), config.rows) + shape, projections.dtype)
+                with stage("allgather", int(batch.nbytes)):
+                    column_comm.Allgather(projections, batch.swapaxes(0, 1))
+                expected = [decomposition.allgather_round_indices(assignment.column, t)
+                            for t in step]
+                owned = tuple(round_indices[assignment.row] for round_indices in expected)
+                if indices != owned:
+                    raise RuntimeError(f"rank {comm.rank} filtered {indices}, not {owned}")
+                yield all_angles[np.concatenate(expected)], batch.reshape((-1,) + shape)
 
     # ------------------------------------------------------------------ #
     # filter ‖ AllGather ‖ back-project (Figure 4a)
     # ------------------------------------------------------------------ #
     filtered = ahead(filter_owned(), BUFFER_DEPTH, name=f"rank{comm.rank}-filter")
-    batches = ahead(
-        allgather_rounds(filtered), BUFFER_DEPTH, name=f"rank{comm.rank}-allgather"
-    )
+    batches = ahead(allgather_steps(filtered), BUFFER_DEPTH, name=f"rank{comm.rank}-allgather")
     accumulator = backend.accumulator(
-        geometry,
-        algorithm=get_kernel(config.kernel).algorithm,
-        z_range=assignment.z_range,
+        geometry, algorithm=get_kernel(config.kernel).algorithm, z_range=assignment.z_range
     )
     projections = 0
     with closing(batches):
@@ -172,11 +182,7 @@ def run_rank(
     if row_comm.rank == 0:
         with stage("store", int(host_subvolume.nbytes)):
             write_volume_slices(
-                pfs,
-                volume_name,
-                reduced,
-                z_offset=assignment.z_range[0],
-                slices_per_file=1,
+                pfs, volume_name, reduced, z_offset=assignment.z_range[0], slices_per_file=1
             )
         stored_slab = assignment.z_range
 
@@ -194,6 +200,9 @@ def run_rank(
         projections_backprojected=projections,
         stored_slab=stored_slab,
         stage_seconds={**dict.fromkeys(STAGES, 0.0), **tracer.stage_totals()},
+        stage_cpu_seconds={
+            name: sum(s.attrs["cpu_s"] for s in spans if s.name == name) for name in STAGES
+        },
         overlap_delta=_overlap_delta(
             spans, ("load", "filter", "allgather", "backprojection", "h2d")
         ),

@@ -9,6 +9,7 @@ single-node FDK pipeline.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.types import ProjectionStack
 from repro.mpi import SimCommunicator, SpmdError
 from repro.pfs import SimulatedPFS
 from repro.pipeline import IFDKConfig, IFDKFramework
+from repro.pipeline.rank_runtime import BUFFER_DEPTH, STAGES, STEP_ROUNDS
 from repro.streaming import StreamingReconstructor
 
 
@@ -84,6 +86,9 @@ def test_run_result_reports_statistics(geometry, projections):
 
 
 def test_stage_totals_name_the_eight_stages(geometry, projections):
+    """Each stage's wall and CPU totals are its spans' sums; ``cpu_s`` is the
+    thread's CPU time inside a span, so never more than the span's wall time,
+    and all of it never more than the machine can give."""
     result = IFDKFramework(
         IFDKConfig(geometry=geometry, rows=2, columns=2)
     ).reconstruct(projections)
@@ -91,12 +96,20 @@ def test_stage_totals_name_the_eight_stages(geometry, projections):
         "load", "filter", "allgather", "h2d", "backprojection", "d2h", "reduce", "store",
     ]
     for rank_result in result.rank_results:
-        by_name = {}
+        by_name, cpu_by_name = {}, {}
         for span in rank_result.spans:
-            assert span.attrs == {"rank": rank_result.rank, "stage": span.name}
+            cpu = span.attrs["cpu_s"]
+            assert span.attrs == {"rank": rank_result.rank, "stage": span.name, "cpu_s": cpu}
+            assert 0.0 <= cpu <= span.duration + 1e-3
             by_name[span.name] = by_name.get(span.name, 0.0) + span.duration
+            cpu_by_name[span.name] = cpu_by_name.get(span.name, 0.0) + cpu
         for stage, seconds in rank_result.stage_seconds.items():
             assert seconds == pytest.approx(by_name.get(stage, 0.0))
+        assert list(rank_result.stage_cpu_seconds) == list(STAGES)
+        for stage, seconds in rank_result.stage_cpu_seconds.items():
+            assert seconds == pytest.approx(cpu_by_name.get(stage, 0.0))
+    cpu = sum(sum(r.stage_cpu_seconds.values()) for r in result.rank_results)
+    assert cpu <= os.cpu_count() * result.wall_seconds * 1.1
 
 
 def test_traced_session_adopts_rank_spans_at_their_true_times(geometry, projections):
@@ -212,6 +225,73 @@ def test_fig3_decomposition_is_exact(decomposed_problem, backend, rows, columns)
 
 
 # --------------------------------------------------------------------------- #
+# Each rank works a step of AllGather rounds per call: a step of ``s`` rounds is
+# one read, one filter, one Allgather and one ``add_stack`` of ``s·R``
+# projections, ``s = min(4, projection_batch // R)``
+# --------------------------------------------------------------------------- #
+def _per_column_volume(geometry, stack, backend, rows, columns):
+    """Figure 3 built by hand: each row's slab is the sum, in column order,
+    of each column's own ``z_range`` reconstruction of its projection block."""
+    per_column = geometry.np_ // columns
+    thickness = geometry.nz // rows
+    slabs = []
+    for row in range(rows):
+        slab = (row * thickness, (row + 1) * thickness)
+        expected = None
+        for c in range(columns):
+            block = slice(c * per_column, (c + 1) * per_column)
+            partial = (
+                StreamingReconstructor(geometry, backend=backend, z_range=slab)
+                .reconstruct_stack(
+                    ProjectionStack(data=stack.data[block], angles=stack.angles[block])
+                )
+                .volume.data
+            )
+            expected = partial.copy() if expected is None else expected + partial
+        slabs.append(expected)
+    return np.concatenate(slabs)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize(
+    "problem,rows,columns,overrides,calls",
+    [
+        # 12 rounds of 2 projections: three full steps of 4 rounds
+        ("24x24x48->16x16x16", 2, 2, {}, [8, 8, 8]),
+        # 6 rounds: a full step, then a partial one of 2 rounds
+        ("24x24x24->16x16x16", 2, 2, {}, [8, 4]),
+        # a batch of 2 cannot hold R = 4 projections: one-round steps
+        ("24x24x16->16x16x16", 4, 1, {"projection_batch": 2}, [4, 4, 4, 4]),
+    ],
+)
+def test_each_rank_back_projects_one_step_per_call(
+    monkeypatch, backend, problem, rows, columns, overrides, calls
+):
+    geometry = plan_for_problem(problem).geometry
+    rng = np.random.default_rng(20190)
+    stack = ProjectionStack(
+        data=rng.standard_normal((geometry.np_, geometry.nv, geometry.nu)).astype(np.float32),
+        angles=geometry.angles,
+    )
+    expected = _per_column_volume(geometry, stack, backend, rows, columns)
+
+    sizes = {}  # rank thread -> projections per add_stack call, in call order
+    real = VolumeAccumulator.add_stack
+
+    def add_stack(self, stack):
+        sizes.setdefault(threading.current_thread().name, []).append(stack.np_)
+        return real(self, stack)
+
+    monkeypatch.setattr(VolumeAccumulator, "add_stack", add_stack)
+    config = IFDKConfig(
+        geometry=geometry, rows=rows, columns=columns, backend=backend, **overrides
+    )
+    distributed = IFDKFramework(config).reconstruct(stack).volume.data
+    assert sorted(sizes.values()) == [calls] * config.n_ranks
+    np.testing.assert_array_equal(distributed, expected)
+
+
+# --------------------------------------------------------------------------- #
 # A failed stage must fail the run, never hang it
 # --------------------------------------------------------------------------- #
 def _run_with_deadline(run, seconds=30.0):
@@ -235,10 +315,15 @@ def _run_with_deadline(run, seconds=30.0):
 
 
 def _long_run(rows=1, columns=1):
-    """At least 16 AllGather rounds per rank: more than a buffer (8) holds."""
+    """More steps per rank than the two circular buffers hold in flight
+    (``BUFFER_DEPTH + 1`` steps each), so a stage that dies leaves the stage
+    before it blocked on a full buffer."""
     plan = plan_for_problem(
         "24x24x64->16x16x16", target="ifdk", rows=rows, columns=columns
     )
+    config = IFDKConfig.from_plan(plan)
+    per_step = min(STEP_ROUNDS, max(1, config.projection_batch // rows))
+    assert -(-config.projections_per_rank // per_step) > BUFFER_DEPTH + 1
     stack = ProjectionStack(
         data=np.ones((64, 24, 24), dtype=np.float32), angles=plan.geometry.angles
     )
