@@ -29,7 +29,7 @@ Sub-packages
     per-file write-time model.
 ``repro.pipeline``
     The iFDK distributed framework: problem decomposition (the one rank
-    placement), Section 4.1.5's device-memory rule, the three-thread
+    placement), Section 4.1.5's device-memory rule, the per-rank
     pipeline, the end-to-end driver and the Eq. 8–19 performance model,
     the one home of every modelled second and of the ABCI profile.
 ``repro.bench``

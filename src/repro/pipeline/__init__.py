@@ -1,6 +1,6 @@
 """The iFDK distributed framework (Section 4 of the paper)."""
 
-from .circular_buffer import BufferClosed, CircularBuffer, ahead
+from .circular_buffer import BufferClosed, CircularBuffer
 from .config import IFDKConfig, choose_grid, fits_device_memory, subvolume_bytes
 from .decomposition import Decomposition, RankAssignment
 from .ifdk import IFDKFramework, IFDKRunResult
@@ -25,7 +25,6 @@ __all__ = [
     "PerformanceBreakdown",
     "RankAssignment",
     "RankResult",
-    "ahead",
     "choose_grid",
     "fits_device_memory",
     "run_rank",

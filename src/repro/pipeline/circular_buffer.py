@@ -1,24 +1,22 @@
-"""Bounded circular buffer joining the pipeline threads (Figure 4a).
+"""Bounded circular buffer between an acquisition thread and the reconstructor.
 
-The paper's three per-rank threads "execute independently and exchange data
-with each other using circular buffers" (Section 4.1.3).  This is a classic
-bounded producer/consumer ring: the producer blocks when the buffer is full
+The paper's per-rank threads "exchange data with each other using circular
+buffers" (Section 4.1.3).  The rank runtime here runs its stages in order
+(see :mod:`~repro.pipeline.rank_runtime`), so the ring's user is online
+acquisition: :class:`~repro.streaming.sources.OnlineChunkSource` takes
+projections from a scanner thread on one.  It is a classic bounded
+producer/consumer ring: the producer blocks when the buffer is full
 (back-pressure keeps host memory bounded), the consumer blocks when it is
 empty, and the producer signals completion by closing the buffer.
-
-:func:`ahead` is the one way a stage is put on such a ring: the rank runtime
-chains two of them (filter ‖ AllGather ‖ back-project).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, Iterator, Optional, TypeVar
 
-from ..obs import get_tracer, use_tracer
-
-__all__ = ["BufferClosed", "CircularBuffer", "ahead"]
+__all__ = ["BufferClosed", "CircularBuffer"]
 
 T = TypeVar("T")
 
@@ -104,45 +102,3 @@ class CircularBuffer(Generic[T]):
         with self._lock:
             return self._closed
 
-
-def ahead(steps: Iterator[T], depth: int, *, name: str) -> Iterator[T]:
-    """Yield ``steps`` as a thread called ``name`` runs them, up to ``depth``
-    steps ahead of the consumer (one stage boundary of Fig. 4a).
-
-    A step starts only while at most ``depth`` others are unfinished — the one
-    the consumer holds and those waiting in, or being made for, the buffer.
-    Either side stopping releases the other: the producer closes the buffer
-    behind its error, raised here after the finished steps (its own exception,
-    not the :class:`BufferClosed` fallout); closing this generator never leaves
-    a ``put`` blocked, joins the thread and closes ``steps``.
-    """
-    ready: CircularBuffer = CircularBuffer(depth)
-    slots = threading.Semaphore(depth + 1)  # steps in flight
-    errors: List[BaseException] = []
-    tracer = get_tracer()  # ambient on the consuming thread
-
-    def produce() -> None:
-        try:
-            with use_tracer(tracer):
-                while slots.acquire() and not ready.closed:
-                    ready.put(next(steps))
-        except (StopIteration, BufferClosed):
-            pass  # the steps are exhausted, or the consumer has left
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-        finally:
-            ready.close()
-
-    thread = threading.Thread(target=produce, name=name)
-    thread.start()
-    try:
-        for step in ready:
-            yield step
-            slots.release()  # the step just consumed is finished
-        if errors:
-            raise errors[0]
-    finally:
-        ready.close()
-        slots.release()
-        thread.join()
-        steps.close()

@@ -180,8 +180,7 @@ class IFDKConfig:
     def compute_backend(self):
         """The resolved :class:`~repro.backends.base.ComputeBackend`.
 
-        Every rank's filtering and BP thread executes on this single
-        instance; with ``workers`` set it is a dedicated
+        Every rank filters and back-projects on this single instance; with ``workers`` set it is a dedicated
         :class:`~repro.backends.TiledBackend` whose pool is shared by
         all ranks.
         """

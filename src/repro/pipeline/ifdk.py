@@ -5,8 +5,8 @@
 1. the input projections are written to (or already live on) the simulated
    PFS;
 2. ``R × C`` MPI ranks are launched with :func:`repro.mpi.engine.run_spmd`,
-   each running the three-thread pipeline of
-   :mod:`repro.pipeline.rank_runtime`;
+   each running the load / filter / AllGather / back-projection steps of
+   :mod:`repro.pipeline.rank_runtime` in order;
 3. the row-root ranks store their reduced Z slabs back to the PFS, from
    which the final volume is reassembled;
 4. wall-clock timings, per-rank stage breakdowns, communication volumes and

@@ -1,37 +1,38 @@
 """Per-rank runtime of the iFDK pipeline (Section 4.1.3 / Figure 4).
 
-Each MPI rank runs three concurrent stages joined by circular buffers
-(:func:`~repro.pipeline.circular_buffer.ahead`, twice, one step deep).  A
-*step* is ``s = min(4, max(1, N_batch // R))`` AllGather rounds, so its ``s·R``
-projections fit the §4.1.5 batch when ``R`` does; each stage takes a step a call:
+Each MPI rank runs the stages of Figure 4a in order on its own thread, a
+*step* at a time.  A step is ``s = max(1, N_batch // R)`` AllGather rounds, so
+its ``s·R`` projections are one §4.1.5 batch wherever ``R ≤ N_batch``:
 
-* **Filtering** — reads this rank's ``s`` projections of a step from the PFS
-  at once and filters them (Algorithm 1) on the CPU in one call.
-* **AllGather** — shares a filtered step with the other ranks of its
-  *column* in one ``MPI_Allgather`` (``s`` projections per rank), straight
-  into round-major, i.e. projection, order.  Angles are the dataset's.
-* **Back-projection** — on the rank's own thread: stages each gathered
-  step "host to device" and back-projects it into this rank's Z slab in one
-  call of the selected kernel (Algorithm 4 by default).  After the last step it
-  copies the sub-volume "device to host", reduces it across its *row* with
+* **Load + filter** — reads this rank's ``s`` projections of the step from
+  the PFS at once and filters them (Algorithm 1) in one call.
+* **AllGather** — shares the filtered step with the other ranks of its
+  *column* in one ``MPI_Allgather``, straight into round-major, i.e.
+  projection, order.  Angles are the dataset's.
+* **Back-projection** — stages the gathered step "host to device" and
+  back-projects it into this rank's Z slab in one call of the selected kernel
+  (Algorithm 4 by default).  After the last step the rank copies the
+  sub-volume "device to host", reduces it across its *row* with
   ``MPI_Reduce`` and (on the row root) stores the slab to the PFS.
 
-The real paper offloads the back-projection to a physical GPU; here the
-numerics run on the CPU after
+The paper overlaps these stages on three threads because they run on
+different hardware: CPUs filter while a GPU back-projects.  Here every stage
+runs on the same cores, so threads only contend for them; the overlap lives
+where the paper quantifies it, in the performance model
+(:mod:`~repro.pipeline.perfmodel`: Eq. 17's ``T_compute`` and Table 5's δ).
+The numerics run on the CPU after
 :meth:`~repro.pipeline.config.IFDKConfig.validate_device_memory` has held the
-rank's sub-volume and projection batch to the V100 capacity (Section 4.1.5);
-what the stages would cost at scale is the performance model's
-(:mod:`~repro.pipeline.perfmodel`).  Every stage is timed as a plain
-:class:`repro.obs.Span` tagged ``rank=`` / ``stage=``, with the thread's CPU
-time in ``cpu_s`` beside the wall time.
+rank's sub-volume and projection batch to the V100 capacity (Section 4.1.5).
+Every stage is timed as a plain :class:`repro.obs.Span` tagged ``rank=`` /
+``stage=``, with the thread's CPU time in ``cpu_s`` beside the wall time.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,18 +43,10 @@ from ..obs import Span, Tracer
 from ..pfs.projection_io import dataset_angles, read_projection_subset
 from ..pfs.storage import SimulatedPFS
 from ..pfs.volume_io import write_volume_slices
-from .circular_buffer import ahead
 from .config import IFDKConfig
 from .decomposition import Decomposition
 
 __all__ = ["RankResult", "run_rank"]
-
-#: Steps each stage may run ahead of the next (the circular buffers' size).
-BUFFER_DEPTH = 1
-
-#: Most AllGather rounds in a step (fewer where ``4·R`` overruns the batch).  Larger
-#: steps ran faster but grew peak RSS: freed per-step arrays stay in malloc arenas.
-STEP_ROUNDS = 4
 
 #: The stages of Figure 4, in pipeline order.
 STAGES = ("load", "filter", "allgather", "h2d", "backprojection", "d2h", "reduce", "store")
@@ -115,8 +108,7 @@ def run_rank(
     backend = config.compute_backend()
     all_angles = dataset_angles(pfs)
     rounds = config.projections_per_rank
-    per_step = min(STEP_ROUNDS, max(1, config.projection_batch // config.rows))
-    steps = [range(t, min(t + per_step, rounds)) for t in range(0, rounds, per_step)]
+    per_step = max(1, config.projection_batch // config.rows)
 
     @contextmanager
     def stage(name: str, payload_bytes: int = 0):
@@ -125,48 +117,36 @@ def run_rank(
             yield
             span.attrs["cpu_s"] = time.thread_time() - cpu
 
-    def filter_owned() -> Iterator[tuple]:
-        """Load + filter this rank's own projections, one step of rounds a call."""
-        for step in steps:
-            indices = assignment.owned_projections[step.start:step.stop]
-            with stage("load", geometry.nu * geometry.nv * 4 * len(indices)):
-                stack = read_projection_subset(pfs, indices)
-            with stage("filter"):
-                filtered = backend.filter_stack(stack, geometry, config.ramp_filter).data
-            yield step, indices, filtered
-
-    def allgather_steps(filtered: Iterator[tuple]) -> Iterator[tuple]:
-        """A step's rounds in one Allgather (Figure 4a): round ``t`` of rank
-        ``r'`` lands at ``t·R + r'`` of the batch, in projection order."""
-        with closing(filtered):
-            for step, indices, projections in filtered:
-                shape = projections.shape[1:]
-                batch = np.empty((len(step), config.rows) + shape, projections.dtype)
-                with stage("allgather", int(batch.nbytes)):
-                    column_comm.Allgather(projections, batch.swapaxes(0, 1))
-                expected = [decomposition.allgather_round_indices(assignment.column, t)
-                            for t in step]
-                owned = tuple(round_indices[assignment.row] for round_indices in expected)
-                if indices != owned:
-                    raise RuntimeError(f"rank {comm.rank} filtered {indices}, not {owned}")
-                yield all_angles[np.concatenate(expected)], batch.reshape((-1,) + shape)
-
-    # ------------------------------------------------------------------ #
-    # filter ‖ AllGather ‖ back-project (Figure 4a)
-    # ------------------------------------------------------------------ #
-    filtered = ahead(filter_owned(), BUFFER_DEPTH, name=f"rank{comm.rank}-filter")
-    batches = ahead(allgather_steps(filtered), BUFFER_DEPTH, name=f"rank{comm.rank}-allgather")
+    # load -> filter -> AllGather -> back-project, a step at a time (Figure 4a)
     accumulator = backend.accumulator(
         geometry, algorithm=get_kernel(config.kernel).algorithm, z_range=assignment.z_range
     )
     projections = 0
-    with closing(batches):
-        for angles, batch in batches:
-            with stage("h2d", int(batch.nbytes)):
-                staged = ProjectionStack(data=batch, angles=angles, filtered=True)
-            with stage("backprojection", int(batch.nbytes)):
-                accumulator.add_stack(staged)
-            projections += staged.np_
+    for first in range(0, rounds, per_step):
+        step = range(first, min(first + per_step, rounds))
+        indices = assignment.owned_projections[step.start:step.stop]
+        with stage("load", geometry.nu * geometry.nv * 4 * len(indices)):
+            stack = read_projection_subset(pfs, indices)
+        with stage("filter"):
+            filtered = backend.filter_stack(stack, geometry, config.ramp_filter).data
+        # Step arrays die at their last use: kept to the next step they cost 6 % peak RSS.
+        del stack
+        # Round ``t`` of column rank ``r'`` lands at ``t·R + r'``: projection order.
+        batch = np.empty((len(step), config.rows) + filtered.shape[1:], filtered.dtype)
+        with stage("allgather", int(batch.nbytes)):
+            column_comm.Allgather(filtered, batch.swapaxes(0, 1))
+        del filtered
+        expected = [decomposition.allgather_round_indices(assignment.column, t) for t in step]
+        owned = tuple(round_indices[assignment.row] for round_indices in expected)
+        if indices != owned:
+            raise RuntimeError(f"rank {comm.rank} filtered {indices}, not {owned}")
+        with stage("h2d", int(batch.nbytes)):
+            angles = all_angles[np.concatenate(expected)]
+            staged = ProjectionStack(batch.reshape(-1, *batch.shape[2:]), angles, filtered=True)
+        with stage("backprojection", int(batch.nbytes)):
+            accumulator.add_stack(staged)
+        projections += staged.np_
+        del batch, staged
 
     # ------------------------------------------------------------------ #
     # Post-processing: D2H, row Reduce, store (Figure 4b)

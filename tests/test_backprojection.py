@@ -84,7 +84,7 @@ class TestAlgorithmEquivalence:
 
 
 class TestAccumulatorSeam:
-    """The accumulator the rank runtime's BP thread drives directly."""
+    """The accumulator the rank runtime drives directly."""
 
     @staticmethod
     def accumulator(geometry, **kwargs):
@@ -93,7 +93,7 @@ class TestAccumulatorSeam:
     def test_incremental_accumulation_matches_batch(self, small_geometry, small_filtered):
         reference = backproject(small_filtered, small_geometry)
         acc = self.accumulator(small_geometry, algorithm="proposed")
-        # Feed projections in two chunks, as the pipeline's BP thread does.
+        # Feed projections in two chunks, as a rank does a step at a time.
         half = small_filtered.np_ // 2
         for part in (slice(None, half), slice(half, None)):
             acc.add_stack(ProjectionStack(

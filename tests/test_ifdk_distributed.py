@@ -27,7 +27,7 @@ from repro.core.types import ProjectionStack
 from repro.mpi import SimCommunicator, SpmdError
 from repro.pfs import SimulatedPFS
 from repro.pipeline import IFDKConfig, IFDKFramework
-from repro.pipeline.rank_runtime import BUFFER_DEPTH, STAGES, STEP_ROUNDS
+from repro.pipeline.rank_runtime import STAGES
 from repro.streaming import StreamingReconstructor
 
 
@@ -194,21 +194,27 @@ def decomposed_problem():
     return plan.geometry, stack
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("backend", ["vectorized", "reference", "parallel"])
 @pytest.mark.parametrize(
     "rows,columns", [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (1, 4), (2, 4)]
 )
 def test_fig3_decomposition_is_exact(decomposed_problem, backend, rows, columns):
+    """``parallel`` runs every rank's filter and back-projection calls on one
+    shared two-worker pool, concurrently, and must match ``vectorized``."""
     geometry, stack = decomposed_problem
-    config = IFDKConfig(geometry=geometry, rows=rows, columns=columns, backend=backend)
+    workers = 2 if backend == "parallel" else None
+    config = IFDKConfig(
+        geometry=geometry, rows=rows, columns=columns, backend=backend, workers=workers
+    )
     distributed = IFDKFramework(config).reconstruct(stack).volume.data
+    oracle = "vectorized" if backend == "parallel" else backend
 
     per_column = geometry.np_ // columns
     thickness = geometry.nz // rows
     for row in range(rows):
         slab = (row * thickness, (row + 1) * thickness)
         partials = [
-            StreamingReconstructor(geometry, backend=backend, z_range=slab)
+            StreamingReconstructor(geometry, backend=oracle, z_range=slab)
             .reconstruct_stack(
                 ProjectionStack(
                     data=stack.data[c * per_column:(c + 1) * per_column],
@@ -227,7 +233,7 @@ def test_fig3_decomposition_is_exact(decomposed_problem, backend, rows, columns)
 # --------------------------------------------------------------------------- #
 # Each rank works a step of AllGather rounds per call: a step of ``s`` rounds is
 # one read, one filter, one Allgather and one ``add_stack`` of ``s·R``
-# projections, ``s = min(4, projection_batch // R)``
+# projections, ``s = max(1, projection_batch // R)``
 # --------------------------------------------------------------------------- #
 def _per_column_volume(geometry, stack, backend, rows, columns):
     """Figure 3 built by hand: each row's slab is the sum, in column order,
@@ -256,10 +262,13 @@ def _per_column_volume(geometry, stack, backend, rows, columns):
 @pytest.mark.parametrize(
     "problem,rows,columns,overrides,calls",
     [
-        # 12 rounds of 2 projections: three full steps of 4 rounds
-        ("24x24x48->16x16x16", 2, 2, {}, [8, 8, 8]),
-        # 6 rounds: a full step, then a partial one of 2 rounds
-        ("24x24x24->16x16x16", 2, 2, {}, [8, 4]),
+        # 20 rounds of 2 projections: a full 32-projection batch of 16 rounds,
+        # then a partial step of 4 rounds
+        ("24x24x80->16x16x16", 2, 2, {}, [32, 8]),
+        # 12 rounds: the whole run is one step, under the batch
+        ("24x24x48->16x16x16", 2, 2, {}, [24]),
+        # a batch of 8 over R = 2: three full steps of 4 rounds
+        ("24x24x48->16x16x16", 2, 2, {"projection_batch": 8}, [8, 8, 8]),
         # a batch of 2 cannot hold R = 4 projections: one-round steps
         ("24x24x16->16x16x16", 4, 1, {"projection_batch": 2}, [4, 4, 4, 4]),
     ],
@@ -308,24 +317,24 @@ def _run_with_deadline(run, seconds=30.0):
     thread.start()
     thread.join(timeout=seconds)
     assert not thread.is_alive(), (
-        "the iFDK run is still blocked — a thread is waiting on a circular "
-        "buffer whose other side has died"
+        "the iFDK run is still blocked — a rank is waiting in a collective "
+        "whose other side has died"
     )
     return outcome[0]
 
 
 def _long_run(rows=1, columns=1):
-    """More steps per rank than the two circular buffers hold in flight
-    (``BUFFER_DEPTH + 1`` steps each), so a stage that dies leaves the stage
-    before it blocked on a full buffer."""
+    """At least three steps per rank, so the injected failures below (the
+    second ``add_stack``, the third ``Allgather``) strike mid-run: a rank
+    that dies there leaves its siblings inside a collective or a later step."""
     plan = plan_for_problem(
-        "24x24x64->16x16x16", target="ifdk", rows=rows, columns=columns
+        "24x24x192->16x16x16", target="ifdk", rows=rows, columns=columns
     )
     config = IFDKConfig.from_plan(plan)
-    per_step = min(STEP_ROUNDS, max(1, config.projection_batch // rows))
-    assert -(-config.projections_per_rank // per_step) > BUFFER_DEPTH + 1
+    per_step = max(1, config.projection_batch // rows)
+    assert -(-config.projections_per_rank // per_step) >= 3
     stack = ProjectionStack(
-        data=np.ones((64, 24, 24), dtype=np.float32), angles=plan.geometry.angles
+        data=np.ones((192, 24, 24), dtype=np.float32), angles=plan.geometry.angles
     )
     return lambda: run_plan(plan, stack)
 
@@ -334,8 +343,8 @@ def _long_run(rows=1, columns=1):
 def test_failed_backprojection_fails_the_run_instead_of_hanging(
     monkeypatch, rows, columns
 ):
-    """The BP thread dying used to leave the main thread in ``put`` forever
-    (and, on a grid, every sibling rank in its column's ``Allgather``)."""
+    """A rank whose back-projection fails must not leave its siblings waiting
+    in their column's ``Allgather`` or the final ``Barrier``."""
     calls = itertools.count(1)  # next() is atomic: exactly one call is #2
     real = VolumeAccumulator.add_stack
 
@@ -347,16 +356,17 @@ def test_failed_backprojection_fails_the_run_instead_of_hanging(
     monkeypatch.setattr(VolumeAccumulator, "add_stack", add_stack)
     outcome = _run_with_deadline(_long_run(rows, columns))
     assert isinstance(outcome, SpmdError)
-    # The failing rank reports the failure itself, not the BufferClosed
-    # fallout its other threads see; its siblings report the broken barrier.
+    # The failing rank reports the failure itself; its siblings report the
+    # broken barrier.
     kinds = sorted(type(f.exception).__name__ for f in outcome.failures)
     assert kinds == ["BrokenBarrierError"] * (rows * columns - 1) + [
         "FloatingPointError"
     ]
 
 
-def test_failed_allgather_releases_the_filtering_thread(monkeypatch):
-    """A main-thread failure used to leave the filter thread in ``put``."""
+def test_failed_allgather_leaves_no_rank_thread(monkeypatch):
+    """A failed collective mid-run fails the run with its own error, and every
+    rank's thread has ended by the time it is raised."""
     calls = itertools.count(1)
     real = SimCommunicator.Allgather
 
@@ -369,6 +379,4 @@ def test_failed_allgather_releases_the_filtering_thread(monkeypatch):
     outcome = _run_with_deadline(_long_run())
     assert isinstance(outcome, SpmdError)
     assert isinstance(outcome.failures[0].exception, ConnectionError)
-    assert not [
-        t for t in threading.enumerate() if t.name.endswith(("-filter", "-allgather"))
-    ]
+    assert not [t for t in threading.enumerate() if t.name.startswith("ifdk-")]

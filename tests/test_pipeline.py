@@ -1,12 +1,11 @@
-"""Tests for the iFDK pipeline: config, decomposition, buffers, the stage
-primitive, the overlap factor, perf model."""
+"""Tests for the iFDK pipeline: config, decomposition, the circular buffer,
+the overlap factor, perf model."""
 
 from __future__ import annotations
 
 import dataclasses
 import threading
 import time
-from contextlib import closing
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro.bench import PROBLEM_4K, PROBLEM_8K
 from repro.core import default_geometry_for_problem
 from repro.core.types import ReconstructionProblem, problem_from_string
 from repro.gpusim import TESLA_V100
-from repro.obs import Tracer, get_tracer, use_tracer
+from repro.obs import Tracer
 from repro.pipeline import (
     ABCI_MICROBENCHMARKS,
     BufferClosed,
@@ -23,7 +22,6 @@ from repro.pipeline import (
     IFDKConfig,
     IFDKPerformanceModel,
     MicroBenchmarks,
-    ahead,
     choose_grid,
     fits_device_memory,
     subvolume_bytes,
@@ -199,90 +197,6 @@ class TestCircularBuffer:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             CircularBuffer(capacity=0)
-
-
-def _stage_threads():
-    return [t for t in threading.enumerate() if t.name == "stage-under-test"]
-
-
-@pytest.mark.parametrize("depth", [1, 8])
-class TestAhead:
-    """The one Fig. 4a stage primitive, at the chunk driver's depth and the
-    rank runtime's: the cases ``tests/test_ifdk_distributed.py`` drives through
-    a whole run, directly."""
-
-    def test_yields_every_step_in_order_and_joins(self, depth):
-        closed = []
-
-        def steps():
-            try:
-                yield from range(40)
-            finally:
-                closed.append(True)
-
-        assert list(ahead(steps(), depth, name="stage-under-test")) == list(range(40))
-        assert closed == [True] and not _stage_threads()
-
-    def test_runs_at_most_depth_steps_ahead(self, depth):
-        started = []
-
-        def steps():
-            for index in range(40):
-                started.append(index)
-                yield index
-
-        stream = ahead(steps(), depth, name="stage-under-test")
-        assert next(stream) == 0
-        deadline = time.perf_counter() + 5.0
-        while len(started) < depth + 1 and time.perf_counter() < deadline:
-            time.sleep(0.001)
-        time.sleep(0.02)  # a producer that overran would have by now
-        # Step 0 is held by the consumer; depth more are made or waiting.
-        assert len(started) == depth + 1
-        stream.close()
-        assert not _stage_threads()
-
-    def test_consumer_dying_mid_stream_releases_the_producer(self, depth):
-        """The consumer stops with the producer as far ahead as it may get:
-        it must be released and joined, and the steps closed."""
-        closed = []
-
-        def steps():
-            try:
-                for index in range(1000):
-                    yield index
-            finally:
-                closed.append(True)
-
-        with pytest.raises(FloatingPointError):
-            with closing(ahead(steps(), depth, name="stage-under-test")) as stream:
-                for index in stream:
-                    if index == 2:
-                        time.sleep(0.02)  # let the producer run into its bound
-                        raise FloatingPointError("consumer failed")
-        assert closed == [True] and not _stage_threads()
-
-    def test_producer_dying_mid_stream_raises_its_own_exception(self, depth):
-        """After the finished steps the consumer gets the producer's error
-        itself, not the closed buffer it leaves behind."""
-
-        def steps():
-            yield from range(5)
-            raise ConnectionError("producer failed")
-
-        seen = []
-        with pytest.raises(ConnectionError, match="producer failed"):
-            for index in ahead(steps(), depth, name="stage-under-test"):
-                seen.append(index)
-        assert seen == list(range(5)) and not _stage_threads()
-
-    def test_producer_sees_the_consumers_ambient_tracer(self, depth):
-        def steps():
-            yield get_tracer()
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            assert list(ahead(steps(), depth, name="stage-under-test")) == [tracer]
 
 
 class TestOverlapDelta:
