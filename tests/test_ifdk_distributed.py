@@ -262,15 +262,18 @@ def _per_column_volume(geometry, stack, backend, rows, columns):
 @pytest.mark.parametrize(
     "problem,rows,columns,overrides,calls",
     [
-        # 20 rounds of 2 projections: a full 32-projection batch of 16 rounds,
-        # then a partial step of 4 rounds
-        ("24x24x80->16x16x16", 2, 2, {}, [32, 8]),
-        # 12 rounds: the whole run is one step, under the batch
+        # 12 rounds of 2 projections: the whole run is one step, under the batch
         ("24x24x48->16x16x16", 2, 2, {}, [24]),
-        # a batch of 8 over R = 2: three full steps of 4 rounds
-        ("24x24x48->16x16x16", 2, 2, {"projection_batch": 8}, [8, 8, 8]),
+        # 6 rounds, a batch of 8 over R = 2: a full step of 4 rounds, then a
+        # partial one of 2 rounds
+        ("24x24x24->16x16x16", 2, 2, {"projection_batch": 8}, [8, 4]),
         # a batch of 2 cannot hold R = 4 projections: one-round steps
         ("24x24x16->16x16x16", 4, 1, {"projection_batch": 2}, [4, 4, 4, 4]),
+        # 20 rounds: a full 32-projection batch of 16 rounds, then a partial
+        # step of 4 rounds
+        ("24x24x80->16x16x16", 2, 2, {}, [32, 8]),
+        # a batch of 8 over R = 2: three full steps of 4 rounds
+        ("24x24x48->16x16x16", 2, 2, {"projection_batch": 8}, [8, 8, 8]),
     ],
 )
 def test_each_rank_back_projects_one_step_per_call(
