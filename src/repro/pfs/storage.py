@@ -210,6 +210,13 @@ class SimulatedPFS:
 # --------------------------------------------------------------------------- #
 # Tiny self-describing serialization (dtype + shape header, raw bytes payload)
 # --------------------------------------------------------------------------- #
+#: CPython 3.11 keeps the AST constructor's recursion counter in interpreter
+#: state: two threads in ``ast.literal_eval`` at once (iFDK ranks reading
+#: their projections) can fail with ``SystemError`` ("AST constructor
+#: recursion depth mismatch").  Header parses take turns.
+_LITERAL_EVAL_LOCK = threading.Lock()
+
+
 def _encode_header(array: np.ndarray) -> bytes:
     descr = np.lib.format.dtype_to_descr(array.dtype)
     header = repr({"descr": descr, "shape": array.shape}).encode("ascii")
@@ -231,7 +238,8 @@ def _parse_header(
         header_len = int.from_bytes(head[:4], "little")
         if len(head) < 4 or size < 4 + header_len or len(head) < 4 + header_len:
             raise ValueError(f"header of {header_len} bytes in a {size}-byte object")
-        header = ast.literal_eval(head[4 : 4 + header_len].decode("ascii"))
+        with _LITERAL_EVAL_LOCK:
+            header = ast.literal_eval(head[4 : 4 + header_len].decode("ascii"))
         if not isinstance(header, dict):
             raise ValueError("header is not a dictionary")
         dtype = np.lib.format.descr_to_dtype(header["descr"])

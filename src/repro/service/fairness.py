@@ -35,18 +35,20 @@ deficit arithmetic are pure functions of the queue snapshot and the
 persisted attained-service accounting — replaying the same trace twice
 yields bit-identical placement orders.
 
-The order is rebuilt every scheduling cycle, under the service lock, so
-its cost is bounded by what it emits: the subqueues are one pass over the
-already ordered base queue, and DRR rounds in which no tenant can afford
-its head (``cost / (quantum x weight)`` of them per job — unbounded as a
-plan-carried weight goes to zero) are taken in closed form, not walked.
+The order is yielded as the scheduler reads it, under the service lock,
+so a cycle pays for the jobs it considers, not for the whole queue: the
+subqueues are one pass over the already ordered base queue, DRR rounds are
+walked only until the scheduler stops reading, and rounds in which no
+tenant can afford its head (``cost / (quantum x weight)`` of them per job —
+unbounded as a plan-carried weight goes to zero) are taken in closed form.
+The DRR counters count the rounds and jobs of the prefix considered.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from ..obs import NULL_METRICS
 from .job import ReconstructionJob, job_sort_key
@@ -199,16 +201,17 @@ class FairShareQueue(JobQueue):
     # ------------------------------------------------------------------ #
     def scheduling_order(
         self, now: float, running: Sequence = ()
-    ) -> List[ReconstructionJob]:
+    ) -> Iterator[ReconstructionJob]:
         """Aged jobs first, then deficit round-robin across tenants.
 
         Jobs of tenants at their in-flight cap are withheld entirely (they
-        stay queued for a later cycle); every other waiting job appears
+        stay queued for a later cycle); every other waiting job is yielded
         exactly once.  The scheduler places a prefix of this order, so
-        under contention placed service follows the weights.
+        under contention placed service follows the weights.  It removes
+        placed jobs between yields, and :meth:`remove` charges attained
+        service: so all queue state read here is read before the first
+        yield, and the order is the one the queue had when reading began.
         """
-        if not self._ordered:
-            return []
         quantum = self.policy.quantum_seconds
 
         per_tenant: Dict[str, Deque[ReconstructionJob]] = {}
@@ -227,15 +230,18 @@ class FairShareQueue(JobQueue):
                 None if cap is None else max(0, cap - inflight.get(tenant, 0))
             )
 
-        order: List[ReconstructionJob] = []
+        # DRR visit order: least attained weight-normalized service first
+        # (ties on tenant name), so tenants short-changed in earlier cycles
+        # catch up first.
+        visit = sorted(per_tenant, key=lambda t: (self._attained.get(t, 0.0), t))
+        grant = {tenant: quantum * self.weight_of(tenant) for tenant in visit}
 
-        def emit(job: ReconstructionJob) -> bool:
+        def within_budget(job: ReconstructionJob) -> bool:
             remaining = budget[job.tenant]
             if remaining is not None:
                 if remaining == 0:
                     return False
                 budget[job.tenant] = remaining - 1
-            order.append(job)
             return True
 
         # Starvation aging: each tenant's oldest waiting job (by scheduling
@@ -249,24 +255,18 @@ class FairShareQueue(JobQueue):
                 if now - head.arrival_seconds >= aging:
                     aged.append(head)
             for job in sorted(aged, key=job_sort_key):
-                if emit(job):
+                if within_budget(job):
                     per_tenant[job.tenant].popleft()
                     self.aged_promotions += 1
                     self.obs.counter("service.fairness.aged_jobs").inc()
+                    yield job
 
-        # Deficit round-robin over the remainder.  Visit order: least
-        # attained weight-normalized service first (ties on tenant name),
-        # so tenants short-changed in earlier cycles catch up first.
+        # Deficit round-robin over the remainder.
         active = [
-            tenant for tenant in sorted(
-                per_tenant,
-                key=lambda t: (self._attained.get(t, 0.0), t),
-            )
+            tenant for tenant in visit
             if per_tenant[tenant] and budget[tenant] != 0
         ]
-        grant = {tenant: quantum * self.weight_of(tenant) for tenant in active}
         deficits = dict.fromkeys(active, 0.0)
-        rounds = 0
         while active:
             # A round in which no tenant can afford its head only adds the
             # grants, and there are cost / grant of them per emitted job —
@@ -280,11 +280,13 @@ class FairShareQueue(JobQueue):
                 )
                 for tenant in active
             ) - 1
+            rounds = 1
             if idle > 0:
                 rounds += idle
                 for tenant in active:
                     deficits[tenant] += idle * grant[tenant]
-            rounds += 1
+            self.deficit_rounds += rounds
+            self.obs.counter("service.fairness.deficit_rounds").inc(rounds)
             drained = False
             for tenant in active:
                 deficit = deficits[tenant] + grant[tenant]
@@ -294,18 +296,15 @@ class FairShareQueue(JobQueue):
                     cost = head.estimated_seconds or quantum
                     if deficit < cost:
                         break
-                    if not emit(head):
+                    if not within_budget(head):
                         subqueue.clear()  # budget exhausted this cycle
                         break
                     subqueue.popleft()
                     deficit -= cost
+                    yield head
                 deficits[tenant] = deficit
                 drained = drained or not subqueue
             if drained:
                 # Classic DRR, no hoarding: a tenant with nothing left
                 # leaves the rotation and its deficit with it.
                 active = [tenant for tenant in active if per_tenant[tenant]]
-        self.deficit_rounds += rounds
-        if rounds:
-            self.obs.counter("service.fairness.deficit_rounds").inc(rounds)
-        return order

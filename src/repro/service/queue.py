@@ -44,7 +44,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.types import ReconstructionProblem
 from .job import MIN_TENANT_WEIGHT, JobState, ReconstructionJob, job_sort_key
@@ -209,7 +209,7 @@ class JobQueue:
 
     def scheduling_order(
         self, now: float, running: Sequence = ()
-    ) -> List[ReconstructionJob]:
+    ) -> Iterable[ReconstructionJob]:
         """The order the scheduler should consider waiting jobs in.
 
         The seam the fair-share layer plugs into: the base queue ignores
@@ -218,6 +218,12 @@ class JobQueue:
         :class:`~repro.service.fairness.FairShareQueue` overrides this with
         deficit-round-robin across per-tenant subqueues, starvation aging
         and in-flight quotas.
+
+        The contract is an iterable, read once: the caller may
+        :meth:`remove` a job it has been given while it is still reading,
+        and the rest of the order is unchanged by it.  An override may
+        therefore yield lazily, so that a caller that stops early does not
+        pay for the jobs it never reads.
         """
         return self.ordered()
 

@@ -339,7 +339,9 @@ class ClusterScheduler:
 
         # The queue owns the consideration order: plain (priority,
         # deadline, FIFO) for a JobQueue, weighted deficit-round-robin
-        # with quotas and aging for a FairShareQueue.
+        # with quotas and aging for a FairShareQueue.  It is read once,
+        # removing placed and rejected jobs as it goes, and left where
+        # nothing more can be placed.
         for job in queue.scheduling_order(now, running):
             free = self.cluster.free_gpus
             if free == 0:
@@ -395,8 +397,9 @@ class ClusterScheduler:
                 # and spare move only on a placement, which asks again.
                 # So when no entry passes, the rest of the walk places
                 # nothing, and it has no side effect to lose
-                # (cache.contains is a peek, the order — DRR counters and
-                # all — is already materialised): leaving here is exact.
+                # (cache.contains is a peek; a fair queue yields its order
+                # lazily and its DRR counters count only what was read):
+                # leaving here is exact.
                 if envelope is None:
                     envelope = self._backfill_envelope(queue)
                 if not self._can_backfill(

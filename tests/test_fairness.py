@@ -100,7 +100,7 @@ class TestWeightedShares:
         queue = FairShareQueue(policy)
         fill(queue, [make_job("a", f"a-{i}", cost=1.0) for i in range(6)])
         fill(queue, [make_job("b", f"b-{i}", cost=1.0) for i in range(6)])
-        order = queue.scheduling_order(0.0)
+        order = list(queue.scheduling_order(0.0))
         assert len(order) == 12
         # Each DRR round grants a two unit-cost jobs and b one: every
         # prefix of complete rounds holds the 2:1 share exactly.
@@ -124,7 +124,7 @@ class TestWeightedShares:
         fill(queue, [make_job("vip", f"v-{i}", weight=3.0) for i in range(6)])
         fill(queue, [make_job("std", f"s-{i}") for i in range(6)])
         assert queue.weight_of("vip") == 3.0
-        first_four = [j.tenant for j in queue.scheduling_order(0.0)[:4]]
+        first_four = [j.tenant for j in list(queue.scheduling_order(0.0))[:4]]
         assert first_four.count("vip") == 3
 
     def test_operator_weights_beat_plan_overrides(self):
@@ -301,7 +301,7 @@ class TestQuotas:
         queued = make_job("a", "a-1")
         fill(queue, [queued, make_job("b", "b-0")])
         running = [running_placement(make_job("a", "a-0"))]
-        order = queue.scheduling_order(0.0, running)
+        order = list(queue.scheduling_order(0.0, running))
         # a is at its cap: its queued job is withheld, not rejected.
         assert [j.job_id for j in order] == ["b-0"]
         assert queued.rejection_reason is None
@@ -316,7 +316,7 @@ class TestQuotas:
         )
         fill(queue, [make_job("a", "a-1", max_inflight=1)])
         running = [running_placement(make_job("a", "a-0"))]
-        assert queue.scheduling_order(0.0, running) == []
+        assert list(queue.scheduling_order(0.0, running)) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -333,7 +333,7 @@ class TestAging:
         fill(queue, [make_job("heavy", f"h-{i}", arrival=25.0) for i in range(8)])
         starved = make_job("light", "l-0", arrival=0.0, slo=40.0)
         fill(queue, [starved])
-        order = queue.scheduling_order(31.0)
+        order = list(queue.scheduling_order(31.0))
         assert order[0].job_id == "l-0"
         assert queue.aged_promotions == 1
 
@@ -346,7 +346,7 @@ class TestAging:
         queue = FairShareQueue(policy)
         fill(queue, [make_job("light", f"l-{i}", arrival=0.0) for i in range(5)])
         fill(queue, [make_job("heavy", "h-0", arrival=99.0)])
-        order = queue.scheduling_order(100.0)
+        order = list(queue.scheduling_order(100.0))
         # All five light jobs waited past aging, but only the oldest jumps;
         # the rest take the normal DRR path, so aging cannot collapse the
         # whole order into FIFO.
@@ -358,8 +358,32 @@ class TestAging:
             AdmissionPolicy(fair_share=True, quantum_seconds=1.0)
         )
         fill(queue, [make_job("a", "a-0", arrival=0.0)])
-        queue.scheduling_order(1e9)
+        list(queue.scheduling_order(1e9))
         assert queue.aged_promotions == 0
+
+    def test_placing_the_aged_job_mid_read_leaves_the_rest_of_the_order(self):
+        # The scheduler removes each placed job while it reads the order,
+        # and remove() charges attained service: the DRR visit order is
+        # the one the queue had when reading began, not the one after.
+        def build():
+            queue = FairShareQueue(AdmissionPolicy(
+                fair_share=True, quantum_seconds=1.0, aging_seconds=30.0
+            ))
+            fill(queue, [make_job("a", f"a-{i}", arrival=0.0) for i in range(3)])
+            for tenant in "bc":
+                fill(queue, [
+                    make_job(tenant, f"{tenant}-{i}", arrival=50.0) for i in range(2)
+                ])
+            return queue
+
+        expected = [j.job_id for j in build().scheduling_order(60.0)]
+        assert expected == ["a-0", "a-1", "b-0", "c-0", "a-2", "b-1", "c-1"]
+        queue = build()
+        order = iter(queue.scheduling_order(60.0))
+        first = next(order)
+        queue.remove(first)
+        assert [first.job_id, *(j.job_id for j in order)] == expected
+        assert queue.aged_promotions == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +68,38 @@ class TestSimulatedPFS:
         pfs.write_array("volumes/test/z1", data)
         np.testing.assert_array_equal(pfs.read_array("volumes/test/z1"), data)
         assert len(list(tmp_path.iterdir())) == 1
+
+    def test_threads_reading_at_once_parse_headers_in_turn(self, monkeypatch):
+        """CPython 3.11 counts the AST constructor's recursion in interpreter
+        state, so two header parses interleaved (iFDK ranks reading their
+        projections) could fail with ``SystemError`` ("AST constructor
+        recursion depth mismatch").  A parse that yields the GIL midway
+        must not let another reader's parse start."""
+        inside, most = [0], [0]
+        literal_eval = ast.literal_eval
+
+        def yielding_literal_eval(text):
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+            time.sleep(0.001)
+            try:
+                return literal_eval(text)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(ast, "literal_eval", yielding_literal_eval)
+        pfs = SimulatedPFS()
+        pfs.write_array("x", np.zeros((2, 3), dtype=np.float32))
+        readers = [
+            threading.Thread(target=lambda: [pfs.read_view("x") for _ in range(20)])
+            for _ in range(2)
+        ]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(30)
+        assert not any(reader.is_alive() for reader in readers)
+        assert most[0] == 1
 
     @pytest.mark.parametrize("on_disk", [False, True])
     @pytest.mark.parametrize("read", READERS)

@@ -13,6 +13,11 @@ multiply-add): :func:`test_drr_skip_is_exact_on_dyadic_values` holds it on
 dyadic quanta, weights and costs, which are exact in both arithmetics;
 the service-level replays run it on the performance model's costs.
 
+A replay records each cycle's scheduling order by reading it whole before
+the scheduler sees it.  The fair queue yields its order as it is read, so
+the fair replays also run unrecorded, with jobs placed between yields, and
+compare everything the replay decided.
+
 Backfill asks "can anything still fit?" once per class of waiting job and
 leaves the walk when nothing can.  That must be a no-op too: the replays
 pinned at a small depth cap are where it fires on most cycles, and
@@ -95,8 +100,12 @@ def make_jobs(specs):
     return jobs
 
 
-def replay(specs, *, frozen, gpus, policy, admission, capacity, obs=None):
-    """Everything observable about one replay, as plain comparable values."""
+def replay(specs, *, frozen, gpus, policy, admission, capacity, obs=None, record=True):
+    """Everything observable about one replay, as plain comparable values.
+
+    ``record`` reads each cycle's whole scheduling order up front to keep
+    it; without it the scheduler reads the order as it does in service,
+    lazily, and leaves it where nothing more can be placed."""
     trace = types.SimpleNamespace(jobs=lambda: make_jobs(specs), description="")
     with contextlib.ExitStack() as stack:
         if frozen:
@@ -110,11 +119,12 @@ def replay(specs, *, frozen, gpus, policy, admission, capacity, obs=None):
         scheduling_order = queue.scheduling_order
 
         def recording(now, running=()):
-            order = scheduling_order(now, running)
+            order = list(scheduling_order(now, running))
             orders.append([job.job_id for job in order])
             return order
 
-        queue.scheduling_order = recording
+        if record:
+            queue.scheduling_order = recording
         report = service.replay(trace)
         return {
             "jobs": report.jobs,
@@ -130,10 +140,12 @@ def replay(specs, *, frozen, gpus, policy, admission, capacity, obs=None):
         }
 
 
-def assert_same_replay(specs, **config):
-    live = replay(specs, frozen=False, **config)
-    frozen = replay(specs, frozen=True, **config)
-    for field in live:
+def assert_same_replay(specs, *, record=True, **config):
+    live = replay(specs, frozen=False, record=record, **config)
+    frozen = replay(specs, frozen=True, record=record, **config)
+    # Read lazily, the live DRR counters count only the part of each order
+    # the scheduler read; everything the replay decided must still agree.
+    for field in live if record else ("jobs", "summary", "cache"):
         assert live[field] == frozen[field], field
     return live
 
@@ -203,18 +215,36 @@ def test_plain_replay_equals_the_frozen_parent(specs, gpus, policy, admission, c
     )
 
 
-@pytest.mark.fairness
-@given(
+fair_replays = given(
     specs=job_specs,
     gpus=st.sampled_from([4, 16]),
     policy=policies,
     admission=fair_admission,
     capacity=capacities,
 )
+
+
+@pytest.mark.fairness
+@fair_replays
 @settings(max_examples=100, deadline=None)
 def test_fair_replay_equals_the_frozen_parent(specs, gpus, policy, admission, capacity):
     assert_same_replay(
         specs, gpus=gpus, policy=policy, admission=admission, capacity=capacity
+    )
+
+
+@pytest.mark.fairness
+@fair_replays
+@settings(max_examples=100, deadline=None)
+def test_fair_replay_read_lazily_equals_the_frozen_parent(
+    specs, gpus, policy, admission, capacity
+):
+    """The recorded replay reads every order whole before the scheduler
+    sees it; here the scheduler places and rejects jobs between the
+    fair queue's yields, as it does in service."""
+    assert_same_replay(
+        specs, gpus=gpus, policy=policy, admission=admission, capacity=capacity,
+        record=False,
     )
 
 
@@ -576,7 +606,7 @@ def test_drr_skip_is_exact_on_dyadic_values(
         for index, (tenant, cost, priority, weight) in enumerate(jobs):
             assert queue.offer(queue_job(index, tenant, cost, priority, None, weight))
     while len(live):
-        live_order = live.scheduling_order(0.0)
+        live_order = list(live.scheduling_order(0.0))
         frozen_order = frozen.scheduling_order(0.0)
         assert [j.job_id for j in live_order] == [j.job_id for j in frozen_order]
         assert live.deficit_rounds == frozen.deficit_rounds
@@ -700,6 +730,24 @@ def test_fair_benchmark_replay_evaluates_a_job_a_few_times():
     admission = AdmissionPolicy(fair_share=True, tenant_weights={"tenant-0": 3.0})
     counts, _ = counted_replay(1000, admission)  # svc_replay_fair_1k at seed 3
     assert sum(counts["best_plan"].values()) <= 5_000  # 3 338; the parent: 35 610
+
+
+@pytest.mark.fairness
+def test_fair_benchmark_replay_reads_a_few_jobs_of_the_order_per_job(monkeypatch):
+    """The scheduler leaves the fair order at ``free == 0`` or where backfill
+    can place nothing, and the order is yielded as it is read."""
+    yielded = []
+    scheduling_order = FairShareQueue.scheduling_order
+
+    def counting(self, now, running=()):
+        for job in scheduling_order(self, now, running):
+            yielded.append(job)
+            yield job
+
+    monkeypatch.setattr(FairShareQueue, "scheduling_order", counting)
+    admission = AdmissionPolicy(fair_share=True, tenant_weights={"tenant-0": 3.0})
+    counted_replay(1000, admission)  # svc_replay_fair_1k at seed 3
+    assert len(yielded) <= 5 * 1000  # 3 425 in 1 987 cycles; read whole: 229 522
 
 
 def distinct_specs(n_jobs, seed):
@@ -837,7 +885,7 @@ def test_fair_replay_walks_a_bounded_number_of_drr_rounds_per_emitted_job(monkey
     scheduling_order = FairShareQueue.scheduling_order
 
     def recording(self, now, running=()):
-        emitted.append(scheduling_order(self, now, running))
+        emitted.append(list(scheduling_order(self, now, running)))
         return emitted[-1]
 
     monkeypatch.setattr(FairShareQueue, "scheduling_order", recording)
