@@ -12,14 +12,14 @@
  * object against the NumPy kernel before first use.
  *
  * Two loops run that sequence over a row of tile columns.  The scalar one
- * takes one column per step; on x86-64 the AVX2 one takes four, one per
+ * takes one column per step; on x86-64 the AVX2 one takes eight, one per
  * lane, with the same operations in the same order (a separate mul and add,
- * never an FMA; the same floor; the clip in double; four gathers).  There is
+ * never an FMA; np.floor; the clip after it; eight-wide gathers).  There is
  * no ISA flag: alg4_fold picks the lane loop per call by cpuid, so one object
  * serves every host of its machine type, and alg4_isa says which loop that is.
  * alg4_fold_scalar never takes the lanes.  Tail columns, lane groups with a
- * non-finite or huge v, and planes too large for int32 gather offsets run
- * the scalar loop.
+ * non-finite v or |v| >= 2^31, and planes too large for int32 gather offsets
+ * run the scalar loop.
  *
  * The projection sits transposed, (Nu+4, Nv+4), inside a two-sample zero
  * border, so a clipped coordinate always lands on a stored sample; a NaN
@@ -34,7 +34,7 @@
 #include <stdlib.h>
 
 enum { ALG4_OK = 0, ALG4_INDEX = 1, ALG4_MEMORY = 2 };
-enum { LANES = 4 };
+enum { LANES = 8 };
 
 /* The column table of one tile: everything but v (Theorems 2 and 3). */
 typedef struct {
@@ -49,11 +49,12 @@ typedef struct {
  * Inline and exact without libm or an ISA flag (a floor() call per voxel
  * costs a third of the kernel): below 2^51, adding and subtracting 1.5*2^52
  * rounds to the nearest integer; below 2^52 the integer cast truncates; from
- * there on a double is its own floor.  One difference from floor(): -0.0
- * gives +0.0.  That can flip the sign of a zero weight or zero dv and through
- * it the sign of a zero addend only, and a sum changes with the sign of a
- * zero addend only if it is -0.0 itself, which a slab that starts at +0.0
- * never holds. */
+ * there on a double is its own floor.  One difference from floor(), in this
+ * scalar loop only (the lanes round down with np.floor's bits): -0.0 gives
+ * +0.0.  That can flip the sign of a zero weight or zero dv and through it
+ * the sign of a zero addend only, and a sum changes with the sign of a zero
+ * addend only if it is -0.0 itself, which a slab that starts at +0.0 never
+ * holds. */
 static inline int64_t floor_index(double v, int64_t bound, double *v0)
 {
     double r;
@@ -108,46 +109,54 @@ static int have_lanes(void)
     return __builtin_cpu_supports("avx2");
 }
 
-/* fold_voxel for columns [0, n_cols - n_cols % 4), four per step: the same
- * IEEE sequence once per lane.  left holds int32 plane offsets here. */
+/* fold_voxel for columns [0, n_cols - n_cols % 8), eight per step: the same
+ * IEEE sequence once per lane, v in two halves of four doubles and the rest
+ * eight wide.  left holds int32 plane offsets here. */
 __attribute__((target("avx2"))) static int fold_lanes(
     float *voxel, const columns_t *t, int64_t n_cols, double k,
     const float *plane, int64_t stride, int64_t nv)
 {
-    const __m256d kk = _mm256_set1_pd(k), magic = _mm256_set1_pd(0x1.8p52);
-    const __m256d one = _mm256_set1_pd(1.0), sign = _mm256_set1_pd(-0.0);
-    const __m256d exact = _mm256_set1_pd(0x1p51);
-    const __m256d low = _mm256_set1_pd(-2.0), high = _mm256_set1_pd((double)nv);
-    const __m128i two = _mm_set1_epi32(2);
+    const __m256d kk = _mm256_set1_pd(k), sign = _mm256_set1_pd(-0.0);
+    const __m256d exact = _mm256_set1_pd(0x1p31);
+    const __m256i low = _mm256_set1_epi32(-2), high = _mm256_set1_epi32((int32_t)nv);
+    const __m256i two = _mm256_set1_epi32(2);
     for (int64_t c = 0; c + LANES <= n_cols; c += LANES) {
-        const __m256d v = _mm256_add_pd(
+        const __m256d v0 = _mm256_add_pd(
             _mm256_mul_pd(_mm256_loadu_pd(t->slope + c), kk),
             _mm256_loadu_pd(t->offset + c));
-        /* |v| >= 2^51 or NaN in any lane: floor_index's other branches. */
-        if (_mm256_movemask_pd(
-                _mm256_cmp_pd(_mm256_andnot_pd(sign, v), exact, _CMP_NLT_UQ))) {
+        const __m256d v1 = _mm256_add_pd(
+            _mm256_mul_pd(_mm256_loadu_pd(t->slope + c + 4), kk),
+            _mm256_loadu_pd(t->offset + c + 4));
+        /* |v| >= 2^31 or NaN in any lane: the scalar loop, whose int64 floor
+         * and clip hold every double; below, cvttpd cannot overflow int32. */
+        if (_mm256_movemask_pd(_mm256_or_pd(
+                _mm256_cmp_pd(_mm256_andnot_pd(sign, v0), exact, _CMP_NLT_UQ),
+                _mm256_cmp_pd(_mm256_andnot_pd(sign, v1), exact, _CMP_NLT_UQ)))) {
             for (int64_t lane = c; lane < c + LANES; lane++)
                 if (fold_voxel(voxel, t, lane, k, plane, stride, 1, nv) != ALG4_OK)
                     return ALG4_INDEX;
             continue;
         }
-        __m256d r = _mm256_sub_pd(_mm256_add_pd(v, magic), magic);
-        r = _mm256_blendv_pd(r, _mm256_sub_pd(r, one), _mm256_cmp_pd(r, v, _CMP_GT_OQ));
-        const __m128i index = _mm_add_epi32(
-            _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_max_pd(r, low), high)), two);
-        const __m128 dv = _mm256_cvtpd_ps(_mm256_sub_pd(v, r));
-        const __m128i at = _mm_add_epi32(
-            _mm_loadu_si128((const __m128i *)(t->left + c)), index);
-        const __m128 wl = _mm_loadu_ps(t->wl + c), wr = _mm_loadu_ps(t->wr + c);
-        const __m128 lo = _mm_add_ps(
-            _mm_mul_ps(wl, _mm_i32gather_ps(plane, at, 4)),
-            _mm_mul_ps(wr, _mm_i32gather_ps(plane + stride, at, 4)));
-        const __m128 hi = _mm_add_ps(
-            _mm_mul_ps(wl, _mm_i32gather_ps(plane + 1, at, 4)),
-            _mm_mul_ps(wr, _mm_i32gather_ps(plane + stride + 1, at, 4)));
-        const __m128 rest = _mm_sub_ps(_mm_set1_ps(1.0f), dv);
-        const __m128 blend = _mm_add_ps(_mm_mul_ps(lo, rest), _mm_mul_ps(hi, dv));
-        _mm_storeu_ps(voxel + c, _mm_add_ps(_mm_loadu_ps(voxel + c), blend));
+        /* np.floor, exactly (-0.0 included), then np.clip in int32. */
+        const __m256d r0 = _mm256_round_pd(v0, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+        const __m256d r1 = _mm256_round_pd(v1, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+        const __m256i whole = _mm256_set_m128i(_mm256_cvttpd_epi32(r1), _mm256_cvttpd_epi32(r0));
+        const __m256i index = _mm256_add_epi32(
+            _mm256_min_epi32(_mm256_max_epi32(whole, low), high), two);
+        const __m256 dv = _mm256_set_m128(_mm256_cvtpd_ps(_mm256_sub_pd(v1, r1)),
+                                          _mm256_cvtpd_ps(_mm256_sub_pd(v0, r0)));
+        const __m256i at = _mm256_add_epi32(
+            _mm256_loadu_si256((const __m256i *)(t->left + c)), index);
+        const __m256 wl = _mm256_loadu_ps(t->wl + c), wr = _mm256_loadu_ps(t->wr + c);
+        const __m256 lo = _mm256_add_ps(
+            _mm256_mul_ps(wl, _mm256_i32gather_ps(plane, at, 4)),
+            _mm256_mul_ps(wr, _mm256_i32gather_ps(plane + stride, at, 4)));
+        const __m256 hi = _mm256_add_ps(
+            _mm256_mul_ps(wl, _mm256_i32gather_ps(plane + 1, at, 4)),
+            _mm256_mul_ps(wr, _mm256_i32gather_ps(plane + stride + 1, at, 4)));
+        const __m256 rest = _mm256_sub_ps(_mm256_set1_ps(1.0f), dv);
+        const __m256 blend = _mm256_add_ps(_mm256_mul_ps(lo, rest), _mm256_mul_ps(hi, dv));
+        _mm256_storeu_ps(voxel + c, _mm256_add_ps(_mm256_loadu_ps(voxel + c), blend));
     }
     return ALG4_OK;
 }

@@ -13,7 +13,7 @@ fallback plus one ``RuntimeWarning`` per process that names the reason.
 Nothing here runs at import; hiding the compiler is the off-switch.
 
 One object serves every host of its machine type: ``alg4_fold`` picks its
-four-column AVX2 loop or its scalar loop per call by cpuid (:func:`isa`
+eight-column AVX2 loop or its scalar loop per call by cpuid (:func:`isa`
 says which), so the proof covers the loop this host runs;
 ``alg4_fold_scalar`` is the scalar loop alone, for the tests.
 """
@@ -161,25 +161,27 @@ def _bind(path: Path, entry_point: str = "alg4_fold") -> Callable:
 def _prove(fold: Callable) -> None:
     """``fold`` against the NumPy kernel on a block whose columns leave the
     detector on one side and whose slices pass its top and bottom, in tiles
-    of 63, 9, 18 and 36 columns: every tail a four-lane loop can leave."""
+    of 72, 9, 63, 18, 54, 27, 45 and 36 columns: every tail an eight-lane loop
+    can leave."""
     from ..core.geometry import CBCTGeometry
     from .vectorized import BlockWorkspace, _index_grids, accumulate_proposed_block
 
     geometry = CBCTGeometry(
-        nu=14, nv=10, np_=5, du=1.0, dv=1.0, sad=30.0, sdd=45.0, nx=9, ny=7,
+        nu=14, nv=10, np_=5, du=1.0, dv=1.0, sad=30.0, sdd=45.0, nx=9, ny=8,
         nz=24, dx=1.0, dy=1.0, dz=1.5, detector_offset_u=6.0,
     )
     stack = np.random.default_rng(4).standard_normal((5, 10, 14)).astype(np.float32)
     matrices = np.stack([geometry.projection_matrix(a).matrix for a in geometry.angles])
-    expected, got = np.zeros((2, 24, 7, 9), dtype=np.float32)
-    j_grid, i_grid = _index_grids(7, 9)
-    work = BlockWorkspace("proposed", 10, 14, [(24, 63)])
+    expected, got = np.zeros((2, 24, 8, 9), dtype=np.float32)
+    j_grid, i_grid = _index_grids(8, 9)
+    work = BlockWorkspace("proposed", 10, 14, [(24, 72)])
     for matrix, projection in zip(matrices, stack):
         work.load(projection)
         accumulate_proposed_block(
             expected, work, matrix, np.arange(24, dtype=np.float64), i_grid, j_grid
         )
-    tiles = [(0, 11, 0, 7), (11, 24, 0, 1), (11, 24, 1, 3), (11, 24, 3, 7)]
+    tiles = [(0, 6, 0, 8), (6, 11, 0, 1), (6, 11, 1, 8), (11, 16, 0, 2), (11, 16, 2, 8),
+             (16, 20, 0, 3), (16, 20, 3, 8), (20, 24, 0, 4), (20, 24, 4, 8)]
     fold(got, 0, tiles, stack, matrices)
     if not np.array_equal(got.view(np.uint32), expected.view(np.uint32)):
         raise Unavailable("self-check mismatch")
@@ -235,7 +237,7 @@ def resolve() -> Optional[Callable]:
 
 
 def isa() -> Optional[str]:
-    """The loop the resolved kernel runs — ``"avx2"`` (four columns per step)
+    """The loop the resolved kernel runs — ``"avx2"`` (eight columns per step)
     or ``"scalar"`` — or ``None`` when the NumPy kernels run."""
     fold = resolve()
     return None if fold is None else fold.isa

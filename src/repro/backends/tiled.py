@@ -15,10 +15,12 @@ The proposed kernel (Algorithm 4) has two executors of one operation
 sequence.  ``native`` — :mod:`repro.backends.native`, ``alg4.c`` built on
 first use — folds a shard's tiles for a whole stack in one foreign call that
 releases the GIL, so shards scale with cores; on x86-64 with AVX2 it takes
-four tile columns per step (:func:`repro.backends.native.isa` names the
+eight tile columns per step (:func:`repro.backends.native.isa` names the
 loop).  Measured on 2 vCPUs (a Xeon with AVX2), 96x96x128->64^3, median of
-7: 96 ms on one shard and 53 on two with the lanes, 197 and 107 on the
-scalar loop; the NumPy executor: 374-431 and 297-340 over three runs.
+7: 44 ms on one shard and 46 on two with the eight lanes (62 and 63 with the
+four lanes they replaced), 133 and 93 on the scalar loop; the NumPy
+executor, median of 3: 240 and 164.  So on that host a second shard speeds
+up the scalar loop only.
 ``numpy`` — the block kernels of
 :mod:`repro.backends.vectorized` — is the fallback on a host without a C
 compiler, the load-time oracle of the compiled object, and the only executor
@@ -112,7 +114,8 @@ def default_workers() -> int:
     ``parallel-conformance`` job runs the whole matrix with 4 workers on
     whatever runner it lands on); without it the count follows the host,
     capped at 4: nothing wider has been measured (the development host has
-    two cores, on which the compiled kernel's shards scale 1.8x).
+    two vCPUs, on which the compiled scalar loop's shards scale 1.4x and its
+    lane loop's not measurably).
     """
     env = os.environ.get("REPRO_PARALLEL_WORKERS")
     if env is not None:

@@ -11,7 +11,7 @@ the same host profile, failing on a throughput regression larger than
 Numbers measured on different hosts are not comparable — a 1-cpu CI runner
 is not a 16-core workstation, and a host without a C compiler runs the
 NumPy kernels where another runs the compiled one, and a host without AVX2
-runs its scalar loop where another takes four columns per step — so
+runs its scalar loop where another takes eight columns per step — so
 comparisons are gated on the host profile: the cpu count, the kernel
 ``executor`` (entries from before it was recorded ran ``numpy``) and, on the
 compiled one, its ``isa`` (entries from before it was recorded ran

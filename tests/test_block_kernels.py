@@ -11,13 +11,13 @@ to one slice, chunk sizes that do not divide the slab, both input dtypes and
 any ``(byte_budget, workers)``.
 
 Every bit test runs on every executor of the proposed kernel — the compiled
-``alg4.c`` as this host dispatches it (four columns per step with AVX2),
+``alg4.c`` as this host dispatches it (eight columns per step with AVX2),
 its scalar loop alone, and, with the loader patched out, the NumPy one — so
 the frozen parent is the oracle of all three.  A property test over garbage
 matrices (NaN, infinities, huge values) holds both compiled loops to the
 NumPy answer or the same ``IndexError``; named cases put every tail the
-four-lane loop leaves, and lane groups that mix huge or NaN lanes with
-ordinary ones, in front of it.
+eight-lane loop leaves, lane groups that mix huge or NaN lanes with
+ordinary ones, and a ``v`` of exactly ``-0.0``, in front of it.
 
 **Memory.**  ``_block_bytes`` is the model ``byte_budget`` is enforced
 against; ``tracemalloc`` checks that a real ``add_stack`` of the NumPy
@@ -182,16 +182,17 @@ compiled_executors = pytest.mark.parametrize(
 @compiled_executors
 @pytest.mark.parametrize("nx", [5, 7])
 def test_tiles_of_every_width_modulo_the_lanes(executor, nx):
-    """Tiles of 1, 2, 3 and 4 rows of ``nx`` columns: every tail the four-lane
-    loop leaves, on slices that clip at the detector's top and bottom."""
-    geometry = base_geometry(nx=nx, ny=10, nz=40, dz=2.0, nv=10)
+    """Tiles of 1 to 8 rows of ``nx`` columns: every tail the eight-lane loop
+    leaves, on slices that clip at the detector's top and bottom."""
+    geometry = base_geometry(nx=nx, ny=36, nz=40, dz=2.0, nv=10)
     _, v = detector_coordinates(geometry)
     assert v.min() < -2 and v.max() > geometry.nv + 1
-    tiles = [(0, 40, 0, 1), (0, 40, 1, 3), (0, 40, 3, 6), (0, 40, 6, 10)]
-    assert sorted((y1 - y0) * nx % 4 for _, _, y0, y1 in tiles) == [0, 1, 2, 3]
+    rows = np.cumsum([0, *range(1, 9)])
+    tiles = [(0, 40, y0, y1) for y0, y1 in zip(rows[:-1], rows[1:])]
+    assert sorted((y1 - y0) * nx % 8 for _, _, y0, y1 in tiles) == list(range(8))
     stack = make_stack(geometry)
     matrices = np.stack([geometry.projection_matrix(float(a)).matrix for a in stack.angles])
-    out = np.zeros((40, 10, nx), dtype=np.float32)
+    out = np.zeros((40, 36, nx), dtype=np.float32)
     native.resolve()(out, 0, tiles, stack.data, matrices)
     assert_same_bits(out, parent_backproject(stack, geometry, "proposed", (0, 40)))
 
@@ -367,27 +368,69 @@ else:  # pragma: no cover - exercised only without hypothesis
 @compiled_executors
 def test_lane_groups_that_mix_huge_and_ordinary_lanes(executor):
     """``p[1, 0]`` scales ``v`` with ``i``: column ``i = 0`` of a row stays on
-    the detector while ``i = 1, 2, 3`` pass 2^50, 2^51 and 2^52 (every branch
-    of the floor), so four-column groups mix them and fall back to the scalar
-    loop; the answer is the NumPy kernel's.  Then ``inf`` there makes lane
-    ``i = 0`` NaN (``inf * 0``) beside infinite lanes: the same IndexError."""
+    the detector while the others pass 2^30 or 2^50 and up, by projection.
+    So eight-column groups mix ordinary lanes with lanes just under 2^31
+    (the lane loop clips them in int32), with lanes on both sides of 2^31
+    (the group falls back to the scalar loop) and with lanes past 2^51 and
+    2^52 (every branch of the scalar floor); the answer is the NumPy
+    kernel's.  Then ``inf`` there makes lane ``i = 0`` NaN (``inf * 0``)
+    beside infinite lanes: the same IndexError.  So does a lone NaN in the
+    upper half of a group of ordinary lanes: ``z = 0`` at ``(i, j) = (5, 0)``."""
     geometry = base_geometry()
     matrices = np.stack([geometry.projection_matrix(float(a)).matrix for a in geometry.angles])
-    matrices[:, 1, 0] = 0.75 * 2.0**51 * matrices[:, 2, 3] * np.resize([1, -1], len(matrices))
+    scale = np.resize([0.75 * 2.0**51, -0.3 * 2.0**31, -0.75 * 2.0**51, 0.1 * 2.0**31],
+                      len(matrices))
+    matrices[:, 1, 0] = scale * matrices[:, 2, 3]
     k, j, i = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in (11, 7, 9)), indexing="ij")
     p = matrices[:, :, :, None, None, None]
     v = np.abs((p[:, 1, 0] * i + p[:, 1, 1] * j + p[:, 1, 2] * k + p[:, 1, 3])
                / (p[:, 2, 0] * i + p[:, 2, 1] * j + p[:, 2, 3]))
-    groups = v.reshape(len(matrices), 11, 63)[:, :, :60].reshape(-1, 4)
-    bands = [(2.0**50, 2.0**51), (2.0**51, 2.0**52), (2.0**52, np.inf)]
-    has = [((groups >= low) & (groups < high)).any(axis=1) for low, high in bands]
-    assert (np.logical_and.reduce(has) & (groups.min(axis=1) < geometry.nv)).any()
+    groups = v.reshape(len(matrices), 11, 63)[:, :, :56].reshape(-1, 8)
+    bands = [(2.0**30, 2.0**31), (2.0**31, 2.0**51), (2.0**51, 2.0**52), (2.0**52, np.inf)]
+    under, over, near, past = (
+        ((groups >= low) & (groups < high)).any(axis=1) for low, high in bands
+    )
+    ordinary = groups.min(axis=1) < geometry.nv
+    assert (ordinary & under & (groups.max(axis=1) < 2.0**31)).any()
+    assert (ordinary & under & over).any()
+    assert (ordinary & near & past).any()
     expected = fold_under(matrices, numpy_only=True)
     assert expected is not IndexError
     assert_same_bits(fold_under(matrices, numpy_only=False), expected)
     matrices[1, 1, 0] = np.inf
     assert fold_under(matrices, numpy_only=True) is IndexError
     assert fold_under(matrices, numpy_only=False) is IndexError
+    matrices = np.stack([geometry.projection_matrix(float(a)).matrix for a in geometry.angles])
+    matrices[0, 2] = [-6.0, 0.5, 0.0, 30.0]  # z = 0 at (i, j) = (5, 0) only: lane 5
+    assert matrices[0, 0, 0] * 5 + matrices[0, 0, 3] != 0  # so u = inf * x is not NaN
+    assert fold_under(matrices, numpy_only=True) is IndexError
+    assert fold_under(matrices, numpy_only=False) is IndexError
+
+
+@compiled_executors
+def test_a_voxel_whose_v_is_minus_zero_gets_the_numpy_bits(executor):
+    """Row 1 of every matrix ``-0.25, -0.25, -0.25, -0.0`` makes ``v`` exactly
+    ``-0.0`` at voxel ``(0, 0, 0)`` and ``-1 < v <= 0`` everywhere, so every
+    lane group stays in the lane loop.  The lanes floor ``-0.0`` to ``-0.0``
+    as ``np.floor`` does, the scalar loop to ``+0.0``; both give the NumPy
+    kernel's bits."""
+    geometry = base_geometry()
+    matrices = np.stack([geometry.projection_matrix(float(a)).matrix for a in geometry.angles])
+    matrices[:, 1] = [-0.25, -0.25, -0.25, -0.0]
+    f = 1.0 / matrices[:, 2, 3]  # v = slope * k + offset at i = j = k = 0
+    v = matrices[:, 1, 2] * f * 0.0 + (
+        matrices[:, 1, 0] * 0.0 + matrices[:, 1, 1] * 0.0 + matrices[:, 1, 3]
+    ) * f
+    assert (v == 0.0).all() and np.signbit(v).all()
+    k, j, i = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in (11, 7, 9)), indexing="ij")
+    p = matrices[:, :, :, None, None, None]
+    v = (p[:, 1, 0] * i + p[:, 1, 1] * j + p[:, 1, 2] * k + p[:, 1, 3]) / (
+        p[:, 2, 0] * i + p[:, 2, 1] * j + p[:, 2, 3]
+    )
+    assert ((v > -1.0) & (v <= 0.0)).all()
+    expected = fold_under(matrices, numpy_only=True)
+    assert expected is not IndexError and expected[0, 0, 0] != 0.0
+    assert_same_bits(fold_under(matrices, numpy_only=False), expected)
 
 
 @every_executor
@@ -489,7 +532,7 @@ def test_working_set_does_not_grow_with_the_slab(algorithm):
 def test_compiled_scratch_follows_the_widest_tile_not_the_slab_or_the_stack():
     """The compiled executor's per-call scratch, from the sizes its entry point
     is handed: 28 B per column of the shard's widest tile (rounded up to a
-    multiple of the four lanes) plus one padded projection — whatever the
+    multiple of the eight lanes) plus one padded projection — whatever the
     slab's thickness and the stack's length."""
     n, nz = 48, 64
     geometry = default_geometry_for_problem(nu=n, nv=nz, np_=8, nx=n, ny=n, nz=nz)
@@ -516,7 +559,7 @@ def test_compiled_scratch_follows_the_widest_tile_not_the_slab_or_the_stack():
         assert shape == (views, geometry.nv, geometry.nu)
         assert (len(tiles) == 1) == (budget == 1 << 25)
         widest = int(((tiles[:, 3] - tiles[:, 2]) * n).max())
-        scratch[z_range, views, budget] = 28 * (-(-widest // 4) * 4) + padded
+        scratch[z_range, views, budget] = 28 * (-(-widest // 8) * 8) + padded
     whole_rows = 28 * n * n + padded
     assert [*scratch.values()][:3] == [whole_rows] * 3
     assert padded < scratch[(0, nz), 8, 1 << 21] < whole_rows  # narrower tiles
