@@ -7,6 +7,11 @@ Scalable Framework for Instant High-resolution Image Reconstruction"*
 Sub-packages
 ------------
 
+Each loads on first touch: ``import repro`` imports none of them, and
+``repro.service`` or ``from repro import Session`` imports that one (and
+what it imports) when the name is first read, so a process pays only for
+the layers it runs.
+
 ``repro.core``
     The FDK algorithms: geometry, phantoms, forward projection, filtering
     (Algorithm 1), the standard and proposed back-projection algorithms
@@ -67,22 +72,7 @@ Sub-packages
     lock-order sanitizer behind ``REPRO_LOCK_SANITIZER=1``.
 """
 
-from . import (
-    analysis,
-    api,
-    backends,
-    bench,
-    core,
-    gpusim,
-    mpi,
-    obs,
-    pfs,
-    pipeline,
-    scenarios,
-    service,
-    streaming,
-)
-from .api import ReconstructionPlan, RunResult, Session
+from importlib import import_module as _import_module
 
 __version__ = "1.6.0"
 
@@ -105,3 +95,21 @@ __all__ = [
     "streaming",
     "__version__",
 ]
+
+#: The front-door names re-exported from :mod:`repro.api`.
+_API_NAMES = ("ReconstructionPlan", "RunResult", "Session")
+
+
+def __getattr__(name: str):
+    # Deferred (PEP 562): a CLI call or a spawned worker imports only what it touches.
+    if name in _API_NAMES:
+        value = globals()[name] = getattr(_import_module(".api", __name__), name)
+        return value
+    if name in __all__:
+        # Importing a subpackage binds it here, so this runs once per name.
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

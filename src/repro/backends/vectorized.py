@@ -80,7 +80,8 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy import fft as _fft  # the goldens are pinned to SciPy's pocketfft
+
+from ..core.filtering import _pocketfft
 
 
 __all__ = [
@@ -128,9 +129,10 @@ def rfft_ramp_filter(
     pad = rows.shape[-1]
     if pad != response.shape[0] or pad < out.shape[-1]:
         raise ValueError("rows must be padded to the response length")
-    spectrum = _fft.rfft(rows, axis=-1)
+    fft = _pocketfft()
+    spectrum = fft.rfft(rows, axis=-1)
     spectrum *= (response[: pad // 2 + 1] * (tau * scale)).astype(np.float32)
-    out[...] = _fft.irfft(spectrum, n=pad, axis=-1)[:, : out.shape[-1]]
+    out[...] = fft.irfft(spectrum, n=pad, axis=-1)[:, : out.shape[-1]]
 
 
 # --------------------------------------------------------------------------- #

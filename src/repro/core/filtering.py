@@ -30,11 +30,10 @@ Implementation notes
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import fft as _fft  # the goldens are pinned to SciPy's pocketfft
 
 from .geometry import CBCTGeometry
 from .types import DEFAULT_DTYPE, ProjectionStack
@@ -51,6 +50,15 @@ __all__ = [
     "apply_ramp_filter_into",
     "filter_projections",
 ]
+
+
+@cache
+def _pocketfft():
+    """``scipy.fft``: the goldens are pinned to SciPy's pocketfft."""
+    # Deferred to the first filter call: a process that filters nothing skips ~300 ms.
+    from scipy import fft
+
+    return fft
 
 
 # --------------------------------------------------------------------------- #
@@ -149,7 +157,7 @@ def ramp_filter_frequency_response(
         raise ValueError(f"unknown ramp filter window {window!r}; valid: {RAMP_FILTERS}")
     length = canonical_fft_length(nu)
     kernel = ramp_kernel_spatial(length, tau)
-    response = np.real(_fft.fft(kernel))
+    response = np.real(_pocketfft().fft(kernel))
     freqs = np.fft.fftfreq(length, d=tau)
     nyquist = 1.0 / (2.0 * tau)
     response = response * _window(window, freqs, nyquist)
@@ -175,16 +183,17 @@ def shortest_ramp_filter_response(
     returned.
     """
     canonical = ramp_filter_frequency_response(nu, tau, window)
-    length = _fft.next_fast_len(2 * nu - 1, real=True)
+    fft = _pocketfft()
+    length = fft.next_fast_len(2 * nu - 1, real=True)
     if length == canonical.shape[0]:
         return canonical
-    taps = np.real(_fft.ifft(canonical))
+    taps = np.real(fft.ifft(canonical))
     reach = nu - 1
     short = np.zeros(length, dtype=np.float64)
     short[: reach + 1] = taps[: reach + 1]
     if reach:
         short[-reach:] = taps[-reach:]
-    response = np.real(_fft.fft(short))
+    response = np.real(fft.fft(short))
     response.setflags(write=False)
     return response
 
@@ -206,8 +215,9 @@ def apply_ramp_filter(
     if response is None:
         response = ramp_filter_frequency_response(nu, tau, window)
     pad_to = response.shape[0]
-    spectrum = _fft.fft(rows, n=pad_to, axis=-1)
-    filtered = np.real(_fft.ifft(spectrum * response, axis=-1))[..., :nu]
+    fft = _pocketfft()
+    spectrum = fft.fft(rows, n=pad_to, axis=-1)
+    filtered = np.real(fft.ifft(spectrum * response, axis=-1))[..., :nu]
     return (filtered * tau).astype(rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE)
 
 

@@ -17,8 +17,9 @@ the L1 cache.  This module provides:
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
-from scipy import ndimage as _ndimage
 
 __all__ = [
     "interp2",
@@ -26,6 +27,15 @@ __all__ = [
     "trilinear_interpolate",
     "trilinear_interpolate_numpy",
 ]
+
+
+@cache
+def _ndimage():
+    """``scipy.ndimage``, for its compiled ``map_coordinates``."""
+    # Deferred to the first interpolation: only ``reference`` and forward projection use it.
+    from scipy import ndimage
+
+    return ndimage
 
 
 def interp2(image: np.ndarray, u: float, v: float) -> float:
@@ -80,7 +90,7 @@ def bilinear_interpolate(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.
     u, v = np.broadcast_arrays(u, v)
     out_dtype = np.result_type(image.dtype, np.float32)
     coords = np.stack([v.ravel(), u.ravel()], axis=0)
-    sampled = _ndimage.map_coordinates(
+    sampled = _ndimage().map_coordinates(
         image.astype(out_dtype, copy=False),
         coords,
         order=1,
@@ -110,7 +120,7 @@ def trilinear_interpolate(
     x, y, z = np.broadcast_arrays(x, y, z)
     out_dtype = np.result_type(volume.dtype, np.float32)
     coords = np.stack([z.ravel(), y.ravel(), x.ravel()], axis=0)
-    sampled = _ndimage.map_coordinates(
+    sampled = _ndimage().map_coordinates(
         volume.astype(out_dtype, copy=False),
         coords,
         order=1,

@@ -179,12 +179,15 @@ class JobQueue:
         # its sort keys beside it for bisect (no ``key=`` before Python
         # 3.10).  Admission order: ``_admitted`` by ``id(job)`` — the
         # backlog sums must add in this order, a sum over the sorted view
-        # differs from it in the last bit of ``retry_after_seconds``.
+        # differs from it in the last bit of ``retry_after_seconds`` — and
+        # ``_estimates`` beside it, each job's ``estimated_seconds or 0.0``
+        # as admitted, so the backlog is one ``sum`` over a dict's values.
         # Census: ``_waiting`` counts the jobs per problem, no zero entries;
         # ``census_epoch`` moves whenever a problem enters or leaves it.
         self._ordered: List[ReconstructionJob] = []  # guarded-by: caller
         self._keys: List[Tuple[int, float, int]] = []  # guarded-by: caller
         self._admitted: Dict[int, ReconstructionJob] = {}  # guarded-by: caller
+        self._estimates: Dict[int, float] = {}  # guarded-by: caller
         self._waiting: Dict[ReconstructionProblem, int] = {}  # guarded-by: caller
         self.census_epoch = 0  # guarded-by: caller
         # Lazily built: most callers (the service) estimate before offering,
@@ -201,7 +204,7 @@ class JobQueue:
     @property
     def backlog_seconds(self) -> float:
         """Sum of the queued jobs' estimated service times."""
-        return sum(job.estimated_seconds or 0.0 for job in self._admitted.values())
+        return sum(self._estimates.values())
 
     def ordered(self) -> List[ReconstructionJob]:
         """Snapshot of the queue in scheduling order."""
@@ -292,6 +295,7 @@ class JobQueue:
         self._keys.insert(index, key)
         self._ordered.insert(index, job)
         self._admitted[id(job)] = job
+        self._estimates[id(job)] = job.estimated_seconds or 0.0
         waiting = self._waiting.get(job.problem, 0)
         self._waiting[job.problem] = waiting + 1
         if not waiting:
@@ -313,7 +317,8 @@ class JobQueue:
         key = job_sort_key(job)
         for index in range(bisect_left(self._keys, key), bisect_right(self._keys, key)):
             if self._ordered[index] is job:
-                del self._keys[index], self._ordered[index], self._admitted[id(job)]
+                del self._keys[index], self._ordered[index]
+                del self._admitted[id(job)], self._estimates[id(job)]
                 waiting = self._waiting[job.problem]
                 if waiting == 1:
                     del self._waiting[job.problem]
@@ -333,6 +338,7 @@ class JobQueue:
         self._keys.clear()
         self._ordered.clear()
         self._admitted.clear()
+        self._estimates.clear()
         self._waiting.clear()
         self.census_epoch += 1
         return jobs

@@ -41,6 +41,7 @@ Section 4.1:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -121,6 +122,38 @@ class Placement:
     @property
     def gpus(self) -> int:
         return self.plan.gpus
+
+
+class _ReleaseOrder:
+    """One cycle's running placements in the order they free their GPUs.
+
+    Sorted by finish on first read, then kept sorted as the cycle places
+    jobs: a new placement goes after every equal finish, exactly where a
+    stable sort of ``running + placements`` would put it, so a reservation
+    never re-sorts the whole list.
+    """
+
+    def __init__(self, running: Sequence[Placement]):
+        self._unsorted: Optional[List[Placement]] = list(running)
+        self._placements: List[Placement] = []
+        self._finishes: List[float] = []  # beside it, for bisect
+
+    def add(self, placement: Placement) -> None:
+        if self._unsorted is not None:
+            self._unsorted.append(placement)
+            return
+        finish = placement.finish_seconds
+        index = bisect_right(self._finishes, finish)
+        self._finishes.insert(index, finish)
+        self._placements.insert(index, placement)
+
+    def placements(self) -> List[Placement]:
+        """Every placement, earliest finish first (ties in arrival order)."""
+        if self._unsorted is not None:
+            self._placements = sorted(self._unsorted, key=lambda p: p.finish_seconds)
+            self._finishes = [p.finish_seconds for p in self._placements]
+            self._unsorted = None
+        return self._placements
 
 
 class ClusterScheduler:
@@ -253,14 +286,17 @@ class ClusterScheduler:
         toward fewer GPUs, so a hopeless SLO does not monopolize the
         cluster).
         """
-        plans = self.candidate_plans(job, gpu_budget)
         deadline = job.deadline_seconds
-        for plan in plans:  # fewest GPUs first
+        fastest: Optional[AllocationPlan] = None
+        for plan in self._allocation_table(job.problem, self._is_cached(job)):
+            if plan.gpus > gpu_budget:
+                break  # fewest GPUs first: the rest are over budget too
             if plan.finish_at(now) <= deadline:
                 return plan
-        if require_slo or not plans:
-            return None
-        return min(plans, key=lambda p: (p.runtime_seconds, p.gpus))
+            # Strictly faster only: a tie keeps the fewer GPUs seen first.
+            if fastest is None or plan.runtime_seconds < fastest.runtime_seconds:
+                fastest = plan
+        return None if require_slo else fastest
 
     def largest_plan(self, job: ReconstructionJob, gpu_budget: int) -> Optional[AllocationPlan]:
         """The biggest feasible allocation (what naive FIFO always takes)."""
@@ -328,6 +364,7 @@ class ClusterScheduler:
     ) -> Tuple[List[Placement], List[ReconstructionJob]]:
         placements: List[Placement] = []
         rejected: List[ReconstructionJob] = []
+        release = _ReleaseOrder(running)
         blocked_head: Optional[ReconstructionJob] = None
         reservation_time = float("inf")
         spare_at_reservation = 0
@@ -336,6 +373,11 @@ class ClusterScheduler:
         # spare) moved since the envelope was last asked.
         envelope: Optional[Dict[int, float]] = None
         recheck = True
+
+        def place(job: ReconstructionJob, plan: AllocationPlan) -> None:
+            placement = self._place(queue, job, plan, now)
+            placements.append(placement)
+            release.add(placement)
 
         # The queue owns the consideration order: plain (priority,
         # deadline, FIFO) for a JobQueue, weighted deficit-round-robin
@@ -349,13 +391,13 @@ class ClusterScheduler:
             if blocked_head is None:
                 plan = self.best_plan(job, free, now, require_slo=True)
                 if plan is not None:
-                    placements.append(self._place(queue, job, plan, now))
+                    place(job, plan)
                     continue
                 # Nothing that fits the free GPUs meets the SLO.  Waiting
                 # for a larger allocation may still meet it — prefer that
                 # over knowingly burning the deadline.
                 deferred = self._deferred_slo_reservation(
-                    job, now, list(running) + placements
+                    job, now, release.placements()
                 )
                 if deferred is not None:
                     blocked_head = job
@@ -365,7 +407,7 @@ class ClusterScheduler:
                 # The SLO is unmeetable either way: run best-effort now.
                 plan = self.best_plan(job, free, now)
                 if plan is not None:
-                    placements.append(self._place(queue, job, plan, now))
+                    place(job, plan)
                     continue
                 # Head does not fit right now.  Can it ever run?
                 full_plan = self.best_plan(job, self.cluster.total_gpus, now)
@@ -376,7 +418,7 @@ class ClusterScheduler:
                     continue
                 blocked_head = job
                 reservation_time, available = self._reservation_for(
-                    full_plan.gpus, now, list(running) + placements
+                    full_plan.gpus, now, release.placements()
                 )
                 spare_at_reservation = max(0, available - full_plan.gpus)
                 continue
@@ -413,7 +455,7 @@ class ClusterScheduler:
             fits_before = plan.finish_at(now) <= reservation_time
             fits_beside = plan.gpus <= spare_at_reservation
             if fits_before or fits_beside:
-                placements.append(self._place(queue, job, plan, now))
+                place(job, plan)
                 if fits_beside and not fits_before:
                     spare_at_reservation -= plan.gpus
                 recheck = True
@@ -457,7 +499,7 @@ class ClusterScheduler:
         )
 
     def _deferred_slo_reservation(
-        self, job: ReconstructionJob, now: float, running: Sequence[Placement]
+        self, job: ReconstructionJob, now: float, released: Sequence[Placement]
     ) -> Optional[Tuple[float, int, int]]:
         """A future start that still meets the job's SLO, if one exists.
 
@@ -470,7 +512,7 @@ class ClusterScheduler:
         if job.deadline_seconds == float("inf"):
             return None  # best-effort jobs never wait for bigger grids
         for plan in self.candidate_plans(job, self.cluster.total_gpus):
-            start, available = self._reservation_for(plan.gpus, now, running)
+            start, available = self._reservation_for(plan.gpus, now, released)
             if start <= now or start == float("inf"):
                 continue
             if start + plan.runtime_seconds <= job.deadline_seconds:
@@ -478,17 +520,18 @@ class ClusterScheduler:
         return None
 
     def _reservation_for(
-        self, gpus_needed: int, now: float, running: Sequence[Placement]
+        self, gpus_needed: int, now: float, released: Sequence[Placement]
     ) -> Tuple[float, int]:
         """Earliest time ``gpus_needed`` GPUs are free, and how many are then.
 
-        Walks the running placements in finish order, accumulating released
-        GPUs onto the currently-free pool.
+        Walks the running placements ``released`` (in finish order, see
+        :class:`_ReleaseOrder`), accumulating their GPUs onto the
+        currently-free pool.
         """
         free = self.cluster.free_gpus
         if free >= gpus_needed:
             return now, free
-        for placement in sorted(running, key=lambda p: p.finish_seconds):
+        for placement in released:
             free += placement.gpus
             if free >= gpus_needed:
                 return placement.finish_seconds, free
