@@ -15,16 +15,15 @@ the layers it runs.
 ``repro.core``
     The FDK algorithms: geometry, phantoms, forward projection, filtering
     (Algorithm 1), the standard and proposed back-projection algorithms
-    (Algorithms 2 and 4), iterative solvers and quality metrics.
+    (Algorithms 2 and 4) and quality metrics.
 ``repro.backends``
     Pluggable compute backends for the hot paths: ``reference`` and one
     tiled backend registered as ``vectorized``, ``blocked`` and
     ``parallel``, proven interchangeable by the cross-backend conformance
     suite.
 ``repro.gpusim``
-    A simulated GPU substrate: device model, warp/shuffle semantics and the
-    five back-projection kernel variants of Table 3 with an analytic
-    throughput model (Table 4).
+    A simulated GPU substrate: device model and the five back-projection
+    kernel variants of Table 3 with an analytic throughput model (Table 4).
 ``repro.mpi``
     An in-process MPI substrate: SPMD engine and the four collectives the
     distributed framework uses (``Split``, ``Allgather``, sum ``Reduce``,

@@ -7,9 +7,9 @@ every paper-facing test was written against — so its outputs are *defined*
 to be correct, and every other backend is measured against it.
 
 Its ``filter_stack`` and ``backproject(algorithm=...)`` are the one
-whole-stack entry point to those transcriptions: the tests' fixtures, the
-Table 3 kernel variants of :mod:`repro.gpusim.kernels` and the iterative
-solvers of :mod:`repro.core.iterative` all run them through here.
+whole-stack entry point to those transcriptions: the tests' fixtures and
+the Table 3 kernel variants of :mod:`repro.gpusim.kernels` run them through
+here.
 """
 
 from __future__ import annotations

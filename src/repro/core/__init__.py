@@ -13,30 +13,23 @@ from .backprojection import (
     operation_counts,
     projection_compute_reduction,
 )
-from .iterative import IterativeResult, mlem, osem, sart, sirt
 from .filtering import (
     RAMP_FILTERS,
     cosine_weight_table,
     filter_projections,
 )
-from .forward import (
-    apply_poisson_gaussian_noise,
-    forward_project_analytic,
-    forward_project_volume,
-)
+from .forward import forward_project_analytic
 from .geometry import (
     CBCTGeometry,
     ProjectionMatrix,
     default_geometry_for_problem,
-    make_projection_matrices,
 )
-from .interpolation import bilinear_interpolate, interp2, trilinear_interpolate
+from .interpolation import bilinear_interpolate, interp2
 from .metrics import gups, normalized_cross_correlation, psnr, rmse
 from .phantom import (
     Ellipsoid,
     EllipsoidPhantom,
     point_grid_phantom,
-    shepp_logan_2d,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
     uniform_sphere_phantom,
@@ -52,11 +45,6 @@ from .types import (
 
 __all__ = [
     "CBCTGeometry",
-    "IterativeResult",
-    "mlem",
-    "osem",
-    "sart",
-    "sirt",
     "DEFAULT_DTYPE",
     "Ellipsoid",
     "EllipsoidPhantom",
@@ -67,16 +55,13 @@ __all__ = [
     "ReconstructionProblem",
     "SymmetryReport",
     "Volume",
-    "apply_poisson_gaussian_noise",
     "bilinear_interpolate",
     "cosine_weight_table",
     "default_geometry_for_problem",
     "filter_projections",
     "forward_project_analytic",
-    "forward_project_volume",
     "gups",
     "interp2",
-    "make_projection_matrices",
     "normalized_cross_correlation",
     "operation_counts",
     "point_grid_phantom",
@@ -84,10 +69,8 @@ __all__ = [
     "projection_compute_reduction",
     "psnr",
     "rmse",
-    "shepp_logan_2d",
     "shepp_logan_3d",
     "shepp_logan_ellipsoids",
-    "trilinear_interpolate",
     "uniform_sphere_phantom",
     "verify_geometry_symmetry",
 ]

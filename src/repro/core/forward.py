@@ -2,22 +2,13 @@
 
 The paper synthesizes its input data by forward-projecting the Shepp-Logan
 phantom with RTK's forward-projection tool (Section 5.1).  This module plays
-that role and additionally provides the discrete forward operator needed by
-the iterative solvers (Section 6.2: ART, SART, MLEM, MBIR all re-use the
-same projection geometry).
+that role: :func:`forward_project_analytic` computes exact cone-beam line
+integrals of an :class:`~repro.core.phantom.EllipsoidPhantom`.  Because the
+integrals are closed-form, they are the gold standard for validating both
+the geometry and the FDK reconstruction quality.
 
-Two projectors are provided:
-
-* :func:`forward_project_analytic` — exact cone-beam line integrals of an
-  :class:`~repro.core.phantom.EllipsoidPhantom`.  Because the integrals are
-  closed-form, this is the gold standard for validating both the geometry
-  and the FDK reconstruction quality.
-* :func:`forward_project_volume` — a ray-marching projector through an
-  arbitrary rasterized volume with trilinear sampling.  This is the matched
-  forward operator ``A`` used by the iterative reconstruction methods.
-
-Both projectors derive the source position and per-pixel ray directions
-directly from the 3x4 projection matrices (the camera model), so they are
+The projector derives the source position and per-pixel ray directions
+directly from the 3x4 projection matrices (the camera model), so it is
 consistent with the back-projection stage by construction.
 """
 
@@ -27,16 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CBCTGeometry, ProjectionMatrix
-from .interpolation import trilinear_interpolate
+from .geometry import CBCTGeometry
 from .phantom import EllipsoidPhantom
-from .types import DEFAULT_DTYPE, ProjectionStack, Volume
+from .types import DEFAULT_DTYPE, ProjectionStack
 
 __all__ = [
     "forward_project_analytic",
-    "forward_project_volume",
     "detector_pixel_grid",
-    "apply_poisson_gaussian_noise",
 ]
 
 
@@ -110,155 +98,5 @@ def forward_project_analytic(
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(norm_normalized > 0, norm_physical / norm_normalized, 0.0)
         data[idx] = (integrals_norm * scale).reshape(geometry.nv, geometry.nu)
-
-    return ProjectionStack(data=data, angles=np.asarray(list(angles), dtype=np.float64))
-
-
-def apply_poisson_gaussian_noise(
-    stack: ProjectionStack,
-    *,
-    photons: float = 1.0e5,
-    electronic_sigma: float = 5.0,
-    attenuation_scale: float = 1.0,
-    seed: int = 0,
-) -> ProjectionStack:
-    """Photon-counting + electronic-noise forward model for line integrals.
-
-    Physical CBCT projections are log-transformed photon counts, not clean
-    line integrals.  This routine runs the measurement model on an ideal
-    stack ``p`` (line integrals, mm·density):
-
-    1. expected counts ``λ = N₀ · exp(−μ·p)`` with ``μ = attenuation_scale``
-       (Beer–Lambert; the scale converts the phantom's arbitrary density
-       units into attenuation per mm),
-    2. a Poisson draw per detector pixel (quantum noise),
-    3. additive Gaussian electronic noise of ``electronic_sigma`` counts,
-    4. the log transform back to line integrals,
-       ``p̂ = −ln(max(counts, 1)/N₀)/μ`` — counts are floored at one photon,
-       the usual guard against photon starvation.
-
-    The draw is fully determined by ``seed`` (a fresh
-    ``numpy.random.default_rng``), so a scenario's noisy stack is
-    reproducible across runs, machines and compute backends.
-    """
-    if photons <= 0:
-        raise ValueError("photons must be positive")
-    if electronic_sigma < 0:
-        raise ValueError("electronic_sigma must be non-negative")
-    if attenuation_scale <= 0:
-        raise ValueError("attenuation_scale must be positive")
-    rng = np.random.default_rng(seed)
-    p = stack.data.astype(np.float64)
-    # Clip the exponent so λ stays inside the Poisson sampler's int64 range
-    # (negative integrals can occur on synthetic/noise-only stacks).
-    attenuation = np.clip(attenuation_scale * p, -20.0, 50.0)
-    lam = photons * np.exp(-attenuation)
-    counts = rng.poisson(lam).astype(np.float64)
-    if electronic_sigma > 0:
-        counts += rng.normal(0.0, electronic_sigma, counts.shape)
-    counts = np.maximum(counts, 1.0)
-    noisy = -np.log(counts / photons) / attenuation_scale
-    return ProjectionStack(
-        data=noisy.astype(DEFAULT_DTYPE),
-        angles=stack.angles.copy(),
-        filtered=stack.filtered,
-    )
-
-
-def _ray_box_intersection(
-    origins: np.ndarray,
-    directions: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-):
-    """Slab-method intersection of rays with an axis-aligned box.
-
-    Returns ``(t_near, t_far)`` clipped so that ``t_near <= t_far`` means the
-    ray crosses the box.  ``origins`` broadcasts against ``directions``
-    (shape ``(..., 3)``).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(directions != 0.0, 1.0 / directions, np.inf)
-    t0 = (lo - origins) * inv
-    t1 = (hi - origins) * inv
-    t_near = np.maximum.reduce(np.minimum(t0, t1), axis=-1)
-    t_far = np.minimum.reduce(np.maximum(t0, t1), axis=-1)
-    return t_near, t_far
-
-
-def forward_project_volume(
-    volume: Volume,
-    geometry: CBCTGeometry,
-    angles: Optional[Sequence[float]] = None,
-    *,
-    step_mm: Optional[float] = None,
-) -> ProjectionStack:
-    """Ray-marching cone-beam projection of a rasterized volume.
-
-    Parameters
-    ----------
-    volume:
-        The ``(Nz, Ny, Nx)`` volume to project.  Its extents must match the
-        geometry's ``nx/ny/nz``.
-    geometry:
-        Acquisition geometry.
-    angles:
-        Gantry angles to project at (defaults to the geometry's full sweep).
-    step_mm:
-        Sampling step along each ray in millimetres.  Defaults to half the
-        smallest voxel pitch (a common choice that keeps the discretization
-        error well below the interpolation error).
-    """
-    if volume.shape != geometry.volume_shape:
-        raise ValueError(
-            f"volume shape {volume.shape} does not match geometry "
-            f"{geometry.volume_shape}"
-        )
-    if angles is None:
-        angles = geometry.angles
-    if step_mm is None:
-        step_mm = 0.5 * min(geometry.dx, geometry.dy, geometry.dz)
-    if step_mm <= 0:
-        raise ValueError("step_mm must be positive")
-
-    matrices = geometry.projection_matrices(angles)
-    uu, vv = detector_pixel_grid(geometry)
-    data = np.zeros((len(matrices), geometry.nv, geometry.nu), dtype=DEFAULT_DTYPE)
-
-    lo = np.array([-0.5, -0.5, -0.5])
-    hi = np.array(
-        [geometry.nx - 0.5, geometry.ny - 0.5, geometry.nz - 0.5]
-    )
-
-    vol_data = volume.data
-    for idx, pm in enumerate(matrices):
-        source_index = pm.camera_center
-        directions_index = pm.ray_direction(uu, vv).reshape(-1, 3)
-        norm_physical = _physical_direction_norm(geometry, directions_index)
-        t_near, t_far = _ray_box_intersection(
-            source_index[None, :], directions_index, lo, hi
-        )
-        t_near = np.maximum(t_near, 0.0)
-        span = np.maximum(t_far - t_near, 0.0)
-        # Parameter-space step that corresponds to `step_mm` physically.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(norm_physical > 0, step_mm / norm_physical, 0.0)
-        n_steps = int(np.ceil(np.max(np.where(dt > 0, span / np.maximum(dt, 1e-30), 0.0)))) if span.size else 0
-        if n_steps == 0:
-            continue
-        accum = np.zeros(directions_index.shape[0], dtype=np.float64)
-        # Midpoint rule along each ray; rays shorter than the longest simply
-        # stop contributing once their parameter leaves [t_near, t_far].
-        for step in range(n_steps):
-            t = t_near + (step + 0.5) * dt
-            active = t < t_far
-            if not np.any(active):
-                break
-            pts = source_index[None, :] + t[:, None] * directions_index
-            samples = trilinear_interpolate(
-                vol_data, pts[:, 0], pts[:, 1], pts[:, 2]
-            )
-            accum += np.where(active, samples, 0.0)
-        data[idx] = (accum * step_mm).reshape(geometry.nv, geometry.nu)
 
     return ProjectionStack(data=data, angles=np.asarray(list(angles), dtype=np.float64))

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "CBCTGeometry",
     "ProjectionMatrix",
-    "make_projection_matrices",
     "default_geometry_for_problem",
 ]
 
@@ -373,11 +372,6 @@ class ProjectionMatrix:
         """
         d = self.geometry.sad
         return (d / np.asarray(z)) ** 2
-
-
-def make_projection_matrices(geometry: CBCTGeometry) -> np.ndarray:
-    """Stack all projection matrices into an ``(Np, 3, 4)`` float64 array."""
-    return np.stack([pm.matrix for pm in geometry.projection_matrices()], axis=0)
 
 
 def default_geometry_for_problem(

@@ -20,7 +20,6 @@ __all__ = [
     "rmse",
     "psnr",
     "normalized_cross_correlation",
-    "mean_absolute_error",
     "interior_mask",
 ]
 
@@ -47,17 +46,6 @@ def rmse(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:
     if diff.size == 0:
         raise ValueError("mask selects no elements")
     return float(np.sqrt(np.mean(diff * diff)))
-
-
-def mean_absolute_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Mean absolute error between two arrays (optionally masked)."""
-    a, b = _as_pair(a, b)
-    diff = np.abs(a - b)
-    if mask is not None:
-        diff = diff[np.asarray(mask, dtype=bool)]
-    if diff.size == 0:
-        raise ValueError("mask selects no elements")
-    return float(np.mean(diff))
 
 
 def psnr(a: np.ndarray, reference: np.ndarray, mask: np.ndarray | None = None) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "EllipsoidPhantom",
     "shepp_logan_ellipsoids",
     "shepp_logan_3d",
-    "shepp_logan_2d",
     "uniform_sphere_phantom",
     "point_grid_phantom",
 ]
@@ -218,15 +217,6 @@ def shepp_logan_3d(
     nz = nx if nz is None else nz
     phantom = EllipsoidPhantom(shepp_logan_ellipsoids(modified=modified))
     return phantom.rasterize(nx, ny, nz, supersample=supersample)
-
-
-def shepp_logan_2d(n: int, *, modified: bool = True) -> np.ndarray:
-    """The central (z=0) slice of the 3-D Shepp-Logan phantom, ``(n, n)``."""
-    phantom = EllipsoidPhantom(shepp_logan_ellipsoids(modified=modified))
-    coords = (np.arange(n, dtype=np.float64) - (n - 1) / 2.0) / (n / 2.0)
-    yy, xx = np.meshgrid(coords, coords, indexing="ij")
-    points = np.stack([xx, -yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
-    return phantom.density_at(points).reshape(n, n).astype(DEFAULT_DTYPE)
 
 
 def uniform_sphere_phantom(radius: float = 0.6, value: float = 1.0) -> EllipsoidPhantom:

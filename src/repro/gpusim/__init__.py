@@ -2,9 +2,10 @@
 
 The paper runs its back-projection kernels on Tesla V100 GPUs; this package
 replaces the physical device with (a) an explicit architectural model
-(:mod:`~repro.gpusim.device`), (b) numerically exact NumPy executions of the
-five kernel variants of Table 3 (:mod:`~repro.gpusim.kernels`) and (c) a
-roofline-style throughput model that regenerates Table 4
+(:mod:`~repro.gpusim.device`), (b) the five kernel variants of Table 3 as
+rows of read-path and layout characteristics (:mod:`~repro.gpusim.kernels`;
+a kernel's voxel values are its algorithm's on the ``reference`` backend)
+and (c) a roofline-style throughput model that regenerates Table 4
 (:mod:`~repro.gpusim.costmodel`).  The device-memory capacity that shapes
 the distributed design is checked once, by Section 4.1.5's rule in
 :func:`repro.pipeline.config.fits_device_memory`; PCIe transfer costs are
@@ -27,10 +28,8 @@ from .kernels import (
     TEX_TRAN,
     KernelVariant,
     get_kernel,
-    shfl_bp_reference,
 )
 from .texture import GlobalReadPath, L1ReadPath, ReadPathModel, TextureReadPath
-from .warp import FULL_MASK, Warp
 
 __all__ = [
     "A100_40GB",
@@ -39,7 +38,6 @@ __all__ = [
     "BackprojectionCostModel",
     "DEFAULT_PROJECTION_BATCH",
     "DeviceSpec",
-    "FULL_MASK",
     "GlobalReadPath",
     "KERNEL_VARIANTS",
     "KernelTiming",
@@ -51,8 +49,6 @@ __all__ = [
     "TESLA_V100",
     "TEX_TRAN",
     "TextureReadPath",
-    "Warp",
     "get_kernel",
     "predict_table4",
-    "shfl_bp_reference",
 ]

@@ -22,23 +22,17 @@ to predict its GUPS on a given device.  Its voxel values are those of its
 (``get_backend("reference").backproject(stack, geometry,
 algorithm=kernel.algorithm)``).
 
-:func:`shfl_bp_reference` is additionally a literal, warp-level transcription
-of Listing 1 (the ``shflBP`` kernel), used to validate that the shuffle-based
-formulation produces the same voxel values as Algorithm 4.
+Listing 1's ``shflBP`` has no lane-level model here: under a full mask its
+``__shfl_sync`` hands every lane the registers of one lane, so the kernel
+computes Algorithm 4's voxel values, which ``reference`` already computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-import numpy as np
-
-from ..core.geometry import CBCTGeometry
-from ..core.interpolation import interp2
-from ..core.types import ProjectionStack
 from .texture import ReadPathModel, read_path_for
-from .warp import FULL_MASK, Warp
 
 __all__ = [
     "KernelVariant",
@@ -49,7 +43,6 @@ __all__ = [
     "BP_L1",
     "L1_TRAN",
     "get_kernel",
-    "shfl_bp_reference",
     "DEFAULT_PROJECTION_BATCH",
 ]
 
@@ -229,63 +222,3 @@ def get_kernel(name: str) -> KernelVariant:
     except KeyError:
         valid = ", ".join(k.name for k in KERNEL_VARIANTS)
         raise ValueError(f"unknown kernel {name!r}; valid kernels: {valid}") from None
-
-
-# --------------------------------------------------------------------------- #
-# Literal transcription of Listing 1 (shflBP) for one warp
-# --------------------------------------------------------------------------- #
-def shfl_bp_reference(
-    stack: ProjectionStack,
-    geometry: CBCTGeometry,
-    voxel_ijk: Tuple[int, int, int],
-    *,
-    warp: Optional[Warp] = None,
-) -> Tuple[float, float]:
-    """Execute Listing 1 for a single voxel/warp and a batch of projections.
-
-    One CUDA thread of the ``shflBP`` kernel owns the voxel ``(i, j, k)`` and
-    its Z-mirror.  The first ``Np`` lanes of the warp each hold the
-    ``Z = 1/z`` and ``U = u`` registers of one projection in the batch
-    (computed for this thread's voxel), and the loop over the batch reads
-    them back through ``__shfl_sync``.
-
-    Returns ``(sum, sum_mirror)``: the contributions this batch adds to the
-    voxel and to its mirror — exactly the two ``mad`` accumulators of
-    Listing 1.  The test-suite checks these against Algorithm 4.
-    """
-    if stack.np_ > DEFAULT_PROJECTION_BATCH:
-        raise ValueError(
-            f"shflBP processes at most {DEFAULT_PROJECTION_BATCH} projections per launch"
-        )
-    i, j, k = voxel_ijk
-    if not (0 <= i < geometry.nx and 0 <= j < geometry.ny and 0 <= k < geometry.nz):
-        raise ValueError(f"voxel {voxel_ijk} outside the volume")
-    warp = warp or Warp(width=DEFAULT_PROJECTION_BATCH)
-    matrices = geometry.projection_matrices(stack.angles)
-
-    # Constant memory: ProjMat[32][3] — one 3x4 matrix per lane.
-    # Each lane computes its own Z and U registers (Listing 1 lines 11-14).
-    for lane, pm in enumerate(matrices):
-        p = pm.matrix
-        vec = np.array([i, j, k, 1.0])  # note: k plays no role in rows 0 and 2
-        z = 1.0 / float(p[2] @ vec)
-        u = float(p[0] @ vec) * z
-        warp.write(lane, "Z", z)
-        warp.write(lane, "U", u)
-
-    nv = geometry.nv
-    total = 0.0
-    total_mirror = 0.0
-    for s, pm in enumerate(matrices):
-        # Listing 1 lines 19-20: broadcast lane s's registers to all lanes.
-        u = warp.shfl_sync(FULL_MASK, "U", s)[0]
-        f = warp.shfl_sync(FULL_MASK, "Z", s)[0]
-        w_dis = f * f
-        p = pm.matrix
-        v = float(p[1] @ np.array([i, j, k, 1.0])) * f
-        v_mirror = (nv - 1) - v
-        projection_t = np.ascontiguousarray(stack.data[s].T)
-        # interp2 on the transposed projection: arguments (Q~, v, u).
-        total += w_dis * interp2(projection_t, v, u)
-        total_mirror += w_dis * interp2(projection_t, v_mirror, u)
-    return total, total_mirror

@@ -2,8 +2,7 @@
 
 A :class:`NoiseModel` is the frozen, hashable description of a measurement
 noise process — the scenario layer stores it, cache keys serialize it, and
-:meth:`NoiseModel.apply` runs the actual forward model implemented in
-:func:`repro.core.forward.apply_poisson_gaussian_noise` (seeded Poisson
+:meth:`NoiseModel.apply` runs the forward model itself (seeded Poisson
 photon counting plus Gaussian electronic noise).
 """
 
@@ -11,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.forward import apply_poisson_gaussian_noise
-from ..core.types import ProjectionStack
+import numpy as np
+
+from ..core.types import DEFAULT_DTYPE, ProjectionStack
 
 __all__ = ["NoiseModel"]
 
@@ -59,11 +59,37 @@ class NoiseModel:
         )
 
     def apply(self, stack: ProjectionStack) -> ProjectionStack:
-        """Run the measurement model on an ideal line-integral stack."""
-        return apply_poisson_gaussian_noise(
-            stack,
-            photons=self.photons,
-            electronic_sigma=self.electronic_sigma,
-            attenuation_scale=self.attenuation_scale,
-            seed=self.seed,
+        """Run the measurement model on an ideal line-integral stack.
+
+        Physical CBCT projections are log-transformed photon counts, not
+        clean line integrals.  For an ideal stack ``p`` (line integrals,
+        mm·density) this computes:
+
+        1. expected counts ``λ = N₀ · exp(−μ·p)`` with ``μ =
+           attenuation_scale`` (Beer–Lambert; the scale converts the
+           phantom's arbitrary density units into attenuation per mm),
+        2. a Poisson draw per detector pixel (quantum noise),
+        3. additive Gaussian electronic noise of ``electronic_sigma`` counts,
+        4. the log transform back to line integrals,
+           ``p̂ = −ln(max(counts, 1)/N₀)/μ`` — counts are floored at one
+           photon, the usual guard against photon starvation.
+
+        The draw is fully determined by ``seed`` (a fresh
+        ``numpy.random.default_rng``).
+        """
+        rng = np.random.default_rng(self.seed)
+        p = stack.data.astype(np.float64)
+        # Clip the exponent so λ stays inside the Poisson sampler's int64
+        # range (negative integrals can occur on synthetic/noise-only stacks).
+        attenuation = np.clip(self.attenuation_scale * p, -20.0, 50.0)
+        lam = self.photons * np.exp(-attenuation)
+        counts = rng.poisson(lam).astype(np.float64)
+        if self.electronic_sigma > 0:
+            counts += rng.normal(0.0, self.electronic_sigma, counts.shape)
+        counts = np.maximum(counts, 1.0)
+        noisy = -np.log(counts / self.photons) / self.attenuation_scale
+        return ProjectionStack(
+            data=noisy.astype(DEFAULT_DTYPE),
+            angles=stack.angles.copy(),
+            filtered=stack.filtered,
         )

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.geometry import (
-    CBCTGeometry,
-    default_geometry_for_problem,
-    make_projection_matrices,
-)
+from repro.core.geometry import CBCTGeometry, default_geometry_for_problem
 
 
 @pytest.fixture()
@@ -125,13 +121,6 @@ class TestProjectionMatrix:
         pm = geometry.projection_matrix(0.0)
         z = np.array([geometry.sad, 2 * geometry.sad])
         np.testing.assert_allclose(pm.distance_weight(z), [1.0, 0.25])
-
-    def test_make_projection_matrices_stacks_all(self, geometry):
-        mats = make_projection_matrices(geometry)
-        assert mats.shape == (geometry.np_, 3, 4)
-        np.testing.assert_allclose(
-            mats[3], geometry.projection_matrix(geometry.angles[3]).matrix
-        )
 
 
 class TestDefaultGeometry:

@@ -1,4 +1,4 @@
-"""Tests for the simulated GPU substrate (device, warp, kernels, cost model)."""
+"""Tests for the simulated GPU substrate (device, kernels, cost model)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.core import default_geometry_for_problem
-from repro.core.types import ProjectionStack, problem_from_string
+from repro.core.interpolation import interp2
+from repro.core.types import problem_from_string
 from repro.gpusim import (
     BP_L1,
     BP_TEX,
@@ -18,10 +18,8 @@ from repro.gpusim import (
     TEX_TRAN,
     BackprojectionCostModel,
     DeviceSpec,
-    Warp,
     get_kernel,
     predict_table4,
-    shfl_bp_reference,
 )
 from repro.bench import TABLE4_PROBLEMS
 
@@ -38,27 +36,6 @@ class TestDeviceSpec:
                 name="bad", global_memory_bytes=0, dram_bandwidth=1, fp32_flops=1,
                 l2_cache_bytes=1, sm_count=1,
             )
-
-
-class TestWarp:
-    def test_shuffle_broadcasts_from_lane(self):
-        warp = Warp(width=8)
-        warp.broadcast_write("Z", np.arange(8))
-        received = warp.shfl_sync(0xFF, "Z", 5)
-        assert np.all(received == 5.0)
-
-    def test_read_unwritten_register_is_zero(self):
-        warp = Warp(width=4)
-        assert warp.read(2, "U") == 0.0
-
-    def test_lane_bounds_checked(self):
-        warp = Warp(width=4)
-        with pytest.raises(IndexError):
-            warp.write(4, "Z", 1.0)
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            Warp(width=0)
 
 
 class TestKernelVariants:
@@ -96,21 +73,33 @@ class TestKernelVariants:
         assert RTK_32.supports_output_bytes(8 * 2**30)
 
     def test_kernel_execution_matches_reference(self, small_geometry, small_filtered):
-        # Listing 1's per-voxel warp program against the whole volume that
-        # ``reference`` folds for the kernel's algorithm, at a corner, an
-        # interior voxel and a voxel next to the Z-mirror plane.
+        # What one kernel thread computes for its voxel, written out with the
+        # scalar Algorithm 3 fetch: the sum over projections of Wdis = (1/z)^2
+        # times the detector value at (u, v).  Checked against the whole
+        # volume that ``reference`` folds for the kernel's algorithm, at a
+        # corner, an interior voxel and both voxels of a Z-mirror pair.
+        def voxel_value(i, j, k):
+            total = 0.0
+            for projection, angle in zip(small_filtered.data, small_filtered.angles):
+                u, v, z = small_geometry.projection_matrix(float(angle)).project(i, j, k)
+                total += interp2(projection, float(u), float(v)) / float(z) ** 2
+            return total
+
         reference = get_backend("reference")
-        voxels = [(0, 0, 0), (9, 21, 5), (small_geometry.nx - 1, 14, small_geometry.nz // 2 - 1)]
+        k_pair = small_geometry.nz // 2 - 1
+        voxels = [
+            (0, 0, 0),
+            (9, 21, 5),
+            (small_geometry.nx - 1, 14, k_pair),
+            (small_geometry.nx - 1, 14, small_geometry.nz - 1 - k_pair),
+        ]
         for kernel in (RTK_32, L1_TRAN):
             volume = reference.backproject(
                 small_filtered, small_geometry, algorithm=kernel.algorithm
             ).data
             for i, j, k in voxels:
-                total, total_mirror = shfl_bp_reference(small_filtered, small_geometry, (i, j, k))
-                k_mirror = small_geometry.nz - 1 - k
-                assert total == pytest.approx(float(volume[k, j, i]), rel=1e-5, abs=1e-6)
-                assert total_mirror == pytest.approx(
-                    float(volume[k_mirror, j, i]), rel=1e-5, abs=1e-6
+                assert voxel_value(i, j, k) == pytest.approx(
+                    float(volume[k, j, i]), rel=1e-5, abs=1e-6
                 )
 
     def test_all_kernels_agree_numerically(self, small_geometry, small_filtered):
@@ -126,39 +115,6 @@ class TestKernelVariants:
             np.testing.assert_allclose(
                 volumes[kernel.algorithm], volumes[RTK_32.algorithm], atol=2e-4
             )
-
-
-class TestShflBPReference:
-    def test_matches_algorithm4_for_single_voxel(self):
-        geo = default_geometry_for_problem(nu=32, nv=32, np_=8, nx=12, ny=12, nz=12)
-        from repro.core import EllipsoidPhantom, forward_project_analytic, shepp_logan_ellipsoids
-
-        stack = forward_project_analytic(
-            EllipsoidPhantom(shepp_logan_ellipsoids()), geo
-        )
-        reference = get_backend("reference")
-        filt = reference.filter_stack(stack, geo)
-        volume = reference.backproject(filt, geo, algorithm="proposed")
-        i, j, k = 4, 6, 3
-        total, total_mirror = shfl_bp_reference(filt, geo, (i, j, k))
-        k_mirror = geo.nz - 1 - k
-        assert total == pytest.approx(float(volume.data[k, j, i]), rel=1e-3, abs=1e-4)
-        assert total_mirror == pytest.approx(float(volume.data[k_mirror, j, i]), rel=1e-3, abs=1e-4)
-
-    def test_rejects_oversized_batch(self, small_geometry, small_filtered):
-        # One more projection than the 32 lanes of a warp can hold.
-        indices = np.arange(33) % small_filtered.np_
-        big = ProjectionStack(
-            data=small_filtered.data[indices],
-            angles=small_filtered.angles[indices],
-            filtered=True,
-        )
-        with pytest.raises(ValueError, match="at most 32"):
-            shfl_bp_reference(big, small_geometry, (0, 0, 0))
-
-    def test_rejects_voxel_outside_volume(self, small_geometry, small_filtered):
-        with pytest.raises(ValueError):
-            shfl_bp_reference(small_filtered.subset(range(8)), small_geometry, (999, 0, 0))
 
 
 class TestCostModel:

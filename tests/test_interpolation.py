@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interpolation import (
-    bilinear_interpolate,
-    interp2,
-    trilinear_interpolate,
-    trilinear_interpolate_numpy,
-)
+from repro.core.interpolation import bilinear_interpolate, interp2
 
 
 class TestInterp2Scalar:
@@ -74,38 +69,3 @@ class TestBilinearVectorized:
         out = bilinear_interpolate(img, u, v)
         assert np.all(out <= img.max() + 1e-6)
         assert np.all(out >= 0.0)
-
-
-class TestTrilinear:
-    def test_exact_on_grid_points(self, rng):
-        vol = rng.random((5, 6, 7)).astype(np.float32)
-        assert trilinear_interpolate(vol, 3, 2, 1) == pytest.approx(float(vol[1, 2, 3]))
-
-    def test_scipy_and_numpy_paths_agree(self, rng):
-        vol = rng.random((6, 7, 8)).astype(np.float32)
-        x = rng.uniform(-1, 9, 200)
-        y = rng.uniform(-1, 8, 200)
-        z = rng.uniform(-1, 7, 200)
-        np.testing.assert_allclose(
-            trilinear_interpolate(vol, x, y, z),
-            trilinear_interpolate_numpy(vol, x, y, z),
-            atol=1e-5,
-        )
-
-    def test_outside_is_zero(self):
-        vol = np.ones((4, 4, 4), dtype=np.float32)
-        assert trilinear_interpolate(vol, -2.0, 1.0, 1.0) == 0.0
-
-    def test_linear_function_reproduced_exactly(self):
-        # Trilinear interpolation is exact for (tri)linear fields.
-        z, y, x = np.meshgrid(np.arange(5), np.arange(6), np.arange(7), indexing="ij")
-        vol = (2.0 * x + 3.0 * y - z).astype(np.float64)
-        xs = np.array([1.25, 3.5])
-        ys = np.array([2.75, 0.5])
-        zs = np.array([1.5, 2.25])
-        expected = 2.0 * xs + 3.0 * ys - zs
-        np.testing.assert_allclose(trilinear_interpolate(vol, xs, ys, zs), expected, rtol=1e-6)
-
-    def test_rejects_non_3d_volume(self):
-        with pytest.raises(ValueError):
-            trilinear_interpolate(np.zeros((2, 2)), 0, 0, 0)

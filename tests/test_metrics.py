@@ -8,7 +8,6 @@ import pytest
 from repro.core.metrics import (
     gups,
     interior_mask,
-    mean_absolute_error,
     normalized_cross_correlation,
     psnr,
     rmse,
@@ -52,9 +51,6 @@ class TestErrorMetrics:
     def test_rmse_empty_mask(self):
         with pytest.raises(ValueError):
             rmse(np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool))
-
-    def test_mae(self):
-        assert mean_absolute_error(np.zeros(2), np.array([1.0, -3.0])) == pytest.approx(2.0)
 
     def test_psnr_increases_with_fidelity(self, rng):
         ref = rng.random((8, 8))

@@ -9,7 +9,6 @@ from repro.core.phantom import (
     Ellipsoid,
     EllipsoidPhantom,
     point_grid_phantom,
-    shepp_logan_2d,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
     uniform_sphere_phantom,
@@ -116,10 +115,3 @@ class TestSheppLogan:
     def test_3d_anisotropic_shapes(self):
         vol = shepp_logan_3d(16, 24, 8)
         assert vol.shape == (8, 24, 16)
-
-    def test_2d_slice_matches_3d_central_slice_structure(self):
-        img = shepp_logan_2d(64)
-        assert img.shape == (64, 64)
-        assert img.max() <= 1.0 + 1e-6
-        # Outer skull ring present: max near 1, background 0.
-        assert img[0, 0] == 0.0

@@ -26,7 +26,6 @@ import pytest
 
 from repro.core import CBCTGeometry, default_geometry_for_problem
 from repro.core.filtering import fdk_normalization
-from repro.core.forward import apply_poisson_gaussian_noise
 from repro.core.types import ProjectionStack
 from repro.scenarios import (
     SCENARIO_PRESETS,
@@ -207,13 +206,62 @@ def test_noise_is_deterministic_per_seed():
 
 def test_noise_changes_data_but_not_shape_or_angles():
     stack = base_stack()
-    noisy = apply_poisson_gaussian_noise(
-        stack, photons=1e4, attenuation_scale=0.05, seed=1
-    )
+    noisy = NoiseModel(photons=1e4, attenuation_scale=0.05, seed=1).apply(stack)
     assert noisy.data.shape == stack.data.shape
     np.testing.assert_array_equal(noisy.angles, stack.angles)
     assert not np.array_equal(noisy.data, stack.data)
     assert np.isfinite(noisy.data).all()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(photons=0.0), "photons"),
+        (dict(photons=-1.0e4), "photons"),
+        (dict(electronic_sigma=-0.5), "electronic_sigma"),
+        (dict(attenuation_scale=0.0), "attenuation_scale"),
+        (dict(attenuation_scale=-0.05), "attenuation_scale"),
+    ],
+    ids=["zero-photons", "negative-photons", "negative-sigma",
+         "zero-attenuation", "negative-attenuation"],
+)
+def test_noise_model_rejects_out_of_range_parameters(options, message):
+    """The model's own checks are the only range checks the forward model has."""
+    with pytest.raises(ValueError, match=message):
+        NoiseModel(**options)
+
+
+def test_noise_keeps_dtype_and_filtered_flag():
+    model = NoiseModel(photons=1e4, attenuation_scale=0.05, seed=1)
+    for filtered in (False, True):
+        stack = base_stack()
+        stack = ProjectionStack(data=stack.data, angles=stack.angles, filtered=filtered)
+        noisy = model.apply(stack)
+        assert noisy.data.dtype == stack.data.dtype
+        assert noisy.filtered is filtered
+
+
+def test_noise_floors_starved_pixels_at_one_photon():
+    """An integral too large for any photon to pass reads -ln(1/N0)/mu."""
+    stack = base_stack()
+    stack.data[...] = 1.0e3
+    model = NoiseModel(photons=1e3, electronic_sigma=0.0, attenuation_scale=1.0)
+    noisy = model.apply(stack)
+    np.testing.assert_allclose(noisy.data, np.log(1e3), rtol=1e-6)
+
+
+def test_noise_shrinks_as_the_dose_grows():
+    """Quantum noise falls as 1/sqrt(N0): a 100x dose cuts it about 10x."""
+    stack = base_stack()
+    stack.data[...] = np.abs(stack.data)
+
+    def noise_rms(photons):
+        model = NoiseModel(photons=photons, electronic_sigma=0.0,
+                           attenuation_scale=0.5, seed=5)
+        return float(np.sqrt(np.mean((model.apply(stack).data - stack.data) ** 2)))
+
+    low, high = noise_rms(1e3), noise_rms(1e5)
+    assert 5.0 < low / high < 20.0
 
 
 def test_noisy_scenario_reconstruction_is_deterministic():
