@@ -73,6 +73,15 @@ class ReconstructionProblem:
     def __post_init__(self) -> None:
         for name in ("nu", "nv", "np_", "nx", "ny", "nz"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        # Hashed once: the service hashes a job's problem at each lookup of
+        # its allocation table.  The fields are ints, so the value is the
+        # same in every process and may travel in a pickle.
+        object.__setattr__(self, "_hash", hash(
+            (self.nu, self.nv, self.np_, self.nx, self.ny, self.nz)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------ #
     # Derived sizes

@@ -309,8 +309,13 @@ _ambient = threading.local()
 
 
 def get_tracer() -> Tracer:
-    """The tracer installed on this thread (default: :data:`NULL_TRACER`)."""
-    return getattr(_ambient, "tracer", NULL_TRACER)
+    """The tracer installed on this thread (default: :data:`NULL_TRACER`).
+
+    Reads the thread-local's ``__dict__``: ``getattr`` with a default
+    raises and catches an ``AttributeError`` on every call from a thread
+    with no tracer installed, and the service asks once per event.
+    """
+    return _ambient.__dict__.get("tracer", NULL_TRACER)
 
 
 @contextmanager

@@ -38,7 +38,7 @@ noisy       none                         seeded Poisson+Gaussian forward
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -270,12 +270,19 @@ class AcquisitionScenario:
 # --------------------------------------------------------------------------- #
 _registry: Dict[str, AcquisitionScenario] = {}
 
+#: Resets run after every registration, by owner.  A memo of what scenario
+#: names resolve to (:meth:`repro.service.CacheKey.for_job` keeps one) puts
+#: its reset here: a registration may give a name another cache token.
+_on_register: Dict[str, Callable[[], None]] = {}
+
 
 def register_scenario(scenario: AcquisitionScenario) -> AcquisitionScenario:
     """Register a scenario under its name (later registrations override)."""
     if not isinstance(scenario, AcquisitionScenario):
         raise TypeError(f"{scenario!r} is not an AcquisitionScenario")
     _registry[scenario.name] = scenario
+    for reset in _on_register.values():
+        reset()
     return scenario
 
 

@@ -106,6 +106,25 @@ class CacheKey:
     # in the seed cache.  Plan-derived keys always carry the real token.
     acquisition: str = ""
 
+    def __post_init__(self) -> None:
+        # Hashed once, since the scheduler's cache peeks hash the key on
+        # every evaluation of a waiting job.  String hashes differ between
+        # processes, so the stored value never travels in a pickle: one
+        # rebuilds the key (__reduce__), which hashes it anew.
+        object.__setattr__(self, "_hash", hash((
+            self.dataset_id, self.ramp_filter, self.nu, self.nv, self.np_,
+            self.scenario, self.acquisition,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (
+            self.dataset_id, self.ramp_filter, self.nu, self.nv, self.np_,
+            self.scenario, self.acquisition,
+        ))
+
     @classmethod
     def for_job(cls, job) -> "CacheKey":
         """Key of the filtered projections a job consumes.
@@ -114,21 +133,33 @@ class CacheKey:
         :func:`repro.scenarios.cache_token_for` — the canonical (and only)
         scenario cache-identity function: registered presets resolve to
         their :attr:`~repro.scenarios.AcquisitionScenario.cache_token`,
-        unregistered names are used verbatim.
+        unregistered names are used verbatim.  Jobs of one identity
+        (dataset, filter, detector shape, scenario *name*, acquisition)
+        share one key, built by the first of them.
         """
-        from ..scenarios import cache_token_for  # late import: scenarios import core
-
         problem = job.problem
-        key = cls(
-            dataset_id=job.dataset_id,
-            ramp_filter=job.ramp_filter,
-            nu=problem.nu,
-            nv=problem.nv,
-            np_=problem.np_,
-            scenario=cache_token_for(getattr(job, "scenario", "full_scan")),
-            acquisition=getattr(job, "acquisition", ""),
+        scenario = getattr(job, "scenario", "full_scan")
+        acquisition = getattr(job, "acquisition", "")
+        identity = (
+            job.dataset_id, job.ramp_filter, problem.nu, problem.nv, problem.np_,
+            scenario, acquisition,
         )
-        return _INTERNED.setdefault(key, key)
+        key = _BY_IDENTITY.get(identity)
+        if key is None:
+            from ..scenarios import scenario as scenarios  # late: scenarios import core
+
+            scenarios._on_register[__name__] = _BY_IDENTITY.clear
+            key = cls(
+                dataset_id=job.dataset_id,
+                ramp_filter=job.ramp_filter,
+                nu=problem.nu,
+                nv=problem.nv,
+                np_=problem.np_,
+                scenario=scenarios.cache_token_for(scenario),
+                acquisition=acquisition,
+            )
+            _BY_IDENTITY[identity] = key
+        return key
 
     @classmethod
     def from_plan(cls, plan, dataset_id: str) -> "CacheKey":
@@ -166,10 +197,13 @@ class CacheKey:
         ).hexdigest()[:16]
 
 
-#: Equal keys built by :meth:`CacheKey.for_job` are one object while any job
-#: holds it: a 3000-job trace names a few dozen datasets, and a key per job was
-#: +0.5 MiB of peak RSS.  Weak, so the pool never outlives its jobs.
-_INTERNED: "weakref.WeakValueDictionary[CacheKey, CacheKey]" = weakref.WeakValueDictionary()
+#: Keys built by :meth:`CacheKey.for_job`, by the job's raw identity (scenario
+#: name, not token): a job whose identity was seen before resolves no token and
+#: builds no key, and a 3000-job trace that names a few dozen datasets holds a
+#: few dozen keys, not one per job (+0.5 MiB of peak RSS).  Weak, so the memo
+#: never outlives its jobs; emptied by every scenario registration, which may
+#: give a name another token.
+_BY_IDENTITY: "weakref.WeakValueDictionary[tuple, CacheKey]" = weakref.WeakValueDictionary()
 
 
 @dataclass

@@ -92,20 +92,12 @@ class ServiceMetrics(JobsByState):
     @property
     def scenario_counts(self) -> Dict[str, int]:
         """Completed jobs per acquisition scenario (the workload mix)."""
-        counts: Dict[str, int] = {}
-        for job in self.completed:
-            counts[job.scenario] = counts.get(job.scenario, 0) + 1
-        return counts
+        return _scenario_counts(self.completed)
 
     @property
     def quota_rejections(self) -> Dict[str, int]:
         """Per-tenant fair-share quota rejections (the 429 backpressure path)."""
-        counts: Dict[str, int] = {}
-        for job in self.rejected:
-            reason = job.rejection_reason or ""
-            if reason.startswith(QUOTA_REJECTION_PREFIX):
-                counts[job.tenant] = counts.get(job.tenant, 0) + 1
-        return counts
+        return _quota_rejections(self.rejected)
 
     def summary(
         self,
@@ -115,7 +107,17 @@ class ServiceMetrics(JobsByState):
         tenant_weights: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
         """Reduce everything recorded so far to a flat KPI dictionary."""
-        completed = self.completed
+        # One walk of the ledger splits it by state, each part in ledger order.
+        completed: List[ReconstructionJob] = []
+        rejected: List[ReconstructionJob] = []
+        failed: List[ReconstructionJob] = []
+        for job in self.jobs:
+            if job.state is JobState.COMPLETED:
+                completed.append(job)
+            elif job.state is JobState.REJECTED:
+                rejected.append(job)
+            else:  # record() enters terminal jobs only
+                failed.append(job)
         latencies = [
             j.latency_seconds for j in completed if j.latency_seconds is not None
         ]
@@ -131,18 +133,18 @@ class ServiceMetrics(JobsByState):
         # Busy GPU-seconds per tenant, and latencies grouped by tenant.
         tenant_service: Dict[str, float] = {}
         tenant_latencies: Dict[str, List[float]] = {}
+        busy: List[float] = []
         for job in completed:
             seconds = (job.runtime_seconds or 0.0) * (job.gpus or 0)
+            busy.append(seconds)
             tenant_service[job.tenant] = tenant_service.get(job.tenant, 0.0) + seconds
             if job.latency_seconds is not None:
                 tenant_latencies.setdefault(job.tenant, []).append(job.latency_seconds)
-        busy_gpu_seconds = sum(
-            (j.runtime_seconds or 0.0) * (j.gpus or 0) for j in completed
-        )
+        busy_gpu_seconds = sum(busy)
         out: Dict[str, float] = {
             "jobs_completed": float(n_done),
-            "jobs_rejected": float(len(self.rejected)),
-            "jobs_failed": float(len(self.failed)),
+            "jobs_rejected": float(len(rejected)),
+            "jobs_failed": float(len(failed)),
             "makespan_s": makespan,
             "throughput_jobs_per_s": (n_done / makespan) if makespan > 0 else float("nan"),
             "aggregate_gups": (
@@ -185,7 +187,7 @@ class ServiceMetrics(JobsByState):
         # One flat entry per scenario in the completed mix, so operators
         # (and the JSON report) see which acquisition protocols the
         # cluster actually served.
-        for scenario, count in sorted(self.scenario_counts.items()):
+        for scenario, count in sorted(_scenario_counts(completed).items()):
             out[f"scenario[{scenario}]_jobs"] = float(count)
         # Per-tenant tail latency: the aggregate p99 of a multi-tenant mix
         # hides a starved tenant; the per-tenant p99 does not.
@@ -194,7 +196,7 @@ class ServiceMetrics(JobsByState):
             out[f"tenant[{tenant}]_p99_s"] = percentile(latencies_t, 99.0)
         # Quota rejections ride along whenever the fair-share layer
         # rejected anything, keeping non-fair report shapes exact.
-        quota = self.quota_rejections
+        quota = _quota_rejections(rejected)
         if quota:
             out["quota_rejections"] = float(sum(quota.values()))
             for tenant, count in sorted(quota.items()):
@@ -224,3 +226,19 @@ class ServiceMetrics(JobsByState):
         if cluster_gpus and makespan > 0:
             out["gpu_utilization"] = busy_gpu_seconds / (cluster_gpus * makespan)
         return out
+
+
+def _scenario_counts(completed: List[ReconstructionJob]) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for job in completed:
+        counts[job.scenario] = counts.get(job.scenario, 0) + 1
+    return counts
+
+
+def _quota_rejections(rejected: List[ReconstructionJob]) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for job in rejected:
+        reason = job.rejection_reason or ""
+        if reason.startswith(QUOTA_REJECTION_PREFIX):
+            counts[job.tenant] = counts.get(job.tenant, 0) + 1
+    return counts

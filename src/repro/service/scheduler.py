@@ -42,7 +42,7 @@ Section 4.1:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.types import ReconstructionProblem
@@ -107,17 +107,24 @@ class AllocationPlan:
         return start + self.runtime_seconds
 
 
-@dataclass
+@dataclass(eq=False)
 class Placement:
-    """A job actually running on the cluster."""
+    """A job actually running on the cluster.
+
+    Compared by identity: the service takes each completed placement out of
+    its running list, and comparing fields would compare whole jobs, field
+    by field, with every placement ahead of it in that list.
+    """
 
     job: ReconstructionJob
     plan: AllocationPlan
     start_seconds: float
+    # Stored, not derived on each read: the event loop and every cycle's
+    # release order read it many times per placement.
+    finish_seconds: float = field(init=False)
 
-    @property
-    def finish_seconds(self) -> float:
-        return self.plan.finish_at(self.start_seconds)
+    def __post_init__(self) -> None:
+        self.finish_seconds = self.plan.finish_at(self.start_seconds)
 
     @property
     def gpus(self) -> int:

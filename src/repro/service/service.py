@@ -38,12 +38,13 @@ journaled field is added).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..core.types import ReconstructionProblem
 from ..gpusim.device import DeviceSpec, TESLA_V100
@@ -70,6 +71,25 @@ _EVENT_COUNTERS = {
     "completed": "service.jobs_completed",
     "failed": "service.jobs_failed",
 }
+
+#: What ``_dispatch`` enters instead of a span when tracing is off.
+_NO_SPAN = contextlib.nullcontext()
+
+
+class _Instruments(dict):
+    """A registry's instruments of one kind, by name, each asked for once.
+
+    The ask happens at first use, not up front: asking a live registry
+    creates the instrument, so its snapshot lists only what has moved.
+    """
+
+    def __init__(self, ask: Callable[[str], Any]):
+        super().__init__()
+        self._ask = ask
+
+    def __missing__(self, name: str) -> Any:
+        instrument = self[name] = self._ask(name)
+        return instrument
 
 
 @dataclass
@@ -131,6 +151,9 @@ class ReconstructionService:
         # per-job KPI reductions; the registry covers what per-job records
         # cannot.
         self.obs = obs if obs is not None else NULL_METRICS
+        self._counters = _Instruments(self.obs.counter)
+        self._gauges = _Instruments(self.obs.gauge)
+        self._histograms = _Instruments(self.obs.histogram)
         self.dispatcher: Optional[ProcessDispatcher] = None
         if self.workers:
             self.dispatcher = ProcessDispatcher(
@@ -230,7 +253,7 @@ class ReconstructionService:
             self.jobs[job.job_id] = job
             if recovered:
                 if not terminal:
-                    self.obs.counter("service.jobs_recovered").inc()
+                    self._counters["service.jobs_recovered"].inc()
             else:
                 if self.store is not None:
                     self.store.record(event, job, **extra)
@@ -238,12 +261,12 @@ class ReconstructionService:
                 if counter is not None:
                     # `service.jobs_completed` counts completions *observed*
                     # at simulated completion time; counters never decrease.
-                    self.obs.counter(counter).inc()
+                    self._counters[counter].inc()
             if terminal and not self.metrics.record(job):
                 # A late pilot failure overturned a completion.  This
                 # counter reconciles the monotonic one with
                 # summary()["jobs_completed"]: current = observed - overturned.
-                self.obs.counter("service.completions_overturned").inc()
+                self._counters["service.completions_overturned"].inc()
 
     # ------------------------------------------------------------------ #
     # Submission and the event loop
@@ -323,11 +346,16 @@ class ReconstructionService:
 
     def _dispatch(self, now: float) -> None:
         with self._lock:
-            with get_tracer().span("service.schedule", now=now, queued=len(self.queue)):
+            tracer = get_tracer()
+            span = (
+                tracer.span("service.schedule", now=now, queued=len(self.queue))
+                if tracer.enabled else _NO_SPAN
+            )
+            with span:
                 placements, rejected = self.scheduler.schedule(
                     self.queue, now, self._running
                 )
-            self.obs.counter("service.scheduler_cycles").inc()
+            self._counters["service.scheduler_cycles"].inc()
             for job in rejected:
                 self._transition("rejected", job)
             for placement in placements:
@@ -339,15 +367,16 @@ class ReconstructionService:
                 self._transition(
                     "placed", placement.job, finish=placement.finish_seconds
                 )
-                self.obs.histogram("service.queue_wait_seconds").observe(
+                self._histograms["service.queue_wait_seconds"].observe(
                     placement.start_seconds - placement.job.arrival_seconds
                 )
                 if placement.plan.cache_hit:
-                    self.obs.counter("service.cache_hits").inc()
+                    self._counters["service.cache_hits"].inc()
                 else:
-                    self.obs.counter("service.cache_misses").inc()
-            self.metrics.sample_queue_depth(len(self.queue))
-            self.obs.gauge("service.queue_depth").set(len(self.queue))
+                    self._counters["service.cache_misses"].inc()
+            depth = len(self.queue)
+            self.metrics.sample_queue_depth(depth)
+            self._gauges["service.queue_depth"].set(depth)
         # Real execution rides along as one batch per scheduling cycle; the
         # pool runs outside the lock so submissions never wait on pilots.
         if self.dispatcher is not None and placements:
@@ -362,14 +391,14 @@ class ReconstructionService:
             job.mark_completed(now)
             self._transition("completed", job)
             if self.obs.enabled and job.latency_seconds is not None:
-                self.obs.histogram("service.latency_seconds").observe(
+                self._histograms["service.latency_seconds"].observe(
                     job.latency_seconds
                 )
                 # Per-tenant tail: the aggregate histogram hides a starved
                 # tenant behind everyone else's fast completions.
-                self.obs.histogram(
+                self._histograms[
                     f"service.latency_seconds[tenant={job.tenant}]"
-                ).observe(job.latency_seconds)
+                ].observe(job.latency_seconds)
             # Filtering ran as part of the job (unless it was a hit); its
             # output is now on the PFS for every later job on the dataset —
             # unless it is larger than the whole cache, which no eviction fixes.

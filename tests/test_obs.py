@@ -108,6 +108,26 @@ def test_ambient_tracer_defaults_to_null_and_restores():
     assert get_tracer() is NULL_TRACER
 
 
+def test_a_new_thread_sees_the_null_tracer_whatever_the_main_thread_installed():
+    seen = []
+
+    def look():
+        seen.append(get_tracer())
+
+    def look_in_a_new_thread():
+        thread = threading.Thread(target=look)
+        thread.start()
+        thread.join()
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        look_in_a_new_thread()
+        assert get_tracer() is tracer
+    look_in_a_new_thread()
+    assert [found is NULL_TRACER for found in seen] == [True, True]
+    assert get_tracer() is NULL_TRACER
+
+
 def test_null_tracer_records_nothing():
     tracer = NullTracer()
     assert not tracer.enabled

@@ -7,20 +7,42 @@ re-computation it replaces, bit for bit.
   new one; the old code sorted ``list(running) + placements`` per call.
 * ``best_plan`` walks the allocation table up to the budget; the old code
   filtered it into ``candidate_plans`` and took ``min`` over that.
+* ``CacheKey.for_job`` returns one key per raw job identity; the old code
+  resolved the scenario token and built the key for every job.
+* ``ReconstructionProblem`` and ``CacheKey`` hash once, at construction, and
+  ``Placement.finish_seconds`` is stored; the old code recomputed each on
+  every read.  A key's stored hash is of its process's string hashes, so a
+  pickled key is hashed anew where it is loaded.
 """
 
 from __future__ import annotations
 
+import base64
+import os
+import pickle
+import struct
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import problem_from_string
+from repro.core.types import ReconstructionProblem, problem_from_string
+from repro.scenarios import (
+    SCENARIO_PRESETS,
+    AcquisitionScenario,
+    cache_token_for,
+    register_scenario,
+)
+from repro.scenarios import scenario as scenario_module
 from repro.service import (
     AdmissionPolicy,
     AllocationPlan,
+    CacheKey,
     ClusterScheduler,
     FairShareQueue,
     GPUCluster,
@@ -163,3 +185,137 @@ def test_best_plan_equals_the_candidate_list_search(problem, slo, budget, now, r
     assert scheduler.best_plan(job, budget, now, require_slo=require_slo) is old_best_plan(
         scheduler, job, budget, now, require_slo
     )
+
+
+# --------------------------------------------------------------------------- #
+# One cache key per job identity; hashes and finishes computed once
+# --------------------------------------------------------------------------- #
+def old_cache_key(job: ReconstructionJob) -> CacheKey:
+    """The parent's ``CacheKey.for_job``: the key built field by field."""
+    problem = job.problem
+    return CacheKey(
+        dataset_id=job.dataset_id,
+        ramp_filter=job.ramp_filter,
+        nu=problem.nu,
+        nv=problem.nv,
+        np_=problem.np_,
+        scenario=cache_token_for(job.scenario),
+        acquisition=job.acquisition,
+    )
+
+
+#: Preset names, unregistered names that spell a preset's token (so they
+#: share its key: "full" is full_scan's token, "short" short_scan's), and
+#: unregistered names that are their own token.
+scenario_names = st.sampled_from(
+    sorted(SCENARIO_PRESETS) + ["full", "short", "helical", "offset_detector "]
+)
+identities = st.fixed_dictionaries({
+    "problem": st.sampled_from(PROBLEMS),
+    "dataset_id": st.sampled_from(["ds-0", "ds-1", "ds-1 "]),
+    "ramp_filter": st.sampled_from(["ram-lak", "shepp-logan"]),
+    "scenario": scenario_names,
+    "acquisition": st.sampled_from(["", "a1b2c3", "geometry-7"]),
+})
+
+
+@given(identities=st.lists(identities, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_for_job_is_the_key_built_field_by_field(identities):
+    jobs = [ReconstructionJob(**identity) for identity in identities]
+    keys = [CacheKey.for_job(job) for job in jobs]
+    for job, key in zip(jobs, keys):
+        expected = old_cache_key(job)
+        assert key == expected and hash(key) == hash(expected)
+        assert job.cache_key is key
+    for a, key_a in zip(identities, keys):
+        for b, key_b in zip(identities, keys):
+            if a == b:
+                assert key_a is key_b
+
+
+def test_a_registration_rekeys_the_names_it_resolves():
+    before = ReconstructionJob(problem=PROBLEMS[0], dataset_id="ds-0", scenario="test-alias")
+    assert before.cache_key.scenario == "test-alias"  # unregistered: verbatim
+    register_scenario(AcquisitionScenario(name="test-alias", short_scan=True))
+    try:
+        after = ReconstructionJob(problem=PROBLEMS[0], dataset_id="ds-0", scenario="test-alias")
+        assert after.cache_key.scenario == "short"
+        assert after.cache_key == CacheKey.for_job(
+            ReconstructionJob(problem=PROBLEMS[0], dataset_id="ds-0", scenario="short_scan")
+        )
+        assert before.cache_key.scenario == "test-alias"  # a job keeps its key
+    finally:
+        scenario_module._registry.pop("test-alias")
+        for reset in scenario_module._on_register.values():
+            reset()
+
+
+sizes = st.integers(1, 4096)
+
+
+@given(fields=st.tuples(sizes, sizes, sizes, sizes, sizes, sizes))
+@settings(max_examples=100, deadline=None)
+def test_equal_problems_hash_equal(fields):
+    a, b = ReconstructionProblem(*fields), ReconstructionProblem(*fields)
+    assert a == b and hash(a) == hash(b) == hash(fields)
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+
+
+@given(identity=identities)
+@settings(max_examples=100, deadline=None)
+def test_equal_keys_hash_equal(identity):
+    job = ReconstructionJob(**identity)
+    built, memoised = old_cache_key(job), CacheKey.for_job(job)
+    assert hash(built) == hash(memoised) == hash(old_cache_key(job))
+    assert {built: 1}[memoised] == 1
+    copied = pickle.loads(pickle.dumps(memoised))
+    assert copied == memoised and hash(copied) == hash(memoised)
+
+
+@given(
+    runtime=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    start=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_stored_finish_has_the_bits_of_finish_at(runtime, start):
+    held = placement(runtime, start)
+    assert struct.pack("<d", held.finish_seconds) == struct.pack(
+        "<d", held.plan.finish_at(start)
+    )
+
+
+def test_a_pickled_key_is_found_in_a_process_with_other_string_hashes():
+    key = CacheKey.for_job(ReconstructionJob(
+        problem=PROBLEMS[0], dataset_id="ds-pickled", scenario="short_scan",
+        acquisition="a1b2c3",
+    ))
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    child_seed = "1" if seed == "0" else "0"
+    script = textwrap.dedent(f"""
+        import base64, pickle, sys
+        from repro.service import CacheKey, FilteredProjectionCache
+        assert hash("ds-pickled") != {hash("ds-pickled")}  # other string hashes
+        key = pickle.loads(base64.b64decode(sys.stdin.read()))
+        fresh = CacheKey(
+            dataset_id="ds-pickled", ramp_filter="ram-lak", nu={key.nu},
+            nv={key.nv}, np_={key.np_}, scenario="short", acquisition="a1b2c3",
+        )
+        assert hash(key) == hash(fresh)
+        assert {{fresh: "hit"}}[key] == "hit"
+        cache = FilteredProjectionCache()
+        cache.insert(fresh, nbytes=1)
+        assert cache.contains(key)
+        print("found")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ, "PYTHONHASHSEED": child_seed,
+        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", script], input=base64.b64encode(pickle.dumps(key)).decode(),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "found"
