@@ -3,7 +3,8 @@
 
 The ``repro.analysis`` passes encode the invariants the serving stack
 depends on — lock discipline, spawn safety, determinism, float32 dtype
-discipline and the CLI/HTTP error contracts.  This example runs them
+discipline, the CLI/HTTP error contracts and a reader for every exported
+name.  This example runs them
 three ways:
 
 1. over the installed ``repro`` package (the self-clean check CI runs),

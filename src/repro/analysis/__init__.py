@@ -4,7 +4,7 @@ The repo's core guarantees — lock-guarded service state, spawn-safe
 process dispatch, deterministic seeded noise, a float32 hot path, the
 CLI/HTTP error contracts — were previously enforced only by runtime
 tests.  This package checks them statically (an AST lint framework with
-five project-specific passes) and dynamically (an opt-in lock-order
+six project-specific passes) and dynamically (an opt-in lock-order
 sanitizer), so invariant-breaking edits fail loudly at review time.
 
 Entry points:
@@ -20,30 +20,21 @@ This package deliberately depends only on the standard library (``ast``,
 
 from __future__ import annotations
 
-from .config import DEFAULT_SCOPES, LintConfig, RuleConfig, load_baseline
-from .engine import LintResult, SourceFile, format_json, format_text, lint_paths, lint_sources
-from .findings import SUPPRESSION_RULE, Finding, Suppression
-from .locksan import ENV_VAR, Inversion, LockOrderSanitizer, enabled_from_env
+from .config import LintConfig, load_baseline
+from .engine import format_json, format_text, lint_paths
+from .findings import Finding, Suppression
+from .locksan import LockOrderSanitizer
 from .passes import ALL_PASSES, RULES
 
 __all__ = [
     "ALL_PASSES",
-    "DEFAULT_SCOPES",
-    "ENV_VAR",
     "Finding",
-    "Inversion",
     "LintConfig",
-    "LintResult",
     "LockOrderSanitizer",
     "RULES",
-    "RuleConfig",
-    "SUPPRESSION_RULE",
-    "SourceFile",
     "Suppression",
-    "enabled_from_env",
     "format_json",
     "format_text",
     "lint_paths",
-    "lint_sources",
     "load_baseline",
 ]

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .config import LintConfig, load_baseline
 from .findings import Finding, Suppression, apply_suppressions, parse_suppressions
 
-__all__ = ["LintResult", "SourceFile", "lint_paths", "lint_sources", "format_text"]
+__all__ = ["lint_paths", "format_text"]
 
 
 @dataclass

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 __all__ = [
     "Finding",
     "Suppression",
-    "SUPPRESSION_RULE",
     "apply_suppressions",
     "parse_suppressions",
 ]

@@ -34,21 +34,17 @@ import os
 import sys
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["LockOrderSanitizer", "Inversion", "enabled_from_env", "ENV_VAR"]
-
-ENV_VAR = "REPRO_LOCK_SANITIZER"
+__all__ = [
+    "LockOrderSanitizer",  # repro-lint: disable=dead-export -- the programmatic entry point README documents
+]
 
 #: Path fragments identifying frames that belong to this project (and the
 #: analysis package itself, which must never track its own locks).
 _PROJECT_FRAGMENT = os.sep + "repro" + os.sep
 _SELF_FRAGMENT = os.sep + "analysis" + os.sep
-
-
-def enabled_from_env() -> bool:
-    return os.environ.get(ENV_VAR, "") == "1"
 
 
 @dataclass

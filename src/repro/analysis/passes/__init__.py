@@ -1,4 +1,4 @@
-"""The five project-specific lint passes.
+"""The six project-specific lint passes.
 
 Each pass module exposes two names consumed by the engine:
 
@@ -9,12 +9,16 @@ Each pass module exposes two names consumed by the engine:
 ``run(source: SourceFile) -> List[Finding]``
     Analyze one parsed file and return its findings.  Passes are pure
     functions of the source text + AST; all filtering (scope,
-    suppression, baseline) happens in the engine.
+    suppression, baseline) happens in the engine.  The one exception
+    is ``dead-export``: it also reads the project tree around the file,
+    because whether an exported name has a reader is a fact about the
+    other files, not this one.
 """
 
 from __future__ import annotations
 
 from . import (
+    dead_export,
     determinism,
     dtype_discipline,
     error_contract,
@@ -29,6 +33,7 @@ ALL_PASSES = (
     determinism,
     dtype_discipline,
     error_contract,
+    dead_export,
 )
 
 RULES = tuple(p.RULE for p in ALL_PASSES)

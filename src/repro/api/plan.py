@@ -222,7 +222,7 @@ class ReconstructionPlan:
     scenario:
         Acquisition-scenario preset *name* (plans are serializable, so
         ad-hoc scenario instances must be registered first; see
-        :func:`repro.scenarios.register_scenario`).
+        :func:`repro.scenarios.scenario.register_scenario`).
     backend:
         Compute backend name for the filter/back-projection hot paths.
     workers:
@@ -294,7 +294,7 @@ class ReconstructionPlan:
         return self.geometry.problem()
 
     def resolved_scenario(self):
-        """The plan's :class:`~repro.scenarios.AcquisitionScenario`."""
+        """The plan's :class:`~repro.scenarios.scenario.AcquisitionScenario`."""
         from ..scenarios import get_scenario  # late: scenarios import core
 
         return get_scenario(self.scenario)

@@ -44,31 +44,22 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Type, Union
 
-from .base import ALGORITHMS, ComputeBackend, VolumeAccumulator
+from .base import ComputeBackend, VolumeAccumulator
 from .reference import ReferenceBackend
 from .tiled import (
-    DEFAULT_BYTE_BUDGET,
     TiledBackend,
-    WorkerPool,
     check_workers,
-    default_workers,
-    plan_tiles,
 )
 
 __all__ = [
-    "ALGORITHMS",
     "BACKEND_NAMES",
     "DEFAULT_BACKEND",
-    "DEFAULT_BYTE_BUDGET",
     "ComputeBackend",
     "ReferenceBackend",
     "TiledBackend",
     "VolumeAccumulator",
-    "WorkerPool",
     "available_backends",
-    "default_workers",
     "get_backend",
-    "plan_tiles",
     "register_backend",
     "resolve_backend",
     "validate_backend",

@@ -84,7 +84,7 @@ from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, Volume
 from ..obs import get_tracer
 
-__all__ = ["ComputeBackend", "VolumeAccumulator", "ALGORITHMS"]
+__all__ = ["ComputeBackend", "VolumeAccumulator"]
 
 #: Back-projection algorithm names every backend must support.
 ALGORITHMS = ("standard", "proposed")

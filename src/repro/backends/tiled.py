@@ -83,13 +83,7 @@ from .vectorized import (
     rfft_ramp_filter,
 )
 
-__all__ = [
-    "DEFAULT_BYTE_BUDGET",
-    "TiledBackend",
-    "WorkerPool",
-    "default_workers",
-    "plan_tiles",
-]
+__all__ = ["TiledBackend"]
 
 #: Default working-set bound per tile: 32 MiB of tables and workspace.
 DEFAULT_BYTE_BUDGET = 32 << 20

@@ -88,7 +88,6 @@ __all__ = [
     "rfft_ramp_filter",
     "BlockWorkspace",
     "accumulate_proposed_block",
-    "accumulate_standard_block",
 ]
 
 

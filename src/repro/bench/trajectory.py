@@ -32,11 +32,7 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "HISTORY_LIMIT",
-    "REGRESSION_THRESHOLD",
-    "check_regression",
-    "format_trajectory",
     "git_sha",
-    "load_record",
     "trajectory_entry",
 ]
 

@@ -27,12 +27,6 @@ __all__ = [
     "PROBLEM_4K",
     "PROBLEM_8K",
     "PROBLEM_2K",
-    "STRONG_SCALING_4K_GPUS",
-    "STRONG_SCALING_8K_GPUS",
-    "WEAK_SCALING_4K",
-    "WEAK_SCALING_8K",
-    "FIGURE6_GPU_COUNTS",
-    "DistributedWorkload",
     "scaled_for_functional_run",
 ]
 

@@ -43,7 +43,8 @@ Ten subcommands cover the workflows a downstream user needs:
     1 on findings, 2 on a bad invocation.
 
 The flags that describe a reconstruction (problem, backend, workers,
-scenario, ramp filter) are registered once by :func:`add_plan_args` and
+scenario, ramp filter, algorithm and rank grid, streaming, service cluster
+size, SLO and priority) are registered once by :func:`add_plan_args` and
 folded into a plan by :func:`plan_from_args`, so every subcommand speaks
 the same parameter surface and new plan fields reach all of them at once.
 
@@ -93,7 +94,7 @@ from .service import (
     synthetic_trace,
 )
 
-__all__ = ["main", "build_parser", "add_plan_args", "plan_from_args"]
+__all__ = ["main", "build_parser"]
 
 #: Default problem specs per subcommand (shown in help, filled by
 #: :func:`plan_from_args` when the flag is omitted).
@@ -118,7 +119,9 @@ def add_plan_args(
     workers: bool = True,
     scenario: bool = True,
     ramp_filter: bool = False,
+    grid: bool = False,
     streaming: bool = False,
+    service: bool = False,
     plan_file: bool = False,
 ) -> None:
     """Register the shared reconstruction-plan flags on a subparser.
@@ -128,7 +131,9 @@ def add_plan_args(
     ``--backend`` / ``--workers`` / ``--scenario`` — so a new plan-level
     flag lands on all of them simultaneously instead of drifting.  All
     defaults are ``None`` sentinels: :func:`plan_from_args` resolves them,
-    which is what makes ``--plan`` conflict detection possible.
+    which is what makes ``--plan`` conflict detection possible.  ``grid``
+    adds ``--algorithm`` and the rank grid's ``--rows`` / ``--columns``;
+    ``service`` adds the service's ``--gpus`` / ``--slo`` / ``--priority``.
     """
     if problem is not None:
         parser.add_argument(
@@ -160,6 +165,15 @@ def add_plan_args(
             "--ramp-filter", dest="ramp_filter", default=None,
             help="ramp-filter window (default: ram-lak)",
         )
+    if grid:
+        parser.add_argument(
+            "--algorithm", choices=("proposed", "standard"), default=None,
+            help="back-projection algorithm (default: proposed)",
+        )
+        parser.add_argument("--rows", type=int, default=None,
+                            help="R of the rank grid")
+        parser.add_argument("--columns", type=int, default=None,
+                            help="C of the rank grid")
     if streaming:
         parser.add_argument(
             "--stream", action="store_true", default=False,
@@ -178,6 +192,15 @@ def add_plan_args(
             help="bound the streaming working set, e.g. 268435456, 256MiB "
                  "or 1.5G (requires --stream)",
         )
+    if service:
+        parser.add_argument("--gpus", type=int, default=None,
+                            help="service cluster size (default: 16)")
+        parser.add_argument("--slo", type=float, default=None,
+                            help="service latency SLO in seconds "
+                                 "(default: best effort)")
+        parser.add_argument("--priority", type=int, default=None,
+                            help="service priority class, 0 = most urgent "
+                                 "(default: 1)")
     if plan_file:
         parser.add_argument(
             "--plan", type=Path, default=None, metavar="PLAN_JSON",
@@ -307,15 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", help="reconstruct a synthetic Shepp-Logan scan")
     add_plan_args(
-        rec, problem=DEFAULT_RECONSTRUCT_PROBLEM, ramp_filter=True,
+        rec, problem=DEFAULT_RECONSTRUCT_PROBLEM, ramp_filter=True, grid=True,
         streaming=True, plan_file=True,
     )
-    rec.add_argument("--algorithm", choices=("proposed", "standard"), default=None,
-                     help="back-projection algorithm (default: proposed)")
     rec.add_argument("--distributed", action="store_true",
                      help="run on the simulated cluster instead of a single node")
-    rec.add_argument("--rows", type=int, default=None, help="R of the rank grid")
-    rec.add_argument("--columns", type=int, default=None, help="C of the rank grid")
     rec.add_argument("--output", type=Path, default=None,
                      help="write the volume to this .npy file")
     rec.add_argument("--report", type=Path, default=None,
@@ -330,21 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument("plan_file", nargs="?", type=Path,
                         help="plan JSON file (for validate/describe)")
     add_plan_args(
-        plan_p, problem=DEFAULT_RECONSTRUCT_PROBLEM, ramp_filter=True,
-        streaming=True,
+        plan_p, problem=DEFAULT_RECONSTRUCT_PROBLEM, ramp_filter=True, grid=True,
+        streaming=True, service=True,
     )
-    plan_p.add_argument("--algorithm", choices=("proposed", "standard"), default=None,
-                        help="back-projection algorithm (default: proposed)")
     plan_p.add_argument("--target", choices=TARGETS, default=None,
                         help="execution target (default: fdk)")
-    plan_p.add_argument("--rows", type=int, default=None, help="R of the rank grid")
-    plan_p.add_argument("--columns", type=int, default=None, help="C of the rank grid")
-    plan_p.add_argument("--gpus", type=int, default=None,
-                        help="service cluster size (default: 16)")
-    plan_p.add_argument("--slo", type=float, default=None,
-                        help="service latency SLO in seconds")
-    plan_p.add_argument("--priority", type=int, default=None,
-                        help="service priority class, 0 = most urgent")
     plan_p.add_argument("--output", "-o", type=Path, default=None,
                         help="write the emitted plan to this file (default: stdout)")
 
@@ -407,13 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_out(serve)
 
     submit = sub.add_parser("submit", help="run one job through the service")
-    add_plan_args(submit, problem=DEFAULT_SUBMIT_PROBLEM, plan_file=True)
-    submit.add_argument("--gpus", type=int, default=None,
-                        help="cluster size (default: 16)")
-    submit.add_argument("--slo", type=float, default=None,
-                        help="latency SLO in seconds (default: best effort)")
-    submit.add_argument("--priority", type=int, default=None,
-                        help="priority class, 0 = most urgent (default: 1)")
+    add_plan_args(submit, problem=DEFAULT_SUBMIT_PROBLEM, service=True, plan_file=True)
     submit.add_argument("--dataset", default="",
                         help="dataset content key (enables cache reuse)")
     _add_trace_out(submit)

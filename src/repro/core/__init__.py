@@ -9,13 +9,11 @@ door is :class:`repro.api.Session`.
 """
 
 from .backprojection import (
-    OperationCounts,
     operation_counts,
     projection_compute_reduction,
 )
 from .filtering import (
     RAMP_FILTERS,
-    cosine_weight_table,
     filter_projections,
 )
 from .forward import forward_project_analytic
@@ -29,12 +27,11 @@ from .metrics import gups, normalized_cross_correlation, psnr, rmse
 from .phantom import (
     Ellipsoid,
     EllipsoidPhantom,
-    point_grid_phantom,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
     uniform_sphere_phantom,
 )
-from .symmetry import SymmetryReport, verify_geometry_symmetry
+from .symmetry import verify_geometry_symmetry
 from .types import (
     DEFAULT_DTYPE,
     ProjectionStack,
@@ -48,15 +45,12 @@ __all__ = [
     "DEFAULT_DTYPE",
     "Ellipsoid",
     "EllipsoidPhantom",
-    "OperationCounts",
     "ProjectionMatrix",
     "ProjectionStack",
     "RAMP_FILTERS",
     "ReconstructionProblem",
-    "SymmetryReport",
     "Volume",
     "bilinear_interpolate",
-    "cosine_weight_table",
     "default_geometry_for_problem",
     "filter_projections",
     "forward_project_analytic",
@@ -64,7 +58,6 @@ __all__ = [
     "interp2",
     "normalized_cross_correlation",
     "operation_counts",
-    "point_grid_phantom",
     "problem_from_string",
     "projection_compute_reduction",
     "psnr",

@@ -48,7 +48,6 @@ from .types import DEFAULT_DTYPE, ReconstructionProblem
 __all__ = [
     "accumulate_standard",
     "accumulate_proposed",
-    "OperationCounts",
     "operation_counts",
     "projection_compute_reduction",
 ]

@@ -39,14 +39,10 @@ from .geometry import CBCTGeometry
 from .types import DEFAULT_DTYPE, ProjectionStack
 
 __all__ = [
-    "GROUP_ROWS",
     "RAMP_FILTERS",
-    "cosine_weight_table",
-    "ramp_kernel_spatial",
     "canonical_fft_length",
     "ramp_filter_frequency_response",
     "shortest_ramp_filter_response",
-    "apply_ramp_filter",
     "apply_ramp_filter_into",
     "filter_projections",
 ]

@@ -22,10 +22,7 @@ from .geometry import CBCTGeometry
 from .phantom import EllipsoidPhantom
 from .types import DEFAULT_DTYPE, ProjectionStack
 
-__all__ = [
-    "forward_project_analytic",
-    "detector_pixel_grid",
-]
+__all__ = ["forward_project_analytic"]
 
 
 def detector_pixel_grid(geometry: CBCTGeometry):

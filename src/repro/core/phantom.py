@@ -21,12 +21,11 @@ import numpy as np
 from .types import DEFAULT_DTYPE, Volume
 
 __all__ = [
-    "Ellipsoid",
+    "Ellipsoid",  # repro-lint: disable=dead-export -- what EllipsoidPhantom is built from
     "EllipsoidPhantom",
     "shepp_logan_ellipsoids",
     "shepp_logan_3d",
     "uniform_sphere_phantom",
-    "point_grid_phantom",
 ]
 
 
@@ -227,14 +226,3 @@ def uniform_sphere_phantom(radius: float = 0.6, value: float = 1.0) -> Ellipsoid
         [Ellipsoid(value=value, center=(0.0, 0.0, 0.0), axes=(radius, radius, radius))]
     )
 
-
-def point_grid_phantom(spacing: float = 0.4, size: float = 0.04) -> EllipsoidPhantom:
-    """A 3x3x3 grid of small spheres — useful for geometric-fidelity tests."""
-    ellipsoids = []
-    for x in (-spacing, 0.0, spacing):
-        for y in (-spacing, 0.0, spacing):
-            for z in (-spacing, 0.0, spacing):
-                ellipsoids.append(
-                    Ellipsoid(value=1.0, center=(x, y, z), axes=(size, size, size))
-                )
-    return EllipsoidPhantom(ellipsoids)

@@ -26,26 +26,8 @@ import numpy as np
 from .geometry import CBCTGeometry, ProjectionMatrix
 
 __all__ = [
-    "SymmetryReport",
-    "check_theorem1",
-    "check_theorem2",
-    "check_theorem3",
-    "verify_geometry_symmetry",
-    "mirrored_voxel",
-    "mirrored_detector_row",
+    "verify_geometry_symmetry",  # repro-lint: disable=dead-export -- Theorems 1-3 as one check: the property tests' reference
 ]
-
-
-def mirrored_voxel(k: int, nz: int) -> int:
-    """Index of the voxel mirrored about the XY mid-plane: ``Nz - 1 - k``."""
-    if not 0 <= k < nz:
-        raise ValueError(f"k={k} outside [0, {nz})")
-    return nz - 1 - k
-
-
-def mirrored_detector_row(v: np.ndarray, nv: int) -> np.ndarray:
-    """Detector row mirrored about the horizontal centre line: ``Nv - 1 - v``."""
-    return (nv - 1) - np.asarray(v)
 
 
 def check_theorem1(

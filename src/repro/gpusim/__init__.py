@@ -14,41 +14,29 @@ Eq. 11 and Eq. 14 of :mod:`repro.pipeline.perfmodel`.
 
 from .costmodel import (
     BackprojectionCostModel,
-    KernelTiming,
     predict_table4,
 )
-from .device import A100_40GB, TESLA_V100, DeviceSpec
+from .device import TESLA_V100, DeviceSpec
 from .kernels import (
     BP_L1,
-    BP_TEX,
     DEFAULT_PROJECTION_BATCH,
     KERNEL_VARIANTS,
     L1_TRAN,
-    RTK_32,
-    TEX_TRAN,
     KernelVariant,
     get_kernel,
 )
-from .texture import GlobalReadPath, L1ReadPath, ReadPathModel, TextureReadPath
+from .texture import ReadPathModel
 
 __all__ = [
-    "A100_40GB",
     "BP_L1",
-    "BP_TEX",
     "BackprojectionCostModel",
     "DEFAULT_PROJECTION_BATCH",
     "DeviceSpec",
-    "GlobalReadPath",
     "KERNEL_VARIANTS",
-    "KernelTiming",
     "KernelVariant",
-    "L1ReadPath",
     "L1_TRAN",
-    "RTK_32",
     "ReadPathModel",
     "TESLA_V100",
-    "TEX_TRAN",
-    "TextureReadPath",
     "get_kernel",
     "predict_table4",
 ]

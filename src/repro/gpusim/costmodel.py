@@ -45,7 +45,6 @@ from .kernels import DEFAULT_PROJECTION_BATCH, KERNEL_VARIANTS, KernelVariant
 
 __all__ = [
     "BackprojectionCostModel",
-    "KernelTiming",
     "predict_table4",
 ]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["DeviceSpec", "TESLA_V100", "A100_40GB"]
+__all__ = ["DeviceSpec", "TESLA_V100"]
 
 GiB = 1024**3
 
@@ -97,15 +97,4 @@ TESLA_V100 = DeviceSpec(
     fp32_flops=14.0e12,
     l2_cache_bytes=6 * 1024 * 1024,
     sm_count=80,
-)
-
-#: A newer device, for what-if comparisons against the V100 under the
-#: Table 4 kernel cost model.
-A100_40GB = DeviceSpec(
-    name="A100 40GB",
-    global_memory_bytes=40 * GiB,
-    dram_bandwidth=1555e9,
-    fp32_flops=19.5e12,
-    l2_cache_bytes=40 * 1024 * 1024,
-    sm_count=108,
 )

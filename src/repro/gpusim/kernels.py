@@ -37,9 +37,6 @@ from .texture import ReadPathModel, read_path_for
 __all__ = [
     "KernelVariant",
     "KERNEL_VARIANTS",
-    "RTK_32",
-    "BP_TEX",
-    "TEX_TRAN",
     "BP_L1",
     "L1_TRAN",
     "get_kernel",

@@ -26,9 +26,6 @@ from .device import DeviceSpec
 
 __all__ = [
     "ReadPathModel",
-    "TextureReadPath",
-    "L1ReadPath",
-    "GlobalReadPath",
     "read_path_for",
 ]
 

@@ -9,11 +9,10 @@ at scale is modelled by Eq. 10 and Eq. 15 in :mod:`repro.pipeline.perfmodel`.
 """
 
 from .communicator import CommunicatorError, SimCommunicator
-from .engine import RankFailure, SpmdError, run_spmd
+from .engine import SpmdError, run_spmd
 
 __all__ = [
     "CommunicatorError",
-    "RankFailure",
     "SimCommunicator",
     "SpmdError",
     "run_spmd",

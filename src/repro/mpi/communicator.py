@@ -26,7 +26,10 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["SimCommunicator", "CommunicatorError"]
+__all__ = [
+    "CommunicatorError",  # repro-lint: disable=dead-export -- what SimCommunicator raises
+    "SimCommunicator",
+]
 
 
 class CommunicatorError(RuntimeError):

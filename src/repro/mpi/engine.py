@@ -15,7 +15,10 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from .communicator import SimCommunicator, _Context
 
-__all__ = ["RankFailure", "SpmdError", "run_spmd"]
+__all__ = [
+    "SpmdError",  # repro-lint: disable=dead-export -- what run_spmd raises
+    "run_spmd",
+]
 
 
 @dataclass

@@ -32,23 +32,19 @@ from .export import (
     load_trace,
     summary_tree,
     trace_format_for,
-    write_chrome_trace,
     write_jsonl,
     write_trace,
 )
-from .metrics import NULL_METRICS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import NULL_METRICS, Counter, MetricsRegistry
 from .report import RunReport, peak_rss_bytes
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer, get_tracer, use_tracer
+from .tracer import NULL_TRACER, Span, Tracer, get_tracer, use_tracer
 
 __all__ = [
     "EXPORT_FORMATS",
     "NULL_METRICS",
     "NULL_TRACER",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "NullTracer",
     "RunReport",
     "Span",
     "Tracer",
@@ -60,7 +56,6 @@ __all__ = [
     "summary_tree",
     "trace_format_for",
     "use_tracer",
-    "write_chrome_trace",
     "write_jsonl",
     "write_trace",
 ]

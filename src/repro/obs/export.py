@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .tracer import Span, Tracer
 
@@ -37,7 +37,6 @@ __all__ = [
     "load_trace",
     "summary_tree",
     "trace_format_for",
-    "write_chrome_trace",
     "write_jsonl",
     "write_trace",
 ]

@@ -35,8 +35,6 @@ import numpy as np
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
     "percentile",

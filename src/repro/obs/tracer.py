@@ -38,7 +38,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "get_tracer",

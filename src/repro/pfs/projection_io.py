@@ -17,7 +17,6 @@ from ..core.types import DEFAULT_DTYPE, ProjectionStack
 from .storage import SimulatedPFS
 
 __all__ = [
-    "projection_object_name",
     "write_projection_dataset",
     "read_projection_subset",
     "dataset_angles",

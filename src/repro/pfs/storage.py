@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PFSConfig", "PFSStatistics", "SimulatedPFS"]
+__all__ = ["PFSConfig", "SimulatedPFS"]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from ..core.types import Volume
 from .storage import SimulatedPFS
 
 __all__ = [
-    "slice_object_name",
     "write_volume_slices",
     "read_volume",
 ]

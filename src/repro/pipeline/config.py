@@ -12,7 +12,7 @@ configuration's own :meth:`IFDKConfig.validate_device_memory` applies it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.geometry import CBCTGeometry
@@ -20,7 +20,7 @@ from ..core.types import ReconstructionProblem
 from ..gpusim.device import DeviceSpec, TESLA_V100
 from ..gpusim.kernels import DEFAULT_PROJECTION_BATCH, get_kernel
 
-__all__ = ["IFDKConfig", "choose_grid", "fits_device_memory", "subvolume_bytes"]
+__all__ = ["IFDKConfig", "choose_grid"]
 
 
 def subvolume_bytes(problem: ReconstructionProblem, rows: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import IFDKConfig
 
-__all__ = ["RankAssignment", "Decomposition"]
+__all__ = ["Decomposition"]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ performance model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .decomposition import Decomposition
 from .perfmodel import ABCI_MICROBENCHMARKS, IFDKPerformanceModel, PerformanceBreakdown
 from .rank_runtime import RankResult, run_rank
 
-__all__ = ["IFDKRunResult", "IFDKFramework"]
+__all__ = ["IFDKFramework"]
 
 
 @dataclass

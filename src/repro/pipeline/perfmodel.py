@@ -37,9 +37,8 @@ from typing import Dict, Tuple
 from ..core.types import ReconstructionProblem
 
 __all__ = [
-    "MicroBenchmarks",
     "ABCI_MICROBENCHMARKS",
-    "ABCI_PROVENANCE",
+    "ABCI_PROVENANCE",  # repro-lint: disable=dead-export -- the published source of each ABCI constant, as data
     "PerformanceBreakdown",
     "IFDKPerformanceModel",
 ]

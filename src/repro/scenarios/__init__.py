@@ -17,22 +17,19 @@ See :mod:`repro.scenarios.scenario` for the declarative model and
 
 from .noise import NoiseModel
 from .scenario import (
-    SCENARIO_PRESETS,
     AcquisitionScenario,
     available_scenarios,
     cache_token_for,
     get_scenario,
     register_scenario,
 )
-from .weights import conjugate_angle, offset_detector_weights, parker_weights
+from .weights import offset_detector_weights, parker_weights
 
 __all__ = [
-    "SCENARIO_PRESETS",
     "AcquisitionScenario",
     "NoiseModel",
     "available_scenarios",
     "cache_token_for",
-    "conjugate_angle",
     "get_scenario",
     "offset_detector_weights",
     "parker_weights",

@@ -48,12 +48,11 @@ from .noise import NoiseModel
 from .weights import offset_detector_weights, parker_weights
 
 __all__ = [
-    "AcquisitionScenario",
-    "SCENARIO_PRESETS",
+    "AcquisitionScenario",  # repro-lint: disable=dead-export -- the type register_scenario takes
     "available_scenarios",
     "cache_token_for",
     "get_scenario",
-    "register_scenario",
+    "register_scenario",  # repro-lint: disable=dead-export -- how a plan gets an ad-hoc scenario
 ]
 
 
@@ -365,6 +364,3 @@ register_scenario(AcquisitionScenario(
     ),
     description="dose-limited scan: 2x sparser views and a quarter of the photons",
 ))
-
-#: The built-in presets, name -> scenario.
-SCENARIO_PRESETS: Dict[str, AcquisitionScenario] = dict(_registry)

@@ -35,21 +35,10 @@ import numpy as np
 __all__ = [
     "parker_weights",
     "offset_detector_weights",
-    "conjugate_angle",
 ]
 
 #: Numerical floor for transition-region denominators (radians / mm).
 _EPS = 1e-12
-
-
-def conjugate_angle(beta: float, gamma: float) -> float:
-    """Gantry angle of the conjugate (mirror) ray of ``(β, γ)``.
-
-    In fan-beam geometry the ray leaving the source at gantry angle ``β``
-    with fan angle ``γ`` is the same line as the ray at gantry angle
-    ``β + π + 2γ`` with fan angle ``−γ``.
-    """
-    return float(beta + np.pi + 2.0 * gamma)
 
 
 def parker_weights(

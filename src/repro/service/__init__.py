@@ -21,31 +21,26 @@ HTTP/JSON, speaking :class:`~repro.api.ReconstructionPlan`.
 """
 
 from ..obs.metrics import percentile
-from .cache import CacheKey, CacheStatistics, FilteredProjectionCache, fingerprint_stack
+from .cache import CacheKey, FilteredProjectionCache, fingerprint_stack
 from .cache import OnDiskFilteredCache
 from .fairness import FairShareQueue, jains_index
 from .http import ServiceHTTPServer
 from .job import JobState, ReconstructionJob, job_sort_key
 from .metrics import ServiceMetrics
-from .process_dispatch import DEFAULT_PILOT_PROBLEM, ProcessDispatcher
-from .queue import AdmissionPolicy, JobQueue, model_runtime_estimator
-from .scheduler import AllocationPlan, ClusterScheduler, GPUCluster, Placement
-from .service import ReconstructionService, ServiceReport
-from .store import JobStore, RecoveredState
+from .process_dispatch import ProcessDispatcher
+from .queue import AdmissionPolicy, JobQueue
+from .scheduler import ClusterScheduler, GPUCluster, Placement
+from .service import ReconstructionService
+from .store import JobStore
 from .trace import (
-    MIXED_TABLE4_PROBLEMS,
     ArrivalTrace,
-    TraceEntry,
     synthetic_trace,
 )
 
 __all__ = [
     "AdmissionPolicy",
-    "AllocationPlan",
     "ArrivalTrace",
     "CacheKey",
-    "CacheStatistics",
-    "DEFAULT_PILOT_PROBLEM",
     "ClusterScheduler",
     "FairShareQueue",
     "FilteredProjectionCache",
@@ -53,21 +48,16 @@ __all__ = [
     "JobQueue",
     "JobState",
     "JobStore",
-    "MIXED_TABLE4_PROBLEMS",
     "OnDiskFilteredCache",
     "Placement",
     "ProcessDispatcher",
     "ReconstructionJob",
     "ReconstructionService",
-    "RecoveredState",
     "ServiceHTTPServer",
     "ServiceMetrics",
-    "ServiceReport",
-    "TraceEntry",
     "fingerprint_stack",
     "jains_index",
     "job_sort_key",
-    "model_runtime_estimator",
     "percentile",
     "synthetic_trace",
 ]

@@ -46,7 +46,6 @@ from ..core.types import ProjectionStack
 
 __all__ = [
     "CacheKey",
-    "CacheStatistics",
     "FilteredProjectionCache",
     "OnDiskFilteredCache",
     "fingerprint_stack",
@@ -132,7 +131,7 @@ class CacheKey:
         The scenario token comes straight from
         :func:`repro.scenarios.cache_token_for` — the canonical (and only)
         scenario cache-identity function: registered presets resolve to
-        their :attr:`~repro.scenarios.AcquisitionScenario.cache_token`,
+        their :attr:`~repro.scenarios.scenario.AcquisitionScenario.cache_token`,
         unregistered names are used verbatim.  Jobs of one identity
         (dataset, filter, detector shape, scenario *name*, acquisition)
         share one key, built by the first of them.

@@ -50,7 +50,6 @@ __all__ = [
     "JobState",
     "JobsByState",
     "ReconstructionJob",
-    "Transition",
     "job_sort_key",
 ]
 

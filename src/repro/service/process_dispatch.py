@@ -66,7 +66,7 @@ from .cache import CacheKey, FilteredProjectionCache
 from .job import ReconstructionJob
 from .scheduler import Placement
 
-__all__ = ["DEFAULT_PILOT_PROBLEM", "ProcessDispatcher"]
+__all__ = ["ProcessDispatcher"]
 
 #: Default pilot: small enough that CLI submits stay instant, real enough
 #: that the hot-path kernels (not Python overhead) dominate.

@@ -53,7 +53,6 @@ __all__ = [
     "AdmissionPolicy",
     "JobQueue",
     "QUOTA_REJECTION_PREFIX",
-    "model_runtime_estimator",
 ]
 
 #: Rejection reasons carrying this prefix are per-tenant fair-share quota

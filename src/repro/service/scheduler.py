@@ -53,7 +53,7 @@ from .cache import FilteredProjectionCache
 from .job import ReconstructionJob
 from .queue import JobQueue
 
-__all__ = ["GPUCluster", "Placement", "AllocationPlan", "ClusterScheduler"]
+__all__ = ["GPUCluster", "Placement", "ClusterScheduler"]
 
 
 class GPUCluster:
@@ -172,7 +172,6 @@ class ClusterScheduler:
         self,
         cluster: GPUCluster,
         *,
-        model: Optional[IFDKPerformanceModel] = None,
         policy: str = "slo",
         cache: Optional[FilteredProjectionCache] = None,
         max_gpus_per_job: Optional[int] = None,
@@ -180,7 +179,7 @@ class ClusterScheduler:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {self.POLICIES}")
         self.cluster = cluster
-        self.model = model or IFDKPerformanceModel()
+        self.model = IFDKPerformanceModel()
         self.policy = policy
         self.cache = cache
         self.max_gpus_per_job = max_gpus_per_job or cluster.total_gpus

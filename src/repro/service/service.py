@@ -49,10 +49,9 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from ..core.types import ReconstructionProblem
 from ..gpusim.device import DeviceSpec, TESLA_V100
 from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
-from ..pipeline.perfmodel import IFDKPerformanceModel
 from .cache import FilteredProjectionCache
 from .fairness import FairShareQueue
-from .job import TERMINAL_EVENTS, JobState, ReconstructionJob, reserve_job_ids
+from .job import TERMINAL_EVENTS, ReconstructionJob, reserve_job_ids
 from .metrics import ServiceMetrics
 from .process_dispatch import ProcessDispatcher
 from .queue import AdmissionPolicy, JobQueue
@@ -60,7 +59,7 @@ from .scheduler import ClusterScheduler, GPUCluster, Placement
 from .store import JobStore
 from .trace import ArrivalTrace
 
-__all__ = ["ReconstructionService", "ServiceReport"]
+__all__ = ["ReconstructionService"]
 
 #: The lifetime counter a live event bumps.  A submission counts once it is
 #: admitted, so ``submitted`` itself bumps nothing and ``queued`` does.
@@ -122,7 +121,6 @@ class ReconstructionService:
         cluster_gpus: int = 16,
         *,
         policy: str = "slo",
-        model: Optional[IFDKPerformanceModel] = None,
         cache: Optional[FilteredProjectionCache] = None,
         admission: Optional[AdmissionPolicy] = None,
         device: DeviceSpec = TESLA_V100,
@@ -175,7 +173,6 @@ class ReconstructionService:
         self.cache = cache if cache is not None else FilteredProjectionCache(directory=cache_dir)
         self.scheduler = ClusterScheduler(
             self.cluster,
-            model=model,
             policy=policy,
             cache=self.cache,
             max_gpus_per_job=max_gpus_per_job,

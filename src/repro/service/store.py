@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, TextIO
 from ..obs import get_tracer
 from .job import LIFECYCLE, TERMINAL_EVENTS, JobsByState, JobState, ReconstructionJob
 
-__all__ = ["JobStore", "RecoveredState", "JOURNAL_NAME"]
+__all__ = ["JobStore"]
 
 #: File name of the journal inside the state directory.
 JOURNAL_NAME = "journal.jsonl"

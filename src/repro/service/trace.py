@@ -35,10 +35,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.types import ReconstructionProblem, problem_from_string
+from ..core.types import problem_from_string
 from .job import ReconstructionJob
 
-__all__ = ["TraceEntry", "ArrivalTrace", "synthetic_trace", "MIXED_TABLE4_PROBLEMS"]
+__all__ = ["ArrivalTrace", "synthetic_trace"]
 
 TRACE_VERSION = 1
 

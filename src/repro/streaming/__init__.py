@@ -29,19 +29,13 @@ optional ``chunk_size`` / ``memory_budget_bytes``) on a
 """
 
 from .chunks import (
-    DEFAULT_CHUNK_SIZE,
     chunk_working_set_bytes,
     parse_byte_size,
-    per_projection_working_set_bytes,
     plan_chunks,
     resolve_chunk_size,
     whole_stack_working_set_bytes,
 )
-from .reconstructor import (
-    StreamingReconstructor,
-    StreamingResult,
-    reconstruct_streaming,
-)
+from .reconstructor import StreamingReconstructor
 from .sources import (
     OnlineChunkSource,
     PFSChunkSource,
@@ -53,7 +47,6 @@ from .sources import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "OnlineChunkSource",
     "PFSChunkSource",
     "ProjectionChunk",
@@ -61,12 +54,9 @@ __all__ = [
     "StackChunkSource",
     "StreamingError",
     "StreamingReconstructor",
-    "StreamingResult",
     "chunk_working_set_bytes",
     "parse_byte_size",
-    "per_projection_working_set_bytes",
     "plan_chunks",
-    "reconstruct_streaming",
     "resolve_chunk_size",
     "stream_stack",
     "whole_stack_working_set_bytes",

@@ -38,10 +38,8 @@ from ..core.filtering import canonical_fft_length
 from ..core.geometry import CBCTGeometry
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "chunk_working_set_bytes",
     "parse_byte_size",
-    "per_projection_working_set_bytes",
     "plan_chunks",
     "resolve_chunk_size",
     "whole_stack_working_set_bytes",

@@ -56,7 +56,7 @@ from ..obs import (
 from .chunks import chunk_working_set_bytes, plan_chunks, resolve_chunk_size
 from .sources import ProjectionChunkSource, StackChunkSource, StreamingError
 
-__all__ = ["StreamingReconstructor", "StreamingResult", "reconstruct_streaming"]
+__all__ = ["StreamingReconstructor"]
 
 
 @dataclass
@@ -102,7 +102,7 @@ class StreamingReconstructor:
         be ``None``).
     scenario:
         Optional acquisition scenario (an
-        :class:`~repro.scenarios.AcquisitionScenario` or preset name).
+        :class:`~repro.scenarios.scenario.AcquisitionScenario` or preset name).
         ``geometry`` must already be the scenario-shaped geometry (see
         :meth:`AcquisitionScenario.apply_geometry`); its per-projection
         redundancy-weight table rides into the filtering stage.
@@ -114,7 +114,7 @@ class StreamingReconstructor:
     chunk_size:
         Projections per chunk of :meth:`reconstruct` (``None`` derives it
         from the budget, or falls back to
-        :data:`~repro.streaming.DEFAULT_CHUNK_SIZE`).
+        :data:`~repro.streaming.chunks.DEFAULT_CHUNK_SIZE`).
     memory_budget_bytes:
         Upper bound on the streaming working set (see
         :func:`~repro.streaming.chunk_working_set_bytes` for exactly what
@@ -340,30 +340,3 @@ class StreamingReconstructor:
             peak_rss_bytes=rss,
         )
 
-
-def reconstruct_streaming(
-    source: Union[ProjectionChunkSource, ProjectionStack],
-    geometry: CBCTGeometry,
-    *,
-    ramp_filter: str = "ram-lak",
-    algorithm: str = "proposed",
-    backend: Union[str, ComputeBackend] = "reference",
-    scenario: Optional[object] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-) -> StreamingResult:
-    """One-call streaming reconstruction (a bare stack is wrapped)."""
-    if isinstance(source, ProjectionStack):
-        source = StackChunkSource(source)
-    with StreamingReconstructor(
-        geometry,
-        ramp_filter=ramp_filter,
-        algorithm=algorithm,
-        backend=backend,
-        scenario=scenario,
-        workers=workers,
-        chunk_size=chunk_size,
-        memory_budget_bytes=memory_budget_bytes,
-    ) as reconstructor:
-        return reconstructor.reconstruct(source)

@@ -38,7 +38,7 @@ from ..pipeline.circular_buffer import BufferClosed, CircularBuffer
 __all__ = [
     "OnlineChunkSource",
     "PFSChunkSource",
-    "ProjectionChunk",
+    "ProjectionChunk",  # repro-lint: disable=dead-export -- what a custom source's chunks() yields
     "ProjectionChunkSource",
     "StackChunkSource",
     "StreamingError",

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.analysis import LockOrderSanitizer, enabled_from_env
+from repro.analysis import LockOrderSanitizer
 from repro.backends import get_backend, native
 from repro.core import (
     CBCTGeometry,
@@ -45,7 +45,7 @@ def pytest_configure(config):
     if "XDG_CACHE_HOME" not in os.environ and _NATIVE_CACHE is None:
         _NATIVE_CACHE = tempfile.mkdtemp(prefix="repro-test-cache-")
         os.environ["XDG_CACHE_HOME"] = _NATIVE_CACHE
-    if enabled_from_env() and _LOCK_SANITIZER is None:
+    if os.environ.get("REPRO_LOCK_SANITIZER") == "1" and _LOCK_SANITIZER is None:
         _LOCK_SANITIZER = LockOrderSanitizer()
         _LOCK_SANITIZER.install()
 

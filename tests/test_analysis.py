@@ -10,18 +10,15 @@ subtraction, and the CLI's exit-code contract (0 clean / 1 findings /
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_SCOPES,
-    LintConfig,
-    RULES,
-    SUPPRESSION_RULE,
-    lint_paths,
-)
+from repro.analysis import RULES, LintConfig, lint_paths
 from repro.analysis.__main__ import main as analysis_main
+from repro.analysis.config import DEFAULT_SCOPES
+from repro.analysis.findings import SUPPRESSION_RULE
 from repro.cli import main as cli_main
 
 pytestmark = pytest.mark.lint
@@ -55,6 +52,7 @@ def test_rule_registry_matches_scopes():
         "determinism",
         "dtype-discipline",
         "error-contract",
+        "dead-export",
     }
 
 
@@ -111,6 +109,73 @@ def test_error_contract_fixture():
     assert rule_lines(bad_http, "error-contract") == [5, 8]
     assert {f.symbol for f in bad_http} == {"Handler.do_GET", "Handler.do_POST"}
     assert lint_fixture("good_http.py") == []
+
+
+def test_dead_export_fixture():
+    # The fixture tree has its own pyproject.toml, so it is its own project:
+    # readers are searched in its src/, examples/, benchmarks/, perfbench/.
+    mod = DATA / "dead_export" / "src" / "repro" / "pkg" / "mod.py"
+    findings = lint_paths([mod]).findings
+    # Clean: the root's __all__ (4), a sibling module (5), an example (6),
+    # perfbench (7), an __init__'s use in code (8), a suppression with a
+    # reason (12).  Dead: read only by the __init__ re-export (9), only by
+    # a test (10), only by its own module (11).
+    assert rule_lines(findings, "dead-export") == [9, 10, 11]
+    assert [f.symbol for f in findings] == [
+        "only_reexported", "read_by_test_only", "read_only_here",
+    ]
+    assert {f.rule for f in findings} == {"dead-export"}
+
+
+def test_dead_export_ignores_init_modules():
+    package = DATA / "dead_export" / "src" / "repro"
+    init_files = sorted(package.rglob("__init__.py"))
+    assert init_files and lint_paths(init_files).findings == []
+
+
+def test_dead_export_finds_what_only_an_example_reads(tmp_path):
+    # Non-vacuity on the real tree: without examples/, the names only
+    # examples/streaming_online.py reads are flagged.
+    repo = Path(__file__).resolve().parent.parent
+    shutil.copy(repo / "pyproject.toml", tmp_path)
+    for folder in ("src", "benchmarks", "perfbench"):
+        for path in (repo / folder).rglob("*.py"):
+            target = tmp_path / path.relative_to(repo)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(path, target)
+    sources = tmp_path / "src" / "repro" / "streaming" / "sources.py"
+    findings = lint_paths([sources]).findings
+    assert {f.rule for f in findings} == {"dead-export"}
+    assert "stream_stack" in {f.symbol for f in findings}
+
+
+def test_dead_export_index_follows_edits_to_the_tree(tmp_path):
+    # The reader index is cached per project root; a second lint in the
+    # same process sees a reader that was removed, then one that was added.
+    tree = tmp_path / "tree"
+    shutil.copytree(DATA / "dead_export", tree)
+    mod = tree / "src" / "repro" / "pkg" / "mod.py"
+
+    def symbols():
+        return {f.symbol for f in lint_paths([mod]).findings}
+
+    assert "read_by_example" not in symbols()
+    demo = tree / "examples" / "demo.py"
+    demo.unlink()
+    assert "read_by_example" in symbols()
+    demo.write_text("from repro.pkg.mod import read_by_example, read_only_here\n")
+    assert {"read_by_example", "read_only_here"}.isdisjoint(symbols())
+
+
+def test_dead_export_unparseable_reader_raises_value_error(tmp_path):
+    (tmp_path / "pyproject.toml").write_text("")
+    module = tmp_path / "src" / "repro" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text('__all__ = ["name"]\nname = 1\n')
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "broken.py").write_text("def broken(:\n")
+    with pytest.raises(ValueError, match="broken.py"):
+        lint_paths([module])
 
 
 # --------------------------------------------------------------------- #

@@ -556,7 +556,7 @@ class TestStreamingFieldScoping:
             ReconstructionPlan.from_dict(payload)
 
     def test_streaming_budget_exceeded_by_chunk_rejected(self):
-        from repro.streaming import per_projection_working_set_bytes
+        from repro.streaming.chunks import per_projection_working_set_bytes
 
         plan = small_plan(streaming=True, chunk_size=16)
         budget = 2 * per_projection_working_set_bytes(plan.geometry)

@@ -135,7 +135,7 @@ def test_reconstruction_service_options_are_pinned():
     from repro.service import ReconstructionService
 
     assert _parameters(ReconstructionService.__init__) == [
-        "cluster_gpus", "policy", "model", "cache", "admission", "device",
+        "cluster_gpus", "policy", "cache", "admission", "device",
         "max_gpus_per_job", "backend", "workers", "pilot_problem", "obs",
         "state_dir", "cache_dir", "dispatch_timeout_seconds",
         "dispatch_max_retries", "fault_injection",

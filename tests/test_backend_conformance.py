@@ -47,13 +47,13 @@ from repro.backends import (
     TiledBackend,
     available_backends,
     get_backend,
-    plan_tiles,
     validate_backend,
 )
+from repro.backends.tiled import plan_tiles
 from repro.backends.tiled import _block_bytes
 from repro.core import CBCTGeometry, default_geometry_for_problem
 from repro.core.types import DEFAULT_DTYPE, ProjectionStack
-from repro.scenarios import SCENARIO_PRESETS, get_scenario
+from repro.scenarios import available_scenarios, get_scenario
 from repro.streaming import StreamingReconstructor
 
 try:
@@ -296,7 +296,7 @@ def test_exact_family_slab_decomposition_is_bit_exact(backend, slab):
 #: short-scan subset and the 1/4 sparse subset are both non-trivial.
 SCENARIO_BASE = dict(nu=28, nv=20, np_=24, nx=18, ny=14, nz=10)
 
-SCENARIO_NAMES = tuple(sorted(SCENARIO_PRESETS))
+SCENARIO_NAMES = tuple(sorted(available_scenarios()))
 
 
 def scenario_base_geometry() -> CBCTGeometry:

@@ -39,7 +39,8 @@ import numpy as np
 import pytest
 
 import frozen_parent_kernels as parent
-from repro.backends import TiledBackend, get_backend, native, plan_tiles
+from repro.backends import TiledBackend, get_backend, native
+from repro.backends.tiled import plan_tiles
 from repro.backends import vectorized
 from repro.backends.tiled import _block_bytes
 from repro.core import CBCTGeometry, default_geometry_for_problem

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import ReconstructionPlan
 from repro.cli import build_parser, main
 
 
@@ -473,6 +474,24 @@ class TestSubmitPlanKeyParity:
         by_plan = json.loads(capsys.readouterr().out)
         assert by_flags["plan_key"] == by_plan["plan_key"]
         assert by_flags["tenant"] == by_plan["tenant"]
+
+    @pytest.mark.parametrize("flags, key", [
+        ([], "8eccfa4a0d4930d5"),
+        (["--target", "ifdk", "--problem", "64x64x32->32x32x32", "--rows", "2",
+          "--columns", "4", "--algorithm", "standard"], "13b95cf00e8f9e94"),
+        (["--target", "service", "--problem", "512x512x1024->256x256x256",
+          "--gpus", "4", "--slo", "1000", "--priority", "0"], "8f2c3c3eb55e82d0"),
+    ])
+    def test_emitted_and_submitted_plan_keys_are_pinned(self, tmp_path, capsys, flags, key):
+        # The keys the plan flags gave before add_plan_args registered the
+        # rank-grid and service flags once for every subcommand.
+        path = tmp_path / "plan.json"
+        assert main(["plan", "emit", *flags, "-o", str(path)]) == 0
+        assert ReconstructionPlan.from_json(path.read_text()).key() == key
+        if "service" in flags:
+            capsys.readouterr()
+            assert main(["submit", "--plan", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["plan_key"] == key
 
 
 @pytest.mark.obs

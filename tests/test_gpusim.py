@@ -10,17 +10,15 @@ from repro.core.interpolation import interp2
 from repro.core.types import problem_from_string
 from repro.gpusim import (
     BP_L1,
-    BP_TEX,
     KERNEL_VARIANTS,
     L1_TRAN,
-    RTK_32,
     TESLA_V100,
-    TEX_TRAN,
     BackprojectionCostModel,
     DeviceSpec,
     get_kernel,
     predict_table4,
 )
+from repro.gpusim.kernels import BP_TEX, RTK_32, TEX_TRAN
 from repro.bench import TABLE4_PROBLEMS
 
 
@@ -167,8 +165,16 @@ class TestCostModel:
 
     def test_throughput_scales_with_device(self):
         p = problem_from_string("512x512x1024->512x512x512")
-        from repro.gpusim import A100_40GB
+        from repro.gpusim import DeviceSpec
 
+        A100_40GB = DeviceSpec(
+            name="A100 40GB",
+            global_memory_bytes=40 * 1024**3,
+            dram_bandwidth=1555e9,
+            fp32_flops=19.5e12,
+            l2_cache_bytes=40 * 1024 * 1024,
+            sm_count=108,
+        )
         v100 = BackprojectionCostModel(TESLA_V100).gups(L1_TRAN, p)
         a100 = BackprojectionCostModel(A100_40GB).gups(L1_TRAN, p)
         assert a100 > v100

@@ -195,7 +195,7 @@ class TestMismatchedContributions:
 class TestGridCommunicators:
     def test_split_by_assignment_creates_row_and_column_communicators(self):
         """The two ``Split`` calls of ``run_rank``, keyed by the rank's
-        :class:`~repro.pipeline.RankAssignment` (column-major, Figure 3a)."""
+        :class:`~repro.pipeline.decomposition.RankAssignment` (column-major, Figure 3a)."""
         geometry = default_geometry_for_problem(nu=8, nv=8, np_=4, nx=4, ny=4, nz=4)
         decomposition = Decomposition(IFDKConfig(geometry=geometry, rows=2, columns=2))
 

@@ -32,7 +32,6 @@ from repro.core.types import ProjectionStack
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
-    NullTracer,
     RunReport,
     Span,
     Tracer,
@@ -44,6 +43,7 @@ from repro.obs import (
     use_tracer,
     write_trace,
 )
+from repro.obs.tracer import NullTracer
 
 pytestmark = pytest.mark.obs
 

@@ -213,13 +213,14 @@ def test_workers_one_never_starts_threads():
 
 def test_workers_one_driver_never_starts_threads():
     """The chunk driver at one worker is the single-threaded loop it was."""
-    from repro.streaming import reconstruct_streaming
+    from repro.streaming import StackChunkSource, StreamingReconstructor
 
     before = set(threading.enumerate())
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=12, nx=12, ny=12, nz=8)
     stack = make_stack(geometry, filtered=False)
     with TiledBackend(workers=1) as backend:
-        result = reconstruct_streaming(stack, geometry, backend=backend, chunk_size=3)
+        with StreamingReconstructor(geometry, backend=backend, chunk_size=3) as reconstructor:
+            result = reconstructor.reconstruct(StackChunkSource(stack))
         assert result.chunk_count == 4 and not backend.pool_started
     assert set(threading.enumerate()) == before
 
@@ -266,7 +267,11 @@ def test_chunk_driver_reads_in_turn_and_leaves_no_thread(workers):
 def test_chunk_driver_under_thread_switch_stress(workers):
     """A 10 µs switch interval: every run still produces the one-worker bits
     and leaves no thread behind."""
-    from repro.streaming import reconstruct_streaming
+    from repro.streaming import StackChunkSource, StreamingReconstructor
+
+    def reconstruct_streaming(stack, geometry, **options):
+        with StreamingReconstructor(geometry, **options) as reconstructor:
+            return reconstructor.reconstruct(StackChunkSource(stack))
 
     baseline = parallel_threads()
     geometry = default_geometry_for_problem(nu=24, nv=24, np_=24, nx=16, ny=16, nz=12)

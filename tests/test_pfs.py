@@ -15,12 +15,12 @@ from repro.pfs import (
     PFSConfig,
     SimulatedPFS,
     dataset_angles,
-    projection_object_name,
     read_projection_subset,
     read_volume,
     write_projection_dataset,
     write_volume_slices,
 )
+from repro.pfs.projection_io import projection_object_name
 
 
 #: The two ways to load one object: a fresh array, or into the caller's.

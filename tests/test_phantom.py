@@ -8,7 +8,6 @@ import pytest
 from repro.core.phantom import (
     Ellipsoid,
     EllipsoidPhantom,
-    point_grid_phantom,
     shepp_logan_3d,
     shepp_logan_ellipsoids,
     uniform_sphere_phantom,
@@ -84,7 +83,11 @@ class TestEllipsoidPhantom:
         assert phantom.density_at(np.array([[0.9, 0.0, 0.0]]))[0] == 0.0
 
     def test_line_integrals_sum_over_ellipsoids(self):
-        phantom = point_grid_phantom(spacing=0.5, size=0.05)
+        grid = (-0.5, 0.0, 0.5)
+        phantom = EllipsoidPhantom([
+            Ellipsoid(value=1.0, center=(x, y, z), axes=(0.05, 0.05, 0.05))
+            for x in grid for y in grid for z in grid
+        ])
         origins = np.array([[-2.0, 0.0, 0.0]])
         directions = np.array([[1.0, 0.0, 0.0]])
         # The central row of the grid contains 3 spheres of diameter 0.1.

@@ -21,11 +21,10 @@ from repro.pipeline import (
     Decomposition,
     IFDKConfig,
     IFDKPerformanceModel,
-    MicroBenchmarks,
     choose_grid,
-    fits_device_memory,
-    subvolume_bytes,
 )
+from repro.pipeline.config import fits_device_memory, subvolume_bytes
+from repro.pipeline.perfmodel import MicroBenchmarks
 from repro.pipeline.perfmodel import ABCI_PROVENANCE
 from repro.pipeline.rank_runtime import _overlap_delta
 

@@ -28,11 +28,9 @@ from repro.core import CBCTGeometry, default_geometry_for_problem
 from repro.core.filtering import fdk_normalization
 from repro.core.types import ProjectionStack
 from repro.scenarios import (
-    SCENARIO_PRESETS,
     AcquisitionScenario,
     NoiseModel,
     available_scenarios,
-    conjugate_angle,
     get_scenario,
     offset_detector_weights,
     parker_weights,
@@ -84,7 +82,7 @@ def check_parker_pair_sum(delta: float, gamma: float, beta: float) -> None:
     """
     total = (
         parker_weight_scalar(beta, gamma, delta)
-        + parker_weight_scalar(conjugate_angle(beta, gamma), -gamma, delta)
+        + parker_weight_scalar(beta + np.pi + 2.0 * gamma, -gamma, delta)
         + parker_weight_scalar(beta - np.pi + 2.0 * gamma, -gamma, delta)
     )
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -146,7 +144,7 @@ def test_parker_table_pairs_sum_on_real_geometry():
         for col in range(0, geometry.nu, 7):
             beta, gamma = betas[s], gammas[col]
             conj = (
-                parker_weight_scalar(conjugate_angle(beta, gamma), -gamma, delta)
+                parker_weight_scalar(beta + np.pi + 2.0 * gamma, -gamma, delta)
                 + parker_weight_scalar(beta - np.pi + 2 * gamma, -gamma, delta)
             )
             assert raw[s, col] + conj == pytest.approx(1.0, abs=1e-9)
@@ -366,7 +364,7 @@ def test_registry_lists_presets_and_rejects_unknown():
 
 def test_cache_tokens_are_distinct_and_stable():
     tokens = {
-        name: get_scenario(name).cache_token for name in SCENARIO_PRESETS
+        name: get_scenario(name).cache_token for name in available_scenarios()
     }
     assert tokens["full_scan"] == "full"
     assert len(set(tokens.values())) == len(tokens)

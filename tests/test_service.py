@@ -25,10 +25,10 @@ from repro.service import (
     ReconstructionJob,
     ReconstructionService,
     ServiceMetrics,
-    TraceEntry,
     fingerprint_stack,
     synthetic_trace,
 )
+from repro.service.trace import TraceEntry
 
 SMALL = "512x512x1024->256x256x256"
 MEDIUM = "1024x1024x1024->1024x1024x1024"
@@ -396,7 +396,8 @@ class TestClusterScheduler:
 
     def test_slo_defers_for_larger_grid_when_waiting_meets_deadline(self):
         from repro.pipeline import choose_grid
-        from repro.service import AllocationPlan, Placement
+        from repro.service import Placement
+        from repro.service.scheduler import AllocationPlan
 
         cluster = GPUCluster(8)
         scheduler = ClusterScheduler(cluster, policy="slo")
@@ -828,9 +829,10 @@ class TestScenarioAwareService:
         :func:`repro.scenarios.cache_token_for`.  Pin the agreement on
         every registered preset so the two layers can never drift again.
         """
-        from repro.scenarios import SCENARIO_PRESETS, cache_token_for
+        from repro.scenarios import available_scenarios, cache_token_for, get_scenario
 
-        for name, scenario in SCENARIO_PRESETS.items():
+        for name in available_scenarios():
+            scenario = get_scenario(name)
             key = CacheKey.for_job(make_job(dataset_id="ds-1", scenario=name))
             assert key.scenario == cache_token_for(name) == scenario.cache_token
 

@@ -33,15 +33,14 @@ from hypothesis import strategies as st
 
 from repro.core.types import ReconstructionProblem, problem_from_string
 from repro.scenarios import (
-    SCENARIO_PRESETS,
     AcquisitionScenario,
+    available_scenarios,
     cache_token_for,
     register_scenario,
 )
 from repro.scenarios import scenario as scenario_module
 from repro.service import (
     AdmissionPolicy,
-    AllocationPlan,
     CacheKey,
     ClusterScheduler,
     FairShareQueue,
@@ -50,6 +49,7 @@ from repro.service import (
     Placement,
     ReconstructionJob,
 )
+from repro.service.scheduler import AllocationPlan
 from repro.service.scheduler import _ReleaseOrder
 
 PROBLEMS = [
@@ -208,7 +208,7 @@ def old_cache_key(job: ReconstructionJob) -> CacheKey:
 #: share its key: "full" is full_scan's token, "short" short_scan's), and
 #: unregistered names that are their own token.
 scenario_names = st.sampled_from(
-    sorted(SCENARIO_PRESETS) + ["full", "short", "helical", "offset_detector "]
+    sorted(available_scenarios()) + ["full", "short", "helical", "offset_detector "]
 )
 identities = st.fixed_dictionaries({
     "problem": st.sampled_from(PROBLEMS),

@@ -845,7 +845,8 @@ class TestProcessDispatcher:
             1, backend="vectorized", pilot_problem=PILOT,
             fault_injection={"flaky": {"raise_attempts": [1]}},
         )
-        from repro.service import AllocationPlan, Placement
+        from repro.service import Placement
+        from repro.service.scheduler import AllocationPlan
 
         job = make_job(job_id="flaky", dataset_id="ds-f")
         plan = AllocationPlan(gpus=1, rows=1, columns=1,

@@ -57,7 +57,6 @@ from repro.pfs.projection_io import write_projection_dataset
 from repro.pipeline import CircularBuffer
 from repro.scenarios import get_scenario
 from repro.streaming import (
-    DEFAULT_CHUNK_SIZE,
     OnlineChunkSource,
     PFSChunkSource,
     ProjectionChunk,
@@ -67,15 +66,22 @@ from repro.streaming import (
     StreamingReconstructor,
     chunk_working_set_bytes,
     parse_byte_size,
-    per_projection_working_set_bytes,
     plan_chunks,
-    reconstruct_streaming,
     resolve_chunk_size,
     stream_stack,
     whole_stack_working_set_bytes,
 )
+from repro.streaming.chunks import DEFAULT_CHUNK_SIZE, per_projection_working_set_bytes
 
 pytestmark = pytest.mark.streaming
+
+
+def reconstruct_streaming(source, geometry, **options):
+    """Stream ``source`` (a bare stack is wrapped) through one reconstructor."""
+    if isinstance(source, ProjectionStack):
+        source = StackChunkSource(source)
+    with StreamingReconstructor(geometry, **options) as reconstructor:
+        return reconstructor.reconstruct(source)
 
 #: Conformance bound of every backend against the reference volume.
 RMSE_TOL = 1e-5
@@ -816,7 +822,7 @@ import numpy as np
 from repro.core import default_geometry_for_problem
 from repro.pfs import SimulatedPFS
 from repro.pfs.projection_io import projection_object_name
-from repro.streaming import PFSChunkSource, reconstruct_streaming
+from repro.streaming import PFSChunkSource, StreamingReconstructor
 
 root, budget, chunk = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 geometry = default_geometry_for_problem(
@@ -830,10 +836,10 @@ for index in range(geometry.np_):
         projection_object_name(index),
         rng.standard_normal((geometry.nv, geometry.nu)).astype(np.float32),
     )
-result = reconstruct_streaming(
-    PFSChunkSource(pfs), geometry, backend="blocked",
-    chunk_size=chunk, memory_budget_bytes=budget,
-)
+with StreamingReconstructor(
+    geometry, backend="blocked", chunk_size=chunk, memory_budget_bytes=budget,
+) as reconstructor:
+    result = reconstructor.reconstruct(PFSChunkSource(pfs))
 print(json.dumps({
     "peak_rss_bytes": result.peak_rss_bytes,
     "chunks": result.chunk_count,

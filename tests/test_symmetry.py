@@ -12,8 +12,6 @@ from repro.core.symmetry import (
     check_theorem1,
     check_theorem2,
     check_theorem3,
-    mirrored_detector_row,
-    mirrored_voxel,
     verify_geometry_symmetry,
 )
 from repro.core.types import ProjectionStack
@@ -44,19 +42,6 @@ geometry_strategy = st.builds(
     dv=st.floats(0.1, 4.0),
     dx=st.floats(0.1, 2.0),
 )
-
-
-class TestMirrorHelpers:
-    def test_mirrored_voxel(self):
-        assert mirrored_voxel(0, 10) == 9
-        assert mirrored_voxel(4, 10) == 5
-
-    def test_mirrored_voxel_bounds(self):
-        with pytest.raises(ValueError):
-            mirrored_voxel(10, 10)
-
-    def test_mirrored_detector_row(self):
-        np.testing.assert_allclose(mirrored_detector_row(np.array([0.0, 3.5]), 8), [7.0, 3.5])
 
 
 class TestTheoremsOnFixedGeometry:
