@@ -76,6 +76,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.filtering import (
+    _pocketfft,
     fdk_normalization,
     filter_projections,
     ramp_filter_frequency_response,
@@ -262,6 +263,9 @@ class ComputeBackend(abc.ABC):
         handling can never diverge between backends, and row/tile blocking
         stays bit-exact.
         """
+        # Loads the transforms on a process's first call, outside the span:
+        # the span measures filtering, not a library load.
+        _pocketfft()
         with get_tracer().span(
             "filter",
             payload_bytes=int(stack.data.nbytes),

@@ -122,16 +122,16 @@ def rfft_ramp_filter(
     against ``reference``'s complex128 one at the canonical pad the rows
     differ by ~1e-7 relative RMSE, at most ~1.4e-6 of the RMS at a sample
     (bounded at 1e-6 / 5e-6 by ``tests/test_filter_fusion.py``).  A row's
-    bits do not depend on the rows it shares a call with.  SciPy takes no
-    ``out=``: its outputs are allocated.
+    bits do not depend on the rows it shares a call with.  The transforms'
+    outputs are allocated, as ``scipy.fft``'s are.
     """
     pad = rows.shape[-1]
     if pad != response.shape[0] or pad < out.shape[-1]:
         raise ValueError("rows must be padded to the response length")
     fft = _pocketfft()
-    spectrum = fft.rfft(rows, axis=-1)
+    spectrum = fft.rfft(rows)
     spectrum *= (response[: pad // 2 + 1] * (tau * scale)).astype(np.float32)
-    out[...] = fft.irfft(spectrum, n=pad, axis=-1)[:, : out.shape[-1]]
+    out[...] = fft.irfft(spectrum, n=pad)[:, : out.shape[-1]]
 
 
 # --------------------------------------------------------------------------- #

@@ -4,8 +4,8 @@ The filtering (a.k.a. convolution) stage multiplies each projection by a
 2-D cosine-weighting table ``Fcos`` and convolves every detector row with a
 1-D ramp filter ``Framp`` (Algorithm 1).  The paper executes this stage on
 the CPU with multi-threading and SIMD (Section 3.1); here it is executed
-with vectorized NumPy/SciPy FFT calls, which is the CPU-efficient idiom
-available in this environment.
+with NumPy for the weighting and SciPy's compiled pocketfft for the row
+transforms, whole row groups per call.
 
 Implementation notes
 --------------------
@@ -20,6 +20,10 @@ Implementation notes
   filter deeply affects the final image quality, yet it has no effect on the
   compute intensity of the filtering stage" (Section 2.2.2), which is why
   they share a single code path.
+* The transforms are SciPy's own C++ (``scipy.fft._pocketfft.pypocketfft``),
+  loaded by file without ``scipy`` or ``scipy.fft`` (see :func:`_pocketfft`):
+  the goldens are pinned to its bits, and ``import scipy.fft`` costs a
+  fresh process 0.2-0.3 s, ``scipy.special`` included, for four functions.
 * Every backend's ``filter_stack`` additionally folds the constant FDK scale
   :func:`fdk_normalization` into the filtered projections so that the
   back-projection stage can remain a literal transcription of Algorithm 2 /
@@ -29,8 +33,12 @@ Implementation notes
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 from functools import cache, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -48,13 +56,97 @@ __all__ = [
 ]
 
 
-@cache
-def _pocketfft():
-    """``scipy.fft``: the goldens are pinned to SciPy's pocketfft."""
-    # Deferred to the first filter call: a process that filters nothing skips ~300 ms.
-    from scipy import fft
+#: SciPy's compiled pocketfft module, under the name ``scipy.fft`` gives it.
+PYPOCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+_load_lock = threading.Lock()
 
-    return fft
+
+def _load_pypocketfft():
+    """The :data:`PYPOCKETFFT` extension, loaded by file from SciPy's package
+    directory and registered under its full name, so a later
+    ``import scipy.fft`` reuses this module object.  Neither ``scipy`` nor
+    ``scipy.fft`` is imported."""
+    with _load_lock:
+        module = sys.modules.get(PYPOCKETFFT)
+        if module is not None:
+            return module
+        scipy = find_spec("scipy")
+        roots = scipy.submodule_search_locations if scipy is not None else None
+        folders = [os.path.join(root, "fft", "_pocketfft") for root in roots or ()]
+        for folder in folders:
+            for suffix in EXTENSION_SUFFIXES:
+                path = os.path.join(folder, "pypocketfft" + suffix)
+                if os.path.isfile(path):
+                    loader = ExtensionFileLoader(PYPOCKETFFT, path)
+                    module = module_from_spec(spec_from_loader(PYPOCKETFFT, loader))
+                    loader.exec_module(module)
+                    sys.modules[PYPOCKETFFT] = module
+                    return module
+    where = " or ".join(folders) if folders else "scipy, which is not installed"
+    raise ImportError(
+        f"the ramp filters run on SciPy's pocketfft extension {PYPOCKETFFT}, "
+        f"expected as pypocketfft{{{','.join(EXTENSION_SUFFIXES)}}} in {where}",
+        name=PYPOCKETFFT,
+    )
+
+
+def _operand(x, n: Optional[int] = None) -> np.ndarray:
+    """``scipy.fft``'s argument handling for the calls made here: a
+    native-order, aligned float or complex array, its last axis zero-padded
+    or truncated to ``n``."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "fc":
+        x = x.astype(np.float64)
+    elif not (x.dtype.isnative and x.flags.aligned):
+        x = np.array(x, dtype=x.dtype.newbyteorder("="))
+    if n is None or x.shape[-1] == n:
+        return x
+    if x.shape[-1] > n:
+        return x[..., :n]
+    fitted = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
+    fitted[..., : x.shape[-1]] = x
+    return fitted
+
+
+class _Transforms:
+    """The ``scipy.fft`` calls this package makes, on ``pypocketfft``: the
+    same C++ calls with the same arguments, so the same bits.  Last axis,
+    norm ``"backward"`` (code 0 forward, 2 inverse), one thread."""
+
+    def __init__(self, extension) -> None:
+        self._c2c, self._r2c, self._c2r = extension.c2c, extension.r2c, extension.c2r
+        #: ``next_fast_len(target, real=False)``.
+        self.next_fast_len = extension.good_size
+
+    def fft(self, x, n: Optional[int] = None) -> np.ndarray:
+        return self._c2c(_operand(x, n), (-1,), True, 0, None, 1)
+
+    def ifft(self, x) -> np.ndarray:
+        return self._c2c(_operand(x), (-1,), False, 2, None, 1)
+
+    def rfft(self, x) -> np.ndarray:
+        return self._r2c(_operand(x), (-1,), True, 0, None, 1)
+
+    def irfft(self, x, n: int) -> np.ndarray:
+        return self._c2r(_operand(x, n // 2 + 1), (-1,), n, False, 2, None, 1)
+
+
+@cache
+def _pocketfft() -> _Transforms:
+    """The row transforms: SciPy's pocketfft, the library the goldens are
+    pinned to, without ``import scipy.fft`` (0.2-0.3 s and 85 modules,
+    ``scipy.special`` among them; loading the extension takes ~1 ms).
+
+    Resolved on first use, so a process that filters nothing loads nothing;
+    :meth:`ComputeBackend.filter_stack
+    <repro.backends.base.ComputeBackend.filter_stack>` resolves it before its
+    ``filter`` span opens, and the streaming driver before its filter clock
+    starts.  This depends on SciPy's private layout,
+    ``scipy/fft/_pocketfft/pypocketfft*.so``: where that is missing, a named
+    :class:`ImportError` says what was expected where — there is no second
+    FFT path.
+    """
+    return _Transforms(_load_pypocketfft())
 
 
 # --------------------------------------------------------------------------- #
@@ -86,6 +178,15 @@ def cosine_weight_table(geometry: CBCTGeometry) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Ramp filter construction
 # --------------------------------------------------------------------------- #
+def _wrap_offsets(n: int) -> np.ndarray:
+    """The integers ``0, 1, ..., -1`` in FFT (wrap-around) order: those
+    ``numpy.fft.fftfreq(n)`` scales, so ``_wrap_offsets(n) * (1.0 / (n * d))``
+    is its result bit for bit, without importing ``numpy.fft`` (~1.4 ms)."""
+    return np.concatenate(
+        (np.arange((n + 1) // 2, dtype=int), np.arange(-(n // 2), 0, dtype=int))
+    )
+
+
 def ramp_kernel_spatial(n_taps: int, tau: float) -> np.ndarray:
     """Band-limited ramp kernel ``h`` sampled at pitch ``tau`` (Kak & Slaney).
 
@@ -96,8 +197,7 @@ def ramp_kernel_spatial(n_taps: int, tau: float) -> np.ndarray:
         raise ValueError("n_taps must be >= 2")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    offsets = np.fft.fftfreq(n_taps, d=1.0 / n_taps)  # 0, 1, ..., -1 wrap order
-    offsets = np.round(offsets).astype(np.int64)
+    offsets = _wrap_offsets(n_taps)
     kernel = np.zeros(n_taps, dtype=np.float64)
     kernel[offsets == 0] = 1.0 / (4.0 * tau * tau)
     odd = (offsets % 2) != 0
@@ -154,7 +254,7 @@ def ramp_filter_frequency_response(
     length = canonical_fft_length(nu)
     kernel = ramp_kernel_spatial(length, tau)
     response = np.real(_pocketfft().fft(kernel))
-    freqs = np.fft.fftfreq(length, d=tau)
+    freqs = _wrap_offsets(length) * (1.0 / (length * tau))
     nyquist = 1.0 / (2.0 * tau)
     response = response * _window(window, freqs, nyquist)
     response.setflags(write=False)
@@ -212,8 +312,8 @@ def apply_ramp_filter(
         response = ramp_filter_frequency_response(nu, tau, window)
     pad_to = response.shape[0]
     fft = _pocketfft()
-    spectrum = fft.fft(rows, n=pad_to, axis=-1)
-    filtered = np.real(fft.ifft(spectrum * response, axis=-1))[..., :nu]
+    spectrum = fft.fft(rows, n=pad_to)
+    filtered = np.real(fft.ifft(spectrum * response))[..., :nu]
     return (filtered * tau).astype(rows.dtype if rows.dtype.kind == "f" else DEFAULT_DTYPE)
 
 
@@ -237,7 +337,7 @@ def apply_ramp_filter(
 #: * Never judge a grouping by a warm loop: 1-2 MB temporaries sit just above
 #:   glibc's dynamic trim threshold and are returned and page-faulted again
 #:   every group in a fresh process (+38 %).  Own the buffers; set no knob.
-#:   The transforms' own outputs cannot be owned (SciPy takes no ``out=``;
+#:   The transforms' own outputs are not owned (``scipy.fft`` takes no ``out=``;
 #:   NumPy's FFT does and is 40 % slower): at 1 MB each (256 rows at a
 #:   1024 pad; 0.75 MB at 768) they stay on the heap, at 1.25 MB (320 rows,
 #:   1024 pad) the filter alone went 182 -> 250 ms on 384x384x96 — the

@@ -30,9 +30,7 @@ __all__ = [
 ]
 
 
-def check_theorem1(
-    pm: ProjectionMatrix, i, j, k, *, atol: float = 1e-9
-) -> Tuple[np.ndarray, np.ndarray]:
+def check_theorem1(pm: ProjectionMatrix, i, j, k) -> Tuple[np.ndarray, np.ndarray]:
     """Residuals of Theorem 1 for voxels ``(i, j, k)`` and their mirrors.
 
     Returns ``(du, dv)`` where ``du = u_A - u_B`` and
@@ -49,7 +47,7 @@ def check_theorem1(
     return du, dv
 
 
-def check_theorem2(pm: ProjectionMatrix, i, j, *, atol: float = 1e-9) -> np.ndarray:
+def check_theorem2(pm: ProjectionMatrix, i, j) -> np.ndarray:
     """Spread of ``u`` along the voxel column ``(i, j)`` (should be ~0)."""
     ks = np.arange(pm.geometry.nz)
     i = np.asarray(i, dtype=np.float64)

@@ -165,7 +165,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in parsed.path.split("/") if p]
         if parts == ["metrics"]:
             self._send(200, {
-                "summary": service.report().summary,
+                "summary": service.summary(),
                 "obs": service.obs_snapshot(),
             })
             return

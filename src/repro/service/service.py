@@ -513,8 +513,9 @@ class ReconstructionService:
             self._dispatch(now)
 
     # ------------------------------------------------------------------ #
-    def report(self, description: str = "") -> ServiceReport:
-        """Current metrics as a :class:`ServiceReport`.
+    def summary(self) -> Dict[str, float]:
+        """The KPI summary of :meth:`report`, without its per-job records:
+        what ``GET /metrics`` serves.
 
         Runs under the service lock (reentrant, so the event loop may call
         it too): ``GET /metrics`` executes on HTTP handler threads while
@@ -532,6 +533,13 @@ class ReconstructionService:
             )
             if self.dispatcher is not None:
                 summary.update(self.dispatcher.fault_summary())
+        return summary
+
+    def report(self, description: str = "") -> ServiceReport:
+        """Current metrics as a :class:`ServiceReport`: :meth:`summary` and
+        every job's record, taken under one hold of the service lock."""
+        with self._lock:
+            summary = self.summary()
             jobs = sorted(
                 self.metrics.jobs, key=lambda j: (j.arrival_seconds, j.sequence)
             )

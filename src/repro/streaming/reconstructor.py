@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..backends.base import ComputeBackend
-from ..core.filtering import RAMP_FILTERS
+from ..core.filtering import RAMP_FILTERS, _pocketfft
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, Volume
 from ..obs import (
@@ -294,6 +294,9 @@ class StreamingReconstructor:
         order (``tracer`` records the chunk spans)."""
         np_total = int(source.num_projections)
         bounds = plan_chunks(np_total, chunk)
+        # Loaded before the first chunk's clock starts (filter_stack does so
+        # before its span): filter_seconds times filtering, not a load.
+        _pocketfft()
         acc = self.backend.accumulator(
             self.geometry, algorithm=self.algorithm, z_range=self.z_range
         )

@@ -18,8 +18,18 @@ from repro.core.filtering import (
     ramp_filter_frequency_response,
     ramp_kernel_spatial,
     shortest_ramp_filter_response,
+    _wrap_offsets,
 )
 from repro.core.types import ProjectionStack
+
+
+@pytest.mark.parametrize("n", [2, 3, 96, 127, 128, 767, 768, 4096])
+@pytest.mark.parametrize("tau", [0.125, 0.37, 1.0])
+def test_wrap_offsets_scale_to_numpy_fftfreq_bit_for_bit(n, tau):
+    assert _wrap_offsets(n).tolist() == np.round(np.fft.fftfreq(n, d=1.0 / n)).tolist()
+    freqs = _wrap_offsets(n) * (1.0 / (n * tau))
+    assert freqs.dtype == np.float64
+    assert freqs.tobytes() == np.fft.fftfreq(n, d=tau).tobytes()
 
 
 class TestCosineWeight:

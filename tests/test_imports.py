@@ -1,5 +1,6 @@
-"""What a process imports: SciPy on its first filter or interpolation, and
-``repro``'s subpackages on first touch.
+"""What a process imports: SciPy's pocketfft extension on its first filter,
+``scipy.ndimage`` on its first interpolation, and ``repro``'s subpackages on
+first touch.
 
 Every case runs in a fresh interpreter, since this process has long since
 imported everything.
@@ -38,6 +39,17 @@ def test_import_loads_no_scipy(module):
     out = run_fresh(f"""
         import sys
         import {module}
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    assert out.strip() == "[]"
+
+
+def test_constructing_a_service_loads_no_scipy():
+    """It builds a backend to read its name; the transforms stay unloaded."""
+    out = run_fresh("""
+        import sys
+        from repro.service import ReconstructionService
+        ReconstructionService(backend="vectorized")
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     """)
     assert out.strip() == "[]"
@@ -83,39 +95,45 @@ def test_unknown_attribute_raises_attribute_error():
     assert out.strip() == "module 'repro' has no attribute 'no_such_subpackage'"
 
 
-def test_the_first_vectorized_run_loads_scipy_fft():
-    """The guards above cannot pass vacuously: a filter does load it."""
+def test_the_first_vectorized_run_loads_the_pocketfft_extension_alone():
+    """The guards above cannot pass vacuously: a filter does load SciPy's
+    compiled pocketfft, and neither ``scipy.fft`` nor ``scipy.special`` (nor
+    ``numpy.fft``, whose frequency grid the ramp tables compute themselves)."""
     out = run_fresh("""
         import sys
         import numpy as np
         from repro import Session
         from repro.api import plan_for_problem
         from repro.core import ProjectionStack
+        from repro.core.filtering import PYPOCKETFFT
 
         plan = plan_for_problem("24x24x12->16x16x16", backend="vectorized")
         g = plan.geometry
         data = np.random.default_rng(0).random((g.np_, g.nv, g.nu), dtype=np.float32)
-        before = "scipy.fft" in sys.modules
+        before = PYPOCKETFFT in sys.modules
         with Session(plan) as session:
             session.run(ProjectionStack(data=data, angles=g.angles))
-        print(before, "scipy.fft" in sys.modules)
+        print(before, PYPOCKETFFT in sys.modules)
+        print(sorted(name for name in sys.modules
+                     if name in ("scipy.fft", "scipy.special", "numpy.fft")))
     """)
-    assert out.strip() == "False True"
+    assert out.split("\n")[:2] == ["False True", "[]"]
 
 
-#: A process's first reconstruction, run twice: cold (``scipy.fft`` is first
-#: resolved by threads filtering at once) and then warm.
+#: A process's first reconstruction, run twice: cold (the transforms are
+#: first resolved by threads filtering at once) and then warm.
 FIRST_USE = """
-    import hashlib, json, sys
+    import hashlib, json
     import numpy as np
     from repro.api import Session, plan_for_problem
     from repro.core import ProjectionStack
+    from repro.core.filtering import _pocketfft
 
     plan = plan_for_problem("48x48x24->32x32x32", **{fields})
     g = plan.geometry
     data = np.random.default_rng(7).random((g.np_, g.nv, g.nu), dtype=np.float32)
     stack = ProjectionStack(data=data, angles=g.angles)
-    cold = "scipy.fft" not in sys.modules
+    cold = _pocketfft.cache_info().currsize == 0
     digests = []
     for _ in range(2):
         with Session(plan) as session:

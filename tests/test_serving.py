@@ -995,6 +995,22 @@ class TestHTTPFrontDoor:
         metrics = _get(base + "/metrics")
         assert metrics["summary"]["jobs_completed"] == 1.0
 
+    def test_metrics_builds_no_job_record(self, front, monkeypatch):
+        base = f"http://127.0.0.1:{front.port}"
+        plan = plan_for_problem(
+            problem_from_string(SMALL), target="service", backend="vectorized"
+        )
+        _post(base + "/plans?dataset=ds-metrics", plan.to_json().encode("utf-8"))
+        expected = front.service.report().summary
+
+        def no_records(job):
+            raise AssertionError("GET /metrics built a job record")
+
+        monkeypatch.setattr(ReconstructionJob, "as_record", no_records)
+        metrics = _get(base + "/metrics")
+        assert metrics["summary"] == json.loads(json.dumps(expected))
+        assert metrics["summary"]["jobs_completed"] == 1.0
+
     def test_scenario_mix_load(self, front):
         base = f"http://127.0.0.1:{front.port}"
         problem = problem_from_string(SMALL)
