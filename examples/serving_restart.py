@@ -89,7 +89,7 @@ def main() -> None:
 
         print("phase 3: drain the recovered queue on fresh workers")
         service.run_until_idle()
-        summary = service.report().summary
+        summary = service.summary()
         for index in range(3):
             job = service.jobs[f"job-queued-{index}"]
             print(f"  job-queued-{index}: {job.state.value}, "

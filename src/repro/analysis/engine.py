@@ -38,6 +38,10 @@ class SourceFile:
     lines: List[str]
     tree: ast.Module
     suppressions: List[Suppression] = field(default_factory=list)
+    #: Every tree parsed for the same lint run, by resolved path: a pass
+    #: that reads the files around this one (``dead-export``) takes these
+    #: instead of parsing them again.  Empty outside the engine.
+    run_trees: Dict[Path, ast.Module] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: str, text: str) -> "tuple":
@@ -107,7 +111,10 @@ def lint_sources(
 
     result = LintResult()
     all_findings: List[Finding] = list(extra_findings or [])
+    sources = list(sources)
+    run_trees = {Path(source.path).resolve(): source.tree for source in sources}
     for source in sources:
+        source.run_trees = run_trees
         result.files_checked += 1
         findings: List[Finding] = []
         for lint_pass in ALL_PASSES:

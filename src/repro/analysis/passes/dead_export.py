@@ -21,15 +21,17 @@ a false positive.
 Unlike the other passes this one reads the project tree around the file:
 the project root is the nearest ancestor holding ``pyproject.toml``, and
 its reader index is built once per root and rebuilt when a reader file is
-added, removed or modified (path, mtime and size are the cache key).  A file
-outside any project has no readers to judge against and yields nothing.
+added, removed or modified (path, mtime and size are the cache key).  A
+reader the engine parsed for the same run is taken from
+``SourceFile.run_trees``, not parsed again.  A file outside any project has
+no readers to judge against and yields nothing.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..findings import Finding
 
@@ -77,7 +79,7 @@ def _parse(path: Path) -> ast.Module:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
-def _index(root: Path) -> Dict[str, Set[Path]]:
+def _index(root: Path, parsed: Mapping[Path, ast.Module]) -> Dict[str, Set[Path]]:
     readers = [
         path for folder in _READER_DIRS for path in sorted((root / folder).rglob("*.py"))
     ]
@@ -90,11 +92,11 @@ def _index(root: Path) -> Dict[str, Set[Path]]:
         return cached[1]
     index: Dict[str, Set[Path]] = {}
     for path in readers:
-        for name in _reads(_parse(path), path.name == "__init__.py"):
+        for name in _reads(parsed.get(path) or _parse(path), path.name == "__init__.py"):
             index.setdefault(name, set()).add(path)
     for path in (root / relative for relative in _ROOT_MODULES):
         if path.is_file():
-            for name, _ in _exports(_parse(path)):
+            for name, _ in _exports(parsed.get(path) or _parse(path)):
                 index.setdefault(name, set()).add(path)
     _INDEXES[root] = (stamp, index)
     return index
@@ -115,7 +117,7 @@ def run(source) -> List[Finding]:
     root = _project_root(path) if exports else None
     if root is None:
         return []
-    index = _index(root)
+    index = _index(root, source.run_trees)
     return [
         Finding(
             rule=RULE,

@@ -34,9 +34,8 @@ order.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..core.types import ReconstructionProblem, problem_from_string
@@ -183,6 +182,30 @@ _IDENTITY = {
 }
 
 
+def _slotted(*memos: str):
+    """Rebuild a dataclass with ``__slots__`` and no instance dict.
+
+    What ``dataclass(slots=True)`` does from Python 3.10, done one way on
+    every version: the fields plus ``memos`` (slots that are not fields)
+    become slots, and the class attributes that held field defaults go
+    (the generated ``__init__`` carries the defaults itself).
+    """
+
+    def rebuild(cls):
+        slots = tuple(f.name for f in fields(cls)) + memos
+        body = {
+            name: value for name, value in cls.__dict__.items()
+            if name not in slots and name not in ("__dict__", "__weakref__")
+        }
+        body["__slots__"] = slots
+        slotted = type(cls)(cls.__name__, cls.__bases__, body)
+        slotted.__qualname__ = cls.__qualname__
+        return slotted
+
+    return rebuild
+
+
+@_slotted("_cache_key")
 @dataclass
 class ReconstructionJob:
     """One tenant request for a full reconstruction.
@@ -271,6 +294,7 @@ class ReconstructionJob:
     sequence: int = field(default_factory=lambda: next(_job_counter))
 
     def __post_init__(self) -> None:
+        self._cache_key = None
         if isinstance(self.problem, str):
             self.problem = problem_from_string(self.problem)
         if self.priority < 0:
@@ -342,12 +366,15 @@ class ReconstructionJob:
         return job
 
     # ------------------------------------------------------------------ #
-    @functools.cached_property
+    @property
     def cache_key(self) -> CacheKey:
         """Key of the filtered projections this job consumes, built on first
         use: the scheduler asks at every evaluation of a waiting job, and
         the fields the key reads are fixed once the job is submitted."""
-        return CacheKey.for_job(self)
+        key = self._cache_key
+        if key is None:
+            key = self._cache_key = CacheKey.for_job(self)
+        return key
 
     @property
     def deadline_seconds(self) -> float:

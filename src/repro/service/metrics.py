@@ -38,8 +38,8 @@ KPIs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -63,6 +63,11 @@ class ServiceMetrics(JobsByState):
     queue_cycles: int = 0  # guarded-by: caller
     queue_depth_sum: int = 0  # guarded-by: caller
     queue_depth_max: int = 0  # guarded-by: caller
+    # id() of every ledger job, so a second verdict is found without a scan
+    # (ledger jobs stay alive, so their ids stay theirs).
+    _entered: Set[int] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )  # guarded-by: caller
 
     # ------------------------------------------------------------------ #
     def record(self, job: ReconstructionJob) -> bool:
@@ -78,8 +83,9 @@ class ServiceMetrics(JobsByState):
         """
         if job.state not in TERMINAL_STATES:
             raise ValueError(f"job {job.job_id} is {job.state.value}, not terminal")
-        if job.state is JobState.FAILED and any(entry is job for entry in self.jobs):
+        if job.state is JobState.FAILED and id(job) in self._entered:
             return False
+        self._entered.add(id(job))
         self.jobs.append(job)
         return True
 

@@ -60,6 +60,7 @@ import threading
 
 import numpy as np
 
+from ..core.filtering import _pocketfft
 from ..core.types import ProjectionStack, ReconstructionProblem, problem_from_string
 from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
 from .cache import CacheKey, FilteredProjectionCache
@@ -106,6 +107,9 @@ def _pilot_init(
         filtered=False,  # pilots run filter + back-projection
     )
     cache = None if cache_dir is None else FilteredProjectionCache(directory=cache_dir)
+    # Loaded here, once per worker: a pilot's filter_seconds times
+    # filtering, not the first load of the transforms.
+    _pocketfft()
     _RUNTIME = {
         "backend": get_backend(backend_name),
         "geometry": geometry,

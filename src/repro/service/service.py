@@ -43,7 +43,6 @@ import functools
 import heapq
 import math
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..core.types import ReconstructionProblem
@@ -91,16 +90,49 @@ class _Instruments(dict):
         return instrument
 
 
-@dataclass
 class ServiceReport:
-    """Outcome of one replayed workload."""
+    """Outcome of one replayed workload: the KPI ``summary`` and one record
+    per job.
 
-    policy: str
-    cluster_gpus: int
-    summary: Dict[str, float]
-    jobs: List[Dict] = field(default_factory=list)
-    description: str = ""
-    backend: str = "reference"
+    The records are built on the first read of :attr:`jobs` (or
+    :meth:`as_dict`), from the ledger that
+    :meth:`ReconstructionService.report` copied under the service lock, and
+    under that lock again: most readers want only the summary, and a
+    3000-job replay's records cost more than its summary.  A record
+    describes its job as of that first read.
+    """
+
+    def __init__(
+        self,
+        policy: str,
+        cluster_gpus: int,
+        summary: Dict[str, float],
+        ledger: List[ReconstructionJob],
+        *,
+        lock,
+        description: str = "",
+        backend: str = "reference",
+    ):
+        self.policy = policy
+        self.cluster_gpus = cluster_gpus
+        self.summary = summary
+        self.description = description
+        self.backend = backend
+        self._ledger: Optional[List[ReconstructionJob]] = ledger
+        self._lock = lock
+        self._records: List[Dict] = []
+
+    @property
+    def jobs(self) -> List[Dict]:
+        """Every ledger job's record, by arrival then submission order."""
+        if self._ledger is not None:
+            with self._lock:
+                ledger = sorted(
+                    self._ledger, key=lambda j: (j.arrival_seconds, j.sequence)
+                )
+                self._records = [job.as_record() for job in ledger]
+            self._ledger = None
+        return self._records
 
     def as_dict(self) -> Dict:
         return {
@@ -537,18 +569,17 @@ class ReconstructionService:
 
     def report(self, description: str = "") -> ServiceReport:
         """Current metrics as a :class:`ServiceReport`: :meth:`summary` and
-        every job's record, taken under one hold of the service lock."""
+        a copy of the ledger, taken under one hold of the service lock; the
+        per-job records are built from that copy when first read."""
         with self._lock:
             summary = self.summary()
-            jobs = sorted(
-                self.metrics.jobs, key=lambda j: (j.arrival_seconds, j.sequence)
-            )
-            records = [job.as_record() for job in jobs]
+            ledger = list(self.metrics.jobs)
         return ServiceReport(
-            policy=self.policy,
-            cluster_gpus=self.cluster.total_gpus,
-            summary=summary,
-            jobs=records,
+            self.policy,
+            self.cluster.total_gpus,
+            summary,
+            ledger,
+            lock=self._lock,
             description=description,
             backend=self.backend,
         )

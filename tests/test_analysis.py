@@ -167,6 +167,27 @@ def test_dead_export_index_follows_edits_to_the_tree(tmp_path):
     assert {"read_by_example", "read_only_here"}.isdisjoint(symbols())
 
 
+def test_dead_export_parses_no_file_the_engine_parsed(monkeypatch):
+    # The reader index takes the trees the engine parsed for the same run;
+    # only readers outside the linted paths are parsed again.
+    from repro.analysis.passes import dead_export
+
+    repo = Path(__file__).resolve().parent.parent
+    package = repo / "src" / "repro"
+    parsed = []
+    parse = dead_export._parse
+
+    def counting_parse(path):
+        parsed.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(dead_export, "_INDEXES", {})
+    monkeypatch.setattr(dead_export, "_parse", counting_parse)
+    assert lint_paths([package]).findings == []
+    assert parsed, "the index was not rebuilt"
+    assert not [path for path in parsed if package in path.parents]
+
+
 def test_dead_export_unparseable_reader_raises_value_error(tmp_path):
     (tmp_path / "pyproject.toml").write_text("")
     module = tmp_path / "src" / "repro" / "mod.py"
