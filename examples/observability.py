@@ -5,8 +5,8 @@ One ambient span tracer instruments every execution path — the shared
 filter driver, each backend's back-projection loop (including the
 parallel pool's per-worker spans), the session and the service.  This
 example reconstructs a *short-scan* acquisition with tracing on, prints
-the structured run report and the span summary tree, and exports the
-trace as a Chrome trace-event document you can drop into
+the run's own numbers once and then the span summary tree, and exports
+the trace as a Chrome trace-event document you can drop into
 ``chrome://tracing`` or https://ui.perfetto.dev.
 
 Run:  python examples/observability.py
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import Session, plan_for_problem
-from repro.obs import Tracer, summary_tree, write_trace
+from repro.obs import Tracer, peak_rss_bytes, summary_tree, write_trace
 from repro.core.types import ProjectionStack
 
 TRACE_FILE = "shortscan_trace.json"
@@ -46,13 +46,18 @@ def main() -> None:
     tracer = Tracer()
     result = Session(plan, tracer=tracer).run(stack)
 
-    # The structured report: stage-second split, GUPS, peak RSS and the
-    # per-stage span totals (the same numbers as the exported trace).
-    print(result.report.summary())
+    # The run's record: its measured stage split and throughput.
+    print(
+        f"run {result.plan_key}: wall {result.wall_seconds:.4f}s, "
+        f"filter {result.filter_seconds:.4f}s, "
+        f"backprojection {result.backprojection_seconds:.4f}s "
+        f"({result.gups:.4f} GUPS), peak RSS {peak_rss_bytes() / 2**20:.1f} MiB"
+    )
     print()
 
     # The span tree: run -> filter -> filter.worker, run -> backproject
-    # -> backproject.worker, with per-stage payload bytes.
+    # -> backproject.worker, with per-stage payload bytes and the kernel
+    # executor.  Per-name totals are `tracer.stage_totals()`.
     print(summary_tree(tracer))
 
     # Chrome trace-event export (`repro reconstruct --trace-out` and

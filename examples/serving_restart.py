@@ -63,8 +63,16 @@ def crash_a_serving_process(state_dir: Path, cache_dir: Path) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
         """
     )
-    process = subprocess.run([sys.executable, "-c", script])
-    assert process.returncode == -signal.SIGKILL, process.returncode
+    # Its own session, so the pilot worker and the resource tracker it
+    # started (left running by the SIGKILL) go with its process group.
+    process = subprocess.Popen(
+        [sys.executable, "-c", script], start_new_session=True
+    )
+    assert process.wait() == -signal.SIGKILL, process.returncode
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def main() -> None:

@@ -1,52 +1,18 @@
-"""``python -m repro.analysis`` — the standalone lint entry point.
-
-Mirrors ``repro lint`` (same flags, same exit-code contract) for
-environments where only the package is on ``PYTHONPATH``:
-
-* ``0`` — clean, ``1`` — findings, ``2`` — bad invocation.
+"""``python -m repro.analysis`` — ``repro lint`` for environments where only
+the package is on ``PYTHONPATH``: same parser, same flags, same exit codes
+(``0`` clean, ``1`` findings, ``2`` bad invocation).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import List, Optional
 
-from .engine import format_json, format_text, lint_paths
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Run the project-invariant lint passes.",
-    )
-    parser.add_argument("paths", nargs="+", help="files or directories to lint")
-    parser.add_argument("--config", help="JSON config overriding rule scopes")
-    parser.add_argument("--baseline", help="JSON baseline of accepted findings")
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    return parser
+from ..cli import main as cli_main
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        result = lint_paths(
-            args.paths, config_file=args.config, baseline_file=args.baseline
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(format_json(result), indent=2))
-    else:
-        print(format_text(result))
-    return result.exit_code()
+    return cli_main(["lint", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -80,7 +80,6 @@ class Suppression:
     line: int
     rules: Set[str] = field(default_factory=set)
     reason: str = ""
-    used: bool = False
 
     def matches(self, finding: Finding) -> bool:
         return finding.line == self.line and (
@@ -126,14 +125,7 @@ def apply_suppressions(
     findings: List[Finding], suppressions: List[Suppression]
 ) -> List[Finding]:
     """Drop findings covered by a same-line suppression for their rule."""
-    kept: List[Finding] = []
-    for finding in findings:
-        suppressed = False
-        for suppression in suppressions:
-            if suppression.matches(finding):
-                suppression.used = True
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(finding)
-    return kept
+    return [
+        finding for finding in findings
+        if not any(suppression.matches(finding) for suppression in suppressions)
+    ]

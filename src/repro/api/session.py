@@ -24,7 +24,8 @@ for the plan's target:
     across the ``fdk`` and ``service`` targets while the job record carries
     the scheduling outcome.
 
-Every run returns a unified :class:`RunResult` regardless of target.
+Every run returns a unified :class:`RunResult` regardless of target: the
+one record of the run.  Its spans are in the tracer the session was given.
 Sessions own the resources they resolve (worker pools, service
 dispatchers); close them with :meth:`Session.close` or a ``with`` block.
 """
@@ -37,7 +38,7 @@ from typing import Any, Dict, Optional
 
 from ..core.geometry import CBCTGeometry
 from ..core.types import ProjectionStack, ReconstructionProblem, Volume
-from ..obs import NULL_TRACER, RunReport, Tracer, use_tracer
+from ..obs import NULL_TRACER, Tracer, use_tracer
 from .plan import ReconstructionPlan
 
 __all__ = ["RunResult", "Session", "run_plan"]
@@ -45,7 +46,12 @@ __all__ = ["RunResult", "Session", "run_plan"]
 
 @dataclass
 class RunResult:
-    """Unified outcome of one plan execution, for every target."""
+    """Unified outcome of one plan execution, for every target.
+
+    The run's only record: stage seconds, GUPS and the target's
+    ``details``.  Per-span totals are the session tracer's
+    :meth:`~repro.obs.Tracer.stage_totals`.
+    """
 
     volume: Volume
     plan: ReconstructionPlan
@@ -56,9 +62,6 @@ class RunResult:
     backprojection_seconds: float
     wall_seconds: float
     details: Dict[str, Any] = field(default_factory=dict)
-    #: Structured observability record of the run (always present; carries
-    #: span-derived stage totals when the session had a tracer installed).
-    report: Optional[RunReport] = None
 
     @property
     def problem(self) -> ReconstructionProblem:
@@ -100,8 +103,8 @@ class Session:
         Optional :class:`repro.obs.Tracer` installed ambiently around every
         :meth:`run`, so the backend drivers, worker pool and service record
         spans into it.  ``None`` (the default) keeps the process-wide
-        no-op tracer: the hot paths execute their untraced branches and the
-        run's :class:`~repro.obs.RunReport` carries no span totals.
+        no-op tracer: the hot paths execute their untraced branches and
+        nothing records spans.
     state_dir / cache_dir:
         Serving durability knobs, forwarded to the owned
         :class:`~repro.service.service.ReconstructionService` (service
@@ -228,8 +231,7 @@ class Session:
         content fingerprint of the stack.
 
         The session's tracer is installed ambiently for the duration: the
-        whole execution sits under one ``run`` span, and the returned
-        :attr:`RunResult.report` folds in the span-derived stage totals.
+        whole execution sits under one ``run`` span in it.
         """
         tracer = self.tracer
         with use_tracer(tracer):
@@ -241,21 +243,7 @@ class Session:
                 plan_key=self.plan_key,
             ) as root:
                 root_id = root.span_id if tracer.enabled else None
-                result = self._execute(stack, tracer, root_id, dataset_id)
-        result.report = RunReport.from_tracer(
-            tracer,
-            plan_key=self.plan_key,
-            target=self.plan.target,
-            backend=self.plan.backend,
-            scenario=self.plan.scenario,
-            problem=str(result.problem),
-            wall_seconds=result.wall_seconds,
-            filter_seconds=result.filter_seconds,
-            backprojection_seconds=result.backprojection_seconds,
-            gups=result.gups,
-            details=dict(result.details),
-        )
-        return result
+                return self._execute(stack, tracer, root_id, dataset_id)
 
     def _execute(
         self,

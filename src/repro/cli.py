@@ -79,6 +79,7 @@ from .obs import (
     chrome_trace,
     jsonl_lines,
     load_trace,
+    peak_rss_bytes,
     summary_tree,
     trace_format_for,
     use_tracer,
@@ -94,7 +95,7 @@ from .service import (
     synthetic_trace,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 #: Default problem specs per subcommand (shown in help, filled by
 #: :func:`plan_from_args` when the flag is omitted).
@@ -577,8 +578,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     report["volume_min"] = float(volume.data.min())
     report["volume_max"] = float(volume.data.max())
     if tracer is not None:
-        report["run_report"] = result.report.as_dict()
-        print(result.report.summary(), file=sys.stderr)
+        report["stage_seconds"] = tracer.stage_totals()
+        report["peak_rss_bytes"] = peak_rss_bytes()
+        print(summary_tree(tracer), file=sys.stderr)
         _write_trace_out(tracer, args)
     if args.output is not None:
         np.save(args.output, volume.data)

@@ -1,4 +1,4 @@
-"""Unified observability: spans, metrics, run reports and trace exporters.
+"""Unified observability: spans, metrics and trace exporters.
 
 Every timing claim the paper makes — stage breakdowns, the overlap factor
 δ, GUPS, tail latency — is measured somewhere in this repo; ``repro.obs``
@@ -13,12 +13,14 @@ is the one substrate those measurements flow through:
   the lifetime view (queue waits, cache hits, scheduler decisions),
   feeding :class:`~repro.service.metrics.ServiceMetrics` rather than
   duplicating its per-job KPI reductions.
-* :class:`RunReport` — the structured record every
-  :meth:`Session.run <repro.api.Session.run>` returns: stage seconds,
-  GUPS, peak RSS, span-derived stage totals.
 * Exporters — Chrome trace-event JSON (``chrome://tracing`` / Perfetto),
   JSON-lines and a human-readable summary tree, surfaced on the CLI as
   ``--trace-out`` and ``repro report``.
+
+A run has one record, :class:`RunResult <repro.api.RunResult>` (stage
+seconds, GUPS, target details), and its spans live in the tracer the
+caller handed the session: :meth:`Tracer.stage_totals` sums them per
+name, and :func:`summary_tree` prints them with the kernel executor.
 
 The iFDK rank runtime times its stages as plain :class:`Span` records
 tagged ``rank=`` / ``stage=``, so Figure-4c / Table-5 stage breakdowns
@@ -35,8 +37,7 @@ from .export import (
     write_jsonl,
     write_trace,
 )
-from .metrics import NULL_METRICS, Counter, MetricsRegistry
-from .report import RunReport, peak_rss_bytes
+from .metrics import NULL_METRICS, Counter, MetricsRegistry, peak_rss_bytes
 from .tracer import NULL_TRACER, Span, Tracer, get_tracer, use_tracer
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "MetricsRegistry",
-    "RunReport",
     "Span",
     "Tracer",
     "chrome_trace",

@@ -37,8 +37,27 @@ __all__ = [
     "Counter",
     "MetricsRegistry",
     "NULL_METRICS",
+    "peak_rss_bytes",
     "percentile",
 ]
+
+
+def peak_rss_bytes() -> int:
+    """Peak resident-set size of this process in bytes (0 if unknown).
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalize to
+    bytes.  Platforms without the ``resource`` module report 0 rather than
+    failing the run that asked for it.
+    """
+    try:
+        import resource
+        import sys
+    except ImportError:  # pragma: no cover - non-POSIX
+        return 0
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - not the CI platform
+        return int(maxrss)
+    return int(maxrss) * 1024
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -235,13 +235,6 @@ class Tracer:
             totals[span.name] = totals.get(span.name, 0.0) + span.duration
         return totals
 
-    def wall_seconds(self) -> float:
-        """Elapsed time from the earliest start to the latest stop."""
-        spans = self.spans()
-        if not spans:
-            return 0.0
-        return max(s.stop for s in spans) - min(s.start for s in spans)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #

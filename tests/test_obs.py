@@ -1,4 +1,4 @@
-"""The observability layer: tracer, metrics, exporters, run reports.
+"""The observability layer: tracer, metrics, exporters, run results.
 
 Four contracts are locked down here:
 
@@ -12,9 +12,9 @@ Four contracts are locked down here:
 * the **exporters round-trip**: the Chrome trace document validates
   against the trace-event schema and both exporters reload to the same
   spans;
-* the **run report and the trace agree**: ``RunResult.report`` stage
-  seconds match the span totals in the exported Chrome trace within ±10%
-  for every backend, and stage seconds never exceed the wall time.
+* the **run result and the trace agree**: ``RunResult`` stage seconds
+  match the span totals in the exported Chrome trace within ±10% for
+  every backend, and stage seconds never exceed the wall time.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from repro.core.types import ProjectionStack
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
-    RunReport,
     Span,
     Tracer,
     chrome_trace,
     get_tracer,
     jsonl_lines,
     load_trace,
+    peak_rss_bytes,
     summary_tree,
     use_tracer,
     write_trace,
@@ -213,8 +213,6 @@ def test_parallel_worker_spans_nest_under_stages(workers):
         span.attrs["worker"] for span in by_name["backproject.worker"]
     }
     assert len(workers_seen) == workers
-    assert result.report.traced
-    assert result.report.span_count == len(tracer)
 
 
 # --------------------------------------------------------------------- #
@@ -261,9 +259,8 @@ def test_chunk_spans_run_in_turn_under_the_run_span(workers, tmp_path, capsys):
         (name, n) for n in range(6) for name in ("filter.chunk", "backproject.chunk")
     ]
     assert all(a.stop <= b.start for a, b in zip(stages, stages[1:]))
-    report = result.report
-    assert report.stage_sum_seconds <= report.wall_seconds
-    assert report.stage_seconds["filter.chunk"] == pytest.approx(
+    assert result.filter_seconds + result.backprojection_seconds <= result.wall_seconds
+    assert tracer.stage_totals()["filter.chunk"] == pytest.approx(
         result.filter_seconds, rel=0.10, abs=5e-3
     )
     # ``repro report`` renders both stages under the run.
@@ -299,16 +296,18 @@ def test_whole_stack_trace_keeps_its_shape_whatever_the_projection_count():
 @pytest.mark.parallel
 def test_a_traced_run_names_the_kernel_executor(executor, tmp_path, capsys):
     """``native`` where the compiled kernel loads, ``numpy`` with the loader
-    patched out — on the span, on every worker span, in the report the CLI
-    prints and in ``repro report``'s tree.  Worker spans of the compiled
+    patched out — on the span, on every worker span, in the summary tree the
+    CLI prints and in ``repro report``'s tree.  Worker spans of the compiled
     kernel also name its loop (``isa``)."""
     tracer, result, by_name = _chunked_trace()
     (backproject,) = by_name["backproject"]
     assert backproject.attrs["executor"] == executor
     assert {s.attrs["executor"] for s in by_name["backproject.worker"]} == {executor}
     assert {s.attrs.get("isa") for s in by_name["backproject.worker"]} == {native.isa()}
-    assert result.report.details["executor"] == executor
-    assert f"GUPS, executor={executor})" in result.report.summary()
+    (line,) = [
+        line for line in summary_tree(tracer).splitlines() if "backproject " in line
+    ]
+    assert line.endswith(f"executor={executor}")
     from repro.cli import main
 
     path = write_trace(tracer, tmp_path / "run.jsonl")
@@ -368,28 +367,27 @@ def test_exporters_roundtrip_and_summary(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Run reports: stage split vs wall time, and report-vs-trace agreement.
+# Run results: stage split vs wall time, and result-vs-trace agreement.
 # --------------------------------------------------------------------- #
 
-def test_report_stage_seconds_consistent_with_wall():
+def test_result_stage_seconds_consistent_with_wall():
     _, tracer, result = _traced_run("vectorized")
-    report = result.report
-    assert report is not None and report.traced
-    assert report.gups > 0
-    assert report.peak_rss_bytes > 0
+    assert result.gups > 0
+    assert peak_rss_bytes() > 0
     # The measured split can never exceed the wall time, and the two
     # stages must account for the bulk of a reconstruction this small.
-    assert 0 < report.stage_sum_seconds <= report.wall_seconds
-    assert report.stage_sum_seconds >= 0.5 * report.wall_seconds
+    stage_sum = result.filter_seconds + result.backprojection_seconds
+    assert 0 < stage_sum <= result.wall_seconds
+    assert stage_sum >= 0.5 * result.wall_seconds
     # The run root span is the wall time.
-    assert report.stage_seconds["run"] == pytest.approx(
-        report.wall_seconds, rel=0.10, abs=5e-3
+    assert tracer.stage_totals()["run"] == pytest.approx(
+        result.wall_seconds, rel=0.10, abs=5e-3
     )
 
 
 @pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
-def test_report_agrees_with_exported_trace_per_backend(backend, tmp_path):
-    """Acceptance pin: report stage seconds vs Chrome-trace span sums, ±10%."""
+def test_result_agrees_with_exported_trace_per_backend(backend, tmp_path):
+    """Acceptance pin: result stage seconds vs Chrome-trace span sums, ±10%."""
     workers = 2 if backend == "parallel" else None
     _, tracer, result = _traced_run(backend, workers=workers)
     path = write_trace(tracer, tmp_path / "trace.json", format="chrome")
@@ -397,40 +395,25 @@ def test_report_agrees_with_exported_trace_per_backend(backend, tmp_path):
     by_stage = {}
     for span in spans:
         by_stage[span.name] = by_stage.get(span.name, 0.0) + span.duration
-    report = result.report
     for stage, measured in (
-        ("filter", report.filter_seconds),
-        ("backproject", report.backprojection_seconds),
+        ("filter", result.filter_seconds),
+        ("backproject", result.backprojection_seconds),
     ):
         assert by_stage[stage] == pytest.approx(measured, rel=0.10, abs=5e-3), (
-            f"{backend}: span sum for {stage!r} diverges from the report"
+            f"{backend}: span sum for {stage!r} diverges from the result"
         )
 
 
 def test_untraced_run_is_structurally_clean():
     plan = plan_for_problem(PROBLEM, backend="vectorized")
     stack = _stack_for(plan)
-    untraced = Session(plan).run(stack)
+    session = Session(plan)
+    untraced = session.run(stack)
     traced = Session(plan, tracer=Tracer()).run(stack)
-    assert untraced.report is not None
-    assert not untraced.report.traced
-    assert untraced.report.span_count == 0
-    assert untraced.report.stage_seconds == {}
+    assert session.tracer is NULL_TRACER
+    assert len(NULL_TRACER) == 0 and NULL_TRACER.stage_totals() == {}
     # Instrumentation must not perturb the numerics.
     np.testing.assert_array_equal(untraced.volume.data, traced.volume.data)
-
-
-def test_run_report_summary_and_dict():
-    _, _, result = _traced_run("reference")
-    report = result.report
-    payload = report.as_dict()
-    json.dumps(payload)
-    assert payload["traced"] is True
-    assert payload["span_count"] == report.span_count
-    text = report.summary()
-    assert "wall" in text and "backprojection" in text and "spans" in text
-    rebuilt = RunReport(**payload)
-    assert rebuilt.stage_sum_seconds == pytest.approx(report.stage_sum_seconds)
 
 
 # --------------------------------------------------------------------- #
@@ -506,7 +489,7 @@ def test_disabled_tracing_overhead_within_2pct():
     session = Session(plan)
     session.run(stack)  # warm-up: grid caches, FFT plans
     untraced_wall = min(
-        Session(plan).run(stack).report.wall_seconds for _ in range(3)
+        Session(plan).run(stack).wall_seconds for _ in range(3)
     )
 
     tracer = Tracer()

@@ -456,6 +456,20 @@ class TestServiceMetrics:
         assert summary["throughput_jobs_per_s"] == pytest.approx(4 / 7.0)
         assert 0.0 < summary["gpu_utilization"] <= 1.0
 
+    def test_summary_totals_add_left_to_right(self):
+        """A compensated sum (``sum()`` from Python 3.12) gives 1.0 here;
+        the recorded replay digests hold the plain left-to-right sums."""
+        metrics = ServiceMetrics()
+        for seconds in (1e16, 1.0, -1e16):
+            job = make_job(SMALL)
+            job.mark_running(0.0, gpus=1, rows=1, columns=1, cache_hit=False,
+                             filter_seconds=seconds, backprojection_seconds=seconds)
+            job.mark_completed(1.0)
+            metrics.record(job)
+        summary = metrics.summary()
+        assert summary["filter_seconds_total"] == 0.0
+        assert summary["backprojection_seconds_total"] == 0.0
+
     def test_rejects_wrong_state(self):
         metrics = ServiceMetrics()
         with pytest.raises(ValueError):
