@@ -5,7 +5,7 @@
  * y_base, slope, offset, v), floor, one float64->float32 rounding per weight,
  * per dv and per sample, then the float32 blend lo*(1-dv) + hi*dv.  The NumPy
  * kernel's column table becomes two float32 products per sample,
- * f32(wl*Q[u0][v]) + f32(wr*Q[u0+1][v]), with the same roundings, so there is
+ * f32(wl*Q[v][u0]) + f32(wr*Q[v][u0+1]), with the same roundings, so there is
  * no table.  Bit-identity needs a compiler that neither contracts nor
  * reassociates and evaluates float in float: the flags are pinned in native.py
  * (-O2 -ffp-contract=off, never -ffast-math), and the loader proves every
@@ -21,17 +21,18 @@
  * non-finite v or |v| >= 2^31, and planes too large for int32 gather offsets
  * run the scalar loop.
  *
- * The projection sits transposed, (Nu+4, Nv+4), inside a two-sample zero
- * border, so a clipped coordinate always lands on a stored sample; a NaN
- * coordinate never reaches an integer cast and is the IndexError that NumPy's
- * take(mode="raise") raises.
- *
- * Scratch per call: 28 bytes per column of the largest tile (structure of
- * arrays, rounded up to a lane multiple) plus one padded projection.  No
- * threads, no globals of its own (the cpuid answer is libgcc's), no libm.
+ * The projection sits row-major, Nv+4 rows at stride S (the least power of
+ * two >= Nu+4: a row offset is a shift), one memcpy per detector row, in a
+ * two-sample zero border zeroed once per call: a clipped coordinate always
+ * lands on a stored sample; a NaN one never reaches an integer cast and is the
+ * IndexError of NumPy's take(mode="raise").  Scratch per call: the plane,
+ * 4*(Nv+4)*S bytes, plus 28 bytes per column of the largest tile (structure
+ * of arrays, rounded up to a lane multiple).  No threads, no globals of its
+ * own (the cpuid answer is libgcc's), no libm.
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { ALG4_OK = 0, ALG4_INDEX = 1, ALG4_MEMORY = 2 };
 enum { LANES = 8 };
@@ -40,7 +41,7 @@ enum { LANES = 8 };
 typedef struct {
     double *slope, *offset; /* v = slope*k + offset (Theorem 3)           */
     float *wl, *wr;         /* f32((1-du)*Wdis), f32(du*Wdis)             */
-    int32_t *left;          /* row u0's plane offset is left * row_scale  */
+    int32_t *left;          /* clip(floor u) + 2: u0's column in a row    */
 } columns_t;
 
 /* floor(v) into *v0 and np.clip(floor(v), -2, bound) + 2, the index on a
@@ -80,11 +81,10 @@ static inline int64_t floor_index(double v, int64_t bound, double *v0)
     return r < 0.0 ? 0 : bound + 2; /* past either clip bound */
 }
 
-/* Voxel c of a row at slice k, one column per step.  plane + left*row_scale
- * is the column's row u0 of the padded plane, and the next row follows. */
+/* Voxel c of a row at slice k, one column per step.  Samples u0 and u0+1 of
+ * padded row v0 sit at left and left+1, and row v0+1 follows one stride on. */
 static inline int fold_voxel(float *voxel, const columns_t *t, int64_t c, double k,
-                             const float *plane, int64_t stride, int64_t row_scale,
-                             int64_t nv)
+                             const float *plane, int shift, int64_t nv)
 {
     const double v = t->slope[c] * k + t->offset[c];
     double v0;
@@ -92,9 +92,9 @@ static inline int fold_voxel(float *voxel, const columns_t *t, int64_t c, double
     if (index < 0)
         return ALG4_INDEX;
     const float dv = (float)(v - v0);
-    const float *l = plane + t->left[c] * row_scale + index, *r = l + stride;
-    const float lo = t->wl[c] * l[0] + t->wr[c] * r[0];
-    const float hi = t->wl[c] * l[1] + t->wr[c] * r[1];
+    const float *l = plane + t->left[c] + (index << shift), *h = l + ((int64_t)1 << shift);
+    const float lo = t->wl[c] * l[0] + t->wr[c] * l[1];
+    const float hi = t->wl[c] * h[0] + t->wr[c] * h[1];
     const float rest = 1.0f - dv;
     voxel[c] += lo * rest + hi * dv;
     return ALG4_OK;
@@ -111,11 +111,13 @@ static int have_lanes(void)
 
 /* fold_voxel for columns [0, n_cols - n_cols % 8), eight per step: the same
  * IEEE sequence once per lane, v in two halves of four doubles and the rest
- * eight wide.  left holds int32 plane offsets here. */
+ * eight wide, with int32 gather offsets left + (index << shift). */
 __attribute__((target("avx2"))) static int fold_lanes(
     float *voxel, const columns_t *t, int64_t n_cols, double k,
-    const float *plane, int64_t stride, int64_t nv)
+    const float *plane, int shift, int64_t nv)
 {
+    const float *next = plane + ((int64_t)1 << shift);
+    const __m128i rows = _mm_cvtsi32_si128(shift);
     const __m256d kk = _mm256_set1_pd(k), sign = _mm256_set1_pd(-0.0);
     const __m256d exact = _mm256_set1_pd(0x1p31);
     const __m256i low = _mm256_set1_epi32(-2), high = _mm256_set1_epi32((int32_t)nv);
@@ -133,7 +135,7 @@ __attribute__((target("avx2"))) static int fold_lanes(
                 _mm256_cmp_pd(_mm256_andnot_pd(sign, v0), exact, _CMP_NLT_UQ),
                 _mm256_cmp_pd(_mm256_andnot_pd(sign, v1), exact, _CMP_NLT_UQ)))) {
             for (int64_t lane = c; lane < c + LANES; lane++)
-                if (fold_voxel(voxel, t, lane, k, plane, stride, 1, nv) != ALG4_OK)
+                if (fold_voxel(voxel, t, lane, k, plane, shift, nv) != ALG4_OK)
                     return ALG4_INDEX;
             continue;
         }
@@ -145,15 +147,15 @@ __attribute__((target("avx2"))) static int fold_lanes(
             _mm256_min_epi32(_mm256_max_epi32(whole, low), high), two);
         const __m256 dv = _mm256_set_m128(_mm256_cvtpd_ps(_mm256_sub_pd(v1, r1)),
                                           _mm256_cvtpd_ps(_mm256_sub_pd(v0, r0)));
-        const __m256i at = _mm256_add_epi32(
-            _mm256_loadu_si256((const __m256i *)(t->left + c)), index);
+        const __m256i left = _mm256_loadu_si256((const __m256i *)(t->left + c));
+        const __m256i at = _mm256_add_epi32(left, _mm256_sll_epi32(index, rows));
         const __m256 wl = _mm256_loadu_ps(t->wl + c), wr = _mm256_loadu_ps(t->wr + c);
         const __m256 lo = _mm256_add_ps(
             _mm256_mul_ps(wl, _mm256_i32gather_ps(plane, at, 4)),
-            _mm256_mul_ps(wr, _mm256_i32gather_ps(plane + stride, at, 4)));
+            _mm256_mul_ps(wr, _mm256_i32gather_ps(plane + 1, at, 4)));
         const __m256 hi = _mm256_add_ps(
-            _mm256_mul_ps(wl, _mm256_i32gather_ps(plane + 1, at, 4)),
-            _mm256_mul_ps(wr, _mm256_i32gather_ps(plane + stride + 1, at, 4)));
+            _mm256_mul_ps(wl, _mm256_i32gather_ps(next, at, 4)),
+            _mm256_mul_ps(wr, _mm256_i32gather_ps(next + 1, at, 4)));
         const __m256 rest = _mm256_sub_ps(_mm256_set1_ps(1.0f), dv);
         const __m256 blend = _mm256_add_ps(_mm256_mul_ps(lo, rest), _mm256_mul_ps(hi, dv));
         _mm256_storeu_ps(voxel + c, _mm256_add_ps(_mm256_loadu_ps(voxel + c), blend));
@@ -175,19 +177,18 @@ static int fold(int lanes, float *out, int64_t ny, int64_t nx, int64_t z_start,
                 const int64_t *tiles, int64_t n_tiles, const float *projections,
                 int64_t np, int64_t nv, int64_t nu, const double *matrices)
 {
-    const int64_t stride = nv + 4, slice = ny * nx;
-    if (nu + 4 > INT32_MAX) /* a row index the column table cannot hold */
+    if (nu + 4 > INT32_MAX) /* a column the table cannot hold */
         return ALG4_MEMORY;
-    /* Gather offsets are int32: a larger plane keeps rows, not offsets. */
-    const int64_t row_scale = (nu + 4) * stride > INT32_MAX ? stride : 1;
-    lanes = lanes && row_scale == 1;
+    const int shift = 64 - __builtin_clzll((uint64_t)(nu + 3)); /* 2^shift >= nu + 4 */
+    const int64_t stride = (int64_t)1 << shift, slice = ny * nx;
+    lanes = lanes && (nv + 4) * stride <= INT32_MAX; /* else int64 offsets, scalar */
     int64_t max_cols = LANES;
     for (int64_t t = 0; t < n_tiles; t++) {
         const int64_t cols = (tiles[4 * t + 3] - tiles[4 * t + 2]) * nx;
         max_cols = cols > max_cols ? cols : max_cols;
     }
     max_cols = (max_cols + LANES - 1) / LANES * LANES;
-    float *plane = calloc((size_t)((nu + 4) * stride), sizeof(float));
+    float *plane = calloc((size_t)((nv + 4) * stride), sizeof(float));
     char *scratch = malloc((size_t)max_cols * 28);
     const columns_t table = {
         (double *)scratch, (double *)scratch + max_cols,
@@ -200,8 +201,7 @@ static int fold(int lanes, float *out, int64_t ny, int64_t nx, int64_t z_start,
         const double *p = matrices + 12 * s;
         const float *projection = projections + s * nv * nu;
         for (int64_t v = 0; v < nv; v++)
-            for (int64_t u = 0; u < nu; u++)
-                plane[(u + 2) * stride + v + 2] = projection[v * nu + u];
+            memcpy(plane + (v + 2) * stride + 2, projection + v * nu, sizeof(float) * nu);
 
         for (int64_t t = 0; t < n_tiles; t++) {
             const int64_t z0 = tiles[4 * t], z1 = tiles[4 * t + 1];
@@ -219,15 +219,15 @@ static int fold(int lanes, float *out, int64_t ny, int64_t nx, int64_t z_start,
                     const double w = f * f;
                     const double y_base = p[4] * i + p[5] * j + p[7];
                     double u0;
-                    const int64_t row = floor_index(u, nu, &u0);
-                    if (row < 0) {
+                    const int64_t column = floor_index(u, nu, &u0);
+                    if (column < 0) {
                         status = ALG4_INDEX;
                         goto done;
                     }
                     const double du = u - u0;
                     table.wl[c] = (float)((1.0 - du) * w);
                     table.wr[c] = (float)(du * w);
-                    table.left[c] = (int32_t)(row_scale == 1 ? row * stride : row);
+                    table.left[c] = (int32_t)column;
                     table.offset[c] = y_base * f;
                     table.slope[c] = p[6] * f;
                 }
@@ -238,12 +238,12 @@ static int fold(int lanes, float *out, int64_t ny, int64_t nx, int64_t z_start,
                 c = 0;
 #if defined(__x86_64__)
                 if (lanes) {
-                    status = fold_lanes(voxel, &table, n_cols, k, plane, stride, nv);
+                    status = fold_lanes(voxel, &table, n_cols, k, plane, shift, nv);
                     c = n_cols - n_cols % LANES;
                 }
 #endif
                 for (; c < n_cols && status == ALG4_OK; c++)
-                    status = fold_voxel(voxel, &table, c, k, plane, stride, row_scale, nv);
+                    status = fold_voxel(voxel, &table, c, k, plane, shift, nv);
                 if (status != ALG4_OK)
                     goto done;
             }

@@ -46,7 +46,9 @@ around what one projection x one tile has to move:
   **transposed**, ``(Nu+4, Nv+4)`` — the paper's layout: a voxel column
   walks the detector along ``v``, so its table is one contiguous row and
   the table build is two contiguous row gathers (``take(axis=0)``) blended
-  in place, and the Z loop's two samples are neighbours in memory.
+  in place, and the Z loop's two samples are neighbours in memory.  The
+  compiled kernel builds no table, so its plane stays **row-major**: ``Nv+4``
+  rows at a power-of-two stride, filled by one ``memcpy`` per detector row.
 * Only the **band** of detector rows a tile's Z range projects onto is
   gathered (:func:`_row_band`), so table cost follows slab thickness — an
   iFDK rank or a ``z_range`` slab does not pay for the whole detector.

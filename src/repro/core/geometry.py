@@ -25,7 +25,9 @@ remains ``float32``.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -266,9 +268,14 @@ class CBCTGeometry:
         return to_pixels @ pinhole
 
     def projection_matrix(self, beta: float) -> "ProjectionMatrix":
-        """The 3x4 projection matrix ``P`` at gantry angle ``beta`` (Eq. 2)."""
-        p_hat = self.matrix_m1() @ self.matrix_mrot(beta) @ self.matrix_m0()
-        return ProjectionMatrix(matrix=p_hat[:3, :], beta=float(beta), geometry=self)
+        """The 3x4 projection matrix ``P`` at gantry angle ``beta`` (Eq. 2).
+
+        Each matrix is computed once per geometry and exact angle bits
+        (``-0.0`` is not ``0.0``) and shared read-only, so a back-projector
+        that asks for every view on every run rebuilds none of them."""
+        beta = float(beta)
+        matrix = _projection_matrix(self, struct.pack("<d", beta))
+        return ProjectionMatrix(matrix=matrix, beta=beta, geometry=self)
 
     def projection_matrices(self, angles: Optional[Sequence[float]] = None):
         """Projection matrices for ``angles`` (defaults to :attr:`angles`)."""
@@ -372,6 +379,17 @@ class ProjectionMatrix:
         """
         d = self.geometry.sad
         return (d / np.asarray(z)) ** 2
+
+
+@lru_cache(maxsize=4096)  # ~0.4 KiB an entry: 16 scans of 256 views
+def _projection_matrix(geometry: CBCTGeometry, angle_bits: bytes) -> np.ndarray:
+    """``P = M1 @ Mrot @ M0`` without its homogeneous row, read-only: the
+    memo behind :meth:`CBCTGeometry.projection_matrix`."""
+    (beta,) = struct.unpack("<d", angle_bits)
+    p_hat = geometry.matrix_m1() @ geometry.matrix_mrot(beta) @ geometry.matrix_m0()
+    matrix = p_hat[:3, :].copy()
+    matrix.flags.writeable = False
+    return matrix
 
 
 def default_geometry_for_problem(

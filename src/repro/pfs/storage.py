@@ -23,6 +23,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -238,21 +239,30 @@ def _parse_header(
         header_len = int.from_bytes(head[:4], "little")
         if len(head) < 4 or size < 4 + header_len or len(head) < 4 + header_len:
             raise ValueError(f"header of {header_len} bytes in a {size}-byte object")
-        with _LITERAL_EVAL_LOCK:
-            header = ast.literal_eval(head[4 : 4 + header_len].decode("ascii"))
-        if not isinstance(header, dict):
-            raise ValueError("header is not a dictionary")
-        dtype = np.lib.format.descr_to_dtype(header["descr"])
-        shape = tuple(header["shape"])
-        if dtype.hasobject or not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise ValueError(f"unusable dtype {dtype!r} / shape {shape!r}")
-        payload_bytes = size - 4 - header_len
+        dtype, shape, offset = _read_header(bytes(head[: 4 + header_len]))
+        payload_bytes = size - offset
         expected = dtype.itemsize * math.prod(shape)
         if payload_bytes != expected:
             raise ValueError(f"payload is {payload_bytes} bytes, header promises {expected}")
-        return dtype, shape, 4 + header_len
+        return dtype, shape, offset
     except (ValueError, SyntaxError, KeyError, TypeError, MemoryError, RecursionError) as exc:
         raise ValueError(f"corrupt PFS object {name!r}: {exc}") from exc
+
+
+@lru_cache(maxsize=256)
+def _read_header(header: bytes) -> Tuple[np.dtype, Tuple[int, ...], int]:
+    """``(dtype, shape, header length)`` of one object's exact header bytes,
+    length prefix included: memoised, since a stack's objects share one
+    header.  A bad header raises, and a raise is never cached."""
+    with _LITERAL_EVAL_LOCK:
+        fields = ast.literal_eval(header[4:].decode("ascii"))
+    if not isinstance(fields, dict):
+        raise ValueError("header is not a dictionary")
+    dtype = np.lib.format.descr_to_dtype(fields["descr"])
+    shape = tuple(fields["shape"])
+    if dtype.hasobject or not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValueError(f"unusable dtype {dtype!r} / shape {shape!r}")
+    return dtype, shape, len(header)
 
 
 def _decode_blob(blob: bytes, name: str) -> np.ndarray:

@@ -367,6 +367,37 @@ else:  # pragma: no cover - exercised only without hypothesis
 
 
 @compiled_executors
+@pytest.mark.parametrize("nu", [12, 13, 15, 28, 29])
+@pytest.mark.parametrize("offset", [-5.0, 5.0])
+def test_row_strides_at_and_just_past_a_power_of_two(executor, nu, offset):
+    """The compiled plane's rows sit at the least power of two >= ``Nu+4``:
+    exactly ``Nu+4`` at 16 and 32, nearly twice it at 17, 19 and 33 (a
+    stride of 16 would still hold 17 and 18, whose last columns are the
+    zero border the next row starts with, but not 19).  Columns
+    leave the detector on both sides (a volume wider than it, shifted by
+    ``detector_offset_u``) and slices pass its top and bottom, so every
+    border sample of the padded rows is read; the answer is the NumPy
+    kernel's."""
+    geometry = base_geometry(
+        nu=nu, nx=24, ny=24, nz=20, dz=2.0, nv=10, sad=40.0, sdd=60.0,
+        detector_offset_u=offset,
+    )
+    u, v = detector_coordinates(geometry)
+    assert np.floor(u).min() < -1 and np.floor(u).max() >= nu
+    assert v.min() < -2 and v.max() > geometry.nv + 1
+    stack = make_stack(geometry)
+    volumes = []
+    for numpy_only in (True, False):
+        with mock.patch.object(native, "resolve", return_value=None) if numpy_only \
+                else contextlib.nullcontext():
+            acc = TiledBackend(workers=1).accumulator(geometry)
+        assert acc.executor == ("numpy" if numpy_only else "native")
+        acc.add_stack(stack)
+        volumes.append(acc.volume().data)
+    assert_same_bits(volumes[1], volumes[0])
+
+
+@compiled_executors
 def test_lane_groups_that_mix_huge_and_ordinary_lanes(executor):
     """``p[1, 0]`` scales ``v`` with ``i``: column ``i = 0`` of a row stays on
     the detector while the others pass 2^30 or 2^50 and up, by projection.
@@ -533,12 +564,15 @@ def test_working_set_does_not_grow_with_the_slab(algorithm):
 def test_compiled_scratch_follows_the_widest_tile_not_the_slab_or_the_stack():
     """The compiled executor's per-call scratch, from the sizes its entry point
     is handed: 28 B per column of the shard's widest tile (rounded up to a
-    multiple of the eight lanes) plus one padded projection — whatever the
-    slab's thickness and the stack's length."""
+    multiple of the eight lanes) plus one padded projection, ``Nv+4`` rows at
+    the least power of two >= ``Nu+4`` — whatever the slab's thickness and the
+    stack's length."""
     n, nz = 48, 64
     geometry = default_geometry_for_problem(nu=n, nv=nz, np_=8, nx=n, ny=n, nz=nz)
     stack = make_stack(geometry)
-    padded = 4 * (geometry.nu + 4) * (geometry.nv + 4)
+    stride = 1 << (geometry.nu + 3).bit_length()
+    assert stride == 64  # a row of 52 samples
+    padded = 4 * (geometry.nv + 4) * stride
     scratch = {}
     for z_range, views, budget in [
         ((24, 32), 8, 1 << 25), ((0, nz), 8, 1 << 25), ((0, nz), 2, 1 << 25),

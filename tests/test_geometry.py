@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import ReconstructionPlan, Session
+from repro.backends import TiledBackend
+from repro.core import geometry as geometry_module
 from repro.core.geometry import CBCTGeometry, default_geometry_for_problem
+from repro.core.types import ProjectionStack
 
 
 @pytest.fixture()
@@ -121,6 +129,99 @@ class TestProjectionMatrix:
         pm = geometry.projection_matrix(0.0)
         z = np.array([geometry.sad, 2 * geometry.sad])
         np.testing.assert_allclose(pm.distance_weight(z), [1.0, 0.25])
+
+
+@st.composite
+def geometries(draw):
+    pitch = st.floats(0.05, 5.0)
+    size = st.integers(1, 96)
+    sad = draw(st.floats(5.0, 1000.0))
+    return CBCTGeometry(
+        nu=draw(size), nv=draw(size), np_=draw(st.integers(1, 64)),
+        du=draw(pitch), dv=draw(pitch), sad=sad, sdd=sad * draw(st.floats(1.0, 4.0)),
+        nx=draw(size), ny=draw(size), nz=draw(size),
+        dx=draw(pitch), dy=draw(pitch), dz=draw(pitch),
+        detector_offset_u=draw(st.floats(-100.0, 100.0)),
+    )
+
+
+class TestProjectionMatrixMemo:
+    """``projection_matrix`` computes each matrix once per geometry and exact
+    angle bits and hands it out read-only; the memo sits inside the method,
+    so a patched method is still what every caller reads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry=geometries(),
+        beta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0)),
+    )
+    def test_a_matrix_is_read_only_and_the_factorization_bit_for_bit(self, geometry, beta):
+        pm = geometry.projection_matrix(beta)
+        product = geometry.matrix_m1() @ geometry.matrix_mrot(beta) @ geometry.matrix_m0()
+        assert not pm.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            pm.matrix[0, 0] = 1.0
+        np.testing.assert_array_equal(
+            pm.matrix.view(np.uint64), np.ascontiguousarray(product[:3]).view(np.uint64)
+        )
+        assert np.signbit(pm.beta) == np.signbit(beta) and pm.beta == beta
+        again = geometry.projection_matrix(beta)
+        assert again.matrix is pm.matrix and again.geometry is geometry
+
+    def test_minus_zero_is_its_own_angle(self, geometry):
+        plus, minus = geometry.projection_matrix(0.0), geometry.projection_matrix(-0.0)
+        assert plus.matrix is not minus.matrix
+        assert np.signbit(minus.beta) and not np.signbit(plus.beta)
+        assert geometry.projection_matrix(-0.0).matrix is minus.matrix
+
+    def test_a_second_session_run_builds_no_matrix(self, small_geometry, small_projections):
+        """Counted where a matrix is built, for the run's geometry only (the
+        compiled kernel's first load proves itself on a geometry of its own)."""
+        geometry_module._projection_matrix.cache_clear()
+        built = []
+        rotation = CBCTGeometry.matrix_mrot
+
+        def counted(self, beta):
+            if self == small_geometry:
+                built.append(beta)
+            return rotation(self, beta)
+
+        plan = ReconstructionPlan(geometry=small_geometry, backend="vectorized")
+        with mock.patch.object(CBCTGeometry, "matrix_mrot", counted), Session(plan) as session:
+            first = session.run(small_projections)
+            assert sorted(built) == sorted(small_geometry.angles)
+            second = session.run(small_projections)
+        assert len(built) == small_geometry.np_
+        np.testing.assert_array_equal(first.volume.data, second.volume.data)
+
+    def test_a_patched_method_is_what_the_accumulator_reads(self):
+        """With the memo warm, every view patched to angle 0 folds what a
+        stack whose angles are all 0 folds."""
+        geometry = default_geometry_for_problem(nu=16, nv=16, np_=4, nx=8, ny=8, nz=8)
+        data = np.random.default_rng(3).standard_normal((4, 16, 16)).astype(np.float32)
+        stack = ProjectionStack(data=data, angles=geometry.angles, filtered=True)
+        at_zero = ProjectionStack(data=data, angles=np.zeros(4), filtered=True)
+
+        def fold(stack):
+            with TiledBackend(workers=1) as backend:
+                return backend.backproject(stack, geometry, algorithm="proposed").data
+
+        real = CBCTGeometry.projection_matrix
+        unpatched = fold(stack)
+        with mock.patch.object(
+            CBCTGeometry, "projection_matrix", lambda self, beta: real(self, 0.0)
+        ):
+            patched = fold(stack)
+        assert not np.array_equal(patched, unpatched)
+        np.testing.assert_array_equal(patched, fold(at_zero))
+
+    def test_the_memo_is_bounded(self, geometry):
+        memo = geometry_module._projection_matrix
+        limit = memo.cache_info().maxsize
+        assert 256 <= limit <= 4096  # a whole scan fits; a long run holds < 2 MiB
+        for n in range(limit + 10):
+            geometry.projection_matrix(n * 1e-3)
+        assert memo.cache_info().currsize == limit
 
 
 class TestDefaultGeometry:

@@ -20,6 +20,7 @@ from repro.pfs import (
     write_projection_dataset,
     write_volume_slices,
 )
+from repro.pfs import storage
 from repro.pfs.projection_io import projection_object_name
 
 
@@ -74,12 +75,15 @@ class TestSimulatedPFS:
         state, so two header parses interleaved (iFDK ranks reading their
         projections) could fail with ``SystemError`` ("AST constructor
         recursion depth mismatch").  A parse that yields the GIL midway
-        must not let another reader's parse start."""
-        inside, most = [0], [0]
+        must not let another reader's parse start.  Every read here is of a
+        header the memo has not seen, so every read parses."""
+        storage._read_header.cache_clear()
+        inside, most, parses = [0], [0], [0]
         literal_eval = ast.literal_eval
 
         def yielding_literal_eval(text):
             inside[0] += 1
+            parses[0] += 1
             most[0] = max(most[0], inside[0])
             time.sleep(0.001)
             try:
@@ -89,17 +93,51 @@ class TestSimulatedPFS:
 
         monkeypatch.setattr(ast, "literal_eval", yielding_literal_eval)
         pfs = SimulatedPFS()
-        pfs.write_array("x", np.zeros((2, 3), dtype=np.float32))
+        for n in range(40):
+            pfs.write_array(f"x{n}", np.zeros((n + 1, 3), dtype=np.float32))
         readers = [
-            threading.Thread(target=lambda: [pfs.read_view("x") for _ in range(20)])
-            for _ in range(2)
+            threading.Thread(target=lambda t=t: [pfs.read_view(f"x{n}") for n in range(t, 40, 2)])
+            for t in range(2)
         ]
         for reader in readers:
             reader.start()
         for reader in readers:
             reader.join(30)
         assert not any(reader.is_alive() for reader in readers)
-        assert most[0] == 1
+        assert most[0] == 1 and parses[0] == 40
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_a_header_is_parsed_once_and_a_bad_one_never_kept(
+        self, tmp_path, monkeypatch, on_disk
+    ):
+        """Objects that share a header share one parse, keyed on the header's
+        exact bytes; the payload size is still checked per object, and a
+        header that fails to parse is parsed again (and fails again) on every
+        read."""
+        storage._read_header.cache_clear()
+        parsed = []
+        literal_eval = ast.literal_eval
+        monkeypatch.setattr(
+            ast, "literal_eval", lambda text: parsed.append(text) or literal_eval(text)
+        )
+        pfs = SimulatedPFS(root_dir=tmp_path if on_disk else None)
+        for n in range(3):
+            pfs.write_array(f"p{n}", np.full((4, 4), n, dtype=np.float32))
+        pfs.write_array("q", np.zeros((4, 4), dtype=np.float64))
+        for n in range(3):
+            assert pfs.read_array(f"p{n}")[0, 0] == n
+            pfs.read_into(f"p{n}", np.empty((4, 4), dtype=np.float32))
+        pfs.read_array("q")
+        assert len(parsed) == 2  # '<f4' and '<f8': one parse each
+        header = storage._encode_header(np.zeros((4, 4), dtype=np.float32))
+        text = b"{'descr': '<f4', 'shape': (4, -4)}"
+        bad = len(text).to_bytes(4, "little") + text
+        for name, blob in [("short", header + bytes(60)), ("bad", bad + bytes(64))]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"corrupt PFS object '{name}'"):
+                    storage._decode_blob(blob, name)
+        assert len(parsed) == 4  # the cut payload hit the memo; the bad header never did
+        assert storage._read_header.cache_info().currsize == 2
 
     @pytest.mark.parametrize("on_disk", [False, True])
     @pytest.mark.parametrize("read", READERS)
