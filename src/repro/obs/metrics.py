@@ -22,14 +22,15 @@ there, not here.
 
 :func:`percentile` is the one percentile of the package: the histograms
 here and the service KPIs both reduce through it, so they cannot disagree
-in the last bit.
+in the last bit.  :func:`plain_sum` is its one float sum, for the same
+reason across interpreters.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import insort
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "NULL_METRICS",
     "peak_rss_bytes",
     "percentile",
+    "plain_sum",
 ]
 
 
@@ -65,6 +67,19 @@ def percentile(values: Sequence[float], q: float) -> float:
     if len(values) == 0:
         return float("nan")
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
+
+
+def plain_sum(values: Iterable[float]) -> float:
+    """Left to right, one rounding per addition, on every Python.
+
+    The builtin ``sum()`` compensates float rounding from Python 3.12 on,
+    which would move the recorded replay digests' last bits with the
+    interpreter.  The service's float totals fold through here.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class Counter:

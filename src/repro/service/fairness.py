@@ -9,7 +9,8 @@ and the :class:`~repro.service.scheduler.ClusterScheduler`:
 
 * **per-tenant subqueues** — each internally ordered by
   :func:`~repro.service.job.job_sort_key`, so a tenant's own jobs still
-  run by priority and deadline;
+  run by priority and deadline, and kept as jobs are admitted, placed or
+  drained (bisected in by the key the base queue computed), never rebuilt;
 * **deficit round-robin** — :meth:`scheduling_order` interleaves tenants'
   jobs by visiting tenants cyclically and granting each a deficit of
   ``quantum_seconds x weight`` estimated service seconds per visit; a job
@@ -36,8 +37,9 @@ persisted attained-service accounting — replaying the same trace twice
 yields bit-identical placement orders.
 
 The order is yielded as the scheduler reads it, under the service lock,
-so a cycle pays for the jobs it considers, not for the whole queue: the
-subqueues are one pass over the already ordered base queue, DRR rounds are
+so a cycle pays for the jobs it considers, not for the whole queue: each
+kept subqueue is copied into a deque in one C-level step per tenant (the
+Python-level work is per tenant, not per waiting job), DRR rounds are
 walked only until the scheduler stops reading, and rounds in which no
 tenant can afford its head (``cost / (quantum x weight)`` of them per job —
 unbounded as a plan-carried weight goes to zero) are taken in closed form.
@@ -47,10 +49,12 @@ The DRR counters count the rounds and jobs of the prefix considered.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Sequence
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_METRICS
+from ..obs.metrics import plain_sum
 from .job import ReconstructionJob, job_sort_key
 from .queue import QUOTA_REJECTION_PREFIX, AdmissionPolicy, JobQueue
 
@@ -70,10 +74,10 @@ def jains_index(values: Sequence[float]) -> float:
         return float("nan")
     if any(v < 0 for v in values):
         raise ValueError("Jain's index is defined over non-negative values")
-    square_sum = sum(v * v for v in values)
+    square_sum = plain_sum(v * v for v in values)
     if square_sum == 0.0:
         return 1.0
-    total = sum(values)
+    total = plain_sum(values)
     return (total * total) / (len(values) * square_sum)
 
 
@@ -105,6 +109,12 @@ class FairShareQueue(JobQueue):
         # raw estimated seconds and weight-normalized seconds per tenant.
         self._service_seconds: Dict[str, float] = {}  # guarded-by: caller
         self._attained: Dict[str, float] = {}  # guarded-by: caller
+        # Each tenant's waiting jobs in scheduling order, with their sort
+        # keys beside them (as ``_ordered`` / ``_keys``), kept by the
+        # ``_queued`` / ``_unqueued`` hooks; only tenants with waiting jobs.
+        self._subqueues: Dict[
+            str, Tuple[List[ReconstructionJob], List[Tuple[int, float, int]]]
+        ] = {}  # guarded-by: caller
         self.deficit_rounds = 0
         self.quota_rejections: Dict[str, int] = {}  # guarded-by: caller
         self.aged_promotions = 0
@@ -129,7 +139,7 @@ class FairShareQueue(JobQueue):
 
     def share_of_service(self) -> Dict[str, float]:
         """Each tenant's fraction of the estimated service seconds placed."""
-        total = sum(self._service_seconds.values())
+        total = plain_sum(self._service_seconds.values())
         if total <= 0:
             return {}
         return {
@@ -152,17 +162,20 @@ class FairShareQueue(JobQueue):
     def offer(self, job: ReconstructionJob) -> bool:
         self._register(job)
         depth_cap = self.policy.max_queue_depth_per_tenant
-        if depth_cap is not None:
-            # Admission order: the hint below must add in it (see JobQueue).
-            queued = [j for j in self._admitted.values() if j.tenant == job.tenant]
-            if len(queued) >= depth_cap:
+        if depth_cap is not None and job.tenant in self._subqueues:
+            depth = len(self._subqueues[job.tenant][0])
+            if depth >= depth_cap:
                 # Retry-After from the backlog estimate: the tenant's own
                 # queued service seconds must drain before a slot frees
-                # (an upper bound — other tenants' service runs beside it).
-                backlog = sum(j.estimated_seconds or 0.0 for j in queued)
+                # (an upper bound — other tenants' service runs beside it),
+                # added in admission order (see JobQueue).
+                backlog = plain_sum(
+                    j.estimated_seconds or 0.0
+                    for j in self._admitted.values() if j.tenant == job.tenant
+                )
                 job.mark_rejected(
                     f"{QUOTA_REJECTION_PREFIX}: tenant {job.tenant!r} has "
-                    f"{len(queued)} queued jobs at its cap {depth_cap}",
+                    f"{depth} queued jobs at its cap {depth_cap}",
                     retry_after_seconds=max(1.0, backlog),
                 )
                 self.quota_rejections[job.tenant] = (
@@ -174,6 +187,30 @@ class FairShareQueue(JobQueue):
                 ).inc()
                 return False
         return super().offer(job)
+
+    def _queued(self, job: ReconstructionJob, key: Tuple[int, float, int]) -> None:
+        subqueue = self._subqueues.get(job.tenant)
+        if subqueue is None:
+            self._subqueues[job.tenant] = ([job], [key])
+            return
+        jobs, keys = subqueue
+        index = bisect_right(keys, key)  # ties keep admission order
+        keys.insert(index, key)
+        jobs.insert(index, job)
+
+    def _unqueued(self, job: ReconstructionJob, key: Tuple[int, float, int]) -> None:
+        jobs, keys = self._subqueues[job.tenant]
+        if len(jobs) == 1:
+            del self._subqueues[job.tenant]
+            return
+        index = bisect_left(keys, key)
+        while jobs[index] is not job:
+            index += 1
+        del keys[index], jobs[index]
+
+    def drain(self) -> List[ReconstructionJob]:
+        self._subqueues.clear()
+        return super().drain()
 
     # ------------------------------------------------------------------ #
     # Service accounting: charged when the scheduler places a job
@@ -214,9 +251,9 @@ class FairShareQueue(JobQueue):
         """
         quantum = self.policy.quantum_seconds
 
-        per_tenant: Dict[str, Deque[ReconstructionJob]] = {}
-        for job in self._ordered:
-            per_tenant.setdefault(job.tenant, deque()).append(job)
+        per_tenant: Dict[str, Deque[ReconstructionJob]] = {
+            tenant: deque(jobs) for tenant, (jobs, _) in self._subqueues.items()
+        }
 
         # Per-tenant emission budget: in-flight cap minus currently running.
         inflight: Dict[str, int] = {}

@@ -215,7 +215,8 @@ class ReconstructionJob:
     problem:
         The reconstruction problem to solve.
     tenant:
-        Identifier of the submitting tenant (used for reporting only).
+        Identifier of the submitting tenant: per-tenant reporting, and the
+        fair-share queue's subqueue, weight, quotas and attained service.
     dataset_id:
         Content key of the input projection dataset.  Two jobs with the same
         ``dataset_id`` and ``ramp_filter`` read the *same* acquisitions, so

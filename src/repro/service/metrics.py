@@ -39,11 +39,11 @@ KPIs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
-from ..obs.metrics import percentile
+from ..obs.metrics import percentile, plain_sum
 from .cache import FilteredProjectionCache
 from .job import TERMINAL_STATES, JobsByState, JobState, ReconstructionJob
 from .queue import QUOTA_REJECTION_PREFIX
@@ -139,7 +139,7 @@ class ServiceMetrics(JobsByState):
         # Busy GPU-seconds per tenant, and latencies grouped by tenant.
         tenant_service: Dict[str, float] = {}
         tenant_latencies: Dict[str, List[float]] = {}
-        busy_gpu_seconds = 0.0  # summed left to right, as _plain_sum does
+        busy_gpu_seconds = 0.0  # summed left to right, as plain_sum does
         for job in completed:
             seconds = (job.runtime_seconds or 0.0) * (job.gpus or 0)
             busy_gpu_seconds += seconds
@@ -168,8 +168,8 @@ class ServiceMetrics(JobsByState):
             ),
             "queue_depth_max": float(self.queue_depth_max),
         }
-        filter_total = _plain_sum(j.filter_seconds or 0.0 for j in completed)
-        bp_total = _plain_sum(j.backprojection_seconds or 0.0 for j in completed)
+        filter_total = plain_sum(j.filter_seconds or 0.0 for j in completed)
+        bp_total = plain_sum(j.backprojection_seconds or 0.0 for j in completed)
         out["filter_seconds_total"] = filter_total
         out["backprojection_seconds_total"] = bp_total
         # 0.0 (not NaN) when nothing completed: the report must stay valid
@@ -183,10 +183,10 @@ class ServiceMetrics(JobsByState):
         executed = [j for j in completed if j.worker_seconds is not None]
         if executed:
             out["jobs_executed"] = float(len(executed))
-            out["executed_wall_seconds_total"] = _plain_sum(
+            out["executed_wall_seconds_total"] = plain_sum(
                 j.executed_wall_seconds for j in executed
             )
-            out["worker_seconds_total"] = _plain_sum(
+            out["worker_seconds_total"] = plain_sum(
                 j.worker_seconds for j in executed
             )
         # One flat entry per scenario in the completed mix, so operators
@@ -213,7 +213,7 @@ class ServiceMetrics(JobsByState):
         if tenant_weights is not None:
             from .fairness import jains_index  # late: fairness imports queue
 
-            total_service = _plain_sum(tenant_service.values())
+            total_service = plain_sum(tenant_service.values())
             normalized: List[float] = []
             for tenant, seconds in sorted(tenant_service.items()):
                 if total_service > 0:
@@ -231,18 +231,6 @@ class ServiceMetrics(JobsByState):
         if cluster_gpus and makespan > 0:
             out["gpu_utilization"] = busy_gpu_seconds / (cluster_gpus * makespan)
         return out
-
-
-def _plain_sum(values: Iterable[float]) -> float:
-    """Left to right, one rounding per addition, on every Python.
-
-    ``sum()`` compensates float rounding from Python 3.12 on, which would
-    move the recorded replay digests' last bits with the interpreter.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _scenario_counts(completed: List[ReconstructionJob]) -> Dict[str, int]:

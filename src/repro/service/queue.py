@@ -47,6 +47,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.types import ReconstructionProblem
+from ..obs.metrics import plain_sum
 from .job import MIN_TENANT_WEIGHT, JobState, ReconstructionJob, job_sort_key
 
 __all__ = [
@@ -180,13 +181,15 @@ class JobQueue:
         # backlog sums must add in this order, a sum over the sorted view
         # differs from it in the last bit of ``retry_after_seconds`` — and
         # ``_estimates`` beside it, each job's ``estimated_seconds or 0.0``
-        # as admitted, so the backlog is one ``sum`` over a dict's values.
+        # as admitted, so the backlog is one left fold over a dict's values,
+        # kept in ``_backlog`` until the next offer, remove or drain.
         # Census: ``_waiting`` counts the jobs per problem, no zero entries;
         # ``census_epoch`` moves whenever a problem enters or leaves it.
         self._ordered: List[ReconstructionJob] = []  # guarded-by: caller
         self._keys: List[Tuple[int, float, int]] = []  # guarded-by: caller
         self._admitted: Dict[int, ReconstructionJob] = {}  # guarded-by: caller
         self._estimates: Dict[int, float] = {}  # guarded-by: caller
+        self._backlog: Optional[float] = None  # guarded-by: caller
         self._waiting: Dict[ReconstructionProblem, int] = {}  # guarded-by: caller
         self.census_epoch = 0  # guarded-by: caller
         # Lazily built: most callers (the service) estimate before offering,
@@ -202,8 +205,15 @@ class JobQueue:
 
     @property
     def backlog_seconds(self) -> float:
-        """Sum of the queued jobs' estimated service times."""
-        return sum(self._estimates.values())
+        """Sum of the queued jobs' estimated service times, in admission order.
+
+        A left fold (:func:`~repro.obs.metrics.plain_sum`), so its bits do not
+        depend on the interpreter, read again only after the queue changed:
+        a rejected offer leaves the queue and the sum as they were.
+        """
+        if self._backlog is None:
+            self._backlog = plain_sum(self._estimates.values())
+        return self._backlog
 
     def ordered(self) -> List[ReconstructionJob]:
         """Snapshot of the queue in scheduling order."""
@@ -228,10 +238,6 @@ class JobQueue:
         pay for the jobs it never reads.
         """
         return self.ordered()
-
-    def peek(self) -> Optional[ReconstructionJob]:
-        """The job the scheduler should consider first (or ``None``)."""
-        return self._ordered[0] if self._ordered else None
 
     def waiting_problems(self) -> Mapping[ReconstructionProblem, int]:
         """Read-only census: how many jobs of each problem are waiting.
@@ -295,11 +301,21 @@ class JobQueue:
         self._ordered.insert(index, job)
         self._admitted[id(job)] = job
         self._estimates[id(job)] = job.estimated_seconds or 0.0
+        self._backlog = None
         waiting = self._waiting.get(job.problem, 0)
         self._waiting[job.problem] = waiting + 1
         if not waiting:
             self.census_epoch += 1
+        self._queued(job, key)
         return True
+
+    # A subclass keeping another view of the waiting jobs hooks in here: the
+    # key is the one ``offer`` / ``remove`` bisected with, computed once.
+    def _queued(self, job: ReconstructionJob, key: Tuple[int, float, int]) -> None:
+        """Called after ``job`` was admitted under ``key``."""
+
+    def _unqueued(self, job: ReconstructionJob, key: Tuple[int, float, int]) -> None:
+        """Called after ``job``, queued under ``key``, was removed."""
 
     def _estimate(self, job: ReconstructionJob) -> Optional[float]:
         if self._estimator is None:
@@ -318,12 +334,14 @@ class JobQueue:
             if self._ordered[index] is job:
                 del self._keys[index], self._ordered[index]
                 del self._admitted[id(job)], self._estimates[id(job)]
+                self._backlog = None
                 waiting = self._waiting[job.problem]
                 if waiting == 1:
                     del self._waiting[job.problem]
                     self.census_epoch += 1
                 else:
                     self._waiting[job.problem] = waiting - 1
+                self._unqueued(job, key)
                 return
         raise ValueError(
             f"job {job.job_id} is not queued under its sort key {key}: it was "
@@ -338,6 +356,7 @@ class JobQueue:
         self._ordered.clear()
         self._admitted.clear()
         self._estimates.clear()
+        self._backlog = None
         self._waiting.clear()
         self.census_epoch += 1
         return jobs

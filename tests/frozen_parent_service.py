@@ -2,7 +2,12 @@
 the scheduling cycle stopped re-deriving what cannot change (PR 16).
 
 Frozen verbatim from ``src/repro/service/{queue,fairness,scheduler}.py`` at
-commit e521b9c and never edited: ``tests/test_service_equivalence.py``
+commit e521b9c, edited since only to fold its three float ``sum()``s left
+to right through its own ``_plain_sum`` (the builtin compensates from
+Python 3.12 on, so the frozen bits would otherwise depend on the
+interpreter) and to drop the unread ``JobQueue.peek``.  The fold is written
+out here rather than imported from ``repro.obs.metrics``, so that a change
+to the live helper moves the live queue and not this reference.  ``tests/test_service_equivalence.py``
 replays random traces through a service built on these and one built on
 the live classes and holds every job record, summary and scheduling order
 to ``==``.  These re-derive ``choose_grid`` / the Eq. 8-19 model for every
@@ -29,6 +34,14 @@ from repro.service.queue import (
     model_runtime_estimator,
 )
 from repro.service.scheduler import AllocationPlan, GPUCluster, Placement
+
+
+def _plain_sum(values) -> float:
+    """Left to right, one rounding per addition, on every Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class JobQueue:
@@ -60,7 +73,7 @@ class JobQueue:
     @property
     def backlog_seconds(self) -> float:
         """Sum of the queued jobs' estimated service times."""
-        return sum(job.estimated_seconds or 0.0 for job in self._jobs)
+        return _plain_sum(job.estimated_seconds or 0.0 for job in self._jobs)
 
     def ordered(self) -> List[ReconstructionJob]:
         """Snapshot of the queue in scheduling order."""
@@ -79,12 +92,6 @@ class JobQueue:
         and in-flight quotas.
         """
         return self.ordered()
-
-    def peek(self) -> Optional[ReconstructionJob]:
-        """The job the scheduler should consider first (or ``None``)."""
-        if not self._jobs:
-            return None
-        return min(self._jobs, key=job_sort_key)
 
     # ------------------------------------------------------------------ #
     def offer(self, job: ReconstructionJob) -> bool:
@@ -205,7 +212,7 @@ class FairShareQueue(JobQueue):
 
     def share_of_service(self) -> Dict[str, float]:
         """Each tenant's fraction of the estimated service seconds placed."""
-        total = sum(self._service_seconds.values())
+        total = _plain_sum(self._service_seconds.values())
         if total <= 0:
             return {}
         return {
@@ -234,7 +241,7 @@ class FairShareQueue(JobQueue):
                 # Retry-After from the backlog estimate: the tenant's own
                 # queued service seconds must drain before a slot frees
                 # (an upper bound — other tenants' service runs beside it).
-                backlog = sum(j.estimated_seconds or 0.0 for j in queued)
+                backlog = _plain_sum(j.estimated_seconds or 0.0 for j in queued)
                 job.mark_rejected(
                     f"{QUOTA_REJECTION_PREFIX}: tenant {job.tenant!r} has "
                     f"{len(queued)} queued jobs at its cap {depth_cap}",

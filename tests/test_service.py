@@ -79,7 +79,7 @@ class TestJobQueue:
         assert [j.job_id for j in queue.ordered()] == [
             urgent.job_id, tight.job_id, late.job_id
         ]
-        assert queue.peek() is urgent
+        assert queue.ordered()[0] is urgent
 
     def test_depth_cap_rejects(self):
         queue = JobQueue(AdmissionPolicy(max_depth=2))

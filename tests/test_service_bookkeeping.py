@@ -1,7 +1,7 @@
 """The queue's and the scheduler's incremental bookkeeping equals the
 re-computation it replaces, bit for bit.
 
-* ``JobQueue.backlog_seconds`` sums a dict of admitted estimates; the old
+* ``JobQueue.backlog_seconds`` folds a dict of admitted estimates; the old
   code re-summed ``job.estimated_seconds or 0.0`` over the admitted jobs.
 * ``_ReleaseOrder`` sorts a cycle's running placements once and inserts each
   new one; the old code sorted ``list(running) + placements`` per call.
@@ -80,8 +80,13 @@ queue_ops = st.lists(
 
 
 def generator_sum(queue: JobQueue) -> float:
-    """The parent's ``backlog_seconds``, verbatim."""
-    return sum(job.estimated_seconds or 0.0 for job in queue._admitted.values())
+    """The backlog re-derived: each admitted job's estimate, added left to
+    right in admission order (the builtin ``sum()`` compensates from
+    Python 3.12 on, which the backlog does not)."""
+    total = 0.0
+    for job in queue._admitted.values():
+        total += job.estimated_seconds or 0.0
+    return total
 
 
 @given(

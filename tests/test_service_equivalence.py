@@ -548,7 +548,6 @@ def test_queue_operations_equal_the_frozen_parent(ops, max_depth, cap):
             assert [j.job_id for j in live.drain()] == [j.job_id for j in frozen.drain()]
         assert [j.job_id for j in live.ordered()] == [j.job_id for j in frozen.ordered()]
         assert [j.job_id for j in live] == [j.job_id for j in live.ordered()]
-        assert (live.peek() and live.peek().job_id) == (frozen.peek() and frozen.peek().job_id)
         assert len(live) == len(frozen)
         assert live.backlog_seconds == frozen.backlog_seconds
 
