@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from ..findings import Finding
 

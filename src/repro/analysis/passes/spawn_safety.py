@@ -25,7 +25,7 @@ on that.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..findings import Finding
 

@@ -7,7 +7,7 @@ renders them through these helpers, so ``pytest benchmarks/ --benchmark-only
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["format_table", "format_scaling_figure", "paper_reference_table4"]
 

@@ -14,9 +14,8 @@ All arrays are single-precision ``float32`` by default, matching the paper's
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np

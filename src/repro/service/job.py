@@ -8,16 +8,16 @@ the ``(R, C)`` rank-grid decomposition and GPU allocation it ran with.
 
 States follow the usual service lifecycle::
 
-    PENDING --offer--> QUEUED --place--> RUNNING --finish--> COMPLETED
-        \\                  \\                \\
-         +--admission-------+----------> REJECTED
-                                              \\
-                                               +--pilot crash/timeout--> FAILED
+    PENDING --offer--> QUEUED --place--> RUNNING --finish [, pilot ok]--> COMPLETED
+       |                  |                  |
+       +--admission-------+--> REJECTED      +--pilot crash/timeout--> FAILED
 
-``FAILED`` is terminal and only ever set by the real-execution path: a
-job whose pilot reconstruction crashed its worker process or exhausted
-its timeout/retry budget is failed loudly (with the reason recorded)
-instead of being silently counted as completed.
+A job reaches one terminal state, once.  ``FAILED`` is only ever set by
+the real-execution path: a job whose pilot reconstruction crashed its
+worker process or exhausted its timeout/retry budget is failed loudly
+(with the reason recorded) instead of being counted as completed.  With
+real execution a running job completes when both its simulated finish has
+passed and its pilot has succeeded, whichever comes second.
 
 :data:`LIFECYCLE`, beside :class:`JobState`, is the lifecycle written
 once: each journal event, the state it puts a job in, and the journal
@@ -86,9 +86,8 @@ class JobState(enum.Enum):
     FAILED = "failed"
 
 
-#: States that end a lifecycle.  A job enters the service's outcome ledger
-#: the first time it reaches one; the only later change is a pilot failure
-#: overturning a simulated completion.
+#: States that end a lifecycle.  A job reaches one of them once, and enters
+#: the service's outcome ledger then.
 TERMINAL_STATES = frozenset({JobState.COMPLETED, JobState.REJECTED, JobState.FAILED})
 
 
@@ -150,7 +149,10 @@ LIFECYCLE: Dict[str, Transition] = {
         ("attempts", "execution_attempts", 0),
     )),
     "completed": Transition(JobState.COMPLETED, (("finish", "finish_seconds", 0.0),)),
-    "failed": Transition(JobState.FAILED, (("reason", "failure_reason", "failed"),)),
+    "failed": Transition(JobState.FAILED, (
+        ("reason", "failure_reason", "failed"),
+        ("attempts", "execution_attempts", 0),
+    )),
 }
 
 

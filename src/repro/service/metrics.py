@@ -1,7 +1,7 @@
 """Service-level metrics: throughput, tail latency, queueing, cache efficacy.
 
-The collector keeps **one ledger** — every job that reached a terminal
-state, in the order it first did — plus a running queue-depth statistic,
+The collector keeps **one ledger** — every job that reached its terminal
+state, in the order it did — plus a running queue-depth statistic,
 and reduces them to the numbers a service operator watches.  A job is in
 the ledger once and has one state, so ``completed`` / ``rejected`` /
 ``failed`` are filters over it, never separate lists to keep in step; the
@@ -38,8 +38,8 @@ KPIs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -53,9 +53,10 @@ __all__ = ["ServiceMetrics"]
 
 @dataclass
 class ServiceMetrics(JobsByState):
-    """One ledger of terminal jobs (``jobs``, in the order each first became
-    terminal — completed jobs in completion order, which the sums below are
-    sensitive to), reduced to service KPIs."""
+    """One ledger of terminal jobs (``jobs``, in the order each became
+    terminal — completed jobs in completion order, or with a dispatcher in
+    the order their pilots' verdicts landed; the sums below are sensitive
+    to it), reduced to service KPIs."""
 
     # No lock of its own: the owning service's lock serializes mutation
     # and snapshot (report() reads the ledger under that lock).  The three
@@ -63,31 +64,13 @@ class ServiceMetrics(JobsByState):
     queue_cycles: int = 0  # guarded-by: caller
     queue_depth_sum: int = 0  # guarded-by: caller
     queue_depth_max: int = 0  # guarded-by: caller
-    # id() of every ledger job, so a second verdict is found without a scan
-    # (ledger jobs stay alive, so their ids stay theirs).
-    _entered: Set[int] = field(
-        default_factory=set, init=False, repr=False, compare=False
-    )  # guarded-by: caller
 
     # ------------------------------------------------------------------ #
-    def record(self, job: ReconstructionJob) -> bool:
-        """Enter ``job`` at its first terminal transition.
-
-        Returns ``False`` for a job that is already there.  The one second
-        verdict a job can get is a failure of its real execution: the
-        simulated event loop counts the job completed, and the pilot's
-        verdict arrives when the dispatcher drains, after the discrete
-        clock moved on.  The job's state already says ``FAILED``, so there
-        is nothing to move — but callers keeping monotonic completion
-        counters (the obs registry) count the overturned completion.
-        """
+    def record(self, job: ReconstructionJob) -> None:
+        """Enter ``job`` at its terminal transition (it has only one)."""
         if job.state not in TERMINAL_STATES:
             raise ValueError(f"job {job.job_id} is {job.state.value}, not terminal")
-        if job.state is JobState.FAILED and id(job) in self._entered:
-            return False
-        self._entered.add(id(job))
         self.jobs.append(job)
-        return True
 
     def sample_queue_depth(self, depth: int) -> None:
         self.queue_cycles += 1
@@ -95,11 +78,6 @@ class ServiceMetrics(JobsByState):
         self.queue_depth_max = max(self.queue_depth_max, depth)
 
     # ------------------------------------------------------------------ #
-    @property
-    def scenario_counts(self) -> Dict[str, int]:
-        """Completed jobs per acquisition scenario (the workload mix)."""
-        return _scenario_counts(self.completed)
-
     @property
     def quota_rejections(self) -> Dict[str, int]:
         """Per-tenant fair-share quota rejections (the 429 backpressure path)."""

@@ -227,13 +227,9 @@ class ProcessDispatcher:
         self._lock = threading.Lock()
         self._pending: List[_Pending] = []  # guarded-by: _lock
         self._epoch = time.perf_counter()
-        self.batches_dispatched = 0
-        self.jobs_executed = 0
-        self.jobs_failed = 0
         self.retries = 0
         self.timeouts = 0
         self.crashes = 0
-        self.busy_worker_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     @property
@@ -274,8 +270,6 @@ class ProcessDispatcher:
         placements = list(placements)
         if not placements:
             return
-        with self._lock:
-            self.batches_dispatched += 1
         tracer = get_tracer()
         with tracer.span("dispatch.batch", jobs=len(placements)) as batch:
             parent = batch.span_id if tracer.enabled else None
@@ -367,9 +361,6 @@ class ProcessDispatcher:
                 "dispatch.pilot_cache_hits" if job.pilot_cache_hit
                 else "dispatch.pilot_cache_misses"
             ).inc()
-        with self._lock:
-            self.jobs_executed += 1
-            self.busy_worker_seconds += finish - entry.submitted
         tracer.record(
             "dispatch.process",
             entry.submitted,
@@ -408,8 +399,6 @@ class ProcessDispatcher:
             queue.append(retry)
             return
         job.mark_failed(reason)
-        with self._lock:
-            self.jobs_failed += 1
         failed.append(job)
         get_tracer().record(
             "dispatch.process",
@@ -473,17 +462,13 @@ class ProcessDispatcher:
         return {k: float(v) for k, v in counts.items()} if any(counts.values()) else {}
 
     def reset_accounting(self) -> None:
-        """Zero cumulative counters at a quiescent point (drained)."""
+        """Zero the fault counters and restart the epoch (nothing may be pending)."""
         with self._lock:
             if self._pending:
                 raise RuntimeError("cannot reset accounting with executions pending")
-            self.batches_dispatched = 0
-            self.jobs_executed = 0
-            self.jobs_failed = 0
             self.retries = 0
             self.timeouts = 0
             self.crashes = 0
-            self.busy_worker_seconds = 0.0
             self._epoch = time.perf_counter()
 
     def close(self) -> None:

@@ -48,7 +48,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from ..core.types import ReconstructionProblem
 from ..obs.metrics import plain_sum
-from .job import MIN_TENANT_WEIGHT, JobState, ReconstructionJob, job_sort_key
+from .job import MIN_TENANT_WEIGHT, ReconstructionJob, job_sort_key
 
 __all__ = [
     "AdmissionPolicy",

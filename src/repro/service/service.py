@@ -25,7 +25,11 @@ concurrent tenants may call :meth:`submit` from their own threads, and the
 event loop processes each event atomically under the same lock, so
 concurrent submissions interleave between events rather than corrupting
 them.  The measured worker accounting lands in
-:class:`~repro.service.metrics.ServiceMetrics`.
+:class:`~repro.service.metrics.ServiceMetrics`.  A placed job's GPUs are
+released at its simulated finish either way, but with a dispatcher its one
+terminal event waits for its pilot's verdict: ``completed`` once the
+verdict is a success and the simulated finish has passed, ``failed`` as
+soon as the pilot fails.
 
 Whoever moves a job — queue, scheduler, event loop, dispatcher — the
 bookkeeping of the move is written once, in
@@ -39,7 +43,6 @@ journaled field is added).
 from __future__ import annotations
 
 import contextlib
-import functools
 import heapq
 import math
 import threading
@@ -50,7 +53,7 @@ from ..gpusim.device import DeviceSpec, TESLA_V100
 from ..obs import NULL_METRICS, MetricsRegistry, get_tracer
 from .cache import FilteredProjectionCache
 from .fairness import FairShareQueue
-from .job import TERMINAL_EVENTS, ReconstructionJob, reserve_job_ids
+from .job import TERMINAL_EVENTS, JobState, ReconstructionJob, reserve_job_ids
 from .metrics import ServiceMetrics
 from .process_dispatch import ProcessDispatcher
 from .queue import AdmissionPolicy, JobQueue
@@ -194,8 +197,8 @@ class ReconstructionService:
                 timeout_seconds=dispatch_timeout_seconds,
                 max_retries=dispatch_max_retries,
                 fault_injection=fault_injection,
-                on_executed=functools.partial(self._transition, "executed"),
-                on_failed=functools.partial(self._transition, "failed"),
+                on_executed=self._verdict,
+                on_failed=self._verdict,
                 obs=self.obs,
             )
         self._lock = threading.RLock()
@@ -218,6 +221,9 @@ class ReconstructionService:
             self.queue = JobQueue(admission)  # guarded-by: _lock
         self._running: List[Placement] = []  # guarded-by: _lock
         self._finish_heap: List = []  # guarded-by: _lock  (finish, sequence, Placement)
+        # Job id -> simulated finish (None until it passes) of each placed
+        # job whose pilot has not ruled yet.
+        self._pilots: Dict[str, Optional[float]] = {}  # guarded-by: _lock
         self.clock_seconds = 0.0  # guarded-by: _lock
         # Registry of every job this service has seen (by id), for the
         # HTTP front door and restart recovery.
@@ -232,11 +238,6 @@ class ReconstructionService:
     @property
     def policy(self) -> str:
         return self.scheduler.policy
-
-    @property
-    def running_jobs(self) -> List[ReconstructionJob]:
-        with self._lock:
-            return [placement.job for placement in self._running]
 
     # ------------------------------------------------------------------ #
     # Restart recovery and the one transition path
@@ -288,14 +289,9 @@ class ReconstructionService:
                     self.store.record(event, job, **extra)
                 counter = _EVENT_COUNTERS.get(event)
                 if counter is not None:
-                    # `service.jobs_completed` counts completions *observed*
-                    # at simulated completion time; counters never decrease.
                     self._counters[counter].inc()
-            if terminal and not self.metrics.record(job):
-                # A late pilot failure overturned a completion.  This
-                # counter reconciles the monotonic one with
-                # summary()["jobs_completed"]: current = observed - overturned.
-                self._counters["service.completions_overturned"].inc()
+            if terminal:
+                self.metrics.record(job)
 
     # ------------------------------------------------------------------ #
     # Submission and the event loop
@@ -389,6 +385,8 @@ class ReconstructionService:
                 self._transition("rejected", job)
             for placement in placements:
                 self._running.append(placement)
+                if self.dispatcher is not None:
+                    self._pilots[placement.job.job_id] = None
                 heapq.heappush(
                     self._finish_heap,
                     (placement.finish_seconds, placement.job.sequence, placement),
@@ -412,28 +410,51 @@ class ReconstructionService:
             self.dispatcher.dispatch(placements)
 
     def _complete(self, placement: Placement) -> None:
+        """A placement's simulated finish: its GPUs are free again, and the
+        job completes unless its pilot has yet to rule (:meth:`_verdict`
+        completes it then) or has failed."""
         with self._lock:
             now = placement.finish_seconds
             self._running.remove(placement)
             self.cluster.release(placement.gpus)
             job = placement.job
-            job.mark_completed(now)
-            self._transition("completed", job)
-            if self.obs.enabled and job.latency_seconds is not None:
-                self._histograms["service.latency_seconds"].observe(
-                    job.latency_seconds
-                )
-                # Per-tenant tail: the aggregate histogram hides a starved
-                # tenant behind everyone else's fast completions.
-                self._histograms[
-                    f"service.latency_seconds[tenant={job.tenant}]"
-                ].observe(job.latency_seconds)
+            if job.state is JobState.FAILED:
+                return  # the pilot failed before the simulated finish
+            if job.job_id in self._pilots:
+                self._pilots[job.job_id] = now
+            else:
+                self._completed(job, now)
             # Filtering ran as part of the job (unless it was a hit); its
             # output is now on the PFS for every later job on the dataset —
             # unless it is larger than the whole cache, which no eviction fixes.
             nbytes = job.problem.input_bytes()
             if nbytes <= self.cache.capacity_bytes:
                 self.cache.insert(job.cache_key, nbytes=nbytes)
+
+    def _completed(self, job: ReconstructionJob, now: float) -> None:
+        """The job's one ``completed`` transition, finished at ``now``."""
+        job.mark_completed(now)
+        self._transition("completed", job)
+        if self.obs.enabled and job.latency_seconds is not None:
+            self._histograms["service.latency_seconds"].observe(job.latency_seconds)
+            # Per-tenant tail: the aggregate histogram hides a starved
+            # tenant behind everyone else's fast completions.
+            self._histograms[
+                f"service.latency_seconds[tenant={job.tenant}]"
+            ].observe(job.latency_seconds)
+
+    def _verdict(self, job: ReconstructionJob) -> None:
+        """A pilot's outcome, as the dispatcher drains it.  A failure is the
+        job's terminal event; a success is journaled as ``executed`` and
+        completes the job if its simulated finish has passed."""
+        with self._lock:
+            finish = self._pilots.pop(job.job_id, None)
+            if job.state is JobState.FAILED:
+                self._transition("failed", job)
+                return
+            self._transition("executed", job)
+            if finish is not None:
+                self._completed(job, finish)
 
     def run_until_idle(self) -> None:
         """Drain the queue, all running jobs and any real executions."""
@@ -446,9 +467,14 @@ class ReconstructionService:
 
         The filtered-projection cache is deliberately kept warm — in a
         long-lived service its contents survive individual workloads.  The
-        dispatcher's worker accounting restarts with the metrics, so a
-        replay's summary always agrees with the dispatcher's counters.
+        dispatcher's fault counters restart with the metrics.
         """
+        # Pilots drain first, so every verdict lands in the ledger being
+        # forgotten; draining waits on pilots for up to their timeouts, so
+        # it runs outside the lock: submitters never wait on it.
+        dispatcher = self.dispatcher
+        if dispatcher is not None:
+            dispatcher.drain()
         with self._lock:
             if self._running or len(self.queue):
                 raise RuntimeError("cannot reset while jobs are queued or running")
@@ -456,11 +482,7 @@ class ReconstructionService:
             self.jobs.clear()  # every job here is terminal: nothing queued or running
             self._finish_heap.clear()
             self.clock_seconds = 0.0
-            dispatcher = self.dispatcher
-        # Draining waits on pilots for up to their timeouts, so it must
-        # happen after the lock is released: submitters never wait on it.
         if dispatcher is not None:
-            dispatcher.drain()
             dispatcher.reset_accounting()
 
     def replay(self, trace: ArrivalTrace) -> ServiceReport:
@@ -473,7 +495,7 @@ class ReconstructionService:
         self.reset()
         self._drain(arrivals=arrivals)
         if self.dispatcher is not None:
-            self.dispatcher.drain()  # worker accounting must be complete
+            self.dispatcher.drain()  # every completion waits for its verdict
         return self.report(description=trace.description)
 
     def close(self) -> None:

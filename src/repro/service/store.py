@@ -184,6 +184,8 @@ class JobStore:
                 kind = event["event"]
                 if kind == "submitted":
                     identity[job_id] = event.get("job", {})
+                    if outcome.get(job_id) not in TERMINAL_EVENTS:
+                        latest[job_id] = {}  # a re-admission: the last try's records are stale
                 elif job_id not in identity:
                     raise ValueError(
                         f"corrupt journal {self.journal_path}: {kind!r} event "
@@ -191,11 +193,10 @@ class JobStore:
                     )
                 else:
                     latest.setdefault(job_id, {})[kind] = event
-                # A pilot's `executed` verdict lands after the simulated
-                # `completed` (the dispatcher drains after the event loop),
-                # and a recovery re-journals `submitted`: nothing but
-                # another terminal event (e.g. a late pilot `failed`
-                # overturning `completed`) replaces a terminal outcome.
+                # Only a later terminal event replaces a terminal outcome
+                # (a recovery re-journals `submitted`).  The service writes
+                # one per job; older journals can hold `executed` or a
+                # pilot's `failed` after `completed`.
                 if kind in TERMINAL_EVENTS or outcome.get(job_id) not in TERMINAL_EVENTS:
                     outcome[job_id] = kind
             state = RecoveredState()
@@ -204,8 +205,7 @@ class JobStore:
                 last = outcome[job_id]
                 if last in TERMINAL_EVENTS:
                     # The placement and the pilot's accounting, then the
-                    # outcome itself; an overturned completion leaves no
-                    # trace.  In-flight jobs restart as they were submitted.
+                    # outcome itself.  In-flight jobs restart as submitted.
                     records = latest[job_id]
                     for kind, record in records.items():
                         if kind in LIFECYCLE and kind not in TERMINAL_EVENTS:

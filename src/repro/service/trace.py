@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.types import problem_from_string
+from ..obs.metrics import plain_sum
 from .job import ReconstructionJob
 
 __all__ = ["ArrivalTrace", "synthetic_trace"]
@@ -253,7 +254,7 @@ def synthetic_trace(
                 raise ValueError(f"scenario weight for {name!r} must be >= 0")
             scenario_names.append(str(name))
             scenario_weights.append(float(weight))
-        total = sum(scenario_weights)
+        total = plain_sum(scenario_weights)
         if total <= 0:
             raise ValueError("scenario_mix weights must sum to a positive value")
         scenario_weights = [w / total for w in scenario_weights]
@@ -265,7 +266,7 @@ def synthetic_trace(
                 raise ValueError(f"tenant weight for {name!r} must be >= 0")
             tenant_names.append(str(name))
             tenant_weights.append(float(weight))
-        total = sum(tenant_weights)
+        total = plain_sum(tenant_weights)
         if total <= 0:
             raise ValueError("tenant_mix weights must sum to a positive value")
         tenant_weights = [w / total for w in tenant_weights]

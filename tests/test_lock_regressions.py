@@ -2,12 +2,12 @@
 
 Each test here failed before its fix:
 
-* ``ReconstructionService.running_jobs``, ``reset()``, ``_recover()`` and
-  the event loop's initial dispatch read guarded state
-  (``_running`` / ``_finish_heap`` / ``clock_seconds``) without the
-  service lock — ``LockCheckedService`` turns those attributes into
-  properties that assert ``self._lock._is_owned()`` on every *read*, so
-  any unlocked access anywhere in the service trips immediately.
+* ``reset()``, ``_recover()`` and the event loop's initial dispatch read
+  guarded state (``_running`` / ``_finish_heap`` / ``clock_seconds``)
+  without the service lock — ``LockCheckedService`` turns those
+  attributes, and the placed jobs awaiting a pilot verdict (``_pilots``),
+  into properties that assert ``self._lock._is_owned()`` on every *read*,
+  so any unlocked access anywhere in the service trips immediately.
 * ``POST /advance`` in the HTTP front door read ``service.clock_seconds``
   unlocked on the handler thread; with ``LockCheckedService`` the
   pre-fix handler raised ``AssertionError`` (surfacing as a 500 through
@@ -71,6 +71,7 @@ class LockCheckedService(ReconstructionService):
     clock_seconds = _locked_read_property("clock_seconds")
     _running = _locked_read_property("_running")
     _finish_heap = _locked_read_property("_finish_heap")
+    _pilots = _locked_read_property("_pilots")
 
 
 class FlagLock:
@@ -108,9 +109,19 @@ class TestServiceLockDiscipline:
         report = service.report()
         assert report.summary["jobs_completed"] == 2
 
-    def test_running_jobs_snapshot_takes_the_lock(self):
-        service = LockCheckedService(cluster_gpus=8)
-        assert service.running_jobs == []
+    def test_pilot_verdicts_read_guarded_state_under_lock(self):
+        from test_service_lifecycle import PilotStub
+
+        service = LockCheckedService(cluster_gpus=8, workers=1)
+        pilots = PilotStub.install(service)
+        pilots.eager = "ok"
+        assert service.submit(make_job("early"), now=0.0)
+        service.run_until_idle()
+        pilots.eager = None
+        assert service.submit(make_job("late"), now=0.0)
+        service.run_until_idle()
+        pilots.rule(pilots.held[0], ok=True)
+        assert service.report().summary["jobs_completed"] == 2
 
     def test_reset_takes_the_lock(self):
         service = LockCheckedService(cluster_gpus=8)

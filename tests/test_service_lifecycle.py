@@ -5,11 +5,13 @@
 * a journal recorded by the commit *before* the table existed replays to
   the records that commit's own ``recover()`` produced;
 * a Hypothesis state machine drives a durable, simulated service through
-  random submit / submit_plan / advance / restart sequences and checks,
-  after every step, the invariants ROADMAP item 5(a) names: one state per
-  admitted job, terminal states final, the report, the registry, the obs
-  counters and the journal all counting the same jobs, and recovery
-  idempotent.
+  random submit / submit_plan / advance / restart sequences — with or
+  without pilots, whose verdicts it hands over before or after each job's
+  simulated finish — and checks, after every step, the invariants ROADMAP
+  item 5(a) names: one state per admitted job, terminal states final, at
+  most one terminal journal event and one ledger entry per job, the
+  report, the registry, the obs counters and the journal all counting the
+  same jobs, and recovery idempotent.
 
 The tier-1 machine runs in about two seconds; the ``slow`` variant spends
 ten times the examples and runs in the ``service-serving`` CI job.
@@ -29,7 +31,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
+    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -45,7 +49,7 @@ from repro.service import (
     ReconstructionService,
 )
 from repro.service import job as job_module
-from repro.service.job import LIFECYCLE, TERMINAL_STATES
+from repro.service.job import LIFECYCLE, TERMINAL_EVENTS, TERMINAL_STATES
 
 pytestmark = pytest.mark.serving
 
@@ -199,8 +203,58 @@ def _registry(service: ReconstructionService) -> dict:
     }
 
 
+class PilotStub:
+    """A service's dispatcher with no processes: each dispatched pilot is
+    held until the caller rules on it, or is ruled on as it is dispatched
+    (``eager``), which is before its simulated finish.
+
+    Install it with :meth:`install`, which hands it the callbacks the
+    service gave its real dispatcher (built with ``workers=1``; a
+    dispatcher starts no process before its first dispatch)."""
+
+    def __init__(self, on_executed, on_failed):
+        self.on_executed = on_executed
+        self.on_failed = on_failed
+        self.held: list = []  # dispatched jobs awaiting a verdict
+        self.eager = None  # None (hold), "ok" or "fail"
+
+    @classmethod
+    def install(cls, service: ReconstructionService) -> "PilotStub":
+        real = service.dispatcher
+        stub = service.dispatcher = cls(real.on_executed, real.on_failed)
+        return stub
+
+    def dispatch(self, placements):
+        for placement in placements:
+            self.held.append(placement.job)
+            if self.eager is not None:
+                self.rule(placement.job, ok=self.eager == "ok")
+
+    def rule(self, job, *, ok: bool) -> None:
+        """Hand ``job``'s verdict to the service, as a drain would."""
+        self.held.remove(job)
+        job.execution_attempts = 1
+        if ok:
+            job.mark_executed(0.25, 0.75, workers=1)
+            job.pilot_cache_hit = False
+            self.on_executed(job)
+        else:
+            job.mark_failed("pilot worker crashed (attempt 1)")
+            self.on_failed(job)
+
+    def drain(self):
+        return []  # verdicts land when the caller rules
+
+    def fault_summary(self):
+        return {}
+
+    def close(self):
+        pass
+
+
 class ServiceLifecycle(RuleBasedStateMachine):
-    """Random histories of one durable, simulated (``workers=0``) service."""
+    """Random histories of one durable, simulated service, with
+    (``PilotStub``) or without (``workers=0``) pilots."""
 
     def __init__(self):
         super().__init__()
@@ -209,16 +263,31 @@ class ServiceLifecycle(RuleBasedStateMachine):
         # One registry for the life of the machine: the counters are
         # lifetime counters, so they keep counting across restarts.
         self.obs = MetricsRegistry()
+        self.with_pilots = False
+        self.pilots = None  # the open service's PilotStub, with pilots
         self.service = self._open()
         self.admitted: dict = {}  # job id -> last state seen
         self.counters: dict = {}
         self.minted = 0
 
     def _open(self) -> ReconstructionService:
-        return ReconstructionService(
+        service = ReconstructionService(
             GPUS, state_dir=self.state_dir, obs=self.obs,
             admission=AdmissionPolicy(max_depth=3),
+            workers=int(self.with_pilots),
         )
+        if self.with_pilots:
+            eager = self.pilots.eager if self.pilots is not None else None
+            self.pilots = PilotStub.install(service)
+            self.pilots.eager = eager
+        return service
+
+    @initialize(pilots=st.booleans())
+    def choose_pilots(self, pilots):
+        if pilots:
+            self.service.close()
+            self.with_pilots = True
+            self.service = self._open()
 
     def teardown(self):
         self.service.close()
@@ -251,12 +320,30 @@ class ServiceLifecycle(RuleBasedStateMachine):
     @rule()
     def advance(self):
         self.service.run_until_idle()
-        assert all(
-            job.state in TERMINAL_STATES for job in self.service.jobs.values()
-        )
+        for job in self.service.jobs.values():
+            assert job.state in TERMINAL_STATES or self._held(job)
 
-    @rule()
-    def restart(self):
+    @precondition(lambda self: self.pilots is not None)
+    @rule(eager=st.sampled_from([None, "ok", "fail"]))
+    def time_the_verdicts(self, eager):
+        # From now on pilots rule at dispatch (before the simulated
+        # finish) or are held for pilot_verdict (after it).
+        self.pilots.eager = eager
+
+    @precondition(lambda self: self.pilots is not None and self.pilots.held)
+    @rule(pick=st.integers(0, 2**16), ok=st.booleans())
+    def pilot_verdict(self, pick, ok):
+        job = self.pilots.held[pick % len(self.pilots.held)]
+        assert job.state is JobState.RUNNING  # its simulated finish passed
+        self.pilots.rule(job, ok=ok)
+        assert job.state is (JobState.COMPLETED if ok else JobState.FAILED)
+
+    @rule(held=st.sampled_from(["killed", "ok", "fail"]))
+    def restart(self, held):
+        # Held pilots die with a killed process; a closing one drains them.
+        if self.pilots is not None and held != "killed":
+            for job in list(self.pilots.held):
+                self.pilots.rule(job, ok=held == "ok")
         # Each reopening is a new process: default job ids count from zero.
         self.service.close()
         job_module._job_counter = itertools.count()
@@ -269,6 +356,14 @@ class ServiceLifecycle(RuleBasedStateMachine):
         self.service = self._open()
         assert _registry(self.service) == once
 
+    def _held(self, job) -> bool:
+        """Running, its simulated finish passed, its verdict still held."""
+        return (
+            self.pilots is not None
+            and job.state is JobState.RUNNING
+            and any(held is job for held in self.pilots.held)
+        )
+
     # ------------------------------------------------------------------ #
     @invariant()
     def every_admitted_job_has_one_state_and_terminal_ones_keep_it(self):
@@ -278,8 +373,13 @@ class ServiceLifecycle(RuleBasedStateMachine):
             before = self.admitted[job_id]
             if before in TERMINAL_STATES:
                 assert job.state is before, (job_id, before, job.state)
-            # In flight, a job is queued: RUNNING only exists inside advance.
-            assert job.state in TERMINAL_STATES or job.state is JobState.QUEUED
+            # In flight, a job is queued, or awaits its held verdict:
+            # otherwise RUNNING only exists inside advance.
+            assert (
+                job.state in TERMINAL_STATES
+                or job.state is JobState.QUEUED
+                or self._held(job)
+            )
             self.admitted[job_id] = job.state
 
     @invariant()
@@ -289,10 +389,11 @@ class ServiceLifecycle(RuleBasedStateMachine):
         for job in self.service.jobs.values():
             if job.state in TERMINAL_STATES:
                 census[job.state] += 1
-        events = [
-            json.loads(line)["event"]
+        records = [
+            json.loads(line)
             for line in (self.state_dir / "journal.jsonl").read_text().splitlines()
         ] if (self.state_dir / "journal.jsonl").exists() else []
+        events = [record["event"] for record in records]
         snapshot = self.obs.snapshot()
         for state in TERMINAL_STATES:
             name = state.value
@@ -301,7 +402,11 @@ class ServiceLifecycle(RuleBasedStateMachine):
             assert snapshot.get(f"service.jobs_{name}", 0.0) == counted
             assert events.count(name) == counted
         assert len(report.jobs) == sum(census.values())
-        assert "service.completions_overturned" not in snapshot
+        # One verdict per job: one terminal journal event, one ledger entry.
+        verdicts = [r["job_id"] for r in records if r["event"] in TERMINAL_EVENTS]
+        assert len(verdicts) == len(set(verdicts))
+        ledger = [record["job_id"] for record in report.jobs]
+        assert len(ledger) == len(set(ledger))
 
     @invariant()
     def the_journal_alone_rebuilds_every_terminal_record(self):

@@ -155,10 +155,30 @@ class TestJobStore:
         assert len(recovered) == 1
         assert recovered.completed[0].finish_seconds == 7.0
 
+    def test_a_readmitted_job_recovers_without_its_earlier_placement(self, tmp_path):
+        # Placed, then the process died; recovery re-admitted the job and
+        # the full queue rejected it.  The next recovery must not lay the
+        # first life's placement over the rejection.
+        store = JobStore(tmp_path)
+        job = make_job(job_id="again")
+        store.record("submitted", job)
+        store.record("queued", job)
+        job.mark_running(0.0, gpus=2, rows=1, columns=2, cache_hit=True,
+                         filter_seconds=0.5, backprojection_seconds=1.5)
+        store.record("placed", job, finish=5.0)
+        fresh = make_job(job_id="again")
+        store.record("submitted", fresh)  # the re-admission after the kill
+        fresh.mark_rejected("queue full: depth 3 reached")
+        store.record("rejected", fresh)
+        store.close()
+
+        recovered = JobStore(tmp_path).recover()
+        assert recovered.jobs[0].as_record() == fresh.as_record()
+
     def test_late_pilot_verdict_does_not_demote_a_completed_job(self, tmp_path):
-        # The dispatcher drains after the simulated event loop, so the
-        # pilot's `executed` event lands after `completed` in the journal;
-        # it must enrich the outcome, not demote the job back to pending.
+        # Journals written before a pilot's verdict was the job's terminal
+        # event hold `executed` after `completed`; it must enrich the
+        # outcome, not demote the job back to pending.
         store = JobStore(tmp_path)
         job = make_job(job_id="late")
         store.record("submitted", job)
@@ -178,10 +198,10 @@ class TestJobStore:
         assert recovered.completed[0].state is JobState.COMPLETED
         assert recovered.completed[0].workers == 1
 
-    def test_late_pilot_failure_overturns_a_completed_job(self, tmp_path):
-        # ...but a *terminal* late verdict (the pilot failed after the
-        # simulated completion) does replace the outcome: one job, one
-        # outcome, and the real execution wins.
+    def test_an_older_journals_failed_after_completed_recovers_failed(self, tmp_path):
+        # ...and such journals can hold a pilot's `failed` after `completed`
+        # (the service now writes one terminal event per job): the later
+        # terminal event is the job's outcome.
         store = JobStore(tmp_path)
         job = make_job(job_id="overturned")
         store.record("submitted", job)
@@ -483,54 +503,106 @@ class TestServiceRestartRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# Service accounting: overturned completions and concurrent reports
+# Service accounting: one verdict per job, and concurrent reports
 # --------------------------------------------------------------------------- #
-class TestServiceAccounting:
-    def test_overturned_completion_reconciles_obs_counters(self):
-        # A late pilot failure demotes a completed job.  Its ledger entry
-        # now reads failed, not completed; the monotonic obs counter
-        # `service.jobs_completed` (completions *observed*) cannot be
-        # walked back, so `service.completions_overturned` must record the
-        # demotion: observed - overturned == summary()["jobs_completed"].
-        from repro.obs import MetricsRegistry
+def _counted_as_summarised(service) -> dict:
+    """Each terminal state's lifetime counter, checked against the summary."""
+    snapshot = service.obs_snapshot()
+    summary = service.summary()
+    assert "service.completions_overturned" not in snapshot
+    counted = {}
+    for state in ("completed", "failed"):
+        counted[state] = snapshot.get(f"service.jobs_{state}", 0.0)
+        assert counted[state] == summary[f"jobs_{state}"], state
+    return counted
 
-        registry = MetricsRegistry()
-        service = ReconstructionService(16, backend="vectorized", obs=registry)
+
+class TestServiceAccounting:
+    def test_a_pilot_failing_after_the_simulated_finish_is_the_only_verdict(
+        self, tmp_path
+    ):
+        # The simulated finish frees the GPUs but writes no outcome: the
+        # pilot's failure, landing later, is the job's one terminal event.
+        from test_service_lifecycle import PilotStub
+
+        service = ReconstructionService(
+            16, backend="vectorized", obs=MetricsRegistry(), workers=1,
+            state_dir=tmp_path,
+        )
+        pilots = PilotStub.install(service)
         job = make_job(job_id="late-fail", dataset_id="ds-o")
         assert service.submit(job, now=0.0)
         service.run_until_idle()
-        assert job.state is JobState.COMPLETED
+        assert job.state is JobState.RUNNING and pilots.held == [job]
+        assert service.cluster.free_gpus == 16
+        assert _counted_as_summarised(service) == {"completed": 0.0, "failed": 0.0}
 
-        job.mark_failed("pilot worker crashed (attempt 3)")
-        service._transition("failed", job)
+        pilots.rule(job, ok=False)
+        assert job.state is JobState.FAILED and job.finish_seconds is None
+        assert _counted_as_summarised(service) == {"completed": 0.0, "failed": 1.0}
+        service.close()
+        events = [e["event"] for e in JobStore(tmp_path).events()]
+        assert events == ["submitted", "queued", "placed", "failed"]
 
-        snapshot = service.obs_snapshot()
-        summary = service.report().summary
-        assert snapshot["service.jobs_completed"] == 1.0
-        assert snapshot["service.completions_overturned"] == 1.0
-        assert snapshot["service.jobs_failed"] == 1.0
-        assert summary["jobs_completed"] == 0.0
-        assert summary["jobs_failed"] == 1.0
-        assert (
-            snapshot["service.jobs_completed"]
-            - snapshot["service.completions_overturned"]
-            == summary["jobs_completed"]
+    def test_a_pilot_failing_before_the_simulated_finish_only_frees_gpus(self):
+        # PR 21's case: the failure drains first, so the simulated finish
+        # releases the GPUs and neither completes the job nor caches its
+        # filtered projections.
+        from test_service_lifecycle import PilotStub
+
+        service = ReconstructionService(
+            16, backend="vectorized", obs=MetricsRegistry(), workers=1,
         )
+        PilotStub.install(service).eager = "fail"
+        job = make_job(job_id="early-fail", dataset_id="ds-p")
+        assert service.submit(job, now=0.0)
+        service.run_until_idle()
+        assert job.state is JobState.FAILED
+        assert service.cluster.free_gpus == 16
+        assert not service.cache.contains(job.cache_key)
+        assert _counted_as_summarised(service) == {"completed": 0.0, "failed": 1.0}
+        assert [j.job_id for j in service.metrics.jobs] == ["early-fail"]
 
-    def test_overturn_counter_untouched_for_never_completed_jobs(self):
-        # A job that failed without ever being counted completed (the
-        # common path) must not look like an overturned completion.
-        from repro.obs import MetricsRegistry
+    def test_verdicts_drained_on_another_thread_land_once(self, tmp_path):
+        # A drain on another thread races the event loop for each job: the
+        # verdict and the simulated finish meet under the service lock, and
+        # whichever comes second writes the one terminal event.
+        from test_service_lifecycle import PilotStub
 
-        registry = MetricsRegistry()
-        service = ReconstructionService(16, backend="vectorized", obs=registry)
-        job = make_job(job_id="plain-fail", dataset_id="ds-p")
-        job.mark_failed("pilot timed out after 1.0s (attempt 1)")
-        service._transition("failed", job)
+        service = ReconstructionService(
+            8, backend="vectorized", obs=MetricsRegistry(), workers=1,
+            state_dir=tmp_path,
+        )
+        pilots = PilotStub.install(service)
+        jobs = [make_job(job_id=f"race-{i}", dataset_id=f"ds-{i % 3}") for i in range(60)]
+        looping = threading.Event()
+        looping.set()
 
-        snapshot = service.obs_snapshot()
-        assert snapshot["service.jobs_failed"] == 1.0
-        assert "service.completions_overturned" not in snapshot
+        def drain():
+            while looping.is_set() or pilots.held:
+                if pilots.held:
+                    job = pilots.held[0]
+                    pilots.rule(job, ok=int(job.job_id[5:]) % 4 != 0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        drainer = threading.Thread(target=drain)
+        drainer.start()
+        try:
+            for job in jobs:
+                assert service.submit(job)
+                service.run_until_idle()
+        finally:
+            looping.clear()
+            drainer.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not drainer.is_alive()
+        assert _counted_as_summarised(service) == {"completed": 45.0, "failed": 15.0}
+        assert sorted(j.job_id for j in service.metrics.jobs) == sorted(j.job_id for j in jobs)
+        service.close()
+        verdicts = [e["job_id"] for e in JobStore(tmp_path).events()
+                    if e["event"] in ("completed", "failed")]
+        assert sorted(verdicts) == sorted(j.job_id for j in jobs)
 
     def test_every_kind_of_rejection_is_counted_exactly_once(self, tmp_path):
         # infeasible, queue full, scheduler-rejected, starved: each goes
@@ -805,6 +877,30 @@ class TestProcessDispatcher:
         assert snapshot["dispatch.crashes"] == 2.0
         assert snapshot["service.jobs_failed"] == 1.0
         service.close()
+
+    def test_each_pilot_verdict_is_its_jobs_one_terminal_event(self, tmp_path):
+        service = ReconstructionService(
+            16, backend="vectorized", workers=1, pilot_problem=PILOT,
+            obs=MetricsRegistry(), state_dir=tmp_path, dispatch_max_retries=0,
+            fault_injection={"bad": {"raise_attempts": [1]}},
+        )
+        for job_id in ("good", "bad"):
+            service.submit(make_job(job_id=job_id, dataset_id=job_id), now=0.0)
+        service.run_until_idle()
+        assert _counted_as_summarised(service) == {"completed": 1.0, "failed": 1.0}
+        service.close()
+        events: dict = {}
+        for event in JobStore(tmp_path).events():
+            events.setdefault(event["job_id"], []).append(event["event"])
+        assert events == {
+            "good": ["submitted", "queued", "placed", "executed", "completed"],
+            "bad": ["submitted", "queued", "placed", "failed"],
+        }
+        recovered = {job.job_id: job for job in JobStore(tmp_path).recover().jobs}
+        assert recovered["good"].state is JobState.COMPLETED
+        assert recovered["good"].execution_attempts == 1
+        assert recovered["bad"].state is JobState.FAILED
+        assert recovered["bad"].execution_attempts == 1
 
     def test_timeout_is_killed_and_retried_to_success(self, tmp_path):
         service = ReconstructionService(

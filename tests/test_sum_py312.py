@@ -5,9 +5,10 @@ Neumaier compensation; ints and float subclasses such as ``numpy.float64``
 keep the plain path.  Any float ``sum()`` that feeds a pinned number is then
 a switch on the interpreter.  :func:`sum312` is that algorithm written out
 from CPython 3.12's ``builtin_sum_impl``, and the tests below run the
-recorded replay goldens, the plain frozen-parent equivalence and the
-queue's backlog bookkeeping with ``builtins.sum`` swapped for it, and the
-cost model's pinned bits beside them, so a host on an older Python proves what CI's 3.12 leg would see.
+recorded replay goldens, the plain frozen-parent equivalence, the
+queue's backlog bookkeeping and a synthetic trace's mix weights with
+``builtins.sum`` swapped for it, and the cost model's pinned bits beside
+them, so a host on an older Python proves what CI's 3.12 leg would see.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 import test_recorded_goldens as goldens
 import test_service_bookkeeping as bookkeeping
 import test_service_equivalence as equivalence
+from repro.service import trace as trace_module
 
 _LONG_MIN, _LONG_MAX = -(2**63), 2**63 - 1
 
@@ -107,3 +109,28 @@ def test_plain_replay_equals_the_frozen_parent_on_python_312_sum(python312_sum):
 
 def test_backlog_equals_the_generator_sum_on_python_312_sum(python312_sum):
     bookkeeping.test_backlog_equals_the_generator_sum()
+
+
+def test_trace_mix_weights_fold_left_to_right_on_python_312_sum(python312_sum, monkeypatch):
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, and 0.6 with
+    # 3.12's compensation: the normalised weights differ in their last bits.
+    handed = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def choice(self, a, *args, p=None, **kwargs):
+            handed.append(p)
+            return self._rng.choice(a, *args, p=p, **kwargs)
+
+    monkeypatch.setattr(trace_module.np.random, "default_rng", Recording)
+    mix = {"a": 0.1, "b": 0.2, "c": 0.3}
+    trace_module.synthetic_trace(1, seed=0, scenario_mix=mix, tenant_mix=mix)
+    total = 0.1 + 0.2 + 0.3
+    expected = [0.1 / total, 0.2 / total, 0.3 / total]
+    assert [p for p in handed if p is not None] == [expected, expected]
