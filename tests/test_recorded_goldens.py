@@ -5,8 +5,9 @@ holds ``float.hex`` of every :meth:`PerformanceBreakdown.as_dict` term of
 the ABCI profile over the service's problems on every feasible grid of a
 16-GPU cluster and over the Figure 5/6 and Table 5 grids.  The replays pin
 the filtered-projection cache counters (hits, misses, insertions, evictions)
-and the SHA-256 of the whole report.  A change that moves one modelled
-second or one scheduling decision fails here.
+and the SHA-256 of the whole report, on the plain queue and on the fair-share
+queue.  A change that moves one modelled second or one scheduling decision
+fails here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.bench import (
 from repro.core.types import problem_from_string
 from repro.gpusim import DEFAULT_PROJECTION_BATCH, TESLA_V100
 from repro.pipeline import IFDKPerformanceModel
-from repro.service import ReconstructionService, synthetic_trace
+from repro.service import AdmissionPolicy, ReconstructionService, synthetic_trace
 from repro.service.trace import HEAVY_PROBLEM, MIXED_TABLE4_PROBLEMS
 
 GOLDEN_PERFMODEL = Path(__file__).parent / "data" / "golden_perfmodel.json"
@@ -91,15 +92,33 @@ def test_model_terms_keep_their_recorded_bits():
     assert not moved, "\n".join(moved[:20])
 
 
-@pytest.mark.parametrize("jobs, seed, policy, counters, digest", [
-    pytest.param(500, 3, "slo", (437, 63, 47, 34), "7c4f9d9f6a9ba56a", id="slo-500-seed3"),
-    pytest.param(1000, 7, "slo", (923, 77, 54, 41), "d3ff78447ac65755", id="slo-1000-seed7"),
-    pytest.param(3000, 3, "slo", (1410, 198, 164, 151), "315ab1548f89583c", id="slo-3000-seed3"),
-    pytest.param(3000, 3, "fifo", (537, 213, 213, 197), "b97971c1cbd53e3e", id="fifo-3000-seed3"),
+#: perfbench's ``svc_replay_fair_1k`` queue: DRR with one heavier tenant.
+FAIR = AdmissionPolicy(fair_share=True, tenant_weights={"tenant-0": 3.0})
+#: The same with every fair-share knob set: aging, the per-tenant depth
+#: quota (rejections with a Retry-After) and the in-flight cap (throttling).
+FAIR_QUOTAS = AdmissionPolicy(
+    fair_share=True, tenant_weights={"tenant-0": 3.0}, aging_seconds=30.0,
+    max_queue_depth_per_tenant=32, max_inflight_per_tenant=3,
+)
+
+
+@pytest.mark.parametrize("jobs, seed, policy, admission, counters, digest", [
+    pytest.param(500, 3, "slo", None, (437, 63, 47, 34), "7c4f9d9f6a9ba56a",
+                 id="slo-500-seed3"),
+    pytest.param(1000, 7, "slo", None, (923, 77, 54, 41), "d3ff78447ac65755",
+                 id="slo-1000-seed7"),
+    pytest.param(3000, 3, "slo", None, (1410, 198, 164, 151), "315ab1548f89583c",
+                 id="slo-3000-seed3"),
+    pytest.param(3000, 3, "fifo", None, (537, 213, 213, 197), "b97971c1cbd53e3e",
+                 id="fifo-3000-seed3"),
+    pytest.param(1000, 1, "slo", FAIR, (931, 69, 46, 33), "36bcb42e32e3e132",
+                 id="fair-1000-seed1", marks=pytest.mark.fairness),
+    pytest.param(1000, 2, "slo", FAIR_QUOTAS, (632, 84, 68, 55), "0b0bcc7cdfda025f",
+                 id="fair-quotas-1000-seed2", marks=pytest.mark.fairness),
 ])
-def test_replay_is_pinned(jobs, seed, policy, counters, digest):
+def test_replay_is_pinned(jobs, seed, policy, admission, counters, digest):
     trace = synthetic_trace(jobs, cluster_gpus=CLUSTER_GPUS, seed=seed)
-    with ReconstructionService(CLUSTER_GPUS, policy=policy) as service:
+    with ReconstructionService(CLUSTER_GPUS, policy=policy, admission=admission) as service:
         report = service.replay(trace).as_dict()
         stats = service.cache.stats
         assert (stats.hits, stats.misses, stats.insertions, stats.evictions) == counters

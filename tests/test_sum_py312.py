@@ -99,8 +99,10 @@ def test_model_terms_keep_their_recorded_bits_on_python_312_sum(python312_sum):
 
 
 @pytest.mark.parametrize(*goldens.test_replay_is_pinned.pytestmark[0].args)
-def test_replay_is_pinned_on_python_312_sum(python312_sum, jobs, seed, policy, counters, digest):
-    goldens.test_replay_is_pinned(jobs, seed, policy, counters, digest)
+def test_replay_is_pinned_on_python_312_sum(
+    python312_sum, jobs, seed, policy, admission, counters, digest
+):
+    goldens.test_replay_is_pinned(jobs, seed, policy, admission, counters, digest)
 
 
 def test_plain_replay_equals_the_frozen_parent_on_python_312_sum(python312_sum):
