@@ -4,8 +4,9 @@ The repo's core guarantees — lock-guarded service state, spawn-safe
 process dispatch, deterministic seeded noise, a float32 hot path, the
 CLI/HTTP error contracts — were previously enforced only by runtime
 tests.  This package checks them statically (an AST lint framework with
-six project-specific passes) and dynamically (an opt-in lock-order
-sanitizer), so invariant-breaking edits fail loudly at review time.
+six project-specific passes reporting seven rules) and dynamically (an
+opt-in lock-order sanitizer), so invariant-breaking edits fail loudly at
+review time.
 
 Entry points:
 

@@ -118,8 +118,12 @@ def lint_sources(
         result.files_checked += 1
         findings: List[Finding] = []
         for lint_pass in ALL_PASSES:
-            if config.rule(lint_pass.RULE).applies_to(source.path):
-                findings.extend(lint_pass.run(source))
+            rules = [
+                rule for rule in lint_pass.RULES
+                if config.rule(rule).applies_to(source.path)
+            ]
+            if rules:
+                findings.extend(f for f in lint_pass.run(source) if f.rule in rules)
         all_findings.extend(apply_suppressions(findings, source.suppressions))
     baseline_keys = [dict(entry) for entry in config.baseline]
     for finding in sorted(all_findings, key=Finding.sort_key):

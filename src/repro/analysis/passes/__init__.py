@@ -1,13 +1,15 @@
-"""The six project-specific lint passes.
+"""The project-specific lint passes.
 
 Each pass module exposes two names consumed by the engine:
 
-``RULE``
-    The rule id reported in findings, used in scopes, suppressions and
-    the baseline.
+``RULES``
+    The rule ids the pass reports in findings, used in scopes,
+    suppressions and the baseline.  One per pass, except ``determinism``,
+    which also reports ``float-sum`` under a scope of its own.
 
 ``run(source: SourceFile) -> List[Finding]``
-    Analyze one parsed file and return its findings.  Passes are pure
+    Analyze one parsed file and return its findings; the engine keeps
+    those whose rule is in scope for the file.  Passes are pure
     functions of the source text + AST; all filtering (scope,
     suppression, baseline) happens in the engine.  The one exception
     is ``dead-export``: it also reads the project tree around the file,
@@ -36,6 +38,6 @@ ALL_PASSES = (
     dead_export,
 )
 
-RULES = tuple(p.RULE for p in ALL_PASSES)
+RULES = tuple(rule for p in ALL_PASSES for rule in p.RULES)
 
 __all__ = ["ALL_PASSES", "RULES"]

@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 from ..findings import Finding
 
 RULE = "dead-export"
+RULES = (RULE,)
 
 _READER_DIRS = ("src", "examples", "benchmarks", "perfbench")
 _ROOT_MODULES = ("src/repro/__init__.py", "src/repro/api/__init__.py")

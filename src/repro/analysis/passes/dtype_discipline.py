@@ -24,6 +24,7 @@ from ..findings import Finding
 from .determinism import _enclosing_symbol
 
 RULE = "dtype-discipline"
+RULES = (RULE,)
 
 _CONSTRUCTORS = {"arange", "zeros", "ones", "empty", "full", "linspace"}
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from ..findings import Finding
 
 RULE = "error-contract"
+RULES = (RULE,)
 
 
 def _is_broad_handler(handler: ast.ExceptHandler) -> bool:

@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, List, Optional
 from ..findings import Finding
 
 RULE = "lock-discipline"
+RULES = (RULE,)
 
 _GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
 _CALLER_LOCKED_RE = re.compile(r"#\s*caller-locked\b")

@@ -30,6 +30,7 @@ from typing import List, Optional, Set
 from ..findings import Finding
 
 RULE = "spawn-safety"
+RULES = (RULE,)
 
 _POOL_NAME = "ProcessPoolExecutor"
 _FORK_SETTERS = {"get_context", "set_start_method"}

@@ -467,7 +467,8 @@ class TiledBackend(ComputeBackend):
             [partial(filter_groups, share) for share in shares],
             "filter.worker",
             lambda worker: dict(
-                rows=sum(stop - first for _, first, stop in shares[worker])
+                rows=sum(stop - first  # repro-lint: disable=float-sum -- row indices: ints
+                         for _, first, stop in shares[worker])
             ),
         ))
 

@@ -28,6 +28,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from .metrics import plain_sum
 from .tracer import Span, Tracer
 
 __all__ = [
@@ -263,7 +264,7 @@ def summary_tree(source, *, title: str = "trace summary") -> str:
         for index, (name, group) in enumerate(ordered):
             last = index == len(ordered) - 1
             branch, extend = ("└─ ", "   ") if last else ("├─ ", "│  ")
-            total = sum(s.duration for s in group)
+            total = plain_sum(s.duration for s in group)
             payload = sum(s.payload_bytes for s in group)
             detail = f"{total:.4f}s"
             if len(group) > 1:

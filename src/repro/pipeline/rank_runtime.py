@@ -41,6 +41,7 @@ from ..core.types import ProjectionStack
 from ..gpusim.kernels import get_kernel
 from ..mpi.communicator import SimCommunicator
 from ..obs import Span, Tracer
+from ..obs.metrics import plain_sum
 from ..pfs.projection_io import dataset_angles, read_projection_subset
 from ..pfs.storage import SimulatedPFS
 from ..pfs.volume_io import write_volume_slices
@@ -79,7 +80,7 @@ def _overlap_delta(spans: Iterable[Span], stages: Tuple[str, ...]) -> float:
     spans = [span for span in spans if span.name in stages]
     if not spans:
         return 0.0
-    total = sum(span.duration for span in spans)
+    total = plain_sum(span.duration for span in spans)
     wall = max(span.stop for span in spans) - min(span.start for span in spans)
     return total / wall if wall > 0 else float("inf")
 
@@ -185,7 +186,8 @@ def run_rank(
         stored_slab=stored_slab,
         stage_seconds={**dict.fromkeys(STAGES, 0.0), **tracer.stage_totals()},
         stage_cpu_seconds={
-            name: sum(s.attrs["cpu_s"] for s in spans if s.name == name) for name in STAGES
+            name: plain_sum(s.attrs["cpu_s"] for s in spans if s.name == name)
+            for name in STAGES
         },
         overlap_delta=_overlap_delta(
             spans, ("load", "filter", "allgather", "backprojection", "h2d")

@@ -43,7 +43,9 @@ Python-level work is per tenant, not per waiting job), DRR rounds are
 walked only until the scheduler stops reading, and rounds in which no
 tenant can afford its head (``cost / (quantum x weight)`` of them per job —
 unbounded as a plan-carried weight goes to zero) are taken in closed form.
-The DRR counters count the rounds and jobs of the prefix considered.
+The DRR counters count the rounds and jobs of the prefix considered, and
+a cycle with no free GPU considers none: the scheduler returns before it
+asks for the order.
 """
 
 from __future__ import annotations

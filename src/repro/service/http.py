@@ -88,7 +88,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.front.service.obs.counter(name).inc()
 
     def _send(self, code: int, payload, *, headers: Optional[dict] = None) -> None:
-        """Serialize and send one JSON response.
+        """Serialize and send one JSON response, in one write.
+
+        ``end_headers()`` would flush the head as one segment and the body
+        would follow as a second: two small writes on a socket without
+        ``TCP_NODELAY`` wait out the client's delayed ACK (Nagle).  So the
+        head is ended here and leaves with the body in one ``sendall``.
 
         A client gone mid-response (``BrokenPipeError`` /
         ``ConnectionResetError``) is swallowed and counted — handler
@@ -102,8 +107,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            # An HTTP/0.9 request gets no head: the buffer is never made.
+            head = getattr(self, "_headers_buffer", [])
+            if head:
+                head.append(b"\r\n")  # what end_headers() adds
+            head.append(body)
+            self._headers_buffer = []
+            self.wfile.write(b"".join(head))
         except (BrokenPipeError, ConnectionResetError):
             self._count("service.http.client_disconnects")
             self.close_connection = True

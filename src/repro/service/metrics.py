@@ -181,7 +181,9 @@ class ServiceMetrics(JobsByState):
         # rejected anything, keeping non-fair report shapes exact.
         quota = _quota_rejections(rejected)
         if quota:
-            out["quota_rejections"] = float(sum(quota.values()))
+            out["quota_rejections"] = float(
+                sum(quota.values())  # repro-lint: disable=float-sum -- counts: ints
+            )
             for tenant, count in sorted(quota.items()):
                 out[f"tenant[{tenant}]_quota_rejections"] = float(count)
         # Fairness KPIs are opt-in via tenant_weights (the service passes

@@ -324,7 +324,15 @@ class ClusterScheduler:
         queue, marked running and have their GPUs allocated.  Jobs that can
         never run on this cluster (memory-infeasible even with every GPU)
         are removed and returned as rejected.
+
+        With no free GPU the cycle reads nothing: no scheduling order is
+        built and no job is considered, so a fair queue counts no DRR round
+        and promotes no aged job.  Such a cycle would place and reject
+        nothing anyway: the slo walk stops at the first job it reads when
+        no GPU is free, and fifo waits for the whole cluster.
         """
+        if self.cluster.free_gpus == 0:
+            return [], []
         if self.policy == "fifo":
             return self._schedule_fifo(queue, now)
         return self._schedule_slo(queue, now, running)

@@ -5,9 +5,13 @@ Frozen verbatim from ``src/repro/service/{queue,fairness,scheduler}.py`` at
 commit e521b9c, edited since only to fold its three float ``sum()``s left
 to right through its own ``_plain_sum`` (the builtin compensates from
 Python 3.12 on, so the frozen bits would otherwise depend on the
-interpreter) and to drop the unread ``JobQueue.peek``.  The fold is written
-out here rather than imported from ``repro.obs.metrics``, so that a change
-to the live helper moves the live queue and not this reference.  ``tests/test_service_equivalence.py``
+interpreter), to drop the unread ``JobQueue.peek``, and to return from
+``ClusterScheduler.schedule`` before reading the queue when no GPU is free
+(as the live scheduler does: such a cycle places and rejects nothing either
+way, but the recorded per-cycle orders and the DRR / aging counters count
+what a cycle reads).  The fold is written out here rather than imported
+from ``repro.obs.metrics``, so that a change to the live helper moves the
+live queue and not this reference.  ``tests/test_service_equivalence.py``
 replays random traces through a service built on these and one built on
 the live classes and holds every job record, summary and scheduling order
 to ``==``.  These re-derive ``choose_grid`` / the Eq. 8-19 model for every
@@ -534,6 +538,8 @@ class ClusterScheduler:
         never run on this cluster (memory-infeasible even with every GPU)
         are removed and returned as rejected.
         """
+        if self.cluster.free_gpus == 0:
+            return [], []
         if self.policy == "fifo":
             return self._schedule_fifo(queue, now)
         return self._schedule_slo(queue, now, running)

@@ -50,6 +50,7 @@ def test_rule_registry_matches_scopes():
         "lock-discipline",
         "spawn-safety",
         "determinism",
+        "float-sum",
         "dtype-discipline",
         "error-contract",
         "dead-export",
@@ -90,6 +91,26 @@ def test_determinism_fixture():
     assert rule_lines(findings, "determinism") == [10, 14, 18, 22]
     assert {f.rule for f in findings} == {"determinism"}
     assert lint_fixture("determinism_good.py") == []
+
+
+def test_float_sum_fixture():
+    findings = lint_fixture("float_sum_bad.py")
+    assert rule_lines(findings, "float-sum") == [5, 9, 13, 17]
+    assert {f.rule for f in findings} == {"float-sum"}
+    assert {f.symbol for f in findings} == {
+        "bad_float_total", "bad_float_list", "bad_opaque_iterable", "bad_true_division",
+    }
+    assert all("plain_sum" in f.message for f in findings)
+    assert lint_fixture("float_sum_good.py") == []
+
+
+def test_float_sum_scope_is_the_package():
+    # The determinism pass's own scope is the numeric layers; its float-sum
+    # rule patrols every file of src/repro, service and obs included.
+    config = LintConfig.default()
+    assert config.rule("float-sum").applies_to("/x/src/repro/service/queue.py")
+    assert not config.rule("determinism").applies_to("/x/src/repro/service/queue.py")
+    assert not config.rule("float-sum").applies_to("/x/tests/test_service.py")
 
 
 def test_dtype_discipline_fixture():

@@ -1295,6 +1295,59 @@ class TestHTTPErrorPaths:
             server.stop()
             service.close()
 
+    def test_each_response_leaves_in_one_socket_write(self, monkeypatch):
+        # A head flushed apart from its body is two small segments, and the
+        # second waits out the client's delayed ACK (Nagle).
+        service = ReconstructionService(
+            16, backend="vectorized",
+            admission=AdmissionPolicy(max_queue_depth_per_tenant=1),
+        )
+        server = ServiceHTTPServer(service, auto_advance=False)
+        server.start()
+        sent = []
+
+        def recording(method):
+            def write(sock, data, *args):
+                if sock.getsockname()[1] == server.port:  # server side only
+                    sent.append(bytes(data))
+                return method(sock, data, *args)
+            return write
+
+        monkeypatch.setattr(socket.socket, "sendall", recording(socket.socket.sendall))
+        monkeypatch.setattr(socket.socket, "send", recording(socket.socket.send))
+        try:
+            base = f"http://127.0.0.1:{server.port}"
+            plan = plan_for_problem(
+                problem_from_string(SMALL), target="service",
+                backend="vectorized",
+            ).to_json().encode("utf-8")
+
+            def one_write(status, request):
+                sent.clear()
+                try:
+                    response = urllib.request.urlopen(request, timeout=30)
+                except urllib.error.HTTPError as error:
+                    response = error
+                with response:
+                    assert response.status == status
+                    body = response.read()
+                    headers = response.headers
+                assert len(sent) == 1, [data[:40] for data in sent]
+                assert sent[0].startswith(b"HTTP/1.0 %d " % status)
+                assert sent[0].endswith(b"\r\n\r\n" + body)
+                return headers
+
+            post = lambda path: urllib.request.Request(base + path, data=plan, method="POST")
+            one_write(202, post("/plans?dataset=ds-0"))
+            assert "Retry-After" in one_write(429, post("/plans?dataset=ds-1"))
+            one_write(200, base + "/jobs")
+            one_write(200, base + "/metrics")
+            one_write(404, base + "/jobs/never-submitted")
+            one_write(400, urllib.request.Request(base + "/plans", data=b"{", method="POST"))
+        finally:
+            server.stop()
+            service.close()
+
     def test_infeasible_plan_is_a_400_not_a_429(self):
         # One V100 cannot hold a 2048^3 sub-volume: never feasible, so the
         # front door must answer 400 (fix the request), not 429 (retry).
