@@ -651,6 +651,7 @@ class ReconstructionPlan:
         if not scenario.is_ideal:
             summary["scenario_cache_token"] = scenario.cache_token
         if self.streaming:
+            from ..backends import get_backend  # late: backends import core
             from ..streaming import resolve_chunk_size  # late: streaming imports core
 
             summary["streaming"] = True
@@ -658,6 +659,7 @@ class ReconstructionPlan:
                 executed, executed.np_,
                 chunk_size=self.chunk_size,
                 memory_budget_bytes=self.memory_budget_bytes,
+                workers=self.workers or get_backend(self.backend).workers,
             )
             summary["memory_budget_bytes"] = self.memory_budget_bytes
         if self.target == "ifdk":

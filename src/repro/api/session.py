@@ -9,11 +9,12 @@ for the plan's target:
 ``fdk``
     The one single-node reconstructor,
     :meth:`StreamingReconstructor.from_plan
-    <repro.streaming.StreamingReconstructor.from_plan>`: one chunk (the
-    whole stack, ``reconstruct_stack``) by default, or,
-    when the plan sets ``streaming: true``, a
+    <repro.streaming.StreamingReconstructor.from_plan>`: the whole stack
+    (``reconstruct_stack``) in default chunks of
+    :data:`~repro.streaming.chunks.DEFAULT_CHUNK_SIZE` projections per
+    backend worker, or, when the plan sets ``streaming: true``, a
     :class:`~repro.streaming.StackChunkSource` chunked under the plan's
-    memory budget (bit-identical output).
+    ``chunk_size`` / memory budget (bit-identical output).
 ``ifdk``
     An :class:`~repro.pipeline.ifdk.IFDKFramework` over
     :meth:`IFDKConfig.from_plan <repro.pipeline.config.IFDKConfig.from_plan>`.

@@ -8,8 +8,9 @@ Ten subcommands cover the workflows a downstream user needs:
     writing the volume (as ``.npy``) and a JSON report.  ``--scenario``
     replays the acquisition through a non-ideal protocol (short-scan,
     offset-detector, sparse-view, noisy) before reconstructing,
-    ``--stream`` (with ``--chunk-size`` / ``--memory-budget``) runs the
-    chunked streaming executor instead of the whole-stack path, and
+    ``--stream`` (with ``--chunk-size`` / ``--memory-budget``) streams the
+    stack through a chunk source under those knobs, with chunk spans and
+    accounting, instead of the whole-stack path's default chunks, and
     ``--plan plan.json`` executes a declarative
     :class:`~repro.api.ReconstructionPlan` instead of explicit flags.
 ``plan``
@@ -178,14 +179,16 @@ def add_plan_args(
     if streaming:
         parser.add_argument(
             "--stream", action="store_true", default=False,
-            help="stream the reconstruction chunk by chunk instead of "
-                 "materializing the whole filtered stack (fdk target only)",
+            help="stream the reconstruction through a chunk source under "
+                 "--chunk-size / --memory-budget, with chunk spans and "
+                 "accounting (fdk target only)",
         )
         parser.add_argument(
             "--chunk-size", dest="chunk_size", type=int, default=None,
             metavar="N",
             help="projections per streaming chunk (requires --stream; "
-                 "default: derived from --memory-budget, else 16)",
+                 "default: derived from --memory-budget, else 32 per "
+                 "backend worker)",
         )
         parser.add_argument(
             "--memory-budget", dest="memory_budget", default=None,

@@ -1,11 +1,13 @@
 """The single-node FDK driver: whole-stack, out-of-core and online.
 
-A whole-stack FDK run filters all ``Np`` projections, then back-projects
-them — two full ``(Np, Nv, Nu)`` arrays resident at once.  This package
-runs that handoff as a *chunk iterator* pipeline, the whole stack being
-its one-chunk case, so reconstruction can (a) bound its working set by an
-explicit ``memory_budget_bytes`` for stacks that exceed node RAM, and
-(b) start before acquisition finishes, consuming projections through
+Filtering all ``Np`` projections before back-projecting any would hold
+two full ``(Np, Nv, Nu)`` arrays at once.  This package runs that handoff
+as a *chunk iterator* pipeline instead — an in-memory whole stack too, in
+default chunks of :data:`~repro.streaming.chunks.DEFAULT_CHUNK_SIZE`
+projections per backend worker — so reconstruction holds one chunk of
+filtered rows at a time, can (a) bound its working set by an explicit
+``memory_budget_bytes`` for stacks that exceed node RAM, and (b) start
+before acquisition finishes, consuming projections through
 :class:`~repro.pipeline.CircularBuffer` — the paper's "instant FDK"
 overlap of acquisition and reconstruction.
 
@@ -18,9 +20,9 @@ The pieces:
   protocol and its three implementations (in-memory stack, PFS-backed
   reader, online circular-buffer consumer);
 * :mod:`~repro.streaming.reconstructor` — the
-  :class:`StreamingReconstructor` executor (``reconstruct_stack`` for one
-  chunk, ``reconstruct`` for a source), whose chunked runs are
-  bit-identical to its one-chunk run on every backend by construction.
+  :class:`StreamingReconstructor` executor (``reconstruct_stack`` for an
+  in-memory stack, ``reconstruct`` for a source), whose runs are
+  bit-identical at every chunk size on every backend by construction.
 
 The same plan/Session/CLI seams drive it: set ``streaming: true`` (plus
 optional ``chunk_size`` / ``memory_budget_bytes``) on a

@@ -7,10 +7,13 @@ keyword constructor the one keyword surface; a
 :class:`~repro.streaming.ProjectionChunkSource`, filters each through the
 shared driver (:meth:`ComputeBackend.filter_stack` with the scenario's
 redundancy rows sliced to the chunk) and folds it into one persistent
-:class:`~repro.backends.base.VolumeAccumulator`.  Filtering the whole
-``(Np, Nv, Nu)`` stack and then back-projecting it is the one-chunk case of
-the same loop (:meth:`StreamingReconstructor.reconstruct_stack`) — that is
-all a non-streaming :class:`~repro.api.Session` does.
+:class:`~repro.backends.base.VolumeAccumulator`.  An in-memory stack runs
+through the same loop at the same resolved chunk
+(:meth:`StreamingReconstructor.reconstruct_stack`: the constructor's
+``chunk_size`` or budget, else
+:data:`~repro.streaming.chunks.DEFAULT_CHUNK_SIZE` projections per backend
+worker) — that is all a non-streaming :class:`~repro.api.Session` does — so
+no run holds a second ``(Np, Nv, Nu)`` array of filtered rows.
 
 Every run has one schedule, whichever kernel executor back-projects: each
 chunk is read, filtered on all of the backend's ``workers``, then
@@ -23,12 +26,12 @@ Bit-identity is the design invariant, not an accident:
 * every filtering table (cosine weights, ramp response, FDK scale) depends
   only on the geometry, and the per-row FFT convolution is independent of
   how rows are batched — so a chunk's filtered rows equal the same rows of
-  the whole-stack filtering bit-for-bit;
+  a one-chunk filtering bit-for-bit;
 * the scenario redundancy table is ``(Np, Nu)`` and slices cleanly to each
   chunk's global projection window;
 * back-projection is a sum over projections, and chunks are accumulated in
   acquisition order through one accumulator — the floating-point
-  accumulation order is *exactly* the whole-stack order, on every backend
+  accumulation order is *exactly* the one-chunk order, on every backend
   (``parallel`` included: its shards accumulate each tile in sequential
   stack order per dispatch).
 
@@ -82,7 +85,7 @@ class StreamingResult:
 
 
 class StreamingReconstructor:
-    """FDK reconstruction, whole-stack or chunked under a memory budget.
+    """FDK reconstruction in chunks, of a whole stack or a chunk source.
 
     Parameters
     ----------
@@ -112,9 +115,10 @@ class StreamingReconstructor:
         :meth:`close` or a ``with`` block); on any other backend it raises
         :class:`ValueError`.  ``None`` uses the shared registry backend.
     chunk_size:
-        Projections per chunk of :meth:`reconstruct` (``None`` derives it
-        from the budget, or falls back to
-        :data:`~repro.streaming.chunks.DEFAULT_CHUNK_SIZE`).
+        Projections per chunk of :meth:`reconstruct` and
+        :meth:`reconstruct_stack` (``None`` derives it from the budget, or
+        falls back to :data:`~repro.streaming.chunks.DEFAULT_CHUNK_SIZE`
+        per backend worker).
     memory_budget_bytes:
         Upper bound on the streaming working set (see
         :func:`~repro.streaming.chunk_working_set_bytes` for exactly what
@@ -194,8 +198,8 @@ class StreamingReconstructor:
         The plan's scenario is resolved and its geometry derived, so the
         reconstructor is ready for the scenario-shaped stack.  A
         ``streaming: true`` plan runs :meth:`reconstruct` under its
-        ``chunk_size`` / ``memory_budget_bytes``; any other plan runs
-        :meth:`reconstruct_stack` and never consults them.
+        ``chunk_size`` / ``memory_budget_bytes``; any other plan (which sets
+        neither) runs :meth:`reconstruct_stack` at the default chunk.
         """
         scenario = plan.resolved_scenario()
         return cls(
@@ -240,20 +244,17 @@ class StreamingReconstructor:
                 f"source promises {np_total} projections but the geometry "
                 f"acquires {self.geometry.np_}"
             )
-        chunk = resolve_chunk_size(
-            self.geometry, np_total,
-            chunk_size=self.chunk_size,
-            memory_budget_bytes=self.memory_budget_bytes,
-        )
-        return self._run(source, chunk, get_tracer())
+        return self._run(source, self._chunk(np_total), get_tracer())
 
     def reconstruct_stack(self, stack: ProjectionStack) -> StreamingResult:
-        """The one-chunk case: filter the whole stack, then back-project it.
+        """Filter and back-project an in-memory stack, chunk by chunk.
 
-        The stack's own angles and projection count define the run, so a
-        subset or sparse-view stack of the acquisition is accepted — only a
-        scenario's ``(Np, Nu)`` redundancy table pins the count.  The trace
-        carries the stage spans (``filter``, ``backproject``) without
+        The chunk is the one :meth:`reconstruct` resolves, so only one
+        chunk of filtered rows is held at a time.  The stack's own angles
+        and projection count define the run, so a subset or sparse-view
+        stack of the acquisition is accepted — only a scenario's
+        ``(Np, Nu)`` redundancy table pins the count.  The trace carries
+        one ``filter`` and one ``backproject`` span per chunk, without
         per-chunk wrappers.
         """
         if self.redundancy is not None and stack.np_ != self.geometry.np_:
@@ -261,7 +262,16 @@ class StreamingReconstructor:
                 f"scenario {self.scenario.name!r} weights "
                 f"{self.geometry.np_} projections but the stack has {stack.np_}"
             )
-        return self._run(StackChunkSource(stack), stack.np_, NULL_TRACER)
+        return self._run(StackChunkSource(stack), self._chunk(stack.np_), NULL_TRACER)
+
+    def _chunk(self, num_projections: int) -> int:
+        """The chunk size a run of ``num_projections`` executes."""
+        return resolve_chunk_size(
+            self.geometry, num_projections,
+            chunk_size=self.chunk_size,
+            memory_budget_bytes=self.memory_budget_bytes,
+            workers=self.backend.workers,
+        )
 
     def _filtered(self, piece, index: int, tracer) -> ProjectionStack:
         """Chunk ``index`` filtered on all ``workers`` (pre-filtered: as is)."""
@@ -323,6 +333,9 @@ class StreamingReconstructor:
             backproject_seconds += time.perf_counter() - t1
             delivered += piece.size
             chunk_counter.inc()
+            # Drop this chunk's rows before the next one is filtered: one
+            # chunk of filtered rows is held at a time.
+            del piece, filtered
         if delivered != np_total:
             raise StreamingError(
                 f"source delivered {delivered} of {np_total} projections — "

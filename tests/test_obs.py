@@ -219,12 +219,10 @@ def test_parallel_worker_spans_nest_under_stages(workers):
 # The chunk driver: each chunk filtered, then back-projected, under the run.
 # --------------------------------------------------------------------- #
 
-def _chunked_trace(workers=2, **fields):
+def _chunked_trace(workers=2, problem="384x192x48->40x40x40", **fields):
     # Filter-heavy, with milliseconds per chunk and stage, so thread
     # hand-offs do not dominate.
-    plan = plan_for_problem(
-        "384x192x48->40x40x40", backend="parallel", workers=workers, **fields
-    )
+    plan = plan_for_problem(problem, backend="parallel", workers=workers, **fields)
     tracer = Tracer()
     with Session(plan, tracer=tracer) as session:
         result = session.run(_stack_for(plan))
@@ -277,20 +275,38 @@ def test_chunk_spans_run_in_turn_under_the_run_span(workers, tmp_path, capsys):
 
 @pytest.mark.parallel
 def test_whole_stack_trace_keeps_its_shape_whatever_the_projection_count():
-    """``reconstruct_stack`` is one chunk: one span per stage, the worker
-    spans under it and every worker a shard — at 48 projections as at 24."""
-    _, result, by_name = _chunked_trace()
+    """``reconstruct_stack`` runs in default chunks without chunk spans: one
+    ``filter`` then one ``backproject`` span per chunk, each a child of
+    ``run`` on its thread, with the worker spans under it and every worker a
+    shard — 96 projections on two workers are a 64- and a 32-projection
+    chunk."""
+    _, result, by_name = _chunked_trace(problem="384x192x96->40x40x40")
     assert "filter.chunk" not in by_name and "backproject.chunk" not in by_name
     (run,) = by_name["run"]
-    (filter_span,) = by_name["filter"]
-    (backproject_span,) = by_name["backproject"]
-    assert filter_span.parent_id == backproject_span.parent_id == run.span_id
-    assert {s.thread for s in (filter_span, backproject_span)} == {run.thread}
-    assert [s.parent_id for s in by_name["filter.worker"]] == [filter_span.span_id] * 2
-    assert {s.parent_id for s in by_name["backproject.worker"]} == {
-        backproject_span.span_id
+    filters, backprojects = by_name["filter"], by_name["backproject"]
+    assert [s.attrs["projections"] for s in filters] == [64, 32]
+    assert [s.attrs["projections"] for s in backprojects] == [64, 32]
+    stages = sorted(filters + backprojects, key=lambda s: s.start)
+    assert [s.name for s in stages] == ["filter", "backproject"] * 2
+    assert all(a.stop <= b.start for a, b in zip(stages, stages[1:]))
+    assert {s.parent_id for s in stages} == {run.span_id}
+    assert {s.thread for s in stages} == {run.thread}
+    for filter_span in filters:
+        assert [
+            s.parent_id for s in by_name["filter.worker"]
+            if s.parent_id == filter_span.span_id
+        ] == [filter_span.span_id] * 2
+    for backproject_span in backprojects:
+        assert {
+            s.attrs["worker"] for s in by_name["backproject.worker"]
+            if s.parent_id == backproject_span.span_id
+        } == {0, 1}
+    assert {s.parent_id for s in by_name["filter.worker"]} == {
+        s.span_id for s in filters
     }
-    assert {s.attrs["worker"] for s in by_name["backproject.worker"]} == {0, 1}
+    assert {s.parent_id for s in by_name["backproject.worker"]} == {
+        s.span_id for s in backprojects
+    }
 
 
 @pytest.mark.parallel

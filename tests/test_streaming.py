@@ -83,6 +83,16 @@ def reconstruct_streaming(source, geometry, **options):
     with StreamingReconstructor(geometry, **options) as reconstructor:
         return reconstructor.reconstruct(source)
 
+
+def random_stack(geometry, seed):
+    """A float32 standard-normal stack of ``geometry``'s acquisition."""
+    return ProjectionStack(
+        data=np.random.default_rng(seed).standard_normal(
+            (geometry.np_, geometry.nv, geometry.nu), dtype=np.float32
+        ),
+        angles=geometry.angles,
+    )
+
 #: Conformance bound of every backend against the reference volume.
 RMSE_TOL = 1e-5
 
@@ -91,7 +101,9 @@ BASE = default_geometry_for_problem(nu=32, nv=24, np_=24, nx=16, ny=16, nz=12)
 
 SCENARIOS = ("full_scan", "short_scan", "sparse_view")
 DTYPES = ("float32", "float64")
-#: chunk_size=None runs one whole-stack-sized chunk (resolve caps at Np).
+#: chunk_size=None resolves to DEFAULT_CHUNK_SIZE projections per backend
+#: worker, capped at the stack: one 24-projection chunk of the 24-view BASE
+#: on every backend.
 CHUNK_SIZES = (1, 7, None)
 
 
@@ -110,7 +122,12 @@ def scenario_case(scenario: str, dtype: str):
 
 @pytest.fixture(scope="module")
 def whole_stack_volumes():
-    """Whole-stack reference results, computed once per matrix cell."""
+    """One-chunk reference results, computed once per matrix cell.
+
+    The backend's own stage drivers filter the whole stack, then
+    back-project it: the oracle never runs through the chunk driver under
+    test, which chunks a whole stack too.
+    """
     cache = {}
 
     def compute(backend: str, scenario: str, dtype: str) -> np.ndarray:
@@ -161,7 +178,8 @@ class TestStreamingEquivalence:
         reference = whole_stack_volumes("reference", scenario, dtype)
         assert rel_rmse(result.volume.data, reference) <= RMSE_TOL
         expected_chunk = resolve_chunk_size(
-            geometry, geometry.np_, chunk_size=chunk_size
+            geometry, geometry.np_, chunk_size=chunk_size,
+            workers=get_backend(backend).workers,
         )
         assert result.chunk_size == expected_chunk
         assert result.chunk_count == len(plan_chunks(geometry.np_, expected_chunk))
@@ -169,19 +187,25 @@ class TestStreamingEquivalence:
 
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_slab_stack_is_one_chunk_of_the_driver(self, backend):
-        """``reconstruct_stack`` with a ``z_range`` ≡ that slab of a
-        multi-chunk run."""
+        """A ``z_range`` slab's one-chunk run ≡ its multi-chunk runs, from a
+        source and from ``reconstruct_stack``, ≡ that slab of a full run."""
         geometry, stack, _ = scenario_case("short_scan", "float32")
         slab = (3, 8)
+        one_chunk = reconstruct_streaming(
+            stack, geometry, backend=backend, scenario="short_scan",
+            z_range=slab, chunk_size=geometry.np_,
+        )
         with StreamingReconstructor(
             geometry, backend=backend, scenario="short_scan", z_range=slab,
             chunk_size=5,
         ) as driver:
-            one_chunk = driver.reconstruct_stack(stack)
+            whole = driver.reconstruct_stack(stack)
             chunked = driver.reconstruct(StackChunkSource(stack))
         assert one_chunk.volume.data.shape[0] == slab[1] - slab[0]
-        assert chunked.chunk_count > 1
+        assert one_chunk.chunk_count == 1
+        assert whole.chunk_count == chunked.chunk_count > 1
         np.testing.assert_array_equal(one_chunk.volume.data, chunked.volume.data)
+        np.testing.assert_array_equal(one_chunk.volume.data, whole.volume.data)
         if backend != "reference":  # the reference pairs mirror slices per slab
             full = reconstruct_streaming(
                 stack, geometry, backend=backend, scenario="short_scan", chunk_size=5
@@ -570,22 +594,23 @@ class TestChunkedDriver:
             result.volume.data, whole_stack_volumes("vectorized", scenario, dtype)
         )
 
-    def test_whole_stack_is_one_chunk(self, pooled):
+    def test_whole_stack_chunks_per_worker(self, pooled):
+        """A whole stack runs in chunks of DEFAULT_CHUNK_SIZE projections per
+        worker — 160 views are 64 + 64 + 32 on two workers, 96 + 64 on
+        three — with the bits of one chunk on one worker."""
         geometry = default_geometry_for_problem(
-            nu=32, nv=24, np_=48, nx=16, ny=16, nz=12
+            nu=32, nv=24, np_=160, nx=16, ny=16, nz=12
         )
-        stack = ProjectionStack(
-            data=np.random.default_rng(4).standard_normal(
-                (geometry.np_, geometry.nv, geometry.nu)
-            ).astype(np.float32),
-            angles=geometry.angles,
+        stack = random_stack(geometry, 4)
+        one_chunk = reconstruct_streaming(
+            stack, geometry, backend="vectorized", chunk_size=geometry.np_
         )
-        in_turn = StreamingReconstructor(
-            geometry, backend="vectorized"
-        ).reconstruct_stack(stack)
         whole = StreamingReconstructor(geometry, backend=pooled).reconstruct_stack(stack)
-        assert (whole.chunk_count, whole.chunk_size) == (1, geometry.np_)
-        assert_same_bits(whole.volume.data, in_turn.volume.data)
+        chunk = min(DEFAULT_CHUNK_SIZE * pooled.workers, geometry.np_)
+        assert (whole.chunk_count, whole.chunk_size) == (
+            len(plan_chunks(geometry.np_, chunk)), chunk
+        )
+        assert_same_bits(whole.volume.data, one_chunk.volume.data)
 
     def test_one_worker_starts_no_thread(self):
         geometry, stack, _ = scenario_case("full_scan", "float32")
@@ -715,12 +740,7 @@ def test_every_run_filters_and_back_projects_on_all_workers(
     """Chunked or whole-stack, filter-bound or not, on any executor: each
     stage is dealt to every worker from the calling thread."""
     geometry = plan_for_problem(problem).geometry
-    stack = ProjectionStack(
-        data=np.random.default_rng(6).standard_normal(
-            (geometry.np_, geometry.nv, geometry.nu), dtype=np.float32
-        ),
-        angles=geometry.angles,
-    )
+    stack = random_stack(geometry, 6)
     shards, dealt = [], []
     real_dispatch = TiledBackend.dispatch_filter
 
@@ -743,10 +763,17 @@ def test_every_run_filters_and_back_projects_on_all_workers(
         ) as driver:
             result = driver.reconstruct(StackChunkSource(stack))
             whole = driver.reconstruct_stack(stack)
-    assert result.chunk_count == 2
+    assert result.chunk_count == whole.chunk_count == 2
     assert shards == [workers, workers]
-    assert dealt == [(workers, threading.current_thread().name)] * 3
-    assert_same_bits(result.volume.data, whole.volume.data)
+    assert dealt == [(workers, threading.current_thread().name)] * 4
+    # The oracle: one chunk of the whole stack.
+    one_chunk = reconstruct_streaming(
+        stack, geometry, backend="parallel", workers=workers, z_range=z_range,
+        chunk_size=geometry.np_,
+    )
+    assert one_chunk.chunk_count == 1
+    assert_same_bits(result.volume.data, one_chunk.volume.data)
+    assert_same_bits(whole.volume.data, one_chunk.volume.data)
 
 
 # --------------------------------------------------------------------------- #
@@ -758,12 +785,7 @@ def traced_chunked_run(np_, chunk):
     n = 16
     geometry = default_geometry_for_problem(nu=96, nv=80, np_=np_, nx=n, ny=n, nz=n)
     pfs = SimulatedPFS()
-    write_projection_dataset(pfs, ProjectionStack(
-        data=np.random.default_rng(2).standard_normal(
-            (np_, geometry.nv, geometry.nu), dtype=np.float32
-        ),
-        angles=geometry.angles,
-    ))
+    write_projection_dataset(pfs, random_stack(geometry, 2))
     with StreamingReconstructor(
         geometry, backend="parallel", workers=2, chunk_size=chunk
     ) as driver:
@@ -780,32 +802,83 @@ def traced_chunked_run(np_, chunk):
     return geometry, peak - volume - padded
 
 
+def working_set_model(geometry, chunk, *, raw_chunks, threads, reference=False):
+    """Bytes a run may hold at once beside its volume, per the memory model.
+
+    ``raw_chunks`` chunks of raw rows held by the source, one chunk of
+    filtered rows, each filtering thread's row group of buffers and
+    transform outputs, and small change.  The tiled kernel's per row:
+    float32 + float64 rows, complex128 product, SciPy's complex64 spectrum
+    and float64 inverse; the ``reference`` kernel's: the same rows and its
+    complex128 spectrum, product and inverse.  The stages run in turn, so
+    the back-projection's workspace, which the budget leaves out, is never
+    live beside the filter's and stays inside the same bound.
+    """
+    nv, nu = geometry.nv, geometry.nu
+    pad = 1 << int(np.ceil(np.log2(2 * nu)))
+    rows = min(GROUP_ROWS, nv)
+    transforms = 48 * pad if reference else 24 * (pad // 2 + 1) + 8 * pad
+    return (
+        (raw_chunks + 1) * chunk * 4 * nv * nu
+        + threads * rows * (12 * nu + transforms)
+        + (64 << 10)
+    )
+
+
 @pytest.mark.usefixtures("numpy_executor")
 def test_chunked_run_stays_under_the_working_set_estimate():
     chunk = 6
     geometry, working = traced_chunked_run(24, chunk)
-    nv, nu = geometry.nv, geometry.nu
-    pad = 1 << int(np.ceil(np.log2(2 * nu)))
-    # What may be live at once: one chunk's raw and filtered rows, the
-    # source assembling the next raw chunk from its per-projection reads,
-    # each worker's row group of buffers and transform outputs (float32 +
-    # float64 rows, complex128 product, SciPy's complex64 spectrum and
-    # float64 inverse), and small change.  The stages run in turn, so the
-    # back-projection's workspace, which the budget leaves out, is never
-    # live beside the filter's and stays inside the same bound.
-    rows = min(GROUP_ROWS, nv)
-    model = (
-        chunk * 8 * nv * nu
-        + chunk * 4 * nv * nu
-        + 2 * rows * (12 * nu + 24 * (pad // 2 + 1) + 8 * pad)
-        + (64 << 10)
-    )
+    # One chunk's raw rows and the source assembling the next from its
+    # per-projection reads, on two workers.
+    model = working_set_model(geometry, chunk, raw_chunks=2, threads=2)
     assert 0 < working <= model
     # ... which the budget's estimate over-counts by a wide margin,
     assert model <= 0.6 * chunk_working_set_bytes(geometry, chunk)
     # and which does not grow with the acquisition: four times the
     # projections fit the same model.
     assert traced_chunked_run(96, chunk)[1] <= model
+
+
+@pytest.mark.parametrize("executor,backend,workers,scenario", [
+    *[(executor, "vectorized", None, None) for executor in ("native", "numpy")],
+    *[(executor, "parallel", 2, None) for executor in ("native", "numpy")],
+    ("numpy", "reference", None, None),  # no compiled kernel to choose
+    *[(executor, "vectorized", None, "short_scan") for executor in ("native", "numpy")],
+], indirect=["executor"])
+def test_whole_stack_run_holds_one_chunk_of_filtered_rows(
+    executor, backend, workers, scenario
+):
+    """``reconstruct_stack`` holds one default chunk of filtered rows, never
+    a second ``(Np, Nv, Nu)`` stack: its peak fits the chunked model with
+    no raw chunk (the rows are views of the caller's stack), which is less
+    than the whole stack."""
+    n = 16
+    geometry = default_geometry_for_problem(nu=96, nv=80, np_=256, nx=n, ny=n, nz=n)
+    if scenario is not None:
+        geometry = get_scenario(scenario).apply_geometry(geometry)
+    stack = random_stack(geometry, 3)
+    with StreamingReconstructor(
+        geometry, backend=backend, workers=workers, scenario=scenario
+    ) as driver:
+        driver.reconstruct_stack(stack)  # warm tables and FFT plans
+        tracemalloc.start()
+        try:
+            result = driver.reconstruct_stack(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        threads = driver.backend.workers
+    chunk = DEFAULT_CHUNK_SIZE * threads
+    volume = 2 * result.volume.data.nbytes  # the accumulator's and the copy
+    reference = backend == "reference"  # no shards, no padded planes
+    padded = 0 if reference else threads * 4 * (geometry.nu + 4) * (geometry.nv + 4)
+    model = working_set_model(
+        geometry, chunk, raw_chunks=0, threads=threads, reference=reference
+    )
+    assert 0 < peak - volume - padded <= model < stack.data.nbytes
+    assert result.chunk_size == chunk
+    assert result.chunk_count == len(plan_chunks(geometry.np_, chunk)) > 1
 
 
 # --------------------------------------------------------------------------- #
@@ -953,21 +1026,24 @@ class TestStreamingSeams:
         )
         assert starts == [0, 6, 12, 18]
 
-    def test_chunk_spans_follow_the_plan_not_the_chunk_count(
-        self, small_geometry, small_projections
-    ):
+    def test_chunk_spans_follow_the_plan_not_the_chunk_count(self):
         """A streaming plan that resolves to one chunk still records its
-        chunk spans; a whole-stack plan records only the stage spans."""
+        chunk spans; a whole-stack plan records only the stage spans, one
+        ``filter`` and one ``backproject`` per default chunk (72 views on
+        one worker: 32 + 32 + 8), each a child of ``run`` on its thread."""
+        geometry = default_geometry_for_problem(
+            nu=48, nv=48, np_=72, nx=16, ny=16, nz=16
+        )
+        stack = random_stack(geometry, 5)
+
         def span_names(**fields):
             tracer = Tracer()
-            plan = ReconstructionPlan(
-                geometry=small_geometry, backend="blocked", **fields
-            )
+            plan = ReconstructionPlan(geometry=geometry, backend="blocked", **fields)
             with Session(plan, tracer=tracer) as session:
-                result = session.run(small_projections)
+                result = session.run(stack)
             return result, tracer.spans()
 
-        result, spans = span_names(streaming=True, chunk_size=small_geometry.np_)
+        result, spans = span_names(streaming=True, chunk_size=geometry.np_)
         names = [span.name for span in spans]
         assert result.details["chunks"] == 1
         assert names.count("filter.chunk") == names.count("backproject.chunk") == 1
@@ -977,13 +1053,35 @@ class TestStreamingSeams:
         names = [span.name for span in spans]
         assert "streaming" not in result.details
         assert "filter.chunk" not in names and "backproject.chunk" not in names
-        assert names.count("filter") == names.count("backproject") == 1
+        assert names.count("filter") == names.count("backproject") == 3
+        (run,) = [span for span in spans if span.name == "run"]
+        stages = [span for span in spans if span.name in ("filter", "backproject")]
+        assert {span.parent_id for span in stages} == {run.span_id}
+        assert {span.thread for span in stages} == {run.thread}
+        assert [
+            span.attrs["projections"] for span in stages if span.name == "filter"
+        ] == [32, 32, 8]
         stage_attrs = {
             span.name: span.attrs for span in spans
             if span.name in ("filter", "backproject")
         }
         assert stage_attrs["filter"]["backend"] == "blocked"
         assert stage_attrs["backproject"]["backend"] == "blocked"
+
+    def test_describe_names_the_chunk_a_run_executes(self):
+        """A streaming plan with neither knob runs DEFAULT_CHUNK_SIZE per
+        backend worker, and ``describe`` says so."""
+        geometry = default_geometry_for_problem(
+            nu=32, nv=24, np_=100, nx=16, ny=16, nz=12
+        )
+        stack = random_stack(geometry, 8)
+        for fields, workers in (({"backend": "vectorized"}, 1),
+                                ({"backend": "parallel", "workers": 2}, 2)):
+            plan = ReconstructionPlan(geometry=geometry, streaming=True, **fields)
+            result = run_plan(plan, stack)
+            assert result.details["chunk_size"] == plan.describe()["chunk_size"] == (
+                DEFAULT_CHUNK_SIZE * workers
+            )
 
     def test_streaming_reconstructor_from_plan_matches_session(
         self, small_geometry, small_projections
