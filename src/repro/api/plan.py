@@ -253,12 +253,13 @@ class ReconstructionPlan:
         (1e-9): below it the fair-share arithmetic underflows.
     streaming, chunk_size, memory_budget_bytes:
         Chunked execution on the ``fdk`` target: ``streaming=True`` routes
-        :meth:`Session.run` through the
+        :meth:`Session.run` through a chunk source of the
         :class:`~repro.streaming.StreamingReconstructor`, filtering and
         back-projecting ``chunk_size`` projections at a time under
         ``memory_budget_bytes`` (see
         :func:`~repro.streaming.resolve_chunk_size` for how the two knobs
-        combine).  Streaming output is bit-identical to the whole-stack
+        combine; without them a plan runs in default chunks).  Streaming
+        output is bit-identical to the whole-stack
         path, so the fields change *how* a plan executes, not what it
         computes — but they are part of :meth:`key` (execution identity),
         like ``backend`` and ``workers``, and excluded from

@@ -127,7 +127,7 @@ def chunk_working_set_bytes(geometry: CBCTGeometry, chunk_size: int) -> int:
 def whole_stack_working_set_bytes(
     geometry: CBCTGeometry, num_projections: Optional[int] = None
 ) -> int:
-    """Working set of one chunk of every projection (or ``num_projections``)."""
+    """Working set of ``num_projections`` (default: all) as one chunk."""
     np_ = geometry.np_ if num_projections is None else int(num_projections)
     return chunk_working_set_bytes(geometry, np_)
 
