@@ -35,8 +35,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from functools import cached_property
+from typing import Any, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,6 +67,25 @@ _GEOMETRY_FLOAT_FIELDS = (
     "du", "dv", "sad", "sdd", "dx", "dy", "dz",
     "angle_offset", "angular_range", "detector_offset_u",
 )
+
+
+#: How many parsed plan documents :meth:`ReconstructionPlan.from_json` keeps.
+#: A facility submits a handful of protocol plans for many datasets, so a
+#: few dozen cover every document a front door sees twice.
+_PARSED_PLANS_MAX = 64
+
+# SHA-256 of a document's text -> its plan, least recently read first.  The
+# digest is the key, so a large body is hashed once and never retained.
+_parsed_plans: "OrderedDict[bytes, ReconstructionPlan]" = OrderedDict()
+_parsed_plans_lock = threading.Lock()
+
+
+class _PlanIdentity(NamedTuple):
+    """What a plan's fields determine once and for all (see ``_identity``)."""
+
+    key: str
+    acquisition: str
+    problem: ReconstructionProblem
 
 
 def _canonical_json(payload: Dict[str, Any]) -> str:
@@ -289,10 +311,29 @@ class ReconstructionPlan:
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _identity(self) -> _PlanIdentity:
+        """The plan's key, acquisition token and problem, derived on first
+        read and kept on the instance: every field is frozen, so they can
+        never go stale, and a plan shared by many submissions (the
+        :meth:`from_json` memo hands one object to every POST of the same
+        document) derives them once.  Not a field, so equality, hashing
+        and :func:`dataclasses.replace` ignore it."""
+        return _PlanIdentity(
+            key=_short_hash(_canonical_json(self.to_dict())),
+            acquisition=acquisition_token(self.geometry),
+            problem=self.geometry.problem(),
+        )
+
     @property
     def problem(self) -> ReconstructionProblem:
         """The base reconstruction problem this plan describes."""
-        return self.geometry.problem()
+        return self._identity.problem
+
+    @property
+    def acquisition(self) -> str:
+        """:func:`acquisition_token` of the plan's geometry."""
+        return self._identity.acquisition
 
     def resolved_scenario(self):
         """The plan's :class:`~repro.scenarios.scenario.AcquisitionScenario`."""
@@ -572,11 +613,33 @@ class ReconstructionPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ReconstructionPlan":
+        """Parse a plan document (strict, as :meth:`from_dict`).
+
+        Memoised per process: the last 64 documents parsed
+        (``_PARSED_PLANS_MAX``) are kept under the SHA-256 of their text,
+        so the same text returns the same (frozen) plan object without a
+        second parse, and its :meth:`key` is derived once.  A document
+        that fails to parse raises on every call and is never stored.
+        Texts that differ only in whitespace or field order are separate
+        entries that hold equal plans with equal keys.
+        """
+        # "surrogatepass": json.loads accepts a str holding lone surrogates.
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+        with _parsed_plans_lock:
+            plan = _parsed_plans.get(digest)
+            if plan is not None:
+                _parsed_plans.move_to_end(digest)
+                return plan
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"plan is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        plan = cls.from_dict(payload)
+        with _parsed_plans_lock:
+            plan = _parsed_plans.setdefault(digest, plan)
+            if len(_parsed_plans) > _PARSED_PLANS_MAX:
+                _parsed_plans.popitem(last=False)
+        return plan
 
     # ------------------------------------------------------------------ #
     # Identity
@@ -587,9 +650,11 @@ class ReconstructionPlan:
         SHA-256 of the canonical JSON form (sorted keys, ``repr`` floats),
         truncated to 16 hex characters.  Stable across processes, machines
         and the order fields appear in a plan file — the identity that job
-        records, reports and result caches carry.
+        records, reports and result caches carry.  Derived on the first
+        call and kept with the plan's acquisition token and problem, so
+        every later call is an attribute read.
         """
-        return _short_hash(_canonical_json(self.to_dict()))
+        return self._identity.key
 
     def filter_identity(self) -> Dict[str, Any]:
         """The fields that determine this plan's filtered projections.
@@ -610,7 +675,7 @@ class ReconstructionPlan:
             "nv": g.nv,
             "np_": g.np_,
             "scenario": cache_token_for(self.scenario),
-            "acquisition": acquisition_token(g),
+            "acquisition": self.acquisition,
         }
 
     def filter_key(self) -> str:

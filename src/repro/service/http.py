@@ -9,6 +9,12 @@ an actual network service rather than a Python API:
   :meth:`~repro.service.service.ReconstructionService.submit_plan` and
   returns the job record.  A malformed or mismatched plan is a ``400``
   with the :class:`ValueError` text — the same strictness as the API.
+  The body goes through :meth:`~repro.api.ReconstructionPlan.from_json`,
+  which keeps the last 64 documents it parsed under the SHA-256 of their
+  text: a client posting one protocol plan for many datasets pays one
+  parse, and the job reads the plan's key, acquisition token and problem,
+  which the plan derives once.  A body that fails to parse is parsed (and
+  answered ``400``) every time.
 * ``GET /jobs/<id>`` — one job's record (``404`` for an unknown id;
   restart-recovered jobs are served from the journal-backed registry).
 * ``GET /jobs`` — every known job record.

@@ -346,13 +346,13 @@ class ReconstructionJob:
         priority, SLO); its canonical :meth:`~repro.api.ReconstructionPlan.key`
         is recorded on the job so reports and caches share one identity.
         Per-submission values (``dataset_id``, arrival time, an explicit
-        tenant/priority/SLO) override the plan's defaults.
+        tenant/priority/SLO) override the plan's defaults.  The key, the
+        acquisition token and the problem are read from the plan, which
+        derives them once: a plan submitted for many datasets shares them.
         """
-        from ..api.plan import acquisition_token  # late: api imports service
-
         job = cls(
             problem=plan.problem,
-            acquisition=acquisition_token(plan.geometry),
+            acquisition=plan.acquisition,
             tenant=plan.tenant if tenant is None else tenant,
             dataset_id=dataset_id,
             priority=plan.priority if priority is None else priority,

@@ -19,6 +19,9 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +34,12 @@ from repro.api import (
     TARGETS,
     ReconstructionPlan,
     Session,
+    acquisition_token,
     filter_cache_identity,
     plan_for_problem,
     run_plan,
 )
+from repro.api import plan as plan_module
 from repro.backends import available_backends
 from repro.core import default_geometry_for_problem
 from repro.pipeline import IFDKConfig
@@ -228,6 +233,129 @@ class TestPlanProperties:
             different.append(plan.with_updates(scenario="short_scan"))
         for other in different:
             assert other.filter_key() != plan.filter_key()
+
+
+# --------------------------------------------------------------------------- #
+# The parse memo and the derived identity
+# --------------------------------------------------------------------------- #
+class TestPlanParseMemo:
+    """``from_json`` keeps the plans it parsed under the SHA-256 of their
+    text; a plan derives its key, acquisition token and problem once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        plan_module._parsed_plans.clear()
+        yield
+        plan_module._parsed_plans.clear()
+
+    def test_same_text_is_the_same_plan_with_a_fresh_parse_s_keys(self):
+        text = small_plan(target="service", slo_seconds=30.0).to_json()
+        first = ReconstructionPlan.from_json(text)
+        assert ReconstructionPlan.from_json(text) is first
+        key, filter_key = first.key(), first.filter_key()
+        plan_module._parsed_plans.clear()
+        fresh = ReconstructionPlan.from_json(text)
+        assert fresh is not first
+        assert (fresh.key(), fresh.filter_key()) == (key, filter_key)
+        assert (first.key(), first.filter_key()) == (key, filter_key)
+
+    def test_identity_equals_what_the_fields_derive(self):
+        plan = ReconstructionPlan.from_json(GOLDEN_PLAN.read_text())
+        assert plan.key() == GOLDEN_PLAN_KEY
+        assert plan.acquisition == acquisition_token(plan.geometry)
+        assert plan.problem == plan.geometry.problem()
+        assert plan.problem is plan.problem
+        # A copy with a field replaced derives its own identity.
+        other = plan.with_updates(ramp_filter="hann")
+        assert other.key() != plan.key()
+        assert other.key() == ReconstructionPlan.from_dict(other.to_dict()).key()
+
+    def test_whitespace_and_field_order_give_equal_plans_and_keys(self):
+        plan = small_plan(backend="blocked", scenario="short_scan")
+        payload = plan.to_dict()
+        texts = [
+            plan.to_json(),
+            plan.to_json(indent=None),
+            json.dumps({k: payload[k] for k in reversed(list(payload))}),
+            "\n  " + json.dumps(payload, indent=7) + "\t\n",
+        ]
+        parsed = [ReconstructionPlan.from_json(text) for text in texts]
+        assert all(p == plan for p in parsed)
+        assert {p.key() for p in parsed} == {plan.key()}
+        assert len(plan_module._parsed_plans) == len(texts)
+
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "not valid JSON"),
+        ('{"geometry": {}, "worker_count": 4}', "unknown plan field"),
+    ])
+    def test_a_bad_document_raises_every_time_and_is_never_kept(self, text, match):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                ReconstructionPlan.from_json(text)
+        assert len(plan_module._parsed_plans) == 0
+
+    def test_the_memo_holds_at_most_its_bound_and_no_text(self):
+        bound = plan_module._PARSED_PLANS_MAX
+        body = small_plan().to_json()
+        pad = (1 << 20) - len(body)
+        for index in range(bound + 6):  # distinct 1 MiB documents
+            text = body + " " * (pad + index)
+            assert len(text) >= 1 << 20
+            assert ReconstructionPlan.from_json(text) == small_plan()
+            assert len(plan_module._parsed_plans) <= bound
+        assert len(plan_module._parsed_plans) == bound
+        assert all(len(digest) == 32 for digest in plan_module._parsed_plans)
+
+    def test_the_least_recently_read_document_goes_first(self):
+        bound = plan_module._PARSED_PLANS_MAX
+        texts = [small_plan(target="service", priority=p).to_json()
+                 for p in range(bound + 1)]
+        first = ReconstructionPlan.from_json(texts[0])
+        for text in texts[1:bound]:
+            ReconstructionPlan.from_json(text)
+        assert ReconstructionPlan.from_json(texts[0]) is first  # read again
+        ReconstructionPlan.from_json(texts[bound])  # evicts texts[1]
+        assert ReconstructionPlan.from_json(texts[0]) is first
+        assert len(plan_module._parsed_plans) == bound
+
+    def test_eight_threads_parsing_at_once_get_equal_plans(self):
+        # More documents than the bound, so threads evict while others
+        # read and insert; a short switch interval interleaves them finely.
+        bound = plan_module._PARSED_PLANS_MAX
+        texts = [small_plan(target="service", slo_seconds=10.0 + k).to_json()
+                 for k in range(bound + 16)]
+        expected = [ReconstructionPlan.from_dict(json.loads(text))
+                    for text in texts]
+        barrier = threading.Barrier(8)
+
+        def parse(worker):
+            barrier.wait(timeout=30)
+            return [(k, ReconstructionPlan.from_json(texts[k]))
+                    for k in ((worker * 7 + i) % len(texts) for i in range(400))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(parse, worker) for worker in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for parsed in results:
+            for k, plan in parsed:
+                assert plan == expected[k]
+                assert plan.key() == expected[k].key()
+        assert len(plan_module._parsed_plans) == bound
+        assert len(list(plan_module._parsed_plans)) == bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(plan=plans())
+    def test_from_json_round_trip_through_the_memo(self, plan):
+        text = plan.to_json()
+        restored = ReconstructionPlan.from_json(text)
+        assert restored == plan
+        assert ReconstructionPlan.from_json(text) is restored
+        assert restored.key() == plan.key()
 
 
 # --------------------------------------------------------------------------- #

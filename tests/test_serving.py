@@ -11,9 +11,12 @@ marked ``slow`` — the CI ``service-serving`` job runs them with
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import multiprocessing
 import os
+import random
+import re
 import signal
 import socket
 import subprocess
@@ -28,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import plan as plan_module
 from repro.api import plan_for_problem
 from repro.core.types import ProjectionStack, problem_from_string
 from repro.core import default_geometry_for_problem
@@ -1415,6 +1419,121 @@ class TestHTTPErrorPaths:
                 holder.close()
             server.stop()
             service.close()
+
+
+#: The three plan documents the front-door benchmark posts for many datasets.
+PROTOCOL_SPECS = (
+    "512x512x1024->256x256x256",
+    "1024x1024x1024->512x512x512",
+    "512x512x1024->128x128x128",
+)
+OVERSIZED = object()  # a step that declares a body over the server's limit
+
+
+def _front_door_steps(seed: int) -> list:
+    """A seeded ``(path, body)`` sequence of POSTs: the protocol documents
+    again and again, documents seen once, explicit advances, and a bad
+    JSON body, an unknown field and an oversized body at seeded places."""
+    rng = random.Random(seed)
+    protocol = [
+        plan_for_problem(spec, target="service", cluster_gpus=16)
+        .to_json(indent=None).encode("utf-8")
+        for spec in PROTOCOL_SPECS
+    ]
+    steps = []
+    for index in range(48):
+        if rng.random() < 0.7:
+            body = rng.choice(protocol)
+        else:
+            body = plan_for_problem(
+                rng.choice(PROTOCOL_SPECS), target="service", cluster_gpus=16,
+                tenant=f"tenant-{index % 2}", slo_seconds=60.0 + index,
+            ).to_json().encode("utf-8")
+        steps.append((f"/plans?dataset=ds-{rng.randrange(7)}", body))
+        if rng.random() < 0.3:
+            steps.append(("/advance", b""))
+    for bad in (b"{not json", b'{"geometry": {}, "worker_count": 4}', OVERSIZED):
+        steps.insert(rng.randrange(len(steps) + 1), ("/plans", bad))
+    return steps
+
+
+def _drive_front_door(state_dir: Path, steps: list, *, cold: bool):
+    """Each step's ``(status, body)`` and the state dir's bytes.  ``cold``
+    empties the plan parse memo before every request, so each POST parses
+    its document and derives its identity anew."""
+    plan_module._parsed_plans.clear()
+    service = ReconstructionService(
+        16, state_dir=state_dir,
+        admission=AdmissionPolicy(max_queue_depth_per_tenant=3),
+    )
+    server = ServiceHTTPServer(service, auto_advance=False)
+    server.start()
+    responses = []
+    try:
+        for path, body in steps:
+            if cold:
+                plan_module._parsed_plans.clear()
+            if body is OVERSIZED:
+                raw = _raw_request(
+                    server.port,
+                    b"POST /plans HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+                    % (server.max_body_bytes + 1),
+                )
+                head, payload = raw.split("\r\n\r\n", 1)
+                responses.append((int(head.split()[1]), payload.encode("utf-8")))
+                continue
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            try:
+                connection.request("POST", path, body=body)
+                response = connection.getresponse()
+                responses.append((response.status, response.read()))
+            finally:
+                connection.close()
+    finally:
+        server.stop()
+        service.close()
+    stored = b"".join(
+        path.name.encode("utf-8") + b"\0" + path.read_bytes()
+        for path in sorted(state_dir.iterdir())
+    )
+    return responses, stored
+
+
+def _normalised_job_ids(responses, stored):
+    """Job ids come from one process-wide counter, so a second run numbers
+    its jobs on from the first's.  Each distinct ``job-NNNN`` becomes
+    ``job-#k``, ``k`` its order of first appearance in the responses and
+    then the stored bytes; everything else is compared as it was sent."""
+    ordinals = {}
+
+    def ordinal(match):
+        return ordinals.setdefault(match.group(0), b"job-#%d" % len(ordinals))
+
+    normal = [(status, re.sub(rb"job-\d+", ordinal, body))
+              for status, body in responses]
+    return normal, re.sub(rb"job-\d+", ordinal, stored)
+
+
+class TestFrontDoorByteIdentity:
+    """A memoised plan parse is the same bytes on the wire and on disk."""
+
+    def test_cold_and_warm_parses_answer_and_journal_the_same_bytes(self, tmp_path):
+        steps = _front_door_steps(seed=56)
+        cold = _drive_front_door(tmp_path / "cold", steps, cold=True)
+        warm = _drive_front_door(tmp_path / "warm", steps, cold=False)
+        statuses = {status for status, _ in cold[0]}
+        assert {200, 202, 400, 413, 429} <= statuses
+        distinct = {body for path, body in steps
+                    if path.startswith("/plans?")}
+        assert len(plan_module._parsed_plans) == len(distinct)  # warm hits
+        cold_responses, cold_stored = _normalised_job_ids(*cold)
+        warm_responses, warm_stored = _normalised_job_ids(*warm)
+        assert [s for s, _ in warm_responses] == [s for s, _ in cold_responses]
+        for step, (a, b) in enumerate(zip(cold_responses, warm_responses)):
+            assert a == b, f"step {step}: {steps[step][0]}"
+        assert b"job-#" in cold_stored and warm_stored == cold_stored
 
 
 @pytest.mark.slow
