@@ -31,8 +31,10 @@ First ask whether it is a new *kernel* (add it to
 :mod:`repro.backends.vectorized` and let the tiled backend drive it) or a
 new execution strategy.  For the latter subclass
 :class:`~repro.backends.base.ComputeBackend`, implement ``apply_filter``
-(padded float32 row group in, final float32 rows out) and ``accumulator``,
-optionally set ``ramp_response`` (the ramp table, and with it the pad;
+(padded float32 row group in, final float32 rows out) and ``accumulator``
+(whose :class:`~repro.backends.base.VolumeAccumulator` folds projections
+into one buffer and, on ``volume()``, hands that buffer over without a copy
+and is then spent), optionally set ``ramp_response`` (the ramp table, and with it the pad;
 the canonical power-of-two one by default), give it a unique ``name`` and call
 :func:`register_backend`.  The new backend must pass the conformance
 matrix in ``tests/test_backend_conformance.py`` (≤ 1e-5 relative RMSE

@@ -32,7 +32,8 @@ A backend implements two primitives:
     (:meth:`~VolumeAccumulator.add`) or a chunk at a time
     (:meth:`~VolumeAccumulator.add_stack`, which every accumulator has) and
     owns the voxel-update loop — this is where backends differ in batching,
-    blocking and memory layout.
+    blocking and memory layout.  :meth:`~VolumeAccumulator.volume` hands
+    over the buffer it filled, without a copy, and spends the accumulator.
 
 Which code runs the voxel updates is the accumulator's ``executor``:
 ``reference`` is NumPy/SciPy throughout; the tiled names (``vectorized``,
@@ -82,7 +83,7 @@ from ..core.filtering import (
     ramp_filter_frequency_response,
 )
 from ..core.geometry import CBCTGeometry
-from ..core.types import ProjectionStack, Volume
+from ..core.types import DEFAULT_DTYPE, ProjectionStack, Volume
 from ..obs import get_tracer
 
 __all__ = ["ComputeBackend", "VolumeAccumulator"]
@@ -95,12 +96,20 @@ class VolumeAccumulator(abc.ABC):
     """A streaming back-projection accumulator bound to one Z slab.
 
     Filtered projections are folded in one at a time via :meth:`add` or a
-    stack at a time via :meth:`add_stack`; :meth:`volume` returns the
+    stack at a time via :meth:`add_stack`; :meth:`volume` hands over the
     accumulated sub-volume in the canonical i-major ``(Nz_local, Ny, Nx)``
     layout regardless of the backend's internal storage.  Accumulation must
     be deterministic: the result may depend only on the sequence of
     ``(projection, angle)`` pairs, never on wall-clock, thread scheduling or
     allocation addresses.
+
+    The hand-over is the accumulator's last act: it returns the buffer it
+    filled, without a copy, and keeps no reference to it, so a run holds its
+    volume once.  The accumulator is then spent — :meth:`add`,
+    :meth:`add_stack` and a second :meth:`volume` raise
+    :class:`RuntimeError`.  A backend implements :meth:`_fold` (one
+    validated float32 projection) and :meth:`_hand_over`; the checks live
+    here.
     """
 
     #: Registry name of the backend that built this accumulator (a trace
@@ -110,6 +119,8 @@ class VolumeAccumulator(abc.ABC):
     #: the GIL for a whole stack) or ``"numpy"`` (array calls that re-take it).
     #: A trace attribute too.
     executor: str = "numpy"
+    #: Set by :meth:`volume`: the buffer is the caller's from then on.
+    _spent: bool = False
 
     def __init__(
         self,
@@ -146,9 +157,16 @@ class VolumeAccumulator(abc.ABC):
     def nz_local(self) -> int:
         return self.z_range[1] - self.z_range[0]
 
-    @abc.abstractmethod
     def add(self, projection: np.ndarray, angle: float) -> None:
         """Fold one filtered ``(Nv, Nu)`` projection into the sub-volume."""
+        self._check_unspent()
+        projection = np.asarray(projection, dtype=DEFAULT_DTYPE)
+        self._validate(projection.shape)
+        self._fold(projection, angle)
+
+    @abc.abstractmethod
+    def _fold(self, projection: np.ndarray, angle: float) -> None:
+        """:meth:`add` on a float32 projection of the detector's shape."""
 
     def add_stack(self, stack: ProjectionStack) -> None:
         """Fold a filtered stack into the sub-volume, in stack order.
@@ -158,6 +176,7 @@ class VolumeAccumulator(abc.ABC):
         and per-worker child spans are recorded only when tracing is
         enabled, so the hot loop stays untouched otherwise.
         """
+        self._check_unspent()
         self._validate(stack.data.shape[1:])
         with get_tracer().span(
             "backproject",
@@ -179,9 +198,30 @@ class VolumeAccumulator(abc.ABC):
             for angle, projection in stack:
                 self.add(projection, angle)
 
-    @abc.abstractmethod
     def volume(self) -> Volume:
-        """The accumulated sub-volume, i-major ``(Nz_local, Ny, Nx)``."""
+        """Hand over the accumulated sub-volume, i-major ``(Nz_local, Ny, Nx)``.
+
+        The result's ``data`` is the buffer the accumulator filled, not a
+        copy (only a buffer in another layout, such as the ``reference``
+        oracle's k-major one, is transposed into a new one and dropped);
+        afterwards the accumulator is spent.
+        """
+        self._check_unspent()
+        volume = self._hand_over()
+        self._spent = True
+        return volume
+
+    @abc.abstractmethod
+    def _hand_over(self) -> Volume:
+        """The filled buffer as a :class:`Volume`, dropping every reference
+        this accumulator holds to it."""
+
+    def _check_unspent(self) -> None:
+        if self._spent:
+            raise RuntimeError(
+                "the accumulator already handed over its volume; "
+                "start a new accumulator"
+            )
 
     def _validate(self, shape: Tuple[int, ...]) -> None:
         if shape != (self.geometry.nv, self.geometry.nu):

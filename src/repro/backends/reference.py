@@ -31,10 +31,14 @@ class _ReferenceAccumulator(VolumeAccumulator):
     """Per-projection accumulation with the paper's literal arithmetic.
 
     The proposed algorithm accumulates into the k-major layout (the paper's
-    ``I~``) and reshapes on :meth:`volume` (Algorithm 4 line 22); the
-    standard algorithm accumulates i-major directly.  Both run with the
-    paper defaults of :func:`~repro.core.backprojection.accumulate_proposed`
-    (Theorem-1 symmetry on, 32-slice coordinate batches).
+    ``I~``) and reshapes on :meth:`volume` (Algorithm 4 line 22, through
+    :meth:`Volume.from_kmajor <repro.core.types.Volume.from_kmajor>`); the
+    standard algorithm accumulates i-major directly and hands that buffer
+    over.  The transpose cannot run in place when ``Nx != Nz_local``, so the
+    proposed hand-over holds two volumes for the length of that one call.
+    Both run with the paper defaults of
+    :func:`~repro.core.backprojection.accumulate_proposed` (Theorem-1
+    symmetry on, 32-slice coordinate batches).
     """
 
     backend = "reference"
@@ -46,9 +50,7 @@ class _ReferenceAccumulator(VolumeAccumulator):
             shape = shape[::-1]  # k-major (Nx, Ny, Nz_local)
         self._data = np.zeros(shape, dtype=DEFAULT_DTYPE)
 
-    def add(self, projection: np.ndarray, angle: float) -> None:
-        projection = np.asarray(projection, dtype=DEFAULT_DTYPE)
-        self._validate(projection.shape)
+    def _fold(self, projection: np.ndarray, angle: float) -> None:
         pm = self.geometry.projection_matrix(float(angle))
         if self.algorithm == "proposed":
             accumulate_proposed(
@@ -60,14 +62,14 @@ class _ReferenceAccumulator(VolumeAccumulator):
         else:
             accumulate_standard(self._data, projection, pm, z_range=self.z_range)
 
-    def volume(self) -> Volume:
+    def _hand_over(self) -> Volume:
+        pitch = self.geometry.voxel_pitch
         if self.algorithm == "proposed":
-            data = np.ascontiguousarray(
-                self._data.transpose(2, 1, 0), dtype=DEFAULT_DTYPE
-            )
+            volume = Volume.from_kmajor(self._data, voxel_pitch=pitch)
         else:
-            data = self._data.copy()
-        return Volume(data=data, voxel_pitch=self.geometry.voxel_pitch)
+            volume = Volume(data=self._data, voxel_pitch=pitch)
+        del self._data
+        return volume
 
 
 class ReferenceBackend(ComputeBackend):

@@ -404,9 +404,7 @@ class _TiledAccumulator(VolumeAccumulator):
             **self._worker_attrs,
         )))
 
-    def add(self, projection: np.ndarray, angle: float) -> None:
-        projection = np.asarray(projection, dtype=DEFAULT_DTYPE)
-        self._validate(projection.shape)
+    def _fold(self, projection: np.ndarray, angle: float) -> None:
         self._dispatch(projection[None, ...], [angle])
 
     def _add_stack(self, stack: ProjectionStack) -> None:
@@ -415,10 +413,11 @@ class _TiledAccumulator(VolumeAccumulator):
         # stack order, so the bits match streaming add() exactly.
         self._dispatch(stack.data, stack.angles)
 
-    def volume(self) -> Volume:
-        return Volume(
-            data=self._out.copy(), voxel_pitch=self.geometry.voxel_pitch
-        )
+    def _hand_over(self) -> Volume:
+        volume = Volume(data=self._out, voxel_pitch=self.geometry.voxel_pitch)
+        # The NumPy executor's shards hold views of the buffer: they go too.
+        del self._out, self._shards
+        return volume
 
 
 class TiledBackend(ComputeBackend):

@@ -26,7 +26,7 @@ remains ``float32``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -189,14 +189,6 @@ class CBCTGeometry:
             nx=self.nx, ny=self.ny, nz=self.nz,
         )
 
-    def with_detector(self, nu: int, nv: int) -> "CBCTGeometry":
-        """Return a copy with a different detector size (pitch preserved)."""
-        return replace(self, nu=int(nu), nv=int(nv))
-
-    def with_volume(self, nx: int, ny: int, nz: int) -> "CBCTGeometry":
-        """Return a copy with a different volume size (pitch preserved)."""
-        return replace(self, nx=int(nx), ny=int(ny), nz=int(nz))
-
     # ------------------------------------------------------------------ #
     # Transformation matrices (Equation 2)
     # ------------------------------------------------------------------ #
@@ -338,13 +330,6 @@ class ProjectionMatrix:
         z = p[2, 0] * i + p[2, 1] * j + p[2, 2] * k + p[2, 3]
         return x / z, y / z, z
 
-    def project_homogeneous(self, points: np.ndarray) -> np.ndarray:
-        """Apply ``P`` to an ``(n, 4)`` array of homogeneous voxel indices."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 4:
-            raise ValueError("points must have shape (n, 4)")
-        return points @ self.matrix.T
-
     # ------------------------------------------------------------------ #
     # Camera-model accessors (used by the forward projector)
     # ------------------------------------------------------------------ #
@@ -368,17 +353,6 @@ class ProjectionMatrix:
         m_inv = np.linalg.inv(self.matrix[:, :3])
         pix = np.stack([u, v, np.ones_like(u)], axis=-1)
         return pix @ m_inv.T
-
-    def distance_weight(self, z: np.ndarray) -> np.ndarray:
-        """FDK distance weight ``(d / z)^2``.
-
-        Algorithm 2 line 8 uses ``f^2`` with ``f = 1/z``; the additional
-        ``d^2`` factor is the constant part of the classical FDK weight
-        ``d^2 / U^2`` and only rescales the volume globally.  Keeping it here
-        makes the reconstruction quantitatively comparable to the phantom.
-        """
-        d = self.geometry.sad
-        return (d / np.asarray(z)) ** 2
 
 
 @lru_cache(maxsize=4096)  # ~0.4 KiB an entry: 16 scans of 256 views

@@ -162,14 +162,6 @@ class EllipsoidPhantom:
             total = contrib if total is None else total + contrib
         return total
 
-    def density_at(self, points: np.ndarray) -> np.ndarray:
-        """Analytic density at normalized-frame ``points`` of shape (n, 3)."""
-        points = np.asarray(points, dtype=np.float64)
-        values = np.zeros(points.shape[:-1], dtype=np.float64)
-        for ell in self.ellipsoids:
-            values = values + ell.value * ell.contains(points)
-        return values
-
 
 def shepp_logan_ellipsoids(modified: bool = True) -> List[Ellipsoid]:
     """The ten ellipsoids of the (modified) 3-D Shepp-Logan phantom.

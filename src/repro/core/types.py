@@ -288,20 +288,6 @@ class Volume:
         return self.data.nbytes
 
     @classmethod
-    def zeros(
-        cls,
-        nx: int,
-        ny: int,
-        nz: int,
-        voxel_pitch: Tuple[float, float, float] = (1.0, 1.0, 1.0),
-    ) -> "Volume":
-        """Allocate an all-zero volume of the given extent."""
-        return cls(
-            data=np.zeros((nz, ny, nx), dtype=DEFAULT_DTYPE),
-            voxel_pitch=voxel_pitch,
-        )
-
-    @classmethod
     def from_kmajor(
         cls,
         kmajor: np.ndarray,
@@ -310,26 +296,11 @@ class Volume:
         """Build a volume from the k-major layout of Algorithm 4.
 
         The k-major buffer is indexed ``[i, j, k]``; the final reshape of
-        Algorithm 4 line 22 transposes it back to ``[k, j, i]``.
+        Algorithm 4 line 22 transposes it back to ``[k, j, i]`` into a new
+        buffer.  This is the ``reference`` backend's transpose: its proposed
+        accumulator hands over its volume through here.
         """
         if kmajor.ndim != 3:
             raise ValueError("k-major buffer must be 3-D (Nx, Ny, Nz)")
         data = np.ascontiguousarray(kmajor.transpose(2, 1, 0), dtype=DEFAULT_DTYPE)
         return cls(data=data, voxel_pitch=voxel_pitch)
-
-    def to_kmajor(self) -> np.ndarray:
-        """Return a contiguous copy in the k-major layout ``[i, j, k]``."""
-        return np.ascontiguousarray(self.data.transpose(2, 1, 0))
-
-    def copy(self) -> "Volume":
-        return Volume(data=self.data.copy(), voxel_pitch=self.voxel_pitch)
-
-    def slab(self, z_start: int, z_stop: int) -> "Volume":
-        """Return the sub-volume of slices ``[z_start, z_stop)`` (a copy)."""
-        if not (0 <= z_start < z_stop <= self.nz):
-            raise ValueError(
-                f"invalid slab [{z_start}, {z_stop}) for volume with Nz={self.nz}"
-            )
-        return Volume(
-            data=self.data[z_start:z_stop].copy(), voxel_pitch=self.voxel_pitch
-        )

@@ -57,11 +57,6 @@ class IFDKRunResult:
         """Measured end-to-end GUPS of the functional run."""
         return self.problem.gups(self.wall_seconds)
 
-    @property
-    def modelled_gups(self) -> float:
-        """GUPS predicted by the performance model for the same grid."""
-        return self.problem.gups(self.modelled.t_runtime)
-
     def stage_totals(self) -> Dict[str, float]:
         """Sum of each stage's busy time across all ranks."""
         totals: Dict[str, float] = {}

@@ -18,6 +18,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -226,8 +227,8 @@ class TestPlanProperties:
     def test_filter_key_tracks_acquisition_identity(self, plan):
         different = [
             plan.with_updates(ramp_filter="cosine"),
-            plan.with_updates(geometry=plan.geometry.with_detector(
-                plan.geometry.nu + 1, plan.geometry.nv)),
+            plan.with_updates(geometry=dataclasses.replace(
+                plan.geometry, nu=plan.geometry.nu + 1)),
         ]
         if plan.scenario != "short_scan":
             different.append(plan.with_updates(scenario="short_scan"))
@@ -447,9 +448,7 @@ class TestSessionExecution:
 
     def test_session_rejects_mismatched_stack(self, small_geometry, small_projections):
         plan = ReconstructionPlan(
-            geometry=small_geometry.with_detector(
-                small_geometry.nu - 8, small_geometry.nv
-            ),
+            geometry=dataclasses.replace(small_geometry, nu=small_geometry.nu - 8),
             scenario="short_scan",
         )
         with Session(plan) as session, pytest.raises(ValueError, match="matches"):

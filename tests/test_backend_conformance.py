@@ -39,6 +39,8 @@ the fast backends' algebraic rearrangements rely on:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,81 @@ def test_accumulator_streaming_seam_conforms(backend):
     ) <= RMSE_TOL
     whole = get_backend(backend).backproject(stack, geometry, z_range=z_range).data
     np.testing.assert_array_equal(results[backend], whole)
+
+
+# --------------------------------------------------------------------------- #
+# The hand-over: volume() returns the filled buffer and spends the accumulator
+# --------------------------------------------------------------------------- #
+#: ``parallel`` runs on a dedicated two-worker pool, so its tiles are sharded.
+HAND_OVER_BACKENDS = ("reference", "vectorized", "parallel")
+
+
+@contextlib.contextmanager
+def hand_over_accumulator(name: str, geometry, algorithm: str):
+    """A filled accumulator of ``name`` (``parallel`` on two workers)."""
+    backend = TiledBackend(workers=2) if name == "parallel" else get_backend(name)
+    try:
+        acc = backend.accumulator(geometry, algorithm=algorithm, z_range=(2, 8))
+        acc.add_stack(make_stack(geometry, "float32"))
+        yield acc
+    finally:
+        if name == "parallel":
+            backend.close()
+
+
+def filled_buffer(acc) -> np.ndarray:
+    """The buffer an accumulator folds into (``_out`` tiled, ``_data`` reference)."""
+    return acc._out if hasattr(acc, "_out") else acc._data
+
+
+def arrays_held_by(value):
+    """Every array an accumulator's attributes hold, through containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from arrays_held_by(item)
+    elif isinstance(value, dict):
+        yield from arrays_held_by(list(value.values()))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("name", HAND_OVER_BACKENDS)
+def test_volume_hands_over_the_filled_buffer(name, algorithm):
+    geometry = make_geometry("aniso")
+    with hand_over_accumulator(name, geometry, algorithm) as acc:
+        buffer = filled_buffer(acc)
+        filled = buffer.copy()
+        volume = acc.volume()
+        held = list(arrays_held_by(vars(acc)))
+    if (name, algorithm) == ("reference", "proposed"):
+        # The k-major buffer is transposed into a new one (Algorithm 4 line 22).
+        np.testing.assert_array_equal(volume.data, filled.transpose(2, 1, 0))
+    else:
+        assert np.shares_memory(volume.data, buffer)
+        np.testing.assert_array_equal(volume.data, filled)
+    assert not any(np.shares_memory(array, buffer) for array in held)
+    assert not any(np.shares_memory(array, volume.data) for array in held)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("name", HAND_OVER_BACKENDS)
+def test_spent_accumulator_refuses_and_leaves_the_volume_alone(name, algorithm):
+    geometry = make_geometry("aniso")
+    stack = make_stack(geometry, "float32")
+    with hand_over_accumulator(name, geometry, algorithm) as acc:
+        volume = acc.volume()
+        handed = volume.data.copy()
+        spent = pytest.raises(RuntimeError, match="already handed over")
+        with spent:
+            acc.add(stack.data[0], float(stack.angles[0]))
+        with spent:
+            acc.add_stack(stack)
+        with spent:
+            acc.volume()
+        # A fresh accumulator of the same backend folds into its own buffer.
+        get_backend(name).backproject(stack, geometry, algorithm=algorithm)
+    np.testing.assert_array_equal(volume.data, handed)
 
 
 def test_unknown_backend_is_rejected():

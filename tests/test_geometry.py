@@ -57,12 +57,6 @@ class TestCBCTGeometry:
         with pytest.raises(ValueError):
             CBCTGeometry(**kwargs)
 
-    def test_with_volume_and_detector(self, geometry):
-        g2 = geometry.with_volume(16, 16, 8).with_detector(32, 16)
-        assert (g2.nx, g2.ny, g2.nz) == (16, 16, 8)
-        assert (g2.nu, g2.nv) == (32, 16)
-        assert g2.sad == geometry.sad
-
     def test_fov_radius_positive_and_bounded(self, geometry):
         r = geometry.fov_radius()
         assert 0 < r < geometry.sad
@@ -112,23 +106,6 @@ class TestProjectionMatrix:
         assert u == pytest.approx(10.0, abs=1e-8)
         assert v == pytest.approx(20.0, abs=1e-8)
 
-    def test_project_homogeneous_matches_project(self, geometry):
-        pm = geometry.projection_matrix(0.4)
-        pts = np.array([[1.0, 2.0, 3.0, 1.0], [4.0, 5.0, 6.0, 1.0]])
-        xyz = pm.project_homogeneous(pts)
-        u, v, z = pm.project(pts[:, 0], pts[:, 1], pts[:, 2])
-        np.testing.assert_allclose(xyz[:, 0] / xyz[:, 2], u)
-        np.testing.assert_allclose(xyz[:, 2], z)
-
-    def test_project_homogeneous_validates_shape(self, geometry):
-        pm = geometry.projection_matrix(0.4)
-        with pytest.raises(ValueError):
-            pm.project_homogeneous(np.zeros((3, 3)))
-
-    def test_distance_weight_is_d_over_z_squared(self, geometry):
-        pm = geometry.projection_matrix(0.0)
-        z = np.array([geometry.sad, 2 * geometry.sad])
-        np.testing.assert_allclose(pm.distance_weight(z), [1.0, 0.25])
 
 
 @st.composite

@@ -70,7 +70,6 @@ def test_run_result_reports_statistics(geometry, projections):
     assert result.wall_seconds > 0
     assert result.gups > 0
     assert result.modelled.t_runtime > 0
-    assert result.modelled_gups > 0
     assert len(result.rank_results) == 4
     # Every rank filtered its share and back-projected its column's share.
     for rank_result in result.rank_results:

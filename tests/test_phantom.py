@@ -77,11 +77,6 @@ class TestEllipsoidPhantom:
         with pytest.raises(ValueError):
             uniform_sphere_phantom().rasterize(8, 8, 8, supersample=0)
 
-    def test_density_at_matches_rasterization_at_centers(self):
-        phantom = uniform_sphere_phantom(radius=0.5, value=3.0)
-        assert phantom.density_at(np.array([[0.0, 0.0, 0.0]]))[0] == pytest.approx(3.0)
-        assert phantom.density_at(np.array([[0.9, 0.0, 0.0]]))[0] == 0.0
-
     def test_line_integrals_sum_over_ellipsoids(self):
         grid = (-0.5, 0.0, 0.5)
         phantom = EllipsoidPhantom([

@@ -21,6 +21,8 @@ the validation surface.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -326,7 +328,7 @@ def test_apply_rejects_filtered_and_mismatched_stacks():
     with pytest.raises(ValueError, match="raw measurements"):
         get_scenario("short_scan").apply(base, filtered)
     with pytest.raises(ValueError, match="does not match"):
-        get_scenario("short_scan").apply(base.with_detector(16, 16), stack)
+        get_scenario("short_scan").apply(dataclasses.replace(base, nu=16, nv=16), stack)
 
 
 def test_scenario_validation():

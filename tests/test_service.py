@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -966,7 +967,7 @@ class TestPlanDrivenCacheKeying:
         # Filtering sees only the input stack: re-reconstructing the SAME
         # acquisition at another output size reuses the filtering.
         a = self.plan("512x512x1024->256x256x256")
-        b = a.with_updates(geometry=a.geometry.with_volume(128, 128, 128))
+        b = a.with_updates(geometry=dataclasses.replace(a.geometry, nx=128, ny=128, nz=128))
         assert CacheKey.from_plan(a, "ds") == CacheKey.from_plan(b, "ds")
 
     def test_acquisition_physics_difference_never_shares(self):

@@ -797,7 +797,7 @@ def traced_chunked_run(np_, chunk):
         finally:
             tracemalloc.stop()
     assert result.chunk_count == -(-np_ // chunk) > 1
-    volume = 2 * result.volume.data.nbytes  # the accumulator's and the copy
+    volume = result.volume.data.nbytes  # the accumulator's, handed over
     padded = 2 * 4 * (geometry.nu + 4) * (geometry.nv + 4)
     return geometry, peak - volume - padded
 
@@ -840,6 +840,31 @@ def test_chunked_run_stays_under_the_working_set_estimate():
     assert traced_chunked_run(96, chunk)[1] <= model
 
 
+def traced_whole_stack_run(geometry, backend, workers, **options):
+    """A warm ``reconstruct_stack`` of a random stack under ``tracemalloc``:
+    the run, its traced peak, the shards' padded planes, the memory model's
+    bytes beside the volume and the default chunk the model holds."""
+    stack = random_stack(geometry, 3)
+    with StreamingReconstructor(
+        geometry, backend=backend, workers=workers, **options
+    ) as driver:
+        driver.reconstruct_stack(stack)  # warm tables and FFT plans
+        tracemalloc.start()
+        try:
+            result = driver.reconstruct_stack(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        threads = driver.backend.workers
+        reference = driver.backend.name == "reference"  # no shards, no padded planes
+    chunk = DEFAULT_CHUNK_SIZE * threads
+    padded = 0 if reference else threads * 4 * (geometry.nu + 4) * (geometry.nv + 4)
+    model = working_set_model(
+        geometry, chunk, raw_chunks=0, threads=threads, reference=reference
+    )
+    return stack, result, peak, padded, model, chunk
+
+
 @pytest.mark.parametrize("executor,backend,workers,scenario", [
     *[(executor, "vectorized", None, None) for executor in ("native", "numpy")],
     *[(executor, "parallel", 2, None) for executor in ("native", "numpy")],
@@ -857,28 +882,69 @@ def test_whole_stack_run_holds_one_chunk_of_filtered_rows(
     geometry = default_geometry_for_problem(nu=96, nv=80, np_=256, nx=n, ny=n, nz=n)
     if scenario is not None:
         geometry = get_scenario(scenario).apply_geometry(geometry)
-    stack = random_stack(geometry, 3)
-    with StreamingReconstructor(
-        geometry, backend=backend, workers=workers, scenario=scenario
-    ) as driver:
-        driver.reconstruct_stack(stack)  # warm tables and FFT plans
-        tracemalloc.start()
-        try:
-            result = driver.reconstruct_stack(stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        threads = driver.backend.workers
-    chunk = DEFAULT_CHUNK_SIZE * threads
-    volume = 2 * result.volume.data.nbytes  # the accumulator's and the copy
-    reference = backend == "reference"  # no shards, no padded planes
-    padded = 0 if reference else threads * 4 * (geometry.nu + 4) * (geometry.nv + 4)
-    model = working_set_model(
-        geometry, chunk, raw_chunks=0, threads=threads, reference=reference
+    stack, result, peak, padded, model, chunk = traced_whole_stack_run(
+        geometry, backend, workers, scenario=scenario
     )
+    volume = result.volume.data.nbytes  # the accumulator's, handed over
     assert 0 < peak - volume - padded <= model < stack.data.nbytes
     assert result.chunk_size == chunk
     assert result.chunk_count == len(plan_chunks(geometry.np_, chunk)) > 1
+
+
+#: Each tiled worker's back-projection workspace stays under this budget
+#: (``_block_bytes``); the default budget's kernel chunks alone are ~4 MiB.
+ONE_VOLUME_BUDGET = 2 << 20
+
+
+@pytest.mark.parametrize("executor,backend,workers,algorithm,nz", [
+    *[(executor, "vectorized", 1, "proposed", 8192) for executor in ("native", "numpy")],
+    *[(executor, "parallel", 2, "proposed", 8192) for executor in ("native", "numpy")],
+    # No compiled kernel to choose, and no budgeted workspace to outgrow: a
+    # quarter of the column keeps the slow oracle's run short.
+    ("numpy", "reference", None, "standard", 2048),
+], indirect=["executor"])
+def test_whole_stack_run_holds_its_volume_once(
+    executor, backend, workers, algorithm, nz
+):
+    """The accumulator hands its buffer over: beside the padded planes and
+    what the model gives the stages (one default chunk of filtered rows;
+    on the tiled backend, each worker's budgeted workspace), a whole-stack
+    run's peak holds one volume, not the buffer and a copy.  A tall 16 x 16
+    column makes the volume larger than all of those, so a copy would set
+    the peak."""
+    geometry = default_geometry_for_problem(nu=64, nv=64, np_=2, nx=16, ny=16, nz=nz)
+    if backend != "reference":
+        backend = TiledBackend(workers, byte_budget=ONE_VOLUME_BUDGET, name=backend)
+    with get_backend(backend) as backend:
+        _, result, peak, padded, model, chunk = traced_whole_stack_run(
+            geometry, backend, None, algorithm=algorithm
+        )
+    if backend.name != "reference":  # the stages run in turn
+        model = max(model, backend.workers * ONE_VOLUME_BUDGET)
+    volume = result.volume.data.nbytes
+    assert volume > 4 * geometry.nv * geometry.nu * chunk
+    assert volume > 1.5 * model
+    assert peak - padded - model <= volume + (16 << 10)
+
+
+def test_reference_proposed_hand_over_keeps_no_k_major_buffer():
+    """Algorithm 4's transpose needs a second buffer for its one call; once
+    :meth:`volume` returns, the live accumulator's k-major buffer is gone and
+    the traced memory is the handed-over volume alone."""
+    geometry = default_geometry_for_problem(nu=32, nv=32, np_=4, nx=32, ny=32, nz=48)
+    stack = random_stack(geometry, 4)
+    stack.filtered = True
+    tracemalloc.start()
+    try:
+        acc = get_backend("reference").accumulator(geometry, algorithm="proposed")
+        acc.add_stack(stack)
+        volume = acc.volume()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= volume.data.nbytes + (16 << 10)
+    with pytest.raises(RuntimeError, match="already handed over"):
+        acc.volume()
 
 
 # --------------------------------------------------------------------------- #
